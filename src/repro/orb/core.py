@@ -20,7 +20,7 @@ paper) re-install their durable objects.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import (
     AdmissionRejected,
@@ -54,12 +54,16 @@ from repro.util.rng import SeededRng
 
 
 class RemoteApplicationError(ReproError):
-    """Raised client-side when a servant raised an unregistered exception."""
+    """Raised client-side when a servant raised an exception this ORB
+    cannot rebuild: one the server never registered (``type_name`` is its
+    class name) or one only the server registered (``type_name`` is its
+    repository id and ``remote_args`` its constructor arguments)."""
 
-    def __init__(self, type_name: str, message: str) -> None:
+    def __init__(self, type_name: str, message: str, remote_args: Sequence[Any] = ()) -> None:
         super().__init__(f"{type_name}: {message}")
         self.type_name = type_name
         self.message = message
+        self.remote_args = tuple(remote_args)
 
 
 class Servant:
@@ -506,6 +510,9 @@ class Orb:
                 return exc_type(*args)
             except TypeError:
                 return exc_type(*[str(a) for a in args])
+        if name:
+            # Typed by the server, unknown here: keep what it sent.
+            return RemoteApplicationError(name, ", ".join(map(str, args)), args)
         type_name, message = args
         return RemoteApplicationError(type_name, message)
 

@@ -916,6 +916,19 @@ class SiteRuntime:
                 )
             self._stop.wait(wait)
         self.transport.close()
+        self.close_stores()
+
+    def close_stores(self) -> None:
+        """Release the file handles this site's stores keep open (WAL,
+        cells, replica media, hosted follower replicas).  Idempotent."""
+        for store in (
+            self.wal.store,
+            self.cell_store,
+            *self.wal_media,
+            *self.cell_media,
+            *self._hosted_replicas.values(),
+        ):
+            store.close()
 
     def serve_in_background(self) -> None:
         self._serve_thread = threading.Thread(
@@ -936,6 +949,7 @@ class SiteRuntime:
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
+        self.close_stores()
 
 
 class RemoteReplicaStore(ObjectStore):

@@ -318,6 +318,65 @@ class RecoveredSubordinateResource(Servant):
         return TransactionStatus.PREPARED
 
 
+_Prepared = Dict[str, Tuple[str, List[str], Optional[str]]]
+
+
+class _WalIndex:
+    """What the service asks of its domain's log, kept current by reading
+    only the records forced since the last look.
+
+    ``prepared`` maps root tid to ``(local tid, recovery keys, root
+    domain)`` from ``subtx_prepared`` records, ``decided`` maps the tid
+    of each ``tx_commit_decision`` to its recovery keys and ``completed``
+    holds the ``tx_completed`` tids.  The containers only grow between
+    resets; callers read them and never write.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._wal: Any = None
+        self._generation = -1
+        self._reset()
+
+    def _reset(self) -> None:
+        self._upto = 0
+        self.prepared: _Prepared = {}
+        self.decided: Dict[str, List[str]] = {}
+        self.completed: Set[str] = set()
+
+    def refresh(self, wal: Any) -> "_WalIndex":
+        """Index the records ``wal`` gained since the last call.
+
+        A new ``wal.generation`` (truncate, promotion) or a new log
+        object means history may have been rewritten under the index:
+        start over from the first record.
+        """
+        with self._lock:
+            while True:
+                generation = wal.generation
+                if wal is not self._wal or generation != self._generation:
+                    self._wal, self._generation = wal, generation
+                    self._reset()
+                fresh = wal.records(after=self._upto)
+                if wal.generation == generation:
+                    break
+            for record in fresh:
+                payload = record.payload
+                if record.kind == SUBTX_PREPARED:
+                    self.prepared[payload["root"]] = (
+                        payload["tid"],
+                        list(payload.get("recovery_keys", [])),
+                        payload.get("root_domain"),
+                    )
+                elif record.kind == "tx_commit_decision":
+                    self.decided[payload["tid"]] = list(payload.get("recovery_keys", []))
+                elif record.kind == "tx_completed":
+                    self.completed.add(payload["tid"])
+            if fresh:
+                self._upto = fresh[-1].lsn
+        return self
+
+
 class FederatedTransactionService:
     """Per-domain hub for cross-bridge transaction interposition.
 
@@ -359,6 +418,7 @@ class FederatedTransactionService:
         self._adopted_at: Dict[str, float] = {}
         self._resolved: "OrderedDict[str, None]" = OrderedDict()
         self._lock = threading.Lock()
+        self._index = _WalIndex()
         self.adoptions = 0
         bridge.register_service(self.domain_id, SERVICE_NAME, self)
         self._activate_recovery_servant()
@@ -501,26 +561,11 @@ class FederatedTransactionService:
         later recovery never re-exports it as held in-doubt."""
         self.factory.wal.append("tx_completed", tid=local_tid, rolled_back=True)
 
-    def _wal_index(
-        self, records: Optional[List[Any]] = None
-    ) -> Tuple[Dict[str, Tuple[str, List[str], Optional[str]]], Set[str], Set[str]]:
-        if records is None:
-            records = self.factory.wal.records()
-        prepared: Dict[str, Tuple[str, List[str], Optional[str]]] = {}
-        decided: Set[str] = set()
-        completed: Set[str] = set()
-        for record in records:
-            if record.kind == SUBTX_PREPARED:
-                prepared[record.payload["root"]] = (
-                    record.payload["tid"],
-                    list(record.payload.get("recovery_keys", [])),
-                    record.payload.get("root_domain"),
-                )
-            elif record.kind == "tx_commit_decision":
-                decided.add(record.payload["tid"])
-            elif record.kind == "tx_completed":
-                completed.add(record.payload["tid"])
-        return prepared, decided, completed
+    def _wal_index(self) -> Tuple[_Prepared, Dict[str, List[str]], Set[str]]:
+        """(prepared, decided, completed) of this domain's log, read-only;
+        costs O(records forced since the previous call)."""
+        index = self._index.refresh(self.factory.wal)
+        return index.prepared, index.decided, index.completed
 
     # -- per-domain crash recovery ----------------------------------------------------
 
@@ -546,8 +591,7 @@ class FederatedTransactionService:
         if node.crashed:
             node.restart()
         self._activate_recovery_servant()  # restart dropped transient servants
-        records = self.factory.wal.records()  # one scan for the whole pass
-        prepared, decided, completed = self._wal_index(records)
+        prepared, decided, completed = self._wal_index()
         held: List[str] = []
         for root_tid, (local_tid, keys, root_domain) in sorted(prepared.items()):
             if local_tid in completed:
@@ -570,14 +614,19 @@ class FederatedTransactionService:
                 local_tid=local_tid,
                 held=local_tid not in decided,
             )
-        self._rebuild_subordinate_proxies(records)
-        return RecoveryManager(self.factory.wal, self.registry).recover(hold=held)
+        # Look again (O(new records)) and snapshot: dispatch threads may
+        # have logged since, and may extend the live index while the
+        # recovery pass iterates.
+        _, decided, completed = self._wal_index()
+        decisions = dict(decided)
+        self._rebuild_subordinate_proxies(decisions)
+        return RecoveryManager(self.factory.wal, self.registry).resolve(
+            decisions, set(completed), hold=held
+        )
 
-    def _rebuild_subordinate_proxies(self, records: List[Any]) -> None:
-        for record in records:
-            if record.kind != "tx_commit_decision":
-                continue
-            for key in record.payload.get("recovery_keys", []):
+    def _rebuild_subordinate_proxies(self, decisions: Dict[str, List[str]]) -> None:
+        for keys in decisions.values():
+            for key in keys:
                 if not key.startswith("fedsub-tx:"):
                     continue
                 if self.registry.resolve(key) is not None:

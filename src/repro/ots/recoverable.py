@@ -207,9 +207,12 @@ class TransactionalCell(Recoverable):
         self._prepared.pop(tid, None)
         self._enlisted_top.discard(tid)
         if self.store is not None:
-            self.store.put(self._state_key(), value)
-            if self.store.contains(self._prepared_key(tid)):
-                self.store.remove(self._prepared_key(tid))
+            # One durable write.  State first: if only a prefix of the
+            # batch survives a crash, the intention record is still there
+            # and replaying the commit installs the same value again.
+            self.store.apply_batch(
+                {self._state_key(): value}, [self._prepared_key(tid)]
+            )
 
     def _rollback(self, tid: str) -> None:
         self._workspaces.pop(tid, None)

@@ -74,8 +74,6 @@ class RecoveryManager:
         superior's decision (or an operator) may resolve it.  Held tids
         are reported in :attr:`RecoveryReport.held`.
         """
-        held = frozenset(hold) if hold is not None else frozenset()
-        report = RecoveryReport()
         decisions: Dict[str, List[str]] = {}
         completed: Set[str] = set()
         for record in self.wal.records():
@@ -85,6 +83,20 @@ class RecoveryManager:
                 )
             elif record.kind == "tx_completed":
                 completed.add(record.payload["tid"])
+        return self.resolve(decisions, completed, hold)
+
+    def resolve(
+        self,
+        decisions: Dict[str, List[str]],
+        completed: Set[str],
+        hold: Optional[Iterable[str]] = None,
+    ) -> RecoveryReport:
+        """The recovery pass proper, for a caller that has already read
+        the log: ``decisions`` maps each ``tx_commit_decision`` tid to
+        its recovery keys, ``completed`` holds the ``tx_completed``
+        tids (:meth:`recover` builds both with one scan)."""
+        held = frozenset(hold) if hold is not None else frozenset()
+        report = RecoveryReport()
 
         # Finish phase two for decided-but-incomplete transactions.  The
         # tx_completed records ride one batched force at the end of the

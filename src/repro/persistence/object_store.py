@@ -22,7 +22,7 @@ import abc
 import os
 import struct
 import threading
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import ReproError
 from repro.orb.marshal import Marshaller, ValueTypeRegistry
@@ -66,8 +66,23 @@ class ObjectStore(abc.ABC):
         for uid, state in dict(items).items():
             self.put(uid, state)
 
+    def apply_batch(self, puts: BatchItems, removes: Iterable[str] = ()) -> None:
+        """Record ``puts``, then delete each uid in ``removes`` that exists.
+
+        The base implementation is :meth:`put_many` followed by one
+        :meth:`remove` per key; :class:`SegmentedFileStore` lands the
+        puts and the tombstones in a single append + fsync.
+        """
+        self.put_many(puts)
+        for uid in removes:
+            if self.contains(uid):
+                self.remove(uid)
+
     def get_or(self, uid: str, default: Any = None) -> Any:
         return self.get(uid) if self.contains(uid) else default
+
+    def close(self) -> None:
+        """Release OS resources held between calls (none by default)."""
 
     def items(self) -> Iterator[Tuple[str, Any]]:
         for uid in self.keys():
@@ -243,13 +258,25 @@ class SegmentedFileStore(ObjectStore):
 
     Every mutation is a frame appended to the active segment file — a put
     carries the marshalled value, a remove carries a tombstone — and
-    :meth:`put_many` writes the whole batch with a *single* flush+fsync,
-    which is what makes a WAL group commit cost one disk flush no matter
-    how many transactions joined it.  An in-memory index maps each key to
-    its latest encoded value and is rebuilt by replaying the segments on
-    open; a torn trailing frame (crash mid-append) is detected by its
-    length prefix and ignored, so a partially-written batch is invisible
-    after reopen.
+    :meth:`put_many` writes the whole batch, puts then tombstones, with a
+    *single* flush+fsync, which is what makes a WAL group commit cost one
+    disk flush no matter how many transactions joined it.  An in-memory
+    index maps each key to its latest encoded value and is rebuilt by
+    replaying the segments on open.
+
+    Crash guarantee of a multi-frame batch: **frame prefix**.  A frame
+    torn by a crash mid-append is detected by its length prefix and
+    dropped together with everything behind it, but the complete frames
+    in front of it are applied — after reopen a batch is visible as its
+    first *k* frames, for some *k* from none to all.  A single-frame
+    write (every WAL force) is therefore all-or-nothing; a caller that
+    batches several keys must tolerate every prefix (the cell install
+    does: its state put precedes the tombstone of the intention record,
+    and replaying the commit from either prefix installs the same value).
+
+    The active segment's file handle stays open between appends (opened
+    by the first one, swapped on rollover and compaction, released by
+    :meth:`close`); a store that is only read never opens one.
 
     Segments roll over once the active file passes ``segment_bytes``;
     superseded frames accumulate until :meth:`compact` rewrites the live
@@ -301,11 +328,11 @@ class SegmentedFileStore(ObjectStore):
         self._active_id = self._segment_ids[-1] if self._segment_ids else 1
         if not self._segment_ids:
             self._segment_ids = [self._active_id]
+        self._handle: Optional[BinaryIO] = None  # append handle, opened by the first write
         for seg_id in self._segment_ids:
-            self._replay(self._segment_path(seg_id))
-        self._active_size = os.path.getsize(self._segment_path(self._active_id)) if os.path.exists(
-            self._segment_path(self._active_id)
-        ) else 0
+            # The last one is the active segment: appends go behind its
+            # last whole frame.
+            self._active_size = self._replay(self._segment_path(seg_id))
 
     # -- layout ---------------------------------------------------------------
 
@@ -323,46 +350,69 @@ class SegmentedFileStore(ObjectStore):
         header = self._marshaller.encode([uid, tombstone])
         return self._LEN.pack(len(header), len(value)) + header + value
 
-    def _replay(self, path: str) -> None:
+    def _replay(self, path: str) -> int:
+        """Apply the frames of one segment file to the index; returns the
+        offset behind the last whole frame."""
         if not os.path.exists(path):
-            return
+            return 0
         with open(path, "rb") as handle:
             data = handle.read()
-        offset = 0
-        while offset < len(data):
-            if offset + self._LEN.size > len(data):
+        unpack, prefix, decode = self._LEN.unpack_from, self._LEN.size, self._marshaller.decode
+        index, size, offset = self._index, len(data), 0
+        while offset < size:
+            header_start = offset + prefix
+            if header_start > size:
                 self.torn_frames_dropped += 1
                 break
-            header_len, value_len = self._LEN.unpack_from(data, offset)
-            end = offset + self._LEN.size + header_len + value_len
-            if end > len(data):
+            header_len, value_len = unpack(data, offset)
+            value_start = header_start + header_len
+            end = value_start + value_len
+            if end > size:
                 self.torn_frames_dropped += 1
                 break
-            header_start = offset + self._LEN.size
-            uid, tombstone = self._marshaller.decode(
-                data[header_start : header_start + header_len]
-            )
+            uid, tombstone = decode(data[header_start:value_start])
             if tombstone:
-                self._index.pop(uid, None)
+                index.pop(uid, None)
             else:
-                self._index[uid] = data[header_start + header_len : end]
+                index[uid] = data[value_start:end]
             self._records_written += 1
             offset = end
+        return offset
 
     def _append_frames(self, frames: List[bytes]) -> None:
-        path = self._segment_path(self._active_id)
-        with open(path, "ab") as handle:
-            for frame in frames:
-                handle.write(frame)
-            handle.flush()
-            os.fsync(handle.fileno())
+        handle = self._handle
+        if handle is None:
+            handle = self._handle = open(self._segment_path(self._active_id), "ab")
+            if handle.tell() > self._active_size:
+                # A crash tore the tail: cut it off, or replay would stop
+                # there and never reach the frames appended behind it.
+                handle.truncate(self._active_size)
+        data = b"".join(frames)
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
         self.flushes += 1
         self._records_written += len(frames)
-        self._active_size = os.path.getsize(path)
+        self._active_size += len(data)
         if self._active_size >= self._segment_bytes:
-            self._active_id += 1
+            self._start_segment(self._active_id + 1)
             self._segment_ids.append(self._active_id)
-            self._active_size = 0
+
+    def _start_segment(self, seg_id: int) -> None:
+        """Make ``seg_id`` the (still empty) active segment."""
+        self.close()
+        self._active_id = seg_id
+        self._active_size = 0
+
+    def close(self) -> None:
+        """Close the active segment's append handle.
+
+        The store stays usable: the next append reopens the file.
+        """
+        with self._write_lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     # -- auto compaction -------------------------------------------------------
 
@@ -400,17 +450,32 @@ class SegmentedFileStore(ObjectStore):
     def put(self, uid: str, state: Any) -> None:
         self.put_many([(uid, state)])
 
-    def put_many(self, items: BatchItems) -> None:
-        batch = dict(items)
-        if not batch:
-            return
-        encoded = {uid: self._marshaller.encode(state) for uid, state in batch.items()}
-        frames = [self._frame(uid, False, value) for uid, value in encoded.items()]
+    def put_many(self, items: BatchItems, removes: Iterable[str] = ()) -> None:
+        """Puts, then a tombstone per existing uid of ``removes``, in one
+        append + fsync (see the class docstring for the crash guarantee)."""
+        encoded = {
+            uid: self._marshaller.encode(state) for uid, state in dict(items).items()
+        }
         with self._write_lock:
-            self._append_frames(frames)
-            self._index.update(encoded)
-            self._keys_cache = None
-            self._maybe_auto_compact()
+            dead = [uid for uid in removes if uid in self._index or uid in encoded]
+            self._apply_locked(encoded, dead)
+
+    def apply_batch(self, puts: BatchItems, removes: Iterable[str] = ()) -> None:
+        self.put_many(puts, removes)
+
+    def _apply_locked(self, encoded: Dict[str, bytes], dead: List[str]) -> None:
+        frames = [self._frame(uid, False, value) for uid, value in encoded.items()]
+        frames.extend(self._frame(uid, True, b"") for uid in dead)
+        if not frames:
+            return
+        self._append_frames(frames)
+        self._index.update(encoded)
+        for uid in dead:
+            self._index.pop(uid, None)
+        self._keys_cache = None
+        # A tombstone both adds a frame and kills a live key, so
+        # delete-heavy workloads must re-check the dead ratio too.
+        self._maybe_auto_compact()
 
     def get(self, uid: str) -> Any:
         try:
@@ -423,12 +488,7 @@ class SegmentedFileStore(ObjectStore):
         with self._write_lock:
             if uid not in self._index:
                 raise StoreError(f"no state stored under {uid!r}")
-            self._append_frames([self._frame(uid, True, b"")])
-            del self._index[uid]
-            self._keys_cache = None
-            # A tombstone both adds a frame and kills a live key, so
-            # delete-heavy workloads must re-check the dead ratio too.
-            self._maybe_auto_compact()
+            self._apply_locked({}, [uid])
 
     def contains(self, uid: str) -> bool:
         return uid in self._index
@@ -472,9 +532,8 @@ class SegmentedFileStore(ObjectStore):
     def _compact_locked(self) -> int:
         old_ids = list(self._segment_ids)
         new_id = (old_ids[-1] if old_ids else 0) + 1
-        self._active_id = new_id
+        self._start_segment(new_id)
         self._segment_ids = [new_id]
-        self._active_size = 0
         self._records_written = 0
         frames = [self._frame(uid, False, value) for uid, value in sorted(self._index.items())]
         if frames:

@@ -68,7 +68,6 @@ from repro.persistence.object_store import (
 )
 from repro.persistence.wal import (
     DEFAULT_GROUP_COMMIT_WINDOW,
-    DEFAULT_SEGMENT_SIZE,
     GroupCommitWAL,
     LogRecord,
     ShippedGapError,
@@ -153,6 +152,7 @@ class ReplicaMedium(ObjectStore):
 
     def wipe(self) -> None:
         """Replace the disk with an empty one; the old contents are lost."""
+        self._backing.close()
         self._backing = self._fresh()
         self.failed = False
         self.wipes += 1
@@ -186,6 +186,9 @@ class ReplicaMedium(ObjectStore):
     def keys(self) -> Tuple[str, ...]:
         self._check()
         return self._backing.keys()
+
+    def close(self) -> None:
+        self._backing.close()
 
 
 class _Replica:
@@ -809,7 +812,6 @@ class ReplicatedWAL(GroupCommitWAL):
         self,
         media: Sequence[ObjectStore],
         name: str = "wal",
-        segment_size: int = DEFAULT_SEGMENT_SIZE,
         window: float = DEFAULT_GROUP_COMMIT_WINDOW,
         sleep: Optional[Callable[[float], None]] = None,
         write_quorum: Optional[int] = None,
@@ -849,7 +851,7 @@ class ReplicatedWAL(GroupCommitWAL):
             best_index, best_upto = 0, -1
             for index, medium in enumerate(media):
                 try:
-                    log = WriteAheadLog(medium, name, segment_size)
+                    log = WriteAheadLog(medium, name)
                 except Exception:
                     log = None
                 probed[index] = log
@@ -862,7 +864,6 @@ class ReplicatedWAL(GroupCommitWAL):
         super().__init__(
             media[primary_index],
             name,
-            segment_size,
             window,
             sleep if sleep is not None else time.sleep,
         )
@@ -900,16 +901,14 @@ class ReplicatedWAL(GroupCommitWAL):
         """A ship/catch-up against ``follower`` failed: mark it DOWN and
         drop the in-memory log handle.  A failure can leave the handle's
         volatile bookkeeping ahead of the medium (the store write is
-        atomic, the Python-side segment list is not), so the next
+        atomic, the Python-side batch roster is not), so the next
         contact reopens the log from the medium's durable state."""
         self._detector.failure(follower.name)
         follower.log = None
 
     def _ensure_log_locked(self, follower: _Follower) -> WriteAheadLog:
         if follower.log is None:
-            follower.log = WriteAheadLog(
-                follower.medium, self._name, self._segment_size
-            )
+            follower.log = WriteAheadLog(follower.medium, self._name)
         return follower.log
 
     # -- shipping -------------------------------------------------------------
@@ -975,8 +974,7 @@ class ReplicatedWAL(GroupCommitWAL):
         log = self._ensure_log_locked(follower)
         if follower.resync or log.durable_upto > self._durable_upto:
             log = self._resync_follower_locked(follower)
-        retained = self._records_locked()
-        pending = [record for record in retained if record.lsn > log.durable_upto]
+        pending = self._records_locked(after=log.durable_upto)
         if pending:
             try:
                 log.apply_shipped(pending)
@@ -984,15 +982,13 @@ class ReplicatedWAL(GroupCommitWAL):
                 # Truncation outran this follower; its log can no longer
                 # be extended contiguously — re-seed it wholesale.
                 log = self._resync_follower_locked(follower)
-                remaining = [
-                    record for record in retained if record.lsn > log.durable_upto
-                ]
+                remaining = self._records_locked(after=log.durable_upto)
                 if remaining:
                     log.apply_shipped(remaining)
         # Target is the retained tail, not _durable_upto: a fully
         # truncated log keeps its watermark but holds no records a
         # follower could (or need) catch up to.
-        target = retained[-1].lsn if retained else 0
+        target = self._lasts[-1] if self._lasts else 0
         if log.durable_upto < target:
             raise ReplicationError(
                 f"follower {follower.name!r} caught up to lsn "
@@ -1017,9 +1013,7 @@ class ReplicatedWAL(GroupCommitWAL):
         except Exception:
             follower.log = None
             raise
-        follower.log = WriteAheadLog(
-            follower.medium, self._name, self._segment_size
-        )
+        follower.log = WriteAheadLog(follower.medium, self._name)
         follower.resync = False
         self.full_resyncs += 1
         return follower.log
@@ -1148,12 +1142,6 @@ class ReplicatedWAL(GroupCommitWAL):
             old_name = _replica_name(old_index, old_medium)
             # Re-root the inherited WAL state on the promoted medium.
             self._store = best.medium
-            self._roster = []
-            self._segments = {}
-            self._next_seg = 1
-            self._next_lsn = 1
-            self._durable_upto = 0
-            self._volatile = []
             self._open()
             self._primary_index = best.index
             self._quorum_upto = self._durable_upto
@@ -1180,7 +1168,6 @@ class ReplicatedWAL(GroupCommitWAL):
         return ReplicatedWAL(
             self._media,
             self._name,
-            segment_size=self._segment_size,
             window=self.window,
             sleep=self._sleep,
             write_quorum=self._write_quorum,

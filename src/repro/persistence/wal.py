@@ -1,4 +1,4 @@
-"""Write-ahead log: segmented layout plus group commit.
+"""Write-ahead log: one store key per forced batch, plus group commit.
 
 The OTS coordinator logs its commit decision here before telling resources
 to commit (presumed-abort protocol), and the activity recovery manager
@@ -19,28 +19,60 @@ Two durability engines share one on-store layout:
   block on a *shared* force, so one durable write covers a whole batch
   of transactions (classic group commit).
 
-Layout (format 2, segmented): records live in bounded segments
-(``<name>:seg:<n>`` → list of record dicts) plus a small head pointer
-(``<name>:head``).  A force rewrites only the active segment — one durable
-store write per batch — so force cost is O(batch + segment capacity),
-never O(history).  The head is rewritten only when a segment opens or the
-log truncates, and carries just the segment roster and an LSN watermark.
-Logs written by the retired format 1 (one store key per record plus a meta
-record listing every LSN) are migrated on open; ``records``, ``truncate``
-and ``reopen`` behave identically over either origin.
+Layout (format 3, one key per batch)
+------------------------------------
+``<name>:b:<first_lsn>:<last_lsn>``
+    One forced batch: its records as ``[kind, payload]`` pairs in LSN
+    order.  LSNs run contiguously from ``first_lsn`` to ``last_lsn`` (both
+    zero-padded, so the store's sorted key listing is LSN order) and are
+    not stored again per record.  Written exactly once, by the force that
+    made the batch durable, and never overwritten — a force marshals and
+    appends its own records and nothing else, so its cost is O(batch)
+    however long the log has grown.
+``<name>:head``
+    ``{"format": 3, "next_lsn": n, "truncated_upto": t}``: two LSN
+    watermarks, written only by ``truncate`` (and migration).  ``next_lsn``
+    keeps LSNs from being reissued once the records that carried them are
+    gone; records at or below ``truncated_upto`` are dead even when the
+    batch key that holds them survives (a batch the cut falls inside is
+    filtered on read, not rewritten).  A log that never truncated has no
+    head at all.
+
+The log keeps only ``(first_lsn, last_lsn)`` per batch in memory, read
+from the keys on open without decoding a single record; ``records``
+decodes batches from the store on demand, and ``records(after=lsn)``
+touches only the batches past ``lsn`` — O(new batches) for a reader that
+remembers where it stopped.  ``generation`` changes whenever history may
+have been rewritten under such a reader (truncate, re-open, promotion).
+
+Durable-write sequence: ``force`` is one ``store.put`` of the batch key.
+``truncate`` writes the head first and then removes the batch keys the
+cut covers; a crash in between leaves covered keys that the next open
+removes.  (README, "Persistence layering", tabulates every durable write
+of one committed transaction: two of its six are forces of this log.)
+
+Migration rule: on open, a log whose head is not format 3 — format 2
+(``<name>:seg:<n>`` segments listed by the head) or format 1 (one
+``<name>:rec:<lsn>`` key per record under a ``<name>:wal:meta`` roster) —
+is rewritten in one ``put_many`` that carries every batch key and, as its
+*last* entry, the format-3 head; the legacy keys are removed afterwards.
+The head is what marks the migration done: a crash before it lands
+repeats the migration, a crash after it only repeats the key removal.
+``records``, ``durable_upto`` and the next LSN are the same over any
+origin.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.exceptions import InvalidStateError
 from repro.persistence.object_store import MemoryStore, ObjectStore
 
-DEFAULT_SEGMENT_SIZE = 64
 DEFAULT_GROUP_COMMIT_WINDOW = 0.002
 
 
@@ -80,111 +112,101 @@ class WriteAheadLog:
     share forces.
     """
 
-    _META_KEY = "wal:meta"  # format-1 meta key; read only to migrate
-    _HEAD_KEY = "head"
-
-    def __init__(
-        self,
-        store: Optional[ObjectStore] = None,
-        name: str = "wal",
-        segment_size: int = DEFAULT_SEGMENT_SIZE,
-    ) -> None:
-        if segment_size < 1:
-            raise ValueError("segment_size must be at least 1")
+    def __init__(self, store: Optional[ObjectStore] = None, name: str = "wal") -> None:
         self._store = store if store is not None else MemoryStore()
         self._name = name
-        self._segment_size = segment_size
         # Reentrant so GroupCommitWAL's condition can share it while its
         # methods call back into the base operations.
         self._lock = threading.RLock()
-        self._volatile: List[LogRecord] = []
         self.forces = 0
         self.records_forced = 0
-        self._roster: List[int] = []  # segment ids, oldest first
-        self._segments: Dict[int, List[Dict[str, Any]]] = {}
-        self._next_seg = 1
-        self._next_lsn = 1
-        self._durable_upto = 0  # highest LSN known durable
+        self.generation = 0
         self._open()
 
     # -- keys ----------------------------------------------------------------
 
     def _head_key(self) -> str:
-        return f"{self._name}:{self._HEAD_KEY}"
+        return f"{self._name}:head"
 
-    def _seg_key(self, seg_id: int) -> str:
-        return f"{self._name}:seg:{seg_id:08d}"
-
-    def _format1_meta_key(self) -> str:
-        return f"{self._name}:{self._META_KEY}"
-
-    def _format1_record_key(self, lsn: int) -> str:
-        return f"{self._name}:rec:{lsn:012d}"
+    def _batch_key(self, first_lsn: int, last_lsn: int) -> str:
+        return f"{self._name}:b:{first_lsn:012d}:{last_lsn:012d}"
 
     # -- opening -------------------------------------------------------------
 
     def _open(self) -> None:
+        """(Re)load the log's state from ``self._store``.
+
+        Also the promotion path: :class:`ReplicatedWAL` points
+        ``_store`` at the promoted medium and opens again.
+        """
+        self.generation += 1
+        self._volatile: List[LogRecord] = []
+        self._firsts: List[int] = []  # per batch, ascending
+        self._lasts: List[int] = []
+        self._next_lsn = 1
+        self._truncated_upto = 0
+        self._durable_upto = 0  # highest LSN known durable
+        prefix = f"{self._name}:"
+        legacy: List[str] = []
+        for key in self._store.keys():
+            if not key.startswith(prefix):
+                continue
+            kind, _, rest = key[len(prefix):].partition(":")
+            if kind == "b":
+                first, _, last = rest.partition(":")
+                self._firsts.append(int(first))
+                self._lasts.append(int(last))
+            elif kind in ("seg", "rec", "wal"):
+                legacy.append(key)
         head = self._store.get_or(self._head_key())
-        if head is None and self._store.contains(self._format1_meta_key()):
-            self._migrate_format1()
-            head = self._store.get_or(self._head_key())
-        if head is None:
-            return  # brand-new log
-        watermark = head["next_lsn"]
-        for seg_id in head["segments"]:
-            # A segment listed in the head but never written (crash between
-            # the head write and the first batch landing in it) is empty.
-            records = self._store.get_or(self._seg_key(seg_id), [])
-            if records:
-                self._roster.append(seg_id)
-                self._segments[seg_id] = list(records)
-        self._next_seg = head["next_seg"]
-        max_lsn = 0
-        for seg_id in self._roster:
-            for raw in self._segments[seg_id]:
-                max_lsn = max(max_lsn, raw["lsn"])
-        self._next_lsn = max(watermark, max_lsn + 1)
-        self._durable_upto = max_lsn
+        # No head and no legacy keys: a format-3 log that never truncated.
+        if (head is None and legacy) or (head is not None and head.get("format") != 3):
+            head = self._migrate(head)
+        if head is not None:
+            self._next_lsn = head["next_lsn"]
+            self._truncated_upto = head["truncated_upto"]
+        for key in legacy:
+            self._store.remove(key)
+        self._drop_batches_upto(self._truncated_upto)  # an interrupted truncate
+        if self._lasts:
+            self._durable_upto = self._lasts[-1]
+            self._next_lsn = max(self._next_lsn, self._durable_upto + 1)
 
-    def _migrate_format1(self) -> None:
-        """Rewrite a format-1 log (per-record keys) into segments."""
-        meta = self._store.get(self._format1_meta_key())
-        raws = []
-        for lsn in meta["lsns"]:
-            key = self._format1_record_key(lsn)
-            if self._store.contains(key):
-                raws.append(self._store.get(key))
-        seg_id = 0
-        batch: Dict[str, Any] = {}
-        roster: List[int] = []
-        for start in range(0, len(raws), self._segment_size):
-            seg_id += 1
-            roster.append(seg_id)
-            batch[self._seg_key(seg_id)] = raws[start : start + self._segment_size]
-        max_lsn = max((raw["lsn"] for raw in raws), default=0)
-        batch[self._head_key()] = {
-            "format": 2,
-            "next_lsn": max(meta["next_lsn"], max_lsn + 1),
-            "segments": roster,
-            "next_seg": seg_id + 1,
+    def _migrate(self, head: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        """Rewrite a format-2 (``head`` given) or format-1 log as batches."""
+        if head is not None:
+            next_lsn = head["next_lsn"]
+            # A segment listed but never written is empty: format 2 wrote
+            # its head first.  Each segment becomes a batch of its own.
+            groups = [
+                self._store.get_or(f"{self._name}:seg:{seg_id:08d}", [])
+                for seg_id in head["segments"]
+            ]
+        else:
+            meta = self._store.get(f"{self._name}:wal:meta")
+            next_lsn = meta["next_lsn"]
+            keys = (f"{self._name}:rec:{lsn:012d}" for lsn in meta["lsns"])
+            groups = [[self._store.get(key) for key in keys if self._store.contains(key)]]
+        # Batch keys promise contiguous LSNs, so cut at every gap too.
+        runs: List[List[Dict[str, Any]]] = []
+        for group in groups:
+            for position, raw in enumerate(group):
+                if position and raw["lsn"] == runs[-1][-1]["lsn"] + 1:
+                    runs[-1].append(raw)
+                else:
+                    runs.append([raw])
+        image: Dict[str, Any] = {
+            self._batch_key(run[0]["lsn"], run[-1]["lsn"]): [
+                [raw["kind"], raw["payload"]] for raw in run
+            ]
+            for run in runs
         }
-        self._store.put_many(batch)
-        for lsn in meta["lsns"]:
-            key = self._format1_record_key(lsn)
-            if self._store.contains(key):
-                self._store.remove(key)
-        self._store.remove(self._format1_meta_key())
-
-    def _write_head(self) -> None:
-        self._store.put(
-            self._head_key(),
-            {
-                "format": 2,
-                "next_lsn": self._next_lsn,
-                "segments": list(self._roster),
-                "next_seg": self._next_seg,
-            },
-        )
+        new_head = {"format": 3, "next_lsn": next_lsn, "truncated_upto": 0}
+        image[self._head_key()] = new_head  # last: marks the migration done
+        self._store.put_many(image)
+        self._firsts = [run[0]["lsn"] for run in runs]
+        self._lasts = [run[-1]["lsn"] for run in runs]
+        return new_head
 
     # -- appending ----------------------------------------------------------
 
@@ -211,29 +233,22 @@ class WriteAheadLog:
     def _force_locked(self) -> None:
         if not self._volatile:
             return
-        batch = [
-            {"lsn": record.lsn, "kind": record.kind, "payload": record.payload}
-            for record in self._volatile
-        ]
-        self._land_batch_locked(batch)
+        self._land_batch_locked(self._volatile)
         self._volatile.clear()
 
-    def _land_batch_locked(self, batch: List[Dict[str, Any]]) -> None:
-        """Append ``batch`` (raw record dicts, ascending LSNs) durably."""
-        if not self._roster or len(self._segments[self._roster[-1]]) >= self._segment_size:
-            seg_id = self._next_seg
-            self._next_seg += 1
-            self._roster.append(seg_id)
-            self._segments[seg_id] = []
-            # Head first: if we crash before the segment lands, reopen sees
-            # a listed-but-empty segment, not a torn batch.
-            self._write_head()
-        seg_id = self._roster[-1]
-        self._segments[seg_id].extend(batch)
-        self._store.put(self._seg_key(seg_id), self._segments[seg_id])
-        self._durable_upto = batch[-1]["lsn"]
+    def _land_batch_locked(self, records: List[LogRecord]) -> None:
+        """Make ``records`` (contiguous ascending LSNs) durable: one store
+        write under a key no earlier write used."""
+        first, last = records[0].lsn, records[-1].lsn
+        self._store.put(
+            self._batch_key(first, last),
+            [[record.kind, record.payload] for record in records],
+        )
+        self._firsts.append(first)
+        self._lasts.append(last)
+        self._durable_upto = last
         self.forces += 1
-        self.records_forced += len(batch)
+        self.records_forced += len(records)
 
     # -- replication shipping -------------------------------------------------
 
@@ -263,41 +278,55 @@ class WriteAheadLog:
                         f"shipped batch is not contiguous at lsn {earlier.lsn}"
                     )
             start = records[0].lsn
-            empty = self._durable_upto == 0 and not self._roster
+            empty = self._durable_upto == 0 and not self._lasts
             expected = start if empty else self._durable_upto + 1
-            if start != expected:
+            # At or below the truncation watermark the records would land
+            # already dead; like a gap, that calls for a full re-sync.
+            if start != expected or start <= self._truncated_upto:
                 raise ShippedGapError(
                     f"shipped batch starts at lsn {start}, "
                     f"follower expected {expected}"
                 )
-            batch = [
-                {"lsn": record.lsn, "kind": record.kind, "payload": dict(record.payload)}
-                for record in records
-            ]
-            self._land_batch_locked(batch)
+            self._land_batch_locked(records)
             self._next_lsn = max(self._next_lsn, records[-1].lsn + 1)
 
     # -- reading ------------------------------------------------------------
 
-    def records(self) -> List[LogRecord]:
-        """All durable records in LSN order (volatile tail excluded)."""
+    def records(self, after: int = 0) -> List[LogRecord]:
+        """Durable records with ``lsn > after`` in LSN order (volatile
+        tail excluded); decodes only the batches that hold them."""
         with self._lock:
-            return self._records_locked()
+            return self._records_locked(after)
 
-    def _records_locked(self) -> List[LogRecord]:
-        result = []
-        for seg_id in self._roster:
-            for raw in self._segments[seg_id]:
-                result.append(
-                    LogRecord(lsn=raw["lsn"], kind=raw["kind"], payload=raw["payload"])
-                )
+    def _records_locked(self, after: int = 0) -> List[LogRecord]:
+        after = max(after, self._truncated_upto)
+        get, key_of = self._store.get, self._batch_key
+        result: List[LogRecord] = []
+        for index in range(bisect_right(self._lasts, after), len(self._lasts)):
+            first = self._firsts[index]
+            pairs = get(key_of(first, self._lasts[index]))
+            if first <= after:  # the cut falls inside this (first) batch
+                del pairs[: after + 1 - first]
+                first = after + 1
+            result.extend(
+                [LogRecord(lsn, kind, payload) for lsn, (kind, payload) in enumerate(pairs, first)]
+            )
         return result
 
     def __iter__(self):
         return iter(self.records())
 
     def __len__(self) -> int:
-        return sum(len(self._segments[seg_id]) for seg_id in self._roster)
+        with self._lock:
+            return self._count_upto_locked(self._durable_upto)
+
+    def _count_upto_locked(self, lsn: int) -> int:
+        """Live (untruncated) durable records with an LSN up to ``lsn``."""
+        floor = self._truncated_upto + 1
+        return sum(
+            max(0, min(last, lsn) - max(first, floor) + 1)
+            for first, last in zip(self._firsts, self._lasts)
+        )
 
     def of_kind(self, *kinds: str) -> List[LogRecord]:
         wanted = set(kinds)
@@ -316,23 +345,32 @@ class WriteAheadLog:
             return self._truncate_locked(up_to_lsn)
 
     def _truncate_locked(self, up_to_lsn: int) -> int:
-        dropped = 0
-        kept_roster: List[int] = []
-        for seg_id in self._roster:
-            records = self._segments[seg_id]
-            kept = [raw for raw in records if raw["lsn"] > up_to_lsn]
-            dropped += len(records) - len(kept)
-            if not kept:
-                self._store.remove(self._seg_key(seg_id))
-                del self._segments[seg_id]
-            else:
-                if len(kept) != len(records):
-                    self._segments[seg_id] = kept
-                    self._store.put(self._seg_key(seg_id), kept)
-                kept_roster.append(seg_id)
-        self._roster = kept_roster
-        self._write_head()
+        # Only durable records are discarded: the watermark must not
+        # reach LSNs still in (or not yet handed to) the volatile tail.
+        up_to_lsn = min(up_to_lsn, self._durable_upto)
+        dropped = self._count_upto_locked(up_to_lsn)
+        self._truncated_upto = max(self._truncated_upto, up_to_lsn)
+        self.generation += 1
+        # Head first: once it is durable the cut has happened, and keys
+        # it covers that outlive a crash are removed by the next open.
+        self._store.put(
+            self._head_key(),
+            {
+                "format": 3,
+                "next_lsn": self._next_lsn,
+                "truncated_upto": self._truncated_upto,
+            },
+        )
+        self._drop_batches_upto(self._truncated_upto)
         return dropped
+
+    def _drop_batches_upto(self, lsn: int) -> None:
+        """Remove every batch whose records all lie at or below ``lsn``."""
+        covered = bisect_right(self._lasts, lsn)
+        for first, last in zip(self._firsts[:covered], self._lasts[:covered]):
+            self._store.remove(self._batch_key(first, last))
+        del self._firsts[:covered]
+        del self._lasts[:covered]
 
     # -- crash simulation ------------------------------------------------------
 
@@ -342,7 +380,7 @@ class WriteAheadLog:
             self._volatile.clear()
 
     def _reopen_kwargs(self) -> Dict[str, Any]:
-        return {"segment_size": self._segment_size}
+        return {}
 
     def reopen(self) -> "WriteAheadLog":
         """Return a fresh log handle over the same store (post-restart)."""
@@ -385,11 +423,10 @@ class GroupCommitWAL(WriteAheadLog):
         self,
         store: Optional[ObjectStore] = None,
         name: str = "wal",
-        segment_size: int = DEFAULT_SEGMENT_SIZE,
         window: float = DEFAULT_GROUP_COMMIT_WINDOW,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        super().__init__(store, name, segment_size)
+        super().__init__(store, name)
         self.window = float(window)
         self._sleep = sleep
         # Shares the base lock so waiting on the shared force and the
@@ -398,10 +435,7 @@ class GroupCommitWAL(WriteAheadLog):
         self._leader_active = False
 
     def _reopen_kwargs(self) -> Dict[str, Any]:
-        kwargs = super()._reopen_kwargs()
-        kwargs["window"] = self.window
-        kwargs["sleep"] = self._sleep
-        return kwargs
+        return {"window": self.window, "sleep": self._sleep}
 
     # -- thread-safe overrides ------------------------------------------------
 

@@ -13,9 +13,32 @@ from repro.ots import (
     TransactionFactory,
     install_transaction_service,
 )
-from repro.persistence import MemoryStore, WriteAheadLog
+from repro.persistence import MemoryStore, SegmentedFileStore, WriteAheadLog
 from repro.util.clock import SimulatedClock
 from repro.util.rng import SeededRng
+
+
+@pytest.fixture
+def close_segmented_stores(request, monkeypatch):
+    """Close, at teardown, every ``SegmentedFileStore`` the test module's
+    own code opened through its ``SegmentedFileStore`` name.
+
+    Stores the *library* opens (a site runtime's, a wiped medium's
+    replacement, a compaction's new segment) are not tracked: closing
+    those is the library's job, which the CI run with
+    ``-W error::ResourceWarning`` checks.
+    """
+    opened = []
+
+    class TrackedStore(SegmentedFileStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(request.module, "SegmentedFileStore", TrackedStore)
+    yield
+    for store in opened:
+        store.close()
 
 
 @pytest.fixture

@@ -4,8 +4,10 @@ import os
 
 import pytest
 
-from repro.persistence import FileStore, MemoryStore, WriteAheadLog
+from repro.persistence import FileStore, MemoryStore, SegmentedFileStore, WriteAheadLog
 from repro.persistence.object_store import StoreError
+
+pytestmark = pytest.mark.usefixtures("close_segmented_stores")
 
 
 class TestMemoryStore:
@@ -237,8 +239,6 @@ class TestSegmentedStoreConcurrency:
         worker threads; rollover bookkeeping must not corrupt."""
         import threading
 
-        from repro.persistence import SegmentedFileStore
-
         store = SegmentedFileStore(str(tmp_path / "seg"), segment_bytes=256)
         errors = []
 
@@ -273,8 +273,6 @@ class TestAutoCompaction:
     """Threshold-triggered compaction on the segmented store's write path."""
 
     def make(self, tmp_path, **kwargs):
-        from repro.persistence import SegmentedFileStore
-
         kwargs.setdefault("segment_bytes", 256)
         kwargs.setdefault("auto_compact_ratio", 0.5)
         kwargs.setdefault("auto_compact_min_records", 16)
@@ -291,8 +289,6 @@ class TestAutoCompaction:
         assert store.dead_record_ratio() < 0.5 + 0.25
         # The live set is intact and a reopen replays the same state.
         assert store.keys() == tuple(sorted(f"k{i}" for i in range(4)))
-        from repro.persistence import SegmentedFileStore
-
         reopened = SegmentedFileStore(str(tmp_path / "seg"), segment_bytes=256)
         for i in range(4):
             assert reopened.get(f"k{i}") == 19
@@ -300,8 +296,6 @@ class TestAutoCompaction:
         assert len(os.listdir(str(tmp_path / "seg"))) <= 3
 
     def test_enabled_by_default(self, tmp_path):
-        from repro.persistence import SegmentedFileStore
-
         store = SegmentedFileStore(str(tmp_path / "seg"), segment_bytes=256)
         for wave in range(40):
             store.put_many({f"k{i}": wave for i in range(4)})
@@ -311,8 +305,6 @@ class TestAutoCompaction:
         assert len(os.listdir(str(tmp_path / "seg"))) < 6
 
     def test_opt_out(self, tmp_path):
-        from repro.persistence import SegmentedFileStore
-
         store = SegmentedFileStore(
             str(tmp_path / "seg"), segment_bytes=256, auto_compact_ratio=None
         )
@@ -339,8 +331,6 @@ class TestAutoCompaction:
         assert store.auto_compactions == 0  # nothing is dead
 
     def test_ratio_survives_reopen(self, tmp_path):
-        from repro.persistence import SegmentedFileStore
-
         store = SegmentedFileStore(str(tmp_path / "seg"), segment_bytes=4096)
         for wave in range(4):
             store.put_many({f"k{i}": wave for i in range(4)})
@@ -362,8 +352,6 @@ class TestSegmentedKeysCache:
     """keys() caches its sorted tuple and invalidates on every mutation."""
 
     def make(self, tmp_path):
-        from repro.persistence import SegmentedFileStore
-
         return SegmentedFileStore(str(tmp_path / "seg"))
 
     def test_repeated_keys_reuse_cached_tuple(self, tmp_path):
@@ -400,8 +388,6 @@ class TestSegmentedKeysCache:
         assert store.get("a") == 2
 
     def test_compaction_and_reopen_keep_keys_correct(self, tmp_path):
-        from repro.persistence import SegmentedFileStore
-
         store = self.make(tmp_path)
         for wave in range(3):
             store.put_many({f"k{i}": wave for i in range(4)})
@@ -413,8 +399,6 @@ class TestSegmentedKeysCache:
         assert reopened.keys() == ("k1", "k2", "k3")
 
     def test_auto_compaction_path_invalidates(self, tmp_path):
-        from repro.persistence import SegmentedFileStore
-
         store = SegmentedFileStore(
             str(tmp_path / "seg"),
             auto_compact_ratio=0.5,

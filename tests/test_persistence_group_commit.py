@@ -1,4 +1,4 @@
-"""Edge cases for the segmented WAL, group commit, and SegmentedFileStore.
+"""Edge cases for the write-ahead log, group commit, and SegmentedFileStore.
 
 These pin down the behaviours the group-commit refactor must preserve:
 truncation surviving a reopen, batch atomicity across crashes (no torn
@@ -17,6 +17,8 @@ from repro.persistence import (
     WriteAheadLog,
 )
 from repro.persistence.object_store import ObjectStore, StoreError
+
+pytestmark = pytest.mark.usefixtures("close_segmented_stores")
 
 
 class CrashError(RuntimeError):
@@ -59,7 +61,7 @@ class CrashingStore(ObjectStore):
 class TestTruncateReopen:
     def test_truncate_then_reopen_keeps_tail(self):
         store = MemoryStore()
-        wal = WriteAheadLog(store, "log", segment_size=2)
+        wal = WriteAheadLog(store, "log")
         for i in range(7):
             wal.append("r", i=i)
         assert wal.truncate(up_to_lsn=5) == 5
@@ -69,7 +71,7 @@ class TestTruncateReopen:
 
     def test_truncate_all_then_reopen_does_not_reuse_lsns(self):
         store = MemoryStore()
-        wal = WriteAheadLog(store, "log", segment_size=2)
+        wal = WriteAheadLog(store, "log")
         for i in range(5):
             wal.append("r", i=i)
         wal.truncate(up_to_lsn=5)
@@ -78,13 +80,47 @@ class TestTruncateReopen:
         record = reopened.append("after")
         assert record.lsn == 6
 
-    def test_truncate_mid_segment_rewrites_partial(self):
+    def test_truncate_inside_a_batch_drops_only_its_head(self):
         store = MemoryStore()
-        wal = WriteAheadLog(store, "log", segment_size=4)
+        wal = WriteAheadLog(store, "log")
         for i in range(8):
-            wal.append("r", i=i)
+            wal.append_volatile("r", i=i)
+            if i % 4 == 3:
+                wal.force()  # two batches: lsns 1-4 and 5-8
         assert wal.truncate(up_to_lsn=6) == 6
-        assert [r.lsn for r in wal.reopen().records()] == [7, 8]
+        assert len(wal) == 2
+        assert [r.lsn for r in wal.records()] == [7, 8]
+        reopened = wal.reopen()
+        assert [r.lsn for r in reopened.records()] == [7, 8]
+        assert len(reopened) == 2
+        assert reopened.truncate(up_to_lsn=7) == 1
+
+    def test_truncate_never_reaches_the_volatile_tail(self):
+        wal = WriteAheadLog(MemoryStore(), "log")
+        wal.append("durable")
+        wal.append_volatile("pending")
+        assert wal.truncate(up_to_lsn=10) == 1
+        wal.force()
+        assert [r.kind for r in wal.reopen().records()] == ["pending"]
+
+    def test_crash_between_watermark_and_key_removal_finishes_on_open(self):
+        """truncate writes its watermark, then removes the covered batch
+        keys; dying in between must read back as the finished cut."""
+        inner = MemoryStore()
+        WriteAheadLog(inner, "log").append("a")
+        WriteAheadLog(inner, "log").append("b")
+
+        class RemoveDies(CrashingStore):
+            def remove(self, uid):
+                raise CrashError("store crashed")
+
+        with pytest.raises(CrashError):
+            WriteAheadLog(RemoveDies(inner, 99), "log").truncate(up_to_lsn=1)
+        reopened = WriteAheadLog(inner, "log")
+        assert [r.kind for r in reopened.records()] == ["b"]
+        assert [key for key in inner.keys() if ":b:" in key] == [
+            "log:b:000000000002:000000000002"
+        ]
 
 
 class TestBatchAtomicity:
@@ -98,44 +134,40 @@ class TestBatchAtomicity:
         reopened = wal.reopen()
         assert [r.kind for r in reopened.records()] == ["durable"]
 
-    def test_store_crash_mid_force_leaves_no_torn_batch(self):
-        """A crash during the durable write never exposes a batch prefix:
-        after reopen either the whole batch is there or none of it.  The
-        sweep crashes at every write inside a segment-rotating force."""
+    @pytest.mark.parametrize("writes_allowed, visible", [(0, 0), (1, 3)])
+    def test_store_crash_around_the_single_batch_write(self, writes_allowed, visible):
+        """A force is one store write: a store that dies before it leaves
+        none of the batch after reopen, one that dies right after it
+        leaves all of it — never a prefix."""
         inner = MemoryStore()
-        seen = set()
-        for writes_allowed in range(0, 3):
-            name = f"log{writes_allowed}"
-            setup = WriteAheadLog(inner, name, segment_size=2)
-            setup.append("pre", n=0)
-            setup.append("pre", n=1)  # fills the segment: next force rotates
-            wal = WriteAheadLog(CrashingStore(inner, writes_allowed), name, segment_size=2)
-            wal.append_volatile("batch", n=1)
-            wal.append_volatile("batch", n=2)
-            wal.append_volatile("batch", n=3)
-            try:
-                wal.force()
-            except CrashError:
-                pass
-            reopened = WriteAheadLog(inner, name, segment_size=2)
-            kinds = [r.kind for r in reopened.records()]
-            assert kinds.count("pre") == 2
-            batch_visible = kinds.count("batch")
-            assert batch_visible in (0, 3), kinds
-            seen.add(batch_visible)
-        assert seen == {0, 3}  # the sweep exercised both outcomes
+        setup = WriteAheadLog(inner, "log")
+        setup.append("pre", n=0)
+        setup.append("pre", n=1)
+        wal = WriteAheadLog(CrashingStore(inner, writes_allowed), "log")
+        wal.append_volatile("batch", n=1)
+        wal.append_volatile("batch", n=2)
+        wal.append_volatile("batch", n=3)
+        try:
+            wal.force()
+            wal.append("later")  # the write budget is spent: this one dies
+        except CrashError:
+            pass
+        kinds = [r.kind for r in WriteAheadLog(inner, "log").records()]
+        assert kinds == ["pre", "pre"] + ["batch"] * visible
 
-    def test_rotation_crash_between_head_and_segment_write(self):
-        """Crashing after the head lists a new segment but before the
-        segment lands must read back as an empty segment, not an error."""
-        inner = MemoryStore()
-        wal = WriteAheadLog(CrashingStore(inner, 3), "log", segment_size=1)
-        wal.append("a")  # head + segment writes
-        with pytest.raises(CrashError):
-            wal.append("b")  # rotation: head write succeeds, segment put dies
-        reopened = WriteAheadLog(inner, "log", segment_size=1)
-        assert [r.kind for r in reopened.records()] == ["a"]
-        assert reopened.append("c").lsn == 3  # lsn 2 was consumed, not reused
+    def test_force_never_overwrites_a_key(self):
+        """Each force lands under a key of its own; earlier batches are
+        not rewritten, so the store accumulates no dead versions."""
+        store = MemoryStore()
+        wal = WriteAheadLog(store, "log")
+        seen = []
+        for i in range(5):
+            wal.append("r", i=i)
+            keys = set(store.keys())
+            assert keys.issuperset(seen)
+            seen = keys
+        assert len(seen) == 5
+        assert store.writes == 5
 
 
 class TestConcurrentGroupCommit:
@@ -227,32 +259,106 @@ class TestConcurrentGroupCommit:
         assert [r.kind for r in reopened.records()] == ["a"]
 
 
+def _raw(lsn, kind):
+    return {"lsn": lsn, "kind": kind, "payload": {"i": lsn}}
+
+
+# lsn 4 was handed out and lost in a crash; lsn 6 likewise, after "d".
+OLD_LOG = [(1, "a"), (2, "b"), (3, "c"), (5, "d")]
+OLD_NEXT_LSN = 7
+
+
+def _write_format1(store, name):
+    """One key per record plus a meta roster (the retired first layout)."""
+    for lsn, kind in OLD_LOG:
+        store.put(f"{name}:rec:{lsn:012d}", _raw(lsn, kind))
+    store.put(
+        f"{name}:wal:meta",
+        {"next_lsn": OLD_NEXT_LSN, "lsns": [lsn for lsn, _ in OLD_LOG]},
+    )
+
+
+def _write_format2(store, name):
+    """Bounded segments listed by a head; the last one listed but never
+    written (format 2 wrote its head before the segment)."""
+    raws = [_raw(lsn, kind) for lsn, kind in OLD_LOG]
+    store.put(f"{name}:seg:00000001", raws[:2])
+    store.put(f"{name}:seg:00000002", raws[2:])
+    store.put(
+        f"{name}:head",
+        {"format": 2, "next_lsn": OLD_NEXT_LSN, "segments": [1, 2, 3], "next_seg": 4},
+    )
+
+
+@pytest.fixture(params=["memory", "segmented"])
+def make_store(request, tmp_path):
+    """Factory for handles on one stable medium; calling it again is a
+    reopen of the same medium."""
+    memory = MemoryStore()
+
+    def make():
+        if request.param == "memory":
+            return memory
+        return SegmentedFileStore(str(tmp_path / "seg"))
+
+    return make
+
+
 class TestOldLayoutMigration:
-    def _write_format1(self, store, name, kinds):
-        lsns = []
-        for lsn, kind in enumerate(kinds, start=1):
-            store.put(
-                f"{name}:rec:{lsn:012d}",
-                {"lsn": lsn, "kind": kind, "payload": {"i": lsn}},
-            )
-            lsns.append(lsn)
-        store.put(f"{name}:wal:meta", {"next_lsn": len(kinds) + 1, "lsns": lsns})
+    @pytest.mark.parametrize("write_old", [_write_format1, _write_format2])
+    def test_old_layouts_open_identically(self, make_store, write_old):
+        store = make_store()
+        write_old(store, "log")
+        wal = WriteAheadLog(store, "log")
+        assert [(r.lsn, r.kind, r.payload) for r in wal.records()] == [
+            (lsn, kind, {"i": lsn}) for lsn, kind in OLD_LOG
+        ]
+        assert wal.durable_upto == 5
+        assert len(wal) == 4
+        # Only format-3 keys are left, and a reopen reads the same log.
+        assert all(
+            key == "log:head" or key.startswith("log:b:") for key in store.keys()
+        )
+        reopened = WriteAheadLog(make_store(), "log")
+        assert reopened.records() == wal.records()
+        assert reopened.durable_upto == 5
+        assert reopened.append("e").lsn == OLD_NEXT_LSN
 
-    def test_old_layout_replays_identically(self):
+    @pytest.mark.parametrize("write_old", [_write_format1, _write_format2])
+    def test_old_layout_truncate_and_reopen(self, write_old):
         store = MemoryStore()
-        self._write_format1(store, "log", ["a", "b", "c"])
-        wal = WriteAheadLog(store, "log", segment_size=2)
-        assert [(r.lsn, r.kind) for r in wal.records()] == [(1, "a"), (2, "b"), (3, "c")]
-        # Old keys are gone; the log continues with fresh LSNs.
-        assert not store.contains("log:wal:meta")
-        assert wal.append("d").lsn == 4
-
-    def test_old_layout_truncate_and_reopen(self):
-        store = MemoryStore()
-        self._write_format1(store, "log", ["a", "b", "c", "d"])
-        wal = WriteAheadLog(store, "log", segment_size=2)
+        write_old(store, "log")
+        wal = WriteAheadLog(store, "log")
         assert wal.truncate(up_to_lsn=2) == 2
-        assert [r.lsn for r in wal.reopen().records()] == [3, 4]
+        assert [r.lsn for r in wal.reopen().records()] == [3, 5]
+
+    @pytest.mark.parametrize("write_old", [_write_format1, _write_format2])
+    @pytest.mark.parametrize("removes_allowed", [0, 1])
+    def test_crash_while_removing_old_keys_finishes_on_open(
+        self, write_old, removes_allowed
+    ):
+        """The migration is one put_many ending in the format-3 head;
+        dying among the removals that follow must not migrate twice."""
+        inner = MemoryStore()
+        write_old(inner, "log")
+
+        class RemoveDies(CrashingStore):
+            budget = removes_allowed
+
+            def remove(self, uid):
+                if self.budget <= 0:
+                    raise CrashError("store crashed")
+                self.budget -= 1
+                self._inner.remove(uid)
+
+        with pytest.raises(CrashError):
+            WriteAheadLog(RemoveDies(inner, 99), "log")
+        wal = WriteAheadLog(inner, "log")
+        assert [(r.lsn, r.kind) for r in wal.records()] == OLD_LOG
+        assert all(
+            key == "log:head" or key.startswith("log:b:") for key in inner.keys()
+        )
+        assert wal.append("e").lsn == OLD_NEXT_LSN
 
 
 class TestSegmentedFileStore:
@@ -329,7 +435,6 @@ class TestSegmentedFileStore:
         wal.append_volatile("b")
         wal.append_volatile("c")
         wal.force()
-        # One segment write (plus one head write on first rotation).
-        assert store.flushes - flushes_before <= 2
+        assert store.flushes - flushes_before == 1
         reopened = WriteAheadLog(SegmentedFileStore(root), "txlog")
         assert [r.kind for r in reopened.records()] == ["a", "b", "c"]

@@ -14,6 +14,7 @@ from repro.persistence import (
     ReplicatedWAL,
     ReplicaMedium,
     ReplicationError,
+    SegmentedFileStore,
     StoreError,
     WriteAheadLog,
 )
@@ -49,6 +50,20 @@ class TestReplicaMedium:
         medium.wipe()
         assert not medium.contains("k")
         assert medium.wipes == 1
+
+    def test_wipe_and_close_release_the_backing_file_handle(self, tmp_path):
+        disks = [
+            SegmentedFileStore(str(tmp_path / name)) for name in ("old", "new")
+        ]
+        medium = ReplicaMedium("d0", disks[0], fresh=lambda: disks[1])
+        medium.put("k", 1)
+        assert disks[0]._handle is not None
+        medium.wipe()
+        assert disks[0]._handle is None
+        medium.put("k", 2)
+        assert disks[1]._handle is not None
+        medium.close()
+        assert disks[1]._handle is None
 
 
 class TestReplicatedStoreBasics:

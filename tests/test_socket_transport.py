@@ -304,3 +304,41 @@ class TestTransportSeam:
         client.close()
         with pytest.raises(CommunicationError, match="closed"):
             client.request("server", "s", "d", b"x")
+
+
+class TestExceptionOnlyTheServerCanType:
+    """A reply naming an exception type the client ORB never registered
+    (a ``SiteClient`` installs no OTS service) revives as
+    ``RemoteApplicationError`` carrying what the server sent."""
+
+    def test_site_client_without_ots_types(self):
+        from repro.orb.core import RemoteApplicationError
+        from repro.orb.site import SiteClient, SiteConfig, SiteRuntime
+        from repro.ots import TransactionRolledBack
+
+        class Desk(Servant):
+            def fail(self):
+                raise TransactionRolledBack("tx-7 rolled back", 7)
+
+        runtime = SiteRuntime(SiteConfig(site_id="srv", port=0, poll_interval=0.05))
+        runtime.orb.create_node("srv.app").activate(Desk(), object_id="desk")
+        runtime.serve_in_background()
+        client = None
+        try:
+            assert runtime.wait_recovered(timeout=10.0)
+            waiter = threading.Event()
+            for _ in range(200):
+                if runtime.transport.address is not None:
+                    break
+                waiter.wait(0.02)
+            client = SiteClient({"srv": tuple(runtime.transport.address)})
+            with pytest.raises(RemoteApplicationError) as caught:
+                client.ref("srv.app", "desk").invoke("fail")
+        finally:
+            if client is not None:
+                client.close()
+            runtime.stop()
+        error = caught.value
+        assert error.type_name.endswith("TransactionRolledBack")
+        assert error.remote_args == ("tx-7 rolled back", 7)
+        assert "tx-7 rolled back" in str(error)
