@@ -493,11 +493,12 @@ class ChaosWorld:
                 # ROLLING_BACK forever and the world never goes quiet.
                 domain.factory.redrive_stuck()
                 domain.manager.expire_timeouts()
-                domain.service.sweep_orphans(min_age=0.5)
                 try:
+                    # Also forces the log's unforced completion tail.
+                    domain.service.sweep_orphans(min_age=0.5)
                     domain.service.resolve_in_doubt()
                 except ReproError:
-                    continue  # link still re-admitting; next round retries
+                    continue  # link or replica still re-admitting; next round retries
             if self.is_quiet():
                 return True
         return self.is_quiet()

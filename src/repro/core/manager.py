@@ -412,7 +412,7 @@ class ActivityManager:
         """Periodically compact a segmented store once its dead-record
         ratio crosses ``min_dead_ratio`` (defaults to this manager's
         checkpoint store) — the time-based companion to the store's own
-        write-triggered ``auto_compact_ratio``."""
+        rollover-triggered ``auto_compact_ratio``."""
         target = store if store is not None else self.store
         if target is None:
             raise ActivityServiceError("no store to maintain")

@@ -109,6 +109,9 @@ class InterOrbBridge:
         self._clock = clock
         self._rng = rng if rng is not None else SeededRng(0)
         self._orbs: Dict[str, Orb] = {}
+        # node id -> domain, for domains that disconnected (crashed) and
+        # have not reconnected: still addressable, just unreachable.
+        self._lost_nodes: Dict[str, str] = {}
         self._links: Dict[FrozenSet[str], DomainLink] = {}
         self._services: Dict[Tuple[str, str], Any] = {}
         self._auto_domain = 0
@@ -150,6 +153,7 @@ class InterOrbBridge:
         orb.domain_id = domain_id
         orb.federation = self
         self._orbs[domain_id] = orb
+        self._lost_nodes = {n: d for n, d in self._lost_nodes.items() if d != domain_id}
         if self._clock is None:
             self._clock = orb.clock
         return domain_id
@@ -162,6 +166,7 @@ class InterOrbBridge:
         if orb is None:
             raise ConfigurationError(f"unknown domain {domain_id!r}")
         orb.federation = None
+        self._lost_nodes.update(dict.fromkeys(orb._nodes, domain_id))
         for key in [k for k in self._services if k[0] == domain_id]:
             del self._services[key]
 
@@ -366,7 +371,17 @@ class InterOrbBridge:
             raise ConfigurationError(f"orb {source_domain!r} is not connected to this federation")
         target_domain = self.domain_of_node(ref.node_id)
         if target_domain is None:
-            raise ObjectNotExist(f"node {ref.node_id!r} is not owned by any federated domain")
+            lost_domain = self._lost_nodes.get(ref.node_id)
+            if lost_domain is None:
+                raise ObjectNotExist(f"node {ref.node_id!r} is not owned by any federated domain")
+            # A domain the bridge knew and lost is an unreachable peer,
+            # not a missing object: the caller retries later, and the
+            # failure counts against the link like any dead wire.
+            if self._detector is not None:
+                self._detector.failure(self._link_key(source_domain, lost_domain))
+            raise CommunicationError(
+                f"domain {lost_domain!r} (node {ref.node_id!r}) is disconnected"
+            )
         if target_domain == source_domain:
             # The node appeared locally after the ref was minted; deliver
             # in-domain as a plain invocation would have.

@@ -919,16 +919,20 @@ class SiteRuntime:
         self.close_stores()
 
     def close_stores(self) -> None:
-        """Release the file handles this site's stores keep open (WAL,
+        """Force the log's unforced tail (completion records), then
+        release the file handles this site's stores keep open (WAL,
         cells, replica media, hosted follower replicas).  Idempotent."""
-        for store in (
-            self.wal.store,
-            self.cell_store,
-            *self.wal_media,
-            *self.cell_media,
-            *self._hosted_replicas.values(),
-        ):
-            store.close()
+        try:
+            self.wal.force()
+        finally:
+            for store in (
+                self.wal.store,
+                self.cell_store,
+                *self.wal_media,
+                *self.cell_media,
+                *self._hosted_replicas.values(),
+            ):
+                store.close()
 
     def serve_in_background(self) -> None:
         self._serve_thread = threading.Thread(

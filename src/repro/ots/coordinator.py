@@ -13,7 +13,21 @@ two-phase commit:
    phase two after a coordinator crash);
 4. phase two: commit each remaining resource (retrying transient
    communication failures, collecting heuristic outcomes);
-5. a completion record is logged, ``after_completion`` runs, locks release.
+5. a completion record is logged *unforced*, ``after_completion`` runs,
+   locks release.
+
+Durable writes: one per phase per store, one forced log record.  While a
+prepare / commit / rollback sweep runs, the store writes of the local
+resources (:meth:`TransactionFactory.stage_write`) are collected in a
+:class:`_SweepWrites` and land as one ``apply_batch`` per distinct store
+when the sweep ends.  Nothing is acknowledged before that write returns:
+a vote counts, a resource is marked completed, and the decision or
+completion record is logged only afterwards.  A phase-one sweep that ends
+in a no-vote drops its staged intentions, so an aborted transaction
+writes nothing.  ``tx_commit_decision`` is forced; ``tx_completed`` rides
+the next force (see :meth:`TransactionFactory.log_completion`) and, being
+appended after the phase-two write returned, can never become durable
+before the installs it covers.
 
 Nested (sub)transactions never touch the log: their commit provisionally
 hands resources, locks and synchronizations to the parent, per the
@@ -128,6 +142,67 @@ class _ParticipantRound:
                     participant, self.operation, (), {}, prepared=prepared
                 )
         return call_participant(participant, self.operation)
+
+
+class _SweepWrites:
+    """The store writes local resources hand over during one sweep.
+
+    While the sweep is open (``with``), the factory routes this
+    transaction's :meth:`~TransactionFactory.stage_write` calls here,
+    and each is attributed to the resource being called on that thread
+    (:meth:`call`).  :meth:`flush` then makes one ``apply_batch`` per
+    distinct store, resources in sweep order and every put ahead of
+    every remove: a store that keeps only a prefix of the batch across
+    a crash still holds the intention record of each cell whose state
+    it missed.  Leaving the block on an exception drops what was staged,
+    which is what the crash being simulated would have done.
+    """
+
+    def __init__(self, tx: "Transaction", records: List[ResourceRecord]) -> None:
+        self._open, self._tid = tx.factory._open_sweeps, tx.tid
+        self._order = {id(record): position for position, record in enumerate(records)}
+        self._calling = threading.local()
+        self._staged: List[Tuple[ResourceRecord, Any, Any, Any]] = []
+        self.returned: List[ResourceRecord] = []  # calls that did not raise
+
+    def __enter__(self) -> "_SweepWrites":
+        self._open[self._tid] = self
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._open.pop(self._tid, None)
+
+    def call(self, record: ResourceRecord, fn: Any, *args: Any) -> Any:
+        """Run one participant call; what it stages belongs to ``record``."""
+        self._calling.record = record
+        result = fn(*args)
+        self.returned.append(record)
+        return result
+
+    def stage(self, store: Any, puts: Any, removes: Any) -> None:
+        self._staged.append((self._calling.record, store, puts, removes))
+
+    def flush(self) -> Tuple[List[ResourceRecord], Optional[Exception]]:
+        """Land the staged writes; returns the resources whose store
+        write failed and the first such failure."""
+        by_store: dict = {}
+        self._staged.sort(key=lambda staged: self._order[id(staged[0])])
+        for record, store, puts, removes in self._staged:
+            _, all_puts, all_removes, records = by_store.setdefault(
+                id(store), (store, {}, [], [])
+            )
+            all_puts.update(puts)
+            all_removes.extend(removes)
+            records.append(record)
+        failed: List[ResourceRecord] = []
+        error: Optional[Exception] = None
+        for store, puts, removes, records in by_store.values():
+            try:
+                store.apply_batch(puts, removes)
+            except Exception as exc:  # noqa: BLE001 - reported to the caller
+                failed.extend(records)
+                error = error or exc
+        return failed, error
 
 
 class Transaction:
@@ -489,12 +564,24 @@ class Transaction:
         """Phase one over ``live`` (serial or fanned out); returns the
         pivoting no-voter, if any — shared by the top-level commit and
         the interposed (subordinate) prepare."""
-        if self._participant_workers(len(live)) > 1:
-            return self._gather_votes_parallel(live)
-        return self._gather_votes_serial(live)
+        with _SweepWrites(self, live) as sweep:
+            if self._participant_workers(len(live)) > 1:
+                rollback_voter = self._gather_votes_parallel(live, sweep)
+            else:
+                rollback_voter = self._gather_votes_serial(live, sweep)
+        if rollback_voter is not None:
+            return rollback_voter  # aborting: the staged intentions are never written
+        failed, _ = sweep.flush()
+        for record in failed:
+            # Its intention record is not durable, so its vote cannot
+            # count: treated like a prepare that raised.
+            record.vote = Vote.ROLLBACK
+            record.prepare_failed = True
+            self.factory.event_log.record("tx_vote", tid=self.tid, vote=record.vote.name)
+        return failed[0] if failed else None
 
     def _gather_votes_serial(
-        self, live: List[ResourceRecord]
+        self, live: List[ResourceRecord], sweep: _SweepWrites
     ) -> Optional[ResourceRecord]:
         """Classic phase one: one prepare at a time, stop at the first no."""
         log = self.factory.event_log
@@ -503,7 +590,7 @@ class Transaction:
             self.factory.failpoints.hit("before_prepare")
             try:
                 round_.prime(record.participant)
-                record.vote = round_.call(record.participant)
+                record.vote = sweep.call(record, round_.call, record.participant)
             except (CommunicationError, Exception) as exc:
                 if isinstance(exc, SimulatedCrash):
                     raise
@@ -515,7 +602,7 @@ class Transaction:
         return None
 
     def _gather_votes_parallel(
-        self, live: List[ResourceRecord]
+        self, live: List[ResourceRecord], sweep: _SweepWrites
     ) -> Optional[ResourceRecord]:
         """Phase one with concurrent prepares.
 
@@ -536,7 +623,7 @@ class Transaction:
             if abandon.is_set():
                 return _NOT_ASKED
             try:
-                return round_.call(record.participant)
+                return sweep.call(record, round_.call, record.participant)
             except BaseException as exc:  # digested on the driving thread
                 return exc
 
@@ -576,19 +663,38 @@ class Transaction:
         return rollback_voter
 
     def _commit_resources(self, committers: List[ResourceRecord]) -> None:
-        if self._participant_workers(len(committers)) > 1:
-            self._commit_resources_parallel(committers)
-        else:
-            self._commit_resources_serial(committers)
+        with _SweepWrites(self, committers) as sweep:
+            if self._participant_workers(len(committers)) > 1:
+                self._commit_resources_parallel(committers, sweep)
+            else:
+                self._commit_resources_serial(committers, sweep)
+        self._acknowledge(sweep)
 
-    def _commit_resources_serial(self, committers: List[ResourceRecord]) -> None:
+    def _acknowledge(self, sweep: _SweepWrites) -> None:
+        """End of a commit or rollback sweep: land the staged writes,
+        then mark the resources whose call returned completed.
+
+        A resource whose store write failed stays uncompleted and the
+        failure propagates, which strands the transaction in
+        ``COMMITTING``/``ROLLING_BACK`` for :meth:`redrive`.
+        """
+        failed, error = sweep.flush()
+        for record in sweep.returned:
+            record.completed = True
+        for record in failed:
+            record.completed = False
+        if error is not None:
+            raise error
+
+    def _commit_resources_serial(
+        self, committers: List[ResourceRecord], sweep: _SweepWrites
+    ) -> None:
         round_ = self._round("commit")
         for index, record in enumerate(committers):
             self.factory.failpoints.hit(f"before_commit_resource_{index}")
             try:
                 round_.prime(record.participant)
-                self._call_with_retry(record.participant, "commit", round_)
-                record.completed = True
+                sweep.call(record, self._call_with_retry, record.participant, "commit", round_)
             except HeuristicRollback as exc:
                 self._heuristics.append(exc)
                 self._safe_forget(record)
@@ -602,7 +708,9 @@ class Transaction:
                     )
                 )
 
-    def _commit_resources_parallel(self, committers: List[ResourceRecord]) -> None:
+    def _commit_resources_parallel(
+        self, committers: List[ResourceRecord], sweep: _SweepWrites
+    ) -> None:
         """Phase two with concurrent commits.
 
         The decision is already forced, so every participant must be
@@ -613,7 +721,7 @@ class Transaction:
         The ``before_commit_resource_{i}`` fail-points interleave with
         the submissions, as in the serial loop: when one fires, commits
         already submitted are awaited and digested before the crash
-        propagates, so the prefix-committed crash states the recovery
+        propagates, so the prefix-called crash states the recovery
         tests reproduce stay reachable with the knob on.
         """
         factory = self.factory
@@ -621,7 +729,7 @@ class Transaction:
 
         def do_commit(record: ResourceRecord) -> Optional[BaseException]:
             try:
-                self._call_with_retry(record.participant, "commit", round_)
+                sweep.call(record, self._call_with_retry, record.participant, "commit", round_)
                 return None
             except BaseException as exc:  # digested on the driving thread
                 return exc
@@ -642,8 +750,8 @@ class Transaction:
         for record, future in futures:
             exc = future.result()
             if exc is None:
-                record.completed = True
-            elif isinstance(
+                continue  # completed once the sweep's writes have landed
+            if isinstance(
                 exc, (HeuristicRollback, HeuristicMixed, HeuristicHazard)
             ):
                 self._heuristics.append(exc)
@@ -673,10 +781,12 @@ class Transaction:
         outcomes (incl. heuristics) are digested in registration order
         so the serial and parallel sweeps leave identical state.
         """
-        if self._participant_workers(len(records)) > 1:
-            self._rollback_resources_parallel(records)
-        else:
-            self._rollback_resources_serial(records)
+        with _SweepWrites(self, records) as sweep:
+            if self._participant_workers(len(records)) > 1:
+                self._rollback_resources_parallel(records, sweep)
+            else:
+                self._rollback_resources_serial(records, sweep)
+        self._acknowledge(sweep)
 
     def _digest_rollback(
         self, record: ResourceRecord, exc: Optional[BaseException]
@@ -684,8 +794,7 @@ class Transaction:
         """Fold one rollback outcome into the transaction's bookkeeping;
         returns an exception the caller must propagate (unknown failure)."""
         if exc is None:
-            record.completed = True
-            return None
+            return None  # completed once the sweep's writes have landed
         if isinstance(exc, (HeuristicCommit, HeuristicMixed, HeuristicHazard)):
             self._heuristics.append(exc)
             self._safe_forget(record)
@@ -699,12 +808,14 @@ class Transaction:
             return None
         return exc
 
-    def _rollback_resources_serial(self, records: List[ResourceRecord]) -> None:
+    def _rollback_resources_serial(
+        self, records: List[ResourceRecord], sweep: _SweepWrites
+    ) -> None:
         round_ = self._round("rollback")
         for record in records:
             round_.prime(record.participant)
             try:
-                self._call_with_retry(record.participant, "rollback", round_)
+                sweep.call(record, self._call_with_retry, record.participant, "rollback", round_)
                 exc: Optional[BaseException] = None
             except BaseException as caught:  # noqa: BLE001 - digested uniformly
                 exc = caught
@@ -712,7 +823,9 @@ class Transaction:
             if fatal is not None:
                 raise fatal
 
-    def _rollback_resources_parallel(self, records: List[ResourceRecord]) -> None:
+    def _rollback_resources_parallel(
+        self, records: List[ResourceRecord], sweep: _SweepWrites
+    ) -> None:
         """Rollback sweep with concurrent participant calls.
 
         No abandonment: the outcome is already decided, so every
@@ -725,7 +838,7 @@ class Transaction:
 
         def do_rollback(record: ResourceRecord) -> Optional[BaseException]:
             try:
-                self._call_with_retry(record.participant, "rollback", round_)
+                sweep.call(record, self._call_with_retry, record.participant, "rollback", round_)
                 return None
             except BaseException as exc:  # digested on the driving thread
                 return exc

@@ -76,9 +76,13 @@ class TransactionFactory:
     ``group_commit_window`` selects the logging engine: ``None`` keeps
     the classic immediate-force WAL; a float (seconds, 0 allowed) builds
     a :class:`~repro.persistence.wal.GroupCommitWAL` so concurrent
-    commits share durable forces.  Coordinators log decisions through
-    :meth:`log_commit_decision` / :meth:`log_completion`, which is where
-    the batching takes effect.
+    commits share durable forces.  Coordinators log through
+    :meth:`log_commit_decision` (forced — where the batching takes
+    effect) and :meth:`log_completion` (unforced: it rides the next
+    force; who forces the tail, and why losing it is safe, is stated
+    there).  Local resources make their store writes through
+    :meth:`stage_write`, which is how one phase of one transaction
+    becomes one write per store.
 
     ``parallel_participants`` bounds how many participants a transaction
     contacts *concurrently* during phase one (votes) and phase two
@@ -139,6 +143,8 @@ class TransactionFactory:
         # rollback) over remote participants encodes its request body
         # once per ORB and patches only the target per call.
         self.marshal_once = config.marshal_once
+        # tid -> the coordinator's open sweep (see stage_write).
+        self._open_sweeps: dict = {}
         self._participant_pool = ReentrantWorkerPool(
             config.parallel_participants, thread_name_prefix="participants"
         )
@@ -197,15 +203,42 @@ class TransactionFactory:
     # -- durable logging ----------------------------------------------------
 
     def log_commit_decision(self, tid: str, recovery_keys: List[str]):
-        """Force the commit decision; under group commit the force is shared
-        with every other transaction inside the batching window."""
+        """Force the commit decision (and any unforced completion records
+        ahead of it); under group commit the force is shared with every
+        other transaction inside the batching window."""
         return self.wal.append(
             "tx_commit_decision", tid=tid, recovery_keys=recovery_keys
         )
 
-    def log_completion(self, tid: str):
-        """Log the end of phase two (marks the transaction resolved)."""
-        return self.wal.append("tx_completed", tid=tid)
+    def log_completion(self, tid: str, **extra: Any):
+        """Log the end of phase two (marks the transaction resolved).
+
+        Unforced: the record rides the next force of this log (the next
+        commit decision), and the deployment's housekeeping round
+        (:meth:`FederatedTransactionService.retire_completed`) and site
+        shutdown force whatever tail is left.  Presumed abort never needs
+        the end record durable: a crash that loses it leaves a decision
+        without a completion, which boot-time recovery replays — a no-op
+        on resources whose intention records are already gone — and
+        completes again.  Callers append it only after the phase-two
+        store write returned, so it cannot outrun the installs it covers.
+        """
+        return self.wal.append_volatile("tx_completed", tid=tid, **extra)
+
+    # -- durable resource state ---------------------------------------------
+
+    def stage_write(self, tid: str, store: Any, puts: Any, removes: Any = ()) -> None:
+        """The one durable write path of a local resource of ``tid``.
+
+        While the coordinator has a protocol sweep open for ``tid`` the
+        write joins that sweep's per-store batch; otherwise (one-phase
+        commit, recovery replay) it is applied here and now.
+        """
+        sweep = self._open_sweeps.get(tid)
+        if sweep is None:
+            store.apply_batch(puts, removes)
+        else:
+            sweep.stage(store, puts, removes)
 
     # -- parallel participant calls -----------------------------------------
 

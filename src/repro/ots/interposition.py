@@ -165,17 +165,35 @@ class _SubordinateProxyRecoverable(Recoverable):
     recovery manager replays a logged commit decision: the replay is
     forwarded across the bridge to the (possibly itself recovered)
     subordinate resource.
+
+    A replay may be a redelivery: the superior crashed with the
+    completion record unforced, after the subordinate had finished the
+    transaction and (across its own restart) retired the ``fedres:``
+    servant.  A *live* domain answering ``ObjectNotExist`` for it holds
+    nothing of the transaction any more — prepared state would have been
+    re-exported under that id by its recovery — so that answer is the
+    acknowledgement and nothing was applied.  A dead or partitioned
+    domain raises a plain ``CommunicationError`` instead and the replay
+    is retried.  (A subordinate asked in the instant between listening
+    and finishing its own recovery is covered the other way round: it
+    polls this domain's durable decision via ``resolve_in_doubt``.)
     """
 
     def __init__(self, key: str, resource_ref: ObjectRef) -> None:
         self.key = key
         self.resource_ref = resource_ref
 
+    def _redeliver(self, operation: str, tid: str) -> bool:
+        try:
+            return bool(self.resource_ref.invoke(operation, tid))
+        except ObjectNotExist:
+            return False
+
     def recover_commit(self, tid: str) -> bool:
-        return bool(self.resource_ref.invoke("recover_commit", tid))
+        return self._redeliver("recover_commit", tid)
 
     def recover_abort(self, tid: str) -> bool:
-        return bool(self.resource_ref.invoke("recover_abort", tid))
+        return self._redeliver("recover_abort", tid)
 
     def list_in_doubt(self) -> List[str]:
         return []  # in-doubt state lives (durably) in the remote domain
@@ -556,10 +574,13 @@ class FederatedTransactionService:
         self._prepared_at[root_tid] = self.factory.clock.now()
 
     def log_resolved(self, local_tid: str) -> None:
-        """Durably mark a prepared subordinate resolved by rollback: the
-        completion record supersedes its ``subtx_prepared`` entry so a
-        later recovery never re-exports it as held in-doubt."""
-        self.factory.wal.append("tx_completed", tid=local_tid, rolled_back=True)
+        """Mark a prepared subordinate resolved by rollback: once forced
+        (with the next record, or by the housekeeping round) the
+        completion record supersedes its ``subtx_prepared`` entry.  If a
+        crash loses it first, recovery re-exports the subordinate as held
+        in-doubt and the superior's presumed-abort answer resolves it
+        again — its intention records are already gone."""
+        self.factory.log_completion(local_tid, rolled_back=True)
 
     def _wal_index(self) -> Tuple[_Prepared, Dict[str, List[str]], Set[str]]:
         """(prepared, decided, completed) of this domain's log, read-only;
@@ -683,7 +704,12 @@ class FederatedTransactionService:
         decision is durably completed.  Runs at the top of every
         :meth:`sweep_orphans` round (the serve loop's housekeeping
         cadence); returns how many roots were retired.
+
+        This round is also what forces the log's unforced tail — the
+        ``tx_completed`` records no commit decision has carried to disk
+        yet — so an idle domain does not sit on it indefinitely.
         """
+        self.factory.wal.force()
         _, _, completed = self._wal_index()
         retired = 0
         with self._lock:
@@ -870,7 +896,7 @@ class FederatedTransactionService:
             recoverable = self.registry.resolve(key)
             if recoverable is not None:
                 recoverable.recover_commit(local_tid)
-        self.factory.wal.append("tx_completed", tid=local_tid)
+        self.factory.log_completion(local_tid)
         self.factory.event_log.record("fed_replay_commit", tid=local_tid)
         return True
 

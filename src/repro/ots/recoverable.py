@@ -184,14 +184,20 @@ class TransactionalCell(Recoverable):
 
     # -- top-level completion (driven by _CellResource) -------------------------------
 
+    def _write(self, tid: str, puts: Dict[str, Any], removes: Tuple[str, ...] = ()) -> None:
+        """Every durable write of this cell: handed to the transaction
+        service, which batches it with the sweep ``tid`` has open or
+        applies it at once (:meth:`TransactionFactory.stage_write`)."""
+        if self.store is not None:
+            self.factory.stage_write(tid, self.store, puts, removes)
+
     def _prepare(self, tid: str) -> Vote:
         if tid not in self._workspaces:
             self._enlisted_top.discard(tid)
             return Vote.READONLY
         staged = self._workspaces[tid]
         self._prepared[tid] = staged
-        if self.store is not None:
-            self.store.put(self._prepared_key(tid), staged)
+        self._write(tid, {self._prepared_key(tid): staged})
         return Vote.COMMIT
 
     def _commit(self, tid: str) -> None:
@@ -206,20 +212,17 @@ class TransactionalCell(Recoverable):
         self._workspaces.pop(tid, None)
         self._prepared.pop(tid, None)
         self._enlisted_top.discard(tid)
-        if self.store is not None:
-            # One durable write.  State first: if only a prefix of the
-            # batch survives a crash, the intention record is still there
-            # and replaying the commit installs the same value again.
-            self.store.apply_batch(
-                {self._state_key(): value}, [self._prepared_key(tid)]
-            )
+        # State first: if only a prefix of the write survives a crash,
+        # the intention record is still there and replaying the commit
+        # installs the same value again.
+        self._write(tid, {self._state_key(): value}, (self._prepared_key(tid),))
 
     def _rollback(self, tid: str) -> None:
         self._workspaces.pop(tid, None)
         self._prepared.pop(tid, None)
         self._enlisted_top.discard(tid)
         if self.store is not None and self.store.contains(self._prepared_key(tid)):
-            self.store.remove(self._prepared_key(tid))
+            self._write(tid, {}, (self._prepared_key(tid),))
 
     def _commit_one_phase(self, tid: str) -> None:
         if tid in self._workspaces:

@@ -10,6 +10,20 @@ phase one.  Recovery:
   ``recover_commit`` replayed (idempotent);
 - prepared state belonging to a transaction *without* a decision record
   is presumed aborted and discarded.
+
+What the log guarantees recovery: ``tx_commit_decision`` (and a
+subordinate's ``subtx_prepared``) are forced before anyone acts on them.
+``tx_completed`` is not — the coordinator appends it unforced after the
+phase-two store write returned and it rides the next force (the next
+decision, the deployment's housekeeping round, site shutdown; see
+:meth:`~repro.ots.factory.TransactionFactory.log_completion`).  A crash
+therefore finds the last few committed transactions decided but not
+completed.  Losing that tail is safe: their installs are already durable
+and their intention records gone, so the replay below applies nothing
+(``recommitted[tid] == []``) and writes the completion again, this time
+with a force.  A decided transaction whose install write was cut short
+still has its intention records — the coordinator writes every put of
+a phase ahead of every tombstone — and replays to the committed values.
 """
 
 from __future__ import annotations

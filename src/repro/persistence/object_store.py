@@ -73,7 +73,8 @@ class ObjectStore(abc.ABC):
         :meth:`remove` per key; :class:`SegmentedFileStore` lands the
         puts and the tombstones in a single append + fsync.
         """
-        self.put_many(puts)
+        if puts:
+            self.put_many(puts)
         for uid in removes:
             if self.contains(uid):
                 self.remove(uid)
@@ -280,16 +281,17 @@ class SegmentedFileStore(ObjectStore):
 
     Segments roll over once the active file passes ``segment_bytes``;
     superseded frames accumulate until :meth:`compact` rewrites the live
-    set into a fresh segment and deletes the old files.
-    :meth:`put`/:meth:`put_many` trigger that compaction automatically
-    once the dead-record ratio (frames written minus live keys, over
-    frames written) crosses ``auto_compact_ratio`` — **on by default**
-    at 0.5 since long-lived stores (site-daemon WALs and cell stores)
-    otherwise grow without bound; pass ``auto_compact_ratio=None`` to
-    opt out (e.g. to measure raw append cost, or to control compaction
-    points explicitly).  Bounded by ``auto_compact_min_records`` so tiny
-    stores never churn, and reentrancy-safe (compaction's own rewrite
-    never re-triggers itself).
+    set into a fresh segment and deletes the old files.  The store runs
+    that compaction itself **when a segment rolls over** and the
+    dead-record ratio (frames written minus live keys, over frames
+    written) has crossed ``auto_compact_ratio`` — on by default at 0.5
+    since long-lived stores (site-daemon cell stores) otherwise grow
+    without bound; pass ``auto_compact_ratio=None`` to opt out.  An
+    append that does not fill the segment never pays for a rewrite, a
+    heavily overwritten store compacts once per ``segment_bytes``
+    written and holds at most its live set plus two segments on disk,
+    and a store that never fills a segment never compacts.
+    Reentrancy-safe (compaction's own rewrite never re-triggers itself).
     """
 
     _LEN = struct.Struct(">II")
@@ -300,7 +302,6 @@ class SegmentedFileStore(ObjectStore):
         registry: Optional[ValueTypeRegistry] = None,
         segment_bytes: int = 1 << 20,
         auto_compact_ratio: Optional[float] = 0.5,
-        auto_compact_min_records: int = 64,
     ) -> None:
         self._root = root
         self._marshaller = Marshaller(registry)
@@ -319,7 +320,6 @@ class SegmentedFileStore(ObjectStore):
         if auto_compact_ratio is not None and not (0.0 < auto_compact_ratio <= 1.0):
             raise ValueError("auto_compact_ratio must be in (0, 1]")
         self._auto_compact_ratio = auto_compact_ratio
-        self._auto_compact_min_records = max(1, auto_compact_min_records)
         self._records_written = 0
         self._compacting = False
         self.auto_compactions = 0
@@ -379,7 +379,8 @@ class SegmentedFileStore(ObjectStore):
             offset = end
         return offset
 
-    def _append_frames(self, frames: List[bytes]) -> None:
+    def _append_frames(self, frames: List[bytes]) -> bool:
+        """One write + fsync; True when it filled (and rolled) the segment."""
         handle = self._handle
         if handle is None:
             handle = self._handle = open(self._segment_path(self._active_id), "ab")
@@ -394,9 +395,11 @@ class SegmentedFileStore(ObjectStore):
         self.flushes += 1
         self._records_written += len(frames)
         self._active_size += len(data)
-        if self._active_size >= self._segment_bytes:
-            self._start_segment(self._active_id + 1)
-            self._segment_ids.append(self._active_id)
+        if self._active_size < self._segment_bytes:
+            return False
+        self._start_segment(self._active_id + 1)
+        self._segment_ids.append(self._active_id)
+        return True
 
     def _start_segment(self, seg_id: int) -> None:
         """Make ``seg_id`` the (still empty) active segment."""
@@ -425,15 +428,13 @@ class SegmentedFileStore(ObjectStore):
             return dead / self._records_written
 
     def _maybe_auto_compact(self) -> None:
-        """Compact when the dead-record ratio crosses the threshold.
+        """Compact when the dead-record ratio has crossed the threshold.
 
-        Called (lock held) from the mutating fast paths; the reentrancy
-        guard keeps compaction's own rewrite — and any future mutator
-        nested under it — from recursing.
+        Called (lock held) when an append rolled the active segment
+        over; the reentrancy guard keeps compaction's own rewrite — and
+        any future mutator nested under it — from recursing.
         """
         if self._auto_compact_ratio is None or self._compacting:
-            return
-        if self._records_written < self._auto_compact_min_records:
             return
         dead = self._records_written - len(self._index)
         if dead / self._records_written < self._auto_compact_ratio:
@@ -468,14 +469,13 @@ class SegmentedFileStore(ObjectStore):
         frames.extend(self._frame(uid, True, b"") for uid in dead)
         if not frames:
             return
-        self._append_frames(frames)
+        rolled = self._append_frames(frames)
         self._index.update(encoded)
         for uid in dead:
             self._index.pop(uid, None)
         self._keys_cache = None
-        # A tombstone both adds a frame and kills a live key, so
-        # delete-heavy workloads must re-check the dead ratio too.
-        self._maybe_auto_compact()
+        if rolled:  # after the index took the batch: compaction rewrites from it
+            self._maybe_auto_compact()
 
     def get(self, uid: str) -> Any:
         try:

@@ -49,7 +49,9 @@ Durable-write sequence: ``force`` is one ``store.put`` of the batch key.
 ``truncate`` writes the head first and then removes the batch keys the
 cut covers; a crash in between leaves covered keys that the next open
 removes.  (README, "Persistence layering", tabulates every durable write
-of one committed transaction: two of its six are forces of this log.)
+of one committed transaction: one of its three is a force of this log —
+the decision; the completion record is appended volatile and rides the
+next force.)
 
 Migration rule: on open, a log whose head is not format 3 — format 2
 (``<name>:seg:<n>`` segments listed by the head) or format 1 (one
@@ -98,9 +100,9 @@ class LogRecord:
 class WriteAheadLog:
     """Append-only durable record list over an object store.
 
-    Writes are forced (durable) by default.  ``append_volatile`` +
-    ``force`` exist so benchmarks can measure the cost of group forcing,
-    and so crash tests can demonstrate loss of unforced records.
+    Writes are forced (durable) by default.  ``append_volatile`` is for
+    records a crash may lose (the coordinator's ``tx_completed``): they
+    become durable with the next ``append`` or ``force``, in LSN order.
 
     A batch forced together is atomic: it lands in a single store write,
     so a crash mid-force leaves either the whole batch durable or none of

@@ -259,7 +259,9 @@ class TestSegmentedStoreCompactionUnderLoad:
         import os
 
         root = str(tmp_path / "cells")
-        store = SegmentedFileStore(root, segment_bytes=256)
+        # Explicit compaction only: the store's own would already have
+        # run at the segment rollovers.
+        store = SegmentedFileStore(root, segment_bytes=256, auto_compact_ratio=None)
         for wave in range(20):
             store.put_many({f"k{i}": wave for i in range(8)})
         files_before = len(os.listdir(root))

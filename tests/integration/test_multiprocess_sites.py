@@ -16,9 +16,12 @@ the surviving site consistent with the logged decision), which is
 precisely the property the WAL owns.
 """
 
+import os
+
 import pytest
 
 from repro.exceptions import CommunicationError
+from repro.persistence import SegmentedFileStore, WriteAheadLog
 from repro.testing import SiteCluster
 from repro.testing.process_harness import wait_until
 
@@ -30,15 +33,17 @@ BANK = "site-b.bank"
 def cluster_factory(tmp_path):
     clusters = []
 
-    def build(cell_store="segmented"):
+    def build(cell_store="segmented", **extra):
         specs = {
             "site-a": {
                 "app": "repro.apps.site_apps:transfer_desk_site",
                 "cell_store": cell_store,
+                **extra,
             },
             "site-b": {
                 "app": "repro.apps.site_apps:bank_site",
                 "cell_store": cell_store,
+                **extra,
             },
         }
         cluster = SiteCluster(str(tmp_path / f"run{len(clusters)}"), specs)
@@ -65,6 +70,18 @@ def transfer_expecting_death(client, amount=10.0):
 
 def in_doubt_drained(client, site_id="site-b"):
     return not client.control(site_id, {"op": "resolve"})["outcomes"]
+
+
+def readmitted(client, by, peer):
+    """``by``'s failure detector no longer quarantines ``peer``: while it
+    does, requests to the (restarted) peer fail fast by design."""
+    return peer not in client.control(by, {"op": "debug_dump"})["quarantined"]
+
+
+def offline_log(cluster, site_id):
+    """A dead site's WAL, read from its data directory."""
+    root = os.path.join(cluster.root, site_id, "data", "wal")
+    return WriteAheadLog(SegmentedFileStore(root)).records()
 
 
 class TestHappyPath:
@@ -112,6 +129,11 @@ class TestCoordinatorSigkill:
                 # Memory cells died with the process; protocol state
                 # still converged (nothing held, fabric usable).
                 assert in_doubt_drained(client)
+            # site-b saw site-a die; new work crosses once its detector's
+            # half-open probe has re-admitted the restarted peer.
+            assert wait_until(
+                lambda: readmitted(client, "site-b", "site-a")
+            ), cluster.debug_dump()
             desk = client.ref(DESK, "desk", "TransferDesk")
             desk.invoke("transfer", "acct-1", BANK, "acct-2", 5.0)
         finally:
@@ -200,5 +222,58 @@ class TestOrphanedSubordinate:
                 lambda: balances(client) == (90.0, 110.0)
             ), cluster.debug_dump()
             assert in_doubt_drained(client)
+        finally:
+            client.close()
+
+
+class TestCompletionTailLostToSigkill:
+    def test_acked_balances_survive_and_the_tail_replays_once(self, cluster_factory):
+        """SIGKILL both sites right after the last acknowledged transfer:
+        each log ends in a commit decision whose (unforced) completion
+        record died with the process.  Restart shows the acknowledged
+        balances, recovery completes exactly that tail, and a second
+        restart has nothing left to do."""
+        # A poll interval longer than the test: no housekeeping round
+        # forces the tail before the kill.
+        cluster = cluster_factory(poll_interval=60.0)
+        client = cluster.client()
+        try:
+            desk = client.ref(DESK, "desk", "TransferDesk")
+            for _ in range(3):
+                desk.invoke("transfer", "acct-1", BANK, "acct-2", 10.0)
+            assert balances(client) == (70.0, 130.0)
+
+            def bounce():
+                for site_id in ("site-a", "site-b"):
+                    cluster[site_id].kill()
+                logs = {site_id: offline_log(cluster, site_id) for site_id in cluster.sites}
+                for site_id in ("site-b", "site-a"):  # the subordinate first
+                    cluster[site_id].restart()
+                    client.wait_ready(site_id)
+                return logs
+
+            for site_id, records in bounce().items():
+                decided = [r.payload["tid"] for r in records if r.kind == "tx_commit_decision"]
+                completed = [r.payload["tid"] for r in records if r.kind == "tx_completed"]
+                assert len(decided) == 3
+                assert completed == decided[:2], site_id  # the third was unforced
+
+            assert balances(client) == (70.0, 130.0)
+            for site_id in cluster.sites:
+                status = client.control(site_id, {"op": "status"})
+                assert status["recovered"] and status["recovery_error"] is None
+            assert in_doubt_drained(client)
+
+            for round_ in ("first restart", "second restart"):
+                for site_id, records in bounce().items():
+                    decided = [r.payload["tid"] for r in records if r.kind == "tx_commit_decision"]
+                    completed = [r for r in records if r.kind == "tx_completed"]
+                    assert [r.payload["tid"] for r in completed] == decided, (round_, site_id)
+                    assert [bool(r.payload.get("recovered")) for r in completed] == [
+                        False,
+                        False,
+                        True,
+                    ], (round_, site_id)
+                assert balances(client) == (70.0, 130.0)
         finally:
             client.close()

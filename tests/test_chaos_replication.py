@@ -33,7 +33,7 @@ from repro.chaos import (
     run_sweep,
 )
 from repro.ots import TransactionFactory, TransactionalCell
-from repro.ots.status import TransactionStatus
+from repro.ots.status import TransactionStatus, Vote
 from repro.persistence import MemoryStore, ReplicaMedium, ReplicatedStore
 from repro.persistence.replicated import ReplicationError
 from repro.util.clock import SimulatedClock
@@ -331,6 +331,55 @@ class TestInterruptedCompletionRedrive:
         clock.advance(1.5)
         store.catch_up()
         assert factory.redrive_stuck() == [tx.tid]
+
+    def test_phase_two_flush_below_quorum_strands_then_redrives(self):
+        """Phase two's one store write fails (the media die after the
+        last participant was called, before the sweep's flush): nothing
+        is acknowledged — no resource completed, no completion record —
+        and the redrive lands the same batch once the media heal."""
+        clock, media, store, factory, cell = self.build()
+        other = TransactionalCell("other", 1.0, factory, store=store)
+
+        class MediaKiller:
+            def prepare(self):
+                return Vote.COMMIT
+
+            def commit(self):
+                for medium in media[1:]:
+                    medium.fail()
+
+            def rollback(self):
+                pass
+
+        tx = factory.create()
+        cell.write(tx, 60.0)
+        other.write(tx, 41.0)
+        killer = tx.register_resource(MediaKiller())
+        with pytest.raises(ReplicationError):
+            tx.commit()
+        assert tx.status is TransactionStatus.COMMITTING
+        assert [r.completed for r in tx.resources] == [False, False, True]
+        assert killer.completed
+        factory.wal.force()
+        assert [r.kind for r in factory.wal.records()] == ["tx_commit_decision"]
+        assert not store.contains("cell:acct")  # the failed write was rolled back out
+        assert store.contains(f"prepared:acct:{tx.tid}")
+
+        assert factory.redrive_stuck() == []  # still below quorum
+        for medium in media:
+            medium.heal()
+        clock.advance(1.5)
+        store.catch_up()
+        assert factory.redrive_stuck() == [tx.tid]
+        assert tx.status is TransactionStatus.COMMITTED
+        assert all(r.completed for r in tx.resources)
+        assert (store.get("cell:acct"), store.get("cell:other")) == (60.0, 41.0)
+        assert not [key for key in store.keys() if key.startswith("prepared:")]
+        factory.wal.force()
+        assert [r.kind for r in factory.wal.records()] == [
+            "tx_commit_decision",
+            "tx_completed",
+        ]
 
     def test_redrive_ignores_healthy_transactions(self):
         clock, media, store, factory, cell = self.build()

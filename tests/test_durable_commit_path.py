@@ -2,10 +2,11 @@
 
 A force appends its own batch and nothing else however long the log has
 grown; a site's housekeeping round reads only the records forced since
-the previous round; a committed two-cell transfer performs six store
-flushes.  And the crash guarantee those counts lean on: a torn
-multi-frame append reads back as a frame prefix, from which the cell
-install recovers.
+the previous round; a committed two-cell transfer performs three store
+flushes (one store write per phase plus the forced decision), a
+federated one seven, an aborted one none.  And the crash guarantee those
+counts lean on: a torn multi-frame append reads back as a frame prefix,
+from which the prepare and install batches recover all-or-nothing.
 """
 
 import os
@@ -13,15 +14,20 @@ import os
 import pytest
 
 from repro.apps.site_apps import bank_node_id
+from repro.config import FactoryConfig
 from repro.orb.site import SiteConfig, SiteRuntime
 from repro.ots import (
     RecoverableRegistry,
     RecoveryManager,
+    Resource,
     SimulatedCrash,
     TransactionalCell,
     TransactionFactory,
+    TransactionRolledBack,
+    Vote,
 )
 from repro.persistence import MemoryStore, SegmentedFileStore, WriteAheadLog
+from repro.testing.process_harness import free_port
 
 
 def directory_bytes(root):
@@ -76,23 +82,139 @@ def desk_site(tmp_path):
     runtime.transport.close()
 
 
+@pytest.fixture
+def two_sites(tmp_path):
+    """Two in-process sites over real sockets, serve loops not running
+    (no housekeeping round forces a log tail behind the test's back)."""
+    ports = {site: free_port() for site in ("desk", "far")}
+    peers = {site: ("127.0.0.1", port) for site, port in ports.items()}
+    runtimes = {
+        site: SiteRuntime(
+            SiteConfig(
+                site_id=site,
+                port=ports[site],
+                peers=peers,
+                data_dir=str(tmp_path / site),
+                cell_store="segmented",
+                app=f"repro.apps.site_apps:{app}",
+            )
+        )
+        for site, app in (("desk", "transfer_desk_site"), ("far", "bank_site"))
+    }
+    for runtime in runtimes.values():
+        runtime.transport.start()
+    desk = runtimes["desk"].orb.node(bank_node_id("desk")).servant("desk")
+
+    def transfer(amount=1.0):
+        return desk.transfer("acct-1", bank_node_id("far"), "acct-2", amount)
+
+    yield runtimes["desk"], runtimes["far"], transfer
+    for runtime in runtimes.values():
+        runtime.stop()
+        runtime.transport.close()
+
+
+def flush_counts(*runtimes):
+    return [
+        (runtime.wal.store.flushes, runtime.cell_store.flushes, runtime.wal.forces)
+        for runtime in runtimes
+    ]
+
+
+def flush_deltas(before, *runtimes):
+    return [
+        tuple(now - then for now, then in zip(after, earlier))
+        for after, earlier in zip(flush_counts(*runtimes), before)
+    ]
+
+
+class NoVoter(Resource):
+    def prepare(self):
+        return Vote.ROLLBACK
+
+    def commit(self):
+        raise AssertionError("a no-voter is never committed")
+
+    def rollback(self):
+        pass
+
+    def commit_one_phase(self):
+        raise AssertionError("registered beside other resources")
+
+    def forget(self):
+        pass
+
+
 class TestCommitPathCounts:
-    def test_two_cell_transfer_is_six_store_flushes(self, desk_site):
+    def test_two_cell_transfer_is_three_store_flushes(self, desk_site):
         runtime, transfer = desk_site
         transfer()  # first use creates the segment files
-        wal_store, cells = runtime.wal.store, runtime.cell_store
-        before = (wal_store.flushes, cells.flushes, runtime.wal.forces)
+        before = flush_counts(runtime)
+        forced = runtime.wal.records_forced
         transfer()
-        # 2 intention records (prepare) + 2 log forces (decision,
-        # completion) + 2 installs (state put + intention tombstone each).
-        assert wal_store.flushes - before[0] == 2
-        assert cells.flushes - before[1] == 4
-        assert runtime.wal.forces - before[2] == 2
+        # 1 prepare batch (both intention records) + 1 log force (the
+        # decision) + 1 install batch (both states, then both tombstones).
+        assert flush_deltas(before, runtime) == [(1, 2, 1)]
+        # That one force carried two records: the previous transfer's
+        # completion and this decision; this completion waits its turn.
+        assert runtime.wal.records_forced - forced == 2
         assert [r.kind for r in runtime.wal.records()][-2:] == [
-            "tx_commit_decision",
             "tx_completed",
+            "tx_commit_decision",
         ]
+        runtime.wal.force()
+        assert runtime.wal.records()[-1].kind == "tx_completed"
+        cells = runtime.cell_store
         assert not [key for key in cells.keys() if key.startswith("prepared:")]
+
+    def test_n_commits_and_one_tail_force(self, desk_site):
+        runtime, transfer = desk_site
+        for _ in range(10):
+            transfer()
+        runtime.wal.force()
+        assert runtime.wal.forces == 10 + 1
+        assert runtime.wal.records_forced == 2 * 10
+        runtime.wal.force()  # nothing left: not a force
+        assert runtime.wal.forces == 11
+
+    def test_federated_transfer_is_seven_store_flushes(self, two_sites):
+        desk, far, transfer = two_sites
+        transfer()
+        before = flush_counts(desk, far)
+        assert transfer() == {"from_balance": 98.0, "to_balance": 102.0}
+        # desk: prepare batch, decision, install batch.  far: prepare
+        # batch, subtx_prepared, its own decision, install batch.
+        assert flush_deltas(before, desk, far) == [(1, 2, 1), (2, 2, 2)]
+
+    def test_overdrawn_transfer_writes_nothing(self, desk_site):
+        runtime, transfer = desk_site
+        transfer()
+        before = flush_counts(runtime)
+        with pytest.raises(ValueError):
+            transfer(1e9)  # withdraw refuses; rolled back while ACTIVE
+        assert flush_deltas(before, runtime) == [(0, 0, 0)]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_phase_one_abort_writes_nothing(self, tmp_path, workers):
+        cells_store = SegmentedFileStore(str(tmp_path / "cells"))
+        wal_store = SegmentedFileStore(str(tmp_path / "wal"))
+        factory = TransactionFactory(
+            wal=WriteAheadLog(wal_store),
+            config=FactoryConfig(parallel_participants=workers),
+        )
+        a, b = (TransactionalCell(key, 0, factory, store=cells_store) for key in "ab")
+        tx = factory.create()
+        a.write(tx, 1)
+        b.write(tx, 2)
+        tx.register_resource(NoVoter())
+        with pytest.raises(TransactionRolledBack):
+            tx.commit()
+        factory.shutdown_participant_pool()
+        # Both cells had voted COMMIT; their intentions were never written.
+        assert (cells_store.flushes, wal_store.flushes) == (0, 0)
+        assert (a.committed_value, b.committed_value) == (0, 0)
+        assert not a.is_locked() and not b.is_locked()
+        assert cells_store.keys() == ()
 
     def test_housekeeping_round_reads_only_new_records(self, desk_site):
         runtime, transfer = desk_site
@@ -115,12 +237,15 @@ class TestCommitPathCounts:
 
         for _ in range(20):
             transfer()
-        assert housekeeping_round() == 40  # the first look reads it all
+        # The round forces the log's tail (the 20th completion) first,
+        # and its first look reads it all.
+        assert len(wal) == 39
+        assert housekeeping_round() == 40
         assert housekeeping_round() == 0
         for _ in range(3):
             transfer()
-        assert len(wal) == 46
         assert housekeeping_round() == 6  # 3 commits x 2 records, not 46
+        assert len(wal) == 46
         # History rewritten under the index: it starts over.
         wal.truncate(up_to_lsn=40)
         assert housekeeping_round() == 6
@@ -173,6 +298,60 @@ class TestTornBatchIsAFramePrefix:
             again = SegmentedFileStore(torn_root)
             assert dict(again.items()) == {**states[whole], "later": cut}
             assert again.torn_frames_dropped == 0
+
+    def test_coordinator_batches_are_all_or_nothing_at_every_cut(self, tmp_path):
+        """One committed two-cell transaction is two appends to the cell
+        store: the prepare batch (2 frames) and the install batch (2
+        puts, then 2 tombstones).  Cut the file at every byte, pair it
+        with the log as it stood at that moment, recover: no cut in the
+        prepare batch commits anything, no cut in the install batch
+        loses either value."""
+        root = str(tmp_path / "cells")
+        log_store = MemoryStore()
+        factory = TransactionFactory(wal=WriteAheadLog(log_store, "txlog"))
+        cells_store = SegmentedFileStore(root)
+        a, b = (TransactionalCell(key, 0, factory, store=cells_store) for key in "ab")
+        tx = factory.create()
+        a.write(tx, 11)
+        b.write(tx, 22)
+        tx.commit()
+        assert cells_store.flushes == 2
+        cells_store.close()
+        # The completion record is unforced: the store holds the log
+        # exactly as a crash any time after the decision would find it.
+        decided = dict(log_store.items())
+        assert [r.kind for r in factory.wal.records()] == ["tx_commit_decision"]
+        with open(segment_file(root), "rb") as handle:
+            full = handle.read()
+        ends = self.frame_ends(full, 0)
+        assert len(ends) == 6
+        prepared = ends[1]
+
+        def recovered(cut, log_image):
+            torn_root = str(tmp_path / f"cut-{cut}-{len(log_image)}")
+            os.makedirs(torn_root)
+            with open(os.path.join(torn_root, os.path.basename(segment_file(root))), "wb") as out:
+                out.write(full[:cut])
+            log = MemoryStore()
+            log.put_many(log_image)
+            wal = WriteAheadLog(log, "txlog")
+            registry = RecoverableRegistry()
+            store = SegmentedFileStore(torn_root)
+            rebooted = TransactionFactory(wal=wal)
+            cells = [
+                TransactionalCell(key, 0, rebooted, store=store, registry=registry)
+                for key in "ab"
+            ]
+            RecoveryManager(wal, registry).recover()
+            store.close()
+            return [cell.committed_value for cell in cells], dict(
+                SegmentedFileStore(torn_root).items()
+            )
+
+        for cut in range(0, prepared + 1):  # crash before the decision was forced
+            assert recovered(cut, {}) == ([0, 0], {}), cut
+        for cut in range(prepared, len(full) + 1):  # decision durable
+            assert recovered(cut, decided) == ([11, 22], {"cell:a": 11, "cell:b": 22}), cut
 
     def test_cell_install_recovers_from_every_prefix(self, tmp_path):
         """Crash right after the commit decision is logged, then tear the

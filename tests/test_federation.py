@@ -15,6 +15,7 @@ from repro.core.signals import Outcome, Signal
 from repro.exceptions import CommunicationError, ConfigurationError, ObjectNotExist
 from repro.models.twopc import SET_NAME as TWOPC_SET, TwoPhaseCommitSignalSet
 from repro.orb import InterOrbBridge, Orb
+from repro.orb.membership import PeerState
 from repro.orb.reference import ObjectRef
 from repro.ots import (
     RecoverableRegistry,
@@ -145,6 +146,31 @@ class TestInterOrbBridge:
         ghost = ObjectRef("nowhere", "obj").bind(a)
         with pytest.raises(ObjectNotExist):
             ghost.invoke("ping", 1)
+
+    def test_disconnected_domain_is_unreachable_not_missing(self):
+        """A node of a domain the bridge knew and lost (its process
+        died) is a dead peer: CommunicationError, counted against the
+        link, until the domain reconnects.  ObjectNotExist stays for
+        nodes no member ever owned."""
+        clock, bridge, a, b = self.make_pair()
+        detector = bridge.enable_failure_detection()
+        node_b = b.create_node("nb")
+        ref = rebind(node_b.activate(Echo(), object_id="echo"), a)
+        assert ref.invoke("ping", 1) == ("pong", 1)
+        bridge.disconnect("B")
+        for _ in range(detector.config.failure_threshold):
+            with pytest.raises(CommunicationError) as caught:
+                ref.invoke("ping", 2)
+            assert not isinstance(caught.value, ObjectNotExist)
+        assert bridge.link_state("A", "B") is PeerState.DOWN
+        with pytest.raises(ObjectNotExist):
+            ObjectRef("nowhere", "obj").bind(a).invoke("ping", 1)
+        # The restarted deployment reconnects under the same domain id:
+        # what it re-creates routes again, what it does not is missing.
+        reborn = Orb(clock=clock)
+        bridge.connect(reborn, "B")
+        with pytest.raises(ObjectNotExist):
+            ref.invoke("ping", 3)
 
     def test_federated_node_ids_must_be_unique(self):
         _, bridge, a, b = self.make_pair()

@@ -143,8 +143,12 @@ class TestParallelCommitPath:
             thread.join()
         assert not errors
         assert factory.committed == 6
-        # Both knobs active: every commit logged a decision + completion.
+        # Both knobs active: every commit forced its decision, and the
+        # unforced completions rode along (the last few wait for a force).
+        assert 6 <= factory.wal.records_forced <= 12
+        factory.wal.force()
         assert factory.wal.records_forced == 12
+        assert len(factory.wal.of_kind("tx_completed")) == 6
 
 
 class TestParallelCrashFidelity:

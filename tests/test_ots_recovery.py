@@ -77,11 +77,17 @@ class TestFailpoints:
         env.factory.failpoints.arm("before_commit_resource_1")
         with pytest.raises(SimulatedCrash):
             tx.commit()
-        assert a.read() == 1, "first resource committed before the crash"
-        assert b.read() == 0
+        # Phase two's store write lands when the sweep ends, so a crash
+        # between resources finds nothing installed yet (a real crash
+        # mid-write: a prefix) and both intention records still there.
+        assert not env.cell_store.contains("cell:a")
+        assert not env.cell_store.contains("cell:b")
+        assert env.cell_store.contains(f"prepared:a:{tx.tid}")
+        assert env.cell_store.contains(f"prepared:b:{tx.tid}")
         report = env.recover()
-        assert b.read() == 2
-        assert report.recommitted[tx.tid] == ["b"], "only b needed replay"
+        assert a.read() == 1 and b.read() == 2
+        assert report.recommitted[tx.tid] == ["a", "b"]
+        assert dict(env.cell_store.items()) == {"cell:a": 1, "cell:b": 2}
 
     def test_recovery_is_idempotent(self, env):
         a = env.cell("a", 0)

@@ -115,6 +115,11 @@ class TestFlatCommit:
         tx.register_resource(FakeResource(), recovery_key="a")
         tx.register_resource(FakeResource(), recovery_key="b")
         tx.commit()
+        # Only the decision is forced; the completion record rides the
+        # next force (here: by hand).
+        assert [record.kind for record in factory.wal.records()] == ["tx_commit_decision"]
+        assert factory.wal.forces == 1
+        factory.wal.force()
         kinds = [record.kind for record in factory.wal.records()]
         assert kinds == ["tx_commit_decision", "tx_completed"]
         decision = factory.wal.records()[0]

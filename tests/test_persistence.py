@@ -270,12 +270,11 @@ class TestSegmentedStoreConcurrency:
 
 
 class TestAutoCompaction:
-    """Threshold-triggered compaction on the segmented store's write path."""
+    """Threshold-triggered compaction, evaluated when a segment rolls over."""
 
     def make(self, tmp_path, **kwargs):
         kwargs.setdefault("segment_bytes", 256)
         kwargs.setdefault("auto_compact_ratio", 0.5)
-        kwargs.setdefault("auto_compact_min_records", 16)
         return SegmentedFileStore(str(tmp_path / "seg"), **kwargs)
 
     def test_overwrites_trigger_compaction(self, tmp_path):
@@ -313,11 +312,45 @@ class TestAutoCompaction:
         assert store.auto_compactions == 0
         assert store.dead_record_ratio() > 0.9
 
-    def test_min_records_floor(self, tmp_path):
-        store = self.make(tmp_path, auto_compact_min_records=1000)
-        for wave in range(20):
+    def test_no_rollover_no_compaction(self, tmp_path):
+        """However dead the store, an append that does not fill the
+        segment never pays for a rewrite."""
+        store = self.make(tmp_path, segment_bytes=1 << 20)
+        for wave in range(200):
             store.put("k", wave)
+        assert store.dead_record_ratio() > 0.99
         assert store.auto_compactions == 0
+        assert len(os.listdir(str(tmp_path / "seg"))) == 1
+
+    def test_overwritten_store_compacts_once_per_segment_written(self, tmp_path):
+        """4 keys overwritten 10 000 times: O(bytes / segment_bytes)
+        compactions, disk never above live + 2 segments, same state
+        after reopen."""
+        root, segment_bytes = str(tmp_path / "seg"), 4096
+        store = SegmentedFileStore(root, segment_bytes=segment_bytes)
+        written = peak = 0
+        for wave in range(10_000):
+            key = f"k{wave % 4}"
+            store.put(key, wave)
+            written += len(store._frame(key, False, store._index[key]))
+            on_disk = sum(
+                os.path.getsize(os.path.join(root, name)) for name in os.listdir(root)
+            )
+            peak = max(peak, on_disk)
+        live = sum(len(store._frame(k, False, v)) for k, v in store._index.items())
+        # A compaction leaves the live set at the head of the next segment,
+        # so a segment takes between (segment_bytes - live) and
+        # segment_bytes of fresh writes to fill.
+        assert written // segment_bytes > 50
+        assert written // segment_bytes - 1 <= store.auto_compactions
+        assert store.auto_compactions <= written // (segment_bytes - live) + 1
+        assert peak <= live + 2 * segment_bytes
+        expected = {f"k{i}": 9996 + i for i in range(4)}
+        assert dict(store.items()) == expected
+        store.close()
+        reopened = SegmentedFileStore(root, segment_bytes=segment_bytes)
+        assert dict(reopened.items()) == expected
+        assert reopened.torn_frames_dropped == 0
 
     def test_invalid_ratio_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -400,13 +433,11 @@ class TestSegmentedKeysCache:
 
     def test_auto_compaction_path_invalidates(self, tmp_path):
         store = SegmentedFileStore(
-            str(tmp_path / "seg"),
-            auto_compact_ratio=0.5,
-            auto_compact_min_records=8,
+            str(tmp_path / "seg"), segment_bytes=256, auto_compact_ratio=0.5
         )
         store.put_many({f"k{i}": 0 for i in range(8)})
         cached = store.keys()
-        for wave in range(4):  # drives auto-compaction via dead ratio
+        for wave in range(4):  # rolls segments over with most frames dead
             store.put_many({f"k{i}": wave for i in range(8)})
         assert store.auto_compactions >= 1
         assert store.keys() == cached == tuple(f"k{i}" for i in range(8))

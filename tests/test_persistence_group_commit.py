@@ -400,7 +400,7 @@ class TestSegmentedFileStore:
 
     def test_segment_rotation_and_compaction(self, tmp_path):
         root = str(tmp_path / "seg")
-        store = SegmentedFileStore(root, segment_bytes=256)
+        store = SegmentedFileStore(root, segment_bytes=256, auto_compact_ratio=None)
         for i in range(50):
             store.put("hot", {"rev": i})  # 49 superseded frames accumulate
         assert len(store._segment_ids) > 1
