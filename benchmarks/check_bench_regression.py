@@ -8,9 +8,10 @@ gated metric regressed beyond its allowed tolerance.
 Only *machine-independent* metrics are gated:
 
 - **fig16** (hot-path engine): raw calls/s depends on the runner, but
-  ``raw_speedup`` (struct engine vs legacy baseline, measured
-  back-to-back in one process) and ``sweep_byte_ratio`` (deterministic
-  byte counts) are stable across hosts.  A >25% drop in throughput
+  ``raw_speedup`` (the hot-path engine vs the same encoding with caches
+  and fast path off, measured back-to-back in one process) and
+  ``sweep_byte_ratio`` (deterministic byte counts) are stable across
+  hosts.  A >25% drop in throughput
   speedup fails; byte ratios get a tight 2% tolerance; deterministic
   cache counters must not decrease at all.
 - **fig20** (failure detection & recovery): every metric runs under a

@@ -8,7 +8,8 @@ federation hooks).  This module collapses each surface into one frozen,
 validated dataclass:
 
 =================  ==========================================================
-:class:`OrbConfig`       marshaller cache sizing, federation domain identity
+:class:`OrbConfig`       marshaller cache sizing, federation domain identity,
+                         dispatch loop
 :class:`RuntimeConfig`   ActivityManager: fast path, timer wheel, shards,
                          federation/interposition switches
 :class:`FactoryConfig`   TransactionFactory: 2PC drive policy (parallelism,
@@ -143,30 +144,28 @@ class OrbConfig(_BaseConfig):
 
     marshal_cache_entries
         Bound on the marshaller's encode cache for interned value types
-        (activity/transaction contexts); ``0`` disables the cache (every
-        message re-encodes its full tree — the pre-fast-path behaviour).
-        Default 256: enough for the per-activity context churn the
-        benchmarks exercise without unbounded growth.
+        (activity/transaction contexts); ``0`` disables it and the
+        decode cache (every message re-encodes and re-decodes its full
+        tree — the pre-fast-path behaviour).  Default 256: enough for
+        the per-activity context churn the benchmarks exercise without
+        unbounded growth.  The decode cache has a fixed bound
+        (:data:`~repro.orb.marshal.DECODE_CACHE_ENTRIES`).
     domain_id
         The coordination domain this ORB belongs to when federated.
         Normally assigned by ``InterOrbBridge.connect`` or the site
         runtime; a standalone ORB leaves it ``None``.
-    codec
-        Wire format for the ORB's marshaller: ``"legacy"`` (default, the
-        historical tagged encoding — byte-identical to every prior
-        release) or ``"struct"`` (the hot-path engine's struct-packed
-        format with framed-context decode memoization).  Both ends of a
-        link must agree; see README "Hot-path engine".
     dispatch_loop
         Delivery scheduling seam: ``"inline"`` (default — invoke runs
         the transport delivery on the calling thread, the historical
         behaviour) or ``"asyncio"`` (deliveries are scheduled onto a
         background asyncio event loop; the caller blocks on a future).
+
+    The wire format is not a knob: every ORB speaks the one encoding of
+    :mod:`repro.orb.marshal`.
     """
 
     marshal_cache_entries: int = 256
     domain_id: Optional[str] = None
-    codec: str = "legacy"
     dispatch_loop: str = "inline"
 
     def validate(self) -> None:
@@ -175,10 +174,6 @@ class OrbConfig(_BaseConfig):
             and self.marshal_cache_entries >= 0,
             f"marshal_cache_entries must be a non-negative int, "
             f"got {self.marshal_cache_entries!r}",
-        )
-        self._require(
-            self.codec in ("legacy", "struct"),
-            f"codec must be 'legacy' or 'struct', got {self.codec!r}",
         )
         self._require(
             self.dispatch_loop in ("inline", "asyncio"),

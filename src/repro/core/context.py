@@ -25,7 +25,8 @@ that activity.  Disable the whole path with
 from __future__ import annotations
 
 import threading
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.property_group import (
     Propagation,
@@ -51,6 +52,13 @@ class ActivityContext(FrozenRecord):
     Slotted record (PR 7): one context travels with *every* invocation
     inside an activity, so its storage is ``__slots__``; ``_fields``
     keeps the original dataclass order, so the wire bytes are unchanged.
+
+    Both maps, and each group's snapshot inside ``property_values``, are
+    read-only views taken at construction: a receiver's decode cache
+    hands the same decoded context to every request that carries the
+    same frame, so a servant editing it would otherwise edit the context
+    later requests see.  A mutation raises ``TypeError`` where it
+    happens; :meth:`received_groups` gives writable copies.
     """
 
     __slots__ = (
@@ -65,16 +73,23 @@ class ActivityContext(FrozenRecord):
         self,
         activity_id: str,
         activity_name: str,
-        property_values: Optional[Dict[str, Dict[str, Any]]] = None,
-        property_refs: Optional[Dict[str, ObjectRef]] = None,
+        property_values: Optional[Mapping[str, Mapping[str, Any]]] = None,
+        property_refs: Optional[Mapping[str, ObjectRef]] = None,
     ) -> None:
         self._init(
             activity_id=activity_id,
             activity_name=activity_name,
-            # group name -> snapshot dict (by-value groups)
-            property_values=property_values if property_values is not None else {},
+            # group name -> snapshot (by-value groups)
+            property_values=MappingProxyType(
+                {
+                    name: MappingProxyType(values)
+                    for name, values in (property_values or {}).items()
+                }
+            ),
             # group name -> ObjectRef of the origin group (by-reference groups)
-            property_refs=property_refs if property_refs is not None else {},
+            property_refs=MappingProxyType(
+                property_refs if property_refs is not None else {}
+            ),
         )
 
     def received_groups(self) -> Dict[str, PropertyGroup]:

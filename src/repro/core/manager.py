@@ -292,6 +292,15 @@ class ActivityManager:
             activity._expiry_timer = None
         if self.store is not None:
             self.checkpoint(activity)
+        if activity.parent is None:
+            # A completed tree is never resumed or signalled again: drop
+            # it and every descendant, so the registry holds live work
+            # and its coordinators, records and outcomes can be freed.
+            pending = [activity]
+            while pending:
+                done = pending.pop()
+                self._activities.pop(done.activity_id)
+                pending.extend(done.children)
 
     # -- timeouts ------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.config import OrbConfig, RuntimeConfig
+from repro.config import RuntimeConfig
 from repro.core.manager import ActivityManager
 from repro.exceptions import AdmissionRejected, OverloadError
 from repro.load.collector import LoadCollector
@@ -62,16 +62,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--service-time", type=float, default=0.001, help="servant hold per op, seconds")
     parser.add_argument("--deadline", type=float, default=1.0, help="per-op latency budget for goodput classification")
     parser.add_argument("--seed", type=int, default=22, help="rng seed for think-time streams")
-    parser.add_argument("--codec", default="legacy", help="wire codec for both ends")
     parser.add_argument("--report", default=None, help="write the JSON report here (default: stdout)")
     args = parser.parse_args(argv)
 
     runtime = RuntimeConfig(max_live=args.max_live) if args.max_live else RuntimeConfig()
     manager = ActivityManager(clock=WallClock(), config=runtime)
-    orb_config = OrbConfig(codec=args.codec)
 
     server_transport = SocketTransport("load-server", bind=("127.0.0.1", 0))
-    server_orb = Orb(transport=server_transport, config=orb_config)
+    server_orb = Orb(transport=server_transport)
     SiteFederation(server_transport, server_orb)
     server_transport.set_request_handler(server_orb.dispatch_request)
     server_transport.set_control_handler(
@@ -90,7 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     client_transport = SocketTransport("load-client")
-    client_orb = Orb(transport=client_transport, config=orb_config)
+    client_orb = Orb(transport=client_transport)
     SiteFederation(client_transport, client_orb)
     client_transport.connect_peer("load-server", server_transport.address)
     client_transport.start()
@@ -134,7 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     report["think_s"] = args.think
     report["max_live"] = args.max_live
     report["service_time_s"] = args.service_time
-    report["codec"] = args.codec
     report["client_errors"] = [e for e in errors if e]
     admission = manager.admission
     if admission is not None:

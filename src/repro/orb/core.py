@@ -268,12 +268,7 @@ class Orb:
                 if marshal_cache_entries > 0
                 else None
             ),
-            codec=self.config.codec,
-            decode_cache=(
-                DecodeCache(marshal_cache_entries)
-                if marshal_cache_entries > 0
-                else None
-            ),
+            decode_cache=DecodeCache() if marshal_cache_entries > 0 else None,
         )
         # Delivery scheduling seam (PR 7).  None means inline — invoke
         # calls the transport directly, so the default path pays nothing.

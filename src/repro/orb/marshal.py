@@ -10,20 +10,15 @@ We reproduce the *semantics* that matter to the Activity Service:
 - application types (Signals, Outcomes, contexts…) must be explicitly
   registered, mirroring IDL-declared value types.
 
-The encoding itself is pluggable behind the :class:`Codec` seam
-(README "Hot-path engine"):
-
-- :class:`LegacyCodec` (default) — the historical compact tagged binary
-  format, byte-for-byte unchanged; every deployment that asserts on wire
-  traces keeps asserting on exactly these bytes.
-- :class:`StructCodec` (``OrbConfig(codec="struct")``) — the raw-speed
-  format: precompiled ``struct.Struct`` packers, an exact-type encode
-  dispatch table, a tag-indexed decode table over a zero-copy
-  ``memoryview``, and *length-framed* interned value types so a receiver
-  can memoize the decode of an unchanged context blob
-  (:class:`DecodeCache`) instead of re-walking it per request.  Both
-  ends of a link must speak the same codec; the formats share no tags,
-  so a mismatch fails loudly as :class:`MarshalError`.
+One encoding serves the wire and every object store (README "Hot-path
+engine"): precompiled ``struct.Struct`` packers, an exact-type encode
+dispatch table, a tag-indexed decode table over a zero-copy
+``memoryview``, and *length-framed* interned value types so a receiver
+memoizes the decode of an unchanged context frame (:class:`DecodeCache`)
+instead of re-walking it per request.  Tags live in 0x80–0x8F; bytes
+written by a pre-struct build (the retired tagged format, wire protocol
+1) start below that range and are refused with a :class:`MarshalError`
+naming the cause.
 
 Invocation fast path (README "Invocation fast path"):
 
@@ -37,8 +32,8 @@ Invocation fast path (README "Invocation fast path"):
   holes is encoded once, and ``fill`` patches only the per-send fields
   (request/delivery id, target object) between the pre-encoded chunks.
   A filled template is byte-identical to a full ``encode`` of the tree
-  with the holes substituted — under either codec — which is what lets
-  broadcasts assert unchanged wire traces with the fast path on.
+  with the holes substituted, which is what lets broadcasts assert
+  unchanged wire traces with the fast path on.
 
 Both paths account their work in :class:`MarshalStats` (hits, misses,
 bytes encoded vs bytes reused), which the ORB threads through its
@@ -47,16 +42,15 @@ transport stats for the benchmarks.
 
 from __future__ import annotations
 
-import abc
 import struct
 import threading
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
-    ClassVar,
     Dict,
     List,
     Optional,
@@ -71,23 +65,6 @@ from repro.exceptions import ReproError
 
 class MarshalError(ReproError):
     """A value could not be encoded or decoded."""
-
-
-# One-byte type tags (legacy format).
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"I"
-_TAG_FLOAT = b"D"
-_TAG_STR = b"S"
-_TAG_BYTES = b"B"
-_TAG_LIST = b"L"
-_TAG_TUPLE = b"U"
-_TAG_DICT = b"M"
-_TAG_SET = b"E"
-_TAG_OBJREF = b"O"
-_TAG_VALUE = b"V"
-_TAG_ENUM = b"G"
 
 
 class ValueTypeRegistry:
@@ -189,8 +166,9 @@ class ValueTypeRegistry:
         bytes for every later occurrence of the *same object*.  Only
         types whose instances are immutable and identity-stable per
         logical version (contexts, snapshots) should be interned.
-        Under :class:`StructCodec`, interned types are additionally
-        length-framed on the wire so receivers can memoize their decode.
+        Interned types are also length-framed on the wire so receivers
+        can memoize their decode — and share the decoded instance, which
+        is why they must be immutable on the receiving side too.
         """
         if self.lookup_type(cls) is None:
             raise MarshalError(f"{cls!r} must be registered before interning")
@@ -215,8 +193,8 @@ class MarshalStats:
     payload template's static chunks instead of being re-encoded.
     ``context_hits``/``context_misses`` are fed by the activity client
     interceptor's snapshot cache (same fast path, one stats block).
-    ``decode_hits``/``decode_misses`` are :class:`StructCodec`'s decode
-    memoization (always zero under the legacy codec).
+    ``decode_hits``/``decode_misses`` are the framed-decode memoization
+    of :class:`DecodeCache`.
     """
 
     __slots__ = (
@@ -351,19 +329,28 @@ class EncodeCache:
             return len(self._entries)
 
 
+# Bound on a DecodeCache.  Its working set is the *live* contexts a
+# receiver sees at once (one per in-flight activity version), not the
+# encode cache's size: each entry pins a whole context frame plus its
+# decoded tree, so a churning sender would otherwise fill the cache with
+# dead versions.
+DECODE_CACHE_ENTRIES = 16
+
+
 class DecodeCache:
-    """Bounded cache of decoded interned value frames (StructCodec only).
+    """Bounded cache of decoded interned value frames.
 
     Keyed by the frame's *exact bytes* (plus the decoding ORB's
     identity, since decoded ObjectRefs are bound to it): an unchanged
     context that arrives spliced into a thousand requests is decoded
     once and the shared instance returned for the rest.  Safe by the
     same contract that makes encode interning safe — interned types are
-    immutable value types, so sharing one decoded instance across
+    immutable value types (:class:`~repro.core.context.ActivityContext`
+    makes its maps read-only), so sharing one decoded instance across
     dispatches cannot leak state between requests.
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
+    def __init__(self, max_entries: int = DECODE_CACHE_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
@@ -423,10 +410,10 @@ class PayloadTemplate:
 
     ``fill(**values)`` returns bytes byte-identical to ``encode()`` of
     the template tree with every :class:`PayloadSlot` replaced by its
-    value — the encoding is purely compositional under both codecs, so
-    splicing encoded holes between the static chunks reproduces the full
-    walk exactly.  Templates are immutable after construction; ``fill``
-    is safe to call from broadcast worker threads concurrently.
+    value — the encoding is purely compositional, so splicing encoded
+    holes between the static chunks reproduces the full walk exactly.
+    Templates are immutable after construction; ``fill`` is safe to
+    call from broadcast worker threads concurrently.
     """
 
     def __init__(self, marshaller: "Marshaller", chunks: List[Any]) -> None:
@@ -456,14 +443,14 @@ class PayloadTemplate:
         if missing:
             raise MarshalError(f"template fill missing slot values: {missing}")
         marshaller = self._marshaller
-        codec = marshaller.codec
+        encode_into = marshaller._encode_into
         run = _EncodeRun()
         out: List[bytes] = []
         fresh = 0
         for part in self._parts:
             if isinstance(part, PayloadSlot):
                 hole: List[bytes] = []
-                codec.encode_into(values[part.name], hole, run)
+                encode_into(values[part.name], hole, run)
                 for chunk in hole:
                     if isinstance(chunk, PayloadSlot):
                         raise MarshalError(
@@ -483,320 +470,9 @@ class PayloadTemplate:
         return b"".join(out)
 
 
-class Codec(abc.ABC):
-    """Wire-format strategy behind one :class:`Marshaller`.
-
-    A codec owns the tree walkers; the marshaller owns the policy
-    machinery they share (registry, encode/decode caches, payload
-    interning, stats).  ``encode_into`` appends byte chunks (and
-    :class:`PayloadSlot` markers, during :meth:`Marshaller.prepare`) to
-    ``out``; the encoding must be *compositional* — every value encodes
-    to a self-contained byte string regardless of context — which is the
-    property template filling relies on for byte-identity.
-    """
-
-    name: ClassVar[str] = "abstract"
-
-    def __init__(self, marshaller: "Marshaller") -> None:
-        self.marshaller = marshaller
-
-    @abc.abstractmethod
-    def encode_into(
-        self, value: Any, out: list, run: Optional[_EncodeRun] = None
-    ) -> None:
-        """Append ``value``'s encoding (chunks / slot markers) to ``out``."""
-
-    @abc.abstractmethod
-    def decode(self, data: bytes, orb: Optional[Any]) -> Any:
-        """Decode one complete message (raises on trailing bytes)."""
-
-    # -- shared payload-interning gate -------------------------------------
-
-    def _gate_payload(
-        self, value: Any, out: list, run: Optional[_EncodeRun]
-    ) -> bool:
-        """Splice (or build) one opt-in interned payload; False → not gated.
-
-        The sentinel default keeps the identity test honest for values
-        like None whose id can never be a registered key's *value* but
-        where dict.get's None default would alias the value itself.
-        """
-        m = self.marshaller
-        refs = m._interned_payload_refs
-        if (
-            not refs
-            or refs.get(id(value), _NOT_INTERNED) is not value
-            or id(value) in getattr(m._interning_state, "active", ())
-        ):
-            return False
-        cache = m.encode_cache
-        cached = cache.get(value) if cache is not None else None
-        if cached is not None:
-            out.append(cached)
-            if run is not None:
-                run.reused += len(cached)
-                run.hits += 1
-            return True
-        key = id(value)
-        state = m._interning_state
-        active = getattr(state, "active", None)
-        if active is None:
-            active = state.active = set()
-        active.add(key)
-        sub: list = []
-        try:
-            self.encode_into(value, sub, run)
-        finally:
-            active.discard(key)
-        if any(isinstance(chunk, PayloadSlot) for chunk in sub):
-            # Template holes inside the payload forbid caching the blob.
-            out.extend(sub)
-            return True
-        blob = b"".join(sub)
-        if cache is not None:
-            cache.put(value, blob)
-            if m._interned_payload_refs.get(key, _NOT_INTERNED) is not value:
-                # Released while we were encoding: drop the bytes we
-                # just cached — nothing may serve them afterwards.
-                cache.invalidate(value)
-        if run is not None:
-            run.misses += 1
-        out.append(blob)
-        return True
-
-    @staticmethod
-    def _is_objref(value: Any) -> bool:
-        from repro.orb.reference import ObjectRef
-
-        return isinstance(value, ObjectRef)
-
-
-class LegacyCodec(Codec):
-    """The historical tagged binary format, byte-for-byte unchanged.
-
-    This is the default codec: every pre-existing deployment, trace
-    assertion and stored blob decodes exactly as before.  The walker
-    below is the original ``Marshaller`` implementation relocated
-    behind the :class:`Codec` seam.
-    """
-
-    name: ClassVar[str] = "legacy"
-
-    # -- encoding ---------------------------------------------------------
-
-    def encode_into(
-        self, value: Any, out: list, run: Optional[_EncodeRun] = None
-    ) -> None:
-        if self.marshaller._interned_payload_refs and self._gate_payload(
-            value, out, run
-        ):
-            return
-        # Order matters: bool is a subclass of int.
-        if value is None:
-            out.append(_TAG_NONE)
-        elif value is True:
-            out.append(_TAG_TRUE)
-        elif value is False:
-            out.append(_TAG_FALSE)
-        elif isinstance(value, int):
-            out.append(_TAG_INT)
-            try:
-                out.append(struct.pack("<q", value))
-            except struct.error:
-                raise MarshalError(
-                    f"integer {value} exceeds the wire format's 64-bit range"
-                ) from None
-        elif isinstance(value, float):
-            out.append(_TAG_FLOAT)
-            out.append(struct.pack("<d", value))
-        elif isinstance(value, str):
-            raw = value.encode("utf-8")
-            out.append(_TAG_STR)
-            out.append(struct.pack("<I", len(raw)))
-            out.append(raw)
-        elif isinstance(value, bytes):
-            out.append(_TAG_BYTES)
-            out.append(struct.pack("<I", len(value)))
-            out.append(value)
-        elif isinstance(value, list):
-            out.append(_TAG_LIST)
-            out.append(struct.pack("<I", len(value)))
-            for item in value:
-                self.encode_into(item, out, run)
-        elif isinstance(value, tuple):
-            out.append(_TAG_TUPLE)
-            out.append(struct.pack("<I", len(value)))
-            for item in value:
-                self.encode_into(item, out, run)
-        elif isinstance(value, (set, frozenset)):
-            out.append(_TAG_SET)
-            items = sorted(value, key=repr)
-            out.append(struct.pack("<I", len(items)))
-            for item in items:
-                self.encode_into(item, out, run)
-        elif isinstance(value, dict):
-            out.append(_TAG_DICT)
-            out.append(struct.pack("<I", len(value)))
-            for key, item in value.items():
-                self.encode_into(key, out, run)
-                self.encode_into(item, out, run)
-        elif isinstance(value, Enum) and self.marshaller.registry.is_enum_registered(
-            type(value)
-        ):
-            out.append(_TAG_ENUM)
-            self._encode_str(self.marshaller.registry.repository_id(type(value)), out)
-            self._encode_str(value.name, out)
-        elif self._is_objref(value):
-            out.append(_TAG_OBJREF)
-            self._encode_str(value.node_id, out)
-            self._encode_str(value.object_id, out)
-            self._encode_str(value.interface, out)
-        else:
-            if isinstance(value, PayloadSlot):
-                # Template hole: recorded as-is, spliced at fill time.
-                # Checked here (not up front) so the common scalar and
-                # container branches pay nothing for the template seam.
-                out.append(value)
-                return
-            registry = self.marshaller.registry
-            name = registry.lookup_type(type(value))
-            if name is None:
-                raise MarshalError(
-                    f"cannot marshal value of unregistered type {type(value).__qualname__}"
-                )
-            cache = self.marshaller.encode_cache
-            interned = cache is not None and registry.is_interned(type(value))
-            if interned:
-                cached = cache.get(value)
-                if cached is not None:
-                    out.append(cached)
-                    if run is not None:
-                        run.reused += len(cached)
-                        run.hits += 1
-                    return
-            _, to_parts, _ = registry.lookup_name(name)
-            if not interned:
-                out.append(_TAG_VALUE)
-                self._encode_str(name, out)
-                self.encode_into(to_parts(value), out, run)
-                return
-            # Interned miss: encode the subtree standalone so the bytes
-            # can be cached as one blob (slots inside forbid caching).
-            sub: list = [_TAG_VALUE]
-            self._encode_str(name, sub)
-            self.encode_into(to_parts(value), sub, run)
-            if any(isinstance(chunk, PayloadSlot) for chunk in sub):
-                out.extend(sub)
-                return
-            blob = b"".join(sub)
-            cache.put(value, blob)
-            if run is not None:
-                run.misses += 1
-            out.append(blob)
-
-    def _encode_str(self, value: str, out: list) -> None:
-        raw = value.encode("utf-8")
-        out.append(struct.pack("<I", len(raw)))
-        out.append(raw)
-
-    # -- decoding ---------------------------------------------------------
-
-    def decode(self, data: bytes, orb: Optional[Any]) -> Any:
-        value, offset = self._decode(data, 0, orb)
-        if offset != len(data):
-            raise MarshalError(f"{len(data) - offset} trailing bytes after decode")
-        return value
-
-    def _decode(self, data: bytes, offset: int, orb: Optional[Any]) -> Tuple[Any, int]:
-        if offset >= len(data):
-            raise MarshalError("truncated message")
-        tag = data[offset : offset + 1]
-        offset += 1
-        if tag == _TAG_NONE:
-            return None, offset
-        if tag == _TAG_TRUE:
-            return True, offset
-        if tag == _TAG_FALSE:
-            return False, offset
-        if tag == _TAG_INT:
-            (value,) = struct.unpack_from("<q", data, offset)
-            return value, offset + 8
-        if tag == _TAG_FLOAT:
-            (value,) = struct.unpack_from("<d", data, offset)
-            return value, offset + 8
-        if tag == _TAG_STR:
-            text, offset = self._decode_str(data, offset)
-            return text, offset
-        if tag == _TAG_BYTES:
-            (length,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            end = offset + length
-            if end > len(data):
-                raise MarshalError("truncated message")
-            return data[offset:end], end
-        if tag in (_TAG_LIST, _TAG_TUPLE, _TAG_SET):
-            (length,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            items = []
-            for _ in range(length):
-                item, offset = self._decode(data, offset, orb)
-                items.append(item)
-            if tag == _TAG_LIST:
-                return items, offset
-            if tag == _TAG_TUPLE:
-                return tuple(items), offset
-            return set(items), offset
-        if tag == _TAG_DICT:
-            (length,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            result = {}
-            for _ in range(length):
-                key, offset = self._decode(data, offset, orb)
-                value, offset = self._decode(data, offset, orb)
-                result[key] = value
-            return result, offset
-        if tag == _TAG_ENUM:
-            name, offset = self._decode_str(data, offset)
-            member, offset = self._decode_str(data, offset)
-            enum_cls = self.marshaller.registry.lookup_enum(name)
-            try:
-                return enum_cls[member], offset
-            except KeyError:
-                raise MarshalError(
-                    f"unknown member {member!r} of enum {name}"
-                ) from None
-        if tag == _TAG_OBJREF:
-            from repro.orb.reference import ObjectRef
-
-            node_id, offset = self._decode_str(data, offset)
-            object_id, offset = self._decode_str(data, offset)
-            interface, offset = self._decode_str(data, offset)
-            ref = ObjectRef(node_id=node_id, object_id=object_id, interface=interface)
-            if orb is not None:
-                ref.bind(orb)
-            return ref, offset
-        if tag == _TAG_VALUE:
-            name, offset = self._decode_str(data, offset)
-            parts, offset = self._decode(data, offset, orb)
-            _, __, from_parts = self.marshaller.registry.lookup_name(name)
-            try:
-                return from_parts(parts), offset
-            except TypeError as exc:
-                raise MarshalError(f"malformed {name} parts: {exc}") from None
-        raise MarshalError(f"unknown tag {tag!r} at offset {offset - 1}")
-
-    def _decode_str(self, data: bytes, offset: int) -> Tuple[str, int]:
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        end = offset + length
-        if end > len(data):
-            raise MarshalError("truncated message")
-        return data[offset:end].decode("utf-8"), end
-
-
-# StructCodec tags — disjoint numeric space from the legacy ASCII tags so
-# a codec mismatch between peers fails as "unknown tag", never as a
-# silently misparsed value.
+# One-byte type tags.  Every tag is >= 0x80, so a message whose first
+# byte is below that range was not written by this format (see
+# Marshaller._dec_unknown).
 _S_NONE = 0x80
 _S_TRUE = 0x81
 _S_FALSE = 0x82
@@ -833,391 +509,37 @@ _I32_MIN = -(2**31)
 _I32_MAX = 2**31 - 1
 
 
-class StructCodec(Codec):
-    """Struct-packed raw-speed format (``OrbConfig(codec="struct")``).
-
-    Differences from the legacy format, all in service of per-send CPU:
-
-    - **Exact-type encode dispatch** — one dict probe on
-      ``value.__class__`` replaces the isinstance chain for every
-      common type; precompiled :class:`struct.Struct` packers emit
-      tag + payload in a single C call.
-    - **32-bit small-int packing** — ints in the i32 range cost 5 bytes
-      instead of 9 (most wire ints are counters and lengths).
-    - **Tag-indexed decode table over a memoryview** — decode walks a
-      zero-copy ``memoryview`` of the message; each tag is a direct
-      table hit, and string/bytes payloads slice without intermediate
-      copies.
-    - **Length-framed interned values** — types marked
-      ``intern_encoded`` are wrapped in a ``(len, name, parts)`` frame.
-      The receiver can then memoize the whole frame's decode in the
-      marshaller's :class:`DecodeCache`: an unchanged activity context
-      spliced into N requests is decoded once, and requests 2..N skip
-      its subtree entirely (``decode_hits`` in the stats).
-
-    Framing depends only on the *registry* (``is_interned``), never on
-    cache presence, so a deployment's wire bytes are identical across
-    every cache/fast-path knob setting — the property the wire-trace
-    parity tests assert.  A :class:`PayloadSlot` inside an interned
-    value cannot be length-framed ahead of time and is refused at
-    ``prepare`` time (no code path in the repo builds one).
-
-    Both ends of a link must speak the same codec; the tag spaces are
-    disjoint, so a mismatch raises :class:`MarshalError` instead of
-    misparsing.
-    """
-
-    name: ClassVar[str] = "struct"
-
-    def __init__(self, marshaller: "Marshaller") -> None:
-        super().__init__(marshaller)
-        self._objref_cls: Optional[Type] = None
-        self._enc: Dict[Type, Callable[[Any, list, Optional[_EncodeRun]], None]] = {
-            type(None): self._enc_none,
-            bool: self._enc_bool,
-            int: self._enc_int,
-            float: self._enc_float,
-            str: self._enc_str,
-            bytes: self._enc_bytes,
-            list: self._enc_list,
-            tuple: self._enc_tuple,
-            dict: self._enc_dict,
-            set: self._enc_set,
-            frozenset: self._enc_set,
-        }
-        dec: List[Any] = [self._dec_unknown] * 256
-        dec[_S_NONE] = self._dec_none
-        dec[_S_TRUE] = self._dec_true
-        dec[_S_FALSE] = self._dec_false
-        dec[_S_I32] = self._dec_i32
-        dec[_S_I64] = self._dec_i64
-        dec[_S_FLOAT] = self._dec_float
-        dec[_S_STR] = self._dec_str
-        dec[_S_BYTES] = self._dec_bytes
-        dec[_S_LIST] = self._dec_list
-        dec[_S_TUPLE] = self._dec_tuple
-        dec[_S_SET] = self._dec_set
-        dec[_S_DICT] = self._dec_dict
-        dec[_S_ENUM] = self._dec_enum
-        dec[_S_OBJREF] = self._dec_objref
-        dec[_S_VALUE] = self._dec_value
-        dec[_S_FVALUE] = self._dec_fvalue
-        self._dec = dec
-
-    # -- encoding ---------------------------------------------------------
-
-    def encode_into(
-        self, value: Any, out: list, run: Optional[_EncodeRun] = None
-    ) -> None:
-        if self.marshaller._interned_payload_refs and self._gate_payload(
-            value, out, run
-        ):
-            return
-        handler = self._enc.get(value.__class__)
-        if handler is not None:
-            handler(value, out, run)
-        else:
-            self._enc_other(value, out, run)
-
-    def _enc_none(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        out.append(_SB_NONE)
-
-    def _enc_bool(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        out.append(_SB_TRUE if value else _SB_FALSE)
-
-    def _enc_int(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        if _I32_MIN <= value <= _I32_MAX:
-            out.append(_P_I32.pack(_S_I32, value))
-            return
-        try:
-            out.append(_P_I64.pack(_S_I64, value))
-        except struct.error:
-            raise MarshalError(
-                f"integer {value} exceeds the wire format's 64-bit range"
-            ) from None
-
-    def _enc_float(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        out.append(_P_FLOAT.pack(_S_FLOAT, value))
-
-    def _enc_str(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        raw = value.encode("utf-8")
-        out.append(_P_HDR.pack(_S_STR, len(raw)))
-        out.append(raw)
-
-    def _enc_bytes(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        out.append(_P_HDR.pack(_S_BYTES, len(value)))
-        out.append(value)
-
-    def _enc_list(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        out.append(_P_HDR.pack(_S_LIST, len(value)))
-        encode = self.encode_into
-        for item in value:
-            encode(item, out, run)
-
-    def _enc_tuple(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        out.append(_P_HDR.pack(_S_TUPLE, len(value)))
-        encode = self.encode_into
-        for item in value:
-            encode(item, out, run)
-
-    def _enc_set(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        items = sorted(value, key=repr)
-        out.append(_P_HDR.pack(_S_SET, len(items)))
-        encode = self.encode_into
-        for item in items:
-            encode(item, out, run)
-
-    def _enc_dict(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        out.append(_P_HDR.pack(_S_DICT, len(value)))
-        encode = self.encode_into
-        for key, item in value.items():
-            encode(key, out, run)
-            encode(item, out, run)
-
-    def _raw_str(self, value: str, out: list) -> None:
-        raw = value.encode("utf-8")
-        out.append(_U_LEN.pack(len(raw)))
-        out.append(raw)
-
-    def _enc_other(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
-        registry = self.marshaller.registry
-        cls = value.__class__
-        if isinstance(value, PayloadSlot):
-            out.append(value)
-            return
-        if isinstance(value, Enum) and registry.is_enum_registered(cls):
-            out.append(bytes((_S_ENUM,)))
-            self._raw_str(registry.repository_id(cls), out)
-            self._raw_str(value.name, out)
-            return
-        objref_cls = self._objref_cls
-        if objref_cls is None:
-            from repro.orb.reference import ObjectRef
-
-            objref_cls = self._objref_cls = ObjectRef
-        if isinstance(value, objref_cls):
-            out.append(bytes((_S_OBJREF,)))
-            self._raw_str(value.node_id, out)
-            self._raw_str(value.object_id, out)
-            self._raw_str(value.interface, out)
-            return
-        name = registry.lookup_type(cls)
-        if name is None:
-            # Exact-type dispatch misses subclasses of the builtin
-            # containers/scalars; fall back to the isinstance ladder
-            # once so e.g. an OrderedDict still encodes as a dict.
-            for base, handler in self._enc.items():
-                if base is not type(None) and isinstance(value, base):
-                    handler(value, out, run)
-                    return
-            raise MarshalError(
-                f"cannot marshal value of unregistered type {cls.__qualname__}"
-            )
-        _, to_parts, _ = registry.lookup_name(name)
-        if not registry.is_interned(cls):
-            out.append(_SB_VALUE)
-            self._raw_str(name, out)
-            self.encode_into(to_parts(value), out, run)
-            return
-        # Interned: length-framed so receivers can memoize the decode.
-        cache = self.marshaller.encode_cache
-        if cache is not None:
-            cached = cache.get(value)
-            if cached is not None:
-                out.append(cached)
-                if run is not None:
-                    run.reused += len(cached)
-                    run.hits += 1
-                return
-        sub: list = []
-        self._raw_str(name, sub)
-        self.encode_into(to_parts(value), sub, run)
-        if any(isinstance(chunk, PayloadSlot) for chunk in sub):
-            raise MarshalError(
-                f"StructCodec cannot length-frame interned type {name} "
-                "containing PayloadSlot holes; keep slots outside interned "
-                "values (or use the legacy codec for this template)"
-            )
-        body = b"".join(sub)
-        blob = _P_HDR.pack(_S_FVALUE, len(body)) + body
-        if cache is not None:
-            cache.put(value, blob)
-            if run is not None:
-                run.misses += 1
-        out.append(blob)
-
-    # -- decoding ---------------------------------------------------------
-
-    def decode(self, data: bytes, orb: Optional[Any]) -> Any:
-        view = memoryview(data)
-        value, offset = self._dec[view[0]](view, 1, orb)
-        if offset != len(view):
-            raise MarshalError(f"{len(view) - offset} trailing bytes after decode")
-        return value
-
-    def _next(self, data: memoryview, offset: int, orb: Optional[Any]):
-        return self._dec[data[offset]](data, offset + 1, orb)
-
-    def _dec_unknown(self, data: memoryview, offset: int, orb: Optional[Any]):
-        raise MarshalError(
-            f"unknown tag {bytes(data[offset - 1 : offset])!r} at offset "
-            f"{offset - 1} (codec mismatch between peers?)"
-        )
-
-    def _dec_none(self, data: memoryview, offset: int, orb: Optional[Any]):
-        return None, offset
-
-    def _dec_true(self, data: memoryview, offset: int, orb: Optional[Any]):
-        return True, offset
-
-    def _dec_false(self, data: memoryview, offset: int, orb: Optional[Any]):
-        return False, offset
-
-    def _dec_i32(self, data: memoryview, offset: int, orb: Optional[Any]):
-        return _U_I32.unpack_from(data, offset)[0], offset + 4
-
-    def _dec_i64(self, data: memoryview, offset: int, orb: Optional[Any]):
-        return _U_I64.unpack_from(data, offset)[0], offset + 8
-
-    def _dec_float(self, data: memoryview, offset: int, orb: Optional[Any]):
-        return _U_FLOAT.unpack_from(data, offset)[0], offset + 8
-
-    def _dec_str(self, data: memoryview, offset: int, orb: Optional[Any]):
-        length = _U_LEN.unpack_from(data, offset)[0]
-        offset += 4
-        end = offset + length
-        if end > len(data):
-            raise MarshalError("truncated message")
-        return str(data[offset:end], "utf-8"), end
-
-    def _dec_bytes(self, data: memoryview, offset: int, orb: Optional[Any]):
-        length = _U_LEN.unpack_from(data, offset)[0]
-        offset += 4
-        end = offset + length
-        if end > len(data):
-            raise MarshalError("truncated message")
-        return bytes(data[offset:end]), end
-
-    def _dec_list(self, data: memoryview, offset: int, orb: Optional[Any]):
-        count = _U_LEN.unpack_from(data, offset)[0]
-        offset += 4
-        items = []
-        append = items.append
-        table = self._dec
-        for _ in range(count):
-            item, offset = table[data[offset]](data, offset + 1, orb)
-            append(item)
-        return items, offset
-
-    def _dec_tuple(self, data: memoryview, offset: int, orb: Optional[Any]):
-        items, offset = self._dec_list(data, offset, orb)
-        return tuple(items), offset
-
-    def _dec_set(self, data: memoryview, offset: int, orb: Optional[Any]):
-        items, offset = self._dec_list(data, offset, orb)
-        return set(items), offset
-
-    def _dec_dict(self, data: memoryview, offset: int, orb: Optional[Any]):
-        count = _U_LEN.unpack_from(data, offset)[0]
-        offset += 4
-        result = {}
-        table = self._dec
-        for _ in range(count):
-            key, offset = table[data[offset]](data, offset + 1, orb)
-            value, offset = table[data[offset]](data, offset + 1, orb)
-            result[key] = value
-        return result, offset
-
-    def _raw_str_from(self, data: memoryview, offset: int) -> Tuple[str, int]:
-        length = _U_LEN.unpack_from(data, offset)[0]
-        offset += 4
-        end = offset + length
-        if end > len(data):
-            raise MarshalError("truncated message")
-        return str(data[offset:end], "utf-8"), end
-
-    def _dec_enum(self, data: memoryview, offset: int, orb: Optional[Any]):
-        name, offset = self._raw_str_from(data, offset)
-        member, offset = self._raw_str_from(data, offset)
-        enum_cls = self.marshaller.registry.lookup_enum(name)
-        try:
-            return enum_cls[member], offset
-        except KeyError:
-            raise MarshalError(
-                f"unknown member {member!r} of enum {name}"
-            ) from None
-
-    def _dec_objref(self, data: memoryview, offset: int, orb: Optional[Any]):
-        from repro.orb.reference import ObjectRef
-
-        node_id, offset = self._raw_str_from(data, offset)
-        object_id, offset = self._raw_str_from(data, offset)
-        interface, offset = self._raw_str_from(data, offset)
-        ref = ObjectRef(node_id=node_id, object_id=object_id, interface=interface)
-        if orb is not None:
-            ref.bind(orb)
-        return ref, offset
-
-    def _dec_value(self, data: memoryview, offset: int, orb: Optional[Any]):
-        name, offset = self._raw_str_from(data, offset)
-        parts, offset = self._next(data, offset, orb)
-        _, __, from_parts = self.marshaller.registry.lookup_name(name)
-        try:
-            return from_parts(parts), offset
-        except TypeError as exc:
-            raise MarshalError(f"malformed {name} parts: {exc}") from None
-
-    def _dec_fvalue(self, data: memoryview, offset: int, orb: Optional[Any]):
-        frame_len = _U_LEN.unpack_from(data, offset)[0]
-        offset += 4
-        end = offset + frame_len
-        if end > len(data):
-            raise MarshalError("truncated message")
-        cache = self.marshaller.decode_cache
-        stats = self.marshaller.stats
-        if cache is not None:
-            key = bytes(data[offset:end])
-            cached = cache.get(id(orb), key)
-            if cached is not _NOT_INTERNED:
-                if stats is not None:
-                    stats.note_decode(True)
-                return cached, end
-        name, inner = self._raw_str_from(data, offset)
-        parts, inner = self._next(data, inner, orb)
-        if inner != end:
-            raise MarshalError(
-                f"framed value {name} consumed {inner - offset} bytes, "
-                f"frame declares {frame_len}"
-            )
-        _, __, from_parts = self.marshaller.registry.lookup_name(name)
-        try:
-            value = from_parts(parts)
-        except TypeError as exc:
-            raise MarshalError(f"malformed {name} parts: {exc}") from None
-        if cache is not None:
-            cache.put(id(orb), key, value)
-            if stats is not None:
-                stats.note_decode(False)
-        return value, end
-
-
-CODECS: Dict[str, Type[Codec]] = {
-    LegacyCodec.name: LegacyCodec,
-    StructCodec.name: StructCodec,
-}
-
-
 class Marshaller:
     """Encodes/decodes values to bytes using a :class:`ValueTypeRegistry`.
 
-    ``codec`` selects the wire format (a :data:`CODECS` name, a
-    :class:`Codec` subclass, or an instance factory taking the
-    marshaller); ``encode_cache`` (optional) enables byte reuse for
-    interned value types; ``decode_cache`` (optional) enables
-    :class:`StructCodec`'s framed-decode memoization; ``stats``
-    (optional, any object with the :class:`MarshalStats` interface)
-    accounts encoded vs reused bytes — the ORB shares its transport
-    stats' marshal block here.
+    ``encode_cache`` (optional) enables byte reuse for interned value
+    types; ``decode_cache`` (optional) enables framed-decode
+    memoization; ``stats`` (optional, any object with the
+    :class:`MarshalStats` interface) accounts encoded vs reused bytes —
+    the ORB shares its transport stats' marshal block here.
+
+    The format, all in service of per-send CPU:
+
+    - **Exact-type encode dispatch** — one dict probe on
+      ``value.__class__`` replaces an isinstance chain for every common
+      type; precompiled :class:`struct.Struct` packers emit tag +
+      payload in a single C call.
+    - **32-bit small-int packing** — ints in the i32 range cost 5 bytes
+      instead of 9 (most wire ints are counters and lengths).
+    - **Tag-indexed decode table over a memoryview** — each tag is a
+      direct table hit, and string/bytes payloads slice without
+      intermediate copies.
+    - **Length-framed interned values** — types marked
+      ``intern_encoded`` are wrapped in a ``(len, name, parts)`` frame,
+      so the receiver memoizes the whole frame's decode: an unchanged
+      activity context spliced into N requests is decoded once
+      (``decode_hits`` in the stats).
+
+    Framing depends only on the *registry* (``is_interned``), never on
+    cache presence, so a deployment's wire bytes are identical across
+    every cache/fast-path knob setting.  A :class:`PayloadSlot` inside
+    an interned value cannot be length-framed ahead of time and is
+    refused at ``prepare`` time.
     """
 
     def __init__(
@@ -1225,7 +547,6 @@ class Marshaller:
         registry: Optional[ValueTypeRegistry] = None,
         stats: Optional[MarshalStats] = None,
         encode_cache: Optional[EncodeCache] = None,
-        codec: Union[str, Type[Codec]] = "legacy",
         decode_cache: Optional[DecodeCache] = None,
     ) -> None:
         self.registry = registry if registry is not None else GLOBAL_REGISTRY
@@ -1244,20 +565,41 @@ class Marshaller:
         # from being silently undone.
         self._interned_payload_refs: Dict[int, Any] = {}
         self._interning_state = threading.local()
-        if isinstance(codec, str):
-            try:
-                codec_cls: Callable[["Marshaller"], Codec] = CODECS[codec]
-            except KeyError:
-                raise MarshalError(
-                    f"unknown codec {codec!r}; available: {sorted(CODECS)}"
-                ) from None
-            self.codec = codec_cls(self)
-        else:
-            self.codec = codec(self)
-
-    @property
-    def codec_name(self) -> str:
-        return self.codec.name
+        self._objref_cls: Optional[Type] = None
+        self._enc: Dict[Type, Callable[[Any, list, Optional[_EncodeRun]], None]] = {
+            type(None): self._enc_none,
+            bool: self._enc_bool,
+            int: self._enc_int,
+            float: self._enc_float,
+            str: self._enc_str,
+            bytes: self._enc_bytes,
+            list: self._enc_list,
+            tuple: self._enc_tuple,
+            dict: self._enc_dict,
+            # Read-only views of a dict (ActivityContext's maps) go on
+            # the wire as the dict they wrap.
+            MappingProxyType: self._enc_dict,
+            set: self._enc_set,
+            frozenset: self._enc_set,
+        }
+        dec: List[Any] = [self._dec_unknown] * 256
+        dec[_S_NONE] = self._dec_none
+        dec[_S_TRUE] = self._dec_true
+        dec[_S_FALSE] = self._dec_false
+        dec[_S_I32] = self._dec_i32
+        dec[_S_I64] = self._dec_i64
+        dec[_S_FLOAT] = self._dec_float
+        dec[_S_STR] = self._raw_str_from
+        dec[_S_BYTES] = self._dec_bytes
+        dec[_S_LIST] = self._dec_list
+        dec[_S_TUPLE] = self._dec_tuple
+        dec[_S_SET] = self._dec_set
+        dec[_S_DICT] = self._dec_dict
+        dec[_S_ENUM] = self._dec_enum
+        dec[_S_OBJREF] = self._dec_objref
+        dec[_S_VALUE] = self._dec_value
+        dec[_S_FVALUE] = self._dec_fvalue
+        self._dec = dec
 
     # -- payload interning --------------------------------------------------
 
@@ -1303,7 +645,7 @@ class Marshaller:
     def encode(self, value: Any) -> bytes:
         chunks: list = []
         run = _EncodeRun()
-        self.codec.encode_into(value, chunks, run)
+        self._encode_into(value, chunks, run)
         try:
             result = b"".join(chunks)
         except TypeError:
@@ -1320,12 +662,13 @@ class Marshaller:
         """Marshal-once: encode ``value`` into a reusable template.
 
         ``value`` may contain :class:`PayloadSlot` markers anywhere a
-        value may appear (including inside registered dataclass fields);
-        everything else is encoded now, exactly once.
+        value may appear (including inside registered dataclass fields,
+        but not inside interned ones); everything else is encoded now,
+        exactly once.
         """
         chunks: list = []
         run = _EncodeRun()
-        self.codec.encode_into(value, chunks, run)
+        self._encode_into(value, chunks, run)
         if self.stats is not None:
             fresh = sum(len(c) for c in chunks if not isinstance(c, PayloadSlot))
             self.stats.note_encode(
@@ -1340,28 +683,369 @@ class Marshaller:
             return False
         return self.encode_cache.invalidate(value)
 
-    def _encode(self, value: Any, out: list, run: Optional[_EncodeRun] = None) -> None:
-        """Back-compat walker entry point (delegates to the codec)."""
-        self.codec.encode_into(value, out, run)
+    def _encode_into(
+        self, value: Any, out: list, run: Optional[_EncodeRun] = None
+    ) -> None:
+        """Append ``value``'s encoding (chunks / slot markers) to ``out``.
+
+        The encoding is *compositional* — every value encodes to a
+        self-contained byte string regardless of context — which is the
+        property template filling relies on for byte-identity.
+        """
+        if self._interned_payload_refs and self._encode_interned_payload(
+            value, out, run
+        ):
+            return
+        handler = self._enc.get(value.__class__)
+        if handler is not None:
+            handler(value, out, run)
+        else:
+            self._enc_other(value, out, run)
+
+    def _encode_interned_payload(
+        self, value: Any, out: list, run: Optional[_EncodeRun]
+    ) -> bool:
+        """Splice (or build) one opt-in interned payload; False → not one.
+
+        The sentinel default keeps the identity test honest for values
+        like None whose id can never be a registered key's *value* but
+        where dict.get's None default would alias the value itself.
+        """
+        refs = self._interned_payload_refs
+        state = self._interning_state
+        key = id(value)
+        if (
+            refs.get(key, _NOT_INTERNED) is not value
+            or key in getattr(state, "active", ())
+        ):
+            return False
+        cache = self.encode_cache
+        cached = cache.get(value) if cache is not None else None
+        if cached is not None:
+            out.append(cached)
+            if run is not None:
+                run.reused += len(cached)
+                run.hits += 1
+            return True
+        active = getattr(state, "active", None)
+        if active is None:
+            active = state.active = set()
+        active.add(key)
+        sub: list = []
+        try:
+            self._encode_into(value, sub, run)
+        finally:
+            active.discard(key)
+        if any(isinstance(chunk, PayloadSlot) for chunk in sub):
+            # Template holes inside the payload forbid caching the blob.
+            out.extend(sub)
+            return True
+        blob = b"".join(sub)
+        if cache is not None:
+            cache.put(value, blob)
+            if refs.get(key, _NOT_INTERNED) is not value:
+                # Released while we were encoding: drop the bytes we
+                # just cached — nothing may serve them afterwards.
+                cache.invalidate(value)
+        if run is not None:
+            run.misses += 1
+        out.append(blob)
+        return True
+
+    def _enc_none(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        out.append(_SB_NONE)
+
+    def _enc_bool(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        out.append(_SB_TRUE if value else _SB_FALSE)
+
+    def _enc_int(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        if _I32_MIN <= value <= _I32_MAX:
+            out.append(_P_I32.pack(_S_I32, value))
+            return
+        try:
+            out.append(_P_I64.pack(_S_I64, value))
+        except struct.error:
+            raise MarshalError(
+                f"integer {value} exceeds the wire format's 64-bit range"
+            ) from None
+
+    def _enc_float(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        out.append(_P_FLOAT.pack(_S_FLOAT, value))
+
+    def _enc_str(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        raw = value.encode("utf-8")
+        out.append(_P_HDR.pack(_S_STR, len(raw)))
+        out.append(raw)
+
+    def _enc_bytes(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        out.append(_P_HDR.pack(_S_BYTES, len(value)))
+        out.append(value)
+
+    def _enc_list(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        out.append(_P_HDR.pack(_S_LIST, len(value)))
+        encode = self._encode_into
+        for item in value:
+            encode(item, out, run)
+
+    def _enc_tuple(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        out.append(_P_HDR.pack(_S_TUPLE, len(value)))
+        encode = self._encode_into
+        for item in value:
+            encode(item, out, run)
+
+    def _enc_set(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        items = sorted(value, key=repr)
+        out.append(_P_HDR.pack(_S_SET, len(items)))
+        encode = self._encode_into
+        for item in items:
+            encode(item, out, run)
+
+    def _enc_dict(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        out.append(_P_HDR.pack(_S_DICT, len(value)))
+        encode = self._encode_into
+        for key, item in value.items():
+            encode(key, out, run)
+            encode(item, out, run)
+
+    def _raw_str(self, value: str, out: list) -> None:
+        raw = value.encode("utf-8")
+        out.append(_U_LEN.pack(len(raw)))
+        out.append(raw)
+
+    def _enc_other(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
+        registry = self.registry
+        cls = value.__class__
+        if isinstance(value, PayloadSlot):
+            # Template hole: recorded as-is, spliced at fill time.
+            out.append(value)
+            return
+        if isinstance(value, Enum) and registry.is_enum_registered(cls):
+            out.append(bytes((_S_ENUM,)))
+            self._raw_str(registry.repository_id(cls), out)
+            self._raw_str(value.name, out)
+            return
+        objref_cls = self._objref_cls
+        if objref_cls is None:
+            from repro.orb.reference import ObjectRef
+
+            objref_cls = self._objref_cls = ObjectRef
+        if isinstance(value, objref_cls):
+            out.append(bytes((_S_OBJREF,)))
+            self._raw_str(value.node_id, out)
+            self._raw_str(value.object_id, out)
+            self._raw_str(value.interface, out)
+            return
+        name = registry.lookup_type(cls)
+        if name is None:
+            # Exact-type dispatch misses subclasses of the builtin
+            # containers/scalars; fall back to the isinstance ladder
+            # once so e.g. an OrderedDict still encodes as a dict.
+            for base, handler in self._enc.items():
+                if base is not type(None) and isinstance(value, base):
+                    handler(value, out, run)
+                    return
+            raise MarshalError(
+                f"cannot marshal value of unregistered type {cls.__qualname__}"
+            )
+        _, to_parts, _ = registry.lookup_name(name)
+        if not registry.is_interned(cls):
+            out.append(_SB_VALUE)
+            self._raw_str(name, out)
+            self._encode_into(to_parts(value), out, run)
+            return
+        # Interned: length-framed so receivers can memoize the decode.
+        cache = self.encode_cache
+        if cache is not None:
+            cached = cache.get(value)
+            if cached is not None:
+                out.append(cached)
+                if run is not None:
+                    run.reused += len(cached)
+                    run.hits += 1
+                return
+        sub: list = []
+        self._raw_str(name, sub)
+        self._encode_into(to_parts(value), sub, run)
+        if any(isinstance(chunk, PayloadSlot) for chunk in sub):
+            raise MarshalError(
+                f"cannot length-frame interned type {name} containing"
+                " PayloadSlot holes; keep slots outside interned values"
+            )
+        body = b"".join(sub)
+        blob = _P_HDR.pack(_S_FVALUE, len(body)) + body
+        if cache is not None:
+            cache.put(value, blob)
+            if run is not None:
+                run.misses += 1
+        out.append(blob)
 
     # -- decoding ---------------------------------------------------------
 
     def decode(self, data: bytes, orb: Optional[Any] = None) -> Any:
         try:
-            return self.codec.decode(data, orb)
+            view = memoryview(data)
+            value, offset = self._dec[view[0]](view, 1, orb)
+            if offset != len(view):
+                raise MarshalError(
+                    f"{len(view) - offset} trailing bytes after decode"
+                )
+            return value
         except (struct.error, IndexError, TypeError, UnicodeDecodeError) as exc:
             # TypeError covers corrupted wires whose damage only shows at
             # construction time (an unhashable decoded dict key / set
             # member): still a malformed message, not a caller bug.
             raise MarshalError(f"malformed message: {exc}") from exc
 
+    def _next(self, data: memoryview, offset: int, orb: Optional[Any]):
+        return self._dec[data[offset]](data, offset + 1, orb)
+
+    def _dec_unknown(self, data: memoryview, offset: int, orb: Optional[Any]):
+        tag = data[offset - 1]
+        if offset == 1 and tag < _S_NONE:
+            raise MarshalError(
+                f"unknown tag {bytes((tag,))!r} at offset 0: data written by a"
+                " pre-struct build (legacy codec, wire protocol 1), which this"
+                " build cannot read"
+            )
+        raise MarshalError(f"unknown tag {bytes((tag,))!r} at offset {offset - 1}")
+
+    def _dec_none(self, data: memoryview, offset: int, orb: Optional[Any]):
+        return None, offset
+
+    def _dec_true(self, data: memoryview, offset: int, orb: Optional[Any]):
+        return True, offset
+
+    def _dec_false(self, data: memoryview, offset: int, orb: Optional[Any]):
+        return False, offset
+
+    def _dec_i32(self, data: memoryview, offset: int, orb: Optional[Any]):
+        return _U_I32.unpack_from(data, offset)[0], offset + 4
+
+    def _dec_i64(self, data: memoryview, offset: int, orb: Optional[Any]):
+        return _U_I64.unpack_from(data, offset)[0], offset + 8
+
+    def _dec_float(self, data: memoryview, offset: int, orb: Optional[Any]):
+        return _U_FLOAT.unpack_from(data, offset)[0], offset + 8
+
+    def _dec_bytes(self, data: memoryview, offset: int, orb: Optional[Any]):
+        length = _U_LEN.unpack_from(data, offset)[0]
+        offset += 4
+        end = offset + length
+        if end > len(data):
+            raise MarshalError("truncated message")
+        return bytes(data[offset:end]), end
+
+    def _dec_list(self, data: memoryview, offset: int, orb: Optional[Any]):
+        count = _U_LEN.unpack_from(data, offset)[0]
+        offset += 4
+        items = []
+        append = items.append
+        table = self._dec
+        for _ in range(count):
+            item, offset = table[data[offset]](data, offset + 1, orb)
+            append(item)
+        return items, offset
+
+    def _dec_tuple(self, data: memoryview, offset: int, orb: Optional[Any]):
+        items, offset = self._dec_list(data, offset, orb)
+        return tuple(items), offset
+
+    def _dec_set(self, data: memoryview, offset: int, orb: Optional[Any]):
+        items, offset = self._dec_list(data, offset, orb)
+        return set(items), offset
+
+    def _dec_dict(self, data: memoryview, offset: int, orb: Optional[Any]):
+        count = _U_LEN.unpack_from(data, offset)[0]
+        offset += 4
+        result = {}
+        table = self._dec
+        for _ in range(count):
+            key, offset = table[data[offset]](data, offset + 1, orb)
+            value, offset = table[data[offset]](data, offset + 1, orb)
+            result[key] = value
+        return result, offset
+
+    def _raw_str_from(
+        self, data: memoryview, offset: int, orb: Optional[Any] = None
+    ) -> Tuple[str, int]:
+        """A u32-length utf-8 string (the body of a STR tag, or a bare name)."""
+        length = _U_LEN.unpack_from(data, offset)[0]
+        offset += 4
+        end = offset + length
+        if end > len(data):
+            raise MarshalError("truncated message")
+        return str(data[offset:end], "utf-8"), end
+
+    def _dec_enum(self, data: memoryview, offset: int, orb: Optional[Any]):
+        name, offset = self._raw_str_from(data, offset)
+        member, offset = self._raw_str_from(data, offset)
+        enum_cls = self.registry.lookup_enum(name)
+        try:
+            return enum_cls[member], offset
+        except KeyError:
+            raise MarshalError(
+                f"unknown member {member!r} of enum {name}"
+            ) from None
+
+    def _dec_objref(self, data: memoryview, offset: int, orb: Optional[Any]):
+        from repro.orb.reference import ObjectRef
+
+        node_id, offset = self._raw_str_from(data, offset)
+        object_id, offset = self._raw_str_from(data, offset)
+        interface, offset = self._raw_str_from(data, offset)
+        ref = ObjectRef(node_id=node_id, object_id=object_id, interface=interface)
+        if orb is not None:
+            ref.bind(orb)
+        return ref, offset
+
+    def _dec_value(self, data: memoryview, offset: int, orb: Optional[Any]):
+        name, offset = self._raw_str_from(data, offset)
+        parts, offset = self._next(data, offset, orb)
+        _, __, from_parts = self.registry.lookup_name(name)
+        try:
+            return from_parts(parts), offset
+        except TypeError as exc:
+            raise MarshalError(f"malformed {name} parts: {exc}") from None
+
+    def _dec_fvalue(self, data: memoryview, offset: int, orb: Optional[Any]):
+        frame_len = _U_LEN.unpack_from(data, offset)[0]
+        offset += 4
+        end = offset + frame_len
+        if end > len(data):
+            raise MarshalError("truncated message")
+        cache = self.decode_cache
+        stats = self.stats
+        if cache is not None:
+            key = bytes(data[offset:end])
+            cached = cache.get(id(orb), key)
+            if cached is not _NOT_INTERNED:
+                if stats is not None:
+                    stats.note_decode(True)
+                return cached, end
+        name, inner = self._raw_str_from(data, offset)
+        parts, inner = self._next(data, inner, orb)
+        if inner != end:
+            raise MarshalError(
+                f"framed value {name} consumed {inner - offset} bytes, "
+                f"frame declares {frame_len}"
+            )
+        _, __, from_parts = self.registry.lookup_name(name)
+        try:
+            value = from_parts(parts)
+        except TypeError as exc:
+            raise MarshalError(f"malformed {name} parts: {exc}") from None
+        if cache is not None:
+            cache.put(id(orb), key, value)
+            if stats is not None:
+                stats.note_decode(False)
+        return value, end
+
 
 def marshal_roundtrip(
     value: Any,
     orb: Optional[Any] = None,
     registry: Optional[ValueTypeRegistry] = None,
-    codec: Union[str, Type[Codec]] = "legacy",
 ) -> Any:
     """Encode then decode ``value`` — the by-value copy a remote peer sees."""
-    marshaller = Marshaller(registry, codec=codec)
+    marshaller = Marshaller(registry)
     return marshaller.decode(marshaller.encode(value), orb)

@@ -56,7 +56,7 @@ from repro.config import (
 )
 from repro.exceptions import CommunicationError, ConfigurationError, OverloadError
 from repro.orb.core import Node, Orb
-from repro.orb.marshal import CODECS, Marshaller
+from repro.orb.marshal import Marshaller
 from repro.orb.membership import FailureDetector, FailureDetectorConfig, PeerState
 from repro.orb.reference import ObjectRef
 from repro.orb.socket_transport import SocketTransport
@@ -164,12 +164,6 @@ class SiteConfig:
         with a typed :class:`~repro.exceptions.OverloadError` before
         dispatch (``"*"`` is the catch-all for unlisted sources).
         Empty (the default) installs no gate.
-    ``codecs``
-        Wire-codec preference list for HELLO negotiation (PR 10), best
-        first, e.g. ``["struct", "legacy"]``.  Peers advertising codecs
-        get the first mutual one; peers that don't are spoken to in
-        ``legacy``, so mixed fleets upgrade one site at a time.  Empty
-        (the default) disables negotiation — HELLO bytes unchanged.
     """
 
     site_id: str
@@ -188,7 +182,6 @@ class SiteConfig:
     replication: Dict[str, Any] = field(default_factory=dict)
     max_events: Optional[int] = 4096
     quotas: Dict[str, Any] = field(default_factory=dict)
-    codecs: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.site_id:
@@ -236,12 +229,6 @@ class SiteConfig:
                     f"SiteConfig: quota burst for {source!r} must be > 0,"
                     f" got {burst!r}"
                 )
-        unknown_codecs = [name for name in self.codecs if name not in CODECS]
-        if unknown_codecs:
-            raise ConfigValidationError(
-                f"SiteConfig: unknown codec(s) {unknown_codecs};"
-                f" available: {sorted(CODECS)}"
-            )
         # Fail at config time, not at boot: all dict blocks must fold cleanly.
         self.detector_config()
         self.retry_policy()
@@ -540,26 +527,6 @@ class SiteRuntime:
                     rate, burst, clock=self.clock
                 )
             self.transport.set_inbound_gate(self._admit_inbound)
-
-        # Codec negotiation (PR 10): advertise the configured preference
-        # list on HELLO; transcode at the transport boundary for peers
-        # whose mutual codec differs from this ORB's own.
-        if config.codecs:
-            local_codec = self.orb.marshaller.codec_name
-            needed = dict.fromkeys(
-                list(config.codecs) + [local_codec, "legacy"]
-            )
-            marshallers = {
-                name: (
-                    self.orb.marshaller
-                    if name == local_codec
-                    else Marshaller(self.orb.marshaller.registry, codec=name)
-                )
-                for name in needed
-            }
-            self.transport.enable_codec_negotiation(
-                list(config.codecs), marshallers, local_codec=local_codec
-            )
 
         self.recovered = False
         self.last_recovery_error: Optional[str] = None

@@ -9,7 +9,8 @@ unchanged over a genuine network:
 
       u32 length | u8 kind | u16 len + utf-8 source | u16 len + utf-8 target | payload
 
-  Kinds: ``HELLO`` (identity exchange on dial), ``REQUEST`` (marshalled
+  Kinds: ``HELLO`` (identity and :data:`PROTOCOL_VERSION` exchange on
+  dial, checked by both ends), ``REQUEST`` (marshalled
   request bytes; ``source``/``target`` are node ids), ``REPLY_OK``
   (marshalled reply bytes), ``REPLY_ERR`` (JSON ``{"type", "message"}``
   revived to a typed exception client-side), ``CONTROL`` (JSON site-level
@@ -63,7 +64,10 @@ from repro.exceptions import (
 from repro.orb.transport import Transport, TransportStats
 from repro.util.retry import RetryPolicy
 
-PROTOCOL_VERSION = 1
+# Version 2: request/reply payloads use the struct encoding of
+# repro.orb.marshal.  Both ends check it on HELLO, so a peer from an
+# older build is refused there rather than at its first request.
+PROTOCOL_VERSION = 2
 
 KIND_HELLO = 1
 KIND_REQUEST = 2
@@ -236,14 +240,6 @@ class SocketTransport(Transport):
         self._request_handler: Optional[Callable[[str, bytes], bytes]] = None
         self._control_handler: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
         self.address: Optional[Tuple[str, int]] = None
-        # Codec negotiation (PR 10): off until enable_codec_negotiation
-        # is called — HELLO payloads and all request bytes then stay
-        # byte-identical to every prior release.
-        self._codec_prefs: Optional[List[str]] = None
-        self._codec_marshallers: Dict[str, Any] = {}
-        self._local_codec = "legacy"
-        self._peer_codecs: Dict[str, str] = {}
-        self.codec_transcodes = 0
         # Inbound admission gate (PR 10): callable(peer_site) raising
         # OverloadError to shed a REQUEST frame before dispatch.
         self._inbound_gate: Optional[Callable[[Optional[str]], None]] = None
@@ -275,108 +271,10 @@ class SocketTransport(Transport):
         """
         self._inbound_gate = gate
 
-    def enable_codec_negotiation(
-        self,
-        preferences: List[str],
-        marshallers: Dict[str, Any],
-        local_codec: str = "legacy",
-    ) -> None:
-        """Advertise wire codecs on HELLO and transcode per peer (PR 10).
-
-        ``preferences`` ranks the codecs this site is willing to speak
-        (best first); ``marshallers`` maps each advertised codec name to
-        a ready :class:`~repro.orb.marshal.Marshaller`; ``local_codec``
-        is what the hosting ORB's own marshaller produces/expects.
-
-        Negotiation is server-authoritative: the dialed side picks the
-        first of *its* preferences present in the dialer's advertised
-        list and announces the choice in its HELLO reply, so both ends
-        always agree.  A peer that advertises nothing (a pre-PR-10
-        build) is spoken to in ``"legacy"`` — mixed fleets upgrade one
-        site at a time.  No mutual codec is a loud
-        :class:`ConfigurationError`, never a silent mis-decode.
-
-        When the negotiated wire codec differs from ``local_codec``,
-        request/reply payloads are transcoded at this boundary
-        (decode with one marshaller, re-encode with the other;
-        :attr:`codec_transcodes` counts them).  Until this method is
-        called nothing changes: HELLO bytes and request bytes are
-        byte-identical to prior releases.
-        """
-        if not preferences:
-            raise ConfigurationError("codec preferences must not be empty")
-        missing = [name for name in preferences if name not in marshallers]
-        if missing:
-            raise ConfigurationError(
-                f"no marshaller supplied for advertised codec(s) {missing}"
-            )
-        if local_codec not in marshallers:
-            raise ConfigurationError(
-                f"no marshaller supplied for local codec {local_codec!r}"
-            )
-        self._codec_prefs = list(preferences)
-        self._codec_marshallers = dict(marshallers)
-        self._local_codec = local_codec
-
-    def _hello_payload(self) -> Dict[str, Any]:
-        hello: Dict[str, Any] = {"version": PROTOCOL_VERSION, "site": self.site_id}
-        if self._codec_prefs is not None:
-            hello["codecs"] = list(self._codec_prefs)
-        return hello
-
-    def _negotiate_codec(self, advertised: Optional[List[str]]) -> str:
-        """Server-side choice: first of our preferences the dialer speaks."""
-        if advertised is None:
-            # A legacy-era dialer: no advertisement means the historical
-            # wire format.
-            if "legacy" not in self._codec_marshallers:
-                raise ConfigurationError(
-                    f"site {self.site_id} no longer speaks 'legacy' but the"
-                    f" peer advertised no codecs"
-                )
-            return "legacy"
-        for name in self._codec_prefs or ():
-            if name in advertised:
-                return name
-        raise ConfigurationError(
-            f"no mutual wire codec: site {self.site_id} speaks"
-            f" {self._codec_prefs}, peer advertised {advertised}"
-        )
-
-    def _transcode(self, data: bytes, src: str, dst: str) -> bytes:
-        """Re-encode ``data`` from codec ``src`` to codec ``dst``."""
-        if src == dst:
-            return data
-        value = self._codec_marshallers[src].decode(data)
-        self.codec_transcodes += 1
-        return self._codec_marshallers[dst].encode(value)
-
-    def _wire_codec(self, peer_id: str) -> str:
-        """The codec negotiated with ``peer_id`` (client side).
-
-        Dials once to negotiate when the peer has not been spoken to
-        yet; quarantined peers are not dialed (the subsequent round trip
-        fast-fails anyway).
-        """
-        if self._codec_prefs is None:
-            return self._local_codec
-        known = self._peer_codecs.get(peer_id)
-        if known is not None:
-            return known
-        if peer_id not in self._peers or self.is_quarantined(peer_id):
-            return self._local_codec
-        try:
-            conn = self._checkout(peer_id)
-        except (ConnectionError, OSError) as exc:
-            raise CommunicationError(
-                f"could not negotiate codec with peer {peer_id}: {exc}"
-            )
-        self._checkin(peer_id, conn)
-        return self._peer_codecs.get(peer_id, self._local_codec)
-
-    def peer_codec(self, peer_id: str) -> Optional[str]:
-        """The negotiated wire codec for ``peer_id``, if known yet."""
-        return self._peer_codecs.get(peer_id)
+    def _hello_bytes(self) -> bytes:
+        """This endpoint's HELLO payload (sent on dial and as the reply)."""
+        hello = {"version": PROTOCOL_VERSION, "site": self.site_id}
+        return json.dumps(hello).encode("utf-8")
 
     def register_remote_node(self, node_id: str, peer_id: str) -> None:
         """Record that ``peer_id``'s process serves ``node_id``."""
@@ -604,13 +502,7 @@ class SocketTransport(Transport):
                         f" {hello.get('version')}, this site speaks {PROTOCOL_VERSION}"
                     )
                 conn_state["peer_site"] = hello.get("site")
-                reply = {"version": PROTOCOL_VERSION, "site": self.site_id}
-                if self._codec_prefs is not None:
-                    chosen = self._negotiate_codec(hello.get("codecs"))
-                    conn_state["codec"] = chosen
-                    reply["codec"] = chosen
-                    reply["codecs"] = list(self._codec_prefs)
-                return KIND_HELLO, json.dumps(reply).encode("utf-8")
+                return KIND_HELLO, self._hello_bytes()
             if kind == KIND_CONTROL:
                 if self._control_handler is None:
                     raise ConfigurationError("no control handler installed")
@@ -624,14 +516,7 @@ class SocketTransport(Transport):
                     self._inbound_gate(conn_state.get("peer_site"))
                 if self._request_handler is None:
                     raise ConfigurationError("no request handler installed")
-                wire_codec = conn_state.get("codec", self._local_codec)
-                request_bytes = self._transcode(
-                    payload, wire_codec, self._local_codec
-                )
-                reply_bytes = self._request_handler(target, request_bytes)
-                return KIND_REPLY_OK, self._transcode(
-                    reply_bytes, self._local_codec, wire_codec
-                )
+                return KIND_REPLY_OK, self._request_handler(target, payload)
             raise ConfigurationError(f"unknown frame kind {kind}")
         except BaseException as exc:
             described = {"type": type(exc).__name__, "message": str(exc)}
@@ -645,9 +530,8 @@ class SocketTransport(Transport):
         sock.settimeout(self.request_timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = _Connection(sock)
-        hello = json.dumps(self._hello_payload()).encode("utf-8")
         reply_kind, reply_payload = conn.round_trip(
-            KIND_HELLO, self.site_id, peer_id, hello
+            KIND_HELLO, self.site_id, peer_id, self._hello_bytes()
         )
         if reply_kind == KIND_REPLY_ERR:
             conn.close()
@@ -657,23 +541,16 @@ class SocketTransport(Transport):
             raise CommunicationError(
                 f"peer {peer_id} answered HELLO with frame kind {reply_kind}"
             )
-        if self._codec_prefs is not None:
-            try:
-                reply = json.loads(reply_payload.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                reply = {}
-            chosen = reply.get("codec")
-            if chosen is None:
-                # A legacy-era peer replied without negotiating: speak
-                # the historical wire format to it.
-                chosen = "legacy"
-            if chosen not in self._codec_marshallers:
-                conn.close()
-                raise ConfigurationError(
-                    f"peer {peer_id} chose wire codec {chosen!r} which this"
-                    f" site cannot speak (have {sorted(self._codec_marshallers)})"
-                )
-            self._peer_codecs[peer_id] = chosen
+        try:
+            version = json.loads(reply_payload.decode("utf-8")).get("version")
+        except (ValueError, UnicodeDecodeError, AttributeError):
+            version = None
+        if version != PROTOCOL_VERSION:
+            conn.close()
+            raise ConfigurationError(
+                f"protocol version mismatch: peer {peer_id} speaks {version},"
+                f" this site speaks {PROTOCOL_VERSION}"
+            )
         return conn
 
     def _checkout(self, peer_id: str) -> _Connection:
@@ -781,18 +658,7 @@ class SocketTransport(Transport):
         self, peer_id: str, source_node: str, target_node: str, request_bytes: bytes
     ) -> bytes:
         """Send one marshalled request to ``peer_id`` and return the
-        marshalled reply (raising the revived typed error on failure).
-
-        With codec negotiation enabled and a peer whose negotiated wire
-        codec differs from the local one, the request is transcoded on
-        the way out and the reply on the way back — the hosting ORB
-        never sees foreign bytes."""
-        wire_codec = self._local_codec
-        if self._codec_prefs is not None:
-            wire_codec = self._wire_codec(peer_id)
-            request_bytes = self._transcode(
-                request_bytes, self._local_codec, wire_codec
-            )
+        marshalled reply (raising the revived typed error on failure)."""
         with self._lock:
             self.stats.requests_sent += 1
             self.stats.bytes_sent += len(request_bytes)
@@ -801,7 +667,7 @@ class SocketTransport(Transport):
         )
         if kind == KIND_REPLY_ERR:
             raise self._revive_error(payload)
-        return self._transcode(payload, wire_codec, self._local_codec)
+        return payload
 
     def control(
         self,
@@ -862,7 +728,7 @@ class SocketTransport(Transport):
     # -- introspection -----------------------------------------------------
 
     def describe(self) -> Dict[str, Any]:
-        described = {
+        return {
             "transport": type(self).__name__,
             "site": self.site_id,
             "address": list(self.address) if self.address else None,
@@ -870,11 +736,3 @@ class SocketTransport(Transport):
             "quarantined": self.quarantined(),
             "retry_policy": self.retry_policy.describe(),
         }
-        if self._codec_prefs is not None:
-            described["codecs"] = {
-                "local": self._local_codec,
-                "preferences": list(self._codec_prefs),
-                "peers": dict(sorted(self._peer_codecs.items())),
-                "transcodes": self.codec_transcodes,
-            }
-        return described

@@ -1,34 +1,32 @@
-"""Differential codec fuzz suite: LegacyCodec vs StructCodec (PR 7).
+"""Wire-format fuzz suite for the marshaller.
 
-The codec seam promises the two wire formats are interchangeable at the
-*value* level: anything the legacy codec can carry, the struct codec
-carries with identical decoded semantics — only the bytes differ.  This
-suite drives randomized (but seeded, hence reproducible) contexts,
-payloads, and wire damage through both codecs and asserts:
+Drives randomized (but seeded, hence reproducible) contexts, payloads,
+and wire damage through the one wire format — once through a bare
+:class:`Marshaller` and once through one with the ORB's encode/decode
+caches — and asserts:
 
-- value equality both ways: legacy-encode→legacy-decode and
-  struct-encode→struct-decode agree with the original and each other;
-- the formats are wire-disjoint: feeding either codec the other's bytes
-  fails loudly as :class:`MarshalError`, never decodes to garbage;
+- value equality both ways: ``decode(encode(v)) == v`` with the exact
+  decoded types, and re-encoding the decoded value reproduces the bytes;
+- the format shares no tag with the pre-struct (retired legacy) format,
+  so data written by an older build is refused, never misparsed;
 - malformed input (every truncation point, random single-byte
-  corruption) surfaces as :class:`MarshalError` from both codecs —
-  never a bare ``KeyError``/``TypeError`` leaking parser internals;
+  corruption) surfaces as :class:`MarshalError` — never a bare
+  ``KeyError``/``TypeError`` leaking parser internals;
 - a servant exception crossing a real :class:`SocketTransport` revives
-  identically under both codecs (typed errors keep their type and args,
-  unregistered types degrade the same way).
+  typed (typed errors keep their type and args, unregistered types
+  degrade to :class:`RemoteApplicationError`).
 """
 
 import random
 
 import pytest
 
-from repro.config import OrbConfig
 from repro.core.context import ActivityContext
 from repro.core.signals import Outcome, Signal
 from repro.core.status import ActivityStatus, CompletionStatus, SignalSetState
 from repro.exceptions import AdmissionRejected, InvalidStateError, OverloadError
 from repro.orb.core import Orb, RemoteApplicationError, Servant
-from repro.orb.marshal import MarshalError, Marshaller
+from repro.orb.marshal import DecodeCache, EncodeCache, MarshalError, Marshaller
 from repro.orb.reference import ObjectRef
 from repro.orb.site import SiteFederation
 from repro.orb.socket_transport import SocketTransport
@@ -117,69 +115,75 @@ def fuzz_value(rng: random.Random, depth: int = 0):
     )
 
 
+# Legacy tag letters: the first byte of every pre-struct message.
+_PRE_STRUCT_TAGS = frozenset(b"NTFIDSBLUMEOVG")
+
+
 @pytest.fixture(scope="module")
-def codecs():
-    return Marshaller(codec="legacy"), Marshaller(codec="struct")
+def marshallers():
+    """A bare marshaller and one wired like an ORB's (both caches on)."""
+    return Marshaller(), Marshaller(
+        encode_cache=EncodeCache(256), decode_cache=DecodeCache()
+    )
 
 
 class TestDifferentialRoundtrip:
+    """Round trips, checked against the original value."""
+
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_value_equality_both_ways(self, codecs, seed):
-        legacy, struct_ = codecs
+    def test_value_equality_both_ways(self, marshallers, seed):
         rng = random.Random(seed)
         for _ in range(20):
             value = fuzz_value(rng)
-            via_legacy = legacy.decode(legacy.encode(value))
-            via_struct = struct_.decode(struct_.encode(value))
-            assert via_legacy == value
-            assert via_struct == value
-            assert via_legacy == via_struct
+            for marshaller in marshallers:
+                wire = marshaller.encode(value)
+                decoded = marshaller.decode(wire)
+                assert decoded == value
+                assert value == decoded
+                assert marshaller.encode(decoded) == wire
 
     @pytest.mark.parametrize("seed", SEEDS[:10])
-    def test_decoded_types_match_exactly(self, codecs, seed):
+    def test_decoded_types_match_exactly(self, marshallers, seed):
         """Equality is not enough: tuple/list and bool/int must not blur."""
-        legacy, struct_ = codecs
         rng = random.Random(1000 + seed)
         for _ in range(10):
             value = fuzz_value(rng)
-            via_legacy = legacy.decode(legacy.encode(value))
-            via_struct = struct_.decode(struct_.encode(value))
-            assert type(via_legacy) is type(value)
-            assert type(via_struct) is type(value)
+            for marshaller in marshallers:
+                assert type(marshaller.decode(marshaller.encode(value))) is type(value)
 
     @pytest.mark.parametrize("seed", SEEDS[:10])
-    def test_wire_formats_are_disjoint(self, codecs, seed):
-        """Either codec fed the other's bytes must fail, not mis-decode."""
-        legacy, struct_ = codecs
+    def test_wire_formats_are_disjoint(self, marshallers, seed):
+        """Every message starts with a struct tag (0x80-0x8F), never a
+        pre-struct tag letter, so old data fails instead of mis-decoding."""
         rng = random.Random(2000 + seed)
         for _ in range(10):
             value = fuzz_value(rng)
-            with pytest.raises(MarshalError):
-                struct_.decode(legacy.encode(value))
-            with pytest.raises(MarshalError):
-                legacy.decode(struct_.encode(value))
+            for marshaller in marshallers:
+                first = marshaller.encode(value)[0]
+                assert 0x80 <= first <= 0x8F
+                assert first not in _PRE_STRUCT_TAGS
 
 
 class TestWireDamage:
     @pytest.mark.parametrize("seed", SEEDS[:10])
-    def test_every_truncation_point_raises_marshal_error(self, codecs, seed):
+    def test_every_truncation_point_raises_marshal_error(self, marshallers, seed):
         rng = random.Random(3000 + seed)
         for _ in range(5):
             value = fuzz_value(rng)
-            for marshaller in codecs:
+            for marshaller in marshallers:
                 wire = marshaller.encode(value)
                 for cut in range(len(wire)):
                     with pytest.raises(MarshalError):
                         marshaller.decode(wire[:cut])
 
     @pytest.mark.parametrize("seed", SEEDS[:10])
-    def test_corruption_never_escapes_marshal_error(self, codecs, seed):
+    def test_corruption_never_escapes_marshal_error(self, marshallers, seed):
         """A flipped byte may still decode (string bodies are opaque) but
         must never surface anything other than MarshalError."""
         rng = random.Random(4000 + seed)
         for _ in range(5):
             value = fuzz_value(rng)
-            for marshaller in codecs:
+            for marshaller in marshallers:
                 wire = marshaller.encode(value)
                 if not wire:
                     continue
@@ -191,19 +195,18 @@ class TestWireDamage:
                     except MarshalError:
                         pass
 
-    def test_known_regressions_stay_fixed(self, codecs):
+    def test_known_regressions_stay_fixed(self, marshallers):
         """Seed-independent anchors for escapes the fuzzer once found."""
-        legacy, struct_ = codecs
-        for marshaller in (legacy, struct_):
+        for marshaller in marshallers:
             enum_wire = marshaller.encode(ActivityStatus.ACTIVE)
-            # Truncated enum member once escaped as KeyError (legacy).
+            # A truncated enum member once escaped as KeyError.
             with pytest.raises(MarshalError):
                 marshaller.decode(enum_wire[:-1])
             # A foreign member name is a malformed message, not a KeyError.
             swapped = enum_wire.replace(b"ACTIVE", b"ABSENT")
             with pytest.raises(MarshalError):
                 marshaller.decode(swapped)
-            # Truncated bytes body (legacy once returned a short slice).
+            # A truncated bytes body once decoded to a short slice.
             bytes_wire = marshaller.encode(b"0123456789")
             with pytest.raises(MarshalError):
                 marshaller.decode(bytes_wire[:-3])
@@ -223,11 +226,10 @@ class _Failing(Servant):
         raise AdmissionRejected("gate: at capacity (9/9 live)")
 
 
-def _revived_errors(codec: str):
+def _revived_errors():
     """Run typed + untyped servant failures over a real socket pair."""
-    config = OrbConfig(codec=codec)
     server_transport = SocketTransport("server", bind=("127.0.0.1", 0))
-    server_orb = Orb(transport=server_transport, config=config)
+    server_orb = Orb(transport=server_transport)
     SiteFederation(server_transport, server_orb)
     server_transport.set_request_handler(server_orb.dispatch_request)
     server_transport.set_control_handler(
@@ -244,7 +246,7 @@ def _revived_errors(codec: str):
     )
 
     client_transport = SocketTransport("client")
-    client_orb = Orb(transport=client_transport, config=config)
+    client_orb = Orb(transport=client_transport)
     SiteFederation(client_transport, client_orb)
     client_transport.connect_peer("server", server_transport.address)
     client_transport.start()
@@ -262,32 +264,27 @@ def _revived_errors(codec: str):
         server_transport.close()
 
 
-class TestErrorRevivalParity:
-    def test_typed_error_revival_identical_across_codecs(self):
-        by_codec = {codec: _revived_errors(codec) for codec in ("legacy", "struct")}
-        for caught in by_codec.values():
-            typed = caught["typed"]
-            assert type(typed) is InvalidStateError
-            assert typed.args == ("fuzz failure", 17)
-            untyped = caught["untyped"]
-            assert type(untyped) is RemoteApplicationError
-        legacy, struct_ = by_codec["legacy"], by_codec["struct"]
-        assert type(legacy["typed"]) is type(struct_["typed"])
-        assert legacy["typed"].args == struct_["typed"].args
-        assert type(legacy["untyped"]) is type(struct_["untyped"])
-        assert str(legacy["untyped"]) == str(struct_["untyped"])
+class TestErrorRevival:
+    def test_typed_error_revival(self):
+        caught = _revived_errors()
+        typed = caught["typed"]
+        assert type(typed) is InvalidStateError
+        assert typed.args == ("fuzz failure", 17)
+        untyped = caught["untyped"]
+        assert type(untyped) is RemoteApplicationError
+        assert untyped.type_name == "ZeroDivisionError"
+        assert "not wire-typed" in str(untyped)
 
-    def test_overload_errors_revive_typed_across_codecs(self):
+    def test_overload_errors_revive_typed(self):
         """Admission/overload refusals must fast-fail as *their own*
         types on the client — a shed op retried as a generic error
         would defeat the deadline-aware retry policies (PR 10)."""
-        for codec in ("legacy", "struct"):
-            caught = _revived_errors(codec)
-            overloaded = caught["overloaded"]
-            assert type(overloaded) is OverloadError
-            assert "server drowning" in str(overloaded)
-            assert overloaded.transient
-            shed = caught["shed"]
-            assert type(shed) is AdmissionRejected
-            assert isinstance(shed, OverloadError)
-            assert "at capacity" in str(shed)
+        caught = _revived_errors()
+        overloaded = caught["overloaded"]
+        assert type(overloaded) is OverloadError
+        assert "server drowning" in str(overloaded)
+        assert overloaded.transient
+        shed = caught["shed"]
+        assert type(shed) is AdmissionRejected
+        assert isinstance(shed, OverloadError)
+        assert "at capacity" in str(shed)

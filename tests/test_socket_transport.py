@@ -6,8 +6,9 @@ import threading
 
 import pytest
 
-from repro.exceptions import CommunicationError, ObjectNotExist
+from repro.exceptions import CommunicationError, ConfigurationError, ObjectNotExist
 from repro.orb.core import Orb, Servant
+from repro.orb.marshal import MarshalError, Marshaller
 from repro.orb.reference import ObjectRef
 from repro.orb.site import SiteFederation
 from repro.orb.socket_transport import (
@@ -20,6 +21,7 @@ from repro.orb.socket_transport import (
     _read_frame,
 )
 from repro.orb.transport import SimulatedTransport, Transport
+from repro.persistence.object_store import SegmentedFileStore
 
 
 @pytest.fixture
@@ -304,6 +306,84 @@ class TestTransportSeam:
         client.close()
         with pytest.raises(CommunicationError, match="closed"):
             client.request("server", "s", "d", b"x")
+
+
+class TestPreStructPeersAndData:
+    """Wire protocol 2 (the struct encoding) against a pre-struct build:
+    refused at HELLO in either direction, and stored data fails loudly."""
+
+    # A cell-store segment holding {"balance": 100} under "cell:acct-a",
+    # as a pre-struct build wrote it (legacy tagged encoding).
+    PRE_STRUCT_SEGMENT = (
+        b"\x00\x00\x00\x16\x00\x00\x00\x1aL\x02\x00\x00\x00S\x0b\x00\x00\x00"
+        b"cell:acct-aFM\x01\x00\x00\x00S\x07\x00\x00\x00balanceId\x00\x00\x00"
+        b"\x00\x00\x00\x00"
+    )
+    # {"balance": 100, "owner": "alice"} as a bare pre-struct blob.
+    PRE_STRUCT_BLOB = (
+        b"M\x02\x00\x00\x00S\x07\x00\x00\x00balanceId\x00\x00\x00\x00\x00\x00"
+        b"\x00S\x05\x00\x00\x00ownerS\x05\x00\x00\x00alice"
+    )
+
+    def test_server_refuses_pre_struct_dialer(self, server):
+        raw = socket.create_connection(server.address, timeout=5.0)
+        try:
+            hello = json.dumps({"version": 1, "site": "old"}).encode()
+            raw.sendall(_encode_frame(KIND_HELLO, "old", "server", hello))
+            kind, _, _, payload = _read_frame(raw)
+        finally:
+            raw.close()
+        assert kind == KIND_REPLY_ERR
+        error = json.loads(payload.decode())
+        assert error["type"] == "ConfigurationError"
+        assert "speaks 1" in error["message"]
+        assert "speaks 2" in error["message"]
+
+    def test_client_refuses_pre_struct_server(self):
+        """A peer that accepts the HELLO but answers with version 1 is
+        refused by the dialer, before any request bytes are sent."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        requests = []
+
+        def old_server():
+            conn, _ = listener.accept()
+            with conn:
+                kind, source, _, _ = _read_frame(conn)
+                reply = json.dumps({"version": 1, "site": "old"}).encode()
+                conn.sendall(_encode_frame(KIND_HELLO, "old", source, reply))
+                try:
+                    requests.append(_read_frame(conn)[0])
+                except (ConnectionError, OSError):
+                    pass
+
+        thread = threading.Thread(target=old_server, daemon=True)
+        thread.start()
+        client = SocketTransport("client")
+        client.connect_peer("old", listener.getsockname()[:2])
+        client.start()
+        try:
+            with pytest.raises(ConfigurationError) as caught:
+                client.request("old", "s", "d", Marshaller().encode("x"))
+            thread.join(5.0)
+        finally:
+            client.close()
+            listener.close()
+        assert "peer old speaks 1" in str(caught.value)
+        assert "this site speaks 2" in str(caught.value)
+        assert requests == []
+        assert not client._idle.get("old")
+
+    def test_pre_struct_blob_names_the_cause(self):
+        with pytest.raises(MarshalError, match="pre-struct build"):
+            Marshaller().decode(self.PRE_STRUCT_BLOB)
+
+    def test_pre_struct_store_fails_loudly_on_open(self, tmp_path):
+        with open(tmp_path / "seg-00000001.log", "wb") as handle:
+            handle.write(self.PRE_STRUCT_SEGMENT)
+        with pytest.raises(MarshalError, match="pre-struct build"):
+            SegmentedFileStore(str(tmp_path))
 
 
 class TestExceptionOnlyTheServerCanType:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.context import ActivityContext
 from repro.core.signals import Outcome, Signal
-from repro.orb.marshal import GLOBAL_REGISTRY, marshal_roundtrip
+from repro.orb.marshal import GLOBAL_REGISTRY, Marshaller, marshal_roundtrip
 from repro.ots.propagation import TransactionContext
 from repro.util.profiling import (
     AllocationProbe,
@@ -114,8 +114,10 @@ class TestConvertedWireRecords:
             "property_refs",
         ]
 
-    @pytest.mark.parametrize("codec", ["legacy", "struct"])
+    # The struct encoding is the only codec left; its case keeps its id.
+    @pytest.mark.parametrize("codec", ["struct"])
     def test_roundtrip_both_codecs(self, codec):
+        marshaller = Marshaller()
         for value in [
             Signal("s", "ss", {"payload": [1, 2.5]}, "d-9"),
             Outcome.error(("why",)),
@@ -123,7 +125,9 @@ class TestConvertedWireRecords:
             TransactionContext("tid-1"),
             CoordinationContext("c1", "wscf:atomic-outcome", "domA"),
         ]:
-            assert marshal_roundtrip(value, codec=codec) == value
+            # Struct tags live in 0x80-0x8F, disjoint from pre-struct data.
+            assert 0x80 <= marshaller.encode(value)[0] <= 0x8F, codec
+            assert marshal_roundtrip(value) == value
 
 
 class TestAllocationProfiling:
