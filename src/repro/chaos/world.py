@@ -394,6 +394,10 @@ class ChaosWorld:
             return
         for kind_media in media.values():
             kind_media[index].heal()
+        # The domain's next replication round re-admits the healed disk
+        # (a site daemon runs one every serve-loop pass), so an idle log
+        # does not keep it latched DOWN until the next write happens by.
+        self.domains[name].replication_catch_up()
 
     def disk_wipe(self, name: str, index: int) -> bool:
         """Replica ``index``'s disks are replaced with empty ones; the

@@ -8,26 +8,30 @@ two-phase commit:
 1. ``before_completion`` synchronizations (a failure forces rollback);
 2. phase one: every registered resource votes; VoteReadOnly participants
    drop out, any VoteRollback aborts the rest;
-3. the commit decision and the participants' recovery keys are *forced to
-   the write-ahead log* before phase two (the recovery manager finishes
-   phase two after a coordinator crash);
+3. the commit decision, the participants' recovery keys and the local
+   resources' intentions are *forced to the write-ahead log* as one
+   record before phase two (the recovery manager finishes phase two
+   from it after a coordinator crash);
 4. phase two: commit each remaining resource (retrying transient
    communication failures, collecting heuristic outcomes);
 5. a completion record is logged *unforced*, ``after_completion`` runs,
    locks release.
 
-Durable writes: one per phase per store, one forced log record.  While a
-prepare / commit / rollback sweep runs, the store writes of the local
-resources (:meth:`TransactionFactory.stage_write`) are collected in a
-:class:`_SweepWrites` and land as one ``apply_batch`` per distinct store
+Durable writes: one forced log record, then one store write per store.
+Phase one writes nothing: a local resource hands its intention to the
+transaction (:meth:`TransactionFactory.stage_intention`) and the forced
+``tx_commit_decision`` carries them all, so a no-vote — or a crash
+before the force — leaves nothing durable behind.  While a commit /
+rollback sweep runs, the store writes of the local resources
+(:meth:`TransactionFactory.stage_write`) are collected in a
+:class:`SweepWrites` and land as one ``put_many`` per distinct store
 when the sweep ends.  Nothing is acknowledged before that write returns:
-a vote counts, a resource is marked completed, and the decision or
-completion record is logged only afterwards.  A phase-one sweep that ends
-in a no-vote drops its staged intentions, so an aborted transaction
-writes nothing.  ``tx_commit_decision`` is forced; ``tx_completed`` rides
-the next force (see :meth:`TransactionFactory.log_completion`) and, being
-appended after the phase-two write returned, can never become durable
-before the installs it covers.
+a resource is marked completed and ``tx_completed`` is appended only
+afterwards, so that record — which rides the next force (see
+:meth:`TransactionFactory.log_completion`) — can never become durable
+before the installs it covers.  A failed decision force leaves the
+transaction ``PREPARED`` and unable to roll back until
+:meth:`Transaction.redrive` forces the decision again.
 
 Nested (sub)transactions never touch the log: their commit provisionally
 hands resources, locks and synchronizations to the parent, per the
@@ -41,7 +45,7 @@ between any two protocol steps to reproduce coordinator failures.
 from __future__ import annotations
 
 import threading
-from typing import Any, ClassVar, List, Optional, Set, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import CommunicationError
 from repro.orb.reference import ObjectRef
@@ -144,28 +148,28 @@ class _ParticipantRound:
         return call_participant(participant, self.operation)
 
 
-class _SweepWrites:
+class SweepWrites:
     """The store writes local resources hand over during one sweep.
 
-    While the sweep is open (``with``), the factory routes this
-    transaction's :meth:`~TransactionFactory.stage_write` calls here,
-    and each is attributed to the resource being called on that thread
-    (:meth:`call`).  :meth:`flush` then makes one ``apply_batch`` per
-    distinct store, resources in sweep order and every put ahead of
-    every remove: a store that keeps only a prefix of the batch across
-    a crash still holds the intention record of each cell whose state
-    it missed.  Leaving the block on an exception drops what was staged,
-    which is what the crash being simulated would have done.
+    While the sweep is open (``with``) it is registered under ``tid`` in
+    the log's :class:`~repro.ots.recovery.LogIndex`, so every
+    :meth:`~TransactionFactory.stage_write` for that transaction lands
+    here, attributed to the resource being called on that thread
+    (:meth:`call`).  :meth:`flush` then makes one ``put_many`` per
+    distinct store, resources in sweep order.  Leaving the block on an
+    exception drops what was staged, which is what the crash being
+    simulated would have done.  Opened around each commit and rollback
+    sweep, and by recovery around each replayed transaction.
     """
 
-    def __init__(self, tx: "Transaction", records: List[ResourceRecord]) -> None:
-        self._open, self._tid = tx.factory._open_sweeps, tx.tid
+    def __init__(self, log: Any, tid: str, records: Sequence[ResourceRecord] = ()) -> None:
+        self._open, self._tid = log.open_sweeps, tid
         self._order = {id(record): position for position, record in enumerate(records)}
         self._calling = threading.local()
-        self._staged: List[Tuple[ResourceRecord, Any, Any, Any]] = []
+        self._staged: List[Tuple[Optional[ResourceRecord], Any, Any]] = []
         self.returned: List[ResourceRecord] = []  # calls that did not raise
 
-    def __enter__(self) -> "_SweepWrites":
+    def __enter__(self) -> "SweepWrites":
         self._open[self._tid] = self
         return self
 
@@ -179,30 +183,33 @@ class _SweepWrites:
         self.returned.append(record)
         return result
 
-    def stage(self, store: Any, puts: Any, removes: Any) -> None:
-        self._staged.append((self._calling.record, store, puts, removes))
+    def stage(self, store: Any, puts: Any) -> None:
+        self._staged.append((getattr(self._calling, "record", None), store, puts))
 
-    def flush(self) -> Tuple[List[ResourceRecord], Optional[Exception]]:
+    def flush(self) -> Tuple[List[Optional[ResourceRecord]], Optional[Exception]]:
         """Land the staged writes; returns the resources whose store
         write failed and the first such failure."""
         by_store: dict = {}
-        self._staged.sort(key=lambda staged: self._order[id(staged[0])])
-        for record, store, puts, removes in self._staged:
-            _, all_puts, all_removes, records = by_store.setdefault(
-                id(store), (store, {}, [], [])
-            )
+        self._staged.sort(key=lambda staged: self._order.get(id(staged[0]), 0))
+        for record, store, puts in self._staged:
+            _, all_puts, records = by_store.setdefault(id(store), (store, {}, []))
             all_puts.update(puts)
-            all_removes.extend(removes)
             records.append(record)
-        failed: List[ResourceRecord] = []
+        failed: List[Optional[ResourceRecord]] = []
         error: Optional[Exception] = None
-        for store, puts, removes, records in by_store.values():
+        for store, puts, records in by_store.values():
             try:
-                store.apply_batch(puts, removes)
+                store.put_many(puts)
             except Exception as exc:  # noqa: BLE001 - reported to the caller
                 failed.extend(records)
                 error = error or exc
         return failed, error
+
+    def land(self) -> None:
+        """Flush a replay's writes, raising the first failure."""
+        _, error = self.flush()
+        if error is not None:
+            raise error
 
 
 class Transaction:
@@ -229,6 +236,10 @@ class Transaction:
         self._subtran_aware: List[Any] = []
         self._synchronizations: List[Any] = []
         self._heuristics: List[HeuristicException] = []
+        # recovery key -> [version, value], staged in phase one.
+        self._intentions: Dict[str, Any] = {}
+        # (recovery keys, intentions) once handed to the log.
+        self._decision: Optional[Tuple[List[str], Optional[Dict[str, Any]]]] = None
         # Armed wheel timer for this transaction's deadline (factory
         # timer-wheel mode); cancelled when the transaction finishes.
         self._expiry_timer: Optional[Any] = None
@@ -282,6 +293,21 @@ class Transaction:
 
     def get_status(self) -> TransactionStatus:
         return self.status
+
+    @property
+    def decided(self) -> bool:
+        """True once the commit decision has been handed to the log —
+        even if its force failed: from then on only commit finishes it."""
+        return self._decision is not None
+
+    def intentions(self) -> Dict[str, Any]:
+        """The intentions of this transaction's yes-voters, by recovery
+        key in registration order: what its forced record carries."""
+        return {
+            record.recovery_key: self._intentions[record.recovery_key]
+            for record in self._resources
+            if record.vote is Vote.COMMIT and record.recovery_key in self._intentions
+        }
 
     # -- registration -------------------------------------------------------------
 
@@ -398,13 +424,11 @@ class Transaction:
             # Everyone was read-only: committed with no phase two, no log.
             self._finish(TransactionStatus.COMMITTED)
             return
-        # Force the commit decision before telling anyone to commit.  Under
-        # group commit this blocks on a force shared with every concurrent
-        # committer in the window, not a private one.
+        # Force the commit decision (with the intentions) before telling
+        # anyone to commit.  Under group commit this blocks on a force
+        # shared with every concurrent committer in the window.
         self.factory.failpoints.hit("before_commit_log")
-        self.factory.log_commit_decision(
-            self.tid, [r.recovery_key for r in committers if r.recovery_key]
-        )
+        self._log_decision(self.intentions())
         self.factory.failpoints.hit("after_commit_log")
         # Phase two.
         self.status = TransactionStatus.COMMITTING
@@ -480,8 +504,9 @@ class Transaction:
         The decision is logged in *this* domain's WAL before any local
         resource commits, so a crash here is resolved by this domain's
         own recovery manager; completion is logged afterwards (replayed
-        idempotently).  Heuristic outcomes raise exactly as a local
-        commit would — the superior digests them like any participant's.
+        idempotently); its intentions are already in ``subtx_prepared``.
+        Heuristic outcomes raise exactly as a local commit would — the
+        superior digests them like any participant's.
 
         Retryable: a COMMITTED transaction is a no-op, and a COMMITTING
         one (a phase-two pass that failed part-way) is re-driven over
@@ -493,9 +518,7 @@ class Transaction:
             return  # idempotent: the superior may retry phase two
         if self.status is TransactionStatus.PREPARED:
             committers = [r for r in self._resources if r.vote is Vote.COMMIT]
-            self.factory.log_commit_decision(
-                self.tid, [r.recovery_key for r in committers if r.recovery_key]
-            )
+            self._log_decision(None)
             self.status = TransactionStatus.COMMITTING
         elif self.status is TransactionStatus.COMMITTING:
             # Decision already durable; finish the interrupted pass.
@@ -517,6 +540,20 @@ class Transaction:
         if self.status.is_terminal:
             return
         self.rollback()
+
+    def _log_decision(self, intentions: Optional[Dict[str, Any]]) -> None:
+        """Force the commit decision.  From here on the transaction is
+        :attr:`decided`: should the force fail, the record may still
+        reach the disk with a later force, so it stays ``PREPARED`` (a
+        subordinate polling its status keeps holding) until
+        :meth:`redrive` forces the decision again."""
+        keys = [
+            record.recovery_key
+            for record in self._resources
+            if record.vote is Vote.COMMIT and record.recovery_key
+        ]
+        self._decision = (keys, intentions)
+        self.factory.log_commit_decision(self.tid, keys, intentions)
 
     def _commit_one_phase(self, record: ResourceRecord, report_heuristics: bool) -> None:
         self.status = TransactionStatus.COMMITTING
@@ -563,26 +600,14 @@ class Transaction:
     def _gather_votes(self, live: List[ResourceRecord]) -> Optional[ResourceRecord]:
         """Phase one over ``live`` (serial or fanned out); returns the
         pivoting no-voter, if any — shared by the top-level commit and
-        the interposed (subordinate) prepare."""
-        with _SweepWrites(self, live) as sweep:
-            if self._participant_workers(len(live)) > 1:
-                rollback_voter = self._gather_votes_parallel(live, sweep)
-            else:
-                rollback_voter = self._gather_votes_serial(live, sweep)
-        if rollback_voter is not None:
-            return rollback_voter  # aborting: the staged intentions are never written
-        failed, _ = sweep.flush()
-        for record in failed:
-            # Its intention record is not durable, so its vote cannot
-            # count: treated like a prepare that raised.
-            record.vote = Vote.ROLLBACK
-            record.prepare_failed = True
-            self.factory.event_log.record("tx_vote", tid=self.tid, vote=record.vote.name)
-        return failed[0] if failed else None
+        the interposed (subordinate) prepare.  It writes nothing: local
+        resources stage their intentions on this transaction, and an
+        abort simply never logs them."""
+        if self._participant_workers(len(live)) > 1:
+            return self._gather_votes_parallel(live)
+        return self._gather_votes_serial(live)
 
-    def _gather_votes_serial(
-        self, live: List[ResourceRecord], sweep: _SweepWrites
-    ) -> Optional[ResourceRecord]:
+    def _gather_votes_serial(self, live: List[ResourceRecord]) -> Optional[ResourceRecord]:
         """Classic phase one: one prepare at a time, stop at the first no."""
         log = self.factory.event_log
         round_ = self._round("prepare")
@@ -590,7 +615,7 @@ class Transaction:
             self.factory.failpoints.hit("before_prepare")
             try:
                 round_.prime(record.participant)
-                record.vote = sweep.call(record, round_.call, record.participant)
+                record.vote = round_.call(record.participant)
             except (CommunicationError, Exception) as exc:
                 if isinstance(exc, SimulatedCrash):
                     raise
@@ -601,9 +626,7 @@ class Transaction:
                 return record
         return None
 
-    def _gather_votes_parallel(
-        self, live: List[ResourceRecord], sweep: _SweepWrites
-    ) -> Optional[ResourceRecord]:
+    def _gather_votes_parallel(self, live: List[ResourceRecord]) -> Optional[ResourceRecord]:
         """Phase one with concurrent prepares.
 
         Votes are digested in registration order on this thread, so the
@@ -623,7 +646,7 @@ class Transaction:
             if abandon.is_set():
                 return _NOT_ASKED
             try:
-                return sweep.call(record, round_.call, record.participant)
+                return round_.call(record.participant)
             except BaseException as exc:  # digested on the driving thread
                 return exc
 
@@ -663,14 +686,14 @@ class Transaction:
         return rollback_voter
 
     def _commit_resources(self, committers: List[ResourceRecord]) -> None:
-        with _SweepWrites(self, committers) as sweep:
+        with self.factory.sweep(self.tid, committers) as sweep:
             if self._participant_workers(len(committers)) > 1:
                 self._commit_resources_parallel(committers, sweep)
             else:
                 self._commit_resources_serial(committers, sweep)
         self._acknowledge(sweep)
 
-    def _acknowledge(self, sweep: _SweepWrites) -> None:
+    def _acknowledge(self, sweep: SweepWrites) -> None:
         """End of a commit or rollback sweep: land the staged writes,
         then mark the resources whose call returned completed.
 
@@ -687,7 +710,7 @@ class Transaction:
             raise error
 
     def _commit_resources_serial(
-        self, committers: List[ResourceRecord], sweep: _SweepWrites
+        self, committers: List[ResourceRecord], sweep: SweepWrites
     ) -> None:
         round_ = self._round("commit")
         for index, record in enumerate(committers):
@@ -709,7 +732,7 @@ class Transaction:
                 )
 
     def _commit_resources_parallel(
-        self, committers: List[ResourceRecord], sweep: _SweepWrites
+        self, committers: List[ResourceRecord], sweep: SweepWrites
     ) -> None:
         """Phase two with concurrent commits.
 
@@ -781,7 +804,7 @@ class Transaction:
         outcomes (incl. heuristics) are digested in registration order
         so the serial and parallel sweeps leave identical state.
         """
-        with _SweepWrites(self, records) as sweep:
+        with self.factory.sweep(self.tid, records) as sweep:
             if self._participant_workers(len(records)) > 1:
                 self._rollback_resources_parallel(records, sweep)
             else:
@@ -809,7 +832,7 @@ class Transaction:
         return exc
 
     def _rollback_resources_serial(
-        self, records: List[ResourceRecord], sweep: _SweepWrites
+        self, records: List[ResourceRecord], sweep: SweepWrites
     ) -> None:
         round_ = self._round("rollback")
         for record in records:
@@ -824,7 +847,7 @@ class Transaction:
                 raise fatal
 
     def _rollback_resources_parallel(
-        self, records: List[ResourceRecord], sweep: _SweepWrites
+        self, records: List[ResourceRecord], sweep: SweepWrites
     ) -> None:
         """Rollback sweep with concurrent participant calls.
 
@@ -903,6 +926,8 @@ class Transaction:
     def rollback(self) -> None:
         if self.status.is_terminal:
             raise Inactive(f"transaction {self.tid} already completed")
+        if self.decided:
+            raise Inactive(f"transaction {self.tid} has logged its commit decision")
         self.status = TransactionStatus.ROLLING_BACK
         # Roll back live children first, deepest work first.
         for child in self.children:
@@ -931,15 +956,20 @@ class Transaction:
         (refuses non-ACTIVE) nor timeout expiry (the deadline already
         did its job) will ever touch again.  Both sweeps skip completed
         resources, so once the store heals, re-entering them finishes
-        the interrupted outcome.  Returns True once terminal; raises
-        whatever the retried participants raise.
+        the interrupted outcome.  A failed decision force strands it
+        decided in ``PREPARED``: the decision is forced again first.
+        Returns True once terminal; raises whatever the retried
+        participants or the log raise.
         """
         if self.status.is_terminal:
             return True
+        if self.status is TransactionStatus.PREPARED and self._decision is not None:
+            self.factory.log_commit_decision(self.tid, *self._decision)
+            self.status = TransactionStatus.COMMITTING
         if self.status is TransactionStatus.ROLLING_BACK:
             self.rollback()
         elif self.status is TransactionStatus.COMMITTING:
-            records = [r for r in self._resources if not r.completed]
+            records = [r for r in self._resources if r.vote is Vote.COMMIT and not r.completed]
             if len(self._resources) == 1 and self._resources[0].vote is None:
                 # Interrupted one-phase commit: the participant decides,
                 # so the retry is the same one-phase call.
@@ -964,6 +994,9 @@ class Transaction:
 
     def _finish(self, status: TransactionStatus) -> None:
         self.status = status
+        # The registry may keep a finished transaction; its intentions
+        # are durable or moot by now, so their values are not kept.
+        self._intentions = self._decision = None
         self.factory.lock_manager.release_all(self)
         for synchronization in self._synchronizations:
             try:

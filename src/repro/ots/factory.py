@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.config import FactoryConfig
 from repro.exceptions import ConfigurationError, ReproError
-from repro.ots.coordinator import Control, Transaction
+from repro.ots.coordinator import Control, SweepWrites, Transaction
 from repro.ots.exceptions import InvalidTransaction, SimulatedCrash
 from repro.ots.locks import LockManager
+from repro.ots.recovery import LogIndex
 from repro.ots.status import TransactionStatus
 from repro.persistence.wal import GroupCommitWAL, WriteAheadLog
 from repro.util.admission import AdmissionGate, build_gate
@@ -80,8 +81,9 @@ class TransactionFactory:
     :meth:`log_commit_decision` (forced — where the batching takes
     effect) and :meth:`log_completion` (unforced: it rides the next
     force; who forces the tail, and why losing it is safe, is stated
-    there).  Local resources make their store writes through
-    :meth:`stage_write`, which is how one phase of one transaction
+    there).  Local resources hand over their phase-one intentions
+    through :meth:`stage_intention` and make their store writes through
+    :meth:`stage_write`, which is how phase two of one transaction
     becomes one write per store.
 
     ``parallel_participants`` bounds how many participants a transaction
@@ -124,6 +126,7 @@ class TransactionFactory:
                 )
             wal.window = group_commit_window
         self.wal = wal
+        self._log = LogIndex.of(wal)
         self.group_commit_window = getattr(wal, "window", None)
         self.event_log = (
             event_log
@@ -143,8 +146,6 @@ class TransactionFactory:
         # rollback) over remote participants encodes its request body
         # once per ORB and patches only the target per call.
         self.marshal_once = config.marshal_once
-        # tid -> the coordinator's open sweep (see stage_write).
-        self._open_sweeps: dict = {}
         self._participant_pool = ReentrantWorkerPool(
             config.parallel_participants, thread_name_prefix="participants"
         )
@@ -202,12 +203,17 @@ class TransactionFactory:
 
     # -- durable logging ----------------------------------------------------
 
-    def log_commit_decision(self, tid: str, recovery_keys: List[str]):
+    def log_commit_decision(
+        self, tid: str, recovery_keys: List[str], intentions: Optional[Dict[str, Any]] = None
+    ):
         """Force the commit decision (and any unforced completion records
         ahead of it); under group commit the force is shared with every
-        other transaction inside the batching window."""
+        other transaction inside the batching window.  ``intentions``
+        (recovery key -> ``[version, value]``) become durable with it; a
+        subordinate's are already in its ``subtx_prepared``."""
+        extra = {"intentions": intentions} if intentions else {}
         return self.wal.append(
-            "tx_commit_decision", tid=tid, recovery_keys=recovery_keys
+            "tx_commit_decision", tid=tid, recovery_keys=recovery_keys, **extra
         )
 
     def log_completion(self, tid: str, **extra: Any):
@@ -218,27 +224,44 @@ class TransactionFactory:
         (:meth:`FederatedTransactionService.retire_completed`) and site
         shutdown force whatever tail is left.  Presumed abort never needs
         the end record durable: a crash that loses it leaves a decision
-        without a completion, which boot-time recovery replays — a no-op
-        on resources whose intention records are already gone — and
-        completes again.  Callers append it only after the phase-two
-        store write returned, so it cannot outrun the installs it covers.
+        without a completion, which boot-time recovery replays and
+        completes again — installing nothing, since every intention the
+        decision carries is at or below the stored install version (also
+        after a later one-phase commit, which logs nothing).  Callers
+        append it only after the phase-two store write returned, so it
+        cannot outrun the installs it covers.
         """
         return self.wal.append_volatile("tx_completed", tid=tid, **extra)
 
+    def log_index(self) -> LogIndex:
+        """The incremental index of this factory's log, brought up to
+        date (reads only the records forced since the previous look)."""
+        return self._log.refresh()
+
     # -- durable resource state ---------------------------------------------
 
-    def stage_write(self, tid: str, store: Any, puts: Any, removes: Any = ()) -> None:
+    def stage_intention(self, tid: str, key: str, version: int, value: Any) -> None:
+        """Hand transaction ``tid`` a local resource's phase-one intention:
+        install ``value`` as version ``version`` of ``key``.  Nothing is
+        written; the transaction's forced record carries it."""
+        self.get(tid)._intentions[key] = [version, value]
+
+    def stage_write(self, tid: str, store: Any, puts: Any) -> None:
         """The one durable write path of a local resource of ``tid``.
 
-        While the coordinator has a protocol sweep open for ``tid`` the
-        write joins that sweep's per-store batch; otherwise (one-phase
-        commit, recovery replay) it is applied here and now.
+        While a sweep is open for ``tid`` (the coordinator's phase two or
+        rollback, a recovery replay) the write joins its per-store
+        batch; otherwise (one-phase commit) it is applied here and now.
         """
-        sweep = self._open_sweeps.get(tid)
+        sweep = self._log.open_sweeps.get(tid)
         if sweep is None:
-            store.apply_batch(puts, removes)
+            store.put_many(puts)
         else:
-            sweep.stage(store, puts, removes)
+            sweep.stage(store, puts)
+
+    def sweep(self, tid: str, records: Any = ()) -> SweepWrites:
+        """A sweep collecting ``tid``'s store writes (open it with ``with``)."""
+        return SweepWrites(self._log, tid, records)
 
     # -- parallel participant calls -----------------------------------------
 
@@ -380,7 +403,7 @@ class TransactionFactory:
 
     def _expire(self, tid: str) -> None:
         tx = self._transactions.get(tid)
-        if tx is None or tx.status.is_terminal or tx.deadline is None:
+        if tx is None or tx.status.is_terminal or tx.deadline is None or tx.decided:
             return
         if self.clock.now() >= tx.deadline:
             self.event_log.record("tx_timeout", tid=tid)
@@ -432,6 +455,7 @@ class TransactionFactory:
                 and tx.deadline is not None
                 and now > tx.deadline
                 and not tx.status.is_terminal
+                and not tx.decided
             ):
                 tx.rollback()
                 expired.append(tid)
@@ -441,7 +465,8 @@ class TransactionFactory:
         """Re-drive completions interrupted mid-sweep; returns finished tids.
 
         A durable-store failure during phase two or a rollback sweep
-        strands a transaction in ``COMMITTING``/``ROLLING_BACK`` (see
+        strands a transaction in ``COMMITTING``/``ROLLING_BACK``, a failed
+        decision force strands it decided in ``PREPARED`` (see
         :meth:`Transaction.redrive`).  This sweep retries each such
         transaction and swallows per-transaction failures — a replica
         set still below quorum just leaves the transaction for the next
@@ -449,10 +474,11 @@ class TransactionFactory:
         """
         finished = []
         for tx in self.active_transactions():
-            if tx.status not in (
+            stranded = tx.status in (
                 TransactionStatus.COMMITTING,
                 TransactionStatus.ROLLING_BACK,
-            ):
+            ) or (tx.status is TransactionStatus.PREPARED and tx.decided)
+            if not stranded:
                 continue
             try:
                 if tx.redrive():

@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import (
     CommunicationError,
@@ -63,12 +63,11 @@ from repro.ots.current import TransactionCurrent
 from repro.ots.exceptions import InvalidTransaction, TransactionRolledBack
 from repro.ots.propagation import install_transaction_service
 from repro.ots.recoverable import Recoverable, RecoverableRegistry
-from repro.ots.recovery import RecoveryManager, RecoveryReport
+from repro.ots.recovery import SUBTX_PREPARED, RecoveryManager, RecoveryReport
 from repro.ots.status import TransactionStatus, Vote
 
 FEDERATED_TX_CONTEXT_ID = _FEDERATED_CONTEXT_ID
 SERVICE_NAME = "ots_federation"
-SUBTX_PREPARED = "subtx_prepared"
 RECOVERY_SERVANT_ID = "fedrecovery"
 # Retired root tids kept as tombstones so a straggler request for a
 # resolved tree still declines adoption cheaply.  Bounded: a tombstone
@@ -152,8 +151,7 @@ class FederationRecoveryServant(Servant):
             return self._service.factory.get(tid).status
         except InvalidTransaction:
             pass
-        _, decided, _ = self._service._wal_index()
-        if tid in decided:
+        if tid in self._service.factory.log_index().decided:
             return TransactionStatus.COMMITTED
         return TransactionStatus.ROLLED_BACK
 
@@ -291,9 +289,9 @@ class RecoveredSubordinateResource(Servant):
     """A subordinate rebuilt from durable state after its domain crashed.
 
     The live transaction object is gone; what survives is the
-    ``subtx_prepared`` WAL record (local tid + recovery keys) and the
-    participants' own prepared state in the domain store.  Phase two
-    from the superior replays through the domain's recoverable registry.
+    ``subtx_prepared`` WAL record: local tid, recovery keys and the local
+    cells' intentions.  Phase two from the superior replays through the
+    domain's recoverable registry.
     """
 
     def __init__(
@@ -334,65 +332,6 @@ class RecoveredSubordinateResource(Servant):
 
     def get_status(self) -> TransactionStatus:
         return TransactionStatus.PREPARED
-
-
-_Prepared = Dict[str, Tuple[str, List[str], Optional[str]]]
-
-
-class _WalIndex:
-    """What the service asks of its domain's log, kept current by reading
-    only the records forced since the last look.
-
-    ``prepared`` maps root tid to ``(local tid, recovery keys, root
-    domain)`` from ``subtx_prepared`` records, ``decided`` maps the tid
-    of each ``tx_commit_decision`` to its recovery keys and ``completed``
-    holds the ``tx_completed`` tids.  The containers only grow between
-    resets; callers read them and never write.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._wal: Any = None
-        self._generation = -1
-        self._reset()
-
-    def _reset(self) -> None:
-        self._upto = 0
-        self.prepared: _Prepared = {}
-        self.decided: Dict[str, List[str]] = {}
-        self.completed: Set[str] = set()
-
-    def refresh(self, wal: Any) -> "_WalIndex":
-        """Index the records ``wal`` gained since the last call.
-
-        A new ``wal.generation`` (truncate, promotion) or a new log
-        object means history may have been rewritten under the index:
-        start over from the first record.
-        """
-        with self._lock:
-            while True:
-                generation = wal.generation
-                if wal is not self._wal or generation != self._generation:
-                    self._wal, self._generation = wal, generation
-                    self._reset()
-                fresh = wal.records(after=self._upto)
-                if wal.generation == generation:
-                    break
-            for record in fresh:
-                payload = record.payload
-                if record.kind == SUBTX_PREPARED:
-                    self.prepared[payload["root"]] = (
-                        payload["tid"],
-                        list(payload.get("recovery_keys", [])),
-                        payload.get("root_domain"),
-                    )
-                elif record.kind == "tx_commit_decision":
-                    self.decided[payload["tid"]] = list(payload.get("recovery_keys", []))
-                elif record.kind == "tx_completed":
-                    self.completed.add(payload["tid"])
-            if fresh:
-                self._upto = fresh[-1].lsn
-        return self
 
 
 class FederatedTransactionService:
@@ -436,7 +375,6 @@ class FederatedTransactionService:
         self._adopted_at: Dict[str, float] = {}
         self._resolved: "OrderedDict[str, None]" = OrderedDict()
         self._lock = threading.Lock()
-        self._index = _WalIndex()
         self.adoptions = 0
         bridge.register_service(self.domain_id, SERVICE_NAME, self)
         self._activate_recovery_servant()
@@ -559,14 +497,17 @@ class FederatedTransactionService:
             if record.vote is Vote.COMMIT and record.recovery_key
         ]
         # root_domain rides along so a recovered subordinate knows whom
-        # to ask about the outcome (resolve_in_doubt); records written by
-        # older versions lack it and simply hold until the superior calls.
+        # to ask about the outcome (resolve_in_doubt); a record without
+        # one simply holds until the superior calls.  The intentions of
+        # the local cells make this the subordinate's only durable write
+        # of phase one.
         self.factory.wal.append(
             SUBTX_PREPARED,
             root=root_tid,
             tid=tx.tid,
             recovery_keys=keys,
             root_domain=root_domain,
+            intentions=tx.intentions(),
         )
         # In-memory only (not replayed): ages answered by
         # in_doubt_ages() restart from the recovery pass after a crash,
@@ -576,17 +517,11 @@ class FederatedTransactionService:
     def log_resolved(self, local_tid: str) -> None:
         """Mark a prepared subordinate resolved by rollback: once forced
         (with the next record, or by the housekeeping round) the
-        completion record supersedes its ``subtx_prepared`` entry.  If a
-        crash loses it first, recovery re-exports the subordinate as held
-        in-doubt and the superior's presumed-abort answer resolves it
-        again — its intention records are already gone."""
+        completion record supersedes its ``subtx_prepared`` entry and the
+        intentions it carries.  If a crash loses it first, recovery
+        re-exports the subordinate as held in-doubt and the superior's
+        presumed-abort answer resolves it again."""
         self.factory.log_completion(local_tid, rolled_back=True)
-
-    def _wal_index(self) -> Tuple[_Prepared, Dict[str, List[str]], Set[str]]:
-        """(prepared, decided, completed) of this domain's log, read-only;
-        costs O(records forced since the previous call)."""
-        index = self._index.refresh(self.factory.wal)
-        return index.prepared, index.decided, index.completed
 
     # -- per-domain crash recovery ----------------------------------------------------
 
@@ -612,9 +547,10 @@ class FederatedTransactionService:
         if node.crashed:
             node.restart()
         self._activate_recovery_servant()  # restart dropped transient servants
-        prepared, decided, completed = self._wal_index()
+        index = self.factory.log_index()
+        decided, completed = index.decided, index.completed
         held: List[str] = []
-        for root_tid, (local_tid, keys, root_domain) in sorted(prepared.items()):
+        for root_tid, (local_tid, keys, root_domain) in sorted(index.prepared.items()):
             if local_tid in completed:
                 continue
             if local_tid not in decided:
@@ -638,11 +574,11 @@ class FederatedTransactionService:
         # Look again (O(new records)) and snapshot: dispatch threads may
         # have logged since, and may extend the live index while the
         # recovery pass iterates.
-        _, decided, completed = self._wal_index()
-        decisions = dict(decided)
+        index = self.factory.log_index()
+        decisions = dict(index.decided)
         self._rebuild_subordinate_proxies(decisions)
         return RecoveryManager(self.factory.wal, self.registry).resolve(
-            decisions, set(completed), hold=held
+            decisions, set(index.completed), hold=held
         )
 
     def _rebuild_subordinate_proxies(self, decisions: Dict[str, List[str]]) -> None:
@@ -667,7 +603,8 @@ class FederatedTransactionService:
         pass that re-held the record) — the chaos triage signal for
         "this superior never came back"."""
         now = self.factory.clock.now()
-        _, decided, completed = self._wal_index()
+        index = self.factory.log_index()
+        decided, completed = index.decided, index.completed
         ages: Dict[str, float] = {}
         with self._lock:
             for root_tid, res in self._adopted.items():
@@ -710,7 +647,7 @@ class FederatedTransactionService:
         yet — so an idle domain does not sit on it indefinitely.
         """
         self.factory.wal.force()
-        _, _, completed = self._wal_index()
+        completed = self.factory.log_index().completed
         retired = 0
         with self._lock:
             for root_tid, res in list(self._adopted.items()):
@@ -820,7 +757,8 @@ class FederatedTransactionService:
         ``aborted`` or ``held``.  Safe to call repeatedly; replay is
         idempotent and races with superior-driven completion are benign.
         """
-        _, decided, completed = self._wal_index()
+        index = self.factory.log_index()
+        decided, completed = index.decided, index.completed
         candidates: List[Tuple[str, Optional[str], str, List[str]]] = []
         with self._lock:
             for root_tid, res in self._adopted.items():
@@ -885,23 +823,25 @@ class FederatedTransactionService:
     # -- idempotent downward replay -----------------------------------------------------
 
     def replay_commit(self, local_tid: str, recovery_keys: List[str]) -> bool:
-        _, decided, completed = self._wal_index()
-        if local_tid in completed:
+        """Commit a recovered subordinate from its logged intentions: one
+        forced decision (unless logged already), one store write."""
+        index = self.factory.log_index()
+        if local_tid in index.completed:
             return True
-        if local_tid not in decided:
-            self.factory.wal.append(
-                "tx_commit_decision", tid=local_tid, recovery_keys=recovery_keys
-            )
-        for key in recovery_keys:
-            recoverable = self.registry.resolve(key)
-            if recoverable is not None:
-                recoverable.recover_commit(local_tid)
+        if local_tid not in index.decided:
+            self.factory.log_commit_decision(local_tid, recovery_keys)
+        with self.factory.sweep(local_tid) as sweep:
+            for key in recovery_keys:
+                recoverable = self.registry.resolve(key)
+                if recoverable is not None:
+                    recoverable.recover_commit(local_tid)
+        sweep.land()
         self.factory.log_completion(local_tid)
         self.factory.event_log.record("fed_replay_commit", tid=local_tid)
         return True
 
     def replay_abort(self, local_tid: str, recovery_keys: List[str]) -> bool:
-        _, _, completed = self._wal_index()
+        completed = self.factory.log_index().completed
         for key in recovery_keys:
             recoverable = self.registry.resolve(key)
             if recoverable is not None:

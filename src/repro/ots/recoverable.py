@@ -8,10 +8,18 @@ one lockable, recoverable unit of state with:
 - strict two-phase read/write locking through the factory's lock manager;
 - per-transaction workspaces (deferred update), merged upward when a
   subtransaction commits (the retained-resources model);
-- two-phase commit participation with presumed-abort recovery: prepared
-  values are staged in an object store, so a crash between prepare and
-  commit is resolved by the recovery manager from the store + WAL;
-- idempotent phase-two operations, as recovery may replay them.
+- two-phase commit participation with presumed-abort recovery: prepare
+  writes nothing, it hands the transaction an *intention* (the new value
+  and an install version, committed version + 1, stamped under the write
+  lock) that becomes durable inside the record the coordinator forces.
+  The store holds only ``cell:<key>`` = ``[version, value]``; a
+  one-phase commit bumps the version too;
+- idempotent phase-two operations: a replay installs a logged intention
+  only over an older stored version, so never over a later install.
+
+A cell built after a crash learns from the factory's log index the
+intentions still open for it, so strict two-phase locking survives the
+restart before recovery has run.
 
 A :class:`RecoverableRegistry` maps recovery keys to live cells so the
 recovery manager can find participants again after a restart.
@@ -80,23 +88,23 @@ class TransactionalCell(Recoverable):
         self.factory = factory
         self.store = store
         self._committed = initial
+        self._version = 0  # install version of _committed
         self._workspaces: Dict[str, Any] = {}
-        self._prepared: Dict[str, Any] = {}
+        # tid -> [version, value]: prepared, outcome not yet applied here.
+        self._prepared: Dict[str, List[Any]] = {}
         self._enlisted_top: Set[str] = set()
         self._enlisted_sub: Set[str] = set()
-        if store is not None and store.contains(self._state_key()):
-            self._committed = store.get(self._state_key())
         if store is not None:
-            # Durable intention records left by a previous incarnation are
-            # still-held write locks: the prepared transaction's outcome is
-            # undecided, so its lock must be re-established here even though
-            # the lock manager's in-memory state died with the old process.
-            prefix = f"prepared:{self.key}:"
-            for stored in store.keys():
-                if stored.startswith(prefix):
-                    self._prepared.setdefault(
-                        stored[len(prefix):], store.get(stored)
-                    )
+            self._version, self._committed = store.get_or(
+                self._state_key(), [0, initial]
+            )
+            # Logged intentions newer than the stored state are still-held
+            # write locks: undecided (a held subordinate) or decided but
+            # not yet installed, so the lock is re-established here even
+            # though the lock manager's memory died with the old process.
+            for tid, state in factory.log_index().open_intentions(key):
+                if state[0] > self._version:
+                    self._prepared[tid] = state
         if registry is not None:
             registry.register(key, self)
 
@@ -104,9 +112,6 @@ class TransactionalCell(Recoverable):
 
     def _state_key(self) -> str:
         return f"cell:{self.key}"
-
-    def _prepared_key(self, tid: str) -> str:
-        return f"prepared:{self.key}:{tid}"
 
     # -- application interface --------------------------------------------------
 
@@ -146,11 +151,10 @@ class TransactionalCell(Recoverable):
         A prepared-but-undecided value is neither the old state nor the
         new one.  While the preparing process is alive its write lock
         blocks conflicting access; after a crash-restart the lock
-        manager's memory is gone but the intention record in the store
-        is not, so strict two-phase locking has to be enforced from the
-        durable record itself — otherwise a later transaction could
-        commit over the cell and the eventual ``recover_commit`` would
-        stomp it with the stale prepared snapshot.
+        manager's memory is gone but the logged intention is not, so
+        strict two-phase locking has to be enforced from the durable
+        record itself — otherwise a later transaction could commit over
+        the cell while the outcome is still open.
         """
         top = tx.top_level.tid
         holders = [tid for tid in self._prepared if tid != top]
@@ -184,76 +188,72 @@ class TransactionalCell(Recoverable):
 
     # -- top-level completion (driven by _CellResource) -------------------------------
 
-    def _write(self, tid: str, puts: Dict[str, Any], removes: Tuple[str, ...] = ()) -> None:
-        """Every durable write of this cell: handed to the transaction
-        service, which batches it with the sweep ``tid`` has open or
-        applies it at once (:meth:`TransactionFactory.stage_write`)."""
-        if self.store is not None:
-            self.factory.stage_write(tid, self.store, puts, removes)
-
     def _prepare(self, tid: str) -> Vote:
         if tid not in self._workspaces:
             self._enlisted_top.discard(tid)
             return Vote.READONLY
-        staged = self._workspaces[tid]
-        self._prepared[tid] = staged
-        self._write(tid, {self._prepared_key(tid): staged})
+        # The write lock is held: no other install can come in between.
+        state = self._prepared[tid] = [self._version + 1, self._workspaces[tid]]
+        if self.store is not None:
+            self.factory.stage_intention(tid, self.key, *state)
         return Vote.COMMIT
 
-    def _commit(self, tid: str) -> None:
-        if tid in self._prepared:
-            self._install(tid, self._prepared.pop(tid))
-        elif self.store is not None and self.store.contains(self._prepared_key(tid)):
-            # Recovery path: the in-memory stage was lost in a crash.
-            self._install(tid, self.store.get(self._prepared_key(tid)))
+    def _intention(self, tid: str) -> Optional[List[Any]]:
+        """``tid``'s ``[version, value]`` for this cell: the in-memory
+        stage, or — when a crash or an earlier, failed phase-two pass
+        lost that — the one its forced record carries."""
+        state = self._prepared.get(tid)
+        if state is None and self.store is not None:
+            state = self.factory.log_index().intention(tid, self.key)
+        return state
 
-    def _install(self, tid: str, value: Any) -> None:
-        self._committed = value
+    def _commit(self, tid: str) -> None:
+        state = self._intention(tid)
+        if state is not None:
+            self._install(tid, *state)
+
+    def _install(self, tid: str, version: int, value: Any) -> None:
+        self._version, self._committed = version, value
         self._workspaces.pop(tid, None)
         self._prepared.pop(tid, None)
         self._enlisted_top.discard(tid)
-        # State first: if only a prefix of the write survives a crash,
-        # the intention record is still there and replaying the commit
-        # installs the same value again.
-        self._write(tid, {self._state_key(): value}, (self._prepared_key(tid),))
+        if self.store is not None:
+            self.factory.stage_write(tid, self.store, {self._state_key(): [version, value]})
 
     def _rollback(self, tid: str) -> None:
         self._workspaces.pop(tid, None)
         self._prepared.pop(tid, None)
         self._enlisted_top.discard(tid)
-        if self.store is not None and self.store.contains(self._prepared_key(tid)):
-            self._write(tid, {}, (self._prepared_key(tid),))
 
     def _commit_one_phase(self, tid: str) -> None:
         if tid in self._workspaces:
-            self._install(tid, self._workspaces.pop(tid))
+            self._install(tid, self._version + 1, self._workspaces.pop(tid))
 
     # -- Recoverable ----------------------------------------------------------------
 
     def recover_commit(self, tid: str) -> bool:
-        if self.store is not None and self.store.contains(self._prepared_key(tid)):
-            self._install(tid, self.store.get(self._prepared_key(tid)))
-            return True
-        if tid in self._prepared:
-            self._install(tid, self._prepared.pop(tid))
-            return True
-        return False
+        """Install ``tid``'s intention unless the stored state is already
+        at (or past) its version: the replay of a transaction whose
+        completion record was lost, or that a later install overtook."""
+        state = self._intention(tid)
+        self._prepared.pop(tid, None)
+        if state is None or state[0] <= self._stored_version():
+            return False
+        self._install(tid, *state)
+        return True
+
+    def _stored_version(self) -> int:
+        if self.store is None:
+            return self._version
+        return self.store.get_or(self._state_key(), [0])[0]
 
     def recover_abort(self, tid: str) -> bool:
-        had = tid in self._prepared or (
-            self.store is not None and self.store.contains(self._prepared_key(tid))
-        )
+        had = tid in self._prepared
         self._rollback(tid)
         return had
 
     def list_in_doubt(self) -> List[str]:
-        in_doubt = set(self._prepared)
-        if self.store is not None:
-            prefix = f"prepared:{self.key}:"
-            for stored in self.store.keys():
-                if stored.startswith(prefix):
-                    in_doubt.add(stored[len(prefix):])
-        return sorted(in_doubt)
+        return sorted(self._prepared)
 
     def __repr__(self) -> str:
         return f"TransactionalCell({self.key!r}={self._committed!r})"

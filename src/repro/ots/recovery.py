@@ -1,38 +1,144 @@
 """Crash recovery for the transaction service (presumed abort).
 
-After a coordinator crash, the write-ahead log holds zero or one
-``tx_commit_decision`` record per transaction that reached the end of
-phase one.  Recovery:
+Nothing of a transaction is durable before the one record phase one
+forces — ``tx_commit_decision`` at a root, ``subtx_prepared`` at a
+subordinate — and that record carries the transaction's *intentions*:
+each local cell's new state with its install version.  Recovery:
 
 - transactions *with* a decision but no ``tx_completed`` record are
   re-committed: each recovery key is resolved through the
   :class:`~repro.ots.recoverable.RecoverableRegistry` and
-  ``recover_commit`` replayed (idempotent);
+  ``recover_commit`` replayed — one store write per transaction;
 - prepared state belonging to a transaction *without* a decision record
-  is presumed aborted and discarded.
+  is presumed aborted and discarded (a crashed root leaves none).
 
-What the log guarantees recovery: ``tx_commit_decision`` (and a
-subordinate's ``subtx_prepared``) are forced before anyone acts on them.
-``tx_completed`` is not — the coordinator appends it unforced after the
-phase-two store write returned and it rides the next force (the next
-decision, the deployment's housekeeping round, site shutdown; see
-:meth:`~repro.ots.factory.TransactionFactory.log_completion`).  A crash
-therefore finds the last few committed transactions decided but not
-completed.  Losing that tail is safe: their installs are already durable
-and their intention records gone, so the replay below applies nothing
-(``recommitted[tid] == []``) and writes the completion again, this time
-with a force.  A decided transaction whose install write was cut short
-still has its intention records — the coordinator writes every put of
-a phase ahead of every tombstone — and replays to the committed values.
+``tx_completed`` is not forced: it rides the next force (see
+:meth:`~repro.ots.factory.TransactionFactory.log_completion`), so a
+crash finds the last few committed transactions decided but not
+completed.  Losing that tail is safe because a replay installs a logged
+intention only over an *older* stored version: their installs are
+durable, so the replay applies nothing (``recommitted[tid] == []``) —
+even where a later one-phase commit, which logs nothing but bumps the
+version, has installed over the same cell since — and writes the
+completion again.  A decided transaction whose install write was cut
+short replays to the committed values.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.ots.coordinator import SweepWrites
 from repro.ots.recoverable import RecoverableRegistry
 from repro.persistence.wal import GroupCommitWAL, WriteAheadLog
+
+SUBTX_PREPARED = "subtx_prepared"
+
+_Prepared = Dict[str, Tuple[str, List[str], Optional[str]]]
+
+
+class LogIndex:
+    """What the transaction service asks of one write-ahead log, kept
+    current by reading only the records forced since the last look.
+
+    One index per log object (:meth:`of`), shared by every reader in
+    the process: the factory, its cells, the federated service and the
+    recovery manager.  ``prepared`` maps root tid to ``(local tid,
+    recovery keys, root domain)`` from ``subtx_prepared`` records,
+    ``decided`` maps each ``tx_commit_decision`` tid to its recovery
+    keys, ``completed`` holds the ``tx_completed`` tids, and
+    ``intentions`` maps a tid to the intentions its forced record carried
+    (``{cell key: [version, value]}``) until its completion is indexed.
+    Callers read the containers and never write them.
+
+    ``open_sweeps`` maps a tid to the :class:`SweepWrites` collecting
+    its store writes right now.  It lives here, per log, because the
+    recovery manager knows the log but not the factory of the cells.
+    """
+
+    _instances: "weakref.WeakKeyDictionary[Any, LogIndex]" = weakref.WeakKeyDictionary()
+    _instances_lock = threading.Lock()
+
+    def __init__(self, wal: Any) -> None:
+        self._wal = weakref.ref(wal)  # the index must not keep its log alive
+        self._lock = threading.Lock()
+        self._generation = -1
+        self.open_sweeps: Dict[str, SweepWrites] = {}
+        self._reset()
+
+    @classmethod
+    def of(cls, wal: Any) -> "LogIndex":
+        """The index of ``wal`` (created on first use, not refreshed)."""
+        with cls._instances_lock:
+            index = cls._instances.get(wal)
+            if index is None:
+                index = cls._instances[wal] = cls(wal)
+            return index
+
+    def _reset(self) -> None:
+        self._upto = 0
+        self.prepared: _Prepared = {}
+        self.decided: Dict[str, Sequence[str]] = {}
+        self.completed: Set[str] = set()
+        self.intentions: Dict[str, Dict[str, Any]] = {}
+
+    def refresh(self) -> "LogIndex":
+        """Index the records the log gained since the last call.
+
+        A new ``wal.generation`` (truncate, re-open, promotion) means
+        history may have been rewritten under the index: start over from
+        the first record.
+        """
+        wal = self._wal()
+        with self._lock:
+            while True:
+                generation = wal.generation
+                if generation != self._generation:
+                    self._generation = generation
+                    self._reset()
+                fresh = wal.records(after=self._upto)
+                if wal.generation == generation:
+                    break
+            for record in fresh:
+                payload = record.payload
+                tid = payload.get("tid")
+                if record.kind == SUBTX_PREPARED:
+                    self.prepared[payload["root"]] = (
+                        tid,
+                        list(payload.get("recovery_keys", [])),
+                        payload.get("root_domain"),
+                    )
+                elif record.kind == "tx_commit_decision":
+                    self.decided[tid] = list(payload.get("recovery_keys", []))
+                elif record.kind == "tx_completed":
+                    self.completed.add(tid)
+                    self.intentions.pop(tid, None)
+                    if tid in self.decided:
+                        self.decided[tid] = ()  # the tid answers status; keys are moot
+                    continue
+                if payload.get("intentions"):
+                    self.intentions[tid] = payload["intentions"]
+            if fresh:
+                self._upto = fresh[-1].lsn
+        return self
+
+    def intention(self, tid: str, key: str) -> Optional[List[Any]]:
+        """``[version, value]`` logged for cell ``key`` by unfinished ``tid``."""
+        with self._lock:
+            return self.intentions.get(tid, {}).get(key)
+
+    def open_intentions(self, key: str) -> List[Tuple[str, List[Any]]]:
+        """``(tid, [version, value])`` of every unfinished transaction
+        whose forced record carries an intention for cell ``key``."""
+        with self._lock:
+            return [
+                (tid, states[key])
+                for tid, states in self.intentions.items()
+                if key in states
+            ]
 
 
 @dataclass
@@ -54,12 +160,13 @@ class RecoveryReport:
 class RecoveryManager:
     """Drives post-crash resolution of in-doubt transactions.
 
-    Completion records written during recovery are batched: each
-    recommitted transaction's ``tx_completed`` is appended volatile and a
-    single shared force makes the whole pass durable.  A crash mid-pass
-    just means the next pass replays the same idempotent work.
-    ``group_commit_window`` tunes the batching window when the supplied
-    log is a :class:`~repro.persistence.wal.GroupCommitWAL`.
+    Each recommitted transaction's installs land as one store write per
+    store (a :class:`SweepWrites` is open around its replay), and its
+    ``tx_completed`` is appended volatile: a single shared force at the
+    end makes the whole pass durable.  A crash mid-pass just means the
+    next pass replays the same idempotent work.  ``group_commit_window``
+    tunes the batching window when the supplied log is a
+    :class:`~repro.persistence.wal.GroupCommitWAL`.
     """
 
     def __init__(
@@ -88,16 +195,8 @@ class RecoveryManager:
         superior's decision (or an operator) may resolve it.  Held tids
         are reported in :attr:`RecoveryReport.held`.
         """
-        decisions: Dict[str, List[str]] = {}
-        completed: Set[str] = set()
-        for record in self.wal.records():
-            if record.kind == "tx_commit_decision":
-                decisions[record.payload["tid"]] = list(
-                    record.payload.get("recovery_keys", [])
-                )
-            elif record.kind == "tx_completed":
-                completed.add(record.payload["tid"])
-        return self.resolve(decisions, completed, hold)
+        index = LogIndex.of(self.wal).refresh()
+        return self.resolve(dict(index.decided), set(index.completed), hold)
 
     def resolve(
         self,
@@ -105,12 +204,13 @@ class RecoveryManager:
         completed: Set[str],
         hold: Optional[Iterable[str]] = None,
     ) -> RecoveryReport:
-        """The recovery pass proper, for a caller that has already read
-        the log: ``decisions`` maps each ``tx_commit_decision`` tid to
-        its recovery keys, ``completed`` holds the ``tx_completed``
-        tids (:meth:`recover` builds both with one scan)."""
+        """The recovery pass proper, over a snapshot of the log's
+        :class:`LogIndex`: ``decisions`` maps each
+        ``tx_commit_decision`` tid to its recovery keys, ``completed``
+        holds the ``tx_completed`` tids."""
         held = frozenset(hold) if hold is not None else frozenset()
         report = RecoveryReport()
+        log = LogIndex.of(self.wal)
 
         # Finish phase two for decided-but-incomplete transactions.  The
         # tx_completed records ride one batched force at the end of the
@@ -120,13 +220,15 @@ class RecoveryManager:
             if tid in completed:
                 continue
             applied = []
-            for key in keys:
-                recoverable = self.registry.resolve(key)
-                if recoverable is None:
-                    report.unresolved_keys.append(key)
-                    continue
-                if recoverable.recover_commit(tid):
-                    applied.append(key)
+            with SweepWrites(log, tid) as sweep:
+                for key in keys:
+                    recoverable = self.registry.resolve(key)
+                    if recoverable is None:
+                        report.unresolved_keys.append(key)
+                        continue
+                    if recoverable.recover_commit(tid):
+                        applied.append(key)
+            sweep.land()
             self.wal.append_volatile("tx_completed", tid=tid, recovered=True)
             flushed = True
             report.recommitted[tid] = applied

@@ -66,19 +66,6 @@ class ObjectStore(abc.ABC):
         for uid, state in dict(items).items():
             self.put(uid, state)
 
-    def apply_batch(self, puts: BatchItems, removes: Iterable[str] = ()) -> None:
-        """Record ``puts``, then delete each uid in ``removes`` that exists.
-
-        The base implementation is :meth:`put_many` followed by one
-        :meth:`remove` per key; :class:`SegmentedFileStore` lands the
-        puts and the tombstones in a single append + fsync.
-        """
-        if puts:
-            self.put_many(puts)
-        for uid in removes:
-            if self.contains(uid):
-                self.remove(uid)
-
     def get_or(self, uid: str, default: Any = None) -> Any:
         return self.get(uid) if self.contains(uid) else default
 
@@ -272,8 +259,8 @@ class SegmentedFileStore(ObjectStore):
     first *k* frames, for some *k* from none to all.  A single-frame
     write (every WAL force) is therefore all-or-nothing; a caller that
     batches several keys must tolerate every prefix (the cell install
-    does: its state put precedes the tombstone of the intention record,
-    and replaying the commit from either prefix installs the same value).
+    does: each cell's state carries its install version, and replaying
+    the logged intentions installs exactly the cells the prefix missed).
 
     The active segment's file handle stays open between appends (opened
     by the first one, swapped on rollover and compaction, released by
@@ -460,9 +447,6 @@ class SegmentedFileStore(ObjectStore):
         with self._write_lock:
             dead = [uid for uid in removes if uid in self._index or uid in encoded]
             self._apply_locked(encoded, dead)
-
-    def apply_batch(self, puts: BatchItems, removes: Iterable[str] = ()) -> None:
-        self.put_many(puts, removes)
 
     def _apply_locked(self, encoded: Dict[str, bytes], dead: List[str]) -> None:
         frames = [self._frame(uid, False, value) for uid, value in encoded.items()]

@@ -31,7 +31,7 @@ Layout (format 3, one key per batch)
     however long the log has grown.
 ``<name>:head``
     ``{"format": 3, "next_lsn": n, "truncated_upto": t}``: two LSN
-    watermarks, written only by ``truncate`` (and migration).  ``next_lsn``
+    watermarks, written only by ``truncate``.  ``next_lsn``
     keeps LSNs from being reissued once the records that carried them are
     gone; records at or below ``truncated_upto`` are dead even when the
     batch key that holds them survives (a batch the cut falls inside is
@@ -49,19 +49,9 @@ Durable-write sequence: ``force`` is one ``store.put`` of the batch key.
 ``truncate`` writes the head first and then removes the batch keys the
 cut covers; a crash in between leaves covered keys that the next open
 removes.  (README, "Persistence layering", tabulates every durable write
-of one committed transaction: one of its three is a force of this log —
-the decision; the completion record is appended volatile and rides the
-next force.)
-
-Migration rule: on open, a log whose head is not format 3 — format 2
-(``<name>:seg:<n>`` segments listed by the head) or format 1 (one
-``<name>:rec:<lsn>`` key per record under a ``<name>:wal:meta`` roster) —
-is rewritten in one ``put_many`` that carries every batch key and, as its
-*last* entry, the format-3 head; the legacy keys are removed afterwards.
-The head is what marks the migration done: a crash before it lands
-repeats the migration, a crash after it only repeats the key removal.
-``records``, ``durable_upto`` and the next LSN are the same over any
-origin.
+of one committed transaction: the first of its two is a force of this
+log — the decision, carrying the transaction's intentions; the
+completion record is appended volatile and rides the next force.)
 """
 
 from __future__ import annotations
@@ -148,67 +138,20 @@ class WriteAheadLog:
         self._next_lsn = 1
         self._truncated_upto = 0
         self._durable_upto = 0  # highest LSN known durable
-        prefix = f"{self._name}:"
-        legacy: List[str] = []
+        prefix = f"{self._name}:b:"
         for key in self._store.keys():
-            if not key.startswith(prefix):
-                continue
-            kind, _, rest = key[len(prefix):].partition(":")
-            if kind == "b":
-                first, _, last = rest.partition(":")
+            if key.startswith(prefix):
+                first, _, last = key[len(prefix):].partition(":")
                 self._firsts.append(int(first))
                 self._lasts.append(int(last))
-            elif kind in ("seg", "rec", "wal"):
-                legacy.append(key)
-        head = self._store.get_or(self._head_key())
-        # No head and no legacy keys: a format-3 log that never truncated.
-        if (head is None and legacy) or (head is not None and head.get("format") != 3):
-            head = self._migrate(head)
+        head = self._store.get_or(self._head_key())  # absent: never truncated
         if head is not None:
             self._next_lsn = head["next_lsn"]
             self._truncated_upto = head["truncated_upto"]
-        for key in legacy:
-            self._store.remove(key)
         self._drop_batches_upto(self._truncated_upto)  # an interrupted truncate
         if self._lasts:
             self._durable_upto = self._lasts[-1]
             self._next_lsn = max(self._next_lsn, self._durable_upto + 1)
-
-    def _migrate(self, head: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        """Rewrite a format-2 (``head`` given) or format-1 log as batches."""
-        if head is not None:
-            next_lsn = head["next_lsn"]
-            # A segment listed but never written is empty: format 2 wrote
-            # its head first.  Each segment becomes a batch of its own.
-            groups = [
-                self._store.get_or(f"{self._name}:seg:{seg_id:08d}", [])
-                for seg_id in head["segments"]
-            ]
-        else:
-            meta = self._store.get(f"{self._name}:wal:meta")
-            next_lsn = meta["next_lsn"]
-            keys = (f"{self._name}:rec:{lsn:012d}" for lsn in meta["lsns"])
-            groups = [[self._store.get(key) for key in keys if self._store.contains(key)]]
-        # Batch keys promise contiguous LSNs, so cut at every gap too.
-        runs: List[List[Dict[str, Any]]] = []
-        for group in groups:
-            for position, raw in enumerate(group):
-                if position and raw["lsn"] == runs[-1][-1]["lsn"] + 1:
-                    runs[-1].append(raw)
-                else:
-                    runs.append([raw])
-        image: Dict[str, Any] = {
-            self._batch_key(run[0]["lsn"], run[-1]["lsn"]): [
-                [raw["kind"], raw["payload"]] for raw in run
-            ]
-            for run in runs
-        }
-        new_head = {"format": 3, "next_lsn": next_lsn, "truncated_upto": 0}
-        image[self._head_key()] = new_head  # last: marks the migration done
-        self._store.put_many(image)
-        self._firsts = [run[0]["lsn"] for run in runs]
-        self._lasts = [run[-1]["lsn"] for run in runs]
-        return new_head
 
     # -- appending ----------------------------------------------------------
 

@@ -35,7 +35,8 @@ from repro.chaos.workload import OpResult
 from repro.ots import TransactionFactory, TransactionalCell
 from repro.ots.factory import FactoryConfig
 from repro.ots.locks import LockConflict
-from repro.persistence import MemoryStore
+from repro.ots.status import Vote
+from repro.persistence import MemoryStore, WriteAheadLog
 from repro.util.clock import SimulatedClock
 from repro.util.rng import SeededRng
 
@@ -149,7 +150,7 @@ class TestCheckerMutations:
         # Corrupt both memory and store so only conservation trips.
         forged = [balance + 13.0, list(ops)]
         account.cell._committed = forged
-        account.cell.store.put(account.cell._state_key(), forged)
+        account.cell.store.put(account.cell._state_key(), [account.cell._version, forged])
         violations = ConservationChecker().check(world, ledger)
         assert len(violations) == 1
         assert violations[0].checker == "conservation"
@@ -175,7 +176,7 @@ class TestCheckerMutations:
         balance, ops = account.cell.committed_value
         broken = [balance, [op for op in ops if op != "op0000"]]
         account.cell._committed = broken
-        account.cell.store.put(account.cell._state_key(), broken)
+        account.cell.store.put(account.cell._state_key(), [account.cell._version, broken])
         violations = OutcomeChecker().check(world, ledger)
         assert any(
             v.message == "committed transfer not applied on both sides"
@@ -188,7 +189,7 @@ class TestCheckerMutations:
         balance, ops = account.cell.committed_value
         doubled = [balance, list(ops) + ["op0000"]]
         account.cell._committed = doubled
-        account.cell.store.put(account.cell._state_key(), doubled)
+        account.cell.store.put(account.cell._state_key(), [account.cell._version, doubled])
         violations = OutcomeChecker().check(world, ledger)
         assert any(
             v.message == "operation applied more than once" for v in violations
@@ -217,10 +218,19 @@ class TestCheckerMutations:
 
     def test_orphan_checker_catches_a_stale_intention_record(self):
         world, ledger = quiet_world_with_ledger()
-        account = world.domain("A").accounts["a0"]
-        account.cell.store.put(
-            account.cell._prepared_key("ghost:tx-1"), [0.0, []]
+        domain = world.domain("A")
+        cell = domain.accounts["a0"].cell
+        # A durable intention nothing will ever resolve: a prepared
+        # subordinate that names no superior.
+        domain.wal.append(
+            "subtx_prepared",
+            root="ghost:tx-1",
+            tid="ghost:tx-1",
+            recovery_keys=[cell.key],
+            intentions={cell.key: [cell._version + 1, [0.0, []]]},
         )
+        world.crash("A")
+        world.restart("A")  # the rebuilt cell learns it from the log
         violations = OrphanChecker().check(world, ledger)
         assert any(
             v.message == "cell holds undecided intention records"
@@ -240,30 +250,46 @@ class TestCheckerMutations:
 
 class TestInDoubtBlocking:
     """The seed-234 regression: a durable intention survives the crash
-    and must keep blocking conflicting access in the next incarnation."""
+    and must keep blocking conflicting access in the next incarnation.
+    The intention is durable in a subordinate's forced ``subtx_prepared``
+    on the log both incarnations share."""
 
-    def build_cell(self, store, boot=1, initial=100.0):
+    def build_cell(self, wal_store, store, boot=1, initial=100.0):
         # Distinct tid prefixes per incarnation, as any real deployment
         # has (a restarted factory restarts its counter; colliding tids
         # would alias durable records across boots).
         factory = TransactionFactory(
             clock=SimulatedClock(),
+            wal=WriteAheadLog(wal_store),
             config=FactoryConfig(tid_prefix=f"b{boot}:"),
         )
         cell = TransactionalCell("acct", initial, factory, store=store)
         return factory, cell
 
-    def test_intention_record_blocks_across_restart(self):
-        store = MemoryStore()
-        factory, cell = self.build_cell(store)
+    def prepare_durably(self, factory, cell):
+        """Phase one of a subordinate, logged as its service logs it."""
         tx = factory.create()
         cell.write(tx, 60.0)
-        assert cell._prepare(tx.tid).name == "COMMIT"  # intention staged
+        assert tx.prepare_interposed() is Vote.COMMIT  # intention staged
+        factory.wal.append(
+            "subtx_prepared",
+            root=f"root-of-{tx.tid}",
+            tid=tx.tid,
+            recovery_keys=[cell.key],
+            intentions=tx.intentions(),
+        )
+        return tx
 
-        # "Crash": a fresh cell on the surviving store, no lock manager
+    def test_intention_record_blocks_across_restart(self):
+        wal_store, store = MemoryStore(), MemoryStore()
+        factory, cell = self.build_cell(wal_store, store)
+        self.prepare_durably(factory, cell)
+        assert store.keys() == ()  # nothing but the log holds it
+
+        # "Crash": a fresh cell on the surviving media, no lock manager
         # memory.  The intention is neither old nor new state, so both
         # lock modes must conflict.
-        factory2, cell2 = self.build_cell(store, boot=2)
+        factory2, cell2 = self.build_cell(wal_store, store, boot=2)
         other = factory2.create()
         with pytest.raises(LockConflict):
             cell2.read(other)
@@ -273,37 +299,31 @@ class TestInDoubtBlocking:
         assert cell2.read() == 100.0
 
     def test_resolution_unblocks_the_cell(self):
-        store = MemoryStore()
-        factory, cell = self.build_cell(store)
-        tx = factory.create()
-        cell.write(tx, 60.0)
-        cell._prepare(tx.tid)
+        wal_store, store = MemoryStore(), MemoryStore()
+        factory, cell = self.build_cell(wal_store, store)
+        tx = self.prepare_durably(factory, cell)
 
-        factory2, cell2 = self.build_cell(store, boot=2)
+        factory2, cell2 = self.build_cell(wal_store, store, boot=2)
         assert cell2.recover_commit(tx.tid) is True
         other = factory2.create()
         assert cell2.read(other) == 60.0  # decided: access flows again
         assert cell2.list_in_doubt() == []
 
     def test_presumed_abort_unblocks_the_cell(self):
-        store = MemoryStore()
-        factory, cell = self.build_cell(store)
-        tx = factory.create()
-        cell.write(tx, 60.0)
-        cell._prepare(tx.tid)
+        wal_store, store = MemoryStore(), MemoryStore()
+        factory, cell = self.build_cell(wal_store, store)
+        tx = self.prepare_durably(factory, cell)
 
-        factory2, cell2 = self.build_cell(store, boot=2)
+        factory2, cell2 = self.build_cell(wal_store, store, boot=2)
         assert cell2.recover_abort(tx.tid) is True
         other = factory2.create()
         assert cell2.read(other) == 100.0
         assert cell2.list_in_doubt() == []
 
     def test_own_transaction_is_not_blocked(self):
-        store = MemoryStore()
-        factory, cell = self.build_cell(store)
-        tx = factory.create()
-        cell.write(tx, 60.0)
-        cell._prepare(tx.tid)
+        wal_store, store = MemoryStore(), MemoryStore()
+        factory, cell = self.build_cell(wal_store, store)
+        tx = self.prepare_durably(factory, cell)
         assert cell.read(tx) == 60.0  # its own intention never conflicts
 
 

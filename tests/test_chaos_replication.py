@@ -286,6 +286,23 @@ class TestIdleInSyncReadmission:
         assert store.get("k") == 2
 
 
+class UndoRecorder:
+    """A participant whose rollback makes a durable write (an undo
+    record) through the transaction's sweep."""
+
+    def __init__(self, factory, store, tid):
+        self.factory, self.store, self.tid = factory, store, tid
+
+    def prepare(self):
+        return Vote.COMMIT
+
+    def commit(self):
+        pass
+
+    def rollback(self):
+        self.factory.stage_write(self.tid, self.store, {f"undo:{self.tid}": True})
+
+
 class TestInterruptedCompletionRedrive:
     """Seed-15 regression, part two: a rollback (or phase two) sweep
     interrupted by a store-layer failure must be re-drivable once the
@@ -300,7 +317,8 @@ class TestInterruptedCompletionRedrive:
 
     def wedge_rollback(self, media, factory, cell):
         tx = factory.create()
-        cell.write(tx, 60.0)
+        cell.write(tx, 60.0)  # a cell's rollback writes nothing durable
+        tx.register_resource(UndoRecorder(factory, cell.store, tx.tid))
         for medium in media:
             medium.fail()
         with pytest.raises(ReplicationError):
@@ -361,9 +379,11 @@ class TestInterruptedCompletionRedrive:
         assert [r.completed for r in tx.resources] == [False, False, True]
         assert killer.completed
         factory.wal.force()
-        assert [r.kind for r in factory.wal.records()] == ["tx_commit_decision"]
+        (decision,) = factory.wal.records()
+        assert decision.kind == "tx_commit_decision"
         assert not store.contains("cell:acct")  # the failed write was rolled back out
-        assert store.contains(f"prepared:acct:{tx.tid}")
+        # The intentions live in the log, not the store.
+        assert decision.payload["intentions"] == {"acct": [1, 60.0], "other": [1, 41.0]}
 
         assert factory.redrive_stuck() == []  # still below quorum
         for medium in media:
@@ -373,8 +393,9 @@ class TestInterruptedCompletionRedrive:
         assert factory.redrive_stuck() == [tx.tid]
         assert tx.status is TransactionStatus.COMMITTED
         assert all(r.completed for r in tx.resources)
-        assert (store.get("cell:acct"), store.get("cell:other")) == (60.0, 41.0)
-        assert not [key for key in store.keys() if key.startswith("prepared:")]
+        # Re-installed from the logged intentions, at their versions.
+        assert (store.get("cell:acct"), store.get("cell:other")) == ([1, 60.0], [1, 41.0])
+        assert store.keys() == ("cell:acct", "cell:other")
         factory.wal.force()
         assert [r.kind for r in factory.wal.records()] == [
             "tx_commit_decision",

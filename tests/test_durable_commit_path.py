@@ -2,11 +2,12 @@
 
 A force appends its own batch and nothing else however long the log has
 grown; a site's housekeeping round reads only the records forced since
-the previous round; a committed two-cell transfer performs three store
-flushes (one store write per phase plus the forced decision), a
-federated one seven, an aborted one none.  And the crash guarantee those
-counts lean on: a torn multi-frame append reads back as a frame prefix,
-from which the prepare and install batches recover all-or-nothing.
+the previous round; a committed two-cell transfer performs two store
+flushes (the forced decision, carrying both intentions, and one install
+batch), a federated one five, an aborted one none.  And the crash
+guarantee those counts lean on: a torn append reads back as a frame
+prefix, so the decision frame is the commit point and any prefix of the
+install batch recovers to the committed values.
 """
 
 import os
@@ -146,26 +147,30 @@ class NoVoter(Resource):
 
 
 class TestCommitPathCounts:
-    def test_two_cell_transfer_is_three_store_flushes(self, desk_site):
+    def test_two_cell_transfer_is_two_store_flushes(self, desk_site):
         runtime, transfer = desk_site
         transfer()  # first use creates the segment files
         before = flush_counts(runtime)
         forced = runtime.wal.records_forced
         transfer()
-        # 1 prepare batch (both intention records) + 1 log force (the
-        # decision) + 1 install batch (both states, then both tombstones).
-        assert flush_deltas(before, runtime) == [(1, 2, 1)]
+        # 1 log force (the decision, carrying both intentions) + 1
+        # install batch (both new states); phase one writes nothing.
+        assert flush_deltas(before, runtime) == [(1, 1, 1)]
         # That one force carried two records: the previous transfer's
         # completion and this decision; this completion waits its turn.
         assert runtime.wal.records_forced - forced == 2
-        assert [r.kind for r in runtime.wal.records()][-2:] == [
-            "tx_completed",
-            "tx_commit_decision",
-        ]
+        completion, decision = runtime.wal.records()[-2:]
+        assert (completion.kind, decision.kind) == ("tx_completed", "tx_commit_decision")
+        assert decision.payload["intentions"] == {
+            "account:acct-1": [2, 98.0],
+            "account:acct-2": [2, 102.0],
+        }
         runtime.wal.force()
         assert runtime.wal.records()[-1].kind == "tx_completed"
-        cells = runtime.cell_store
-        assert not [key for key in cells.keys() if key.startswith("prepared:")]
+        assert dict(runtime.cell_store.items()) == {
+            "cell:account:acct-1": [2, 98.0],
+            "cell:account:acct-2": [2, 102.0],
+        }
 
     def test_n_commits_and_one_tail_force(self, desk_site):
         runtime, transfer = desk_site
@@ -177,14 +182,17 @@ class TestCommitPathCounts:
         runtime.wal.force()  # nothing left: not a force
         assert runtime.wal.forces == 11
 
-    def test_federated_transfer_is_seven_store_flushes(self, two_sites):
+    def test_federated_transfer_is_five_store_flushes(self, two_sites):
         desk, far, transfer = two_sites
         transfer()
         before = flush_counts(desk, far)
         assert transfer() == {"from_balance": 98.0, "to_balance": 102.0}
-        # desk: prepare batch, decision, install batch.  far: prepare
-        # batch, subtx_prepared, its own decision, install batch.
-        assert flush_deltas(before, desk, far) == [(1, 2, 1), (2, 2, 2)]
+        # desk: decision (with its intention), install batch.  far:
+        # subtx_prepared (with its intention), its own decision, install.
+        assert flush_deltas(before, desk, far) == [(1, 1, 1), (2, 1, 2)]
+        prepared, decision = far.wal.records()[-2:]
+        assert prepared.payload["intentions"] == {"account:acct-2": [2, 102.0]}
+        assert "intentions" not in decision.payload
 
     def test_overdrawn_transfer_writes_nothing(self, desk_site):
         runtime, transfer = desk_site
@@ -300,63 +308,61 @@ class TestTornBatchIsAFramePrefix:
             assert again.torn_frames_dropped == 0
 
     def test_coordinator_batches_are_all_or_nothing_at_every_cut(self, tmp_path):
-        """One committed two-cell transaction is two appends to the cell
-        store: the prepare batch (2 frames) and the install batch (2
-        puts, then 2 tombstones).  Cut the file at every byte, pair it
-        with the log as it stood at that moment, recover: no cut in the
-        prepare batch commits anything, no cut in the install batch
-        loses either value."""
-        root = str(tmp_path / "cells")
-        log_store = MemoryStore()
+        """One committed two-cell transaction writes one log frame before
+        any install: the forced decision, carrying both intentions; the
+        completion frame follows the install.  Cut the log file at every
+        byte and pair it with the cell store as it stood at that moment,
+        recover: no cut short of the whole decision frame commits
+        anything, every later cut installs both values."""
+        root = str(tmp_path / "wal")
+        log_store = SegmentedFileStore(root)
         factory = TransactionFactory(wal=WriteAheadLog(log_store, "txlog"))
-        cells_store = SegmentedFileStore(root)
+        cells_store = MemoryStore()
         a, b = (TransactionalCell(key, 0, factory, store=cells_store) for key in "ab")
         tx = factory.create()
         a.write(tx, 11)
         b.write(tx, 22)
         tx.commit()
-        assert cells_store.flushes == 2
-        cells_store.close()
-        # The completion record is unforced: the store holds the log
-        # exactly as a crash any time after the decision would find it.
-        decided = dict(log_store.items())
-        assert [r.kind for r in factory.wal.records()] == ["tx_commit_decision"]
+        assert (log_store.flushes, cells_store.writes) == (1, 1)
+        installed = dict(cells_store.items())
+        assert installed == {"cell:a": [1, 11], "cell:b": [1, 22]}
+        factory.wal.force()  # the completion, appended after the install
+        log_store.close()
         with open(segment_file(root), "rb") as handle:
             full = handle.read()
-        ends = self.frame_ends(full, 0)
-        assert len(ends) == 6
-        prepared = ends[1]
+        decided, completed = self.frame_ends(full, 0)
+        assert completed == len(full)
 
-        def recovered(cut, log_image):
-            torn_root = str(tmp_path / f"cut-{cut}-{len(log_image)}")
+        def recovered(cut, cell_image):
+            torn_root = str(tmp_path / f"cut-{cut}-{len(cell_image)}")
             os.makedirs(torn_root)
             with open(os.path.join(torn_root, os.path.basename(segment_file(root))), "wb") as out:
                 out.write(full[:cut])
-            log = MemoryStore()
-            log.put_many(log_image)
+            log = SegmentedFileStore(torn_root)
             wal = WriteAheadLog(log, "txlog")
             registry = RecoverableRegistry()
-            store = SegmentedFileStore(torn_root)
+            store = MemoryStore()
+            store.put_many(cell_image)
             rebooted = TransactionFactory(wal=wal)
             cells = [
                 TransactionalCell(key, 0, rebooted, store=store, registry=registry)
                 for key in "ab"
             ]
             RecoveryManager(wal, registry).recover()
-            store.close()
-            return [cell.committed_value for cell in cells], dict(
-                SegmentedFileStore(torn_root).items()
-            )
+            log.close()
+            return [cell.committed_value for cell in cells], dict(store.items())
 
-        for cut in range(0, prepared + 1):  # crash before the decision was forced
+        for cut in range(0, decided):  # crash before the decision was forced
             assert recovered(cut, {}) == ([0, 0], {}), cut
-        for cut in range(prepared, len(full) + 1):  # decision durable
-            assert recovered(cut, decided) == ([11, 22], {"cell:a": 11, "cell:b": 22}), cut
+        for cut in range(decided, completed):  # decided, install maybe not
+            for cell_image in ({}, installed):
+                assert recovered(cut, cell_image) == ([11, 22], installed), cut
+        assert recovered(completed, installed) == ([11, 22], installed)
 
     def test_cell_install_recovers_from_every_prefix(self, tmp_path):
         """Crash right after the commit decision is logged, then tear the
-        recovery's install writes at every byte: the next recovery still
-        installs both committed values and clears the intentions."""
+        recovery's install write at every byte: the next recovery still
+        installs both committed values, each at its logged version."""
         root = str(tmp_path / "cells")
         log_store = MemoryStore()
 
@@ -385,19 +391,19 @@ class TestTornBatchIsAFramePrefix:
             tx.commit()
         cells_store.close()
         log_image = dict(log_store.items())
-        base = os.path.getsize(segment_file(root))
+        assert os.listdir(root) == []  # phase one wrote nothing to the cells
 
         # One clean recovery gives the bytes phase two appends.
         _, wal, registry, cells_store, _ = boot(root, log_image)
         flushes = cells_store.flushes
         assert RecoveryManager(wal, registry).recover().recommitted
-        assert cells_store.flushes - flushes == 2  # one write per install
+        assert cells_store.flushes - flushes == 1  # one write per recovered transaction
         cells_store.close()
         with open(segment_file(root), "rb") as handle:
             full = handle.read()
-        assert len(self.frame_ends(full, base)) == 4
+        assert len(self.frame_ends(full, 0)) == 2
 
-        for cut in range(base, len(full) + 1):
+        for cut in range(0, len(full) + 1):
             torn_root = str(tmp_path / f"cut-{cut}")
             os.makedirs(torn_root)
             with open(os.path.join(torn_root, os.path.basename(segment_file(root))), "wb") as out:
@@ -407,4 +413,4 @@ class TestTornBatchIsAFramePrefix:
             assert (a.committed_value, b.committed_value) == (11, 22), cut
             cells_store.close()
             survivor = SegmentedFileStore(torn_root)
-            assert dict(survivor.items()) == {"cell:a": 11, "cell:b": 22}, cut
+            assert dict(survivor.items()) == {"cell:a": [1, 11], "cell:b": [1, 22]}, cut

@@ -79,15 +79,14 @@ class TestFailpoints:
             tx.commit()
         # Phase two's store write lands when the sweep ends, so a crash
         # between resources finds nothing installed yet (a real crash
-        # mid-write: a prefix) and both intention records still there.
-        assert not env.cell_store.contains("cell:a")
-        assert not env.cell_store.contains("cell:b")
-        assert env.cell_store.contains(f"prepared:a:{tx.tid}")
-        assert env.cell_store.contains(f"prepared:b:{tx.tid}")
+        # mid-write: a prefix); both intentions are in the forced decision.
+        assert env.cell_store.keys() == ()
+        (decision,) = env.wal.records()
+        assert decision.payload["intentions"] == {"a": [1, 1], "b": [1, 2]}
         report = env.recover()
         assert a.read() == 1 and b.read() == 2
         assert report.recommitted[tx.tid] == ["a", "b"]
-        assert dict(env.cell_store.items()) == {"cell:a": 1, "cell:b": 2}
+        assert dict(env.cell_store.items()) == {"cell:a": [1, 1], "cell:b": [1, 2]}
 
     def test_recovery_is_idempotent(self, env):
         a = env.cell("a", 0)

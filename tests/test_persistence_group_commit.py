@@ -3,7 +3,7 @@
 These pin down the behaviours the group-commit refactor must preserve:
 truncation surviving a reopen, batch atomicity across crashes (no torn
 batches), concurrent appenders observing their own records as durable
-after a shared force, and old-layout logs replaying identically.
+after a shared force.
 """
 
 import threading
@@ -257,108 +257,6 @@ class TestConcurrentGroupCommit:
         assert isinstance(reopened, GroupCommitWAL)
         assert reopened.window == 0.123
         assert [r.kind for r in reopened.records()] == ["a"]
-
-
-def _raw(lsn, kind):
-    return {"lsn": lsn, "kind": kind, "payload": {"i": lsn}}
-
-
-# lsn 4 was handed out and lost in a crash; lsn 6 likewise, after "d".
-OLD_LOG = [(1, "a"), (2, "b"), (3, "c"), (5, "d")]
-OLD_NEXT_LSN = 7
-
-
-def _write_format1(store, name):
-    """One key per record plus a meta roster (the retired first layout)."""
-    for lsn, kind in OLD_LOG:
-        store.put(f"{name}:rec:{lsn:012d}", _raw(lsn, kind))
-    store.put(
-        f"{name}:wal:meta",
-        {"next_lsn": OLD_NEXT_LSN, "lsns": [lsn for lsn, _ in OLD_LOG]},
-    )
-
-
-def _write_format2(store, name):
-    """Bounded segments listed by a head; the last one listed but never
-    written (format 2 wrote its head before the segment)."""
-    raws = [_raw(lsn, kind) for lsn, kind in OLD_LOG]
-    store.put(f"{name}:seg:00000001", raws[:2])
-    store.put(f"{name}:seg:00000002", raws[2:])
-    store.put(
-        f"{name}:head",
-        {"format": 2, "next_lsn": OLD_NEXT_LSN, "segments": [1, 2, 3], "next_seg": 4},
-    )
-
-
-@pytest.fixture(params=["memory", "segmented"])
-def make_store(request, tmp_path):
-    """Factory for handles on one stable medium; calling it again is a
-    reopen of the same medium."""
-    memory = MemoryStore()
-
-    def make():
-        if request.param == "memory":
-            return memory
-        return SegmentedFileStore(str(tmp_path / "seg"))
-
-    return make
-
-
-class TestOldLayoutMigration:
-    @pytest.mark.parametrize("write_old", [_write_format1, _write_format2])
-    def test_old_layouts_open_identically(self, make_store, write_old):
-        store = make_store()
-        write_old(store, "log")
-        wal = WriteAheadLog(store, "log")
-        assert [(r.lsn, r.kind, r.payload) for r in wal.records()] == [
-            (lsn, kind, {"i": lsn}) for lsn, kind in OLD_LOG
-        ]
-        assert wal.durable_upto == 5
-        assert len(wal) == 4
-        # Only format-3 keys are left, and a reopen reads the same log.
-        assert all(
-            key == "log:head" or key.startswith("log:b:") for key in store.keys()
-        )
-        reopened = WriteAheadLog(make_store(), "log")
-        assert reopened.records() == wal.records()
-        assert reopened.durable_upto == 5
-        assert reopened.append("e").lsn == OLD_NEXT_LSN
-
-    @pytest.mark.parametrize("write_old", [_write_format1, _write_format2])
-    def test_old_layout_truncate_and_reopen(self, write_old):
-        store = MemoryStore()
-        write_old(store, "log")
-        wal = WriteAheadLog(store, "log")
-        assert wal.truncate(up_to_lsn=2) == 2
-        assert [r.lsn for r in wal.reopen().records()] == [3, 5]
-
-    @pytest.mark.parametrize("write_old", [_write_format1, _write_format2])
-    @pytest.mark.parametrize("removes_allowed", [0, 1])
-    def test_crash_while_removing_old_keys_finishes_on_open(
-        self, write_old, removes_allowed
-    ):
-        """The migration is one put_many ending in the format-3 head;
-        dying among the removals that follow must not migrate twice."""
-        inner = MemoryStore()
-        write_old(inner, "log")
-
-        class RemoveDies(CrashingStore):
-            budget = removes_allowed
-
-            def remove(self, uid):
-                if self.budget <= 0:
-                    raise CrashError("store crashed")
-                self.budget -= 1
-                self._inner.remove(uid)
-
-        with pytest.raises(CrashError):
-            WriteAheadLog(RemoveDies(inner, 99), "log")
-        wal = WriteAheadLog(inner, "log")
-        assert [(r.lsn, r.kind) for r in wal.records()] == OLD_LOG
-        assert all(
-            key == "log:head" or key.startswith("log:b:") for key in inner.keys()
-        )
-        assert wal.append("e").lsn == OLD_NEXT_LSN
 
 
 class TestSegmentedFileStore:
