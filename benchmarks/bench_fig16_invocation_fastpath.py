@@ -23,6 +23,12 @@ fast path off, on byte-identical wires.  The measured numbers land in
 ``results/BENCH_fig16.json``; ``check_bench_regression.py`` compares the
 machine-independent ratios against ``baselines/BENCH_fig16.json`` in CI.
 
+The churn case gates the miss path beside it: the same context with one
+key of one group rewritten before every call.  Each property group is
+its own wire frame, so a call re-encodes the changed group and the
+context's envelope, not the whole context; ``churn_byte_ratio`` (context
+size over bytes encoded per call) is deterministic and floored in CI.
+
 Quick mode (``BENCH_QUICK=1``) shrinks the sweep for CI smoke runs.
 """
 
@@ -39,6 +45,7 @@ from repro.core import (
     PropertyGroup,
     PropertyGroupManager,
 )
+from repro.core.context import build_context
 from repro.core.signals import Signal
 from repro.orb import Marshaller, Orb
 from repro.orb.core import Servant
@@ -56,6 +63,7 @@ VALUE_BYTES = 48
 MUTATE_EVERY = 4  # bump a property every k-th round: invalidation under load
 RAW_CALLS = 200 if QUICK else 600  # single-thread invocations per engine run
 RAW_GROUPS = 8  # context weight: every call re-marshals this on the baseline
+CHURN_CALLS = 200  # churned calls: deterministic byte counts, not timings
 
 
 class EchoAction(Servant):
@@ -234,15 +242,12 @@ class TestFig16InvocationFastPath:
         assert stats.context_hits > 0
 
 
-def run_raw_engine(fast_path, calls):
-    """Single-thread invocation loop under one engine configuration.
+def raw_deployment(fast_path):
+    """One echo servant and a current activity carrying the raw context.
 
-    Returns (calls_per_second, wire_sample, stats).  The workload is the
-    paper's implicit-propagation shape: every invocation carries the
-    activity context (``RAW_GROUPS`` property groups x ``KEYS_PER_GROUP``
-    keys) plus a registered Signal value — the record types the slotted
-    conversion targets.  The baseline re-marshals that context on every
-    call; the engine snapshots, interns and memoizes it.
+    The context is the paper's implicit-propagation shape: ``RAW_GROUPS``
+    property groups x ``KEYS_PER_GROUP`` keys, sent with every call.
+    Returns (orb, ref, activity).
     """
     cache = 256 if fast_path else 0
     orb = Orb(config=OrbConfig(marshal_cache_entries=cache))
@@ -265,9 +270,20 @@ def run_raw_engine(fast_path, calls):
         clock=orb.clock, property_groups=registry, fast_path=fast_path
     )
     manager.install(orb)
-    manager.current.begin("raw")
-    ref = node.activate(EchoAction())
+    activity = manager.current.begin("raw")
+    return orb, node.activate(EchoAction()), activity
 
+
+def run_raw_engine(fast_path, calls):
+    """Single-thread invocation loop under one engine configuration.
+
+    Returns (calls_per_second, wire_sample, stats).  Every invocation
+    carries the raw activity context plus a registered Signal value —
+    the record types the slotted conversion targets.  The baseline
+    re-marshals that context on every call; the engine snapshots,
+    interns and memoizes it.
+    """
+    orb, ref, _ = raw_deployment(fast_path)
     wire_sample = []
     original_deliver = orb.transport.deliver
 
@@ -337,3 +353,62 @@ class TestFig16RawEngineThroughput:
             f"floor ({engine_rate:.0f} vs {off_rate:.0f} calls/s)"
         )
         assert marshal.decode_hits > 0  # memoized frame decode is firing
+
+
+def run_churn(fast_path, calls=CHURN_CALLS):
+    """``calls`` invocations, each after rewriting one key of one group.
+
+    Returns (wire, bytes_encoded_per_call, context_bytes): every request
+    on the wire, the marshaller's fresh bytes per call (request and
+    reply, cache hits excluded), and the encoded size of the context.
+    """
+    orb, ref, activity = raw_deployment(fast_path)
+    churned = activity.get_property_group("pg0")
+    signal = Signal("notify", "raw", {"seq": 1})
+    ref.invoke("process_signal", signal)  # first build outside the count
+    wire = []
+    original_deliver = orb.transport.deliver
+
+    def recording_deliver(source, target, request_bytes, dispatch):
+        wire.append(request_bytes)
+        return original_deliver(source, target, request_bytes, dispatch)
+
+    orb.transport.deliver = recording_deliver
+    marshal = orb.transport.stats.marshal
+    marshal.reset()
+    for call in range(calls):
+        churned.set_property("k0", f"{call:0{VALUE_BYTES}d}")
+        ref.invoke("process_signal", signal)
+    context_bytes = len(Marshaller().encode(build_context(activity, cache=False)))
+    return wire, marshal.bytes_encoded / calls, context_bytes
+
+
+class TestFig16ChurnMissPath:
+    def test_one_changed_group_reencodes_one_group(self, emit):
+        """With one key of one of ``RAW_GROUPS`` groups rewritten per
+        call, a call encodes about one group's bytes plus the envelope,
+        on the same wire bytes as the engine off."""
+        engine_wire, per_call, context_bytes = run_churn(True)
+        off_wire, off_per_call, _ = run_churn(False)
+        assert engine_wire == off_wire
+        ratio = context_bytes / per_call
+        emit(
+            "fig16",
+            [
+                "fig 16 — churned context, one key of one of "
+                f"{RAW_GROUPS} groups rewritten per call ({CHURN_CALLS} calls):",
+                f"  context size            : {context_bytes} B",
+                f"  bytes encoded per call  : {per_call:.0f} B engine, "
+                f"{off_per_call:.0f} B caches off",
+                f"  per call / context size : {per_call / context_bytes:.3f} "
+                f"(churn_byte_ratio {ratio:.2f}x)",
+            ],
+            data={
+                "churn_calls": CHURN_CALLS,
+                "churn_context_bytes": context_bytes,
+                "churn_bytes_encoded_per_call": per_call,
+                "churn_byte_ratio": ratio,
+            },
+        )
+        # One group of eight plus the envelope: well under a quarter.
+        assert ratio >= 4.0

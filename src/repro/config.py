@@ -143,8 +143,8 @@ class OrbConfig(_BaseConfig):
     """Tuning values for one :class:`~repro.orb.core.Orb`.
 
     marshal_cache_entries
-        Bound on the marshaller's encode cache for interned value types
-        (activity/transaction contexts); ``0`` disables it and the
+        Bound on the marshaller's encode cache, in activity/transaction
+        contexts (group frames are not counted); ``0`` disables it and the
         decode cache (every message re-encodes and re-decodes its full
         tree — the pre-fast-path behaviour).  Default 256: enough for
         the per-activity context churn the benchmarks exercise without

@@ -20,13 +20,18 @@ remote-proxy groups make the vector untrackable and disable caching for
 that activity.  Disable the whole path with
 ``ActivityManager(fast_path=False)`` or per-call via
 ``build_context(activity, cache=False)``.
+
+Each by-value group is its own interned :class:`GroupSnapshot` frame,
+reused by a rebuilt context while the group's ``version_token()`` holds:
+one changed group re-marshals that group, not the whole context.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
+from typing import Any, ClassVar, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.property_group import (
     Propagation,
@@ -45,6 +50,37 @@ from repro.orb.reference import ObjectRef
 from repro.util.records import FrozenRecord
 
 
+class GroupSnapshot(Mapping):
+    """Read-only snapshot of one by-value property group, interned (so
+    framed, encode-cached and decode-memoized on its own).  It reads and
+    compares like the dict it wraps; item assignment raises ``TypeError``.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Mapping) -> None:
+        self._values = values if type(values) is dict else dict(values)
+
+    def __getitem__(self, key: Any) -> Any:
+        return self._values[key]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return f"GroupSnapshot({self._values!r})"
+
+
+# The wire parts are the wrapped dict itself.
+GLOBAL_REGISTRY.register_custom(
+    GroupSnapshot, lambda snapshot: snapshot._values, GroupSnapshot
+)
+GLOBAL_REGISTRY.intern_encoded(GroupSnapshot)
+
+
 @GLOBAL_REGISTRY.register_slotted
 class ActivityContext(FrozenRecord):
     """Wire form of a propagated activity association.
@@ -53,12 +89,12 @@ class ActivityContext(FrozenRecord):
     inside an activity, so its storage is ``__slots__``; ``_fields``
     keeps the original dataclass order, so the wire bytes are unchanged.
 
-    Both maps, and each group's snapshot inside ``property_values``, are
-    read-only views taken at construction: a receiver's decode cache
-    hands the same decoded context to every request that carries the
-    same frame, so a servant editing it would otherwise edit the context
-    later requests see.  A mutation raises ``TypeError`` where it
-    happens; :meth:`received_groups` gives writable copies.
+    Both maps, and each group's :class:`GroupSnapshot` inside
+    ``property_values`` (cache or no cache), are read-only: a receiver's
+    decode cache hands the same decoded context to every request that
+    carries the same frame, so a servant editing it would otherwise edit
+    the context later requests see.  A mutation raises ``TypeError``
+    where it happens; :meth:`received_groups` gives writable copies.
     """
 
     __slots__ = (
@@ -82,7 +118,7 @@ class ActivityContext(FrozenRecord):
             # group name -> snapshot (by-value groups)
             property_values=MappingProxyType(
                 {
-                    name: MappingProxyType(values)
+                    name: values if type(values) is GroupSnapshot else GroupSnapshot(values)
                     for name, values in (property_values or {}).items()
                 }
             ),
@@ -148,19 +184,22 @@ class _ContextSnapshot:
         self.context = context
 
 
-def _build_context(activity: Any) -> ActivityContext:
-    values: Dict[str, Dict[str, Any]] = {}
+def _build_context(
+    activity: Any, reuse: Mapping[str, GroupSnapshot] = MappingProxyType({})
+) -> ActivityContext:
+    values: Dict[str, GroupSnapshot] = {}
     refs: Dict[str, ObjectRef] = {}
     for group in activity.property_groups():
-        if group.propagation is Propagation.VALUE:
-            values[group.name] = group.snapshot()
-        elif group.propagation is Propagation.REFERENCE:
-            exported = getattr(group, "exported_ref", None)
-            if exported is not None:
-                refs[group.name] = exported
-            else:
-                # Un-exported by-reference groups degrade to by-value.
-                values[group.name] = group.snapshot()
+        by_reference = group.propagation is Propagation.REFERENCE
+        exported = getattr(group, "exported_ref", None) if by_reference else None
+        if exported is not None:
+            refs[group.name] = exported
+        elif group.propagation is not Propagation.NONE:
+            # By-value, or an un-exported by-reference group degraded to it.
+            snapshot = reuse.get(group.name)
+            if snapshot is None:
+                snapshot = GroupSnapshot(group.snapshot())
+            values[group.name] = snapshot
     return ActivityContext(
         activity_id=activity.activity_id,
         activity_name=activity.name,
@@ -190,7 +229,11 @@ def snapshot_context(
     )
     if snapshot is not None and snapshot.version == version:
         return snapshot.context, True, None
-    context = _build_context(activity)
+    # Reuse the snapshot of every by-value group whose token did not move.
+    kept = set(version).intersection(snapshot.version if snapshot else ())
+    previous = snapshot.context.property_values if snapshot else {}
+    reuse = {name: previous[name] for name, kind, _ in kept if kind == "val"}
+    context = _build_context(activity, reuse)
     activity._context_snapshot = _ContextSnapshot(version, context)
     return context, False, snapshot.context if snapshot is not None else None
 
@@ -207,8 +250,8 @@ class ActivityClientInterceptor(ClientRequestInterceptor):
     With ``orb`` supplied (the normal ``ActivityManager.install`` path)
     the interceptor counts snapshot hits/misses in the transport's
     marshal stats and invalidates the marshaller's interned bytes when
-    a version bump replaces a cached context.  ``cache=False`` restores
-    the rebuild-every-hop behaviour.
+    a version bump replaces a cached context (and its unreused group
+    snapshots).  ``cache=False`` restores the rebuild-every-hop behaviour.
     """
 
     name = "activity-client"
@@ -226,7 +269,10 @@ class ActivityClientInterceptor(ClientRequestInterceptor):
             context, hit, stale = snapshot_context(activity, cache=self.cache)
             if self.orb is not None:
                 if stale is not None:
-                    self.orb.marshaller.invalidate_cached(stale)
+                    kept = set(map(id, context.property_values.values()))
+                    for value in (stale, *stale.property_values.values()):
+                        if id(value) not in kept:
+                            self.orb.marshaller.invalidate_cached(value)
                 self.orb.transport.stats.marshal.note_context(hit)
             info.set_context(ACTIVITY_CONTEXT_ID, context)
 

@@ -39,7 +39,7 @@ from repro.core.signal_set import GuardedSignalSet, SignalSet
 from repro.core.signals import Outcome, Signal
 from repro.core.status import CompletionStatus
 from repro.exceptions import CommunicationError
-from repro.orb.marshal import PayloadSlot
+from repro.orb.marshal import MarshalError, PayloadSlot
 from repro.orb.reference import ObjectRef
 from repro.util.events import EventLog
 from repro.util.idgen import IdGenerator
@@ -272,9 +272,9 @@ class ActivityCoordinator:
         delivery id (and target object), so remote sends share one
         :class:`~repro.orb.core.PreparedInvocation` per ORB, built here
         on the calling thread — broadcast workers only read the map.  A
-        template that fails to build (unmarshallable payload) maps to
-        ``None`` so the send falls back to the plain path and keeps its
-        historical error semantics.
+        template whose payload cannot be marshalled (:class:`MarshalError`)
+        maps to ``None`` so the send falls back to the plain path and keeps
+        its historical error semantics; any other error propagates.
         """
         if not self.marshal_once:
             return None
@@ -294,7 +294,7 @@ class ActivityCoordinator:
                 prepared[key] = orb.prepare_invocation(
                     "process_signal", (template_signal,)
                 )
-            except Exception:  # noqa: BLE001 - fall back to plain marshalling
+            except MarshalError:
                 prepared[key] = None
         return prepared or None
 

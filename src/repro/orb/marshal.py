@@ -26,7 +26,9 @@ Invocation fast path (README "Invocation fast path"):
   bounded identity-keyed :class:`EncodeCache` — the same object instance
   encodes once and its bytes are spliced into every later message that
   carries it (activity/transaction contexts are identity-stable per
-  version, so an unchanged context stops being re-marshalled per hop);
+  version, so an unchanged context stops being re-marshalled per hop;
+  its property groups are interned frames cached with it, so a context
+  rebuilt around one changed group splices the others);
 - :class:`PayloadTemplate` (built via :meth:`Marshaller.prepare`) is the
   *marshal-once* seam: a value tree containing :class:`PayloadSlot`
   holes is encoded once, and ``fill`` patches only the per-send fields
@@ -54,6 +56,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Type,
@@ -277,109 +280,115 @@ class MarshalStats:
             }
 
 
-class EncodeCache:
+class _FrameLRU:
+    """LRU of interned frames whose ``max_entries`` bound counts only the
+    outer ones (contexts).  Frames nested in an outer frame (its property
+    groups) are put with it as its ``members``, into a second LRU: evicting
+    an outer frame drops each of its members that no later put touched,
+    and the member count of the cached outer frames bounds the rest.  A
+    context costs one entry however many groups it carries.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be at least 1")
+        self.max_entries = max_entries
+        # key -> (entry, put number, member keys) / (entry, last put number)
+        self._outer: "OrderedDict[Any, Tuple[Any, int, List[Any]]]" = OrderedDict()
+        self._nested: "OrderedDict[Any, Tuple[Any, int]]" = OrderedDict()
+        self._members = 0
+        self._puts = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: Any) -> Any:
+        """The entry under ``key``, or ``_NOT_INTERNED``."""
+        with self._lock:
+            for tier in (self._outer, self._nested):
+                if key in tier:
+                    tier.move_to_end(key)
+                    return tier[key][0]
+            return _NOT_INTERNED
+
+    def put(self, key: Any, entry: Any, members: Sequence[Tuple[Any, Any]] = ()) -> None:
+        """Cache an outer frame's ``entry`` and its ``(key, entry)`` members."""
+        with self._lock:
+            outer, nested = self._outer, self._nested
+            self._puts += 1
+            for member_key, member in members:
+                nested[member_key] = (member, self._puts)
+                nested.move_to_end(member_key)
+            keys = [member_key for member_key, _ in members]
+            self._members += len(keys) - len(outer.pop(key, (None, 0, []))[2])
+            outer[key] = (entry, self._puts, keys)
+            while len(outer) > self.max_entries:
+                _, (_, put, evicted) = outer.popitem(last=False)
+                self._members -= len(evicted)
+                for member_key in evicted:
+                    if nested.get(member_key, (None, put + 1))[1] <= put:
+                        del nested[member_key]
+            while len(nested) > self._members:
+                nested.popitem(last=False)
+
+    def invalidate(self, key: Any) -> bool:
+        with self._lock:
+            found = self._outer.pop(key, None)
+            self._members -= len(found[2]) if found else 0
+            return self._nested.pop(key, found) is not None
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._outer) + len(self._nested)
+
+
+class EncodeCache(_FrameLRU):
     """Bounded identity-keyed cache of encoded interned values.
 
     Keys are object identities (the entry pins the value, so the id
     cannot be recycled while the entry lives); eviction is LRU under a
-    hard ``max_entries`` bound, and :meth:`invalidate` drops a stale
-    value explicitly (the context snapshot machinery calls it when a
-    version bump replaces a cached context).
+    hard ``max_entries`` bound on contexts (:class:`_FrameLRU`), and
+    :meth:`invalidate` drops a stale value explicitly (the context
+    snapshot machinery calls it when a version bump replaces a cached
+    context or group snapshot).
     """
 
     def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[int, Tuple[Any, bytes]]" = OrderedDict()
-        self._lock = threading.Lock()
+        super().__init__(max_entries)
 
     def get(self, value: Any) -> Optional[bytes]:
-        key = id(value)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry[0] is not value:
-                return None
-            self._entries.move_to_end(key)
-            return entry[1]
+        entry = _FrameLRU.get(self, id(value))
+        return None if entry is _NOT_INTERNED else entry[1]
 
-    def put(self, value: Any, encoded: bytes) -> None:
-        key = id(value)
-        with self._lock:
-            self._entries[key] = (value, encoded)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+    def put(self, value: Any, encoded: bytes, members: Sequence[Tuple[Any, bytes]] = ()) -> None:
+        """Cache ``value``'s bytes and each ``(member, bytes)`` nested in it."""
+        _FrameLRU.put(self, id(value), (value, encoded), [(id(m), (m, b)) for m, b in members])
 
     def invalidate(self, value: Any) -> bool:
-        key = id(value)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry[0] is not value:
-                return False
-            del self._entries[key]
-            return True
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return super().invalidate(id(value))
 
 
-# Bound on a DecodeCache.  Its working set is the *live* contexts a
-# receiver sees at once (one per in-flight activity version), not the
-# encode cache's size: each entry pins a whole context frame plus its
-# decoded tree, so a churning sender would otherwise fill the cache with
-# dead versions.
+# Bound on a DecodeCache, in contexts.  Its working set is the *live*
+# contexts a receiver sees at once (one per in-flight activity version),
+# not the encode cache's size: each entry pins a frame plus its decoded
+# tree, so a churning sender would otherwise fill the cache with dead
+# versions.  Group frames ride with their context (:class:`_FrameLRU`).
 DECODE_CACHE_ENTRIES = 16
 
 
-class DecodeCache:
+class DecodeCache(_FrameLRU):
     """Bounded cache of decoded interned value frames.
 
-    Keyed by the frame's *exact bytes* (plus the decoding ORB's
-    identity, since decoded ObjectRefs are bound to it): an unchanged
-    context that arrives spliced into a thousand requests is decoded
-    once and the shared instance returned for the rest.  Safe by the
-    same contract that makes encode interning safe — interned types are
-    immutable value types (:class:`~repro.core.context.ActivityContext`
+    Keyed by ``(id(orb), frame bytes)`` — the frame's *exact bytes* plus
+    the decoding ORB, since decoded ObjectRefs are bound to it: an
+    unchanged context that arrives spliced into a thousand requests is
+    decoded once and the shared instance returned for the rest.  Safe by
+    the same contract that makes encode interning safe — interned types
+    are immutable value types (:class:`~repro.core.context.ActivityContext`
     makes its maps read-only), so sharing one decoded instance across
     dispatches cannot leak state between requests.
     """
 
     def __init__(self, max_entries: int = DECODE_CACHE_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[int, bytes], Any]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, orb_key: int, frame: bytes) -> Any:
-        key = (orb_key, frame)
-        with self._lock:
-            if key not in self._entries:
-                return _NOT_INTERNED
-            self._entries.move_to_end(key)
-            return self._entries[key]
-
-    def put(self, orb_key: int, frame: bytes, value: Any) -> None:
-        key = (orb_key, frame)
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(max_entries)
 
 
 class PayloadSlot:
@@ -397,12 +406,14 @@ class PayloadSlot:
 class _EncodeRun:
     """Per-top-level-encode accounting (not shared across threads)."""
 
-    __slots__ = ("reused", "hits", "misses")
+    __slots__ = ("reused", "hits", "misses", "members")
 
     def __init__(self) -> None:
         self.reused = 0
         self.hits = 0
         self.misses = 0
+        # While an interned frame encodes: (value, bytes) nested in it.
+        self.members: Optional[List[Tuple[Any, bytes]]] = None
 
 
 class PayloadTemplate:
@@ -565,6 +576,8 @@ class Marshaller:
         # from being silently undone.
         self._interned_payload_refs: Dict[int, Any] = {}
         self._interning_state = threading.local()
+        # ``members`` as on _EncodeRun, per decoding thread.
+        self._decoding = threading.local()
         self._objref_cls: Optional[Type] = None
         self._enc: Dict[Type, Callable[[Any, list, Optional[_EncodeRun]], None]] = {
             type(None): self._enc_none,
@@ -854,18 +867,26 @@ class Marshaller:
             self._encode_into(to_parts(value), out, run)
             return
         # Interned: length-framed so receivers can memoize the decode.
+        if run is None:
+            run = _EncodeRun()
         cache = self.encode_cache
+        # A list when this frame is nested in another: it joins that
+        # frame's cache entry rather than taking one of its own.
+        outer = run.members
         if cache is not None:
             cached = cache.get(value)
             if cached is not None:
                 out.append(cached)
-                if run is not None:
-                    run.reused += len(cached)
-                    run.hits += 1
+                run.reused += len(cached)
+                run.hits += 1
+                if outer is not None:
+                    outer.append((value, cached))
                 return
         sub: list = []
         self._raw_str(name, sub)
+        run.members = [] if outer is None else outer
         self._encode_into(to_parts(value), sub, run)
+        members, run.members = run.members, outer
         if any(isinstance(chunk, PayloadSlot) for chunk in sub):
             raise MarshalError(
                 f"cannot length-frame interned type {name} containing"
@@ -874,9 +895,11 @@ class Marshaller:
         body = b"".join(sub)
         blob = _P_HDR.pack(_S_FVALUE, len(body)) + body
         if cache is not None:
-            cache.put(value, blob)
-            if run is not None:
-                run.misses += 1
+            run.misses += 1
+            if outer is None:
+                cache.put(value, blob, members)
+            else:
+                outer.append((value, blob))
         out.append(blob)
 
     # -- decoding ---------------------------------------------------------
@@ -1004,7 +1027,7 @@ class Marshaller:
         _, __, from_parts = self.registry.lookup_name(name)
         try:
             return from_parts(parts), offset
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise MarshalError(f"malformed {name} parts: {exc}") from None
 
     def _dec_fvalue(self, data: memoryview, offset: int, orb: Optional[Any]):
@@ -1014,31 +1037,41 @@ class Marshaller:
         if end > len(data):
             raise MarshalError("truncated message")
         cache = self.decode_cache
-        stats = self.stats
-        if cache is not None:
-            key = bytes(data[offset:end])
-            cached = cache.get(id(orb), key)
-            if cached is not _NOT_INTERNED:
-                if stats is not None:
-                    stats.note_decode(True)
-                return cached, end
+        if cache is None:
+            return self._frame_value(data, offset, end, orb), end
+        key = (id(orb), bytes(data[offset:end]))
+        value = cache.get(key)
+        hit = value is not _NOT_INTERNED
+        # A list when this frame is nested in another: it joins that
+        # frame's cache entry rather than taking one of its own.
+        outer = getattr(self._decoding, "members", None)
+        if not hit:
+            self._decoding.members = [] if outer is None else outer
+            try:
+                value = self._frame_value(data, offset, end, orb)
+            finally:
+                members, self._decoding.members = self._decoding.members, outer
+            if outer is None:
+                cache.put(key, value, members)
+        if outer is not None:
+            outer.append((key, value))
+        if self.stats is not None:
+            self.stats.note_decode(hit)
+        return value, end
+
+    def _frame_value(self, data: memoryview, offset: int, end: int, orb: Any):
         name, inner = self._raw_str_from(data, offset)
         parts, inner = self._next(data, inner, orb)
         if inner != end:
             raise MarshalError(
                 f"framed value {name} consumed {inner - offset} bytes, "
-                f"frame declares {frame_len}"
+                f"frame declares {end - offset}"
             )
         _, __, from_parts = self.registry.lookup_name(name)
         try:
-            value = from_parts(parts)
-        except TypeError as exc:
+            return from_parts(parts)
+        except (TypeError, ValueError) as exc:
             raise MarshalError(f"malformed {name} parts: {exc}") from None
-        if cache is not None:
-            cache.put(id(orb), key, value)
-            if stats is not None:
-                stats.note_decode(False)
-        return value, end
 
 
 def marshal_roundtrip(

@@ -65,9 +65,10 @@ from repro.orb.transport import Transport, TransportStats
 from repro.util.retry import RetryPolicy
 
 # Version 2: request/reply payloads use the struct encoding of
-# repro.orb.marshal.  Both ends check it on HELLO, so a peer from an
-# older build is refused there rather than at its first request.
-PROTOCOL_VERSION = 2
+# repro.orb.marshal; version 3: each property group of an activity context
+# is its own interned frame.  Both ends check it on HELLO, so a peer from
+# an older build is refused there rather than at its first request.
+PROTOCOL_VERSION = 3
 
 KIND_HELLO = 1
 KIND_REQUEST = 2

@@ -12,6 +12,8 @@ from repro.core import (
     RecordingAction,
     SequenceSignalSet,
 )
+from repro.orb import Orb
+from repro.orb.core import Servant
 
 
 @pytest.fixture
@@ -215,3 +217,55 @@ class TestDeliveryIntegration:
         )
         assert outcome.is_done
         assert len(seen_ids) == 2 and seen_ids[0] == seen_ids[1]
+
+
+class _Unregistered:
+    """A payload type the marshal registry has never seen."""
+
+
+class _Echo(Servant):
+    def process_signal(self, signal):
+        return Outcome.done(signal.delivery_id)
+
+
+def _remote_coordinator(orb, marshal_once=True, actions=2):
+    coordinator = ActivityCoordinator("act", marshal_once=marshal_once)
+    node = orb.create_node("server")
+    for _ in range(actions):
+        coordinator.add_action("b", node.activate(_Echo()))
+    return coordinator
+
+
+class TestMarshalOnceFallback:
+    """A broadcast's pre-encoded request falls back to the plain path
+    only when the payload cannot be marshalled."""
+
+    def test_unmarshallable_payload_gives_the_same_outcomes_either_way(self):
+        results = []
+        for marshal_once in (True, False):
+            coordinator = _remote_coordinator(Orb(), marshal_once)
+            signal_set = BroadcastSignalSet(
+                "go", _Unregistered(), signal_set_name="b"
+            )
+            outcome = coordinator.process_signal_set(signal_set)
+            results.append((outcome, signal_set.responses))
+        assert results[0] == results[1]
+        outcome, responses = results[0]
+        assert outcome.is_error and len(responses) == 2
+        assert all(
+            response.is_error and "MarshalError" in response.data
+            for response in responses
+        )
+
+    def test_a_bug_while_preparing_propagates(self, monkeypatch):
+        orb = Orb()
+        coordinator = _remote_coordinator(orb)
+
+        def broken(*args, **kwargs):
+            raise AttributeError("template bug")
+
+        monkeypatch.setattr(orb, "prepare_invocation", broken)
+        with pytest.raises(AttributeError, match="template bug"):
+            coordinator.process_signal_set(
+                BroadcastSignalSet("go", signal_set_name="b")
+            )

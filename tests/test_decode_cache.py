@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import OrbConfig
 from repro.core import ActivityManager, Propagation, PropertyGroup, PropertyGroupManager
-from repro.core.context import ActivityContext, build_context
+from repro.core.context import ActivityContext, GroupSnapshot, build_context
 from repro.orb import EncodeCache, Marshaller, MarshalStats, Orb
 from repro.orb.marshal import DECODE_CACHE_ENTRIES, DecodeCache
 from repro.orb.reference import ObjectRef
@@ -52,16 +52,20 @@ class TestByValueDelivery:
         built = context()
         plain = Marshaller().encode(built)
         assert Marshaller().encode(Marshaller().decode(plain)) == plain
-        # The maps still encode as dicts: same bytes as a plain-dict tree.
+        # The maps still encode as dicts, and each group as its own frame
+        # around the dict it wraps: same bytes as that plain tree.
         as_dicts = Marshaller().encode(
             {
                 "activity_id": "a1",
                 "activity_name": "job",
-                "property_values": {"g": {"k": "v"}},
+                "property_values": {"g": GroupSnapshot({"k": "v"})},
                 "property_refs": {},
             }
         )
         assert plain.endswith(as_dicts)
+        group = Marshaller().encode(GroupSnapshot({"k": "v"}))
+        assert group.endswith(Marshaller().encode({"k": "v"}))
+        assert group in plain
 
     def test_received_groups_are_writable_copies(self):
         marshaller, _ = cached_marshaller()
@@ -77,7 +81,9 @@ class TestDecodeCache:
         shared = context()
         first = marshaller.decode(marshaller.encode(["req-1", shared]))[1]
         second = marshaller.decode(marshaller.encode(["req-2", shared]))[1]
-        assert (stats.decode_misses, stats.decode_hits) == (1, 1)
+        # The context frame and its one group frame miss once; the repeat
+        # hits the context frame and never reaches the group inside it.
+        assert (stats.decode_misses, stats.decode_hits) == (2, 1)
         assert second is first
 
     def test_version_bump_misses(self):
@@ -94,7 +100,9 @@ class TestDecodeCache:
         assert marshaller.decode(marshaller.encode(build_context(activity))) is before
         activity.get_property_group("env").set_property("locale", "fr")
         after = marshaller.decode(marshaller.encode(build_context(activity)))
-        assert (stats.decode_misses, stats.decode_hits) == (2, 1)
+        # Context + group frame miss per version; the unchanged repeat
+        # is one context-frame hit.
+        assert (stats.decode_misses, stats.decode_hits) == (4, 1)
         assert after.property_values["env"]["locale"] == "fr"
         assert before.property_values["env"]["locale"] == "en"
 
@@ -110,14 +118,17 @@ class TestDecodeCache:
         assert via_b.property_refs["g"].orb is orb_b
         # Each ORB's repeat hits its own entry, still bound to it.
         assert marshaller.decode(wire, orb_a) is via_a
-        assert (stats.decode_misses, stats.decode_hits) == (2, 1)
+        # Context + group frame miss once per ORB.
+        assert (stats.decode_misses, stats.decode_hits) == (4, 1)
 
     def test_distinct_contexts_stay_within_the_constant_bound(self):
         marshaller, stats = cached_marshaller()
         for i in range(1000):
             marshaller.decode(marshaller.encode(context(key_value=i)))
-        assert len(marshaller.decode_cache) == DECODE_CACHE_ENTRIES
-        assert stats.decode_misses == 1000
+        # The bound counts contexts; each keeps its one group frame.
+        assert len(marshaller.decode_cache) == 2 * DECODE_CACHE_ENTRIES
+        # Every context and every group frame is new.
+        assert stats.decode_misses == 2000
 
     def test_orb_sizes_the_cache_by_the_constant(self):
         assert Orb().marshaller.decode_cache.max_entries == DECODE_CACHE_ENTRIES

@@ -110,7 +110,9 @@ class TestEncodeCache:
         first = marshaller.encode(context)
         second = marshaller.encode(context)
         assert first == second
-        assert stats.cache_misses == 1
+        # The context and its one group frame each encode once; the
+        # repeat splices the context's bytes whole.
+        assert stats.cache_misses == 2
         assert stats.cache_hits == 1
         assert stats.bytes_saved >= len(first)
         # A plain marshaller decodes the cached bytes identically.
@@ -128,17 +130,21 @@ class TestEncodeCache:
         assert marshaller.invalidate_cached(context) is True
         assert marshaller.invalidate_cached(context) is False
         marshaller.encode(context)
-        assert stats.cache_misses == 2
+        # Only the context re-encodes: its group's bytes survive.
+        assert (stats.cache_misses, stats.cache_hits) == (3, 1)
 
     def test_hard_size_bound_evicts_lru(self):
         marshaller, _, cache = self.make(max_entries=4)
         contexts = [fresh_context(i) for i in range(10)]
         for context in contexts:
             marshaller.encode(context)
-        assert len(cache) == 4
+        # The bound counts contexts; each keeps its one group frame.
+        assert len(cache) == 2 * 4
         # Oldest entries are gone; re-encoding them misses but works.
         assert cache.get(contexts[0]) is None
+        assert cache.get(contexts[0].property_values["env"]) is None
         assert cache.get(contexts[-1]) is not None
+        assert cache.get(contexts[-1].property_values["env"]) is not None
 
     def test_non_interned_values_not_cached(self):
         marshaller, stats, cache = self.make()

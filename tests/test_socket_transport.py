@@ -309,8 +309,10 @@ class TestTransportSeam:
 
 
 class TestPreStructPeersAndData:
-    """Wire protocol 2 (the struct encoding) against a pre-struct build:
-    refused at HELLO in either direction, and stored data fails loudly."""
+    """Wire protocol 3 against older builds: a pre-struct peer (protocol
+    1) and a struct peer without per-group context frames (protocol 2)
+    are both refused at HELLO in either direction, and pre-struct stored
+    data fails loudly."""
 
     # A cell-store segment holding {"balance": 100} under "cell:acct-a",
     # as a pre-struct build wrote it (legacy tagged encoding).
@@ -325,10 +327,11 @@ class TestPreStructPeersAndData:
         b"\x00S\x05\x00\x00\x00ownerS\x05\x00\x00\x00alice"
     )
 
-    def test_server_refuses_pre_struct_dialer(self, server):
+    @pytest.mark.parametrize("old_version", [1, 2])
+    def test_server_refuses_pre_struct_dialer(self, server, old_version):
         raw = socket.create_connection(server.address, timeout=5.0)
         try:
-            hello = json.dumps({"version": 1, "site": "old"}).encode()
+            hello = json.dumps({"version": old_version, "site": "old"}).encode()
             raw.sendall(_encode_frame(KIND_HELLO, "old", "server", hello))
             kind, _, _, payload = _read_frame(raw)
         finally:
@@ -336,12 +339,14 @@ class TestPreStructPeersAndData:
         assert kind == KIND_REPLY_ERR
         error = json.loads(payload.decode())
         assert error["type"] == "ConfigurationError"
-        assert "speaks 1" in error["message"]
-        assert "speaks 2" in error["message"]
+        assert f"speaks {old_version}" in error["message"]
+        assert "this site speaks 3" in error["message"]
 
-    def test_client_refuses_pre_struct_server(self):
-        """A peer that accepts the HELLO but answers with version 1 is
-        refused by the dialer, before any request bytes are sent."""
+    @pytest.mark.parametrize("old_version", [1, 2])
+    def test_client_refuses_pre_struct_server(self, old_version):
+        """A peer that accepts the HELLO but answers with an older
+        version is refused by the dialer, before any request bytes are
+        sent."""
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
@@ -351,7 +356,7 @@ class TestPreStructPeersAndData:
             conn, _ = listener.accept()
             with conn:
                 kind, source, _, _ = _read_frame(conn)
-                reply = json.dumps({"version": 1, "site": "old"}).encode()
+                reply = json.dumps({"version": old_version, "site": "old"}).encode()
                 conn.sendall(_encode_frame(KIND_HELLO, "old", source, reply))
                 try:
                     requests.append(_read_frame(conn)[0])
@@ -370,8 +375,8 @@ class TestPreStructPeersAndData:
         finally:
             client.close()
             listener.close()
-        assert "peer old speaks 1" in str(caught.value)
-        assert "this site speaks 2" in str(caught.value)
+        assert f"peer old speaks {old_version}" in str(caught.value)
+        assert "this site speaks 3" in str(caught.value)
         assert requests == []
         assert not client._idle.get("old")
 
