@@ -7,7 +7,8 @@ payload N times — O(N x depth x groups) CPU per broadcast even after
 PR 2 made the fan-out concurrent.  This bench sweeps activity depth x
 property-group count x participant count and compares the fast path
 (versioned context snapshots + interned encode cache + marshal-once
-payload templates) against the rebuild-per-hop baseline.
+payload templates) against the rebuild-per-hop baseline, which is the
+same deployment under ``OrbConfig(marshal_cache_entries=0)``.
 
 Correctness is asserted, not assumed: for every configuration the raw
 request bytes on the wire, their decoded payloads, and the logical
@@ -18,8 +19,8 @@ under measurement.
 
 The raw-speed acceptance sits on top: the full hot-path engine (slotted
 records + encode/decode caches + the fast path) must sustain >= 5x the
-single-thread invocation throughput of the same encoding with caches and
-fast path off, on byte-identical wires.  The measured numbers land in
+single-thread invocation throughput of the same encoding with caches
+off, on byte-identical wires.  The measured numbers land in
 ``results/BENCH_fig16.json``; ``check_bench_regression.py`` compares the
 machine-independent ratios against ``baselines/BENCH_fig16.json`` in CI.
 
@@ -73,8 +74,8 @@ class EchoAction(Servant):
         return Outcome.done(signal.delivery_id)
 
 
-def build_deployment(fast_path, groups):
-    orb = Orb(marshal_cache_entries=256 if fast_path else 0)
+def build_deployment(caches, groups):
+    orb = Orb(config=OrbConfig(marshal_cache_entries=256 if caches else 0))
     node = orb.create_node("server")
     registry = PropertyGroupManager()
     for g in range(groups):
@@ -90,16 +91,14 @@ def build_deployment(fast_path, groups):
                 },
             ),
         )
-    manager = ActivityManager(
-        clock=orb.clock, property_groups=registry, fast_path=fast_path
-    )
+    manager = ActivityManager(clock=orb.clock, property_groups=registry)
     manager.install(orb)
     return orb, node, manager
 
 
-def run_config(fast_path, depth, groups, participants):
+def run_config(caches, depth, groups, participants):
     """Drive ROUNDS broadcasts; return (elapsed, wire, trace, stats)."""
-    orb, node, manager = build_deployment(fast_path, groups)
+    orb, node, manager = build_deployment(caches, groups)
 
     wire = []
     original_deliver = orb.transport.deliver
@@ -242,15 +241,14 @@ class TestFig16InvocationFastPath:
         assert stats.context_hits > 0
 
 
-def raw_deployment(fast_path):
+def raw_deployment(caches):
     """One echo servant and a current activity carrying the raw context.
 
     The context is the paper's implicit-propagation shape: ``RAW_GROUPS``
     property groups x ``KEYS_PER_GROUP`` keys, sent with every call.
     Returns (orb, ref, activity).
     """
-    cache = 256 if fast_path else 0
-    orb = Orb(config=OrbConfig(marshal_cache_entries=cache))
+    orb = Orb(config=OrbConfig(marshal_cache_entries=256 if caches else 0))
     node = orb.create_node("server")
     registry = PropertyGroupManager()
     for g in range(RAW_GROUPS):
@@ -266,15 +264,13 @@ def raw_deployment(fast_path):
                 },
             ),
         )
-    manager = ActivityManager(
-        clock=orb.clock, property_groups=registry, fast_path=fast_path
-    )
+    manager = ActivityManager(clock=orb.clock, property_groups=registry)
     manager.install(orb)
     activity = manager.current.begin("raw")
     return orb, node.activate(EchoAction()), activity
 
 
-def run_raw_engine(fast_path, calls):
+def run_raw_engine(caches, calls):
     """Single-thread invocation loop under one engine configuration.
 
     Returns (calls_per_second, wire_sample, stats).  Every invocation
@@ -283,7 +279,7 @@ def run_raw_engine(fast_path, calls):
     re-marshals that context on every call; the engine snapshots,
     interns and memoizes it.
     """
-    orb, ref, _ = raw_deployment(fast_path)
+    orb, ref, _ = raw_deployment(caches)
     wire_sample = []
     original_deliver = orb.transport.deliver
 
@@ -307,7 +303,7 @@ class TestFig16RawEngineThroughput:
     def test_engine_5x_over_caches_off(self, emit):
         """The full hot-path engine (slotted records + caches + fast
         path) sustains >= 5x the single-thread invocation throughput of
-        the same encoding with caches and fast path off."""
+        the same encoding with caches off."""
         off_rate = engine_rate = 0.0
         for _ in range(3):  # best-of-3: stable on noisy CI runners
             rate, off_wire, off_stats = run_raw_engine(False, RAW_CALLS)
@@ -327,7 +323,7 @@ class TestFig16RawEngineThroughput:
             "fig16",
             [
                 "fig 16 — raw invocation throughput, hot-path engine vs "
-                f"caches and fast path off ({RAW_CALLS} calls, best of 3):",
+                f"caches off ({RAW_CALLS} calls, best of 3):",
                 f"  caches off      : {off_rate:10.0f} calls/s",
                 f"  engine          : {engine_rate:10.0f} calls/s "
                 f"({per_call_us:.0f} us/call)",
@@ -355,14 +351,14 @@ class TestFig16RawEngineThroughput:
         assert marshal.decode_hits > 0  # memoized frame decode is firing
 
 
-def run_churn(fast_path, calls=CHURN_CALLS):
+def run_churn(caches, calls=CHURN_CALLS):
     """``calls`` invocations, each after rewriting one key of one group.
 
     Returns (wire, bytes_encoded_per_call, context_bytes): every request
     on the wire, the marshaller's fresh bytes per call (request and
     reply, cache hits excluded), and the encoded size of the context.
     """
-    orb, ref, activity = raw_deployment(fast_path)
+    orb, ref, activity = raw_deployment(caches)
     churned = activity.get_property_group("pg0")
     signal = Signal("notify", "raw", {"seq": 1})
     ref.invoke("process_signal", signal)  # first build outside the count

@@ -34,6 +34,7 @@ import time
 
 import pytest
 
+from repro.config import RuntimeConfig
 from repro.core import ActivityManager
 from repro.core.status import CompletionStatus
 from repro.util.events import EventLog
@@ -52,8 +53,7 @@ def build_manager(population, expiring, use_wheel):
     which are due shortly; tracing bounded so setup stays O(population)."""
     manager = ActivityManager(
         event_log=EventLog(max_events=4_096),
-        timer_wheel=use_wheel,
-        registry_shards=16,
+        config=RuntimeConfig(timer_wheel=use_wheel, registry_shards=16),
     )
     for _ in range(population - expiring):
         manager.begin(timeout=LONG_TIMEOUT)
@@ -188,7 +188,8 @@ class TestFig17RegistryThroughput:
 
     def run_churn(self, shards, threads):
         manager = ActivityManager(
-            event_log=EventLog(max_events=1_024), registry_shards=shards
+            event_log=EventLog(max_events=1_024),
+            config=RuntimeConfig(registry_shards=shards),
         )
         errors = []
 

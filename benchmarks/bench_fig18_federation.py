@@ -30,6 +30,7 @@ import os
 
 import pytest
 
+from repro.config import RuntimeConfig
 from repro.core import ActivityManager, RecordingAction
 from repro.core.signals import Outcome
 from repro.models.twopc import SET_NAME as TWOPC_SET, TwoPhaseCommitSignalSet
@@ -101,8 +102,7 @@ def run_broadcast(domains, per_domain, latency, interposed):
     parent = ActivityManager(
         clock=clock,
         event_log=EventLog(max_events=1_024),
-        federation=bridge,
-        interposition=interposed,
+        config=RuntimeConfig(federation=bridge, interposition=interposed),
     )
     parent.install(orbs[0])
     for index in range(1, domains):

@@ -3,17 +3,17 @@
 The three service constructors — :class:`~repro.orb.core.Orb`,
 :class:`~repro.core.manager.ActivityManager` and
 :class:`~repro.ots.factory.TransactionFactory` — grew a sprawl of tuning
-keywords over PRs 3–5 (fast-path switches, timer wheels, registry shards,
+keywords over PRs 3–5 (cache sizing, timer wheels, registry shards,
 federation hooks).  This module collapses each surface into one frozen,
 validated dataclass:
 
 =================  ==========================================================
 :class:`OrbConfig`       marshaller cache sizing, federation domain identity,
                          dispatch loop
-:class:`RuntimeConfig`   ActivityManager: fast path, timer wheel, shards,
+:class:`RuntimeConfig`   ActivityManager: timer wheel, shards,
                          federation/interposition switches
 :class:`FactoryConfig`   TransactionFactory: 2PC drive policy (parallelism,
-                         marshal-once, group commit), timers, shards
+                         group commit), timers, shards
 =================  ==========================================================
 
 Resources with a lifetime of their own (clocks, stores, WALs, executors,
@@ -22,18 +22,15 @@ holds *values*, not live machinery, with the deliberate exception of an
 optionally shared timer wheel / federation bridge which several services
 must point at the same instance.
 
-Every constructor still accepts the old keywords as a deprecated
-back-compat shim: legacy kwargs are folded into the config (with a
-``DeprecationWarning``), and mixing ``config=`` with a legacy keyword is
-a :class:`~repro.exceptions.ConfigurationError` — explicit beats merged.
+A constructor takes its tuning only as ``config=``; a tuning keyword
+passed directly is an unexpected keyword argument (``TypeError``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Type, TypeVar
+from typing import Any, Optional, TypeVar
 
 from repro.exceptions import ConfigurationError
 
@@ -52,7 +49,7 @@ class ConfigValidationError(ConfigurationError, ValueError):
 
 @dataclass(frozen=True)
 class _BaseConfig:
-    """Shared resolve/validate machinery for the config dataclasses."""
+    """Shared validate/replace machinery for the config dataclasses."""
 
     def __post_init__(self) -> None:
         self.validate()
@@ -63,42 +60,6 @@ class _BaseConfig:
     def replace(self: C, **changes: Any) -> C:
         """A copy with ``changes`` applied (and re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def resolve(
-        cls: Type[C],
-        config: Optional[C],
-        legacy: Dict[str, Any],
-        owner: str,
-    ) -> C:
-        """Fold deprecated constructor keywords into a config instance.
-
-        ``legacy`` is the ``**kwargs`` catch-all of the owning
-        constructor.  Unknown keys raise ``TypeError`` (same contract as
-        a real keyword argument); known keys deprecation-warn and build a
-        config, unless an explicit ``config=`` was also passed — then the
-        call is ambiguous and refused.
-        """
-        if not legacy:
-            return config if config is not None else cls()
-        field_names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(legacy) - field_names)
-        if unknown:
-            raise TypeError(
-                f"{owner}() got unexpected keyword argument(s): {', '.join(unknown)}"
-            )
-        if config is not None:
-            raise ConfigurationError(
-                f"{owner}(): pass either config= or legacy keyword(s) "
-                f"{sorted(legacy)}, not both"
-            )
-        warnings.warn(
-            f"{owner}({', '.join(sorted(legacy))}=...) is deprecated; "
-            f"pass {owner}(config={cls.__name__}(...)) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return cls(**legacy)
 
     def _require(self, ok: bool, message: str) -> None:
         if not ok:
@@ -144,9 +105,11 @@ class OrbConfig(_BaseConfig):
 
     marshal_cache_entries
         Bound on the marshaller's encode cache, in activity/transaction
-        contexts (group frames are not counted); ``0`` disables it and the
-        decode cache (every message re-encodes and re-decodes its full
-        tree — the pre-fast-path behaviour).  Default 256: enough for
+        contexts (group frames are not counted); ``0`` is the caches-off
+        reference: no encode or decode cache, no activity-context
+        snapshots and no pre-encoded request templates, so every message
+        is built, encoded and decoded in full (:attr:`Orb.caches_enabled
+        <repro.orb.core.Orb.caches_enabled>`).  Default 256: enough for
         the per-activity context churn the benchmarks exercise without
         unbounded growth.  The decode cache has a fixed bound
         (:data:`~repro.orb.marshal.DECODE_CACHE_ENTRIES`).
@@ -186,10 +149,6 @@ class OrbConfig(_BaseConfig):
 class RuntimeConfig(_BaseConfig):
     """Tuning values for one :class:`~repro.core.manager.ActivityManager`.
 
-    fast_path
-        Use versioned context snapshots + marshal-once signal payloads on
-        the signal delivery path (PR 3).  Default on; turning it off is
-        the ablation baseline.
     registry_shards
         Stripe count for the activity/timeout registries (PR 4), ≥ 1.
         Default 8: past the contention knee measured in fig16 without
@@ -220,7 +179,6 @@ class RuntimeConfig(_BaseConfig):
         unbounded (the historical default).
     """
 
-    fast_path: bool = True
     registry_shards: int = 8
     timer_wheel: Optional[Any] = None
     wheel_tick: float = 1.0
@@ -265,7 +223,7 @@ class ReplicationConfig(_BaseConfig):
         any disk is lost.
     backend
         Store kind backing each replica: ``"segmented"`` (default, the
-        append-oriented file store), ``"file"``, ``"sqlite"`` or
+        append-oriented file store), ``"sqlite"`` or
         ``"memory"`` (tests/benchmarks only — a memory replica does not
         survive the process).
     journal_limit
@@ -294,8 +252,8 @@ class ReplicationConfig(_BaseConfig):
             f"got {self.write_quorum!r} for {self.replicas} replicas",
         )
         self._require(
-            self.backend in ("memory", "file", "segmented", "sqlite"),
-            f"backend must be one of memory/file/segmented/sqlite, "
+            self.backend in ("memory", "segmented", "sqlite"),
+            f"backend must be one of memory/segmented/sqlite, "
             f"got {self.backend!r}",
         )
         self._require(
@@ -325,9 +283,6 @@ class FactoryConfig(_BaseConfig):
     parallel_participants
         Worker threads driving prepare/commit fan-out per transaction;
         ``1`` keeps the serial, trace-deterministic drive.
-    marshal_once
-        Encode each phase's request once per participant round and patch
-        per-target holes (PR 3).  On by default; off is the ablation.
     registry_shards / timer_wheel / wheel_tick
         As in :class:`RuntimeConfig`, for the transaction registry and
         the timeout wheel.
@@ -347,7 +302,6 @@ class FactoryConfig(_BaseConfig):
     retry_attempts: int = 3
     group_commit_window: Optional[float] = None
     parallel_participants: int = 1
-    marshal_once: bool = True
     registry_shards: int = 8
     timer_wheel: Optional[Any] = None
     wheel_tick: float = 1.0

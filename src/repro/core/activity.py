@@ -58,7 +58,6 @@ class Activity:
         clock: Optional[Any] = None,
         executor: Optional[Any] = None,
         action_timeout: Optional[float] = None,
-        marshal_once: bool = True,
         interposer: Optional[Any] = None,
     ) -> None:
         self.activity_id = activity_id
@@ -80,7 +79,6 @@ class Activity:
             delivery=delivery,
             executor=executor,
             action_timeout=action_timeout,
-            marshal_once=marshal_once,
             interposer=interposer,
         )
         self._signal_sets: Dict[str, SignalSet] = {}

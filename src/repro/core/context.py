@@ -17,8 +17,8 @@ reused by every hop instead of being re-marshalled.  Any mutation of a
 by-value group (version bump), attach/detach of a group, or export of a
 by-reference group changes the vector and invalidates the snapshot;
 remote-proxy groups make the vector untrackable and disable caching for
-that activity.  Disable the whole path with
-``ActivityManager(fast_path=False)`` or per-call via
+that activity.  The snapshot cache is off under the caches-off
+reference (``OrbConfig(marshal_cache_entries=0)``) or per call via
 ``build_context(activity, cache=False)``.
 
 Each by-value group is its own interned :class:`GroupSnapshot` frame,
@@ -251,17 +251,16 @@ class ActivityClientInterceptor(ClientRequestInterceptor):
     the interceptor counts snapshot hits/misses in the transport's
     marshal stats and invalidates the marshaller's interned bytes when
     a version bump replaces a cached context (and its unreused group
-    snapshots).  ``cache=False`` restores the rebuild-every-hop behaviour.
+    snapshots).  An ORB under the caches-off reference
+    (:attr:`Orb.caches_enabled`) gets a context rebuilt on every hop.
     """
 
     name = "activity-client"
 
-    def __init__(
-        self, current: Any, orb: Optional[Orb] = None, cache: bool = True
-    ) -> None:
+    def __init__(self, current: Any, orb: Optional[Orb] = None) -> None:
         self.current = current
         self.orb = orb
-        self.cache = cache
+        self.cache = orb is None or orb.caches_enabled
 
     def send_request(self, info: RequestInfo) -> None:
         activity = self.current.current_activity()

@@ -97,7 +97,6 @@ class ActivityCoordinator:
         delivery: Optional[DeliveryPolicy] = None,
         executor: Optional[BroadcastExecutor] = None,
         action_timeout: Optional[float] = None,
-        marshal_once: bool = True,
         interposer: Optional[Any] = None,
     ) -> None:
         self.activity_id = activity_id
@@ -107,9 +106,6 @@ class ActivityCoordinator:
         # Per-action outcome wait bound, enforced where the executor can
         # preempt (the thread-pool executor); None waits indefinitely.
         self.action_timeout = action_timeout
-        # Invocation fast path: encode each broadcast's request body once
-        # per ORB and patch only the delivery id / target per send.
-        self.marshal_once = marshal_once
         # Federation: when set (ActivityManager(federation=...,
         # interposition=True)), cross-domain registrations are rerouted
         # through one interposed subordinate per remote domain.
@@ -271,13 +267,12 @@ class ActivityCoordinator:
         All stamped transmissions of one broadcast differ only in their
         delivery id (and target object), so remote sends share one
         :class:`~repro.orb.core.PreparedInvocation` per ORB, built here
-        on the calling thread — broadcast workers only read the map.  A
-        template whose payload cannot be marshalled (:class:`MarshalError`)
-        maps to ``None`` so the send falls back to the plain path and keeps
-        its historical error semantics; any other error propagates.
+        on the calling thread — broadcast workers only read the map.  An
+        ORB under the caches-off reference (:attr:`Orb.caches_enabled`)
+        gets no template, and neither does a payload that cannot be
+        marshalled (:class:`MarshalError`): those sends take the plain
+        path and keep its error semantics; any other error propagates.
         """
-        if not self.marshal_once:
-            return None
         prepared: Dict[int, Any] = {}
         for record in records:
             action = record.action
@@ -286,6 +281,9 @@ class ActivityCoordinator:
             orb = action.orb
             key = id(orb)
             if key in prepared:
+                continue
+            if not orb.caches_enabled:
+                prepared[key] = None
                 continue
             try:
                 template_signal = signal.with_delivery_id(

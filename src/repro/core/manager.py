@@ -45,8 +45,7 @@ class ActivityManager:
     """Creates, tracks, recovers and distributes activities.
 
     Tuning lives in :class:`~repro.config.RuntimeConfig` (see its
-    docstring for the knobs and defaults); the old keyword arguments
-    remain as a deprecated shim.
+    docstring for the knobs and defaults).
 
     Control-plane scaling knobs:
 
@@ -81,11 +80,8 @@ class ActivityManager:
         executor: Optional[BroadcastExecutor] = None,
         action_timeout: Optional[float] = None,
         config: Optional[RuntimeConfig] = None,
-        **legacy: Any,
     ) -> None:
-        self.config = config = RuntimeConfig.resolve(
-            config, legacy, "ActivityManager"
-        )
+        self.config = config = config if config is not None else RuntimeConfig()
         self.clock = clock if clock is not None else SimulatedClock()
         self.event_log = (
             event_log
@@ -102,10 +98,6 @@ class ActivityManager:
         # (None → each coordinator defaults to the serial executor).
         self.executor = executor
         self.action_timeout = action_timeout
-        # Invocation fast path: versioned context snapshots on the client
-        # interceptor + marshal-once broadcast bodies in coordinators.
-        # False restores build-and-marshal-per-hop everywhere.
-        self.fast_path = config.fast_path
         self.store = store
         self.property_groups = (
             property_groups if property_groups is not None else PropertyGroupManager()
@@ -208,7 +200,6 @@ class ActivityManager:
                 clock=self.clock,
                 executor=executor if executor is not None else self.executor,
                 action_timeout=self.action_timeout,
-                marshal_once=self.fast_path,
                 interposer=self.interposer,
             )
             self._attach_property_groups(activity, parent)
@@ -456,9 +447,7 @@ class ActivityManager:
             # Publish this manager so foreign interposers can build their
             # subordinates with this domain's store/executor/factories.
             orb.federation.register_service(orb.domain_id, "activity_manager", self)
-        orb.interceptors.add_client(
-            ActivityClientInterceptor(self.current, orb=orb, cache=self.fast_path)
-        )
+        orb.interceptors.add_client(ActivityClientInterceptor(self.current, orb=orb))
         orb.interceptors.add_server(ActivityServerInterceptor(orb, self))
         for name in (
             "ActionError",

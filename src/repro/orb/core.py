@@ -217,8 +217,7 @@ class Orb:
     """The distribution substrate shared by a simulated deployment.
 
     Tuning values live in :class:`~repro.config.OrbConfig` (see its
-    docstring for defaults); ``marshal_cache_entries=``/``domain_id=``
-    keywords remain as a deprecated shim.  ``transport=`` injects a
+    docstring for defaults).  ``transport=`` injects a
     custom :class:`~repro.orb.transport.Transport` (e.g. a
     ``SocketTransport`` serving this ORB's nodes to other processes);
     by default the ORB builds an in-process
@@ -236,9 +235,8 @@ class Orb:
         config: Optional[OrbConfig] = None,
         transport: Optional[Transport] = None,
         dispatch_loop: Optional[DispatchLoop] = None,
-        **legacy: Any,
     ) -> None:
-        self.config = OrbConfig.resolve(config, legacy, "Orb")
+        self.config = config if config is not None else OrbConfig()
         # Federation: the coordination domain this ORB belongs to and the
         # bridge that routes to foreign domains (both set by
         # InterOrbBridge.connect or a site runtime; a standalone ORB has
@@ -259,16 +257,14 @@ class Orb:
             self.transport = SimulatedTransport(
                 self.clock, self.rng.fork("transport"), fault_plan
             )
-        marshal_cache_entries = self.config.marshal_cache_entries
+        caches = self.caches_enabled
         self.marshaller = Marshaller(
             registry,
             stats=self.transport.stats.marshal,
             encode_cache=(
-                EncodeCache(marshal_cache_entries)
-                if marshal_cache_entries > 0
-                else None
+                EncodeCache(self.config.marshal_cache_entries) if caches else None
             ),
-            decode_cache=DecodeCache() if marshal_cache_entries > 0 else None,
+            decode_cache=DecodeCache() if caches else None,
         )
         # Delivery scheduling seam (PR 7).  None means inline — invoke
         # calls the transport directly, so the default path pays nothing.
@@ -291,6 +287,16 @@ class Orb:
         self.register_exception(OverloadError)
         self.register_exception(AdmissionRejected)
         self.register_exception(MarshalError)
+
+    @property
+    def caches_enabled(self) -> bool:
+        """False under the caches-off reference (``marshal_cache_entries=0``).
+
+        Besides the marshaller's encode/decode caches, the activity
+        context snapshot cache and the coordinators' pre-encoded request
+        templates follow this switch; the wire bytes are the same either way.
+        """
+        return self.config.marshal_cache_entries > 0
 
     # -- nodes ----------------------------------------------------------------
 

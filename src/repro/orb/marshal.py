@@ -548,7 +548,7 @@ class Marshaller:
 
     Framing depends only on the *registry* (``is_interned``), never on
     cache presence, so a deployment's wire bytes are identical across
-    every cache/fast-path knob setting.  A :class:`PayloadSlot` inside
+    every ``marshal_cache_entries`` setting.  A :class:`PayloadSlot` inside
     an interned value cannot be length-framed ahead of time and is
     refused at ``prepare`` time.
     """
@@ -632,7 +632,7 @@ class Marshaller:
         a mutated payload would keep shipping its stale bytes.  Replace
         the object (and register the replacement), or call
         :meth:`release_payload` first.  Registration requires an encode
-        cache (``Orb(marshal_cache_entries=0)`` disables interning too).
+        cache (``OrbConfig(marshal_cache_entries=0)`` disables interning too).
         """
         if self.encode_cache is None:
             raise MarshalError(

@@ -68,7 +68,6 @@ from repro.ots.interposition import (
 )
 from repro.ots.recoverable import RecoverableRegistry, TransactionalCell
 from repro.persistence.object_store import (
-    FileStore,
     MemoryStore,
     ObjectStore,
     SegmentedFileStore,
@@ -120,9 +119,6 @@ class SiteConfig:
         ``resolve_in_doubt`` polling / heartbeat probes).  While
         recovery keeps failing the wait backs off under ``retry``
         instead of hammering a dead superior at a fixed cadence.
-    ``orb`` / ``factory``
-        Keyword dictionaries folded into :class:`OrbConfig` /
-        :class:`FactoryConfig` (e.g. ``{"marshal_once": false}``).
     ``heartbeat``
         Failure-detection knobs folded into
         :class:`~repro.orb.membership.FailureDetectorConfig`
@@ -174,8 +170,6 @@ class SiteConfig:
     cell_store: str = "memory"
     app: Optional[str] = None
     poll_interval: float = 0.2
-    orb: Dict[str, Any] = field(default_factory=dict)
-    factory: Dict[str, Any] = field(default_factory=dict)
     heartbeat: Dict[str, Any] = field(default_factory=dict)
     retry: Dict[str, Any] = field(default_factory=dict)
     orphan_min_age: float = 5.0
@@ -277,6 +271,11 @@ class SiteConfig:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "SiteConfig":
+        unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ConfigValidationError(
+                f"SiteConfig: unknown key(s) {', '.join(map(repr, unknown))}"
+            )
         data = dict(raw)
         peers = {
             site: (addr[0], int(addr[1]))
@@ -427,12 +426,10 @@ class SiteRuntime:
             if config.heartbeat_enabled()
             else None
         )
-        orb_kwargs = dict(config.orb)
-        orb_kwargs["domain_id"] = config.site_id
         self.orb = Orb(
             clock=self.clock,
             transport=self.transport,
-            config=OrbConfig(**orb_kwargs),
+            config=OrbConfig(domain_id=config.site_id),
         )
         self.federation = SiteFederation(self.transport, self.orb)
         for peer_id, address in config.peers.items():
@@ -490,10 +487,7 @@ class SiteRuntime:
         # sites, so they must be unique across the fabric and across
         # this site's own restarts (a rebooted factory restarts its
         # counter): prefix with site id + per-boot nonce.
-        factory_kwargs = dict(config.factory)
-        factory_kwargs.setdefault(
-            "tid_prefix", f"{config.site_id}.{uuid.uuid4().hex[:8]}:"
-        )
+        tid_prefix = f"{config.site_id}.{uuid.uuid4().hex[:8]}:"
         self.factory = TransactionFactory(
             clock=self.clock,
             wal=self.wal,
@@ -501,7 +495,7 @@ class SiteRuntime:
             # grow its event log without bound; drops are counted and
             # surfaced via debug_dump.
             event_log=EventLog(self.clock, max_events=config.max_events),
-            config=FactoryConfig(**factory_kwargs),
+            config=FactoryConfig(tid_prefix=tid_prefix),
         )
         self.current = TransactionCurrent(self.factory)
         self.registry = RecoverableRegistry()
@@ -573,8 +567,6 @@ class SiteRuntime:
         root = os.path.join(str(self.config.data_dir), f"replica-{index}")
         if backend == "sqlite":
             return SqliteStore(os.path.join(root, f"{kind}.db"))
-        if backend == "file":
-            return FileStore(os.path.join(root, kind))
         return SegmentedFileStore(os.path.join(root, kind))
 
     def _replica_media(

@@ -210,7 +210,7 @@ class SocketTransport(Transport):
         self.reconnect_base_delay = reconnect_base_delay
         # Reconnects follow the unified RetryPolicy: capped exponential
         # backoff *with jitter*, so the pool slots of many clients never
-        # hammer a recovering peer in lockstep (PR 8).  The legacy
+        # hammer a recovering peer in lockstep (PR 8).  The
         # (attempts, base_delay) pair folds into a policy when no
         # explicit one is given.
         self.retry_policy = (

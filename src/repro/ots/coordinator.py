@@ -48,6 +48,7 @@ import threading
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import CommunicationError
+from repro.orb.marshal import MarshalError
 from repro.orb.reference import ObjectRef
 from repro.ots.exceptions import (
     HeuristicCommit,
@@ -111,31 +112,30 @@ class _ParticipantRound:
     target object id plus the per-send service contexts are patched.
     Templates are primed on the driving thread (:meth:`prime`) before
     any worker may :meth:`call`, so the map is read-only under
-    concurrency; local participants and unbound refs take the plain
+    concurrency; local participants, unbound refs, ORBs under the
+    caches-off reference (:attr:`Orb.caches_enabled`) and requests that
+    cannot be marshalled (:class:`MarshalError`) take the plain
     :func:`call_participant` path unchanged.
     """
 
-    __slots__ = ("operation", "enabled", "_templates")
+    __slots__ = ("operation", "_templates")
 
-    def __init__(self, operation: str, enabled: bool) -> None:
+    def __init__(self, operation: str) -> None:
         self.operation = operation
-        self.enabled = enabled
         self._templates: dict = {}
 
     def prime(self, participant: Any) -> None:
-        if (
-            not self.enabled
-            or not isinstance(participant, ObjectRef)
-            or not participant.is_bound
-        ):
+        if not isinstance(participant, ObjectRef) or not participant.is_bound:
             return
         orb = participant.orb
         key = id(orb)
         if key in self._templates:
             return
         try:
-            self._templates[key] = orb.prepare_invocation(self.operation)
-        except Exception:  # noqa: BLE001 - fall back to plain marshalling
+            self._templates[key] = (
+                orb.prepare_invocation(self.operation) if orb.caches_enabled else None
+            )
+        except MarshalError:
             self._templates[key] = None
 
     def call(self, participant: Any) -> Any:
@@ -591,12 +591,6 @@ class Transaction:
             return 1
         return min(self.factory.parallel_participants, participant_count)
 
-    def _round(self, operation: str) -> _ParticipantRound:
-        """One protocol round's marshal-once call helper."""
-        return _ParticipantRound(
-            operation, getattr(self.factory, "marshal_once", True)
-        )
-
     def _gather_votes(self, live: List[ResourceRecord]) -> Optional[ResourceRecord]:
         """Phase one over ``live`` (serial or fanned out); returns the
         pivoting no-voter, if any — shared by the top-level commit and
@@ -610,7 +604,7 @@ class Transaction:
     def _gather_votes_serial(self, live: List[ResourceRecord]) -> Optional[ResourceRecord]:
         """Classic phase one: one prepare at a time, stop at the first no."""
         log = self.factory.event_log
-        round_ = self._round("prepare")
+        round_ = _ParticipantRound("prepare")
         for record in live:
             self.factory.failpoints.hit("before_prepare")
             try:
@@ -640,7 +634,7 @@ class Transaction:
         log = self.factory.event_log
         abandon = threading.Event()
         factory = self.factory
-        round_ = self._round("prepare")
+        round_ = _ParticipantRound("prepare")
 
         def do_prepare(record: ResourceRecord) -> Any:
             if abandon.is_set():
@@ -712,7 +706,7 @@ class Transaction:
     def _commit_resources_serial(
         self, committers: List[ResourceRecord], sweep: SweepWrites
     ) -> None:
-        round_ = self._round("commit")
+        round_ = _ParticipantRound("commit")
         for index, record in enumerate(committers):
             self.factory.failpoints.hit(f"before_commit_resource_{index}")
             try:
@@ -748,7 +742,7 @@ class Transaction:
         tests reproduce stay reachable with the knob on.
         """
         factory = self.factory
-        round_ = self._round("commit")
+        round_ = _ParticipantRound("commit")
 
         def do_commit(record: ResourceRecord) -> Optional[BaseException]:
             try:
@@ -834,7 +828,7 @@ class Transaction:
     def _rollback_resources_serial(
         self, records: List[ResourceRecord], sweep: SweepWrites
     ) -> None:
-        round_ = self._round("rollback")
+        round_ = _ParticipantRound("rollback")
         for record in records:
             round_.prime(record.participant)
             try:
@@ -857,7 +851,7 @@ class Transaction:
         propagates), and the first unknown failure in registration
         order is re-raised exactly as the serial sweep would have.
         """
-        round_ = self._round("rollback")
+        round_ = _ParticipantRound("rollback")
 
         def do_rollback(record: ResourceRecord) -> Optional[BaseException]:
             try:

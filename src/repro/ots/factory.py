@@ -71,8 +71,7 @@ class TransactionFactory:
     equivalent of OTS interposition.
 
     Tuning lives in :class:`~repro.config.FactoryConfig` (see its
-    docstring for the knobs and defaults); the old keyword arguments
-    remain as a deprecated shim.  Highlights:
+    docstring for the knobs and defaults).  Highlights:
 
     ``group_commit_window`` selects the logging engine: ``None`` keeps
     the classic immediate-force WAL; a float (seconds, 0 allowed) builds
@@ -106,11 +105,8 @@ class TransactionFactory:
         wal: Optional[WriteAheadLog] = None,
         event_log: Optional[EventLog] = None,
         config: Optional[FactoryConfig] = None,
-        **legacy: Any,
     ) -> None:
-        self.config = config = FactoryConfig.resolve(
-            config, legacy, "TransactionFactory"
-        )
+        self.config = config = config if config is not None else FactoryConfig()
         group_commit_window = config.group_commit_window
         self.clock = clock if clock is not None else SimulatedClock()
         if wal is None:
@@ -142,10 +138,6 @@ class TransactionFactory:
         self.failpoints = Failpoints()
         self.retry_attempts = config.retry_attempts
         self.parallel_participants = config.parallel_participants
-        # Invocation fast path: each protocol round (prepare / commit /
-        # rollback) over remote participants encodes its request body
-        # once per ORB and patches only the target per call.
-        self.marshal_once = config.marshal_once
         self._participant_pool = ReentrantWorkerPool(
             config.parallel_participants, thread_name_prefix="participants"
         )

@@ -3,7 +3,7 @@
 Fig. 3 of the paper shows the Activity Service implementation sitting on a
 persistence service and a logging service.  This package provides both:
 :class:`~repro.persistence.object_store.MemoryStore` /
-:class:`~repro.persistence.object_store.FileStore` for object state, and
+:class:`~repro.persistence.object_store.SegmentedFileStore` for object state, and
 :class:`~repro.persistence.wal.WriteAheadLog` for the transaction and
 activity logs that drive crash recovery.
 
@@ -12,7 +12,7 @@ deliberately held outside any :class:`~repro.orb.core.Node`, so a node
 crash loses volatile servants but never the store contents — the same
 failure model as a machine whose disks survive a reboot.
 
-Durability has two axes here: *media* (memory, plain files, segmented
+Durability has two axes here: *media* (memory, segmented
 log-structured files, SQLite via
 :class:`~repro.persistence.sqlite_store.SqliteStore`) and *redundancy*
 (:class:`~repro.persistence.replicated.ReplicatedStore` /
@@ -22,7 +22,6 @@ degrades a domain instead of erasing it).
 """
 
 from repro.persistence.object_store import (
-    FileStore,
     MemoryStore,
     ObjectStore,
     SegmentedFileStore,
@@ -45,7 +44,6 @@ from repro.persistence.wal import (
 __all__ = [
     "ObjectStore",
     "MemoryStore",
-    "FileStore",
     "SegmentedFileStore",
     "SqliteStore",
     "StoreError",

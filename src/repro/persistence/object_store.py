@@ -1,11 +1,10 @@
 """Keyed object stores standing in for the CORBA Persistent State Service.
 
-A store maps string uids to marshallable values.  ``FileStore`` writes each
-entry through the CDR marshaller to its own file, so stored values obey
-exactly the same typing discipline as values on the wire.
-``SegmentedFileStore`` is the append-oriented fast path: a batch of puts
-becomes one appending write plus one fsync, which is what lets the
-write-ahead log's group commit map to a single OS-level flush.
+A store maps string uids to marshallable values, encoded by the same
+marshaller as values on the wire, so stored values obey exactly the same
+typing discipline.  ``SegmentedFileStore`` is the on-disk store: a batch
+of puts becomes one appending write plus one fsync, which is what lets
+the write-ahead log's group commit map to a single OS-level flush.
 
 Mutators (``put`` / ``put_many`` / ``remove``, and ``compact`` on the
 segmented store) are serialised by an internal lock: the parallel
@@ -147,100 +146,6 @@ class MemoryStore(ObjectStore):
         return cache
 
 
-class FileStore(ObjectStore):
-    """One-file-per-entry store rooted at a directory."""
-
-    def __init__(self, root: str, registry: Optional[ValueTypeRegistry] = None) -> None:
-        self._root = root
-        self._marshaller = Marshaller(registry)
-        self._write_lock = threading.Lock()
-        os.makedirs(root, exist_ok=True)
-
-    def _path(self, uid: str) -> str:
-        safe = uid.replace(os.sep, "_").replace("..", "_")
-        return os.path.join(self._root, safe + ".cdr")
-
-    def _fsync_root(self) -> None:
-        """Force the directory entry itself to disk.
-
-        ``os.replace`` makes the rename atomic against a crash of the
-        *process*, but the new directory entry lives in the directory's
-        own data block — until that block is flushed, a power loss can
-        still forget a file whose contents were durably written.  Not
-        every platform lets a directory be opened for fsync; where it
-        can't be, the per-file fsync is the best available.
-        """
-        try:
-            fd = os.open(self._root, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
-    def put(self, uid: str, state: Any) -> None:
-        data = self._marshaller.encode(state)
-        path = self._path(uid)
-        tmp = path + ".tmp"
-        with self._write_lock:
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            self._fsync_root()
-
-    def put_many(self, items: BatchItems) -> None:
-        """Stage every entry, then publish all of them.
-
-        All tmp files are written and fsynced before the first rename, so
-        a crash during the staging phase publishes nothing; the rename
-        loop is the only window where a prefix of the batch can be seen.
-        """
-        encoded = {uid: self._marshaller.encode(state) for uid, state in dict(items).items()}
-        with self._write_lock:
-            staged: List[Tuple[str, str]] = []
-            for uid, data in encoded.items():
-                path = self._path(uid)
-                tmp = path + ".tmp"
-                with open(tmp, "wb") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                staged.append((tmp, path))
-            for tmp, path in staged:
-                os.replace(tmp, path)
-            self._fsync_root()
-
-    def get(self, uid: str) -> Any:
-        path = self._path(uid)
-        if not os.path.exists(path):
-            raise StoreError(f"no state stored under {uid!r}")
-        with open(path, "rb") as handle:
-            return self._marshaller.decode(handle.read())
-
-    def remove(self, uid: str) -> None:
-        path = self._path(uid)
-        with self._write_lock:
-            if not os.path.exists(path):
-                raise StoreError(f"no state stored under {uid!r}")
-            os.remove(path)
-            self._fsync_root()
-
-    def contains(self, uid: str) -> bool:
-        return os.path.exists(self._path(uid))
-
-    def keys(self) -> Tuple[str, ...]:
-        names = []
-        for entry in os.listdir(self._root):
-            if entry.endswith(".cdr"):
-                names.append(entry[: -len(".cdr")])
-        return tuple(sorted(names))
-
-
 class SegmentedFileStore(ObjectStore):
     """Log-structured keyed store: one appending write + fsync per batch.
 
@@ -366,11 +271,35 @@ class SegmentedFileStore(ObjectStore):
             offset = end
         return offset
 
+    def _fsync_root(self) -> None:
+        """Force the store directory's entries to disk.
+
+        A new segment file's directory entry lives in the directory's own
+        data block: until that is flushed, a power loss can forget the
+        file, and with it frames whose contents were durably written.
+        Not every platform lets a directory be opened for fsync; where it
+        can't be, the per-file fsync is the best available.
+        """
+        try:
+            fd = os.open(self._root, os.O_RDONLY)
+        except OSError:
+            return
+        try:
+            os.fsync(fd)
+        except OSError:
+            pass
+        finally:
+            os.close(fd)
+
     def _append_frames(self, frames: List[bytes]) -> bool:
-        """One write + fsync; True when it filled (and rolled) the segment."""
+        """One write + fsync (and a directory fsync when it created the
+        segment file); True when it filled (and rolled) the segment."""
         handle = self._handle
+        created = False
         if handle is None:
-            handle = self._handle = open(self._segment_path(self._active_id), "ab")
+            path = self._segment_path(self._active_id)
+            created = not os.path.exists(path)
+            handle = self._handle = open(path, "ab")
             if handle.tell() > self._active_size:
                 # A crash tore the tail: cut it off, or replay would stop
                 # there and never reach the frames appended behind it.
@@ -379,6 +308,8 @@ class SegmentedFileStore(ObjectStore):
         handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
+        if created:
+            self._fsync_root()
         self.flushes += 1
         self._records_written += len(frames)
         self._active_size += len(data)
@@ -521,6 +452,8 @@ class SegmentedFileStore(ObjectStore):
         self._records_written = 0
         frames = [self._frame(uid, False, value) for uid, value in sorted(self._index.items())]
         if frames:
+            # Creates the new segment and fsyncs its directory entry, so
+            # the live set is durable before any old segment goes.
             self._append_frames(frames)
         removed = 0
         for seg_id in old_ids:

@@ -46,7 +46,7 @@ class RetryPolicy:
     ``jitter``
         Fraction of each delay that is randomized: the actual sleep is
         drawn uniformly from ``[delay*(1-jitter), delay]``.  ``0``
-        disables jitter (byte-identical legacy behaviour), ``1`` is
+        disables jitter (byte-identical un-jittered behaviour), ``1`` is
         full jitter.
     ``deadline``
         Optional total time budget in seconds, measured from the first

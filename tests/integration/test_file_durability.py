@@ -1,9 +1,9 @@
 """Integration: crash recovery with *file-backed* stable storage.
 
 The in-memory store stands in for stable storage in most tests; here the
-same recovery paths run against real files on disk, proving the WAL and
-cell staging survive a full process-style teardown (fresh objects, same
-directory).
+same recovery paths run against real files on disk
+(:class:`SegmentedFileStore`), proving the WAL and the cell install
+survive a full process-style teardown (fresh objects, same directory).
 """
 
 import pytest
@@ -16,14 +16,16 @@ from repro.ots import (
     TransactionFactory,
     TransactionalCell,
 )
-from repro.persistence import FileStore, WriteAheadLog
+from repro.persistence import SegmentedFileStore, WriteAheadLog
+
+pytestmark = pytest.mark.usefixtures("close_segmented_stores")
 
 
 class TestFileBackedOts:
     def test_commit_survives_reopen(self, tmp_path):
-        store = FileStore(str(tmp_path / "cells"))
+        store = SegmentedFileStore(str(tmp_path / "cells"))
         factory = TransactionFactory(
-            wal=WriteAheadLog(FileStore(str(tmp_path / "wal")), "txlog")
+            wal=WriteAheadLog(SegmentedFileStore(str(tmp_path / "wal")), "txlog")
         )
         cell = TransactionalCell("balance", 100, factory, store=store)
         tx = factory.create()
@@ -33,13 +35,13 @@ class TestFileBackedOts:
         tx.commit()
         # Fresh objects over the same directory.
         reopened = TransactionalCell(
-            "balance", 0, TransactionFactory(), store=FileStore(str(tmp_path / "cells"))
+            "balance", 0, TransactionFactory(), store=SegmentedFileStore(str(tmp_path / "cells"))
         )
         assert reopened.read() == 250
 
     def test_crash_recovery_from_disk(self, tmp_path):
-        wal_store = FileStore(str(tmp_path / "wal"))
-        cell_store = FileStore(str(tmp_path / "cells"))
+        wal_store = SegmentedFileStore(str(tmp_path / "wal"))
+        cell_store = SegmentedFileStore(str(tmp_path / "cells"))
         factory = TransactionFactory(wal=WriteAheadLog(wal_store, "txlog"))
         registry = RecoverableRegistry()
         a = TransactionalCell("a", 0, factory, store=cell_store, registry=registry)
@@ -53,16 +55,15 @@ class TestFileBackedOts:
 
         # Full restart: everything rebuilt from the directories.
         fresh_factory = TransactionFactory(
-            wal=WriteAheadLog(FileStore(str(tmp_path / "wal")), "txlog")
+            wal=WriteAheadLog(SegmentedFileStore(str(tmp_path / "wal")), "txlog")
         )
         fresh_registry = RecoverableRegistry()
+        fresh_cells = SegmentedFileStore(str(tmp_path / "cells"))
         fresh_a = TransactionalCell(
-            "a", 0, fresh_factory, store=FileStore(str(tmp_path / "cells")),
-            registry=fresh_registry,
+            "a", 0, fresh_factory, store=fresh_cells, registry=fresh_registry
         )
         fresh_b = TransactionalCell(
-            "b", 0, fresh_factory, store=FileStore(str(tmp_path / "cells")),
-            registry=fresh_registry,
+            "b", 0, fresh_factory, store=fresh_cells, registry=fresh_registry
         )
         report = RecoveryManager(fresh_factory.wal, fresh_registry).recover()
         assert report.recommitted
@@ -70,8 +71,8 @@ class TestFileBackedOts:
         assert fresh_b.read() == 8
 
     def test_presumed_abort_from_disk(self, tmp_path):
-        wal_store = FileStore(str(tmp_path / "wal"))
-        cell_store = FileStore(str(tmp_path / "cells"))
+        wal_store = SegmentedFileStore(str(tmp_path / "wal"))
+        cell_store = SegmentedFileStore(str(tmp_path / "cells"))
         factory = TransactionFactory(wal=WriteAheadLog(wal_store, "txlog"))
         registry = RecoverableRegistry()
         cell = TransactionalCell("c", 5, factory, store=cell_store, registry=registry)
@@ -85,11 +86,11 @@ class TestFileBackedOts:
 
         fresh_registry = RecoverableRegistry()
         fresh_cell = TransactionalCell(
-            "c", 5, TransactionFactory(), store=FileStore(str(tmp_path / "cells")),
+            "c", 5, TransactionFactory(), store=SegmentedFileStore(str(tmp_path / "cells")),
             registry=fresh_registry,
         )
         RecoveryManager(
-            WriteAheadLog(FileStore(str(tmp_path / "wal")), "txlog"), fresh_registry
+            WriteAheadLog(SegmentedFileStore(str(tmp_path / "wal")), "txlog"), fresh_registry
         ).recover()
         assert fresh_cell.read() == 5
         assert fresh_cell.list_in_doubt() == []
@@ -100,7 +101,7 @@ class TestFileBackedActivityRecovery:
         store_dir = str(tmp_path / "activities")
 
         def build_manager():
-            manager = ActivityManager(store=FileStore(store_dir))
+            manager = ActivityManager(store=SegmentedFileStore(store_dir))
             manager.register_signal_set_factory("completion", CompletionSignalSet)
             manager.register_action_factory(
                 "recorder", lambda config: RecordingAction(config.get("name", "r"))

@@ -1,4 +1,4 @@
-"""The typed runtime-config surface and its legacy-keyword shim."""
+"""The typed runtime-config surface: validation, and no keyword shim."""
 
 import dataclasses
 
@@ -8,6 +8,7 @@ from repro.config import (
     ConfigValidationError,
     FactoryConfig,
     OrbConfig,
+    ReplicationConfig,
     RuntimeConfig,
 )
 from repro.core.manager import ActivityManager
@@ -64,28 +65,21 @@ class TestValidation:
 
 
 class TestLegacyShim:
-    def test_legacy_keywords_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning):
-            factory = TransactionFactory(parallel_participants=3, marshal_once=False)
-        assert factory.config.parallel_participants == 3
-        assert factory.config.marshal_once is False
-
-    def test_config_object_does_not_warn(self, recwarn):
-        factory = TransactionFactory(
-            config=FactoryConfig(parallel_participants=3, marshal_once=False)
-        )
-        assert factory.config.parallel_participants == 3
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
+    """Tuning keywords passed beside or instead of ``config=`` are plain
+    unexpected keyword arguments: nothing folds, nothing warns."""
 
     def test_mixing_config_and_legacy_refused(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             TransactionFactory(config=FactoryConfig(), parallel_participants=2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             Orb(config=OrbConfig(), marshal_cache_entries=16)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             ActivityManager(config=RuntimeConfig(), registry_shards=4)
+
+    def test_config_object_does_not_warn(self, recwarn):
+        factory = TransactionFactory(config=FactoryConfig(parallel_participants=3))
+        assert factory.config.parallel_participants == 3
+        assert not recwarn.list
 
     def test_unknown_keyword_is_type_error(self):
         with pytest.raises(TypeError):
@@ -96,41 +90,23 @@ class TestLegacyShim:
             ActivityManager(no_such_option=1)
 
     @pytest.mark.parametrize(
-        "legacy",
+        "build",
         [
-            {"fast_path": False},
-            {"registry_shards": 16},
-            {"timer_wheel": True, "wheel_tick": 0.5},
+            lambda: Orb(marshal_cache_entries=0),
+            lambda: ActivityManager(registry_shards=4),
+            lambda: TransactionFactory(marshal_once=False),
         ],
+        ids=["orb", "manager", "factory"],
     )
-    def test_manager_equivalence(self, legacy):
-        with pytest.warns(DeprecationWarning):
-            via_legacy = ActivityManager(**legacy)
-        via_config = ActivityManager(config=RuntimeConfig(**legacy))
-        assert via_legacy.config == via_config.config
-        assert via_legacy.fast_path == via_config.fast_path
+    def test_formerly_folded_keyword_is_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
 
-    def test_orb_equivalence(self):
-        with pytest.warns(DeprecationWarning):
-            via_legacy = Orb(marshal_cache_entries=32)
-        via_config = Orb(config=OrbConfig(marshal_cache_entries=32))
-        assert via_legacy.config == via_config.config
-
-    def test_factory_equivalence_behaviour(self):
-        """The shim configures the same runtime structures, not just the
-        same dataclass: drive a commit through both and compare."""
-        with pytest.warns(DeprecationWarning):
-            via_legacy = TransactionFactory(parallel_participants=2, retry_attempts=4)
-        via_config = TransactionFactory(
-            config=FactoryConfig(parallel_participants=2, retry_attempts=4)
-        )
-        for factory in (via_legacy, via_config):
-            tx = factory.create(name="probe")
-            tx.commit()
-        assert via_legacy.committed == via_config.committed == 1
-        assert via_legacy.retry_attempts == via_config.retry_attempts == 4
-        assert via_legacy.parallel_participants == 2
-        assert via_config.parallel_participants == 2
+    def test_retired_options_are_gone(self):
+        assert "fast_path" not in {f.name for f in dataclasses.fields(RuntimeConfig)}
+        assert "marshal_once" not in {f.name for f in dataclasses.fields(FactoryConfig)}
+        with pytest.raises(ConfigValidationError):
+            ReplicationConfig(backend="file")
 
 
 class TestTidPrefix:
@@ -141,3 +117,18 @@ class TestTidPrefix:
     def test_prefix_applies(self):
         factory = TransactionFactory(config=FactoryConfig(tid_prefix="site-a.b00t:"))
         assert factory.create().tid == "site-a.b00t:tx-1"
+
+
+class TestSiteConfigKeys:
+    @pytest.mark.parametrize("key", ["orb", "factory", "poll_intervall"])
+    def test_unknown_key_is_refused_by_name(self, key):
+        from repro.orb.site import SiteConfig
+
+        with pytest.raises(ConfigValidationError, match=repr(key)):
+            SiteConfig.from_dict({"site_id": "s", key: {}})
+
+    def test_round_trip_through_a_dict(self):
+        from repro.orb.site import SiteConfig
+
+        config = SiteConfig(site_id="s", peers={"t": ("127.0.0.1", 9)})
+        assert SiteConfig.from_dict(config.to_dict()) == config

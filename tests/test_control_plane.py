@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.config import FactoryConfig, RuntimeConfig
 from repro.core import ActivityManager, ThreadPoolBroadcastExecutor
 from repro.core.status import CompletionStatus
 from repro.ots import TransactionFactory
@@ -25,10 +26,10 @@ def expiry_trace(manager):
 
 
 class TestWheelExpiryParity:
-    """ActivityManager(timer_wheel=True) must mirror the naive sweep."""
+    """RuntimeConfig(timer_wheel=True) must mirror the naive sweep."""
 
     def _scenario(self, **manager_kwargs):
-        manager = ActivityManager(**manager_kwargs)
+        manager = ActivityManager(config=RuntimeConfig(**manager_kwargs))
         slow = manager.begin("slow", timeout=5.0)
         slower = manager.begin("slower", timeout=8.0)
         patient = manager.begin("patient", timeout=100.0)
@@ -57,7 +58,7 @@ class TestWheelExpiryParity:
 
     def test_deadline_exactly_at_sweep_time_not_expired(self):
         for kwargs in ({}, {"timer_wheel": True}):
-            manager = ActivityManager(**kwargs)
+            manager = ActivityManager(config=RuntimeConfig(**kwargs))
             manager.begin("edge", timeout=5.0)
             manager.clock.advance(5.0)
             assert manager.expire_timeouts() == []  # strict: now > deadline
@@ -65,7 +66,7 @@ class TestWheelExpiryParity:
             assert len(manager.expire_timeouts()) == 1
 
     def test_completion_cancels_wheel_timer(self):
-        manager = ActivityManager(timer_wheel=True)
+        manager = ActivityManager(config=RuntimeConfig(timer_wheel=True))
         activity = manager.begin("quick", timeout=5.0)
         assert manager.timer_wheel.pending == 1
         activity.complete()
@@ -75,14 +76,14 @@ class TestWheelExpiryParity:
 
     def test_manually_latched_activity_not_reported(self):
         for kwargs in ({}, {"timer_wheel": True}):
-            manager = ActivityManager(**kwargs)
+            manager = ActivityManager(config=RuntimeConfig(**kwargs))
             activity = manager.begin("latched", timeout=5.0)
             activity.set_completion_status(CompletionStatus.FAIL_ONLY)
             manager.clock.advance(6.0)
             assert manager.expire_timeouts() == []
 
     def test_expiry_work_proportional_to_expiring(self):
-        manager = ActivityManager(timer_wheel=True)
+        manager = ActivityManager(config=RuntimeConfig(timer_wheel=True))
         for _ in range(500):
             manager.begin(timeout=10_000.0)
         for _ in range(3):
@@ -96,7 +97,10 @@ class TestWheelExpiryParity:
 
     def test_wheel_works_on_wall_clock(self):
         clock = WallClock()
-        manager = ActivityManager(clock=clock, timer_wheel=True, wheel_tick=0.005)
+        manager = ActivityManager(
+            clock=clock,
+            config=RuntimeConfig(timer_wheel=True, wheel_tick=0.005),
+        )
         activity = manager.begin("wall", timeout=0.01)
         import time
 
@@ -108,7 +112,7 @@ class TestWheelExpiryParity:
 
 class TestShardedRegistry:
     def test_lookup_knows_and_listing(self):
-        manager = ActivityManager(registry_shards=16)
+        manager = ActivityManager(config=RuntimeConfig(registry_shards=16))
         activities = [manager.begin(f"a{i}") for i in range(50)]
         for activity in activities:
             assert manager.knows(activity.activity_id)
@@ -134,7 +138,7 @@ class TestShardedRegistry:
         assert second.segment_sizes() == sizes
 
     def test_single_shard_still_correct(self):
-        manager = ActivityManager(registry_shards=1)
+        manager = ActivityManager(config=RuntimeConfig(registry_shards=1))
         activity = manager.begin("solo", timeout=1.0)
         manager.clock.advance(2.0)
         assert manager.expire_timeouts() == [activity.activity_id]
@@ -146,11 +150,13 @@ class TestShardedRegistry:
         with ThreadPoolBroadcastExecutor(max_workers=8) as executor:
             manager = ActivityManager(
                 clock=WallClock(),
-                timer_wheel=True,
-                wheel_tick=0.001,
-                registry_shards=16,
                 executor=executor,
                 event_log=EventLog(max_events=10_000),
+                config=RuntimeConfig(
+                    timer_wheel=True,
+                    wheel_tick=0.001,
+                    registry_shards=16,
+                ),
             )
             errors = []
             ids = [[] for _ in range(8)]
@@ -280,7 +286,7 @@ class TestBackgroundMaintenance:
 
     def test_scheduled_compaction_runs_via_wheel(self, tmp_path):
         store = self._dirty_store(tmp_path)
-        manager = ActivityManager(store=store, timer_wheel=True)
+        manager = ActivityManager(store=store, config=RuntimeConfig(timer_wheel=True))
         timer = manager.schedule_store_maintenance(interval=10.0, min_dead_ratio=0.5)
         assert store.dead_record_ratio() > 0.5
         manager.clock.advance(11.0)
@@ -292,7 +298,7 @@ class TestBackgroundMaintenance:
     def test_compaction_skipped_below_threshold(self, tmp_path):
         store = SegmentedFileStore(str(tmp_path / "seg"))
         store.put_many({f"k{i}": i for i in range(10)})  # all live
-        manager = ActivityManager(store=store, timer_wheel=True)
+        manager = ActivityManager(store=store, config=RuntimeConfig(timer_wheel=True))
         timer = manager.schedule_store_maintenance(interval=5.0, min_dead_ratio=0.5)
         manager.clock.advance(6.0)
         manager.expire_timeouts()
@@ -302,7 +308,7 @@ class TestBackgroundMaintenance:
 
     def test_cancel_maintenance_stops_the_cycle(self, tmp_path):
         store = self._dirty_store(tmp_path)
-        manager = ActivityManager(store=store, timer_wheel=True)
+        manager = ActivityManager(store=store, config=RuntimeConfig(timer_wheel=True))
         timer = manager.schedule_store_maintenance(interval=10.0)
         assert manager.cancel_maintenance() == 1
         manager.clock.advance(50.0)
@@ -315,7 +321,7 @@ class TestBackgroundMaintenance:
         with pytest.raises(ActivityServiceError):
             ActivityManager().schedule_maintenance(5.0, lambda: None)
         with pytest.raises(ActivityServiceError):
-            ActivityManager(timer_wheel=True).schedule_store_maintenance(5.0)
+            ActivityManager(config=RuntimeConfig(timer_wheel=True)).schedule_store_maintenance(5.0)
 
     def test_compact_if_needed_validates_ratio(self, tmp_path):
         store = self._dirty_store(tmp_path)
@@ -326,7 +332,7 @@ class TestBackgroundMaintenance:
 class TestFactoryWheel:
     def test_timeout_fires_on_advance_like_heap_path(self):
         heap = TransactionFactory()
-        wheel = TransactionFactory(timer_wheel=True)
+        wheel = TransactionFactory(config=FactoryConfig(timer_wheel=True))
         for factory in (heap, wheel):
             tx = factory.create(timeout=5.0)
             factory.clock.advance(6.0)
@@ -335,7 +341,7 @@ class TestFactoryWheel:
         assert heap.event_log.kinds() == wheel.event_log.kinds()
 
     def test_commit_cancels_deadline_timer(self):
-        factory = TransactionFactory(timer_wheel=True)
+        factory = TransactionFactory(config=FactoryConfig(timer_wheel=True))
         tx = factory.create(timeout=5.0)
         tx.commit()
         assert factory.timer_wheel.pending == 0
@@ -347,7 +353,8 @@ class TestFactoryWheel:
         import time
 
         factory = TransactionFactory(
-            clock=WallClock(), timer_wheel=True, wheel_tick=0.005
+            clock=WallClock(),
+            config=FactoryConfig(timer_wheel=True, wheel_tick=0.005),
         )
         tx = factory.create(timeout=0.01)
         keeper = factory.create(timeout=60.0)
@@ -362,14 +369,17 @@ class TestFactoryWheel:
         clock = SimulatedClock()
         wheel = HierarchicalTimerWheel(tick=1.0)
         clock.attach_wheel(wheel)
-        factory = TransactionFactory(clock=clock, timer_wheel=True)
+        factory = TransactionFactory(
+            clock=clock,
+            config=FactoryConfig(timer_wheel=True),
+        )
         assert factory.timer_wheel is wheel
         tx = factory.create(timeout=3.0)
         clock.advance(4.0)
         assert tx.status is TransactionStatus.ROLLED_BACK
 
     def test_registry_operations_sharded(self):
-        factory = TransactionFactory(registry_shards=4)
+        factory = TransactionFactory(config=FactoryConfig(registry_shards=4))
         txs = [factory.create() for _ in range(20)]
         assert [t.tid for t in factory.active_transactions()] == sorted(
             t.tid for t in txs
@@ -391,7 +401,11 @@ class TestRecoveredDeadlines:
         activity = first.begin("timed", timeout=10.0)
         first.checkpoint(activity)
         # Crash: new manager over the same store and clock, wheel enabled.
-        second = ActivityManager(clock=clock, store=store, timer_wheel=True)
+        second = ActivityManager(
+            clock=clock,
+            store=store,
+            config=RuntimeConfig(timer_wheel=True),
+        )
         in_flight = second.recover()
         assert in_flight == [activity.activity_id]
         recovered = second.get(activity.activity_id)
@@ -409,7 +423,11 @@ class TestRecoveredDeadlines:
         activity = first.begin("timed", timeout=5.0)
         first.checkpoint(activity)
         clock.advance(60.0)  # downtime: deadline long past at recovery
-        second = ActivityManager(clock=clock, store=store, timer_wheel=True)
+        second = ActivityManager(
+            clock=clock,
+            store=store,
+            config=RuntimeConfig(timer_wheel=True),
+        )
         second.recover()
         clock.advance(1.0)
         assert second.expire_timeouts() == [activity.activity_id]
@@ -434,7 +452,7 @@ class TestSharedWheelStrictness:
         clock = SimulatedClock()
         wheel = HierarchicalTimerWheel(tick=1.0)
         clock.attach_wheel(wheel)
-        manager = ActivityManager(clock=clock, timer_wheel=wheel)
+        manager = ActivityManager(clock=clock, config=RuntimeConfig(timer_wheel=wheel))
         activity = manager.begin("edge", timeout=5.0)
         clock.advance(5.0)  # exactly the deadline: inclusive clock firing
         assert activity.get_completion_status() is CompletionStatus.SUCCESS
@@ -450,7 +468,7 @@ class TestSharedWheelCrossOwner:
         record events in begin order."""
 
         def run(**kwargs):
-            manager = ActivityManager(**kwargs)
+            manager = ActivityManager(config=RuntimeConfig(**kwargs))
             manager.begin("later-deadline", timeout=10.0)
             manager.begin("earlier-deadline", timeout=5.0)
             manager.clock.advance(11.0)
@@ -466,8 +484,8 @@ class TestSharedWheelCrossOwner:
         sweep fires the timer early; the owner must neither spin forever
         nor lose the deadline."""
         wheel = HierarchicalTimerWheel(tick=1.0)
-        owner = ActivityManager(timer_wheel=wheel)
-        foreign = ActivityManager(timer_wheel=wheel)
+        owner = ActivityManager(config=RuntimeConfig(timer_wheel=wheel))
+        foreign = ActivityManager(config=RuntimeConfig(timer_wheel=wheel))
         activity = owner.begin("timed", timeout=5.0)
         foreign.clock.advance(10.0)
         assert foreign.expire_timeouts() == []  # must return, not hang
@@ -487,9 +505,12 @@ class TestSharedWheelCrossOwner:
         """Same cross-owner shape for the OTS factory: the one-shot wheel
         timer fired early must be re-armed, not silently dropped."""
         wheel = HierarchicalTimerWheel(tick=1.0)
-        factory = TransactionFactory(clock=WallClock(), timer_wheel=wheel)
+        factory = TransactionFactory(
+            clock=WallClock(),
+            config=FactoryConfig(timer_wheel=wheel),
+        )
         tx = factory.create(timeout=3600.0)  # far future in wall time
-        foreign = ActivityManager(timer_wheel=wheel)
+        foreign = ActivityManager(config=RuntimeConfig(timer_wheel=wheel))
         foreign.clock.advance(10_000.0)
         foreign.expire_timeouts()  # fires tx's timer way ahead of deadline
         assert tx.status.name == "ACTIVE"
@@ -523,7 +544,8 @@ class TestAdvanceTimeExpiry:
     def test_expiry_fires_during_advance(self):
         clock = SimulatedClock()
         manager = ActivityManager(
-            clock=clock, timer_wheel=True, attach_wheel_to_clock=True
+            clock=clock,
+            config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=True),
         )
         timed = manager.begin(timeout=5.0)
         untimed = manager.begin(timeout=1_000.0)
@@ -537,7 +559,8 @@ class TestAdvanceTimeExpiry:
     def test_exact_deadline_is_not_expired(self):
         clock = SimulatedClock()
         manager = ActivityManager(
-            clock=clock, timer_wheel=True, attach_wheel_to_clock=True
+            clock=clock,
+            config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=True),
         )
         activity = manager.begin(timeout=5.0)
         clock.advance(5.0)  # now == deadline: strictly-past rule holds
@@ -549,7 +572,8 @@ class TestAdvanceTimeExpiry:
         def run(attach):
             clock = SimulatedClock()
             manager = ActivityManager(
-                clock=clock, timer_wheel=True, attach_wheel_to_clock=attach
+                clock=clock,
+                config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=attach),
             )
             manager.begin(timeout=5.0, name="t1")
             manager.begin(timeout=7.0, name="t2")
@@ -562,7 +586,8 @@ class TestAdvanceTimeExpiry:
     def test_completion_cancels_the_clock_timer(self):
         clock = SimulatedClock()
         manager = ActivityManager(
-            clock=clock, timer_wheel=True, attach_wheel_to_clock=True
+            clock=clock,
+            config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=True),
         )
         activity = manager.begin(timeout=5.0)
         activity.complete()
@@ -574,7 +599,8 @@ class TestAdvanceTimeExpiry:
         wheel = HierarchicalTimerWheel(tick=0.5)
         clock.attach_wheel(wheel)
         manager = ActivityManager(
-            clock=clock, timer_wheel=True, attach_wheel_to_clock=True
+            clock=clock,
+            config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=True),
         )
         assert manager.timer_wheel is wheel
 
@@ -582,10 +608,11 @@ class TestAdvanceTimeExpiry:
         from repro.core.exceptions import ActivityServiceError
 
         with pytest.raises(ActivityServiceError):
-            ActivityManager(attach_wheel_to_clock=True)
+            ActivityManager(config=RuntimeConfig(attach_wheel_to_clock=True))
         with pytest.raises(ActivityServiceError):
             ActivityManager(
-                clock=WallClock(), timer_wheel=True, attach_wheel_to_clock=True
+                clock=WallClock(),
+                config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=True),
             )
 
 
@@ -594,7 +621,10 @@ class TestFactoryScheduledMaintenance:
 
     def test_forget_completed_runs_on_schedule(self):
         clock = SimulatedClock()
-        factory = TransactionFactory(clock=clock, timer_wheel=True)
+        factory = TransactionFactory(
+            clock=clock,
+            config=FactoryConfig(timer_wheel=True),
+        )
         factory.schedule_forget_completed(10.0)
         for _ in range(4):
             factory.create().commit()
@@ -606,7 +636,10 @@ class TestFactoryScheduledMaintenance:
 
     def test_recurring_across_many_intervals(self):
         clock = SimulatedClock()
-        factory = TransactionFactory(clock=clock, timer_wheel=True)
+        factory = TransactionFactory(
+            clock=clock,
+            config=FactoryConfig(timer_wheel=True),
+        )
         factory.schedule_forget_completed(5.0)
         for _ in range(3):
             factory.create().commit()
@@ -615,7 +648,10 @@ class TestFactoryScheduledMaintenance:
 
     def test_cancel_maintenance_stops_the_cycle(self):
         clock = SimulatedClock()
-        factory = TransactionFactory(clock=clock, timer_wheel=True)
+        factory = TransactionFactory(
+            clock=clock,
+            config=FactoryConfig(timer_wheel=True),
+        )
         factory.schedule_forget_completed(5.0)
         assert factory.cancel_maintenance() == 1
         factory.create().commit()
@@ -630,7 +666,10 @@ class TestFactoryScheduledMaintenance:
 
     def test_custom_task_mirrors_store_maintenance(self):
         clock = SimulatedClock()
-        factory = TransactionFactory(clock=clock, timer_wheel=True)
+        factory = TransactionFactory(
+            clock=clock,
+            config=FactoryConfig(timer_wheel=True),
+        )
         ticks = []
         factory.schedule_maintenance(2.0, lambda: ticks.append(clock.now()))
         clock.advance(7.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import OrbConfig
 from repro.core import (
     ActionError,
     ActivityCoordinator,
@@ -228,8 +229,8 @@ class _Echo(Servant):
         return Outcome.done(signal.delivery_id)
 
 
-def _remote_coordinator(orb, marshal_once=True, actions=2):
-    coordinator = ActivityCoordinator("act", marshal_once=marshal_once)
+def _remote_coordinator(orb, actions=2):
+    coordinator = ActivityCoordinator("act")
     node = orb.create_node("server")
     for _ in range(actions):
         coordinator.add_action("b", node.activate(_Echo()))
@@ -242,8 +243,9 @@ class TestMarshalOnceFallback:
 
     def test_unmarshallable_payload_gives_the_same_outcomes_either_way(self):
         results = []
-        for marshal_once in (True, False):
-            coordinator = _remote_coordinator(Orb(), marshal_once)
+        for marshal_cache_entries in (256, 0):
+            orb = Orb(config=OrbConfig(marshal_cache_entries=marshal_cache_entries))
+            coordinator = _remote_coordinator(orb)
             signal_set = BroadcastSignalSet(
                 "go", _Unregistered(), signal_set_name="b"
             )

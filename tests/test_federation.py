@@ -9,6 +9,7 @@ subordinate transactions replacing re-association across the bridge).
 
 import pytest
 
+from repro.config import FactoryConfig, OrbConfig, RuntimeConfig
 from repro.core import ActivityManager, RecordingAction, SubordinateCoordinator
 from repro.core.interposition import digest_outcomes, recover_subordinates
 from repro.core.signals import Outcome, Signal
@@ -56,8 +57,10 @@ class FederatedWorld:
             manager = ActivityManager(
                 clock=self.clock,
                 store=store,
-                federation=self.bridge if index == 0 else None,
-                interposition=interposition if index == 0 else False,
+                config=RuntimeConfig(
+                    federation=self.bridge if index == 0 else None,
+                    interposition=interposition if index == 0 else False,
+                ),
             )
             manager.install(orb)
             self.orbs.append(orb)
@@ -180,7 +183,7 @@ class TestInterOrbBridge:
 
     def test_conflicting_domain_rename_refused(self):
         bridge = InterOrbBridge()
-        orb = Orb(domain_id="X")
+        orb = Orb(config=OrbConfig(domain_id="X"))
         with pytest.raises(ConfigurationError):
             bridge.connect(orb, "Y")
         assert orb.domain_id == "X"  # untouched by the refused connect
@@ -351,8 +354,7 @@ class TestActivityInterposition:
                 bridge.connect(orb, "solo")
             manager = ActivityManager(
                 clock=clock,
-                federation=bridge,
-                interposition=interposition,
+                config=RuntimeConfig(federation=bridge, interposition=interposition),
             )
             manager.install(orb)
             node = orb.create_node("n")
@@ -493,7 +495,7 @@ class OtsWorld:
         self.factory_b = TransactionFactory(
             clock=self.clock,
             wal=WriteAheadLog(self.wal_store_b, "wal"),
-            parallel_participants=parallel,
+            config=FactoryConfig(parallel_participants=parallel),
         )
         self.current_a = TransactionCurrent(self.factory_a)
         self.current_b = TransactionCurrent(self.factory_b)

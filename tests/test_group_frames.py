@@ -15,7 +15,7 @@ import struct
 
 import pytest
 
-from repro.config import OrbConfig, RuntimeConfig
+from repro.config import OrbConfig
 from repro.core import (
     ActivityManager,
     NestedVisibility,
@@ -58,14 +58,10 @@ class Echo(Servant):
         return received_context(self.orb).property_values[group][key]
 
 
-def deployment(cache_entries=256, fast_path=True):
+def deployment(cache_entries=256):
     orb = Orb(config=OrbConfig(marshal_cache_entries=cache_entries))
     node = orb.create_node("server")
-    manager = ActivityManager(
-        clock=orb.clock,
-        property_groups=group_manager(),
-        config=RuntimeConfig(fast_path=fast_path),
-    )
+    manager = ActivityManager(clock=orb.clock, property_groups=group_manager())
     manager.install(orb)
     ref = node.activate(Echo(orb))
     activity = manager.current.begin("job")
@@ -187,12 +183,9 @@ class TestThroughTheOrb:
         held = DECODE_CACHE_ENTRIES + (GROUPS - 1) + DECODE_CACHE_ENTRIES
         assert len(orb.marshaller.decode_cache) == held
 
-    @pytest.mark.parametrize(
-        "cache_entries, fast_path", [(256, False), (0, True), (0, False)]
-    )
-    def test_wire_bytes_do_not_depend_on_the_caches(self, cache_entries, fast_path):
-        def run(cache_entries, fast_path):
-            orb, ref, activity = deployment(cache_entries, fast_path)
+    def test_wire_bytes_do_not_depend_on_the_caches(self):
+        def run(cache_entries):
+            orb, ref, activity = deployment(cache_entries)
             wire = []
             deliver = orb.transport.deliver
 
@@ -207,7 +200,7 @@ class TestThroughTheOrb:
                 ref.invoke("read", "pg2", "k2")
             return wire
 
-        assert run(cache_entries, fast_path) == run(256, True)
+        assert run(0) == run(256)
 
 
 class TestCachesAreBoundedInContexts:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import RuntimeConfig
 from repro.core import ActivityServiceError, CompletionStatus
 from repro.hls import (
     HlsActivityService,
@@ -188,7 +189,8 @@ class TestWscfCrossDomain:
         bridge.connect(orb_a, "dA")
         bridge.connect(orb_b, "dB")
         manager_a = ActivityManager(
-            clock=clock, federation=bridge, interposition=interposition
+            clock=clock,
+            config=RuntimeConfig(federation=bridge, interposition=interposition),
         )
         manager_a.install(orb_a)
         manager_b = ActivityManager(clock=clock)

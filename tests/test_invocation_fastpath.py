@@ -14,6 +14,7 @@ Three layers under test:
 
 import pytest
 
+from repro.config import OrbConfig
 from repro.core import (
     ActivityManager,
     BroadcastSignalSet,
@@ -304,10 +305,10 @@ class EchoAction(Servant):
         return Outcome.done(signal.delivery_id)
 
 
-def run_broadcast(fast_path: bool, participants: int = 6):
+def run_broadcast(marshal_cache_entries: int, participants: int = 6):
     """One activity broadcasting to N remote actions; returns the raw
     request bytes seen on the wire, the servants and the orb."""
-    orb = Orb(marshal_cache_entries=256 if fast_path else 0)
+    orb = Orb(config=OrbConfig(marshal_cache_entries=marshal_cache_entries))
     node = orb.create_node("server")
     groups = PropertyGroupManager()
     groups.register_factory(
@@ -318,9 +319,7 @@ def run_broadcast(fast_path: bool, participants: int = 6):
             initial={f"k{i}": "x" * 32 for i in range(8)},
         ),
     )
-    manager = ActivityManager(
-        clock=orb.clock, property_groups=groups, fast_path=fast_path
-    )
+    manager = ActivityManager(clock=orb.clock, property_groups=groups)
     manager.install(orb)
 
     wire = []
@@ -344,8 +343,8 @@ def run_broadcast(fast_path: bool, participants: int = 6):
 
 class TestMarshalOnceBroadcast:
     def test_wire_bytes_identical_fast_vs_slow(self):
-        slow_wire, slow_actions, slow_outcome, _ = run_broadcast(False)
-        fast_wire, fast_actions, fast_outcome, fast_orb = run_broadcast(True)
+        slow_wire, slow_actions, slow_outcome, _ = run_broadcast(0)
+        fast_wire, fast_actions, fast_outcome, fast_orb = run_broadcast(256)
         assert fast_wire == slow_wire  # byte-identical requests, in order
         assert fast_outcome == slow_outcome
         assert [a.seen for a in fast_actions] == [a.seen for a in slow_actions]
@@ -358,8 +357,8 @@ class TestMarshalOnceBroadcast:
         assert stats.bytes_saved > 0
 
     def test_fast_path_encodes_fewer_bytes(self):
-        _, _, _, fast_orb = run_broadcast(True, participants=8)
-        _, _, _, slow_orb = run_broadcast(False, participants=8)
+        _, _, _, fast_orb = run_broadcast(256, participants=8)
+        _, _, _, slow_orb = run_broadcast(0, participants=8)
         fast = fast_orb.transport.stats.marshal
         slow = slow_orb.transport.stats.marshal
         assert slow.bytes_encoded > 2 * fast.bytes_encoded

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.config import FactoryConfig
 from repro.exceptions import CommunicationError
 from repro.ots import SimulatedCrash, TransactionFactory
 from repro.ots.exceptions import HeuristicHazard, TransactionRolledBack
@@ -54,12 +55,14 @@ def run_commit(factory, participants):
 class TestParallelCommitPath:
     def test_knob_validation(self):
         with pytest.raises(ValueError):
-            TransactionFactory(parallel_participants=0)
+            TransactionFactory(config=FactoryConfig(parallel_participants=0))
 
     def test_all_commit_matches_serial_log(self):
         outcomes = {}
         for workers in (1, 8):
-            factory = TransactionFactory(parallel_participants=workers)
+            factory = TransactionFactory(
+                config=FactoryConfig(parallel_participants=workers),
+            )
             participants = [Participant() for _ in range(8)]
             run_commit(factory, participants)
             assert factory.committed == 1
@@ -73,7 +76,7 @@ class TestParallelCommitPath:
         assert outcomes[8] == outcomes[1]
 
     def test_parallel_prepares_overlap(self):
-        factory = TransactionFactory(parallel_participants=8)
+        factory = TransactionFactory(config=FactoryConfig(parallel_participants=8))
         participants = [Participant(prepare_delay=0.05) for _ in range(8)]
         begin = time.perf_counter()
         run_commit(factory, participants)
@@ -82,7 +85,7 @@ class TestParallelCommitPath:
         assert elapsed < 0.3
 
     def test_no_vote_rolls_back_concurrently_prepared(self):
-        factory = TransactionFactory(parallel_participants=8)
+        factory = TransactionFactory(config=FactoryConfig(parallel_participants=8))
         participants = [
             Participant(vote=Vote.ROLLBACK if i == 3 else Vote.COMMIT)
             for i in range(8)
@@ -100,7 +103,9 @@ class TestParallelCommitPath:
             assert "commit" not in participant.calls
 
     def test_unreachable_committer_becomes_heuristic_hazard(self):
-        factory = TransactionFactory(parallel_participants=4, retry_attempts=2)
+        factory = TransactionFactory(
+            config=FactoryConfig(parallel_participants=4, retry_attempts=2),
+        )
         participants = [Participant() for _ in range(3)]
         participants[1].commit_error = CommunicationError("gone", transient=False)
         tx = factory.create()
@@ -113,7 +118,7 @@ class TestParallelCommitPath:
         assert participants[2].calls == ["prepare", "commit"]
 
     def test_failpoint_fires_before_parallel_prepare(self):
-        factory = TransactionFactory(parallel_participants=4)
+        factory = TransactionFactory(config=FactoryConfig(parallel_participants=4))
         participants = [Participant() for _ in range(4)]
         factory.failpoints.arm("before_prepare")
         tx = factory.create()
@@ -126,7 +131,7 @@ class TestParallelCommitPath:
 
     def test_composes_with_group_commit_window(self):
         factory = TransactionFactory(
-            parallel_participants=4, group_commit_window=0.001
+            config=FactoryConfig(parallel_participants=4, group_commit_window=0.001),
         )
         errors = []
 
@@ -155,7 +160,7 @@ class TestParallelCrashFidelity:
     """Parallel phases must keep the serial crash states reachable."""
 
     def test_prefix_committed_crash_state_reachable(self):
-        factory = TransactionFactory(parallel_participants=4)
+        factory = TransactionFactory(config=FactoryConfig(parallel_participants=4))
         participants = [Participant() for _ in range(4)]
         factory.failpoints.arm("before_commit_resource_2")
         tx = factory.create()
@@ -176,7 +181,7 @@ class TestParallelCrashFidelity:
 
 class TestSharedPoolReuse:
     def test_pool_reused_across_transactions(self):
-        factory = TransactionFactory(parallel_participants=4)
+        factory = TransactionFactory(config=FactoryConfig(parallel_participants=4))
         run_commit(factory, [Participant() for _ in range(4)])
         pool = factory.participant_pool()
         run_commit(factory, [Participant() for _ in range(4)])
@@ -187,7 +192,7 @@ class TestSharedPoolReuse:
     def test_nested_commit_from_participant_runs_serially(self):
         """A participant committing another transaction through the same
         factory must not deadlock on the shared pool."""
-        factory = TransactionFactory(parallel_participants=2)
+        factory = TransactionFactory(config=FactoryConfig(parallel_participants=2))
 
         class NestingParticipant(Participant):
             def prepare(self):
@@ -207,7 +212,7 @@ class TestCrashDraining:
         """A SimulatedCrash from one participant propagates only after
         in-flight sibling prepares finished — recovery must not race
         background workers still mutating stores."""
-        factory = TransactionFactory(parallel_participants=4)
+        factory = TransactionFactory(config=FactoryConfig(parallel_participants=4))
 
         class CrashingParticipant(Participant):
             def prepare(self):
@@ -240,7 +245,9 @@ class TestBuggyParticipants:
                 return None  # bug: no vote
 
         for workers in (1, 4):
-            factory = TransactionFactory(parallel_participants=workers)
+            factory = TransactionFactory(
+                config=FactoryConfig(parallel_participants=workers),
+            )
             tx = factory.create()
             tx.register_resource(Participant(), recovery_key="r0")
             tx.register_resource(ForgetfulParticipant(), recovery_key="r1")

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.config import FactoryConfig, OrbConfig
 from repro.core import (
     ActivityManager,
     SerialBroadcastExecutor,
@@ -18,7 +19,9 @@ from repro.core import (
 from repro.models.saga import Saga
 from repro.orb import Orb
 from repro.orb.core import Servant
+from repro.orb.marshal import MarshalError
 from repro.ots import TransactionCurrent, TransactionFactory
+from repro.ots.coordinator import _ParticipantRound
 from repro.ots.exceptions import (
     HeuristicCommit,
     HeuristicHazard,
@@ -59,7 +62,7 @@ class SweepParticipant:
 
 
 def run_rollback(parallel, participants):
-    factory = TransactionFactory(parallel_participants=parallel)
+    factory = TransactionFactory(config=FactoryConfig(parallel_participants=parallel))
     tx = factory.create()
     for index, participant in enumerate(participants):
         tx.register_resource(participant, recovery_key=f"r{index}")
@@ -105,7 +108,7 @@ class TestParallelRollbackSweep:
     def test_no_vote_abort_sweep_runs_parallel(self):
         participants = [SweepParticipant() for _ in range(4)]
         participants[3] = SweepParticipant(vote=Vote.ROLLBACK)
-        factory = TransactionFactory(parallel_participants=4)
+        factory = TransactionFactory(config=FactoryConfig(parallel_participants=4))
         tx = factory.create()
         for participant in participants:
             tx.register_resource(participant)
@@ -199,11 +202,11 @@ class RemoteResource(Servant):
         self.calls.append("forget")
 
 
-def run_remote_commit(marshal_once, parallel=1, participants=5):
-    orb = Orb(marshal_cache_entries=256 if marshal_once else 0)
+def run_remote_commit(marshal_cache_entries, parallel=1, participants=5):
+    orb = Orb(config=OrbConfig(marshal_cache_entries=marshal_cache_entries))
     node = orb.create_node("store")
     factory = TransactionFactory(
-        clock=orb.clock, parallel_participants=parallel, marshal_once=marshal_once
+        clock=orb.clock, config=FactoryConfig(parallel_participants=parallel)
     )
     current = TransactionCurrent(factory)
     install_transaction_service(orb, current)
@@ -227,9 +230,40 @@ def run_remote_commit(marshal_once, parallel=1, participants=5):
 
 
 class TestOtsMarshalOnce:
+    def test_unmarshallable_template_falls_back_to_the_plain_call(self, monkeypatch):
+        orb = Orb()
+        node = orb.create_node("store")
+        factory = TransactionFactory(clock=orb.clock)
+        current = TransactionCurrent(factory)
+        install_transaction_service(orb, current)
+
+        def unmarshallable(*args, **kwargs):
+            raise MarshalError("no template for this request")
+
+        monkeypatch.setattr(orb, "prepare_invocation", unmarshallable)
+        resources = [RemoteResource() for _ in range(3)]
+        tx = current.begin()
+        for index, resource in enumerate(resources):
+            tx.register_resource(node.activate(resource), recovery_key=f"r{index}")
+        current.commit()
+        assert tx.status is TransactionStatus.COMMITTED
+        assert all(r.calls == ["prepare", "commit"] for r in resources)
+        assert orb.transport.stats.marshal.template_fills == 0
+
+    def test_any_other_error_while_priming_propagates(self, monkeypatch):
+        orb = Orb()
+        ref = orb.create_node("store").activate(RemoteResource())
+
+        def broken(*args, **kwargs):
+            raise AttributeError("template bug")
+
+        monkeypatch.setattr(orb, "prepare_invocation", broken)
+        with pytest.raises(AttributeError, match="template bug"):
+            _ParticipantRound("prepare").prime(ref)
+
     def test_wire_bytes_identical_with_and_without_templates(self):
-        slow_wire, slow_resources, slow_tx, _ = run_remote_commit(False)
-        fast_wire, fast_resources, fast_tx, fast_orb = run_remote_commit(True)
+        slow_wire, slow_resources, slow_tx, _ = run_remote_commit(0)
+        fast_wire, fast_resources, fast_tx, fast_orb = run_remote_commit(256)
         assert fast_wire == slow_wire
         assert fast_tx.status is slow_tx.status is TransactionStatus.COMMITTED
         assert [r.calls for r in fast_resources] == [r.calls for r in slow_resources]
@@ -242,7 +276,10 @@ class TestOtsMarshalOnce:
     def test_remote_rollback_sweep_uses_templates(self):
         orb = Orb()
         node = orb.create_node("store")
-        factory = TransactionFactory(clock=orb.clock, parallel_participants=3)
+        factory = TransactionFactory(
+            clock=orb.clock,
+            config=FactoryConfig(parallel_participants=3),
+        )
         current = TransactionCurrent(factory)
         install_transaction_service(orb, current)
         resources = [RemoteResource() for _ in range(4)]

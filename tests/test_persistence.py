@@ -1,10 +1,11 @@
 """Unit tests for object stores and the write-ahead log."""
 
 import os
+import stat
 
 import pytest
 
-from repro.persistence import FileStore, MemoryStore, SegmentedFileStore, WriteAheadLog
+from repro.persistence import MemoryStore, SegmentedFileStore, WriteAheadLog
 from repro.persistence.object_store import StoreError
 
 pytestmark = pytest.mark.usefixtures("close_segmented_stores")
@@ -75,18 +76,21 @@ class TestMemoryStore:
 
 
 class TestFileStore:
+    """The on-disk store, :class:`SegmentedFileStore`, through the plain
+    :class:`ObjectStore` surface."""
+
     def test_roundtrip(self, tmp_path):
-        store = FileStore(str(tmp_path / "store"))
+        store = SegmentedFileStore(str(tmp_path / "store"))
         store.put("k", [1, "two", {"three": 3}])
         assert store.get("k") == [1, "two", {"three": 3}]
 
     def test_survives_reopen(self, tmp_path):
         root = str(tmp_path / "store")
-        FileStore(root).put("k", "persisted")
-        assert FileStore(root).get("k") == "persisted"
+        SegmentedFileStore(root).put("k", "persisted")
+        assert SegmentedFileStore(root).get("k") == "persisted"
 
     def test_remove_and_keys(self, tmp_path):
-        store = FileStore(str(tmp_path / "store"))
+        store = SegmentedFileStore(str(tmp_path / "store"))
         store.put("a", 1)
         store.put("b", 2)
         assert store.keys() == ("a", "b")
@@ -95,54 +99,68 @@ class TestFileStore:
         with pytest.raises(StoreError):
             store.get("a")
 
-    def test_path_traversal_sanitised(self, tmp_path):
-        store = FileStore(str(tmp_path / "store"))
-        store.put("../evil", 1)
-        assert store.get("../evil") == 1
-        assert not (tmp_path / "evil.cdr").exists()
-
     def test_partial_write_never_tears_an_object(self, tmp_path):
         """Regression: a crash mid-put must not corrupt the entry.
 
-        ``put`` stages into a tmp file and publishes with an atomic
-        rename; simulate a crash after a *partial* tmp write (the torn
-        bytes a power cut leaves) and verify the published entry still
-        reads back the old value — the torn tmp is never visible.
+        Simulate a crash after a *partial* append (the torn bytes a power
+        cut leaves behind the last whole frame) and verify the entry
+        still reads back the old value, and that the next put cuts the
+        torn tail off instead of burying it.
         """
         root = str(tmp_path / "store")
-        store = FileStore(root)
+        store = SegmentedFileStore(root)
         store.put("k", {"stable": True})
-        # crash mid-put: a half-written tmp file next to the entry
-        data = store._marshaller.encode({"stable": False})
-        with open(store._path("k") + ".tmp", "wb") as handle:
-            handle.write(data[: len(data) // 2])
-        assert store.get("k") == {"stable": True}
-        reopened = FileStore(root)
+        store.close()
+        frame = store._frame("k", False, store._marshaller.encode({"stable": False}))
+        with open(store._segment_path(store._active_id), "ab") as handle:
+            handle.write(frame[: len(frame) // 2])
+        reopened = SegmentedFileStore(root)
         assert reopened.get("k") == {"stable": True}
         assert reopened.keys() == ("k",)
-        # the next put over the same key replaces the torn tmp cleanly
+        assert reopened.torn_frames_dropped == 1
         reopened.put("k", {"stable": "new"})
         assert reopened.get("k") == {"stable": "new"}
+        again = SegmentedFileStore(root)
+        assert again.get("k") == {"stable": "new"}
+        assert again.torn_frames_dropped == 0
 
     def test_put_fsyncs_directory_entry(self, tmp_path, monkeypatch):
-        """The rename is published durably: put/put_many/remove fsync
-        the directory so the entry itself survives power loss."""
+        """A segment file's directory entry is made durable when the file
+        is created (first write, rollover, compaction) and only then: an
+        append to an existing segment stays exactly one fsync."""
         import repro.persistence.object_store as mod
 
-        store = FileStore(str(tmp_path / "store"))
         synced = []
         real_fsync = mod.os.fsync
-        monkeypatch.setattr(
-            mod.os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
-        )
+
+        def fsync(fd):
+            synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(mod.os, "fsync", fsync)
+        root = str(tmp_path / "store")
+        store = SegmentedFileStore(root, segment_bytes=256, auto_compact_ratio=None)
         store.put("k", 1)
-        assert len(synced) == 2  # file contents + directory entry
+        assert synced == ["file", "dir"]  # first write creates the segment
         synced.clear()
         store.put_many({"a": 1, "b": 2})
-        assert len(synced) == 3  # two staged files + one directory sync
+        assert synced == ["file"]  # append to the existing segment
         synced.clear()
-        store.remove("k")
-        assert len(synced) == 1  # directory sync after the unlink
+        store.close()
+        SegmentedFileStore(root, segment_bytes=256).put("c", 3)
+        assert synced == ["file"]  # a reopened store appends to it too
+        synced.clear()
+        store = SegmentedFileStore(root, segment_bytes=256, auto_compact_ratio=None)
+        while len(store._segment_ids) == 1:
+            store.put("hot", "x" * 64)
+        synced.clear()
+        store.put("hot", "rolled")
+        assert synced == ["file", "dir"]  # the rollover's new segment
+        synced.clear()
+        removed = store.compact()
+        assert removed == 2
+        assert synced == ["file", "dir"]  # the compacted segment, before removal
+        assert SegmentedFileStore(root).get("hot") == "rolled"
 
 
 class TestWriteAheadLog:

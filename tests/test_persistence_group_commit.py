@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.config import FactoryConfig
 from repro.persistence import (
     GroupCommitWAL,
     MemoryStore,
@@ -236,16 +237,20 @@ class TestConcurrentGroupCommit:
         from repro.ots import RecoverableRegistry, RecoveryManager, TransactionFactory
 
         with pytest.raises(ValueError):
-            TransactionFactory(wal=WriteAheadLog(), group_commit_window=0.01)
+            TransactionFactory(
+                wal=WriteAheadLog(),
+                config=FactoryConfig(group_commit_window=0.01),
+            )
         with pytest.raises(ValueError):
             RecoveryManager(
                 WriteAheadLog(), RecoverableRegistry(), group_commit_window=0.01
             )
-        factory = TransactionFactory(group_commit_window=0.01)
+        factory = TransactionFactory(config=FactoryConfig(group_commit_window=0.01))
         assert isinstance(factory.wal, GroupCommitWAL)
         assert factory.group_commit_window == 0.01
         retuned = TransactionFactory(
-            wal=GroupCommitWAL(window=0.5), group_commit_window=0.01
+            wal=GroupCommitWAL(window=0.5),
+            config=FactoryConfig(group_commit_window=0.01),
         )
         assert retuned.wal.window == 0.01
         assert TransactionFactory().group_commit_window is None
