@@ -18,10 +18,10 @@ for the repro, using the PR 10 load engine:
   behind a ``max_live`` gate sized exactly there; begin 120,001 is shed.
   Evidence for the million-client ceiling: live population is capped by
   configuration, and per-activity heap cost is a bounded constant.
-- **dispatch loops** (machine-dependent, not gated): the same gated
-  servant served over real sockets by the threads accept loop vs the
-  asyncio accept loop, closed-loop clients — recorded for trajectory,
-  never compared across hosts.
+- **socket dispatch** (machine-dependent, not gated): the same gated
+  servant served over real sockets by the thread-per-connection server,
+  closed-loop clients — recorded for trajectory, never compared across
+  hosts.
 
 Results land in ``results/fig22.txt`` and ``results/BENCH_fig22.json``
 (deterministic metrics gated by ``check_bench_regression.py``).
@@ -105,14 +105,12 @@ class _GatedServant(Servant):
         return "ok"
 
 
-def measure_socket_dispatch(accept_loop):
-    """Closed-loop ops/s over real sockets for one accept-loop kind."""
+def measure_socket_dispatch():
+    """Closed-loop ops/s over real sockets."""
     manager = ActivityManager(
         clock=WallClock(), config=RuntimeConfig(max_live=MAX_LIVE)
     )
-    server = SocketTransport(
-        "bench-server", bind=("127.0.0.1", 0), accept_loop=accept_loop
-    )
+    server = SocketTransport("bench-server", bind=("127.0.0.1", 0))
     server_orb = Orb(transport=server, config=OrbConfig())
     SiteFederation(server, server_orb)
     server.set_request_handler(server_orb.dispatch_request)
@@ -165,7 +163,7 @@ def measure_socket_dispatch(accept_loop):
         client.close()
         server.close()
 
-    merged = LoadCollector(f"dispatch-{accept_loop}")
+    merged = LoadCollector("dispatch-threads")
     for collector in collectors:
         merged.merge(collector)
     return merged.report()
@@ -177,8 +175,7 @@ class TestFig22LoadAdmission:
         gated_over = run_sweep(RATE_OVERLOAD, MAX_LIVE)
         ungated_over = run_sweep(RATE_OVERLOAD, None)
         hold = measure_population()
-        threads_report = measure_socket_dispatch("threads")
-        asyncio_report = measure_socket_dispatch("asyncio")
+        threads_report = measure_socket_dispatch()
 
         retention = gated_over["goodput_ops_s"] / gated_knee["goodput_ops_s"]
         ratio = gated_over["goodput_ops_s"] / max(
@@ -208,7 +205,6 @@ class TestFig22LoadAdmission:
                 f"   ({hold['blocks_per_activity']:.0f} blocks/activity,"
                 f" {hold['shed_at_ceiling']} shed at ceiling)",
                 f"  sockets, threads loop  {threads_report['throughput_ops_s']:7.1f} ops/s",
-                f"  sockets, asyncio loop  {asyncio_report['throughput_ops_s']:7.1f} ops/s",
             ],
             data={
                 # Deterministic (simulated clock + seeded rng): gated.
@@ -224,7 +220,6 @@ class TestFig22LoadAdmission:
                 "population_shed": hold["shed_at_ceiling"],
                 # Machine-dependent trajectory (never gated).
                 "dispatch_threads_ops_s": threads_report["throughput_ops_s"],
-                "dispatch_asyncio_ops_s": asyncio_report["throughput_ops_s"],
                 "population_blocks_per_activity": hold["blocks_per_activity"],
                 "population_peak_rss_bytes": hold["peak_rss_bytes"],
             },
@@ -244,4 +239,3 @@ class TestFig22LoadAdmission:
         assert gated_over["shed"] > 0
         assert ungated_over["shed"] == 0
         assert threads_report["ok"] > 0
-        assert asyncio_report["ok"] > 0

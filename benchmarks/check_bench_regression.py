@@ -29,8 +29,8 @@ Only *machine-independent* metrics are gated:
 - **fig22** (load & admission control): the knee sweep and population
   hold run under a simulated clock with seeded arrivals, so goodput
   ratios, retention, bounded p99 and the live-population peak are
-  exactly reproducible.  The socket dispatch-loop throughputs in the
-  same JSON are machine-dependent and deliberately *not* gated.
+  exactly reproducible.  The thread-per-connection socket throughput in
+  the same JSON is machine-dependent and deliberately *not* gated.
 
 Each figure is gated independently; by default every figure with a
 committed baseline is checked.

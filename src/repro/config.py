@@ -8,8 +8,7 @@ federation hooks).  This module collapses each surface into one frozen,
 validated dataclass:
 
 =================  ==========================================================
-:class:`OrbConfig`       marshaller cache sizing, federation domain identity,
-                         dispatch loop
+:class:`OrbConfig`       marshaller cache sizing, federation domain identity
 :class:`RuntimeConfig`   ActivityManager: timer wheel, shards,
                          federation/interposition switches
 :class:`FactoryConfig`   TransactionFactory: 2PC drive policy (parallelism,
@@ -117,11 +116,6 @@ class OrbConfig(_BaseConfig):
         The coordination domain this ORB belongs to when federated.
         Normally assigned by ``InterOrbBridge.connect`` or the site
         runtime; a standalone ORB leaves it ``None``.
-    dispatch_loop
-        Delivery scheduling seam: ``"inline"`` (default — invoke runs
-        the transport delivery on the calling thread, the historical
-        behaviour) or ``"asyncio"`` (deliveries are scheduled onto a
-        background asyncio event loop; the caller blocks on a future).
 
     The wire format is not a knob: every ORB speaks the one encoding of
     :mod:`repro.orb.marshal`.
@@ -129,7 +123,6 @@ class OrbConfig(_BaseConfig):
 
     marshal_cache_entries: int = 256
     domain_id: Optional[str] = None
-    dispatch_loop: str = "inline"
 
     def validate(self) -> None:
         self._require(
@@ -137,11 +130,6 @@ class OrbConfig(_BaseConfig):
             and self.marshal_cache_entries >= 0,
             f"marshal_cache_entries must be a non-negative int, "
             f"got {self.marshal_cache_entries!r}",
-        )
-        self._require(
-            self.dispatch_loop in ("inline", "asyncio"),
-            f"dispatch_loop must be 'inline' or 'asyncio', "
-            f"got {self.dispatch_loop!r}",
         )
 
 

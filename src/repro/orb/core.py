@@ -33,7 +33,6 @@ from repro.exceptions import (
     TimeoutError_,
 )
 from repro.orb.current import InvocationCurrent
-from repro.orb.dispatch import DispatchLoop, build_dispatch_loop
 from repro.orb.interceptors import InterceptorChain, RequestInfo
 from repro.orb.marshal import (
     DecodeCache,
@@ -234,7 +233,6 @@ class Orb:
         event_log: Optional[EventLog] = None,
         config: Optional[OrbConfig] = None,
         transport: Optional[Transport] = None,
-        dispatch_loop: Optional[DispatchLoop] = None,
     ) -> None:
         self.config = config if config is not None else OrbConfig()
         # Federation: the coordination domain this ORB belongs to and the
@@ -265,13 +263,6 @@ class Orb:
                 EncodeCache(self.config.marshal_cache_entries) if caches else None
             ),
             decode_cache=DecodeCache() if caches else None,
-        )
-        # Delivery scheduling seam (PR 7).  None means inline — invoke
-        # calls the transport directly, so the default path pays nothing.
-        self.dispatch_loop = (
-            dispatch_loop
-            if dispatch_loop is not None
-            else build_dispatch_loop(self.config.dispatch_loop)
         )
         self.interceptors = InterceptorChain()
         self.current = InvocationCurrent()
@@ -419,21 +410,12 @@ class Orb:
                 reply_bytes = self.federation.route(
                     self, source_node, ref, request_bytes
                 )
-            elif self.dispatch_loop is None:
+            else:
                 reply_bytes = self.transport.deliver(
                     source_node,
                     ref.node_id,
                     request_bytes,
                     lambda payload: self._dispatch(ref.node_id, payload),
-                )
-            else:
-                reply_bytes = self.dispatch_loop.dispatch(
-                    lambda: self.transport.deliver(
-                        source_node,
-                        ref.node_id,
-                        request_bytes,
-                        lambda payload: self._dispatch(ref.node_id, payload),
-                    )
                 )
         except CommunicationError as exc:
             info.exception = exc

@@ -45,12 +45,11 @@ from explicit registration or ``locate`` control queries).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
 import threading
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import (
     AdmissionRejected,
@@ -123,28 +122,33 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes:
     return b"".join(chunks)
 
 
-def _parse_frame_body(body: bytes) -> Tuple[str, str, bytes]:
-    """Split a frame body into (source, target, payload).
-
-    Shared by the blocking reader below and the asyncio accept loop —
-    one parser, whatever moves the bytes."""
-    src_len = struct.unpack_from(">H", body, 0)[0]
-    source = body[2 : 2 + src_len].decode("utf-8")
-    offset = 2 + src_len
-    dst_len = struct.unpack_from(">H", body, offset)[0]
-    target = body[offset + 2 : offset + 2 + dst_len].decode("utf-8")
-    payload = body[offset + 2 + dst_len :]
-    return source, target, payload
-
-
 def _read_frame(sock: socket.socket) -> Tuple[int, str, str, bytes]:
     header = _recv_exact(sock, _HEADER.size)
     length, kind = _HEADER.unpack(header)
     if not 1 <= length <= _MAX_FRAME:
         raise ConnectionError(f"invalid frame length {length}")
     body = _recv_exact(sock, length - 1)
-    source, target, payload = _parse_frame_body(body)
+    src_len = struct.unpack_from(">H", body, 0)[0]
+    source = body[2 : 2 + src_len].decode("utf-8")
+    offset = 2 + src_len
+    dst_len = struct.unpack_from(">H", body, offset)[0]
+    target = body[offset + 2 : offset + 2 + dst_len].decode("utf-8")
+    payload = body[offset + 2 + dst_len :]
     return kind, source, target, payload
+
+
+def _shut(sock: socket.socket) -> None:
+    """Shut down and close a server-side socket.  ``shutdown`` wakes a
+    thread blocked in its ``accept``/``recv`` and sends the peer EOF;
+    ``close`` alone would leave both waiting."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 class _Connection:
@@ -175,13 +179,11 @@ class SocketTransport(Transport):
     port, readable from :attr:`address` afterwards.  Peers are added
     with :meth:`connect_peer` and dialed lazily on first use.
 
-    ``accept_loop`` selects the server-side engine (PR 7 dispatch
-    layer): ``"threads"`` (default) runs the historical
-    thread-per-connection accept loop; ``"asyncio"`` serves every
-    connection from one event-loop thread (frames read with
-    ``readexactly``, handlers run on an executor so a blocking ORB
-    dispatch never stalls the loop).  The wire protocol is identical —
-    a threads client talks to an asyncio server and vice versa.
+    The server side is thread-per-connection: one accept thread hands
+    each inbound connection to a thread of its own, which reads a frame,
+    runs the handler and writes the reply before reading the next.  A
+    connection is forgotten when its thread ends; :meth:`close` shuts
+    down the ones still open.
     """
 
     supports_fault_injection: ClassVar[bool] = False
@@ -195,16 +197,10 @@ class SocketTransport(Transport):
         reconnect_base_delay: float = 0.05,
         connect_timeout: float = 5.0,
         request_timeout: float = 30.0,
-        accept_loop: str = "threads",
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        if accept_loop not in ("threads", "asyncio"):
-            raise ConfigurationError(
-                f"accept_loop must be 'threads' or 'asyncio', got {accept_loop!r}"
-            )
         self.site_id = site_id
         self.bind = bind
-        self.accept_loop = accept_loop
         self.stats = TransportStats()
         self.reconnect_attempts = reconnect_attempts
         self.reconnect_base_delay = reconnect_base_delay
@@ -232,10 +228,7 @@ class SocketTransport(Transport):
         self._lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._aio_loop: Optional[asyncio.AbstractEventLoop] = None
-        self._aio_server: Optional[asyncio.AbstractServer] = None
-        self._aio_thread: Optional[threading.Thread] = None
-        self._server_conns: List[socket.socket] = []
+        self._server_conns: Set[socket.socket] = set()
         self._closed = False
         self._started = False
         self._request_handler: Optional[Callable[[str, bytes], bytes]] = None
@@ -293,10 +286,6 @@ class SocketTransport(Transport):
             # A client-only transport: dials peers, accepts nothing.
             self._started = True
             return
-        if self.accept_loop == "asyncio":
-            self._start_asyncio_server()
-            self._started = True
-            return
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(self.bind)
@@ -304,31 +293,29 @@ class SocketTransport(Transport):
         self._listener = listener
         self.address = listener.getsockname()[:2]
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"site-{self.site_id}-accept", daemon=True
+            target=self._accept_connections,
+            args=(listener,),
+            name=f"site-{self.site_id}-accept",
+            daemon=True,
         )
         self._started = True
         self._accept_thread.start()
 
     def close(self) -> None:
         self._closed = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        self._stop_asyncio_server()
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            _shut(listener)
+            # Once the accept thread is out of accept() the port is free.
+            self._accept_thread.join(timeout=5.0)
         with self._lock:
             idle = [conn for conns in self._idle.values() for conn in conns]
             self._idle.clear()
-            server_conns, self._server_conns = self._server_conns, []
+            server_conns, self._server_conns = self._server_conns, set()
         for conn in idle:
             conn.close()
         for sock in server_conns:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _shut(sock)
 
     def connect_peer(self, peer_id: str, address: Tuple[str, int]) -> None:
         self._peers[peer_id] = (address[0], int(address[1]))
@@ -362,98 +349,16 @@ class SocketTransport(Transport):
         with self._lock:
             return peer_id in self._quarantined
 
-    # -- server side (asyncio accept loop) ---------------------------------
-
-    def _start_asyncio_server(self) -> None:
-        loop = asyncio.new_event_loop()
-        ready = threading.Event()
-
-        def run() -> None:
-            asyncio.set_event_loop(loop)
-            loop.call_soon(ready.set)
-            loop.run_forever()
-
-        thread = threading.Thread(
-            target=run, name=f"site-{self.site_id}-aio", daemon=True
-        )
-        thread.start()
-        ready.wait()
-        host, port = self.bind
-        server = asyncio.run_coroutine_threadsafe(
-            asyncio.start_server(self._serve_asyncio_connection, host, port), loop
-        ).result()
-        self._aio_loop = loop
-        self._aio_server = server
-        self._aio_thread = thread
-        self.address = server.sockets[0].getsockname()[:2]
-
-    def _stop_asyncio_server(self) -> None:
-        loop, server, thread = self._aio_loop, self._aio_server, self._aio_thread
-        self._aio_loop = self._aio_server = self._aio_thread = None
-        if loop is None:
-            return
-
-        async def shutdown() -> None:
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-
-        try:
-            asyncio.run_coroutine_threadsafe(shutdown(), loop).result(timeout=5.0)
-        except Exception:
-            pass
-        loop.call_soon_threadsafe(loop.stop)
-        if thread is not None:
-            thread.join(timeout=5.0)
-        loop.close()
-
-    async def _serve_asyncio_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # Frames on one connection are processed sequentially (the
-        # client checks a connection out exclusively per round, so
-        # there is never a second in-flight request to pipeline); the
-        # blocking ORB dispatch runs on the default executor so slow
-        # handlers never stall other connections sharing the loop.
-        loop = asyncio.get_event_loop()
-        conn_state: Dict[str, Any] = {}
-        try:
-            while not self._closed:
-                header = await reader.readexactly(_HEADER.size)
-                length, kind = _HEADER.unpack(header)
-                if not 1 <= length <= _MAX_FRAME:
-                    break
-                body = await reader.readexactly(length - 1)
-                source, target, payload = _parse_frame_body(body)
-                reply_kind, reply_payload = await loop.run_in_executor(
-                    None, self._handle_frame, kind, source, target, payload,
-                    conn_state,
-                )
-                writer.write(
-                    _encode_frame(reply_kind, self.site_id, source, reply_payload)
-                )
-                await writer.drain()
-                with self._lock:
-                    self.stats.replies_sent += 1
-                    self.stats.bytes_sent += len(reply_payload)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
     # -- server side (thread-per-connection) -------------------------------
 
-    def _accept_loop(self) -> None:
+    def _accept_connections(self, listener: socket.socket) -> None:
         while not self._closed:
             try:
-                sock, _ = self._listener.accept()
+                sock, _ = listener.accept()
             except OSError:
                 return
             with self._lock:
-                self._server_conns.append(sock)
+                self._server_conns.add(sock)
             thread = threading.Thread(
                 target=self._serve_connection,
                 args=(sock,),
@@ -479,6 +384,8 @@ class SocketTransport(Transport):
         except (ConnectionError, OSError):
             pass
         finally:
+            with self._lock:
+                self._server_conns.discard(sock)
             try:
                 sock.close()
             except OSError:

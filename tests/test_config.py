@@ -14,6 +14,7 @@ from repro.config import (
 from repro.core.manager import ActivityManager
 from repro.exceptions import ConfigurationError
 from repro.orb.core import Orb
+from repro.orb.socket_transport import SocketTransport
 from repro.ots.factory import TransactionFactory
 
 
@@ -95,8 +96,18 @@ class TestLegacyShim:
             lambda: Orb(marshal_cache_entries=0),
             lambda: ActivityManager(registry_shards=4),
             lambda: TransactionFactory(marshal_once=False),
+            lambda: OrbConfig(dispatch_loop="asyncio"),
+            lambda: Orb(dispatch_loop=None),
+            lambda: SocketTransport("srv", accept_loop="threads"),
         ],
-        ids=["orb", "manager", "factory"],
+        ids=[
+            "orb",
+            "manager",
+            "factory",
+            "orb-config-dispatch-loop",
+            "orb-dispatch-loop",
+            "transport-accept-loop",
+        ],
     )
     def test_formerly_folded_keyword_is_type_error(self, build):
         with pytest.raises(TypeError):
@@ -105,6 +116,10 @@ class TestLegacyShim:
     def test_retired_options_are_gone(self):
         assert "fast_path" not in {f.name for f in dataclasses.fields(RuntimeConfig)}
         assert "marshal_once" not in {f.name for f in dataclasses.fields(FactoryConfig)}
+        assert [f.name for f in dataclasses.fields(OrbConfig)] == [
+            "marshal_cache_entries",
+            "domain_id",
+        ]
         with pytest.raises(ConfigValidationError):
             ReplicationConfig(backend="file")
 

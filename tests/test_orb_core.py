@@ -1,5 +1,7 @@
 """Unit tests for the ORB: nodes, dispatch, exceptions, crash/restart."""
 
+import threading
+
 import pytest
 
 from repro.exceptions import (
@@ -162,6 +164,14 @@ class TestInvocation:
         ref = ObjectRef("n", "o")
         with pytest.raises(InvalidStateError):
             ref.invoke("get")
+
+    def test_servant_runs_on_the_calling_thread(self, node):
+        class Where(Servant):
+            def thread(self):
+                return threading.get_ident()
+
+        ref = node.activate(Where())
+        assert ref.invoke("thread") == threading.get_ident()
 
 
 class TestCrashRestart:

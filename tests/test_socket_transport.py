@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -201,6 +202,88 @@ class TestReconnect:
         # attempts=1 must not sleep the 10s backoff even once.
         with pytest.raises(CommunicationError):
             client.control("server", {"op": "ping"}, attempts=1)
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestServerLifecycle:
+    def test_finished_sessions_leave_server_conns(self, server):
+        server.set_request_handler(lambda node, payload: payload)
+        for i in range(50):
+            client = make_client(server, site_id=f"client-{i}")
+            try:
+                assert client.request("server", "s", "d", b"x") == b"x"
+            finally:
+                client.close()
+        assert wait_until(lambda: len(server._server_conns) == 0)
+
+    def test_close_ends_open_sessions(self, server):
+        server.set_request_handler(lambda node, payload: payload)
+        client = make_client(server)
+        try:
+            client.request("server", "s", "d", b"x")
+            with server._lock:
+                conns = list(server._server_conns)
+            assert len(conns) == 1
+            server.close()
+            assert conns[0].fileno() == -1
+            # The pooled client connection sees EOF, not a silent hang.
+            pooled = client._idle["server"][0].sock
+            pooled.settimeout(5.0)
+            assert pooled.recv(1) == b""
+        finally:
+            client.close()
+
+    def test_close_is_clean(self):
+        server = SocketTransport("srv", bind=("127.0.0.1", 0))
+        server.set_request_handler(lambda node, data: data)
+        server.start()
+        address = server.address
+        assert address is not None
+        server.close()
+        # Closing twice is fine; the port is released at once.
+        server.close()
+        probe = SocketTransport("srv2", bind=("127.0.0.1", address[1]))
+        probe.start()
+        try:
+            assert probe.address[1] == address[1]
+        finally:
+            probe.close()
+
+    def test_concurrent_clients_one_server(self, server):
+        server.set_request_handler(lambda node, data: data.upper())
+        clients = [SocketTransport(f"c{i}") for i in range(4)]
+        results, errors = [], []
+
+        def worker(client, i):
+            try:
+                client.start()
+                client.connect_peer("server", server.address)
+                results.append(client.request("server", "a", "b", f"m{i}".encode()))
+            except BaseException as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        try:
+            workers = [
+                threading.Thread(target=worker, args=(client, i))
+                for i, client in enumerate(clients)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+            assert not errors
+            assert sorted(results) == [b"M0", b"M1", b"M2", b"M3"]
+        finally:
+            for client in clients:
+                client.close()
 
 
 class TestTransportSeam:
