@@ -7,6 +7,10 @@ downstream property access (writes are visible upstream immediately).
 The crossover is the artefact: small groups / chatty access favour
 by-reference; large groups / rare access favour… actually the reverse —
 this bench produces the actual table.
+
+Calls cross an encoding hop (a client ORB and a server ORB joined by an
+in-process inter-ORB bridge): a call collocated in one ORB carries values
+and puts no bytes on any wire.
 """
 
 import pytest
@@ -20,13 +24,18 @@ from repro.core import (
 from repro.orb import Orb
 from repro.orb.core import Servant
 
+from tests.bridged import BridgedPair
+
 
 def build(propagation, group_size):
-    orb = Orb()
-    origin = orb.create_node("origin")
-    server = orb.create_node("server")
-    manager = ActivityManager(clock=orb.clock)
-    manager.install(orb)
+    """The client's activity carries the group to a reader on the server;
+    a by-reference group is exported from the client's ``origin`` node."""
+    pair = BridgedPair()
+    orb = pair.server
+    origin = pair.client.create_node("origin")
+    manager = ActivityManager(clock=pair.client.clock)
+    manager.install(pair.client)
+    ActivityManager(clock=orb.clock).install(orb)
     group = PropertyGroup(
         "ctx", propagation=propagation,
         initial={f"key-{i}": f"value-{i}" for i in range(group_size)},
@@ -42,10 +51,10 @@ def build(propagation, group_size):
         def noop(self):
             return True
 
-    ref = server.activate(Reader())
+    ref = pair.activate("server", Reader())
     activity = manager.current.begin("ablation")
     activity.attach_property_group(group)
-    return orb, manager, ref, group
+    return pair.client, manager, ref, group
 
 
 class TestPropagationAblation:

@@ -30,6 +30,11 @@ its own wire frame, so a call re-encodes the changed group and the
 context's envelope, not the whole context; ``churn_byte_ratio`` (context
 size over bytes encoded per call) is deterministic and floored in CI.
 
+Every call crosses an encoding hop: a client ORB and a server ORB
+joined by an in-process inter-ORB bridge (a call collocated in one ORB
+carries values, not bytes, and would encode nothing), and the marshal
+counters are both ORBs' added up.
+
 Quick mode (``BENCH_QUICK=1``) shrinks the sweep for CI smoke runs.
 """
 
@@ -48,8 +53,10 @@ from repro.core import (
 )
 from repro.core.context import build_context
 from repro.core.signals import Signal
-from repro.orb import Marshaller, Orb
+from repro.orb import Marshaller
 from repro.orb.core import Servant
+
+from tests.bridged import BridgedPair
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 # (depth, groups, participants) sweep; the last row is the acceptance point.
@@ -75,8 +82,8 @@ class EchoAction(Servant):
 
 
 def build_deployment(caches, groups):
-    orb = Orb(config=OrbConfig(marshal_cache_entries=256 if caches else 0))
-    node = orb.create_node("server")
+    """A client activity's manager and the bridged pair it calls across."""
+    pair = BridgedPair(OrbConfig(marshal_cache_entries=256 if caches else 0))
     registry = PropertyGroupManager()
     for g in range(groups):
         registry.register_factory(
@@ -91,23 +98,29 @@ def build_deployment(caches, groups):
                 },
             ),
         )
-    manager = ActivityManager(clock=orb.clock, property_groups=registry)
-    manager.install(orb)
-    return orb, node, manager
+    manager = ActivityManager(clock=pair.client.clock, property_groups=registry)
+    manager.install(pair.client)
+    return pair, manager
+
+
+def record_requests(pair, wire, first_only=False):
+    """Append each request the client's transport carries to ``wire``."""
+    transport = pair.client.transport
+    original_deliver = transport.deliver
+
+    def recording_deliver(source, target, request_bytes, dispatch):
+        if not (first_only and wire):
+            wire.append(request_bytes)
+        return original_deliver(source, target, request_bytes, dispatch)
+
+    transport.deliver = recording_deliver
 
 
 def run_config(caches, depth, groups, participants):
-    """Drive ROUNDS broadcasts; return (elapsed, wire, trace, stats)."""
-    orb, node, manager = build_deployment(caches, groups)
-
+    """Drive ROUNDS broadcasts; return (elapsed, wire, trace, pair)."""
+    pair, manager = build_deployment(caches, groups)
     wire = []
-    original_deliver = orb.transport.deliver
-
-    def recording_deliver(source, target, request_bytes, dispatch):
-        wire.append(request_bytes)
-        return original_deliver(source, target, request_bytes, dispatch)
-
-    orb.transport.deliver = recording_deliver
+    record_requests(pair, wire)
 
     activity = manager.current.begin("root")
     for level in range(depth - 1):
@@ -115,7 +128,7 @@ def run_config(caches, depth, groups, participants):
         manager.current.suspend()
         manager.current.resume(child)
         activity = child
-    refs = [node.activate(EchoAction()) for _ in range(participants)]
+    refs = [pair.activate("server", EchoAction()) for _ in range(participants)]
     for ref in refs:
         activity.add_action("repro.predefined.broadcast", ref)
 
@@ -138,15 +151,15 @@ def run_config(caches, depth, groups, participants):
         for event in manager.event_log
         if event.kind in ("get_signal", "transmit", "set_response", "get_outcome")
     ]
-    return elapsed, wire, trace, orb.transport.stats
+    return elapsed, wire, trace, pair
 
 
 def run_pair(depth, groups, participants):
     """One configuration with the fast path off and on, cross-checked."""
-    slow_elapsed, slow_wire, slow_trace, slow_stats = run_config(
+    slow_elapsed, slow_wire, slow_trace, slow_pair = run_config(
         False, depth, groups, participants
     )
-    fast_elapsed, fast_wire, fast_trace, fast_stats = run_config(
+    fast_elapsed, fast_wire, fast_trace, fast_pair = run_config(
         True, depth, groups, participants
     )
     # Byte-identical wire traces, decoded payloads, and logical ordering.
@@ -155,8 +168,11 @@ def run_pair(depth, groups, participants):
     for fast_bytes, slow_bytes in zip(fast_wire, slow_wire):
         assert decoder.decode(fast_bytes) == decoder.decode(slow_bytes)
     assert fast_trace == slow_trace
-    assert fast_stats.bytes_sent == slow_stats.bytes_sent
-    return slow_elapsed, fast_elapsed, slow_stats, fast_stats
+    assert (
+        fast_pair.client.transport.stats.bytes_sent
+        == slow_pair.client.transport.stats.bytes_sent
+    )
+    return slow_elapsed, fast_elapsed, slow_pair.stats, fast_pair.stats
 
 
 class TestFig16InvocationFastPath:
@@ -174,9 +190,7 @@ class TestFig16InvocationFastPath:
                 )
                 slow_elapsed = min(slow_elapsed, slow_once)
                 fast_elapsed = min(fast_elapsed, fast_once)
-            byte_ratio = (
-                slow_stats.marshal.bytes_encoded / fast_stats.marshal.bytes_encoded
-            )
+            byte_ratio = slow_stats.bytes_encoded / fast_stats.bytes_encoded
             rows.append(
                 (
                     depth,
@@ -184,10 +198,10 @@ class TestFig16InvocationFastPath:
                     participants,
                     slow_elapsed,
                     fast_elapsed,
-                    slow_stats.marshal.bytes_encoded,
-                    fast_stats.marshal.bytes_encoded,
+                    slow_stats.bytes_encoded,
+                    fast_stats.bytes_encoded,
                     byte_ratio,
-                    fast_stats.marshal,
+                    fast_stats,
                 )
             )
 
@@ -246,10 +260,9 @@ def raw_deployment(caches):
 
     The context is the paper's implicit-propagation shape: ``RAW_GROUPS``
     property groups x ``KEYS_PER_GROUP`` keys, sent with every call.
-    Returns (orb, ref, activity).
+    Returns (pair, ref, activity).
     """
-    orb = Orb(config=OrbConfig(marshal_cache_entries=256 if caches else 0))
-    node = orb.create_node("server")
+    pair = BridgedPair(OrbConfig(marshal_cache_entries=256 if caches else 0))
     registry = PropertyGroupManager()
     for g in range(RAW_GROUPS):
         registry.register_factory(
@@ -264,31 +277,24 @@ def raw_deployment(caches):
                 },
             ),
         )
-    manager = ActivityManager(clock=orb.clock, property_groups=registry)
-    manager.install(orb)
+    manager = ActivityManager(clock=pair.client.clock, property_groups=registry)
+    manager.install(pair.client)
     activity = manager.current.begin("raw")
-    return orb, node.activate(EchoAction()), activity
+    return pair, pair.activate("server", EchoAction()), activity
 
 
 def run_raw_engine(caches, calls):
     """Single-thread invocation loop under one engine configuration.
 
-    Returns (calls_per_second, wire_sample, stats).  Every invocation
+    Returns (calls_per_second, wire_sample, pair).  Every invocation
     carries the raw activity context plus a registered Signal value —
     the record types the slotted conversion targets.  The baseline
     re-marshals that context on every call; the engine snapshots,
     interns and memoizes it.
     """
-    orb, ref, _ = raw_deployment(caches)
+    pair, ref, _ = raw_deployment(caches)
     wire_sample = []
-    original_deliver = orb.transport.deliver
-
-    def sampling_deliver(source, target, request_bytes, dispatch):
-        if not wire_sample:
-            wire_sample.append(request_bytes)
-        return original_deliver(source, target, request_bytes, dispatch)
-
-    orb.transport.deliver = sampling_deliver
+    record_requests(pair, wire_sample, first_only=True)
     signal = Signal("notify", "raw", {"seq": 1})
     for _ in range(20):  # warm caches/templates outside the timed loop
         ref.invoke("process_signal", signal)
@@ -296,7 +302,7 @@ def run_raw_engine(caches, calls):
     for _ in range(calls):
         ref.invoke("process_signal", signal)
     elapsed = time.perf_counter() - begin
-    return calls / elapsed, wire_sample[0], orb.transport.stats
+    return calls / elapsed, wire_sample[0], pair
 
 
 class TestFig16RawEngineThroughput:
@@ -306,19 +312,21 @@ class TestFig16RawEngineThroughput:
         the same encoding with caches off."""
         off_rate = engine_rate = 0.0
         for _ in range(3):  # best-of-3: stable on noisy CI runners
-            rate, off_wire, off_stats = run_raw_engine(False, RAW_CALLS)
+            rate, off_wire, off_pair = run_raw_engine(False, RAW_CALLS)
             off_rate = max(off_rate, rate)
-            rate, engine_wire, engine_stats = run_raw_engine(True, RAW_CALLS)
+            rate, engine_wire, engine_pair = run_raw_engine(True, RAW_CALLS)
             engine_rate = max(engine_rate, rate)
 
         # The engine changes where CPU is spent, never the bytes (both
         # deployments are deterministic, so ids line up).
+        engine_bytes = engine_pair.client.transport.stats.bytes_sent
+        off_bytes = off_pair.client.transport.stats.bytes_sent
         assert engine_wire == off_wire
-        assert engine_stats.bytes_sent == off_stats.bytes_sent
+        assert engine_bytes == off_bytes
 
         speedup = engine_rate / off_rate
         per_call_us = 1e6 / engine_rate
-        marshal = engine_stats.marshal
+        marshal = engine_pair.stats
         emit(
             "fig16",
             [
@@ -337,8 +345,8 @@ class TestFig16RawEngineThroughput:
                 "raw_struct_calls_per_s": engine_rate,
                 "raw_speedup": speedup,
                 "raw_struct_us_per_call": per_call_us,
-                "raw_struct_bytes_sent": engine_stats.bytes_sent,
-                "raw_off_bytes_sent": off_stats.bytes_sent,
+                "raw_struct_bytes_sent": engine_bytes,
+                "raw_off_bytes_sent": off_bytes,
                 "raw_decode_hits": marshal.decode_hits,
                 "raw_decode_misses": marshal.decode_misses,
                 "raw_encode_cache_hits": marshal.cache_hits,
@@ -358,25 +366,18 @@ def run_churn(caches, calls=CHURN_CALLS):
     on the wire, the marshaller's fresh bytes per call (request and
     reply, cache hits excluded), and the encoded size of the context.
     """
-    orb, ref, activity = raw_deployment(caches)
+    pair, ref, activity = raw_deployment(caches)
     churned = activity.get_property_group("pg0")
     signal = Signal("notify", "raw", {"seq": 1})
     ref.invoke("process_signal", signal)  # first build outside the count
     wire = []
-    original_deliver = orb.transport.deliver
-
-    def recording_deliver(source, target, request_bytes, dispatch):
-        wire.append(request_bytes)
-        return original_deliver(source, target, request_bytes, dispatch)
-
-    orb.transport.deliver = recording_deliver
-    marshal = orb.transport.stats.marshal
-    marshal.reset()
+    record_requests(pair, wire)
+    before = pair.stats.bytes_encoded
     for call in range(calls):
         churned.set_property("k0", f"{call:0{VALUE_BYTES}d}")
         ref.invoke("process_signal", signal)
     context_bytes = len(Marshaller().encode(build_context(activity, cache=False)))
-    return wire, marshal.bytes_encoded / calls, context_bytes
+    return wire, (pair.stats.bytes_encoded - before) / calls, context_bytes
 
 
 class TestFig16ChurnMissPath:

@@ -28,7 +28,6 @@ one changed group re-marshals that group, not the whole context.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Mapping
 from types import MappingProxyType
 from typing import Any, ClassVar, Dict, Iterator, List, Optional, Tuple
@@ -48,6 +47,7 @@ from repro.orb.interceptors import (
 from repro.orb.marshal import GLOBAL_REGISTRY
 from repro.orb.reference import ObjectRef
 from repro.util.records import FrozenRecord
+from repro.util.workers import ThreadAssociation
 
 
 class GroupSnapshot(Mapping):
@@ -287,13 +287,7 @@ class ActivityServerInterceptor(ServerRequestInterceptor):
         # Resume flags are per dispatching thread: parallel broadcast
         # executors drive concurrent dispatches through one ORB, and a
         # shared LIFO would let one request pop another's flag.
-        self._state = threading.local()
-
-    def _resumed(self) -> List[bool]:
-        flags = getattr(self._state, "flags", None)
-        if flags is None:
-            flags = self._state.flags = []
-        return flags
+        self._resumed = ThreadAssociation()
 
     def receive_request(self, info: RequestInfo) -> None:
         context = info.get_context(ACTIVITY_CONTEXT_ID)
@@ -302,12 +296,12 @@ class ActivityServerInterceptor(ServerRequestInterceptor):
             self.orb.current.set_slot("activity_context", context)
             if self.manager.knows(context.activity_id):
                 self.manager.current.resume(self.manager.get(context.activity_id))
-                self._resumed().append(True)
+                self._resumed.stack.append(True)
                 return
-        self._resumed().append(False)
+        self._resumed.stack.append(False)
 
     def _detach(self) -> None:
-        flags = self._resumed()
+        flags = self._resumed.stack
         if flags and flags.pop():
             self.manager.current.suspend()
 

@@ -267,7 +267,9 @@ class ActivityCoordinator:
         All stamped transmissions of one broadcast differ only in their
         delivery id (and target object), so remote sends share one
         :class:`~repro.orb.core.PreparedInvocation` per ORB, built here
-        on the calling thread — broadcast workers only read the map.  An
+        on the calling thread — broadcast workers only read the map.
+        Only targets that leave their ORB prime one: a collocated call
+        carries values, not bytes, and ignores templates.  An
         ORB under the caches-off reference (:attr:`Orb.caches_enabled`)
         gets no template, and neither does a payload that cannot be
         marshalled (:class:`MarshalError`): those sends take the plain
@@ -279,6 +281,8 @@ class ActivityCoordinator:
             if not isinstance(action, ObjectRef) or not action.is_bound:
                 continue
             orb = action.orb
+            if orb.has_node(action.node_id):
+                continue
             key = id(orb)
             if key in prepared:
                 continue

@@ -1,10 +1,12 @@
 """Implicit activity association: the Activity Service ``Current``.
 
-Maintains the stack of activities associated with the calling logical
-thread.  ``begin`` nests: a new activity's parent is the currently
-associated one.  ``suspend``/``resume`` detach and re-attach, as required
-for long-running activities (§3.1: "Activities can run over long periods
-of time and can thus be suspended and then resumed later").
+Maintains the stack of activities associated with the calling thread;
+each thread has its own (a :class:`~repro.util.workers.ThreadAssociation`),
+so concurrent callers never complete each other's activities.  ``begin``
+nests: a new activity's parent is the currently associated one.
+``suspend``/``resume`` detach and re-attach, as required for
+long-running activities (§3.1: "Activities can run over long periods of
+time and can thus be suspended and then resumed later").
 """
 
 from __future__ import annotations
@@ -15,14 +17,19 @@ from repro.core.activity import Activity
 from repro.core.exceptions import InvalidActivityState, NoActivity
 from repro.core.signals import Outcome
 from repro.core.status import ActivityStatus, CompletionStatus
+from repro.util.workers import ThreadAssociation
 
 
 class ActivityCurrent:
-    """Per-deployment implicit activity context."""
+    """Implicit activity context, associated per thread."""
 
     def __init__(self, manager: Any) -> None:
         self.manager = manager
-        self._stack: List[Activity] = []
+        self._association = ThreadAssociation()
+
+    @property
+    def _stack(self) -> List[Activity]:  # the calling thread's
+        return self._association.stack
 
     # -- demarcation ---------------------------------------------------------
 

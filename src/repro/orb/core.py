@@ -9,7 +9,11 @@ and servant share a node — goes through the full path:
     unmarshal → server interceptors → servant → (reply path mirrored)
 
 so that context propagation and by-value semantics are always exercised,
-exactly as they would be over IIOP.
+exactly as they would be over IIOP.  A target node of this ORB is
+*collocated* (CORBA's collocation optimisation): "marshal → unmarshal" is
+then one :meth:`~repro.orb.marshal.Marshaller.copy` walk per delivery,
+which yields what a decode of the encoding would, and the transport
+carries values.  Sockets and inter-ORB bridges always carry bytes.
 
 Nodes can *crash*: a crashed node refuses dispatches with
 ``CommunicationError`` and loses every volatile servant.  ``restart``
@@ -337,18 +341,6 @@ class Orb:
         except KeyError:
             raise ConfigurationError(f"no initial reference {name!r}") from None
 
-    # -- payload interning ---------------------------------------------------------
-
-    def intern_payload(self, value: Any) -> Any:
-        """Opt a large immutable application payload into encode-once
-        byte reuse (see :meth:`~repro.orb.marshal.Marshaller.intern_payload`
-        for the invalidation contract); returns ``value`` for chaining."""
-        return self.marshaller.intern_payload(value)
-
-    def release_payload(self, value: Any) -> bool:
-        """Withdraw an interned payload and invalidate its cached bytes."""
-        return self.marshaller.release_payload(value)
-
     # -- invocation --------------------------------------------------------------
 
     def prepare_invocation(
@@ -376,12 +368,14 @@ class Orb:
     ) -> Any:
         """The full client-side invocation path for one request.
 
-        With ``prepared`` (a template from :meth:`prepare_invocation`
-        for the same operation), the request bytes come from patching
-        the per-send fields into the pre-encoded body instead of
-        re-marshalling the tree; ``args``/``kwargs`` are then already
-        baked into the template and ``slots`` supplies the per-send
-        hole values.  The wire bytes are identical either way.
+        A target node of this ORB is *collocated*: the request travels
+        the transport as values, and each delivery hands the servant its
+        own :meth:`~repro.orb.marshal.Marshaller.copy`.  Other targets get
+        bytes, patched into ``prepared`` (a template from
+        :meth:`prepare_invocation` for the same operation) when given,
+        with ``slots`` as the per-send hole values.  ``args``/``kwargs``
+        hold the real values either way: a collocated call ignores
+        templates.
         """
         if operation.startswith("_"):
             raise ConfigurationError(f"operation {operation!r} is not dispatchable")
@@ -393,36 +387,39 @@ class Orb:
             interface=ref.interface,
         )
         self.interceptors.run_send_request(info)
-        if prepared is not None:
-            request_bytes = prepared.fill(
-                ref.object_id, info.service_contexts, slots
-            )
+        node_id = ref.node_id
+        collocated = node_id in self._nodes
+        if collocated:
+            request: Any = [ref.object_id, operation, list(args), kwargs, info.service_contexts]
+            # The first copy is taken before anything is sent, so an
+            # unmarshallable argument fails here as ``encode`` would.
+            fresh = [self.marshaller.copy(request, self)]
+        elif prepared is not None:
+            request = prepared.fill(ref.object_id, info.service_contexts, slots)
         else:
-            request_bytes = self.marshaller.encode(
+            request = self.marshaller.encode(
                 [ref.object_id, operation, list(args), kwargs, info.service_contexts]
             )
+
+        def dispatch(payload: Any) -> Any:
+            if collocated:  # every delivery, duplicates too, gets its own copy
+                payload = fresh.pop() if fresh else self.marshaller.copy(payload, self)
+            return self._dispatch(node_id, payload)
+
         try:
-            # Federation check first: the common (non-federated) case
-            # pays a single None test, not a dict probe per send.
-            if self.federation is not None and ref.node_id not in self._nodes:
+            if self.federation is not None and not collocated:
                 # Foreign domain: the bridge carries the bytes across the
                 # inter-domain link (and both sides' transports).
-                reply_bytes = self.federation.route(
-                    self, source_node, ref, request_bytes
-                )
+                reply = self.federation.route(self, source_node, ref, request)
             else:
-                reply_bytes = self.transport.deliver(
-                    source_node,
-                    ref.node_id,
-                    request_bytes,
-                    lambda payload: self._dispatch(ref.node_id, payload),
-                )
+                reply = self.transport.deliver(source_node, node_id, request, dispatch)
         except CommunicationError as exc:
             info.exception = exc
             self.interceptors.run_receive_exception(info)
             raise
-        status, payload, reply_contexts = self.marshaller.decode(reply_bytes, self)
-        info.reply_contexts = reply_contexts
+        if not collocated:
+            reply = self.marshaller.decode(reply, self)
+        status, payload, info.reply_contexts = reply
         if status == "exc":
             exc = self._revive_exception(payload)
             info.exception = exc
@@ -432,19 +429,23 @@ class Orb:
         return payload
 
     def dispatch_request(self, node_id: str, request_bytes: bytes) -> bytes:
-        """Server-side entry point for transports delivering from outside
-        this process (the site daemon hands arriving socket frames here);
-        in-process transports reach :meth:`_dispatch` through the closure
-        ``invoke`` passes to ``deliver``."""
+        """Server-side entry for requests from outside this process (the
+        site daemon hands arriving socket frames here)."""
         return self._dispatch(node_id, request_bytes)
 
-    def _dispatch(self, node_id: str, request_bytes: bytes) -> bytes:
-        """Server-side: decode, intercept, run the servant, encode reply."""
+    def _dispatch(self, node_id: str, request: Any) -> Any:
+        """Server-side: intercept, run the servant, build the reply.
+
+        ``request`` is either bytes off a wire, which are decoded and
+        answered with encoded bytes, or a collocated request already
+        copied for this delivery, answered with a copy of the reply.
+        """
         node = self.node(node_id)
         if node.crashed:
             raise CommunicationError(f"node {node_id} is down")
-        object_id, operation, args, kwargs, contexts = self.marshaller.decode(
-            request_bytes, self
+        wire = isinstance(request, bytes)
+        object_id, operation, args, kwargs, contexts = (
+            self.marshaller.decode(request, self) if wire else request
         )
         servant = node.servant(object_id)
         method = getattr(servant, operation, None)
@@ -466,11 +467,11 @@ class Orb:
             except BaseException as exc:  # marshalled back to the caller
                 info.exception = exc
                 self.interceptors.run_send_exception(info)
-                return self.marshaller.encode(
-                    ["exc", self._describe_exception(exc), info.reply_contexts]
-                )
-            self.interceptors.run_send_reply(info)
-            return self.marshaller.encode(["ok", result, info.reply_contexts])
+                reply = ["exc", self._describe_exception(exc), info.reply_contexts]
+            else:
+                self.interceptors.run_send_reply(info)
+                reply = ["ok", result, info.reply_contexts]
+        return self.marshaller.encode(reply) if wire else self.marshaller.copy(reply, self)
 
     # -- exception shipping ----------------------------------------------------
 
@@ -478,9 +479,7 @@ class Orb:
         name = ValueTypeRegistry.repository_id(type(exc))
         if name in self._exception_types:
             try:
-                encoded_args = self.marshaller.encode(list(exc.args))
-                self.marshaller.decode(encoded_args, self)
-                return [name, list(exc.args)]
+                return [name, self.marshaller.copy(list(exc.args), self)]
             except MarshalError:
                 pass
         return ["", [type(exc).__name__, str(exc)]]

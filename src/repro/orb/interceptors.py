@@ -8,7 +8,8 @@ in service context id 0x41435400, "ACT\\0").
 
 We reproduce the same structure: interceptors see a :class:`RequestInfo`
 carrying the operation, the target and a service-context dict.  Service
-context values must be marshallable (they cross the simulated wire).
+context values must be marshallable: they cross the wire as bytes, or a
+collocated call hands the server side a copy equal to their decode.
 """
 
 from __future__ import annotations

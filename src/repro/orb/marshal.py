@@ -37,6 +37,9 @@ Invocation fast path (README "Invocation fast path"):
   with the holes substituted, which is what lets broadcasts assert
   unchanged wire traces with the fast path on.
 
+:meth:`Marshaller.copy` is the collocated call's stand-in for the pair:
+the value a decode of the encoding would give, without the bytes.
+
 Both paths account their work in :class:`MarshalStats` (hits, misses,
 bytes encoded vs bytes reused), which the ORB threads through its
 transport stats for the benchmarks.
@@ -64,6 +67,7 @@ from typing import (
 )
 
 from repro.exceptions import ReproError
+from repro.orb.reference import ObjectRef
 
 
 class MarshalError(ReproError):
@@ -184,8 +188,8 @@ class ValueTypeRegistry:
 
 GLOBAL_REGISTRY = ValueTypeRegistry()
 
-# Default for the payload-interning gate's dict lookup: never any value.
-_NOT_INTERNED = object()
+# What :meth:`_FrameLRU.get` returns for a key it does not hold.
+_MISS = object()
 
 
 class MarshalStats:
@@ -301,13 +305,13 @@ class _FrameLRU:
         self._lock = threading.Lock()
 
     def get(self, key: Any) -> Any:
-        """The entry under ``key``, or ``_NOT_INTERNED``."""
+        """The entry under ``key``, or ``_MISS``."""
         with self._lock:
             for tier in (self._outer, self._nested):
                 if key in tier:
                     tier.move_to_end(key)
                     return tier[key][0]
-            return _NOT_INTERNED
+            return _MISS
 
     def put(self, key: Any, entry: Any, members: Sequence[Tuple[Any, Any]] = ()) -> None:
         """Cache an outer frame's ``entry`` and its ``(key, entry)`` members."""
@@ -356,7 +360,7 @@ class EncodeCache(_FrameLRU):
 
     def get(self, value: Any) -> Optional[bytes]:
         entry = _FrameLRU.get(self, id(value))
-        return None if entry is _NOT_INTERNED else entry[1]
+        return None if entry is _MISS else entry[1]
 
     def put(self, value: Any, encoded: bytes, members: Sequence[Tuple[Any, bytes]] = ()) -> None:
         """Cache ``value``'s bytes and each ``(member, bytes)`` nested in it."""
@@ -518,6 +522,16 @@ _U_LEN = struct.Struct("<I")
 
 _I32_MIN = -(2**31)
 _I32_MAX = 2**31 - 1
+_I64_MIN = -(2**63)
+_I64_MAX = 2**63 - 1
+
+# Immutable leaves :meth:`Marshaller.copy` shares, inline in containers
+# (ints are range-checked, so they are not leaves).
+_LEAVES = frozenset((type(None), bool, float, str, bytes))
+
+
+def _shared(value: Any, orb: Any) -> Any:
+    return value
 
 
 class Marshaller:
@@ -564,21 +578,8 @@ class Marshaller:
         self.stats = stats
         self.encode_cache = encode_cache
         self.decode_cache = decode_cache
-        # Opt-in instance interning for large immutable application
-        # payloads (e.g. Signal.application_specific_data).  The map
-        # pins each registered value (its id can never be recycled onto
-        # a different object while registered) and gates the per-node
-        # check, so the hot path pays one truthiness test when the
-        # feature is unused; the bytes live in the encode cache.  The
-        # thread-local tracks payloads being interned-encoded *on this
-        # thread* so the gate does not recurse — registrations are never
-        # mutated mid-encode, which keeps a concurrent release_payload
-        # from being silently undone.
-        self._interned_payload_refs: Dict[int, Any] = {}
-        self._interning_state = threading.local()
-        # ``members`` as on _EncodeRun, per decoding thread.
+        # ``members`` as on _EncodeRun, per decoding (or copying) thread.
         self._decoding = threading.local()
-        self._objref_cls: Optional[Type] = None
         self._enc: Dict[Type, Callable[[Any, list, Optional[_EncodeRun]], None]] = {
             type(None): self._enc_none,
             bool: self._enc_bool,
@@ -595,6 +596,19 @@ class Marshaller:
             set: self._enc_set,
             frozenset: self._enc_set,
         }
+        # Same dispatch for :meth:`copy`: immutable leaves are shared.
+        self._copiers: Dict[Type, Callable[[Any, Any], Any]] = dict.fromkeys(_LEAVES, _shared)
+        self._copiers.update(
+            {
+                int: self._copy_int,
+                list: self._copy_list,
+                tuple: self._copy_tuple,
+                dict: self._copy_dict,
+                MappingProxyType: self._copy_dict,
+                set: self._copy_set,
+                frozenset: self._copy_set,
+            }
+        )
         dec: List[Any] = [self._dec_unknown] * 256
         dec[_S_NONE] = self._dec_none
         dec[_S_TRUE] = self._dec_true
@@ -613,45 +627,6 @@ class Marshaller:
         dec[_S_VALUE] = self._dec_value
         dec[_S_FVALUE] = self._dec_fvalue
         self._dec = dec
-
-    # -- payload interning --------------------------------------------------
-
-    def intern_payload(self, value: Any) -> Any:
-        """Register ``value`` for encode-once byte reuse (opt-in).
-
-        Meant for *large, immutable* application payloads — a broadcast
-        signal's ``application_specific_data`` that reaches N actions —
-        whose subtree would otherwise be re-encoded per send.  The first
-        encode caches the subtree's exact bytes in the marshaller's
-        :class:`EncodeCache` (identity-keyed, LRU-bounded); every later
-        occurrence of the *same object* splices them.  The spliced
-        message is byte-identical to a full re-encode.
-
-        Invalidation is the caller's contract: the payload must not be
-        mutated while registered — the cache cannot observe mutation, so
-        a mutated payload would keep shipping its stale bytes.  Replace
-        the object (and register the replacement), or call
-        :meth:`release_payload` first.  Registration requires an encode
-        cache (``OrbConfig(marshal_cache_entries=0)`` disables interning too).
-        """
-        if self.encode_cache is None:
-            raise MarshalError(
-                "payload interning requires an encode cache"
-                " (marshal_cache_entries > 0)"
-            )
-        self._interned_payload_refs[id(value)] = value
-        return value
-
-    def release_payload(self, value: Any) -> bool:
-        """Withdraw ``value`` from payload interning and drop its bytes."""
-        self._interned_payload_refs.pop(id(value), None)
-        if self.encode_cache is None:
-            return False
-        return self.encode_cache.invalidate(value)
-
-    @property
-    def interned_payloads(self) -> int:
-        return len(self._interned_payload_refs)
 
     # -- encoding ---------------------------------------------------------
 
@@ -705,65 +680,11 @@ class Marshaller:
         self-contained byte string regardless of context — which is the
         property template filling relies on for byte-identity.
         """
-        if self._interned_payload_refs and self._encode_interned_payload(
-            value, out, run
-        ):
-            return
         handler = self._enc.get(value.__class__)
         if handler is not None:
             handler(value, out, run)
         else:
             self._enc_other(value, out, run)
-
-    def _encode_interned_payload(
-        self, value: Any, out: list, run: Optional[_EncodeRun]
-    ) -> bool:
-        """Splice (or build) one opt-in interned payload; False → not one.
-
-        The sentinel default keeps the identity test honest for values
-        like None whose id can never be a registered key's *value* but
-        where dict.get's None default would alias the value itself.
-        """
-        refs = self._interned_payload_refs
-        state = self._interning_state
-        key = id(value)
-        if (
-            refs.get(key, _NOT_INTERNED) is not value
-            or key in getattr(state, "active", ())
-        ):
-            return False
-        cache = self.encode_cache
-        cached = cache.get(value) if cache is not None else None
-        if cached is not None:
-            out.append(cached)
-            if run is not None:
-                run.reused += len(cached)
-                run.hits += 1
-            return True
-        active = getattr(state, "active", None)
-        if active is None:
-            active = state.active = set()
-        active.add(key)
-        sub: list = []
-        try:
-            self._encode_into(value, sub, run)
-        finally:
-            active.discard(key)
-        if any(isinstance(chunk, PayloadSlot) for chunk in sub):
-            # Template holes inside the payload forbid caching the blob.
-            out.extend(sub)
-            return True
-        blob = b"".join(sub)
-        if cache is not None:
-            cache.put(value, blob)
-            if refs.get(key, _NOT_INTERNED) is not value:
-                # Released while we were encoding: drop the bytes we
-                # just cached — nothing may serve them afterwards.
-                cache.invalidate(value)
-        if run is not None:
-            run.misses += 1
-        out.append(blob)
-        return True
 
     def _enc_none(self, value: Any, out: list, run: Optional[_EncodeRun]) -> None:
         out.append(_SB_NONE)
@@ -837,12 +758,7 @@ class Marshaller:
             self._raw_str(registry.repository_id(cls), out)
             self._raw_str(value.name, out)
             return
-        objref_cls = self._objref_cls
-        if objref_cls is None:
-            from repro.orb.reference import ObjectRef
-
-            objref_cls = self._objref_cls = ObjectRef
-        if isinstance(value, objref_cls):
+        if isinstance(value, ObjectRef):
             out.append(bytes((_S_OBJREF,)))
             self._raw_str(value.node_id, out)
             self._raw_str(value.object_id, out)
@@ -1011,8 +927,6 @@ class Marshaller:
             ) from None
 
     def _dec_objref(self, data: memoryview, offset: int, orb: Optional[Any]):
-        from repro.orb.reference import ObjectRef
-
         node_id, offset = self._raw_str_from(data, offset)
         object_id, offset = self._raw_str_from(data, offset)
         interface, offset = self._raw_str_from(data, offset)
@@ -1024,11 +938,7 @@ class Marshaller:
     def _dec_value(self, data: memoryview, offset: int, orb: Optional[Any]):
         name, offset = self._raw_str_from(data, offset)
         parts, offset = self._next(data, offset, orb)
-        _, __, from_parts = self.registry.lookup_name(name)
-        try:
-            return from_parts(parts), offset
-        except (TypeError, ValueError) as exc:
-            raise MarshalError(f"malformed {name} parts: {exc}") from None
+        return self._rebuild(name, parts), offset
 
     def _dec_fvalue(self, data: memoryview, offset: int, orb: Optional[Any]):
         frame_len = _U_LEN.unpack_from(data, offset)[0]
@@ -1041,7 +951,7 @@ class Marshaller:
             return self._frame_value(data, offset, end, orb), end
         key = (id(orb), bytes(data[offset:end]))
         value = cache.get(key)
-        hit = value is not _NOT_INTERNED
+        hit = value is not _MISS
         # A list when this frame is nested in another: it joins that
         # frame's cache entry rather than taking one of its own.
         outer = getattr(self._decoding, "members", None)
@@ -1067,11 +977,101 @@ class Marshaller:
                 f"framed value {name} consumed {inner - offset} bytes, "
                 f"frame declares {end - offset}"
             )
+        return self._rebuild(name, parts)
+
+    def _rebuild(self, name: str, parts: Any) -> Any:
         _, __, from_parts = self.registry.lookup_name(name)
         try:
             return from_parts(parts)
         except (TypeError, ValueError) as exc:
             raise MarshalError(f"malformed {name} parts: {exc}") from None
+
+    # -- collocated copy ------------------------------------------------------
+
+    def copy(self, value: Any, orb: Optional[Any] = None) -> Any:
+        """The by-value copy a collocated callee receives, without bytes.
+
+        Equal in type and value to ``decode(encode(value), orb)`` and
+        sharing no mutable container with ``value``.  Immutable leaves
+        and registered enums are shared; containers are rebuilt, a
+        read-only mapping view as a ``dict`` and a ``frozenset`` as a
+        ``set``; a registered value is rebuilt from copied parts; an
+        ``ObjectRef`` is rebound to ``orb``.  An interned value is copied
+        once per instance and ORB, memoized in the decode cache as a
+        decoded frame is.  Raises :class:`MarshalError` wherever
+        :meth:`encode` would.
+        """
+        copier = self._copiers.get(value.__class__)
+        if copier is not None:
+            return copier(value, orb)
+        return self._copy_other(value, orb)
+
+    def _copy_int(self, value: int, orb: Any) -> int:
+        if not _I64_MIN <= value <= _I64_MAX:
+            raise MarshalError(
+                f"integer {value} exceeds the wire format's 64-bit range"
+            )
+        return value
+
+    def _copy_list(self, value: Any, orb: Any) -> list:
+        copy = self.copy
+        return [item if item.__class__ in _LEAVES else copy(item, orb) for item in value]
+
+    def _copy_tuple(self, value: Any, orb: Any) -> tuple:
+        return tuple(self._copy_list(value, orb))
+
+    def _copy_set(self, value: Any, orb: Any) -> set:
+        # Built in the order a decode inserts (the encoder's repr sort).
+        return set(self._copy_list(sorted(value, key=repr), orb))
+
+    def _copy_dict(self, value: Any, orb: Any) -> dict:
+        if not value:
+            return {}
+        copy = self.copy
+        return {
+            key if key.__class__ in _LEAVES else copy(key, orb): (
+                item if item.__class__ in _LEAVES else copy(item, orb)
+            )
+            for key, item in value.items()
+        }
+
+    def _copy_other(self, value: Any, orb: Any) -> Any:
+        registry = self.registry
+        cls = value.__class__
+        if isinstance(value, Enum) and registry.is_enum_registered(cls):
+            return value
+        if isinstance(value, ObjectRef):
+            ref = ObjectRef(value.node_id, value.object_id, value.interface)
+            return ref.bind(orb) if orb is not None else ref
+        name = registry.lookup_type(cls)
+        if name is None:
+            # Subclasses of the builtins copy as the builtin, as they encode.
+            for base, copier in self._copiers.items():
+                if base is not type(None) and isinstance(value, base):
+                    return copier(base(value), orb)
+            raise MarshalError(
+                f"cannot marshal value of unregistered type {cls.__qualname__}"
+            )
+        to_parts = registry.lookup_name(name)[1]
+        cache = self.decode_cache
+        if cache is None or not registry.is_interned(cls):
+            return self._rebuild(name, self.copy(to_parts(value), orb))
+        # Memoized as _dec_fvalue memoizes a frame; the entry pins
+        # ``value``, so its id keys it safely.
+        key = (id(orb), id(value))
+        entry = cache.get(key)
+        outer = getattr(self._decoding, "members", None)
+        if entry is _MISS:
+            self._decoding.members = [] if outer is None else outer
+            try:
+                entry = (value, self._rebuild(name, self.copy(to_parts(value), orb)))
+            finally:
+                members, self._decoding.members = self._decoding.members, outer
+            if outer is None:
+                cache.put(key, entry, members)
+        if outer is not None:
+            outer.append((key, entry))
+        return entry[1]
 
 
 def marshal_roundtrip(

@@ -615,23 +615,24 @@ class SocketTransport(Transport):
         self,
         source_node: str,
         target_node: str,
-        request_bytes: bytes,
-        dispatch: Callable[[bytes], bytes],
-    ) -> bytes:
+        request: Any,
+        dispatch: Callable[[Any], Any],
+    ) -> Any:
         """Local targets dispatch in-process; targets registered to a
         peer cross the wire.  Stats are counted either way, so the
-        counters mean the same thing they mean on the simulated path."""
+        counters mean the same thing they mean on the simulated path
+        (a collocated request's values add no bytes)."""
         home = self._node_homes.get(target_node)
         if home is None or home == self.site_id:
             with self._lock:
                 self.stats.requests_sent += 1
-                self.stats.bytes_sent += len(request_bytes)
-            reply = dispatch(request_bytes)
+                self.stats.bytes_sent += len(request) if isinstance(request, bytes) else 0
+            reply = dispatch(request)
             with self._lock:
                 self.stats.replies_sent += 1
-                self.stats.bytes_sent += len(reply)
+                self.stats.bytes_sent += len(reply) if isinstance(reply, bytes) else 0
             return reply
-        return self.request(home, source_node, target_node, request_bytes)
+        return self.request(home, source_node, target_node, request)
 
     # -- introspection -----------------------------------------------------
 

@@ -1,8 +1,10 @@
 """The transport seam: how request/reply payloads move between nodes.
 
 :class:`Transport` is the abstract seam every ORB invocation crosses: it
-carries already-marshalled request bytes to a target node and returns the
-marshalled reply bytes.  Two implementations exist:
+carries a request to a target node and returns the reply: marshalled
+bytes, or for a target collocated in the calling ORB the request values
+themselves (the ORB copies them per delivery; see :mod:`repro.orb.core`).
+Two implementations exist:
 
 - :class:`SimulatedTransport` (this module) — the in-process default.
   A :class:`FaultPlan` makes the network misbehave deterministically
@@ -16,7 +18,8 @@ marshalled reply bytes.  Two implementations exist:
 
 All statistics (messages, bytes, drops, duplicates, simulated latency) are
 collected in :class:`TransportStats` for the benchmarks; both transports
-fill the same counters so figures compare like with like.
+fill the same counters so figures compare like with like.  Only byte
+payloads add to ``bytes_sent``: a collocated call sends no bytes.
 """
 
 from __future__ import annotations
@@ -74,7 +77,9 @@ class TransportStats:
     ``marshal`` is the invocation-fast-path block (encode cache
     hits/misses, bytes encoded vs reused, context snapshot hits): the
     owning ORB shares it with its marshaller, so one stats object tells
-    the whole per-message cost story for the benchmarks.
+    the whole per-message cost story for the benchmarks.  A collocated
+    call counts as a request and a reply but adds no bytes and does no
+    marshal work: byte and cache counts describe the hops that encode.
 
     Slotted (PR 7): the counters are bumped on every deliver, and slot
     stores/loads are cheaper than instance-dict probes on that path.
@@ -125,11 +130,15 @@ class Transport(abc.ABC):
     ``connect_peer(peer_id, address)``
         Pre-register where a remote peer lives.  Transports that resolve
         targets implicitly (everything in one process) ignore it.
-    ``deliver(source_node, target_node, request_bytes, dispatch)``
-        Synchronous request/reply: carry ``request_bytes`` to the target
-        and return the reply bytes, raising ``CommunicationError`` on
-        loss, partition, or an unreachable peer.  ``dispatch`` runs the
+    ``deliver(source_node, target_node, request, dispatch)``
+        Synchronous request/reply: carry ``request`` to the target and
+        return the reply, raising ``CommunicationError`` on loss,
+        partition, or an unreachable peer.  ``dispatch`` runs the
         server-side work when the target is served by this process.
+        ``request`` is bytes, or the values of a collocated call (its
+        target is in the calling ORB, so it never leaves the process);
+        the reply has the same form.  Only bytes count in ``bytes_sent``,
+        and a fault plan draws the same decisions for either form.
     ``close()``
         Release sockets/threads.  Idempotent; ``deliver`` after ``close``
         raises ``CommunicationError``.
@@ -170,10 +179,10 @@ class Transport(abc.ABC):
         self,
         source_node: str,
         target_node: str,
-        request_bytes: bytes,
-        dispatch: Callable[[bytes], bytes],
-    ) -> bytes:
-        """Carry one request to ``target_node`` and return the reply bytes."""
+        request: Any,
+        dispatch: Callable[[Any], Any],
+    ) -> Any:
+        """Carry one request to ``target_node`` and return the reply."""
 
     # -- introspection -----------------------------------------------------
 
@@ -233,10 +242,10 @@ class SimulatedTransport(Transport):
         self,
         source_node: str,
         target_node: str,
-        request_bytes: bytes,
-        dispatch: Callable[[bytes], bytes],
-    ) -> bytes:
-        """Carry one request to ``target_node`` and return the reply bytes.
+        request: Any,
+        dispatch: Callable[[Any], Any],
+    ) -> Any:
+        """Carry one request to ``target_node`` and return the reply.
 
         Raises :class:`CommunicationError` when the request or the reply is
         lost, or when a partition separates the endpoints.  A duplicated
@@ -252,7 +261,7 @@ class SimulatedTransport(Transport):
 
         with self._lock:
             self.stats.requests_sent += 1
-            self.stats.bytes_sent += len(request_bytes)
+            self.stats.bytes_sent += len(request) if isinstance(request, bytes) else 0
             request_delay = self._hop_delay()
         self._advance(request_delay)
         with self._lock:
@@ -264,7 +273,7 @@ class SimulatedTransport(Transport):
                 f"request from {source_node} to {target_node} lost"
             )
 
-        reply = dispatch(request_bytes)
+        reply = dispatch(request)
 
         with self._lock:
             duplicated = self.rng.chance(plan.duplicate_probability)
@@ -276,14 +285,14 @@ class SimulatedTransport(Transport):
             # failure of the duplicate dispatch must not destroy the
             # original reply — the caller never learns of the duplicate.
             try:
-                dispatch(request_bytes)
+                dispatch(request)
             except Exception:
                 with self._lock:
                     self.stats.duplicate_dispatch_failures += 1
 
         with self._lock:
             self.stats.replies_sent += 1
-            self.stats.bytes_sent += len(reply)
+            self.stats.bytes_sent += len(reply) if isinstance(reply, bytes) else 0
             reply_delay = self._hop_delay()
         self._advance(reply_delay)
         with self._lock:

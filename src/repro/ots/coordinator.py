@@ -112,8 +112,9 @@ class _ParticipantRound:
     target object id plus the per-send service contexts are patched.
     Templates are primed on the driving thread (:meth:`prime`) before
     any worker may :meth:`call`, so the map is read-only under
-    concurrency; local participants, unbound refs, ORBs under the
-    caches-off reference (:attr:`Orb.caches_enabled`) and requests that
+    concurrency; local participants, unbound refs, collocated targets
+    (their calls carry values, not bytes), ORBs under the caches-off
+    reference (:attr:`Orb.caches_enabled`) and requests that
     cannot be marshalled (:class:`MarshalError`) take the plain
     :func:`call_participant` path unchanged.
     """
@@ -128,6 +129,8 @@ class _ParticipantRound:
         if not isinstance(participant, ObjectRef) or not participant.is_bound:
             return
         orb = participant.orb
+        if orb.has_node(participant.node_id):
+            return
         key = id(orb)
         if key in self._templates:
             return

@@ -1,8 +1,10 @@
 """Thread-association: the OTS ``Current`` object.
 
 ``Current`` keeps the stack of transactions associated with the calling
-logical thread, giving the implicit begin/commit/rollback API that
-application code (and the Activity Service's transactional periods) uses.
+thread, one stack per thread (a
+:class:`~repro.util.workers.ThreadAssociation`), giving the implicit
+begin/commit/rollback API that application code (and the Activity
+Service's transactional periods) uses.
 ``begin`` inside an active transaction starts a *nested* transaction, as
 the CORBA OTS does when subtransactions are supported.
 """
@@ -15,14 +17,19 @@ from repro.ots.coordinator import Control, Transaction
 from repro.ots.exceptions import InvalidTransaction, NoTransaction
 from repro.ots.factory import TransactionFactory
 from repro.ots.status import TransactionStatus
+from repro.util.workers import ThreadAssociation
 
 
 class TransactionCurrent:
-    """Per-deployment implicit transaction context."""
+    """Implicit transaction context, associated per thread."""
 
     def __init__(self, factory: TransactionFactory) -> None:
         self.factory = factory
-        self._stack: List[Transaction] = []
+        self._association = ThreadAssociation()
+
+    @property
+    def _stack(self) -> List[Transaction]:  # the calling thread's
+        return self._association.stack
 
     # -- demarcation -------------------------------------------------------
 

@@ -65,6 +65,7 @@ from repro.ots.propagation import install_transaction_service
 from repro.ots.recoverable import Recoverable, RecoverableRegistry
 from repro.ots.recovery import SUBTX_PREPARED, RecoveryManager, RecoveryReport
 from repro.ots.status import TransactionStatus, Vote
+from repro.util.workers import ThreadAssociation
 
 FEDERATED_TX_CONTEXT_ID = _FEDERATED_CONTEXT_ID
 SERVICE_NAME = "ots_federation"
@@ -881,13 +882,7 @@ class FederatedTransactionServerInterceptor(ServerRequestInterceptor):
 
     def __init__(self, service: FederatedTransactionService) -> None:
         self.service = service
-        self._state = threading.local()
-
-    def _resumed(self) -> List[bool]:
-        flags = getattr(self._state, "flags", None)
-        if flags is None:
-            flags = self._state.flags = []
-        return flags
+        self._resumed = ThreadAssociation()
 
     def receive_request(self, info: RequestInfo) -> None:
         context = info.get_context(FEDERATED_TX_CONTEXT_ID)
@@ -903,7 +898,7 @@ class FederatedTransactionServerInterceptor(ServerRequestInterceptor):
             # superior's phase-two/forget calls legitimately arrive
             # after (or while) the subordinate turns terminal.
             if info.target_object == subordinate_resource_id(context.tid):
-                self._resumed().append(False)
+                self._resumed.stack.append(False)
                 return
             tx = service.adopt(context)
             if tx is None:
@@ -918,12 +913,12 @@ class FederatedTransactionServerInterceptor(ServerRequestInterceptor):
                     f" domain {service.domain_id}"
                 )
             service.current.resume(tx)
-            self._resumed().append(True)
+            self._resumed.stack.append(True)
             return
-        self._resumed().append(False)
+        self._resumed.stack.append(False)
 
     def _detach(self) -> None:
-        flags = self._resumed()
+        flags = self._resumed.stack
         if flags and flags.pop():
             self.service.current.suspend()
 

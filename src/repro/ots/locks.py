@@ -13,9 +13,11 @@ that model:
 - on subtransaction commit, its locks transfer to the parent;
 - on completion of a top-level transaction, all its locks release.
 
-The simulation is single-threaded, so a conflicting acquisition never
-blocks: it raises :class:`LockConflict` immediately (callers model waiting
-by retrying).  Callers may instead declare a wait with ``wait=True``; the
+A conflicting acquisition never blocks, whichever thread makes it
+(transactions run concurrently on socket connection threads and pool
+workers; the manager's lock keeps the tables consistent): it raises
+:class:`LockConflict` immediately, and callers model waiting by
+retrying.  Callers may instead declare a wait with ``wait=True``; the
 manager then maintains a wait-for graph and raises :class:`DeadlockError`
 when the declared wait would close a cycle.
 """

@@ -11,8 +11,7 @@ caller's transaction as its own current transaction).
 
 from __future__ import annotations
 
-import threading
-from typing import Any, ClassVar, List, Tuple
+from typing import Any, ClassVar, Tuple
 
 from repro.orb.core import Orb
 from repro.orb.interceptors import (
@@ -25,6 +24,7 @@ from repro.orb.interceptors import (
 from repro.orb.marshal import GLOBAL_REGISTRY
 from repro.ots.current import TransactionCurrent
 from repro.util.records import FrozenRecord
+from repro.util.workers import ThreadAssociation
 
 
 @GLOBAL_REGISTRY.register_slotted
@@ -77,13 +77,7 @@ class TransactionServerInterceptor(ServerRequestInterceptor):
         # Per dispatching thread (see ActivityServerInterceptor): one
         # ORB dispatches concurrently under the parallel fan-outs, and
         # a shared LIFO would let requests pop each other's flags.
-        self._state = threading.local()
-
-    def _resumed(self) -> List[bool]:
-        flags = getattr(self._state, "flags", None)
-        if flags is None:
-            flags = self._state.flags = []
-        return flags
+        self._resumed = ThreadAssociation()
 
     def receive_request(self, info: RequestInfo) -> None:
         context = info.get_context(TRANSACTION_CONTEXT_ID)
@@ -101,12 +95,12 @@ class TransactionServerInterceptor(ServerRequestInterceptor):
             # transaction, failing the dispatch — the historical
             # (and CORBA) behaviour for a stale association.
             self.current.resume(self.current.factory.get(context.tid))
-            self._resumed().append(True)
+            self._resumed.stack.append(True)
         else:
-            self._resumed().append(False)
+            self._resumed.stack.append(False)
 
     def _detach(self) -> None:
-        flags = self._resumed()
+        flags = self._resumed.stack
         if flags and flags.pop():
             self.current.suspend()
 

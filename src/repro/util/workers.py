@@ -16,14 +16,35 @@ releases the daemon threads of a pool that has gone quiet — so a
 drained load burst returns the process to its baseline thread count
 instead of keeping ``max_workers`` threads parked forever.  The next
 submission transparently recreates the pool (the existing contract).
+
+Every ``Current`` keeps its association in a :class:`ThreadAssociation`,
+so each thread has its own.  A pool worker runs each submitted call in
+the submitting thread's associations and gets its own back afterwards:
+a fan-out sends with the caller's node, activity and transaction exactly
+as the serial path does.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Optional
+
+# Per thread: weak references to the associations that thread has
+# touched, only ever read and replaced by that thread.
+_touched = threading.local()
+
+
+class ThreadAssociation(threading.local):
+    """One owner's association stack, per thread: ``stack`` starts as
+    ``root()`` in every thread that reads it."""
+
+    def __init__(self, root: Callable[[], list] = list) -> None:
+        self.stack: list = root()
+        refs = [ref for ref in getattr(_touched, "refs", ()) if ref() is not None]
+        _touched.refs = refs + [weakref.ref(self)]
 
 
 class ReentrantWorkerPool:
@@ -53,11 +74,21 @@ class ReentrantWorkerPool:
             return self._pool
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
-        """Submit ``fn(*args)``; the executing thread is tagged as ours."""
+        """Submit ``fn(*args)``; the executing thread is tagged as ours
+        and runs it in this thread's associations."""
+        touched = [ref() for ref in getattr(_touched, "refs", ())]
+        captured = [(a, list(a.stack)) for a in touched if a is not None]
 
         def marked(*call_args: Any) -> Any:
             self._worker_state.active = True
-            return fn(*call_args)
+            own = [(association, association.stack) for association, _ in captured]
+            for association, stack in captured:
+                association.stack = stack
+            try:
+                return fn(*call_args)
+            finally:
+                for association, stack in own:
+                    association.stack = stack
 
         with self._lock:
             self._in_flight += 1

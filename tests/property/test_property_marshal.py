@@ -1,11 +1,18 @@
-"""Property-based tests: marshalling is a lossless involution."""
+"""Property-based tests: marshalling is a lossless involution, and the
+collocated copy is what a decode of the encoding gives."""
+
+from types import MappingProxyType
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.context import ActivityContext, GroupSnapshot
 from repro.core.signals import Outcome, Signal
-from repro.orb.marshal import Marshaller
+from repro.core.status import CompletionStatus
+from repro.orb.marshal import DecodeCache, Marshaller
 from repro.orb.reference import ObjectRef
+
+from tests.bridged import shape, wire_parts
 
 # Wire-legal scalar values.
 scalars = st.one_of(
@@ -97,3 +104,48 @@ class TestRoundtrip:
     @settings(max_examples=50, deadline=None)
     def test_sets_roundtrip(self, items):
         assert roundtrip(items) == items
+
+
+# Everything a request may carry: registered values, enums, refs, read-only
+# views, sets, and interned contexts whose groups wrap the caller's dicts.
+rich_values = st.recursive(
+    st.one_of(
+        scalars,
+        st.sampled_from(list(CompletionStatus)),
+        st.builds(ObjectRef, st.text(max_size=5), st.text(max_size=5), st.just("I")),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+        st.dictionaries(st.text(max_size=5), children, max_size=3).map(MappingProxyType),
+        st.sets(st.integers(min_value=-50, max_value=50), max_size=4),
+        st.frozensets(st.text(max_size=4), max_size=4),
+        st.builds(Signal, st.text(max_size=5), st.text(max_size=5), children),
+        st.builds(Outcome, name=st.text(max_size=5), data=children),
+        st.dictionaries(st.text(max_size=5), children, max_size=3).map(
+            lambda values: ActivityContext("a1", "job", {"g": values})
+        ),
+    ),
+    max_leaves=20,
+)
+
+def mutable_containers(value, found):
+    """Append every mutable container reachable from ``value`` to ``found``."""
+    if isinstance(value, (list, dict, set)) or type(value) is GroupSnapshot:
+        found.append(value)
+    for child in wire_parts(value):
+        mutable_containers(child, found)
+    return found
+
+
+class TestCollocatedCopy:
+    @given(rich_values)
+    @settings(max_examples=200, deadline=None)
+    def test_copy_is_the_decode_of_the_encoding(self, value):
+        marshaller = Marshaller(decode_cache=DecodeCache())
+        copy = marshaller.copy(value)
+        assert shape(copy) == shape(Marshaller().decode(Marshaller().encode(value)))
+        # Held alive together, so no id is reused between the two walks.
+        original, copied = mutable_containers(value, []), mutable_containers(copy, [])
+        assert not {id(c) for c in original} & {id(c) for c in copied}

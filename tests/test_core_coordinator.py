@@ -13,8 +13,9 @@ from repro.core import (
     RecordingAction,
     SequenceSignalSet,
 )
-from repro.orb import Orb
 from repro.orb.core import Servant
+
+from tests.bridged import BridgedPair
 
 
 @pytest.fixture
@@ -229,11 +230,11 @@ class _Echo(Servant):
         return Outcome.done(signal.delivery_id)
 
 
-def _remote_coordinator(orb, actions=2):
+def _remote_coordinator(pair, actions=2):
+    """A coordinator whose actions sit across an encoding hop."""
     coordinator = ActivityCoordinator("act")
-    node = orb.create_node("server")
     for _ in range(actions):
-        coordinator.add_action("b", node.activate(_Echo()))
+        coordinator.add_action("b", pair.activate("server", _Echo()))
     return coordinator
 
 
@@ -244,8 +245,8 @@ class TestMarshalOnceFallback:
     def test_unmarshallable_payload_gives_the_same_outcomes_either_way(self):
         results = []
         for marshal_cache_entries in (256, 0):
-            orb = Orb(config=OrbConfig(marshal_cache_entries=marshal_cache_entries))
-            coordinator = _remote_coordinator(orb)
+            pair = BridgedPair(OrbConfig(marshal_cache_entries=marshal_cache_entries))
+            coordinator = _remote_coordinator(pair)
             signal_set = BroadcastSignalSet(
                 "go", _Unregistered(), signal_set_name="b"
             )
@@ -260,13 +261,13 @@ class TestMarshalOnceFallback:
         )
 
     def test_a_bug_while_preparing_propagates(self, monkeypatch):
-        orb = Orb()
-        coordinator = _remote_coordinator(orb)
+        pair = BridgedPair()
+        coordinator = _remote_coordinator(pair)
 
         def broken(*args, **kwargs):
             raise AttributeError("template bug")
 
-        monkeypatch.setattr(orb, "prepare_invocation", broken)
+        monkeypatch.setattr(pair.client, "prepare_invocation", broken)
         with pytest.raises(AttributeError, match="template bug"):
             coordinator.process_signal_set(
                 BroadcastSignalSet("go", signal_set_name="b")

@@ -31,6 +31,8 @@ from repro.orb import EncodeCache, Marshaller, MarshalStats, Orb
 from repro.orb.core import Servant
 from repro.orb.marshal import DECODE_CACHE_ENTRIES, DecodeCache, MarshalError
 
+from tests.bridged import BridgedPair
+
 GROUPS = 8
 KEYS = 6
 
@@ -59,13 +61,14 @@ class Echo(Servant):
 
 
 def deployment(cache_entries=256):
-    orb = Orb(config=OrbConfig(marshal_cache_entries=cache_entries))
-    node = orb.create_node("server")
-    manager = ActivityManager(clock=orb.clock, property_groups=group_manager())
-    manager.install(orb)
-    ref = node.activate(Echo(orb))
+    """A client activity calling an echo servant across an encoding hop."""
+    pair = BridgedPair(OrbConfig(marshal_cache_entries=cache_entries))
+    manager = ActivityManager(clock=pair.client.clock, property_groups=group_manager())
+    manager.install(pair.client)
+    ActivityManager(clock=pair.server.clock).install(pair.server)
+    ref = pair.activate("server", Echo(pair.server))
     activity = manager.current.begin("job")
-    return orb, ref, activity
+    return pair, ref, activity
 
 
 class TestGroupSnapshot:
@@ -152,9 +155,9 @@ class TestSenderReencodesOnlyTheChangedGroup:
 
 class TestThroughTheOrb:
     def test_receiver_hits_every_unchanged_group_frame(self):
-        orb, ref, activity = deployment()
+        pair, ref, activity = deployment()
         churned = activity.get_property_group("pg0")
-        stats = orb.transport.stats.marshal
+        stats = pair.stats
         assert ref.invoke("read", "pg0", "k0") == "0:0:" + "x" * 24
         for call in range(50):
             churned.set_property("k0", f"v{call}")
@@ -167,40 +170,42 @@ class TestThroughTheOrb:
             assert after["decode_misses"] - before["decode_misses"] == 2
             assert after["cache_hits"] - before["cache_hits"] == GROUPS - 1
             assert after["cache_misses"] - before["cache_misses"] == 2
-        assert orb.marshaller.decode_cache.max_entries == DECODE_CACHE_ENTRIES == 16
+        assert pair.server.marshaller.decode_cache.max_entries == DECODE_CACHE_ENTRIES == 16
 
     def test_caches_hold_only_the_live_snapshots_under_churn(self):
-        orb, ref, activity = deployment()
+        pair, ref, activity = deployment()
         churned = activity.get_property_group("pg5")
         for call in range(1000):
             churned.set_property("k1", call)
             ref.invoke("read", "pg5", "k1")
         # The live context plus its group snapshots; every replaced one
         # was invalidated, not left for the LRU bound to push out.
-        assert len(orb.marshaller.encode_cache) == GROUPS + 1
+        assert len(pair.client.marshaller.encode_cache) == GROUPS + 1
         # The receiver keeps its last 16 contexts and the group frames
         # they hold: the unchanged groups once, one churned frame each.
         held = DECODE_CACHE_ENTRIES + (GROUPS - 1) + DECODE_CACHE_ENTRIES
-        assert len(orb.marshaller.decode_cache) == held
+        assert len(pair.server.marshaller.decode_cache) == held
 
     def test_wire_bytes_do_not_depend_on_the_caches(self):
         def run(cache_entries):
-            orb, ref, activity = deployment(cache_entries)
+            pair, ref, activity = deployment(cache_entries)
             wire = []
-            deliver = orb.transport.deliver
+            deliver = pair.client.transport.deliver
 
             def recording(source, target, request_bytes, dispatch):
                 wire.append(request_bytes)
                 return deliver(source, target, request_bytes, dispatch)
 
-            orb.transport.deliver = recording
+            pair.client.transport.deliver = recording
             for call in range(6):
                 if call % 2:
                     activity.get_property_group("pg2").set_property("k2", call)
                 ref.invoke("read", "pg2", "k2")
             return wire
 
-        assert run(0) == run(256)
+        wire = run(0)
+        assert all(isinstance(request, bytes) for request in wire)
+        assert wire == run(256)
 
 
 class TestCachesAreBoundedInContexts:
@@ -208,11 +213,11 @@ class TestCachesAreBoundedInContexts:
     keep as many contexts cached as when a context was a single frame."""
 
     def round_robin(self, count):
-        orb = Orb(config=OrbConfig(marshal_cache_entries=DECODE_CACHE_ENTRIES))
-        node = orb.create_node("server")
-        manager = ActivityManager(clock=orb.clock, property_groups=group_manager())
-        manager.install(orb)
-        ref = node.activate(Echo(orb))
+        pair = BridgedPair(OrbConfig(marshal_cache_entries=DECODE_CACHE_ENTRIES))
+        manager = ActivityManager(clock=pair.client.clock, property_groups=group_manager())
+        manager.install(pair.client)
+        ActivityManager(clock=pair.server.clock).install(pair.server)
+        ref = pair.activate("server", Echo(pair.server))
         activities = []
         for _ in range(count):
             activities.append(manager.current.begin("job"))
@@ -225,7 +230,7 @@ class TestCachesAreBoundedInContexts:
             finally:
                 manager.current.suspend()
 
-        return orb.transport.stats.marshal, activities, call
+        return pair.stats, activities, call
 
     @pytest.mark.parametrize("count", [3, 8, DECODE_CACHE_ENTRIES])
     def test_stable_activities_hit_their_context_on_both_sides(self, count):

@@ -35,6 +35,8 @@ from repro.orb.core import Servant
 from repro.orb.marshal import MarshalError
 from repro.orb.reference import ObjectRef
 
+from tests.bridged import BridgedPair
+
 
 def fresh_context(n: int = 3) -> ActivityContext:
     return ActivityContext(
@@ -172,16 +174,26 @@ class TestContextSnapshotCache:
         manager.install(orb)
         return orb, node, manager
 
-    def test_unchanged_activity_reuses_snapshot(self, deployment):
-        orb, node, manager = deployment
+    def test_unchanged_activity_reuses_snapshot(self):
+        pair = BridgedPair()
+        groups = PropertyGroupManager()
+        groups.register_factory(
+            "env",
+            lambda: PropertyGroup(
+                "env", propagation=Propagation.VALUE, initial={"locale": "en"}
+            ),
+        )
+        manager = ActivityManager(clock=pair.client.clock, property_groups=groups)
+        manager.install(pair.client)
+        ActivityManager(clock=pair.server.clock).install(pair.server)
 
         class Probe(Servant):
             def read_locale(self):
-                return received_context(orb).property_values["env"]["locale"]
+                return received_context(pair.server).property_values["env"]["locale"]
 
-        ref = node.activate(Probe())
+        ref = pair.activate("server", Probe())
         manager.current.begin("job")
-        stats = orb.transport.stats.marshal
+        stats = pair.stats
         assert ref.invoke("read_locale") == "en"
         assert ref.invoke("read_locale") == "en"
         assert stats.context_misses == 1
@@ -306,10 +318,11 @@ class EchoAction(Servant):
 
 
 def run_broadcast(marshal_cache_entries: int, participants: int = 6):
-    """One activity broadcasting to N remote actions; returns the raw
-    request bytes seen on the wire, the servants and the orb."""
-    orb = Orb(config=OrbConfig(marshal_cache_entries=marshal_cache_entries))
-    node = orb.create_node("server")
+    """One activity broadcasting to N actions across an encoding hop;
+    returns the raw request bytes seen on the wire, the servants and the
+    bridged pair."""
+    pair = BridgedPair(OrbConfig(marshal_cache_entries=marshal_cache_entries))
+    orb = pair.client
     groups = PropertyGroupManager()
     groups.register_factory(
         "env",
@@ -334,38 +347,39 @@ def run_broadcast(marshal_cache_entries: int, participants: int = 6):
     actions = [EchoAction() for _ in range(participants)]
     activity = manager.current.begin("fan-out")
     for action in actions:
-        activity.add_action("repro.predefined.broadcast", node.activate(action))
+        activity.add_action("repro.predefined.broadcast", pair.activate("server", action))
     activity.register_signal_set(BroadcastSignalSet("notify"))
     outcome = activity.signal("repro.predefined.broadcast")
     manager.current.complete()
-    return wire, actions, outcome, orb
+    return wire, actions, outcome, pair
 
 
 class TestMarshalOnceBroadcast:
     def test_wire_bytes_identical_fast_vs_slow(self):
         slow_wire, slow_actions, slow_outcome, _ = run_broadcast(0)
-        fast_wire, fast_actions, fast_outcome, fast_orb = run_broadcast(256)
+        fast_wire, fast_actions, fast_outcome, fast_pair = run_broadcast(256)
+        assert all(isinstance(request, bytes) for request in slow_wire)
         assert fast_wire == slow_wire  # byte-identical requests, in order
         assert fast_outcome == slow_outcome
         assert [a.seen for a in fast_actions] == [a.seen for a in slow_actions]
         # Each action still got its own delivery id through the template.
         ids = [a.seen[0][1] for a in fast_actions]
         assert len(set(ids)) == len(ids)
-        stats = fast_orb.transport.stats.marshal
+        stats = fast_pair.stats
         assert stats.templates_prepared >= 1
         assert stats.template_fills == len(fast_actions)
         assert stats.bytes_saved > 0
 
     def test_fast_path_encodes_fewer_bytes(self):
-        _, _, _, fast_orb = run_broadcast(256, participants=8)
-        _, _, _, slow_orb = run_broadcast(0, participants=8)
-        fast = fast_orb.transport.stats.marshal
-        slow = slow_orb.transport.stats.marshal
+        _, _, _, fast_pair = run_broadcast(256, participants=8)
+        _, _, _, slow_pair = run_broadcast(0, participants=8)
+        fast = fast_pair.stats
+        slow = slow_pair.stats
         assert slow.bytes_encoded > 2 * fast.bytes_encoded
         # Same bytes crossed the wire either way.
         assert (
-            fast_orb.transport.stats.bytes_sent
-            == slow_orb.transport.stats.bytes_sent
+            fast_pair.client.transport.stats.bytes_sent
+            == slow_pair.client.transport.stats.bytes_sent
         )
 
     def test_unbound_refs_fall_back_to_plain_path(self):

@@ -1,17 +1,19 @@
 """Unit tests for CDR-style marshalling."""
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
+from types import MappingProxyType
 
 import pytest
 
+from repro.core.context import ActivityContext
 from repro.core.signals import Outcome, Signal
 from repro.core.status import CompletionStatus
 from repro.orb.marshal import (
-    EncodeCache,
+    DecodeCache,
     MarshalError,
     Marshaller,
-    MarshalStats,
     PayloadSlot,
     ValueTypeRegistry,
     marshal_roundtrip,
@@ -163,98 +165,66 @@ class TestWireErrors:
             Marshaller().decode(b"")
 
 
-class TestPayloadInterning:
-    """Satellite: opt-in interning of large immutable payloads."""
+class TestCopy:
+    """The collocated copy is what a decode of the encoding gives."""
 
-    def payload(self):
-        return {"blob": "x" * 4_096, "rows": list(range(64))}
+    def test_containers_come_out_as_a_decode_builds_them(self):
+        value = {
+            "view": MappingProxyType({"k": [1]}),
+            "frozen": frozenset({3, 1}),
+            "tuple": (1, [2]),
+            "big": 2**40,
+        }
+        copy = Marshaller().copy(value)
+        assert copy == roundtrip(value)
+        assert type(copy["view"]) is dict and type(copy["frozen"]) is set
+        assert copy["view"]["k"] is not value["view"]["k"]
+        assert copy["tuple"][1] is not value["tuple"][1]
 
-    def test_interned_bytes_are_identical_to_plain_encode(self):
-        payload = self.payload()
-        plain = Marshaller()
-        interning = Marshaller(encode_cache=EncodeCache(16))
-        interning.intern_payload(payload)
-        message = [Signal("go", "set", application_specific_data=payload), "ctx"]
-        expected = plain.encode(message)
-        assert interning.encode(message) == expected  # cold (miss)
-        assert interning.encode(message) == expected  # warm (hit)
-        decoded = interning.decode(expected)
-        assert decoded[0].application_specific_data == payload
+    def test_builtin_subclasses_copy_as_the_builtin(self):
+        class Level(IntEnum):
+            HIGH = 2
 
-    def test_reuse_is_accounted(self):
-        payload = self.payload()
-        stats = MarshalStats()
-        marshaller = Marshaller(stats=stats, encode_cache=EncodeCache(16))
-        marshaller.intern_payload(payload)
-        for _ in range(3):
-            marshaller.encode([payload])
-        snapshot = stats.snapshot()
-        assert snapshot["cache_misses"] == 1
-        assert snapshot["cache_hits"] == 2
-        assert snapshot["bytes_saved"] > 2 * 4_096
+        copy = Marshaller().copy([Level.HIGH, OrderedDict(a=1)])
+        assert copy == roundtrip([Level.HIGH, OrderedDict(a=1)])
+        assert type(copy[0]) is int and type(copy[1]) is dict
 
-    def test_release_invalidates_and_restores_plain_encoding(self):
-        payload = self.payload()
-        marshaller = Marshaller(encode_cache=EncodeCache(16))
-        marshaller.intern_payload(payload)
-        first = marshaller.encode([payload])
-        assert marshaller.release_payload(payload) is True
-        assert marshaller.interned_payloads == 0
-        assert marshaller.encode([payload]) == first
+    def test_registered_values_are_rebuilt_and_enums_shared(self):
+        signal = Signal("prepare", "repro.2pc", {"k": [1]})
+        copy = Marshaller().copy([signal, CompletionStatus.FAIL_ONLY])
+        assert copy[0] == signal and copy[0] is not signal
+        assert copy[0].application_specific_data["k"] is not signal.application_specific_data["k"]
+        assert copy[1] is CompletionStatus.FAIL_ONLY
 
-    def test_mutation_without_release_ships_stale_bytes(self):
-        # The documented invalidation contract: interned payloads are
-        # immutable-by-promise; a mutation is only visible after the
-        # payload is released (or re-registered as a new object).
-        payload = self.payload()
-        marshaller = Marshaller(encode_cache=EncodeCache(16))
-        marshaller.intern_payload(payload)
-        before = marshaller.encode([payload])
-        payload["rows"].append(999)
-        assert marshaller.encode([payload]) == before  # stale, as documented
-        marshaller.release_payload(payload)
-        after = marshaller.encode([payload])
-        assert after != before
-        assert marshaller.decode(after)[0]["rows"][-1] == 999
-
-    def test_interning_none_values_is_inert(self):
-        # Scalars whose identity aliases dict.get's default must never
-        # trip the gate (regression: None looped the interning path).
-        marshaller = Marshaller(encode_cache=EncodeCache(16))
-        plain = Marshaller()
-        message = [None, True, 0, "ctx", Signal("s", "set")]
-        assert marshaller.encode(message) == plain.encode(message)
-
-    def test_requires_an_encode_cache(self):
-        with pytest.raises(MarshalError):
-            Marshaller().intern_payload(self.payload())
-
-    def test_orb_level_api_counts_savings(self):
+    def test_refs_are_rebound_to_the_receiving_orb(self):
         from repro.orb import Orb
 
         orb = Orb()
-        payload = orb.intern_payload(self.payload())
-        node = orb.create_node("n")
+        ref = ObjectRef("n", "o", "I")
+        copy = Marshaller().copy(ref, orb)
+        assert copy == ref and copy is not ref and copy.orb is orb
+        assert not Marshaller().copy(ref).is_bound
 
-        class Sink:
-            def process_signal(self, signal):
-                return "ok"
+    @pytest.mark.parametrize(
+        "value", [2**63, -(2**63) - 1, PayloadSlot("hole"), object(), {"k": {object()}}]
+    )
+    def test_refuses_what_encode_refuses(self, value):
+        with pytest.raises(MarshalError):
+            Marshaller().encode(value)
+        with pytest.raises(MarshalError):
+            Marshaller().copy(value)
 
-        ref = node.activate(Sink(), object_id="sink")
-        for _ in range(4):
-            ref.invoke(
-                "process_signal",
-                Signal("go", "set", application_specific_data=payload),
-            )
-        snapshot = orb.transport.stats.marshal.snapshot()
-        assert snapshot["cache_hits"] >= 3
-        assert snapshot["bytes_saved"] > 3 * 4_096
-        assert orb.release_payload(payload) is True
+    def test_interned_values_are_copied_once_per_instance_and_orb(self):
+        from repro.orb import Orb
 
-    def test_slot_bearing_payloads_are_not_cached(self):
-        marshaller = Marshaller(encode_cache=EncodeCache(16))
-        payload = {"hole": PayloadSlot("h"), "pad": "y" * 128}
-        marshaller.intern_payload(payload)
-        template = marshaller.prepare([payload])
-        filled = template.fill(h="value")
-        assert filled == Marshaller().encode([{"hole": "value", "pad": "y" * 128}])
+        live = {"k": ["v"]}
+        context = ActivityContext("a1", "job", {"g": live})
+        cached = Marshaller(decode_cache=DecodeCache())
+        first = cached.copy(context)
+        assert first == context and first is not context
+        assert first.property_values["g"] is not context.property_values["g"]
+        assert first.property_values["g"]["k"] is not live["k"]
+        assert cached.copy(context) is first
+        assert cached.copy(context, Orb()) is not first
+        # Without a decode cache every copy is fresh.
+        assert Marshaller().copy(context) is not Marshaller().copy(context)

@@ -7,6 +7,8 @@ from repro.orb import FaultPlan, Orb
 from repro.orb.core import Servant
 from repro.util.rng import SeededRng
 
+from tests.bridged import BridgedPair
+
 
 class Echo(Servant):
     def __init__(self):
@@ -129,13 +131,21 @@ class TestLatency:
 
 
 class TestStats:
-    def test_counts_requests_replies_bytes(self, setup):
-        orb, servant, ref = setup
+    def test_counts_requests_replies_bytes(self):
+        pair = BridgedPair()
+        ref = pair.activate("server", Echo())
         ref.invoke("echo", "payload")
-        stats = orb.transport.stats
+        stats = pair.client.transport.stats
         assert stats.requests_sent == 1
         assert stats.replies_sent == 1
         assert stats.bytes_sent > 0
+
+    def test_a_collocated_call_counts_messages_but_no_bytes(self, setup):
+        orb, servant, ref = setup
+        ref.invoke("echo", "payload")
+        stats = orb.transport.stats
+        assert (stats.requests_sent, stats.replies_sent, stats.bytes_sent) == (1, 1, 0)
+        assert stats.marshal.snapshot()["bytes_encoded"] == 0
 
     def test_reset(self, setup):
         orb, servant, ref = setup

@@ -31,6 +31,8 @@ from repro.ots.exceptions import (
 from repro.ots.propagation import install_transaction_service
 from repro.ots.status import TransactionStatus, Vote
 
+from tests.bridged import BridgedPair
+
 
 class SweepParticipant:
     """Two-phase participant with scriptable rollback behaviour."""
@@ -203,8 +205,9 @@ class RemoteResource(Servant):
 
 
 def run_remote_commit(marshal_cache_entries, parallel=1, participants=5):
-    orb = Orb(config=OrbConfig(marshal_cache_entries=marshal_cache_entries))
-    node = orb.create_node("store")
+    """A 2PC over participants across an encoding hop."""
+    pair = BridgedPair(OrbConfig(marshal_cache_entries=marshal_cache_entries))
+    orb = pair.client
     factory = TransactionFactory(
         clock=orb.clock, config=FactoryConfig(parallel_participants=parallel)
     )
@@ -223,10 +226,10 @@ def run_remote_commit(marshal_cache_entries, parallel=1, participants=5):
     resources = [RemoteResource() for _ in range(participants)]
     tx = current.begin()
     for index, resource in enumerate(resources):
-        tx.register_resource(node.activate(resource), recovery_key=f"r{index}")
+        tx.register_resource(pair.activate("store", resource), recovery_key=f"r{index}")
     current.commit()
     factory.shutdown_participant_pool()
-    return wire, resources, tx, orb
+    return wire, resources, tx, pair
 
 
 class TestOtsMarshalOnce:
@@ -251,31 +254,32 @@ class TestOtsMarshalOnce:
         assert orb.transport.stats.marshal.template_fills == 0
 
     def test_any_other_error_while_priming_propagates(self, monkeypatch):
-        orb = Orb()
-        ref = orb.create_node("store").activate(RemoteResource())
+        pair = BridgedPair()
+        ref = pair.activate("store", RemoteResource())
 
         def broken(*args, **kwargs):
             raise AttributeError("template bug")
 
-        monkeypatch.setattr(orb, "prepare_invocation", broken)
+        monkeypatch.setattr(pair.client, "prepare_invocation", broken)
         with pytest.raises(AttributeError, match="template bug"):
             _ParticipantRound("prepare").prime(ref)
 
     def test_wire_bytes_identical_with_and_without_templates(self):
         slow_wire, slow_resources, slow_tx, _ = run_remote_commit(0)
-        fast_wire, fast_resources, fast_tx, fast_orb = run_remote_commit(256)
+        fast_wire, fast_resources, fast_tx, fast_pair = run_remote_commit(256)
+        assert all(isinstance(request, bytes) for request in slow_wire)
         assert fast_wire == slow_wire
         assert fast_tx.status is slow_tx.status is TransactionStatus.COMMITTED
         assert [r.calls for r in fast_resources] == [r.calls for r in slow_resources]
-        stats = fast_orb.transport.stats.marshal
+        stats = fast_pair.stats
         # One template per round (prepare + commit) on this single ORB.
         assert stats.templates_prepared == 2
         assert stats.template_fills == 2 * len(fast_resources)
         assert stats.bytes_saved > 0
 
     def test_remote_rollback_sweep_uses_templates(self):
-        orb = Orb()
-        node = orb.create_node("store")
+        pair = BridgedPair()
+        orb = pair.client
         factory = TransactionFactory(
             clock=orb.clock,
             config=FactoryConfig(parallel_participants=3),
@@ -285,10 +289,10 @@ class TestOtsMarshalOnce:
         resources = [RemoteResource() for _ in range(4)]
         tx = current.begin()
         for resource in resources:
-            tx.register_resource(node.activate(resource))
+            tx.register_resource(pair.activate("store", resource))
         current.rollback()
         assert all(r.calls == ["rollback"] for r in resources)
-        stats = orb.transport.stats.marshal
+        stats = pair.stats
         assert stats.templates_prepared >= 1
         assert stats.template_fills == 4
         factory.shutdown_participant_pool()

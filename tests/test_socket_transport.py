@@ -1,5 +1,6 @@
 """SocketTransport: framing, pooling, reconnect, error revival, the seam."""
 
+import hashlib
 import json
 import socket
 import threading
@@ -297,7 +298,8 @@ class TestTransportSeam:
 
     def test_local_deliver_without_peers(self):
         """An ORB on a SocketTransport with no peers behaves like an
-        in-process deployment: deliver dispatches locally, stats count."""
+        in-process deployment: deliver dispatches locally, stats count
+        (bytes only for a byte payload; a collocated call carries values)."""
         transport = SocketTransport("solo")
         orb = Orb(transport=transport)
 
@@ -311,7 +313,14 @@ class TestTransportSeam:
         assert ref.invoke("echo", 21) == 42
         assert transport.stats.requests_sent == 1
         assert transport.stats.replies_sent == 1
-        assert transport.stats.bytes_sent > 0
+        assert transport.stats.bytes_sent == 0
+        request = orb.marshaller.encode(["echo", "echo", [21], {}, {}])
+        reply = transport.deliver(
+            "client", "n1", request, lambda payload: orb.dispatch_request("n1", payload)
+        )
+        assert orb.marshaller.decode(reply, orb) == ["ok", 42, {}]
+        assert transport.stats.requests_sent == 2
+        assert transport.stats.bytes_sent == len(request) + len(reply)
 
     def test_cross_process_style_invocation(self):
         """Two ORBs in one test, wired the way two daemons would be."""
@@ -510,3 +519,92 @@ class TestExceptionOnlyTheServerCanType:
         assert error.type_name.endswith("TransactionRolledBack")
         assert error.remote_args == ("tx-7 rolled back", 7)
         assert "tx-7 rolled back" in str(error)
+
+
+class PinnedAccount(Servant):
+    def quote(self, items, options, signal, target):
+        return {"items": list(items), "total": sum(items), "signal": signal, "target": target}
+
+    def refuse(self, amount):
+        raise ConfigurationError("over limit", amount)
+
+
+def wire_digests():
+    """sha256 of each socket request and reply payload of a fixed session:
+    an activity and a transaction ride along, the arguments span the wire
+    types, and the second call's reply is a typed exception."""
+    from repro.core import ActivityManager, Propagation, PropertyGroup, PropertyGroupManager
+    from repro.core.signals import Signal
+    from repro.core.status import CompletionStatus
+    from repro.ots import TransactionCurrent, TransactionFactory
+    from repro.ots.propagation import install_transaction_service
+
+    server_transport = SocketTransport("server", bind=("127.0.0.1", 0))
+    server_orb = Orb(transport=server_transport)
+    SiteFederation(server_transport, server_orb)
+    server_transport.set_request_handler(server_orb.dispatch_request)
+    server_transport.set_control_handler(
+        lambda req: {
+            "site": "server",
+            "domain": "server" if server_orb.has_node(str(req.get("node"))) else None,
+        }
+    )
+    server_transport.start()
+    server_orb.create_node("server.bank").activate(
+        PinnedAccount(), object_id="acct", interface="Account"
+    )
+    client_transport = SocketTransport("client")
+    client_orb = Orb(transport=client_transport)
+    SiteFederation(client_transport, client_orb)
+    client_transport.connect_peer("server", server_transport.address)
+    client_transport.start()
+    groups = PropertyGroupManager()
+    groups.register_factory(
+        "env",
+        lambda: PropertyGroup("env", propagation=Propagation.VALUE, initial={"locale": "en"}),
+    )
+    manager = ActivityManager(clock=client_orb.clock, property_groups=groups)
+    manager.install(client_orb)
+    transactions = TransactionCurrent(TransactionFactory())
+    install_transaction_service(client_orb, transactions)
+    wire = []
+    request = client_transport.request
+
+    def recording(peer_id, source_node, target_node, request_bytes):
+        wire.append(request_bytes)
+        try:
+            reply = request(peer_id, source_node, target_node, request_bytes)
+        except Exception:
+            wire.append(b"<raised>")
+            raise
+        wire.append(reply)
+        return reply
+
+    client_transport.request = recording
+    try:
+        manager.current.begin("pinned")
+        transactions.begin()
+        ref = ObjectRef("server.bank", "acct", "Account").bind(client_orb)
+        ref.invoke(
+            "quote",
+            (1, 2**40, -3),
+            {"fast": True, "ratio": 0.25, "tags": {"b", "a"}, "none": None, "raw": b"\x00\xff"},
+            Signal("go", "set", {"status": CompletionStatus.FAIL_ONLY}),
+            ObjectRef("server.bank", "other", "Account"),
+        )
+        with pytest.raises(ConfigurationError):
+            ref.invoke("refuse", 5)
+    finally:
+        client_transport.close()
+        server_transport.close()
+    return [hashlib.sha256(payload).hexdigest()[:16] for payload in wire]
+
+
+PINNED_WIRE = ["100ab3b269013298", "4543c0d6dd434a30", "e76a72cec234b234", "537f6197ef80db9d"]
+
+
+class TestWireBytesArePinned:
+    def test_socket_request_and_reply_bytes(self):
+        """The bytes a socket carries do not depend on how in-process
+        calls are carried; a change here is a wire-protocol change."""
+        assert wire_digests() == PINNED_WIRE
