@@ -3,8 +3,10 @@
 Each ``bench_figNN_*.py`` regenerates one figure of the paper: message
 traces are asserted to match the figure's sequence chart, and scenario
 series (sweeps, timelines, resource-holding comparisons) are written to
-``benchmarks/results/figNN.txt`` so they survive pytest's output capture.
-Timing numbers come from pytest-benchmark itself.
+``benchmarks/results/figNN.txt`` so they survive pytest's output capture
+(``BENCH_RESULTS_DIR`` points them elsewhere, as
+``tests/test_paper_figures.py`` does).  Timing numbers come from
+pytest-benchmark itself.
 
 Alongside the text series every figure records its machine-readable
 metrics (throughput, latency, bytes on the wire, cache counters) in
@@ -20,7 +22,9 @@ import os
 
 import pytest
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+RESULTS_DIR = os.environ.get("BENCH_RESULTS_DIR") or os.path.join(
+    os.path.dirname(__file__), "results"
+)
 
 
 @pytest.fixture(scope="session")
