@@ -20,7 +20,6 @@ from repro.core.action import (
 )
 from repro.core.activity import Activity
 from repro.core.broadcast import (
-    BroadcastExecutor,
     SerialBroadcastExecutor,
     ThreadPoolBroadcastExecutor,
     Transmission,
@@ -95,7 +94,6 @@ __all__ = [
     "UserActivity",
     "ActivityCoordinator",
     "ActionRecord",
-    "BroadcastExecutor",
     "SerialBroadcastExecutor",
     "ThreadPoolBroadcastExecutor",
     "Transmission",

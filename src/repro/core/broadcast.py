@@ -1,77 +1,91 @@
-"""Broadcast executors — how one signal reaches many actions.
+"""The fan-out engine — how one request reaches many recipients.
 
 The paper's coordinator "transmits the signal to all registered Actions"
-(§3.2.2) but says nothing about *how concurrently*.  The executors here
-make that a pluggable policy of the :class:`~repro.core.coordinator.
-ActivityCoordinator`:
+(§3.2.2) but says nothing about *how concurrently*.  This module is the
+one place that decides, for every fan-out in the repository: an
+:class:`~repro.core.coordinator.ActivityCoordinator` broadcasting a
+signal, a federated subordinate relaying one, and the OTS's 2PC rounds
+(prepare, commit, rollback — the paper layers them as one SignalSet,
+figs 3 and 8), which :class:`~repro.ots.coordinator.Transaction` runs
+through its factory's executor.
 
-- :class:`SerialBroadcastExecutor` — today's behaviour and still the
-  default: one action at a time, in registration order, producing event
-  traces byte-identical to the pre-executor coordinator;
-- :class:`ThreadPoolBroadcastExecutor` — fans the stamped signal out to
-  every action concurrently and *digests* the outcomes in registration
-  order on the calling thread, so a 2PC prepare round or a saga
-  compensation sweep costs one hop latency instead of O(participants).
+- :class:`SerialBroadcastExecutor` — the inline loop and the default:
+  stamp, transmit, send, digest, next — one recipient at a time on the
+  calling thread, with no pool, event or future;
+- :class:`ThreadPoolBroadcastExecutor` — its pooled subclass: sends
+  overlap on a shared worker pool while outcomes are digested in
+  registration order on the calling thread.  It runs the inherited
+  inline loop for a single transmission and when called from one of its
+  own workers (a nested fan-out blocking on its own pool's slots would
+  deadlock).
 
-Both executors preserve the SignalSet contract:
+Both keep one contract:
 
-- delivery ids are stamped in registration order (the stamping callable
-  is only ever invoked from the calling thread);
-- ``digest`` — which is where the coordinator calls the guarded set's
-  ``set_response`` — runs *only* on the calling thread, in registration
-  order, so SignalSets never need to be thread-safe;
-- a True reply from ``digest`` abandons the broadcast: outcomes that were
-  collected but not yet digested are discarded, and sends that have not
-  been dispatched yet are skipped (in-flight sends are drained before
-  returning so an action never sees two signals concurrently).
+- ``stamp`` (which assigns delivery ids, fires OTS fail-points and primes
+  marshal-once templates) runs only on the calling thread, in
+  registration order;
+- ``digest`` — where the coordinator calls the guarded set's
+  ``set_response`` and the OTS folds votes and heuristics — runs only on
+  the calling thread, in registration order, so SignalSets and
+  transactions never need to be thread-safe;
+- a True reply from ``digest`` abandons the fan-out: sends not yet
+  dispatched are skipped and in-flight ones are drained before returning,
+  so a recipient never sees two requests of one set concurrently.  Their
+  outcomes go to the optional ``drained`` hook (OTS prepare records late
+  votes there so those participants are rolled back) or are discarded;
+- an exception escaping ``send``, ``digest`` or ``drained`` stops the
+  fan-out the same way — queued sends cancelled, in-flight ones drained
+  — and is raised only once none of its sends is running.  A ``stamp``
+  that raises stops dispatch at that point: the sends already dispatched
+  are digested as usual, then the exception is raised, which is the
+  prefix the inline loop leaves.
 
-Both executors ride the coordinator's *marshal-once* fast path: the
-request body of one broadcast round is pre-encoded per target ORB on
-the calling thread (see ``ActivityCoordinator._prepare_broadcast``) and
-each ``send`` — serial or on a worker — only patches the stamped
-delivery id and the target object into the shared template, so the
-per-participant CPU cost of a fan-out no longer re-marshals the signal
-and context tree N times.  Templates are immutable once built, which is
-what makes the sharing safe across this module's worker threads.
+The inline loop stamps lazily (an abandoned broadcast stamps nothing for
+its skipped tail); the pool stamps each transmission as it submits it,
+so after an abandonment the two engines' delivery-id *sequences* and
+fired fail-points may differ, while ids within one run stay unique and
+ordered.
 
-Worker threads cross the *delivery policy* (thread-safe, see
-:mod:`repro.core.delivery`) and — for actions registered as remote
-ObjectRefs — the ORB transport, whose counters and rng stream are also
+Sends ride the caller's marshal-once templates (see
+``ActivityCoordinator._prepare_broadcast`` and the OTS
+``_ParticipantRound``): built on the calling thread, immutable once
+built, and only read by workers.  Worker threads cross the *delivery
+policy* (thread-safe, see :mod:`repro.core.delivery`) and — for remote
+recipients — the ORB transport, whose counters and rng stream are also
 lock-protected.  Two caveats there: which delivery draws which seeded
 fault decision becomes schedule-dependent under concurrency, so
-seeded-fault *trace* determinism is only guaranteed with the serial
-executor; and a ``SimulatedClock`` is a single-threaded construct
-(``sleep`` advances shared time and fires timer callbacks on the calling
-thread), so transports that inject latency must run on a ``WallClock``
-under a parallel executor — as ``bench_fig15_parallel_broadcast.py``
-does.  SignalSets and the coordinator's event log are never touched
-off-thread.
+seeded-fault *trace* determinism is only guaranteed inline; and a
+``SimulatedClock`` is a single-threaded construct, so transports that
+inject latency must run on a ``WallClock`` under the pool — as
+``bench_fig15_parallel_broadcast.py`` does.
 """
 
 from __future__ import annotations
 
-import abc
 import threading
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core.signals import Outcome, Signal
+from repro.core.signals import Outcome
 from repro.util.workers import ReentrantWorkerPool
 
-# Sentinel a worker returns when the broadcast was abandoned before its
+# Sentinel a worker returns when the fan-out was abandoned before its
 # send was dispatched.
 _SKIPPED = object()
 
 
 class Transmission:
-    """One planned logical transmission: a registered action awaiting a signal.
+    """One planned logical transmission: a recipient awaiting a request.
 
-    ``stamp`` assigns the fresh delivery id (called once per transmission,
-    always from the broadcast's calling thread, in registration order);
-    ``send`` pushes the stamped signal through the delivery policy and by
-    that policy's contract never raises ``CommunicationError``.
+    ``stamp`` prepares the request (called once per transmission, always
+    from the calling thread, in registration order); ``send`` delivers
+    it and returns the outcome.  An activity broadcast stamps a signal
+    with a fresh delivery id and sends it through the delivery policy,
+    which by contract never raises ``CommunicationError``; an OTS round
+    stamps its participant record and its ``send`` returns the
+    participant's exception as a value.
 
-    Slotted (PR 7): broadcasts build one per action per round.
+    Slotted (PR 7): fan-outs build one per recipient per round.
     """
 
     __slots__ = ("index", "label", "stamp", "send")
@@ -80,8 +94,8 @@ class Transmission:
         self,
         index: int,
         label: str,
-        stamp: Callable[[], Signal],
-        send: Callable[[Signal], Outcome],
+        stamp: Callable[[], Any],
+        send: Callable[[Any], Any],
     ) -> None:
         self.index = index
         self.label = label
@@ -89,40 +103,27 @@ class Transmission:
         self.send = send
 
 
-# digest(transmission, stamped_signal, outcome) -> True to abandon the
-# broadcast (the SignalSet wants a fresh signal immediately).
-DigestFn = Callable[[Transmission, Signal, Outcome], bool]
-# on_transmit(transmission, stamped_signal): record the logical
-# transmission (event-log hook); called just before the outcome digests.
-TransmitFn = Callable[[Transmission, Signal], None]
+# digest(transmission, stamped, outcome) -> True to abandon the fan-out
+# (a SignalSet wants a fresh signal now; a participant voted no).
+DigestFn = Callable[[Transmission, Any, Any], bool]
+# on_transmit(transmission, stamped): record the logical transmission
+# (event-log hook); called just before the outcome digests.
+TransmitFn = Callable[[Transmission, Any], None]
+# drained(transmission, stamped, outcome): an outcome that finished after
+# the fan-out was abandoned (pool only; the inline loop never has one).
+DrainedFn = Callable[[Transmission, Any, Any], None]
+
+_Dispatched = Tuple[Transmission, Any, Future]
 
 
-class BroadcastExecutor(abc.ABC):
-    """Strategy for fanning one signal out to all registered actions."""
+class SerialBroadcastExecutor:
+    """The inline fan-out: one recipient at a time, in registration order.
 
-    @abc.abstractmethod
-    def broadcast(
-        self,
-        transmissions: Sequence[Transmission],
-        on_transmit: TransmitFn,
-        digest: DigestFn,
-        timeout: Optional[float] = None,
-    ) -> bool:
-        """Deliver to every transmission, feeding outcomes to ``digest``
-        in registration order; return True if the broadcast was abandoned
-        (``digest`` returned True).  ``timeout`` bounds the wait for any
-        single action's outcome where the executor can enforce it.
-        """
-
-
-class SerialBroadcastExecutor(BroadcastExecutor):
-    """One action at a time, in registration order (the default).
-
-    This is exactly the pre-executor coordinator loop: stamp, transmit,
-    send, digest, next — so event traces are byte-identical to the
+    Stamp, transmit, send, digest, next — so event traces are the
     historical ones the figure benches assert on.  ``timeout`` is not
     enforceable for a synchronous in-thread send; bounding slow actions
-    serially is the delivery policy's job (attempt limits).
+    inline is the delivery policy's job (attempt limits).  Holds no
+    threads, so :meth:`shutdown` and :meth:`reap_if_idle` do nothing.
     """
 
     def broadcast(
@@ -131,7 +132,13 @@ class SerialBroadcastExecutor(BroadcastExecutor):
         on_transmit: TransmitFn,
         digest: DigestFn,
         timeout: Optional[float] = None,
+        drained: Optional[DrainedFn] = None,
     ) -> bool:
+        """Deliver to every transmission, feeding outcomes to ``digest``
+        in registration order; return True if the fan-out was abandoned
+        (``digest`` returned True).  ``timeout`` bounds the wait for any
+        single outcome where the executor can enforce it.
+        """
         for transmission in transmissions:
             stamped = transmission.stamp()
             on_transmit(transmission, stamped)
@@ -140,39 +147,49 @@ class SerialBroadcastExecutor(BroadcastExecutor):
                 return True
         return False
 
+    def reap_if_idle(self, max_idle: float) -> bool:
+        """Release idle worker threads; True when any were released."""
+        return False
 
-class ThreadPoolBroadcastExecutor(BroadcastExecutor):
-    """Concurrent fan-out over a shared worker pool.
+    def shutdown(self) -> None:
+        """Release the worker threads (idempotent)."""
+
+    def __enter__(self) -> "SerialBroadcastExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
+
+
+class ThreadPoolBroadcastExecutor(SerialBroadcastExecutor):
+    """The pooled fan-out: concurrent sends over a shared worker pool.
 
     Sends are submitted in registration order and run concurrently;
-    outcomes are digested in registration order on the calling thread, so
-    the SignalSet observes the same deterministic ``set_response``
-    sequence the serial executor produces (and the same final outcome).
+    outcomes are digested in registration order on the calling thread,
+    so a SignalSet observes the same ``set_response`` sequence the inline
+    loop produces (and the same final outcome), and a transaction folds
+    the same votes and heuristics.
 
-    Early abandonment: when ``digest`` returns True the remaining
-    collected outcomes are discarded, pending (undispatched) sends are
-    skipped, and in-flight sends are drained before returning so the next
-    signal of the set never races an old one into the same action.
-
-    ``timeout`` bounds the wait for each action's outcome; an action that
-    exceeds it yields ``Outcome.unreachable``.  A timed-out send cannot
-    be preempted: it keeps running on its worker, its eventual result is
+    ``timeout`` bounds the wait for each outcome; a send that exceeds it
+    yields ``Outcome.unreachable``.  A timed-out send cannot be
+    preempted: it keeps running on its worker, its eventual result is
     discarded, and — as with a genuinely partitioned participant in a
     real network — it may still be executing when a later signal of the
-    set arrives.  This is the one exception to the no-concurrent-signals
-    drain and is exactly the §3.4 situation (late duplicate effects)
-    that the at-least-once/idempotent-Action requirement exists for.
+    set arrives.  This is the one exception to the drain and is exactly
+    the §3.4 situation (late duplicate effects) that the
+    at-least-once/idempotent-Action requirement exists for.  A timed-out
+    send still *queued* is cancelled.
 
-    Broadcasts are re-entrant: an action that drives another broadcast
-    through the same executor (nested activity completion) runs that
-    inner broadcast serially on its worker thread instead of submitting
-    to the pool — a nested fan-out blocking on its own pool's slots
-    would deadlock.
+    ``pool`` is shared by every fan-out through this executor (threads
+    are created lazily and reused), so ``max_workers`` is the budget of
+    concurrent sends across all of its callers.
     """
+
+    thread_name_prefix = "broadcast"
 
     def __init__(self, max_workers: int = 8) -> None:
         self.max_workers = max_workers
-        self._pool = ReentrantWorkerPool(max_workers, thread_name_prefix="broadcast")
+        self.pool = ReentrantWorkerPool(max_workers, thread_name_prefix=self.thread_name_prefix)
         # The executor is designed to be shared across coordinators and
         # calling threads, so its own counters update under a lock too.
         self._stats_lock = threading.Lock()
@@ -187,15 +204,11 @@ class ThreadPoolBroadcastExecutor(BroadcastExecutor):
         with self._stats_lock:
             setattr(self, counter, getattr(self, counter) + amount)
 
+    def reap_if_idle(self, max_idle: float) -> bool:
+        return self.pool.reap_if_idle(max_idle)
+
     def shutdown(self) -> None:
-        """Release the worker threads (idempotent)."""
-        self._pool.shutdown()
-
-    def __enter__(self) -> "ThreadPoolBroadcastExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
+        self.pool.shutdown()
 
     def broadcast(
         self,
@@ -203,80 +216,97 @@ class ThreadPoolBroadcastExecutor(BroadcastExecutor):
         on_transmit: TransmitFn,
         digest: DigestFn,
         timeout: Optional[float] = None,
+        drained: Optional[DrainedFn] = None,
     ) -> bool:
         self._count("broadcasts")
-        if self._pool.in_worker():
-            # Re-entrant broadcast from one of our own workers (an action
-            # completing a nested activity): run it serially — waiting on
-            # this pool from inside it can exhaust the slots and deadlock.
+        if self.pool.in_worker():
+            # Re-entrant fan-out from one of our own workers (an action
+            # completing a nested activity, a participant committing
+            # another transaction): waiting on this pool from inside it
+            # can exhaust the slots and deadlock.
             self._count("nested_serial")
-            return SerialBroadcastExecutor().broadcast(
-                transmissions, on_transmit, digest, timeout
-            )
+            return super().broadcast(transmissions, on_transmit, digest, timeout, drained)
         if len(transmissions) <= 1:
-            # Nothing to overlap; take the serial path (no pool hop).
-            return SerialBroadcastExecutor().broadcast(
-                transmissions, on_transmit, digest, timeout
-            )
+            # Nothing to overlap; no pool hop.
+            return super().broadcast(transmissions, on_transmit, digest, timeout, drained)
         abandon = threading.Event()
 
-        def run(transmission: Transmission, stamped: Signal) -> object:
+        def run(transmission: Transmission, stamped: Any) -> Any:
             if abandon.is_set():
                 return _SKIPPED
             return transmission.send(stamped)
 
-        # Stamp serially (deterministic ids in registration order), then
-        # submit everything; workers begin as pool slots free up.
-        stamped_signals = [t.stamp() for t in transmissions]
-        futures: List[Future] = [
-            self._pool.submit(run, t, s)
-            for t, s in zip(transmissions, stamped_signals)
-        ]
-        timed_out: List[Future] = []
-        abandoned_at: Optional[int] = None
-        for index, (transmission, stamped, future) in enumerate(
-            zip(transmissions, stamped_signals, futures)
-        ):
+        dispatched: List[_Dispatched] = []
+        stamp_error: Optional[BaseException] = None
+        for transmission in transmissions:
             try:
-                result = future.result(timeout)
-            except FutureTimeoutError:
-                self._count("timeouts")
-                timed_out.append(future)
-                result = Outcome.unreachable(
-                    f"action {transmission.label!r} did not answer "
-                    f"{stamped.signal_name!r} within {timeout}s"
-                )
-            if result is _SKIPPED:  # pragma: no cover - abandon always breaks first
-                continue
-            on_transmit(transmission, stamped)
-            if digest(transmission, stamped, result):
-                abandoned_at = index
+                stamped = transmission.stamp()
+            except BaseException as exc:  # raised once the dispatched prefix digested
+                stamp_error = exc
                 break
+            dispatched.append((transmission, stamped, self.pool.submit(run, transmission, stamped)))
+        timed_out: List[Future] = []
+        abandoned = False
+        position = 0
+        try:
+            for position, (transmission, stamped, future) in enumerate(dispatched):
+                try:
+                    outcome = future.result(timeout)
+                except FutureTimeoutError:
+                    self._count("timeouts")
+                    timed_out.append(future)
+                    outcome = Outcome.unreachable(
+                        f"action {transmission.label!r} did not answer "
+                        f"{stamped.signal_name!r} within {timeout}s"
+                    )
+                on_transmit(transmission, stamped)
+                if digest(transmission, stamped, outcome):
+                    abandoned = True
+                    break
+        except BaseException:
+            abandon.set()
+            self._drain(dispatched[position + 1 :], drained, timeout)
+            self._cancel(timed_out)
+            raise
         # A send digested as timed-out may still be *queued* (pool slots
         # exhausted by its siblings): cancel it so it cannot fire a stale
-        # signal after the broadcast resolved without it.  Already-running
-        # sends cannot be preempted (the documented timeout caveat).
-        for future in timed_out:
+        # request after the fan-out resolved without it.
+        self._cancel(timed_out)
+        if abandoned:
+            self._count("abandoned")
+            abandon.set()
+            error = self._drain(dispatched[position + 1 :], drained, timeout)
+            if error is not None:
+                raise error
+        if stamp_error is not None:
+            raise stamp_error
+        return abandoned
+
+    def _cancel(self, futures: List[Future]) -> None:
+        for future in futures:
             if future.cancel():
                 self._count("skipped_sends")
-        if abandoned_at is None:
-            return False
-        # Abandoned: skip undispatched sends, discard collected outcomes,
-        # and drain in-flight ones so no action handles two signals at once.
-        self._count("abandoned")
-        abandon.set()
-        in_flight: List[Future] = []
-        for future in futures[abandoned_at + 1 :]:
-            if future.cancel():
-                self._count("skipped_sends")
-            else:
-                in_flight.append(future)
-        for future in in_flight:
+
+    def _drain(
+        self, pending: List[_Dispatched], drained: Optional[DrainedFn], timeout: Optional[float]
+    ) -> Optional[BaseException]:
+        """Skip the undispatched sends of an abandoned fan-out and wait
+        for the in-flight ones, handing their outcomes to ``drained``;
+        returns the first exception a send or the hook raised."""
+        error: Optional[BaseException] = None
+        in_flight = [entry for entry in pending if not entry[2].cancel()]
+        self._count("skipped_sends", len(pending) - len(in_flight))
+        for transmission, stamped, future in in_flight:
             try:
-                if future.result(timeout) is not _SKIPPED:
+                outcome = future.result(timeout)
+                if outcome is _SKIPPED:
+                    self._count("skipped_sends")
+                elif drained is None:
                     self._count("discarded_outcomes")
                 else:
-                    self._count("skipped_sends")
+                    drained(transmission, stamped, outcome)
             except FutureTimeoutError:
                 self._count("timeouts")
-        return True
+            except BaseException as exc:  # raised by the caller once all are drained
+                error = error if error is not None else exc
+        return error

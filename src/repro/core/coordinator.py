@@ -8,8 +8,8 @@ SignalSet, the coordinator:
 1. asks the set for a signal (``get_signal``);
 2. transmits it to every action registered for that set, stamping a fresh
    ``delivery_id`` per logical transmission and pushing it through the
-   configured delivery policy — *how* concurrently is the pluggable
-   :class:`~repro.core.broadcast.BroadcastExecutor`'s choice;
+   configured delivery policy — *how* concurrently is the choice of the
+   fan-out engine (:mod:`repro.core.broadcast`);
 3. reports each action's outcome back to the set (``set_response``),
    always from the coordinator's own thread and in registration order;
    a True reply abandons the current broadcast and fetches a new signal
@@ -29,7 +29,6 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
 
 from repro.core.action import Action
 from repro.core.broadcast import (
-    BroadcastExecutor,
     SerialBroadcastExecutor,
     Transmission,
 )
@@ -95,7 +94,7 @@ class ActivityCoordinator:
         activity_id: str,
         event_log: Optional[EventLog] = None,
         delivery: Optional[DeliveryPolicy] = None,
-        executor: Optional[BroadcastExecutor] = None,
+        executor: Optional[SerialBroadcastExecutor] = None,
         action_timeout: Optional[float] = None,
         interposer: Optional[Any] = None,
     ) -> None:
@@ -309,13 +308,14 @@ class ActivityCoordinator:
     ) -> Transmission:
         """Plan one logical transmission of ``signal`` to ``record``.
 
-        Executors call ``stamp`` from the coordinator's thread in
+        The engine calls ``stamp`` from the coordinator's thread in
         registration order, so ids are deterministic per executor.  The
-        serial executor stamps lazily (an abandoned broadcast consumes no
-        ids for its skipped tail — byte-identical to the historical
-        loop); the pool executor stamps every transmission at submission,
-        so after an abandonment the two executors' id *sequences* may
-        diverge, while ids within one run stay unique and ordered.
+        inline loop stamps lazily, just before each send (an abandoned
+        broadcast consumes no ids for its skipped tail — byte-identical
+        to the historical loop); the pool stamps each transmission as it
+        submits it, ahead of the digests, so after an abandonment the two
+        executors' id *sequences* may diverge, while ids within one run
+        stay unique and ordered.
         """
 
         def stamp() -> Signal:

@@ -5,8 +5,8 @@ coordination domains) a parent coordinator should not talk to every leaf
 action across domain boundaries.  Instead one *subordinate coordinator*
 is interposed per remote domain: the parent registers the subordinate
 **once** (per signal-set name), the subordinate relays each broadcast to
-its local registrations through the ordinary
-:class:`~repro.core.broadcast.BroadcastExecutor` seam, digests the local
+its local registrations through the one fan-out engine
+(:mod:`repro.core.broadcast`), digests the local
 outcomes in registration order and replies with a single collapsed
 outcome.  A cross-domain broadcast then costs O(domains) inter-domain
 sends instead of O(participants).
@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.broadcast import (
-    BroadcastExecutor,
     SerialBroadcastExecutor,
     Transmission,
 )
@@ -116,7 +115,7 @@ class SubordinateCoordinator(Servant):
         self,
         activity_id: str,
         domain_id: str,
-        executor: Optional[BroadcastExecutor] = None,
+        executor: Optional[SerialBroadcastExecutor] = None,
         delivery: Optional[DeliveryPolicy] = None,
         event_log: Optional[EventLog] = None,
         store: Optional[Any] = None,
@@ -287,7 +286,7 @@ def recover_subordinates(
     manager: Any,
     node: Any,
     domain_id: str,
-    executor: Optional[BroadcastExecutor] = None,
+    executor: Optional[SerialBroadcastExecutor] = None,
     delivery: Optional[DeliveryPolicy] = None,
 ) -> List[SubordinateCoordinator]:
     """Rebuild a domain's subordinate coordinators after a crash.

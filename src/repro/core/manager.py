@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.config import RuntimeConfig
 from repro.core.action import Action
 from repro.core.activity import Activity
-from repro.core.broadcast import BroadcastExecutor
+from repro.core.broadcast import SerialBroadcastExecutor
 from repro.core.current import ActivityCurrent
 from repro.core.delivery import AtLeastOnceDelivery, DeliveryPolicy
 from repro.core.exceptions import ActivityServiceError, RecoveryError
@@ -77,7 +77,7 @@ class ActivityManager:
         delivery: Optional[DeliveryPolicy] = None,
         store: Optional[ObjectStore] = None,
         property_groups: Optional[PropertyGroupManager] = None,
-        executor: Optional[BroadcastExecutor] = None,
+        executor: Optional[SerialBroadcastExecutor] = None,
         action_timeout: Optional[float] = None,
         config: Optional[RuntimeConfig] = None,
     ) -> None:
@@ -169,7 +169,7 @@ class ActivityManager:
         name: Optional[str] = None,
         parent: Optional[Activity] = None,
         timeout: float = 0.0,
-        executor: Optional[BroadcastExecutor] = None,
+        executor: Optional[SerialBroadcastExecutor] = None,
     ) -> Activity:
         """Create (and start) a new activity.
 

@@ -172,7 +172,7 @@ class BtpAtom:
 
     ``executor`` (optional) routes this atom's prepare/confirm/cancel
     broadcasts through a specific
-    :class:`~repro.core.broadcast.BroadcastExecutor` instead of the
+    :class:`~repro.core.broadcast.SerialBroadcastExecutor` instead of the
     manager-wide default, mirroring ``Saga(executor=...)`` — a
     thread-pool executor overlaps participant replies while keeping the
     fig. 11/12 logical traces identical to the serial sweep.

@@ -155,7 +155,7 @@ class Saga:
 
     ``executor`` (optional) routes the compensation sweep's per-signal
     fan-out through a specific
-    :class:`~repro.core.broadcast.BroadcastExecutor` instead of the
+    :class:`~repro.core.broadcast.SerialBroadcastExecutor` instead of the
     manager-wide default — a thread-pool executor overlaps the
     not-mine/compensated replies of all registered step actions while
     preserving the serial sweep's logical trace and reverse ordering

@@ -254,7 +254,7 @@ class WorkflowEngine:
 
     ``executor`` (optional) routes every activity this engine begins —
     the parent coordinating activity and each task's child activity —
-    through a specific :class:`~repro.core.broadcast.BroadcastExecutor`
+    through a specific :class:`~repro.core.broadcast.SerialBroadcastExecutor`
     instead of the manager-wide default (mirroring ``Saga(executor=...)``).
     The fig. 10 start/start_ack/outcome/outcome_ack choreography is
     executor-independent: traces stay identical to the serial sweep.

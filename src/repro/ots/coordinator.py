@@ -17,6 +17,11 @@ two-phase commit:
 5. a completion record is logged *unforced*, ``after_completion`` runs,
    locks release.
 
+Each participant round — prepare, commit, rollback — is one fan-out
+through the factory's executor, the Activity Service's broadcast engine
+(:mod:`repro.core.broadcast`), as the paper layers 2PC as one SignalSet
+(figs 3 and 8): inline by default, pooled under ``parallel_participants``.
+
 Durable writes: one forced log record, then one store write per store.
 Phase one writes nothing: a local resource hands its intention to the
 transaction (:meth:`TransactionFactory.stage_intention`) and the forced
@@ -45,8 +50,9 @@ between any two protocol steps to reproduce coordinator failures.
 from __future__ import annotations
 
 import threading
-from typing import Any, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.broadcast import Transmission
 from repro.exceptions import CommunicationError
 from repro.orb.marshal import MarshalError
 from repro.orb.reference import ObjectRef
@@ -66,12 +72,6 @@ from repro.ots.exceptions import (
 from repro.ots.resource import call_participant
 from repro.ots.status import TransactionStatus, Vote
 from repro.util.records import SlottedRecord
-
-# Sentinel a prepare worker returns when the round was abandoned before
-# its participant was asked (distinct from a participant's own return
-# value — a buggy prepare() returning None must fail as loudly as it
-# does in the serial sweep, not be mistaken for "never asked").
-_NOT_ASKED = object()
 
 
 class ResourceRecord(SlottedRecord):
@@ -393,7 +393,7 @@ class Transaction:
         log = self.factory.event_log
         log.record("tx_commit_begin", tid=self.tid, resources=len(self._resources))
         if not self._run_before_completion():
-            self._rollback_resources(self._resources)
+            self._complete("rollback", self._resources)
             self._finish(TransactionStatus.ROLLED_BACK)
             raise TransactionRolledBack(
                 f"before_completion failure rolled back {self.tid}"
@@ -403,30 +403,13 @@ class Transaction:
         if len(live) == 1:
             self._commit_one_phase(live[0], report_heuristics)
             return
-        if not live:
-            self._finish(TransactionStatus.COMMITTED)
-            return
-        # Phase one.
-        self.status = TransactionStatus.PREPARING
-        rollback_voter = self._gather_votes(live)
-        if rollback_voter is not None:
-            self.status = TransactionStatus.ROLLING_BACK
-            # Yes-voters must be told to roll back, and so must any
-            # resource whose prepare *raised* — it never voted, so it
-            # may be wedged mid-prepare (locks held) rather than
-            # self-aborted like a genuine no-voter.
-            to_undo = [r for r in live if r.vote is Vote.COMMIT or r.prepare_failed]
-            self._rollback_resources(to_undo)
-            self._finish(TransactionStatus.ROLLED_BACK)
+        vote = self._prepare_all(live)
+        if vote is Vote.ROLLBACK:
             raise TransactionRolledBack(
                 f"a resource voted rollback in transaction {self.tid}"
             )
-        self.status = TransactionStatus.PREPARED
-        committers = [r for r in live if r.vote is Vote.COMMIT]
-        if not committers:
-            # Everyone was read-only: committed with no phase two, no log.
-            self._finish(TransactionStatus.COMMITTED)
-            return
+        if vote is Vote.READONLY:
+            return  # committed with no phase two, no log
         # Force the commit decision (with the intentions) before telling
         # anyone to commit.  Under group commit this blocks on a force
         # shared with every concurrent committer in the window.
@@ -435,10 +418,33 @@ class Transaction:
         self.factory.failpoints.hit("after_commit_log")
         # Phase two.
         self.status = TransactionStatus.COMMITTING
-        self._commit_resources(committers)
+        self._complete("commit", [r for r in live if r.vote is Vote.COMMIT])
         self.factory.log_completion(self.tid)
         self._finish(TransactionStatus.COMMITTED)
         self._report_heuristics(report_heuristics, committed=True)
+
+    def _prepare_all(self, live: List[ResourceRecord]) -> Vote:
+        """Phase one over ``live`` with its outcome applied, as the vote
+        this transaction would give a superior: ``ROLLBACK`` once a
+        no-vote has rolled it back, ``READONLY`` once it finished as
+        committed with nothing to do in phase two, ``COMMIT`` when it is
+        ``PREPARED``."""
+        self.status = TransactionStatus.PREPARING
+        if self._gather_votes(live):
+            self.status = TransactionStatus.ROLLING_BACK
+            # Yes-voters must be told to roll back, and so must any
+            # resource whose prepare *raised* — it never voted, so it
+            # may be wedged mid-prepare (locks held) rather than
+            # self-aborted like a genuine no-voter.
+            to_undo = [r for r in live if r.vote is Vote.COMMIT or r.prepare_failed]
+            self._complete("rollback", to_undo)
+            self._finish(TransactionStatus.ROLLED_BACK)
+            return Vote.ROLLBACK
+        if not any(r.vote is Vote.COMMIT for r in live):
+            self._finish(TransactionStatus.COMMITTED)
+            return Vote.READONLY
+        self.status = TransactionStatus.PREPARED
+        return Vote.COMMIT
 
     # -- interposed completion (federated deployments) --------------------------
 
@@ -448,9 +454,8 @@ class Transaction:
         Used by the federated subordinate resource
         (:mod:`repro.ots.interposition`): the superior sends one
         ``prepare`` across the domain bridge and this local transaction
-        gathers its own resources' votes — serial or fanned out over the
-        factory's participant pool, with marshal-once templates, exactly
-        like a local phase one.  The collapsed vote travels upward:
+        gathers its own resources' votes through the factory's executor,
+        with marshal-once templates, exactly like a local phase one.  The collapsed vote travels upward:
 
         - any local no-vote (or phase-one failure) rolls the local tree
           back and returns ``Vote.ROLLBACK``;
@@ -479,27 +484,10 @@ class Transaction:
             "subtx_phase_one", tid=self.tid, resources=len(self._resources)
         )
         if not self._run_before_completion():
-            self._rollback_resources(self._resources)
+            self._complete("rollback", self._resources)
             self._finish(TransactionStatus.ROLLED_BACK)
             return Vote.ROLLBACK
-        live = list(self._resources)
-        if not live:
-            self._finish(TransactionStatus.COMMITTED)
-            return Vote.READONLY
-        self.status = TransactionStatus.PREPARING
-        rollback_voter = self._gather_votes(live)
-        if rollback_voter is not None:
-            self.status = TransactionStatus.ROLLING_BACK
-            self._rollback_resources(
-                [r for r in live if r.vote is Vote.COMMIT or r.prepare_failed]
-            )
-            self._finish(TransactionStatus.ROLLED_BACK)
-            return Vote.ROLLBACK
-        if not any(r.vote is Vote.COMMIT for r in live):
-            self._finish(TransactionStatus.COMMITTED)
-            return Vote.READONLY
-        self.status = TransactionStatus.PREPARED
-        return Vote.COMMIT
+        return self._prepare_all(list(self._resources))
 
     def commit_interposed(self) -> None:
         """Phase two (commit direction) driven by the superior.
@@ -532,7 +520,7 @@ class Transaction:
             raise NotPrepared(
                 f"transaction {self.tid} is {self.status.value}, not prepared"
             )
-        self._commit_resources(committers)
+        self._complete("commit", committers)
         self.factory.log_completion(self.tid)
         self._finish(TransactionStatus.COMMITTED)
         self._report_heuristics(True, committed=True)
@@ -581,113 +569,108 @@ class Transaction:
         record.completed = True
         self._finish(TransactionStatus.COMMITTED)
 
-    # -- parallel participant fan-out -----------------------------------------
+    # -- participant rounds -------------------------------------------------
 
-    def _participant_workers(self, participant_count: int) -> int:
-        """Worker-thread budget for one protocol phase of this transaction.
+    def _round(
+        self,
+        operation: str,
+        records: Sequence[ResourceRecord],
+        fold: Callable[[ResourceRecord, Any], bool],
+        failpoint: Optional[str] = None,
+        sweep: Optional[SweepWrites] = None,
+        late: bool = False,
+    ) -> bool:
+        """One protocol round over ``records`` through the factory's
+        fan-out engine (:mod:`repro.core.broadcast`), inline or pooled
+        per ``parallel_participants``.
 
-        Returns 1 (serial) on a participant-pool worker thread: a nested
-        commit driven from inside a participant call must not wait on
-        the very pool it is running in.
+        Each stamp fires ``failpoint`` (formatted with the record's
+        index) and primes the marshal-once template; each send returns
+        the participant's reply, or its exception as a value; ``fold``
+        digests them in registration order on this thread and returns
+        True to abandon the round.  With ``late``, outcomes that finish
+        after an abandonment are folded too: a participant that prepared
+        concurrently with a no-vote must still be told to roll back.
+        Returns True when the round was abandoned.
         """
-        if self.factory.in_participant_worker():
-            return 1
-        return min(self.factory.parallel_participants, participant_count)
+        round_ = _ParticipantRound(operation)
+        failpoints = self.factory.failpoints
 
-    def _gather_votes(self, live: List[ResourceRecord]) -> Optional[ResourceRecord]:
-        """Phase one over ``live`` (serial or fanned out); returns the
-        pivoting no-voter, if any — shared by the top-level commit and
-        the interposed (subordinate) prepare.  It writes nothing: local
+        def transmission(index: int, record: ResourceRecord) -> Transmission:
+            def stamp() -> ResourceRecord:
+                if failpoint is not None:
+                    failpoints.hit(failpoint.format(index))
+                round_.prime(record.participant)
+                return record
+
+            def send(record: ResourceRecord) -> Any:
+                try:
+                    if sweep is None:
+                        return round_.call(record.participant)
+                    return sweep.call(record, self._call_with_retry, round_, record.participant)
+                except BaseException as exc:  # folded on the calling thread
+                    return exc
+
+            return Transmission(index, operation, stamp, send)
+
+        def digest(_: Transmission, record: ResourceRecord, outcome: Any) -> bool:
+            return fold(record, outcome)
+
+        return self.factory.executor.broadcast(
+            [transmission(index, record) for index, record in enumerate(records)],
+            lambda transmission, record: None,  # votes are logged as they fold
+            digest,
+            drained=digest if late else None,
+        )
+
+    def _gather_votes(self, live: List[ResourceRecord]) -> bool:
+        """Phase one over ``live``; True when a no-vote (or a failed
+        prepare) aborted it — shared by the top-level commit and the
+        interposed (subordinate) prepare.  It writes nothing: local
         resources stage their intentions on this transaction, and an
         abort simply never logs them."""
-        if self._participant_workers(len(live)) > 1:
-            return self._gather_votes_parallel(live)
-        return self._gather_votes_serial(live)
+        return self._round("prepare", live, self._fold_vote, "before_prepare", late=True)
 
-    def _gather_votes_serial(self, live: List[ResourceRecord]) -> Optional[ResourceRecord]:
-        """Classic phase one: one prepare at a time, stop at the first no."""
-        log = self.factory.event_log
-        round_ = _ParticipantRound("prepare")
-        for record in live:
-            self.factory.failpoints.hit("before_prepare")
-            try:
-                round_.prime(record.participant)
-                record.vote = round_.call(record.participant)
-            except (CommunicationError, Exception) as exc:
-                if isinstance(exc, SimulatedCrash):
-                    raise
-                record.vote = Vote.ROLLBACK
-                record.prepare_failed = True
-            log.record("tx_vote", tid=self.tid, vote=record.vote.name)
-            if record.vote is Vote.ROLLBACK:
-                return record
-        return None
+    def _fold_vote(self, record: ResourceRecord, outcome: Any) -> bool:
+        if isinstance(outcome, BaseException):
+            if isinstance(outcome, SimulatedCrash) or not isinstance(outcome, Exception):
+                raise outcome
+            outcome, record.prepare_failed = Vote.ROLLBACK, True
+        record.vote = outcome
+        self.factory.event_log.record("tx_vote", tid=self.tid, vote=record.vote.name)
+        return record.vote is Vote.ROLLBACK
 
-    def _gather_votes_parallel(self, live: List[ResourceRecord]) -> Optional[ResourceRecord]:
-        """Phase one with concurrent prepares.
+    def _complete(self, operation: str, records: List[ResourceRecord]) -> None:
+        """Phase two in one direction: tell every record to ``operation``
+        ("commit" or "rollback").
 
-        Votes are digested in registration order on this thread, so the
-        ``tx_vote`` trace and the rollback pivot stay deterministic.  A
-        no-vote abandons the round: prepares not yet dispatched are
-        skipped (their vote stays None, exactly like the serial sweep's
-        post-break tail), while prepares already in flight finish and
-        have their votes recorded — a concurrently-prepared participant
-        must still be told to roll back.
+        The outcome is decided, so nothing abandons the round.  A
+        heuristic report is kept and the participant told to forget; an
+        unreachable participant becomes a :class:`HeuristicHazard`; any
+        other failure is raised at once (in registration order), which
+        leaves the transaction in ``COMMITTING``/``ROLLING_BACK`` for
+        :meth:`redrive`.  The sweep's store writes land afterwards in
+        :meth:`_acknowledge`.
         """
-        log = self.factory.event_log
-        abandon = threading.Event()
-        factory = self.factory
-        round_ = _ParticipantRound("prepare")
+        against = HeuristicRollback if operation == "commit" else HeuristicCommit
 
-        def do_prepare(record: ResourceRecord) -> Any:
-            if abandon.is_set():
-                return _NOT_ASKED
-            try:
-                return round_.call(record.participant)
-            except BaseException as exc:  # digested on the driving thread
-                return exc
+        def fold(record: ResourceRecord, exc: Any) -> bool:
+            if isinstance(exc, (against, HeuristicMixed, HeuristicHazard)):
+                self._heuristics.append(exc)
+                self._safe_forget(record)
+            elif isinstance(exc, CommunicationError):
+                self._heuristics.append(
+                    HeuristicHazard(
+                        f"resource unreachable during {operation} of {self.tid}: {exc}"
+                    )
+                )
+            elif isinstance(exc, BaseException):
+                raise exc
+            return False
 
-        # Fail-points fire on the driving thread, interleaved with the
-        # submissions exactly as the serial sweep interleaves them with
-        # the prepares (``before_prepare`` disarms on its first firing,
-        # so a crash here always lands before any prepare is submitted).
-        # Templates are primed here too: workers only read the round.
-        pool = factory.participant_pool()
-        futures = []
-        for record in live:
-            factory.failpoints.hit("before_prepare")
-            round_.prime(record.participant)
-            futures.append(pool.submit(do_prepare, record))
-        rollback_voter: Optional[ResourceRecord] = None
-        for index, (record, future) in enumerate(zip(live, futures)):
-            result = future.result()
-            if result is _NOT_ASKED:
-                continue  # skipped after abandonment: never voted
-            if isinstance(result, SimulatedCrash):
-                # Crash: drain in-flight prepares before propagating so
-                # the caller (and any recovery run it starts) observes a
-                # quiescent store, not one still mutating under workers.
-                abandon.set()
-                for later in futures[index + 1 :]:
-                    later.result()
-                raise result
-            if isinstance(result, BaseException):
-                record.vote = Vote.ROLLBACK
-                record.prepare_failed = True
-            else:
-                record.vote = result
-            log.record("tx_vote", tid=self.tid, vote=record.vote.name)
-            if record.vote is Vote.ROLLBACK and rollback_voter is None:
-                rollback_voter = record
-                abandon.set()
-        return rollback_voter
-
-    def _commit_resources(self, committers: List[ResourceRecord]) -> None:
-        with self.factory.sweep(self.tid, committers) as sweep:
-            if self._participant_workers(len(committers)) > 1:
-                self._commit_resources_parallel(committers, sweep)
-            else:
-                self._commit_resources_serial(committers, sweep)
+        failpoint = "before_commit_resource_{}" if operation == "commit" else None
+        with self.factory.sweep(self.tid, records) as sweep:
+            self._round(operation, records, fold, failpoint, sweep)
         self._acknowledge(sweep)
 
     def _acknowledge(self, sweep: SweepWrites) -> None:
@@ -706,190 +689,11 @@ class Transaction:
         if error is not None:
             raise error
 
-    def _commit_resources_serial(
-        self, committers: List[ResourceRecord], sweep: SweepWrites
-    ) -> None:
-        round_ = _ParticipantRound("commit")
-        for index, record in enumerate(committers):
-            self.factory.failpoints.hit(f"before_commit_resource_{index}")
-            try:
-                round_.prime(record.participant)
-                sweep.call(record, self._call_with_retry, record.participant, "commit", round_)
-            except HeuristicRollback as exc:
-                self._heuristics.append(exc)
-                self._safe_forget(record)
-            except (HeuristicMixed, HeuristicHazard) as exc:
-                self._heuristics.append(exc)
-                self._safe_forget(record)
-            except CommunicationError as exc:
-                self._heuristics.append(
-                    HeuristicHazard(
-                        f"resource unreachable during commit of {self.tid}: {exc}"
-                    )
-                )
-
-    def _commit_resources_parallel(
-        self, committers: List[ResourceRecord], sweep: SweepWrites
-    ) -> None:
-        """Phase two with concurrent commits.
-
-        The decision is already forced, so every participant must be
-        driven to completion — there is no abandonment here.  Outcomes
-        (including heuristics) are digested in registration order on
-        this thread so ``_heuristics`` ordering matches the serial path.
-
-        The ``before_commit_resource_{i}`` fail-points interleave with
-        the submissions, as in the serial loop: when one fires, commits
-        already submitted are awaited and digested before the crash
-        propagates, so the prefix-called crash states the recovery
-        tests reproduce stay reachable with the knob on.
-        """
-        factory = self.factory
-        round_ = _ParticipantRound("commit")
-
-        def do_commit(record: ResourceRecord) -> Optional[BaseException]:
-            try:
-                sweep.call(record, self._call_with_retry, record.participant, "commit", round_)
-                return None
-            except BaseException as exc:  # digested on the driving thread
-                return exc
-
-        pool = factory.participant_pool()
-        futures = []
-        crash: Optional[SimulatedCrash] = None
-        try:
-            for index, record in enumerate(committers):
-                factory.failpoints.hit(f"before_commit_resource_{index}")
-                round_.prime(record.participant)
-                futures.append((record, pool.submit(do_commit, record)))
-        except SimulatedCrash as exc:
-            crash = exc
-        # Digest every submitted commit (the loop below is also the
-        # drain: nothing is left running when an exception propagates).
-        fatal: Optional[BaseException] = None
-        for record, future in futures:
-            exc = future.result()
-            if exc is None:
-                continue  # completed once the sweep's writes have landed
-            if isinstance(
-                exc, (HeuristicRollback, HeuristicMixed, HeuristicHazard)
-            ):
-                self._heuristics.append(exc)
-                self._safe_forget(record)
-            elif isinstance(exc, CommunicationError):
-                self._heuristics.append(
-                    HeuristicHazard(
-                        f"resource unreachable during commit of {self.tid}: {exc}"
-                    )
-                )
-            elif fatal is None:
-                # Unknown failure: remember the earliest (registration
-                # order, as the serial loop would have raised it) but
-                # keep digesting so no future is abandoned mid-flight.
-                fatal = exc
-        if fatal is not None:
-            raise fatal
-        if crash is not None:
-            raise crash
-
-    def _rollback_resources(self, records: List[ResourceRecord]) -> None:
-        """Tell every (non-completed) participant to roll back.
-
-        Like phase two, the sweep fans out over the factory's shared
-        participant pool when ``parallel_participants`` allows — every
-        participant must be driven to completion either way, and
-        outcomes (incl. heuristics) are digested in registration order
-        so the serial and parallel sweeps leave identical state.
-        """
-        with self.factory.sweep(self.tid, records) as sweep:
-            if self._participant_workers(len(records)) > 1:
-                self._rollback_resources_parallel(records, sweep)
-            else:
-                self._rollback_resources_serial(records, sweep)
-        self._acknowledge(sweep)
-
-    def _digest_rollback(
-        self, record: ResourceRecord, exc: Optional[BaseException]
-    ) -> Optional[BaseException]:
-        """Fold one rollback outcome into the transaction's bookkeeping;
-        returns an exception the caller must propagate (unknown failure)."""
-        if exc is None:
-            return None  # completed once the sweep's writes have landed
-        if isinstance(exc, (HeuristicCommit, HeuristicMixed, HeuristicHazard)):
-            self._heuristics.append(exc)
-            self._safe_forget(record)
-            return None
-        if isinstance(exc, CommunicationError):
-            self._heuristics.append(
-                HeuristicHazard(
-                    f"resource unreachable during rollback of {self.tid}: {exc}"
-                )
-            )
-            return None
-        return exc
-
-    def _rollback_resources_serial(
-        self, records: List[ResourceRecord], sweep: SweepWrites
-    ) -> None:
-        round_ = _ParticipantRound("rollback")
-        for record in records:
-            round_.prime(record.participant)
-            try:
-                sweep.call(record, self._call_with_retry, record.participant, "rollback", round_)
-                exc: Optional[BaseException] = None
-            except BaseException as caught:  # noqa: BLE001 - digested uniformly
-                exc = caught
-            fatal = self._digest_rollback(record, exc)
-            if fatal is not None:
-                raise fatal
-
-    def _rollback_resources_parallel(
-        self, records: List[ResourceRecord], sweep: SweepWrites
-    ) -> None:
-        """Rollback sweep with concurrent participant calls.
-
-        No abandonment: the outcome is already decided, so every
-        participant is driven to completion; the digest loop below is
-        also the drain (nothing is left running when an exception
-        propagates), and the first unknown failure in registration
-        order is re-raised exactly as the serial sweep would have.
-        """
-        round_ = _ParticipantRound("rollback")
-
-        def do_rollback(record: ResourceRecord) -> Optional[BaseException]:
-            try:
-                sweep.call(record, self._call_with_retry, record.participant, "rollback", round_)
-                return None
-            except BaseException as exc:  # digested on the driving thread
-                return exc
-
-        pool = self.factory.participant_pool()
-        futures = []
-        for record in records:
-            round_.prime(record.participant)
-            futures.append((record, pool.submit(do_rollback, record)))
-        fatal: Optional[BaseException] = None
-        for record, future in futures:
-            exc = self._digest_rollback(record, future.result())
-            if exc is not None and fatal is None:
-                fatal = exc
-        if fatal is not None:
-            raise fatal
-
-    def _call_with_retry(
-        self,
-        participant: Any,
-        operation: str,
-        round_: Optional[_ParticipantRound] = None,
-    ) -> None:
-        attempts = self.factory.retry_attempts
+    def _call_with_retry(self, round_: _ParticipantRound, participant: Any) -> None:
         last_error: Optional[CommunicationError] = None
-        for _ in range(attempts):
+        for _ in range(self.factory.retry_attempts):
             try:
-                if round_ is not None:
-                    round_.call(participant)
-                else:
-                    call_participant(participant, operation)
+                round_.call(participant)
                 return
             except CommunicationError as exc:
                 if not exc.transient:
@@ -932,7 +736,7 @@ class Transaction:
                 child.rollback()
         if self.is_top_level:
             to_undo = [r for r in self._resources if not r.completed]
-            self._rollback_resources(to_undo)
+            self._complete("rollback", to_undo)
             self._finish(TransactionStatus.ROLLED_BACK)
         else:
             for participant in self._subtran_aware:
@@ -974,7 +778,7 @@ class Transaction:
             else:
                 # The commit decision is already forced to the log;
                 # finish phase two exactly as the first pass would have.
-                self._commit_resources(records)
+                self._complete("commit", records)
                 self.factory.log_completion(self.tid)
                 self._finish(TransactionStatus.COMMITTED)
         return self.status.is_terminal
@@ -1006,9 +810,7 @@ class Transaction:
         self.factory.on_transaction_finished(self)
 
     def _report_heuristics(self, report: bool, committed: bool) -> None:
-        if not self._heuristics:
-            return
-        if not report:
+        if not (report and self._heuristics):
             return
         kinds: Set[type] = {type(h) for h in self._heuristics}
         if kinds == {HeuristicHazard}:

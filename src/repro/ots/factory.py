@@ -6,6 +6,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.config import FactoryConfig
+from repro.core.broadcast import SerialBroadcastExecutor, ThreadPoolBroadcastExecutor
 from repro.exceptions import ConfigurationError, ReproError
 from repro.ots.coordinator import Control, SweepWrites, Transaction
 from repro.ots.exceptions import InvalidTransaction, SimulatedCrash
@@ -19,7 +20,6 @@ from repro.util.events import EventLog
 from repro.util.idgen import IdGenerator
 from repro.util.sharding import StripedMap
 from repro.util.timer_wheel import HierarchicalTimerWheel, RecurringTimer
-from repro.util.workers import ReentrantWorkerPool
 
 
 class Failpoints:
@@ -85,18 +85,23 @@ class TransactionFactory:
     :meth:`stage_write`, which is how phase two of one transaction
     becomes one write per store.
 
-    ``parallel_participants`` bounds how many participants a transaction
-    contacts *concurrently* during phase one (votes) and phase two
-    (commits): 1 (the default) keeps the classic serial sweep; N > 1
-    fans out over worker threads while results are digested in
-    registration order, so heuristics, votes and log records stay
-    deterministic on the non-abandoned path.  After a no-vote the
-    *count* of trailing ``tx_vote`` records is schedule-dependent
-    (whether a sibling prepare dispatched before the abandonment decides
-    whether it voted at all) — behaviour stays correct either way: only
-    participants that actually prepared are rolled back.  It composes
-    with ``group_commit_window`` — parallel phases shorten each
-    transaction, group commit shares the forces across transactions.
+    Every transaction runs its prepare, commit and rollback rounds
+    through :attr:`executor`, the Activity Service's fan-out engine
+    (:mod:`repro.core.broadcast`).  ``parallel_participants`` picks it:
+    1 (the default) is the inline
+    :class:`~repro.core.broadcast.SerialBroadcastExecutor`; N > 1 is a
+    :class:`~repro.core.broadcast.ThreadPoolBroadcastExecutor` of N
+    workers (threads named ``participants``), shared by every
+    transaction of this factory and created lazily, whose outcomes are
+    still folded in registration order, so heuristics, votes and log
+    records stay deterministic on the non-abandoned path.  After a
+    no-vote the *count* of trailing ``tx_vote`` records is
+    schedule-dependent (whether a sibling prepare dispatched before the
+    abandonment decides whether it voted at all) — behaviour stays
+    correct either way: only participants that actually prepared are
+    rolled back.  It composes with ``group_commit_window`` — parallel
+    phases shorten each transaction, group commit shares the forces
+    across transactions.
     """
 
     def __init__(
@@ -138,9 +143,11 @@ class TransactionFactory:
         self.failpoints = Failpoints()
         self.retry_attempts = config.retry_attempts
         self.parallel_participants = config.parallel_participants
-        self._participant_pool = ReentrantWorkerPool(
-            config.parallel_participants, thread_name_prefix="participants"
-        )
+        # The fan-out engine every transaction's 2PC rounds run through.
+        self.executor = SerialBroadcastExecutor()
+        if config.parallel_participants > 1:
+            self.executor = ThreadPoolBroadcastExecutor(config.parallel_participants)
+            self.executor.pool.thread_name_prefix = "participants"
         self.ids = IdGenerator(prefix=config.tid_prefix)
         # Striped registries: begin/get/finish from parallel participant
         # workers touch only the owning segment, not one global lock.
@@ -257,40 +264,19 @@ class TransactionFactory:
 
     # -- parallel participant calls -----------------------------------------
 
-    def participant_pool(self) -> ReentrantWorkerPool:
-        """The shared worker pool for parallel participant calls.
-
-        Threads are created lazily on first submission (a factory with
-        ``parallel_participants=1`` never fans out) and reused by every
-        transaction of this factory, so a high-throughput workload does
-        not pay thread churn per phase; ``parallel_participants`` is the
-        factory-wide budget of concurrent participant calls.
-        """
-        return self._participant_pool
-
-    def in_participant_worker(self) -> bool:
-        """True on threads running a participant call for this factory.
-
-        A participant that itself commits another transaction through
-        the same factory must not fan out again — waiting on the shared
-        pool from inside it can exhaust the slots and deadlock, so such
-        nested phases run serially.
-        """
-        return self._participant_pool.in_worker()
-
     def shutdown_participant_pool(self) -> None:
-        """Release the shared pool's threads (idempotent; tests/teardown)."""
-        self._participant_pool.shutdown()
+        """Release the executor's threads (idempotent; tests/teardown)."""
+        self.executor.shutdown()
 
     def reap_idle_workers(self, max_idle: float = 30.0) -> bool:
-        """Tear down the participant pool when it has sat idle (PR 10).
+        """Tear down the executor's pool when it has sat idle (PR 10).
 
         A burst of parallel 2PC traffic lazily spawns up to
         ``parallel_participants`` daemon threads; once the burst drains
         they used to park forever.  Returns True when threads were
         released; the next parallel phase transparently recreates them.
         """
-        return self._participant_pool.reap_if_idle(max_idle)
+        return self.executor.reap_if_idle(max_idle)
 
     def schedule_worker_reap(
         self, interval: float, max_idle: float = 30.0

@@ -1,14 +1,14 @@
-"""Shared worker-pool plumbing for the parallel fan-out layers.
+"""The worker pool under the pooled fan-out engine.
 
-Both the activity-service broadcast executor
-(:class:`~repro.core.broadcast.ThreadPoolBroadcastExecutor`) and the OTS
-parallel participant phases (``TransactionFactory(parallel_participants=N)``)
-need the same three things from a thread pool: lazy creation (a config
-knob must not spawn threads until first use), detection of re-entrant use
-(work submitted *from* a worker must not block on its own pool's slots —
-that deadlocks), and idempotent shutdown.  This helper is that shared
-core; the fan-out semantics (digestion order, abandonment, timeouts)
-stay with the callers.
+:class:`~repro.core.broadcast.ThreadPoolBroadcastExecutor` — which runs
+activity broadcasts and, under ``TransactionFactory(parallel_participants=N)``,
+the OTS's 2PC rounds — needs three things from a thread pool: lazy
+creation (a config knob must not spawn threads until first use),
+detection of re-entrant use (work submitted *from* a worker must not
+block on its own pool's slots — that deadlocks; the executor asks
+:meth:`ReentrantWorkerPool.in_worker` and runs such a fan-out inline),
+and idempotent shutdown.  The fan-out semantics (digestion order,
+abandonment, draining, timeouts) live in the executor alone.
 
 PR 10 adds the idle audit: pools track in-flight work and the time of
 the last submission, and :meth:`ReentrantWorkerPool.reap_if_idle`

@@ -19,7 +19,7 @@ from typing import ClassVar, Dict, Optional, Tuple, Union
 
 from repro.core.action import Action
 from repro.core.activity import Activity
-from repro.core.broadcast import BroadcastExecutor
+from repro.core.broadcast import SerialBroadcastExecutor
 from repro.core.interposition import SubordinateCoordinator, subordinate_object_id
 from repro.core.manager import ActivityManager
 from repro.core.signals import Outcome
@@ -88,7 +88,7 @@ class WscfCoordinator:
     def __init__(
         self,
         manager: Optional[ActivityManager] = None,
-        executor: Optional[BroadcastExecutor] = None,
+        executor: Optional[SerialBroadcastExecutor] = None,
         action_timeout: Optional[float] = None,
     ) -> None:
         if manager is None:

@@ -24,6 +24,7 @@ from repro.core import (
     SequenceSignalSet,
     SerialBroadcastExecutor,
     ThreadPoolBroadcastExecutor,
+    Transmission,
 )
 from repro.exceptions import CommunicationError
 from repro.models.twopc import TwoPhaseCommitSignalSet, TwoPhaseParticipant
@@ -354,3 +355,75 @@ class TestTimedOutQueuedSends:
             release.set()
             time.sleep(0.1)  # give the worker time to pick up queued work
             assert late_ran == []
+
+
+class TestSendRaises:
+    """An exception escaping a send stops the whole fan-out: queued sends
+    are cancelled and in-flight ones drained before it is raised, so no
+    send starts, or is still running, once ``broadcast`` has raised."""
+
+    def test_no_send_runs_after_the_broadcast_raises(self):
+        lock = threading.Lock()
+        started, running = [], []
+
+        def send_for(index):
+            def send(stamped):
+                with lock:
+                    started.append(index)
+                    running.append(index)
+                try:
+                    if index == 0:
+                        raise RuntimeError("ledger write failed")
+                    time.sleep(0.1)
+                    return Outcome.done()
+                finally:
+                    with lock:
+                        running.remove(index)
+
+            return send
+
+        transmissions = [
+            Transmission(index, f"a{index}", lambda: None, send_for(index))
+            for index in range(4)
+        ]
+        with ThreadPoolBroadcastExecutor(max_workers=2) as executor:
+            with pytest.raises(RuntimeError, match="ledger write failed"):
+                executor.broadcast(
+                    transmissions, lambda t, s: None, lambda t, s, o: False
+                )
+            with lock:
+                started_at_raise = list(started)
+                running_at_raise = list(running)
+            time.sleep(0.3)  # long enough for a queued send to start
+            with lock:
+                assert running_at_raise == []
+                assert started == started_at_raise
+        assert 3 not in started_at_raise  # queued behind two busy workers
+
+    def test_failing_exactly_once_ledger_quiesces_before_raising(self):
+        class FailingStore(MemoryStore):
+            def put_many(self, items):
+                raise OSError("disk full")
+
+        lock = threading.Lock()
+        running = []
+
+        def slow(signal):
+            with lock:
+                running.append(signal.delivery_id)
+            time.sleep(0.05)
+            with lock:
+                running.remove(signal.delivery_id)
+            return Outcome.done()
+
+        with ThreadPoolBroadcastExecutor(max_workers=2) as executor:
+            delivery = ExactlyOnceDelivery(store=FailingStore())
+            coordinator = make_coordinator(executor, delivery=delivery)
+            for i in range(4):
+                coordinator.add_action("b", FunctionAction(slow, name=f"a{i}"))
+            with pytest.raises(OSError, match="disk full"):
+                coordinator.process_signal_set(
+                    BroadcastSignalSet("go", signal_set_name="b")
+                )
+            with lock:
+                assert running == []

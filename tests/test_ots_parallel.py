@@ -9,7 +9,7 @@ from repro.config import FactoryConfig
 from repro.exceptions import CommunicationError
 from repro.ots import SimulatedCrash, TransactionFactory
 from repro.ots.exceptions import HeuristicHazard, TransactionRolledBack
-from repro.ots.status import Vote
+from repro.ots.status import TransactionStatus, Vote
 
 
 class Participant:
@@ -183,9 +183,9 @@ class TestSharedPoolReuse:
     def test_pool_reused_across_transactions(self):
         factory = TransactionFactory(config=FactoryConfig(parallel_participants=4))
         run_commit(factory, [Participant() for _ in range(4)])
-        pool = factory.participant_pool()
+        pool = factory.executor.pool
         run_commit(factory, [Participant() for _ in range(4)])
-        assert factory.participant_pool() is pool
+        assert factory.executor.pool is pool
         factory.shutdown_participant_pool()
         factory.shutdown_participant_pool()  # idempotent
 
@@ -255,3 +255,28 @@ class TestBuggyParticipants:
             with pytest.raises(AttributeError):
                 tx.commit()
             assert factory.committed == 0
+
+
+class TestUnknownCommitFailure:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_raises_at_once_and_redrive_finishes(self, workers):
+        """A commit failure that is neither heuristic nor a communication
+        error stops phase two where it happened, under either engine:
+        the transaction stays COMMITTING until redrive() finishes it."""
+        factory = TransactionFactory(
+            config=FactoryConfig(parallel_participants=workers),
+        )
+        participants = [Participant() for _ in range(3)]
+        participants[0].commit_error = RuntimeError("store rejected the install")
+        tx = factory.create()
+        for index, participant in enumerate(participants):
+            tx.register_resource(participant, recovery_key=f"r{index}")
+        with pytest.raises(RuntimeError, match="store rejected"):
+            tx.commit()
+        assert tx.status is TransactionStatus.COMMITTING
+        assert not any(record.completed for record in tx.resources)
+        participants[0].commit_error = None
+        assert tx.redrive() is True
+        assert tx.status is TransactionStatus.COMMITTED
+        assert all(participant.calls[-1] == "commit" for participant in participants)
+        factory.shutdown_participant_pool()

@@ -138,7 +138,7 @@ class TestFactoryReap:
             clock.advance(5.0)  # wheel tick runs the reap task
             if time.monotonic() > deadline:
                 pytest.fail("scheduled reap never released the workers")
-        assert factory.participant_pool().reaped == 1
+        assert factory.executor.pool.reaped == 1
 
     def test_serial_factory_never_spawns_threads_to_reap(self):
         factory = TransactionFactory()  # parallel_participants=1, serial path
