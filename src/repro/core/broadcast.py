@@ -154,12 +154,6 @@ class SerialBroadcastExecutor:
     def shutdown(self) -> None:
         """Release the worker threads (idempotent)."""
 
-    def __enter__(self) -> "SerialBroadcastExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
 
 class ThreadPoolBroadcastExecutor(SerialBroadcastExecutor):
     """The pooled fan-out: concurrent sends over a shared worker pool.
@@ -185,11 +179,9 @@ class ThreadPoolBroadcastExecutor(SerialBroadcastExecutor):
     concurrent sends across all of its callers.
     """
 
-    thread_name_prefix = "broadcast"
-
     def __init__(self, max_workers: int = 8) -> None:
         self.max_workers = max_workers
-        self.pool = ReentrantWorkerPool(max_workers, thread_name_prefix=self.thread_name_prefix)
+        self.pool = ReentrantWorkerPool(max_workers, thread_name_prefix="broadcast")
         # The executor is designed to be shared across coordinators and
         # calling threads, so its own counters update under a lock too.
         self._stats_lock = threading.Lock()
@@ -209,6 +201,12 @@ class ThreadPoolBroadcastExecutor(SerialBroadcastExecutor):
 
     def shutdown(self) -> None:
         self.pool.shutdown()
+
+    def __enter__(self) -> "ThreadPoolBroadcastExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
 
     def broadcast(
         self,

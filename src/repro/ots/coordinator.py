@@ -50,6 +50,7 @@ between any two protocol steps to reproduce coordinator failures.
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.broadcast import Transmission
@@ -575,7 +576,7 @@ class Transaction:
         self,
         operation: str,
         records: Sequence[ResourceRecord],
-        fold: Callable[[ResourceRecord, Any], bool],
+        fold: Callable[[Transmission, ResourceRecord, Any], bool],
         failpoint: Optional[str] = None,
         sweep: Optional[SweepWrites] = None,
         late: bool = False,
@@ -594,33 +595,30 @@ class Transaction:
         Returns True when the round was abandoned.
         """
         round_ = _ParticipantRound(operation)
-        failpoints = self.factory.failpoints
+        hit = self.factory.failpoints.hit
 
-        def transmission(index: int, record: ResourceRecord) -> Transmission:
-            def stamp() -> ResourceRecord:
-                if failpoint is not None:
-                    failpoints.hit(failpoint.format(index))
-                round_.prime(record.participant)
-                return record
+        def stamp(index: int, record: ResourceRecord) -> ResourceRecord:
+            if failpoint is not None:
+                hit(failpoint.format(index))
+            round_.prime(record.participant)
+            return record
 
-            def send(record: ResourceRecord) -> Any:
-                try:
-                    if sweep is None:
-                        return round_.call(record.participant)
-                    return sweep.call(record, self._call_with_retry, round_, record.participant)
-                except BaseException as exc:  # folded on the calling thread
-                    return exc
-
-            return Transmission(index, operation, stamp, send)
-
-        def digest(_: Transmission, record: ResourceRecord, outcome: Any) -> bool:
-            return fold(record, outcome)
+        def send(record: ResourceRecord) -> Any:
+            try:
+                if sweep is None:
+                    return round_.call(record.participant)
+                return sweep.call(record, self._call_with_retry, round_, record.participant)
+            except BaseException as exc:  # folded on the calling thread
+                return exc
 
         return self.factory.executor.broadcast(
-            [transmission(index, record) for index, record in enumerate(records)],
+            [
+                Transmission(index, operation, partial(stamp, index, record), send)
+                for index, record in enumerate(records)
+            ],
             lambda transmission, record: None,  # votes are logged as they fold
-            digest,
-            drained=digest if late else None,
+            fold,
+            drained=fold if late else None,
         )
 
     def _gather_votes(self, live: List[ResourceRecord]) -> bool:
@@ -631,7 +629,7 @@ class Transaction:
         abort simply never logs them."""
         return self._round("prepare", live, self._fold_vote, "before_prepare", late=True)
 
-    def _fold_vote(self, record: ResourceRecord, outcome: Any) -> bool:
+    def _fold_vote(self, _: Transmission, record: ResourceRecord, outcome: Any) -> bool:
         if isinstance(outcome, BaseException):
             if isinstance(outcome, SimulatedCrash) or not isinstance(outcome, Exception):
                 raise outcome
@@ -649,12 +647,14 @@ class Transaction:
         unreachable participant becomes a :class:`HeuristicHazard`; any
         other failure is raised at once (in registration order), which
         leaves the transaction in ``COMMITTING``/``ROLLING_BACK`` for
-        :meth:`redrive`.  The sweep's store writes land afterwards in
-        :meth:`_acknowledge`.
+        :meth:`redrive`.  The sweep's store writes land afterwards; only
+        then are the resources whose call returned marked completed, and
+        one whose store write failed stays uncompleted while the failure
+        propagates, stranding the transaction for :meth:`redrive` too.
         """
         against = HeuristicRollback if operation == "commit" else HeuristicCommit
 
-        def fold(record: ResourceRecord, exc: Any) -> bool:
+        def fold(_: Transmission, record: ResourceRecord, exc: Any) -> bool:
             if isinstance(exc, (against, HeuristicMixed, HeuristicHazard)):
                 self._heuristics.append(exc)
                 self._safe_forget(record)
@@ -671,16 +671,6 @@ class Transaction:
         failpoint = "before_commit_resource_{}" if operation == "commit" else None
         with self.factory.sweep(self.tid, records) as sweep:
             self._round(operation, records, fold, failpoint, sweep)
-        self._acknowledge(sweep)
-
-    def _acknowledge(self, sweep: SweepWrites) -> None:
-        """End of a commit or rollback sweep: land the staged writes,
-        then mark the resources whose call returned completed.
-
-        A resource whose store write failed stays uncompleted and the
-        failure propagates, which strands the transaction in
-        ``COMMITTING``/``ROLLING_BACK`` for :meth:`redrive`.
-        """
         failed, error = sweep.flush()
         for record in sweep.returned:
             record.completed = True
