@@ -427,11 +427,14 @@ class Transaction:
     def _prepare_all(self, live: List[ResourceRecord]) -> Vote:
         """Phase one over ``live`` with its outcome applied, as the vote
         this transaction would give a superior: ``ROLLBACK`` once a
-        no-vote has rolled it back, ``READONLY`` once it finished as
-        committed with nothing to do in phase two, ``COMMIT`` when it is
-        ``PREPARED``."""
+        no-vote (or a failed prepare) has rolled it back, ``READONLY``
+        once it finished as committed with nothing to do in phase two,
+        ``COMMIT`` when it is ``PREPARED``.  Shared by the top-level
+        commit and the interposed (subordinate) prepare.  The round
+        writes nothing: local resources stage their intentions on this
+        transaction, and an abort simply never logs them."""
         self.status = TransactionStatus.PREPARING
-        if self._gather_votes(live):
+        if self._round("prepare", live, self._fold_vote, "before_prepare", late=True):
             self.status = TransactionStatus.ROLLING_BACK
             # Yes-voters must be told to roll back, and so must any
             # resource whose prepare *raised* — it never voted, so it
@@ -456,7 +459,8 @@ class Transaction:
         (:mod:`repro.ots.interposition`): the superior sends one
         ``prepare`` across the domain bridge and this local transaction
         gathers its own resources' votes through the factory's executor,
-        with marshal-once templates, exactly like a local phase one.  The collapsed vote travels upward:
+        with marshal-once templates, exactly like a local phase one.  The
+        collapsed vote travels upward:
 
         - any local no-vote (or phase-one failure) rolls the local tree
           back and returns ``Vote.ROLLBACK``;
@@ -620,14 +624,6 @@ class Transaction:
             fold,
             drained=fold if late else None,
         )
-
-    def _gather_votes(self, live: List[ResourceRecord]) -> bool:
-        """Phase one over ``live``; True when a no-vote (or a failed
-        prepare) aborted it — shared by the top-level commit and the
-        interposed (subordinate) prepare.  It writes nothing: local
-        resources stage their intentions on this transaction, and an
-        abort simply never logs them."""
-        return self._round("prepare", live, self._fold_vote, "before_prepare", late=True)
 
     def _fold_vote(self, _: Transmission, record: ResourceRecord, outcome: Any) -> bool:
         if isinstance(outcome, BaseException):

@@ -157,7 +157,9 @@ class TransactionalCell(Recoverable):
         the cell while the outcome is still open.
         """
         top = tx.top_level.tid
-        holders = [tid for tid in self._prepared if tid != top]
+        # Another thread's prepare or commit may add or drop an entry
+        # meanwhile: iterate over a snapshot (one C-level copy).
+        holders = [tid for tid in list(self._prepared) if tid != top]
         if holders:
             raise LockConflict(self.key, mode, sorted(holders))
 

@@ -42,6 +42,31 @@ def close_segmented_stores(request, monkeypatch):
 
 
 @pytest.fixture
+def shutdown_participant_pools(request, monkeypatch):
+    """Release, at teardown, the worker threads of every
+    ``TransactionFactory`` the test module's own code built through its
+    ``TransactionFactory`` name.
+
+    A factory that has created a transaction is cyclic garbage (its
+    registry holds transactions that hold it), so its pool threads would
+    otherwise live until the next full collection — into later modules,
+    whose thread audits and process-wide allocation probes then see them
+    exit.
+    """
+    built = []
+
+    class TrackedFactory(TransactionFactory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(request.module, "TransactionFactory", TrackedFactory)
+    yield
+    for factory in built:
+        factory.shutdown_participant_pool()
+
+
+@pytest.fixture
 def clock():
     return SimulatedClock()
 

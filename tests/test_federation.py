@@ -592,6 +592,7 @@ class TestOtsInterposition:
         assert world.bridge.cross_domain_requests() == 1  # one-phase
         assert world.cell_b.committed_value == 75
 
+    @pytest.mark.usefixtures("shutdown_participant_pools")
     def test_subordinate_composes_with_parallel_participants(self):
         world = OtsWorld(parallel=4)
         extra_cells = [

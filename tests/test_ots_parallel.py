@@ -11,6 +11,8 @@ from repro.ots import SimulatedCrash, TransactionFactory
 from repro.ots.exceptions import HeuristicHazard, TransactionRolledBack
 from repro.ots.status import TransactionStatus, Vote
 
+pytestmark = pytest.mark.usefixtures("shutdown_participant_pools")
+
 
 class Participant:
     """Scriptable two-phase participant with call recording."""
