@@ -85,7 +85,7 @@ class Transmission:
     stamps its participant record and its ``send`` returns the
     participant's exception as a value.
 
-    Slotted (PR 7): fan-outs build one per recipient per round.
+    Slotted: fan-outs build one per recipient per round.
     """
 
     __slots__ = ("index", "label", "stamp", "send")

@@ -269,7 +269,7 @@ class TransactionFactory:
         self.executor.shutdown()
 
     def reap_idle_workers(self, max_idle: float = 30.0) -> bool:
-        """Tear down the executor's pool when it has sat idle (PR 10).
+        """Tear down the executor's pool when it has sat idle.
 
         A burst of parallel 2PC traffic lazily spawns up to
         ``parallel_participants`` daemon threads; once the burst drains
