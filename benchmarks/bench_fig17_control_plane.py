@@ -1,24 +1,21 @@
 """Figure 17 (extension) — control-plane cost vs live-activity population.
 
 Not a figure from the paper: §3.4 has the Activity Service police
-activity timeouts and track every live activity centrally, and the
-reference implementation does both naively — ``expire_timeouts``
-linearly sweeps *all* live activities and the registry is one flat
-dict.  This bench measures the two control-plane scaling levers added
-on top:
+activity timeouts and track every live activity centrally.  The obvious
+implementation does both naively — a timeout sweep scans *all* live
+activities and the registry is one flat dict.  This bench measures the
+two control-plane scaling levers the library uses instead:
 
-- the hashed hierarchical timer wheel (``ActivityManager(timer_wheel=True)``):
-  sweep cost becomes proportional to the timers actually *expiring*
-  instead of the live population — asserted roughly flat as the
-  population grows while the naive sweep grows linearly;
+- deadline timers: every timed activity arms one timer on the manager's
+  :class:`~repro.util.clock.TimerQueue`, so ``expire_timeouts`` costs
+  what is actually *expiring* instead of the live population.  It is
+  compared against a brute-force scan written here as the reference:
+  both must find the same expired ids at every expiry fraction, and the
+  no-op sweep must stay flat as the population grows while the scan
+  grows with it;
 - the striped registry (``registry_shards=N``): concurrent
   begin/complete throughput must not collapse onto a single dict lock
   as threads are added.
-
-Expiry behaviour is asserted identical between the naive sweep and the
-wheel (same expired ids, same number of FAIL_ONLY latches), and the
-wheel stays off by default everywhere figure traces are asserted — no
-other bench's event sequences change.
 
 Results are written both human-readably (``results/fig17.txt``) and as
 JSON (``results/BENCH_fig17.json``, uploaded as a CI artifact) so the
@@ -46,14 +43,15 @@ THREAD_COUNTS = [1, 8] if QUICK else [1, 2, 8]
 OPS_PER_THREAD = 300 if QUICK else 1_500
 LONG_TIMEOUT = 1_000_000.0
 SHORT_TIMEOUT = 5.0
+QUEUE_SWEEPS = 2_000
 
 
-def build_manager(population, expiring, use_wheel):
+def build_manager(population, expiring):
     """A manager holding ``population`` live activities, ``expiring`` of
     which are due shortly; tracing bounded so setup stays O(population)."""
     manager = ActivityManager(
         event_log=EventLog(max_events=4_096),
-        config=RuntimeConfig(timer_wheel=use_wheel, registry_shards=16),
+        config=RuntimeConfig(registry_shards=16),
     )
     for _ in range(population - expiring):
         manager.begin(timeout=LONG_TIMEOUT)
@@ -62,108 +60,125 @@ def build_manager(population, expiring, use_wheel):
     return manager
 
 
-def time_noop_sweeps(manager, repeats):
-    """Per-sweep cost of policing timeouts when nothing is due."""
-    begin = time.perf_counter()
-    for _ in range(repeats):
-        assert manager.expire_timeouts() == []
-    return (time.perf_counter() - begin) / repeats
+def reference_scan(manager):
+    """The brute-force reference: every live activity strictly past its
+    deadline and not yet FAIL_ONLY, in begin order (reads only)."""
+    now = manager.clock.now()
+    overdue = [
+        activity
+        for activity in manager._activities.values()
+        if not activity.status.is_terminal
+        and activity.deadline is not None
+        and now > activity.deadline
+        and activity.get_completion_status() is not CompletionStatus.FAIL_ONLY
+    ]
+    overdue.sort(key=lambda activity: activity.begin_seq)
+    return [activity.activity_id for activity in overdue]
+
+
+def time_noop_sweeps(sweep, manager, repeats, rounds=3):
+    """Per-sweep cost (best of ``rounds``) when nothing is due."""
+    best = float("inf")
+    for _ in range(rounds):
+        begin = time.perf_counter()
+        for _ in range(repeats):
+            assert sweep(manager) == []
+        best = min(best, (time.perf_counter() - begin) / repeats)
+    return best
+
+
+def queue_sweep(manager):
+    return manager.expire_timeouts()
 
 
 class TestFig17SweepCost:
-    def test_sweep_cost_flat_under_wheel(self, emit):
+    def test_sweep_cost_flat_with_timer_queue(self, emit):
         fraction = EXPIRY_FRACTIONS[0]
         rows = []
         for population in POPULATIONS:
             expiring = max(1, int(population * fraction))
-            repeats = max(5, 100_000 // population)
-            naive = build_manager(population, expiring, use_wheel=False)
-            wheel = build_manager(population, expiring, use_wheel=True)
-            for manager in (naive, wheel):
-                manager.clock.advance(1.0)  # nothing due yet
-            naive_noop = time_noop_sweeps(naive, repeats)
-            wheel_noop = time_noop_sweeps(wheel, repeats)
-            for manager in (naive, wheel):
-                manager.clock.advance(SHORT_TIMEOUT)  # shorts strictly overdue
+            manager = build_manager(population, expiring)
+            manager.clock.advance(1.0)  # nothing due yet
+            scan_noop = time_noop_sweeps(
+                reference_scan, manager, max(5, 100_000 // population)
+            )
+            queue_noop = time_noop_sweeps(queue_sweep, manager, QUEUE_SWEEPS)
+            manager.clock.advance(SHORT_TIMEOUT)  # shorts strictly overdue
             begin = time.perf_counter()
-            naive_expired = naive.expire_timeouts()
-            naive_expiry = time.perf_counter() - begin
+            expected = reference_scan(manager)
+            scan_expiry = time.perf_counter() - begin
             begin = time.perf_counter()
-            wheel_expired = wheel.expire_timeouts()
-            wheel_expiry = time.perf_counter() - begin
-            # Behaviour parity: identical expirations either way.
-            assert len(naive_expired) == len(wheel_expired) == expiring
-            assert set(naive_expired) == set(wheel_expired)
-            for activity_id in wheel_expired:
+            expired = manager.expire_timeouts()
+            queue_expiry = time.perf_counter() - begin
+            # Behaviour parity: the queue expires exactly the scan's set.
+            assert len(expired) == expiring
+            assert set(expired) == set(expected)
+            for activity_id in expired:
                 assert (
-                    wheel.get(activity_id).get_completion_status()
+                    manager.get(activity_id).get_completion_status()
                     is CompletionStatus.FAIL_ONLY
                 )
             rows.append(
                 {
                     "population": population,
                     "expiring": expiring,
-                    "naive_noop_us": naive_noop * 1e6,
-                    "wheel_noop_us": wheel_noop * 1e6,
-                    "naive_expiry_ms": naive_expiry * 1e3,
-                    "wheel_expiry_ms": wheel_expiry * 1e3,
+                    "scan_noop_us": scan_noop * 1e6,
+                    "queue_noop_us": queue_noop * 1e6,
+                    "scan_expiry_ms": scan_expiry * 1e3,
+                    "queue_expiry_ms": queue_expiry * 1e3,
                 }
             )
 
-        naive_ratio = rows[-1]["naive_noop_us"] / rows[0]["naive_noop_us"]
-        wheel_ratio = rows[-1]["wheel_noop_us"] / rows[0]["wheel_noop_us"]
+        scan_ratio = rows[-1]["scan_noop_us"] / rows[0]["scan_noop_us"]
+        queue_ratio = rows[-1]["queue_noop_us"] / rows[0]["queue_noop_us"]
         population_ratio = rows[-1]["population"] / rows[0]["population"]
         emit(
             "fig17",
             [
-                "fig 17 — expire_timeouts cost vs live population "
+                "fig 17 — timeout sweep cost vs live population "
                 f"({fraction:.0%} expiring):",
-                "  population  naive_noop_us  wheel_noop_us  naive_expiry_ms  wheel_expiry_ms",
+                "  population  scan_noop_us  queue_noop_us  scan_expiry_ms  queue_expiry_ms",
             ]
             + [
-                f"  {row['population']:10d}  {row['naive_noop_us']:13.1f}"
-                f"  {row['wheel_noop_us']:13.1f}  {row['naive_expiry_ms']:15.2f}"
-                f"  {row['wheel_expiry_ms']:15.2f}"
+                f"  {row['population']:10d}  {row['scan_noop_us']:12.1f}"
+                f"  {row['queue_noop_us']:13.2f}  {row['scan_expiry_ms']:14.2f}"
+                f"  {row['queue_expiry_ms']:15.2f}"
                 for row in rows
             ]
             + [
-                f"  population grew {population_ratio:.0f}x: naive sweep "
-                f"{naive_ratio:.1f}x slower, wheel {wheel_ratio:.1f}x"
+                f"  population grew {population_ratio:.0f}x: reference scan "
+                f"{scan_ratio:.1f}x slower, timer queue {queue_ratio:.1f}x"
             ],
         )
-        _merge_json({"sweep_cost": rows, "naive_ratio": naive_ratio,
-                     "wheel_ratio": wheel_ratio})
-        # Acceptance: the naive sweep scales with population, the wheel
-        # does not (generous bounds: timing under CI noise).
-        assert naive_ratio > 3.0, "naive sweep should grow with population"
-        assert wheel_ratio < naive_ratio / 2.0
-        assert rows[-1]["wheel_noop_us"] < rows[-1]["naive_noop_us"]
+        _merge_json({"sweep_cost": rows, "scan_ratio": scan_ratio,
+                     "queue_ratio": queue_ratio})
+        # Acceptance: the scan grows with the population, the queue's
+        # no-op sweep stays flat (generous bounds: timing under CI noise).
+        assert scan_ratio > 3.0, "the reference scan should grow with population"
+        assert queue_ratio < 2.0, "a no-op sweep should not depend on population"
+        assert rows[-1]["queue_noop_us"] < rows[-1]["scan_noop_us"]
 
     def test_expiry_fraction_sweep_parity(self, emit):
-        """Across expiry fractions the wheel expires exactly the naive set."""
+        """At every expiry fraction the queue expires exactly the
+        reference scan's set, and a second sweep finds nothing."""
         population = POPULATIONS[0]
         lines = [f"fig 17 — expiry-fraction parity at population {population}:"]
         for fraction in EXPIRY_FRACTIONS:
             expiring = max(1, int(population * fraction))
-            naive = build_manager(population, expiring, use_wheel=False)
-            wheel = build_manager(population, expiring, use_wheel=True)
-            for manager in (naive, wheel):
-                manager.clock.advance(SHORT_TIMEOUT + 1.0)
-            naive_expired = naive.expire_timeouts()
-            wheel_expired = wheel.expire_timeouts()
-            assert set(naive_expired) == set(wheel_expired)
-            assert len(wheel_expired) == expiring
-            # Second sweep reports nothing new in either mode.
-            assert naive.expire_timeouts() == wheel.expire_timeouts() == []
+            manager = build_manager(population, expiring)
+            manager.clock.advance(SHORT_TIMEOUT + 1.0)
+            expected = reference_scan(manager)
+            expired = manager.expire_timeouts()
+            assert expired == expected
+            assert len(expired) == expiring
+            assert manager.expire_timeouts() == reference_scan(manager) == []
             lines.append(
                 f"  fraction {fraction:.0%}: {expiring} expired identically"
             )
         emit("fig17", lines)
 
-    def test_bench_wheel_sweep_at_max_population(self, benchmark):
-        manager = build_manager(
-            POPULATIONS[-1], max(1, POPULATIONS[-1] // 100), use_wheel=True
-        )
+    def test_bench_queue_sweep_at_max_population(self, benchmark):
+        manager = build_manager(POPULATIONS[-1], max(1, POPULATIONS[-1] // 100))
         manager.clock.advance(1.0)
         benchmark.pedantic(
             manager.expire_timeouts, rounds=1 if QUICK else 3, iterations=5

@@ -474,7 +474,7 @@ class ChaosWorld:
         """Heal faults, restart the dead, drive recovery to a fixpoint.
 
         Each round advances the simulated clock (so failure-detector
-        half-open probes and timeout wheels fire), retries any failed
+        half-open probes and timeouts fire), retries any failed
         recovery, and polls every domain's in-doubt resolver.  Returns
         True when the world reached a quiet state within the budget.
         """

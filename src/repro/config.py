@@ -3,23 +3,23 @@
 The three service constructors — :class:`~repro.orb.core.Orb`,
 :class:`~repro.core.manager.ActivityManager` and
 :class:`~repro.ots.factory.TransactionFactory` — grew a sprawl of tuning
-keywords over PRs 3–5 (cache sizing, timer wheels, registry shards,
-federation hooks).  This module collapses each surface into one frozen,
+keywords over PRs 3–5 (cache sizing, registry shards, federation
+hooks).  This module collapses each surface into one frozen,
 validated dataclass:
 
 =================  ==========================================================
 :class:`OrbConfig`       marshaller cache sizing, federation domain identity
-:class:`RuntimeConfig`   ActivityManager: timer wheel, shards,
-                         federation/interposition switches
+:class:`RuntimeConfig`   ActivityManager: shards, federation/interposition
+                         switches, admission
 :class:`FactoryConfig`   TransactionFactory: 2PC drive policy (parallelism,
-                         group commit), timers, shards
+                         group commit), shards, admission
 =================  ==========================================================
 
 Resources with a lifetime of their own (clocks, stores, WALs, executors,
 event logs) stay as explicit constructor parameters — a config object
-holds *values*, not live machinery, with the deliberate exception of an
-optionally shared timer wheel / federation bridge which several services
-must point at the same instance.
+holds *values*, not live machinery, with the deliberate exception of the
+federation bridge, which several services must point at the same
+instance.
 
 A constructor takes its tuning only as ``config=``; a tuning keyword
 passed directly is an unexpected keyword argument (``TypeError``).
@@ -141,12 +141,6 @@ class RuntimeConfig(_BaseConfig):
         Stripe count for the activity/timeout registries (PR 4), ≥ 1.
         Default 8: past the contention knee measured in fig16 without
         oversharding small deployments.
-    timer_wheel / wheel_tick / attach_wheel_to_clock
-        Timeout bookkeeping.  ``timer_wheel`` shares an existing
-        :class:`~repro.util.timerwheel.HierarchicalTimerWheel`; otherwise
-        one is built with ``wheel_tick`` (seconds per slot, > 0).
-        ``attach_wheel_to_clock`` hooks the wheel to a simulated clock so
-        time advancement fires expirations without polling.
     federation / interposition
         ``federation`` points at the shared ``InterOrbBridge`` (or a
         site federation) when this manager coordinates across domains;
@@ -165,12 +159,13 @@ class RuntimeConfig(_BaseConfig):
         Bound for the default :class:`~repro.util.events.EventLog` ring
         when the manager builds its own log; ``None`` keeps it
         unbounded (the historical default).
+
+    Deadlines are not a knob: each timed activity arms one timer on the
+    manager's :class:`~repro.util.clock.TimerQueue`, which
+    ``expire_timeouts`` polls.
     """
 
     registry_shards: int = 8
-    timer_wheel: Optional[Any] = None
-    wheel_tick: float = 1.0
-    attach_wheel_to_clock: bool = False
     federation: Optional[Any] = None
     interposition: bool = False
     max_live: Optional[int] = None
@@ -183,10 +178,6 @@ class RuntimeConfig(_BaseConfig):
         self._require(
             isinstance(self.registry_shards, int) and self.registry_shards >= 1,
             f"registry_shards must be >= 1, got {self.registry_shards!r}",
-        )
-        self._require(
-            self.wheel_tick > 0,
-            f"wheel_tick must be > 0, got {self.wheel_tick!r}",
         )
         self._require(
             not (self.interposition and self.federation is None),
@@ -271,9 +262,8 @@ class FactoryConfig(_BaseConfig):
     parallel_participants
         Worker threads driving prepare/commit fan-out per transaction;
         ``1`` keeps the serial, trace-deterministic drive.
-    registry_shards / timer_wheel / wheel_tick
-        As in :class:`RuntimeConfig`, for the transaction registry and
-        the timeout wheel.
+    registry_shards
+        As in :class:`RuntimeConfig`, for the transaction registry.
     tid_prefix
         Prepended to every generated transaction id.  Empty (the
         default) keeps single-process traces byte-identical; site
@@ -285,14 +275,17 @@ class FactoryConfig(_BaseConfig):
         :class:`RuntimeConfig` (PR 10); the gate covers
         ``TransactionFactory.create`` (top-level transactions only —
         subtransactions ride their parent's admission).
+
+    Deadlines are not a knob: a timed transaction arms one timer, on a
+    :class:`~repro.util.clock.SimulatedClock` (fired by ``advance``) or
+    else on the factory's own :class:`~repro.util.clock.TimerQueue`
+    (polled by ``expire_timeouts``).
     """
 
     retry_attempts: int = 3
     group_commit_window: Optional[float] = None
     parallel_participants: int = 1
     registry_shards: int = 8
-    timer_wheel: Optional[Any] = None
-    wheel_tick: float = 1.0
     tid_prefix: str = ""
     max_live: Optional[int] = None
     admission_queue: int = 0
@@ -323,9 +316,5 @@ class FactoryConfig(_BaseConfig):
         self._require(
             isinstance(self.registry_shards, int) and self.registry_shards >= 1,
             f"registry_shards must be >= 1, got {self.registry_shards!r}",
-        )
-        self._require(
-            self.wheel_tick > 0,
-            f"wheel_tick must be > 0, got {self.wheel_tick!r}",
         )
         _validate_admission(self)

@@ -90,7 +90,7 @@ class Activity:
         self._context_snapshot: Optional[Any] = None
         # Registry bookkeeping: position in the manager's begin order
         # (stable iteration under the sharded registry) and the armed
-        # expiry timer when the manager polices deadlines via a wheel.
+        # deadline timer, cancelled when the activity completes.
         self.begin_seq: int = 0
         self._expiry_timer: Optional[Any] = None
         if parent is not None:

@@ -12,7 +12,6 @@ checkpoint store used for activity-structure recovery (§3.4).
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from typing import Any, Callable, Dict, List, Optional
 
@@ -31,11 +30,10 @@ from repro.orb.core import Node, Orb
 from repro.orb.reference import ObjectRef
 from repro.persistence.object_store import ObjectStore
 from repro.util.admission import AdmissionGate, build_gate
-from repro.util.clock import Clock, SimulatedClock
+from repro.util.clock import Clock, SimulatedClock, TimerQueue
 from repro.util.events import EventLog
 from repro.util.idgen import IdGenerator
 from repro.util.sharding import StripedMap
-from repro.util.timer_wheel import HierarchicalTimerWheel, RecurringTimer
 
 SignalSetFactory = Callable[..., SignalSet]
 ActionFactory = Callable[[Dict[str, Any]], Action]
@@ -47,27 +45,18 @@ class ActivityManager:
     Tuning lives in :class:`~repro.config.RuntimeConfig` (see its
     docstring for the knobs and defaults).
 
-    Control-plane scaling knobs:
+    Control-plane scaling:
 
     - ``registry_shards`` stripes the live-activity registry into
       independently locked segments, so concurrent ``begin`` /
       ``complete`` / ``get`` from broadcast worker threads don't
       serialise on one dict;
-    - ``timer_wheel`` (off by default, keeping the historical sweep and
-      its exact traces) arms one hashed-hierarchical-wheel timer per
-      deadline instead of scanning every live activity:
-      ``expire_timeouts`` then costs O(expiring), not O(live).  Pass
-      ``True`` for a private wheel (``wheel_tick`` seconds per slot) or
-      a pre-built :class:`~repro.util.timer_wheel.HierarchicalTimerWheel`
-      to share one.  With a private wheel (the ``True`` form) expiry
-      semantics are unchanged — timers only fire inside
-      ``expire_timeouts`` (strictly past their deadline), latching the
-      same FAIL_ONLY status, recording the same events in the same
-      begin order and returning the same ids.  A shared wheel that is
-      *clock-attached* instead fires expiry during clock ``advance``
-      (still strictly past the deadline); such expirations are not
-      re-reported by a later sweep, mirroring the OTS factory's
-      historical advance-time behaviour.
+    - every timed activity arms one timer on the manager's private
+      :class:`~repro.util.clock.TimerQueue` (cancelled when the activity
+      completes), and :meth:`expire_timeouts` fires only the timers
+      strictly past their deadline, so a sweep costs O(expiring), not
+      O(live).  Activities expire only when polled, never during a clock
+      advance.
     """
 
     def __init__(
@@ -112,40 +101,7 @@ class ActivityManager:
         self.completed = 0
         self._counter_lock = threading.Lock()
         self._begin_order = itertools.count()
-        timer_wheel = config.timer_wheel
-        attach_wheel_to_clock = config.attach_wheel_to_clock
-        if timer_wheel is None or timer_wheel is False:
-            self._wheel: Optional[HierarchicalTimerWheel] = None
-        elif timer_wheel is True:
-            if (
-                attach_wheel_to_clock
-                and isinstance(self.clock, SimulatedClock)
-                and self.clock.wheel is not None
-            ):
-                self._wheel = self.clock.wheel
-            else:
-                self._wheel = HierarchicalTimerWheel(tick=config.wheel_tick)
-        else:
-            self._wheel = timer_wheel
-        if self._wheel is not None and self._wheel.now < self.clock.now():
-            self._wheel.advance_to(self.clock.now())
-        if attach_wheel_to_clock:
-            # Advance-time expiry (closes the ROADMAP open item): the
-            # wheel becomes the SimulatedClock's timer backend, so a
-            # timed activity expires during ``clock.advance`` — same
-            # strictly-past-deadline latch, same events — instead of
-            # waiting for the next ``expire_timeouts`` poll.  Such
-            # expirations are not re-reported by a later sweep,
-            # mirroring the OTS factory's historical behaviour.
-            if self._wheel is None:
-                raise ActivityServiceError(
-                    "attach_wheel_to_clock requires ActivityManager(timer_wheel=...)"
-                )
-            if not isinstance(self.clock, SimulatedClock):
-                raise ActivityServiceError(
-                    "attach_wheel_to_clock requires a SimulatedClock"
-                )
-            self.clock.attach_wheel(self._wheel)
+        self._deadlines = TimerQueue()
         # Federation: with a bridge and interposition enabled, every
         # coordinator this manager creates reroutes cross-domain action
         # registrations through one interposed subordinate per domain.
@@ -153,14 +109,6 @@ class ActivityManager:
         self.interposer: Optional[ActivityInterposer] = None
         if config.federation is not None and config.interposition:
             self.interposer = ActivityInterposer(config.federation, self)
-        self._expired_batch: List[str] = []
-        self._collecting_expired = False
-        self._rearm_queue: List[str] = []
-        self._maintenance: List[RecurringTimer] = []
-
-    @property
-    def timer_wheel(self) -> Optional[HierarchicalTimerWheel]:
-        return self._wheel
 
     # -- creation ------------------------------------------------------------
 
@@ -222,20 +170,10 @@ class ActivityManager:
         return activity
 
     def _arm_expiry_timer(self, activity: Activity) -> None:
-        if self._wheel is None or activity.deadline is None:
-            return
-        # Arm at the first instant *strictly past* the deadline: the
-        # historical sweep only latches when now > deadline, and this
-        # keeps that true even when the wheel is shared with a clock
-        # whose `advance` fires timers inclusively.  A recovered
-        # activity's deadline may already lie in the past; clamp so the
-        # timer fires on the very next sweep.
-        when = max(math.nextafter(activity.deadline, math.inf), self._wheel.now)
-        activity._expiry_timer = self._wheel.schedule_at(
-            when,
-            callback=lambda aid=activity.activity_id: self._expire_one(aid),
-            payload=activity.activity_id,
-        )
+        if activity.deadline is not None:
+            activity._expiry_timer = self._deadlines.call_at(
+                activity.deadline, payload=activity.activity_id
+            )
 
     def _attach_property_groups(
         self, activity: Activity, parent: Optional[Activity]
@@ -298,142 +236,28 @@ class ActivityManager:
     def expire_timeouts(self) -> List[str]:
         """Latch FAIL_ONLY onto every active activity past its deadline.
 
-        With a timer wheel this costs O(expiring): only armed timers that
-        are strictly past deadline fire (same ``now > deadline``
-        comparison, same FAIL_ONLY latch, same event records as the
-        sweep).  Without one it remains the historical full scan.
+        Only timers strictly past their deadline fire (``now >
+        deadline``: an activity whose deadline is exactly now waits for
+        the next sweep).  Due activities are latched in begin order, so
+        the events and the returned ids do not depend on deadline order
+        or shard layout; one already latched to FAIL_ONLY is not
+        reported.
         """
-        now = self.clock.now()
-        if self._wheel is not None:
-            self._rearm_deferred()
-            self._expired_batch = []
-            self._collecting_expired = True
-            try:
-                self._wheel.advance_to(now, strict=True)
-            finally:
-                self._collecting_expired = False
-            candidates, self._expired_batch = self._expired_batch, []
-            # Latch in begin order, exactly like the naive sweep below,
-            # so events and return values are identical either way.
-            ordered = []
-            for activity_id in candidates:
-                activity = self._activities.get(activity_id)
-                if activity is not None:
-                    ordered.append((activity.begin_seq, activity_id))
-            ordered.sort()
-            return [aid for _, aid in ordered if self._try_latch(aid)]
-        overdue = [
-            activity
-            for activity in self._activities.values()
+        due = []
+        for timer in self._deadlines.fire_due(self.clock.now(), strict=True):
+            activity = self._activities.get(timer.payload)
+            if activity is not None:
+                due.append(activity)
+        due.sort(key=lambda activity: activity.begin_seq)
+        expired = []
+        for activity in due:
             if (
                 not activity.status.is_terminal
-                and activity.deadline is not None
-                and now > activity.deadline
                 and activity.get_completion_status() is not CompletionStatus.FAIL_ONLY
-            )
-        ]
-        # Latch in begin order so events and return values stay
-        # deterministic regardless of shard layout.
-        overdue.sort(key=lambda activity: activity.begin_seq)
-        expired = []
-        for activity in overdue:
-            activity.set_completion_status(CompletionStatus.FAIL_ONLY)
-            expired.append(activity.activity_id)
-        return expired
-
-    def _expire_one(self, activity_id: str) -> None:
-        """Wheel-timer callback for one due expiry timer."""
-        if self._collecting_expired:
-            # Sweep-driven firing: defer the latch so expire_timeouts
-            # can process the whole batch in begin order.
-            self._expired_batch.append(activity_id)
-            return
-        # Clock-attached shared wheel: latch at fire time (such
-        # expirations are not re-reported by a later sweep, mirroring
-        # the OTS factory's historical advance-time behaviour).
-        self._try_latch(activity_id)
-
-    def _try_latch(self, activity_id: str) -> bool:
-        activity = self._activities.get(activity_id)
-        if activity is None or activity.status.is_terminal:
-            return False
-        if activity.get_completion_status() is CompletionStatus.FAIL_ONLY:
-            return False
-        if activity.deadline is not None and self.clock.now() <= activity.deadline:
-            # Fired ahead of the deadline (a shared wheel advanced by a
-            # foreign owner): queue a re-arm for the next sweep.  Never
-            # re-arm from inside the wheel's advance — a re-armed timer
-            # can land back inside the in-progress window and livelock.
-            self._rearm_queue.append(activity_id)
-            return False
-        activity.set_completion_status(CompletionStatus.FAIL_ONLY)
-        return True
-
-    def _rearm_deferred(self) -> None:
-        if not self._rearm_queue:
-            return
-        queue, self._rearm_queue = self._rearm_queue, []
-        for activity_id in queue:
-            activity = self._activities.get(activity_id)
-            if (
-                activity is not None
-                and not activity.status.is_terminal
-                and activity.get_completion_status()
-                is not CompletionStatus.FAIL_ONLY
             ):
-                self._arm_expiry_timer(activity)
-
-    # -- background maintenance ----------------------------------------------------
-
-    def schedule_maintenance(
-        self, interval: float, task: Callable[[], None]
-    ) -> RecurringTimer:
-        """Run ``task`` every ``interval`` seconds on the timer wheel.
-
-        Requires ``timer_wheel``; the task fires whenever the wheel
-        advances — during ``expire_timeouts`` sweeps for a private wheel,
-        or on clock ``advance``/``now()`` when the wheel is attached to
-        the clock.
-        """
-        if self._wheel is None:
-            raise ActivityServiceError(
-                "background maintenance needs ActivityManager(timer_wheel=...)"
-            )
-        timer = RecurringTimer(self._wheel, interval, task)
-        self._maintenance.append(timer)
-        return timer
-
-    def schedule_store_maintenance(
-        self,
-        interval: float,
-        store: Optional[Any] = None,
-        min_dead_ratio: float = 0.25,
-    ) -> RecurringTimer:
-        """Periodically compact a segmented store once its dead-record
-        ratio crosses ``min_dead_ratio`` (defaults to this manager's
-        checkpoint store) — the time-based companion to the store's own
-        rollover-triggered ``auto_compact_ratio``."""
-        target = store if store is not None else self.store
-        if target is None:
-            raise ActivityServiceError("no store to maintain")
-        compact_if_needed = getattr(target, "compact_if_needed", None)
-        if compact_if_needed is None:
-            raise ActivityServiceError(
-                f"store {type(target).__name__} does not support compaction"
-            )
-        return self.schedule_maintenance(
-            interval, lambda: compact_if_needed(min_dead_ratio)
-        )
-
-    def cancel_maintenance(self) -> int:
-        """Stop every scheduled maintenance cycle; return how many."""
-        stopped = 0
-        for timer in self._maintenance:
-            if timer.active:
-                timer.cancel()
-                stopped += 1
-        self._maintenance.clear()
-        return stopped
+                activity.set_completion_status(CompletionStatus.FAIL_ONLY)
+                expired.append(activity.activity_id)
+        return expired
 
     # -- distribution -----------------------------------------------------------------
 

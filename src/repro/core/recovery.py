@@ -79,7 +79,7 @@ class ActivityRecoveryService:
             "actions": durable_actions,
             # Deadlines survive recovery: a timed activity that crashes
             # mid-flight is still policed after restart (the manager
-            # re-arms its wheel timer on adopt).
+            # re-arms its deadline timer on adopt).
             "deadline": activity.deadline,
         }
 

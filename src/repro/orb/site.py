@@ -46,7 +46,7 @@ import os
 import threading
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.config import (
     ConfigValidationError,
@@ -416,7 +416,11 @@ class SiteRuntime:
         # Membership: a phi failure detector fed by serve-loop heartbeat
         # probes.  DOWN quarantines the peer on the transport (fast-fail
         # typed errors instead of reconnect-backoff blocking); the first
-        # successful half-open probe re-admits it.
+        # successful half-open probe re-admits it.  Only a peer that has
+        # answered once is quarantined: one that has not started
+        # listening yet goes DOWN at boot, and requests to it must reach
+        # it as soon as it is up, not after the next half-open probe.
+        self._answered: Set[str] = set()
         self.failure_detector: Optional[FailureDetector] = (
             FailureDetector(
                 self.clock,
@@ -702,7 +706,7 @@ class SiteRuntime:
     # -- membership ----------------------------------------------------------
 
     def _on_peer_transition(self, peer_id: str, old: PeerState, new: PeerState) -> None:
-        if new is PeerState.DOWN:
+        if new is PeerState.DOWN and peer_id in self._answered:
             self.transport.quarantine(peer_id, "failure detector marked DOWN")
         elif old is PeerState.DOWN:
             self.transport.readmit(peer_id)
@@ -726,6 +730,7 @@ class SiteRuntime:
             except CommunicationError:
                 detector.failure(peer_id)
             else:
+                self._answered.add(peer_id)
                 detector.heartbeat(peer_id)
 
     def membership(self) -> Dict[str, Any]:

@@ -244,8 +244,8 @@ class Transaction:
         self._intentions: Dict[str, Any] = {}
         # (recovery keys, intentions) once handed to the log.
         self._decision: Optional[Tuple[List[str], Optional[Dict[str, Any]]]] = None
-        # Armed wheel timer for this transaction's deadline (factory
-        # timer-wheel mode); cancelled when the transaction finishes.
+        # Armed timer for this transaction's deadline; cancelled when
+        # the transaction finishes.
         self._expiry_timer: Optional[Any] = None
         if parent is not None:
             parent.children.append(self)

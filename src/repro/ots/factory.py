@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.config import FactoryConfig
 from repro.core.broadcast import SerialBroadcastExecutor, ThreadPoolBroadcastExecutor
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ReproError
 from repro.ots.coordinator import Control, SweepWrites, Transaction
 from repro.ots.exceptions import InvalidTransaction, SimulatedCrash
 from repro.ots.locks import LockManager
@@ -15,11 +16,10 @@ from repro.ots.recovery import LogIndex
 from repro.ots.status import TransactionStatus
 from repro.persistence.wal import GroupCommitWAL, WriteAheadLog
 from repro.util.admission import AdmissionGate, build_gate
-from repro.util.clock import Clock, SimulatedClock
+from repro.util.clock import Clock, SimulatedClock, TimerQueue
 from repro.util.events import EventLog
 from repro.util.idgen import IdGenerator
 from repro.util.sharding import StripedMap
-from repro.util.timer_wheel import HierarchicalTimerWheel, RecurringTimer
 
 
 class Failpoints:
@@ -157,47 +157,12 @@ class TransactionFactory:
         self.created = 0
         self.committed = 0
         self.rolled_back = 0
-        # Deadline policing: with a wheel, each timed transaction arms
-        # one O(1) timer (cancelled on finish) instead of relying on a
-        # full registry sweep.  On a SimulatedClock the wheel is attached
-        # so `advance` keeps auto-firing expiry exactly like the old
-        # heapq path did.  NOTE: this deliberately differs from
-        # ActivityManager's wheel protocol — OTS expiry is inclusive
-        # (now >= deadline, firing during clock advance, recording
-        # tx_timeout), while activity expiry is strictly-past and
-        # poll-only; keep the two in mind before unifying them.
-        timer_wheel = config.timer_wheel
-        if timer_wheel is None or timer_wheel is False:
-            self._wheel: Optional[HierarchicalTimerWheel] = None
-        elif timer_wheel is True:
-            if isinstance(self.clock, SimulatedClock) and self.clock.wheel is not None:
-                self._wheel = self.clock.wheel
-            else:
-                self._wheel = HierarchicalTimerWheel(tick=config.wheel_tick)
-        else:
-            self._wheel = timer_wheel
-        if self._wheel is not None:
-            if isinstance(self.clock, SimulatedClock):
-                self.clock.attach_wheel(self._wheel)
-            elif self._wheel.now < self.clock.now():
-                self._wheel.advance_to(self.clock.now())
-        self._expired_batch: List[str] = []
-        self._collecting_expired = False
-        self._rearm_queue: List[str] = []
-        self._maintenance: List[RecurringTimer] = []
-
-    @property
-    def timer_wheel(self) -> Optional[HierarchicalTimerWheel]:
-        return self._wheel
-
-    def _arm_expiry_timer(self, tx: Transaction, clamp: bool = False) -> None:
-        when = tx.deadline
-        if clamp:
-            when = max(when, self._wheel.now)
-        tx._expiry_timer = self._wheel.schedule_at(
-            when,
-            callback=lambda t=tx.tid: self._expire(t),
-            payload=tx.tid,
+        # Deadlines: on a SimulatedClock each timed transaction's timer
+        # sits on the clock's own queue and fires during `advance`; on
+        # any other clock it sits on this factory's queue, which only
+        # `expire_timeouts` polls.
+        self._deadlines: Optional[TimerQueue] = (
+            None if isinstance(self.clock, SimulatedClock) else TimerQueue()
         )
 
     # -- durable logging ----------------------------------------------------
@@ -278,14 +243,6 @@ class TransactionFactory:
         """
         return self.executor.reap_if_idle(max_idle)
 
-    def schedule_worker_reap(
-        self, interval: float, max_idle: float = 30.0
-    ) -> RecurringTimer:
-        """Wheel-scheduled :meth:`reap_idle_workers` every ``interval`` s."""
-        return self.schedule_maintenance(
-            interval, lambda: self.reap_idle_workers(max_idle)
-        )
-
     # -- creation ---------------------------------------------------------
 
     def create(self, timeout: float = 0.0, name: Optional[str] = None) -> Transaction:
@@ -317,10 +274,10 @@ class TransactionFactory:
             self.created += 1
         self.event_log.record("tx_begin", tid=tid, top_level=True)
         if timeout > 0:
-            if self._wheel is not None:
-                self._arm_expiry_timer(tx)
-            elif isinstance(self.clock, SimulatedClock):
-                self.clock.call_after(timeout, lambda: self._expire(tid))
+            if self._deadlines is None:
+                tx._expiry_timer = self.clock.call_at(tx.deadline, partial(self._expire, tid))
+            else:
+                tx._expiry_timer = self._deadlines.call_at(tx.deadline, payload=tid)
         return tx
 
     def create_control(self, timeout: float = 0.0, name: Optional[str] = None) -> Control:
@@ -379,65 +336,32 @@ class TransactionFactory:
 
     # -- timeouts ---------------------------------------------------------------
 
-    def _expire(self, tid: str) -> None:
+    def _expire(self, tid: str) -> bool:
+        """Deadline timer of ``tid``: roll it back unless it finished or
+        its commit was decided first."""
         tx = self._transactions.get(tid)
-        if tx is None or tx.status.is_terminal or tx.deadline is None or tx.decided:
-            return
-        if self.clock.now() >= tx.deadline:
-            self.event_log.record("tx_timeout", tid=tid)
-            tx.rollback()
-            if self._collecting_expired:
-                self._expired_batch.append(tid)
-        elif self._wheel is not None:
-            # The one-shot wheel timer fired ahead of the deadline (a
-            # shared wheel advanced by a foreign owner): queue a re-arm
-            # so the timeout is not silently disarmed.  Re-arming from
-            # inside the advance itself could livelock, so it waits for
-            # the next expire_timeouts sweep.
-            self._rearm_queue.append(tid)
+        if tx is None or tx.status.is_terminal or tx.decided:
+            return False
+        self.event_log.record("tx_timeout", tid=tid)
+        tx.rollback()
+        return True
 
     def expire_timeouts(self) -> List[str]:
-        """Roll back every active transaction whose deadline has passed.
+        """Roll back every active transaction strictly past its deadline.
 
-        With a timer wheel only the armed, strictly-overdue timers fire
-        (O(expiring)); transactions already rolled back by clock-driven
-        wheel firings are not re-reported, matching the historical
-        SimulatedClock behaviour.  Without a wheel this remains the full
-        registry sweep.
+        Fires the timers of this factory's own queue due strictly before
+        now (O(expiring)), in tid order, each recording ``tx_timeout``
+        like a clock-fired timeout.  On a SimulatedClock the deadlines
+        live on the clock, which has already rolled them back during
+        ``advance``, so there is nothing to report.
         """
-        now = self.clock.now()
-        if self._wheel is not None:
-            if self._rearm_queue:
-                queue, self._rearm_queue = self._rearm_queue, []
-                for tid in queue:
-                    tx = self._transactions.get(tid)
-                    if (
-                        tx is not None
-                        and not tx.status.is_terminal
-                        and tx.deadline is not None
-                    ):
-                        self._arm_expiry_timer(tx, clamp=True)
-            self._expired_batch = []
-            self._collecting_expired = True
-            try:
-                self._wheel.advance_to(now, strict=True)
-            finally:
-                self._collecting_expired = False
-            expired, self._expired_batch = self._expired_batch, []
-            return sorted(expired)
-        expired = []
-        for tid in self._active.sorted_keys():
-            tx = self._transactions.get(tid)
-            if (
-                tx is not None
-                and tx.deadline is not None
-                and now > tx.deadline
-                and not tx.status.is_terminal
-                and not tx.decided
-            ):
-                tx.rollback()
-                expired.append(tid)
-        return expired
+        if self._deadlines is None:
+            return []
+        due = sorted(
+            timer.payload
+            for timer in self._deadlines.fire_due(self.clock.now(), strict=True)
+        )
+        return [tid for tid in due if self._expire(tid)]
 
     def redrive_stuck(self) -> List[str]:
         """Re-drive completions interrupted mid-sweep; returns finished tids.
@@ -464,43 +388,6 @@ class TransactionFactory:
             except ReproError:
                 continue
         return finished
-
-    # -- maintenance ----------------------------------------------------------------
-
-    def schedule_maintenance(
-        self, interval: float, task: Callable[[], None]
-    ) -> RecurringTimer:
-        """Run ``task`` every ``interval`` seconds on the timer wheel.
-
-        Mirrors :meth:`ActivityManager.schedule_maintenance`: requires
-        ``timer_wheel``; the task fires whenever the wheel advances —
-        during ``expire_timeouts`` sweeps, or on clock ``advance`` when
-        the wheel is clock-attached (the default on a SimulatedClock).
-        """
-        if self._wheel is None:
-            raise ConfigurationError(
-                "background maintenance needs TransactionFactory(timer_wheel=...)"
-            )
-        timer = RecurringTimer(self._wheel, interval, task)
-        self._maintenance.append(timer)
-        return timer
-
-    def schedule_forget_completed(self, interval: float) -> RecurringTimer:
-        """Periodically drop completed transactions from the registry —
-        the wheel-scheduled companion to calling :meth:`forget_completed`
-        by hand, so a long-lived factory's registry stops growing with
-        its commit history."""
-        return self.schedule_maintenance(interval, self.forget_completed)
-
-    def cancel_maintenance(self) -> int:
-        """Stop every scheduled maintenance cycle; return how many."""
-        stopped = 0
-        for timer in self._maintenance:
-            if timer.active:
-                timer.cancel()
-                stopped += 1
-        self._maintenance.clear()
-        return stopped
 
     def forget_completed(self) -> int:
         """Drop completed transactions from the registry; return count."""

@@ -425,25 +425,6 @@ class SegmentedFileStore(ObjectStore):
         with self._write_lock:
             return self._compact_locked()
 
-    def compact_if_needed(self, min_dead_ratio: float = 0.25) -> bool:
-        """Compact when the dead-record ratio has crossed ``min_dead_ratio``.
-
-        This is the entry point for time-based background maintenance
-        (e.g. :meth:`repro.core.manager.ActivityManager.schedule_store_maintenance`):
-        cheap to call on a cadence, rewrites only when enough garbage has
-        accumulated.  Returns True when a compaction actually ran.
-        """
-        if not (0.0 < min_dead_ratio <= 1.0):
-            raise ValueError("min_dead_ratio must be in (0, 1]")
-        with self._write_lock:
-            if self._records_written == 0:
-                return False
-            dead = self._records_written - len(self._index)
-            if dead / self._records_written < min_dead_ratio:
-                return False
-            self._compact_locked()
-            return True
-
     def _compact_locked(self) -> int:
         old_ids = list(self._segment_ids)
         new_id = (old_ids[-1] if old_ids else 0) + 1

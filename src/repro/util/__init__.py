@@ -1,24 +1,22 @@
-"""Utility substrate: simulated time, deterministic ids, event tracing,
-timer wheels and striped registries."""
+"""Utility substrate: simulated time and deadline timers, deterministic ids,
+event tracing and striped registries."""
 
-from repro.util.clock import Clock, SimulatedClock, WallClock
+from repro.util.clock import Clock, SimulatedClock, Timer, TimerQueue, WallClock
 from repro.util.events import EventLog, TraceEvent
 from repro.util.idgen import IdGenerator, fresh_uid
 from repro.util.rng import SeededRng
 from repro.util.sharding import StripedMap
-from repro.util.timer_wheel import HierarchicalTimerWheel, RecurringTimer, TimerHandle
 
 __all__ = [
     "Clock",
     "SimulatedClock",
     "WallClock",
+    "Timer",
+    "TimerQueue",
     "EventLog",
     "TraceEvent",
     "IdGenerator",
     "fresh_uid",
     "SeededRng",
     "StripedMap",
-    "HierarchicalTimerWheel",
-    "RecurringTimer",
-    "TimerHandle",
 ]

@@ -1,4 +1,4 @@
-"""Clock abstraction used throughout the library.
+"""Clock abstraction and the one deadline mechanism used throughout the library.
 
 Benchmarks and tests need *deterministic* time so that resource-holding
 times, timeouts and latency distributions are reproducible.  Production-style
@@ -6,12 +6,16 @@ code paths accept any :class:`Clock`; the test/bench harnesses pass a
 :class:`SimulatedClock` and advance it explicitly, while interactive use can
 fall back to :class:`WallClock`.
 
-Both clocks can drive a
-:class:`~repro.util.timer_wheel.HierarchicalTimerWheel`: attaching one to a
-``SimulatedClock`` replaces the heapq timer path (``call_at`` routes into
-the wheel and ``advance`` fires wheel timers in timestamp order), while a
-``WallClock`` with a wheel ticks it lazily on ``now()`` or an explicit
-``tick()`` — no background thread required.
+Every deadline — a simulated clock's timers, the Activity Service's
+activity timeouts and the OTS's transaction timeouts (§3.4) — sits on a
+:class:`TimerQueue`: a ``(when, seq, timer)`` heap with lazy cancellation.
+Arming is O(log n) and cancelling O(1): a cancelled entry stays in the
+heap until it surfaces, or until a cancel leaves cancelled entries
+outnumbering live ones and the heap is rebuilt without them, so a queue
+that nothing polls holds at most twice its live timers plus one.  A poll
+with nothing due looks only at the heap's top.  A :class:`SimulatedClock`
+fires its queue during :meth:`~SimulatedClock.advance`; a queue owned by a
+service is polled by that service's ``expire_timeouts``.
 """
 
 from __future__ import annotations
@@ -19,13 +23,16 @@ from __future__ import annotations
 import abc
 import heapq
 import itertools
+import math
+import threading
 import time
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exceptions import InvalidStateError
 
-if TYPE_CHECKING:
-    from repro.util.timer_wheel import HierarchicalTimerWheel, TimerHandle
+_PENDING = 0
+_FIRED = 1
+_CANCELLED = 2
 
 
 class Clock(abc.ABC):
@@ -41,71 +48,140 @@ class Clock(abc.ABC):
 
 
 class WallClock(Clock):
-    """Real time, for interactive use.
-
-    With a timer wheel attached the clock gains a lazy timer service:
-    every ``now()`` (and every explicit :meth:`tick`) advances the wheel
-    to the current monotonic time, firing due callbacks on the calling
-    thread.  Re-entrant ticks (a firing callback reading ``now()``) are
-    suppressed so callbacks never recurse into the wheel.
-    """
-
-    def __init__(self, wheel: Optional["HierarchicalTimerWheel"] = None) -> None:
-        self._wheel: Optional["HierarchicalTimerWheel"] = None
-        self._ticking = False
-        if wheel is not None:
-            self.attach_wheel(wheel)
-
-    @property
-    def wheel(self) -> Optional["HierarchicalTimerWheel"]:
-        return self._wheel
-
-    def attach_wheel(self, wheel: "HierarchicalTimerWheel") -> None:
-        if self._wheel is not None and self._wheel is not wheel:
-            raise InvalidStateError("clock already drives a timer wheel")
-        wheel.advance_to(time.monotonic())  # sync cursor; nothing can be due yet
-        self._wheel = wheel
+    """Real (monotonic) time, for interactive use and site daemons."""
 
     def now(self) -> float:
-        current = time.monotonic()
-        if self._wheel is not None and not self._ticking:
-            self._tick_to(current)
-        return current
-
-    def tick(self) -> List["TimerHandle"]:
-        """Fire every wheel timer due by the current wall time."""
-        if self._wheel is None:
-            return []
-        return self._tick_to(time.monotonic())
-
-    def _tick_to(self, target: float) -> List["TimerHandle"]:
-        self._ticking = True
-        try:
-            return self._wheel.advance_to(target)
-        finally:
-            self._ticking = False
-
-    def call_at(self, when: float, callback: Callable[[], None]) -> "TimerHandle":
-        """Schedule ``callback`` on the attached wheel (requires one)."""
-        if self._wheel is None:
-            raise InvalidStateError("WallClock has no timer wheel attached")
-        return self._wheel.schedule_at(when, callback)
-
-    def call_after(self, delay: float, callback: Callable[[], None]) -> "TimerHandle":
-        if self._wheel is None:
-            raise InvalidStateError("WallClock has no timer wheel attached")
-        if delay < 0:
-            raise ValueError("cannot schedule a negative delay")
-        # Anchor to the current wall time, not the wheel's internal
-        # time: the lazily ticked wheel lags behind between now() calls
-        # and a wheel-relative delay would fire early by that lag.
-        return self._wheel.schedule_at(time.monotonic() + delay, callback)
+        return time.monotonic()
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds)
-        if self._wheel is not None and not self._ticking:
-            self._tick_to(time.monotonic())
+
+
+class Timer:
+    """One armed deadline on a :class:`TimerQueue`.
+
+    ``callback`` (if any) runs when the timer fires; ``payload`` is left
+    for the owner, which reads it back from the timers a poll returns.
+    """
+
+    __slots__ = ("when", "callback", "payload", "_state", "_queue")
+
+    def __init__(
+        self,
+        when: float,
+        callback: Optional[Callable[[], None]],
+        payload: Any,
+        queue: "TimerQueue",
+    ) -> None:
+        self.when = when
+        self.callback = callback
+        self.payload = payload
+        self._state = _PENDING
+        self._queue = queue
+
+    @property
+    def active(self) -> bool:
+        """True while the timer has neither fired nor been cancelled."""
+        return self._state == _PENDING
+
+    @property
+    def fired(self) -> bool:
+        return self._state == _FIRED
+
+    def cancel(self) -> bool:
+        """Disarm the timer; True if it was still pending."""
+        return self._queue._cancel(self)
+
+
+class TimerQueue:
+    """Cancellable timers ordered by ``(when, scheduling order)``.
+
+    Thread-safe: arming and cancelling may race a poll from another
+    thread.  Callbacks run outside the lock, one at a time.  The queue
+    has no notion of "now": a deadline already in the past is accepted
+    and fires on the next poll.
+    """
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, Timer]] = []
+        self._seq = itertools.count()
+        self._lock = threading.Lock()
+        self._live = 0
+        self._dead = 0  # cancelled entries still in the heap
+        self.scheduled = 0
+        self.fired = 0
+        self.cancelled = 0
+
+    def __len__(self) -> int:
+        """Number of armed (neither fired nor cancelled) timers."""
+        return self._live
+
+    def call_at(
+        self,
+        when: float,
+        callback: Optional[Callable[[], None]] = None,
+        payload: Any = None,
+    ) -> Timer:
+        """Arm a timer for absolute time ``when``."""
+        timer = Timer(when, callback, payload, self)
+        with self._lock:
+            heapq.heappush(self._heap, (when, next(self._seq), timer))
+            self._live += 1
+            self.scheduled += 1
+        return timer
+
+    def _cancel(self, timer: Timer) -> bool:
+        with self._lock:
+            if timer._state != _PENDING:
+                return False
+            timer._state = _CANCELLED
+            timer.callback = timer.payload = None
+            self._live -= 1
+            self._dead += 1
+            self.cancelled += 1
+            if self._dead > self._live:
+                self._heap = [entry for entry in self._heap if entry[2]._state == _PENDING]
+                heapq.heapify(self._heap)
+                self._dead = 0
+            return True
+
+    def pop_due(self, now: float, strict: bool = False) -> Optional[Timer]:
+        """Remove and return the earliest timer due by ``now``, or None.
+
+        ``strict=False`` takes deadlines ``<= now`` (a clock's firing
+        rule); ``strict=True`` only deadlines ``< now`` (the services'
+        ``now > deadline`` expiry rule).  The timer is marked fired but
+        its callback is not run.
+        """
+        with self._lock:
+            heap = self._heap  # compaction rebinds it; read under the lock
+            while heap:
+                when, _, timer = heap[0]
+                if when > now or (strict and when == now):
+                    return None
+                heapq.heappop(heap)
+                if timer._state == _CANCELLED:
+                    self._dead -= 1
+                    continue
+                timer._state = _FIRED
+                self._live -= 1
+                self.fired += 1
+                return timer
+            return None
+
+    def fire_due(self, now: float, strict: bool = False) -> List[Timer]:
+        """Fire every timer due by ``now`` in ``(when, seq)`` order and
+        return them.  A timer armed by a firing callback fires in the
+        same call when it is due too."""
+        fired = []
+        while True:
+            timer = self.pop_due(now, strict)
+            if timer is None:
+                return fired
+            if timer.callback is not None:
+                timer.callback()
+            fired.append(timer)
 
 
 class SimulatedClock(Clock):
@@ -115,51 +191,16 @@ class SimulatedClock(Clock):
     the whole library is single-threaded by design so that runs are
     deterministic).  Timers scheduled with :meth:`call_at` fire during
     :meth:`advance` in timestamp order; ties break by scheduling order.
-
-    With a :class:`~repro.util.timer_wheel.HierarchicalTimerWheel` attached
-    (:meth:`attach_wheel`), ``call_at``/``call_after`` route into the wheel
-    instead of the heap and ``advance`` drives the wheel, so arming and
-    cancelling timers is O(1) amortized while the firing order contract is
-    preserved.  Timers already in the heap at attach time keep firing,
-    interleaved with wheel timers in timestamp order.
+    Each callback sees ``now()`` equal to its own deadline.  ``call_at``
+    returns the :class:`Timer`, so a timer can be cancelled; a cancelled
+    timer never fires and never moves ``now()``.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0:
             raise ValueError("clock cannot start before time zero")
         self._now = float(start)
-        self._timers: List[Tuple[float, int, Callable[[], None]]] = []
-        self._counter = itertools.count()
-        self._wheel: Optional["HierarchicalTimerWheel"] = None
-
-    @property
-    def wheel(self) -> Optional["HierarchicalTimerWheel"]:
-        return self._wheel
-
-    def attach_wheel(self, wheel: "HierarchicalTimerWheel") -> None:
-        """Make ``wheel`` this clock's timer backend (idempotent for the
-        same wheel; a second, different wheel is refused)."""
-        if self._wheel is not None:
-            if self._wheel is wheel:
-                return
-            raise InvalidStateError("clock already drives a timer wheel")
-        if wheel.on_fire_time is not None:
-            # Silently stealing the binding would leave the other
-            # clock's now() out of step with its own firing timers.
-            raise InvalidStateError("wheel is already attached to another clock")
-        if wheel.now > self._now:
-            raise InvalidStateError(
-                f"wheel time {wheel.now} is ahead of clock time {self._now}"
-            )
-        wheel.advance_to(self._now)  # sync cursor up to simulated now
-        wheel.on_fire_time = self._on_wheel_fire
-        self._wheel = wheel
-
-    def _on_wheel_fire(self, when: float) -> None:
-        # Keep now() in step with the timer being fired so callbacks
-        # observe the same time the heap path would have shown them.
-        if when > self._now:
-            self._now = when
+        self.timers = TimerQueue()
 
     def now(self) -> float:
         return self._now
@@ -169,27 +210,15 @@ class SimulatedClock(Clock):
             raise ValueError("cannot sleep a negative duration")
         self.advance(seconds)
 
-    def call_at(
-        self, when: float, callback: Callable[[], None]
-    ) -> Optional["TimerHandle"]:
-        """Schedule ``callback`` to run when simulated time reaches ``when``.
-
-        With a wheel attached, returns the wheel's cancellable
-        :class:`~repro.util.timer_wheel.TimerHandle` (heap timers return
-        None and cannot be cancelled).
-        """
+    def call_at(self, when: float, callback: Callable[[], None]) -> Timer:
+        """Schedule ``callback`` to run when simulated time reaches ``when``."""
         if when < self._now:
             raise InvalidStateError(
                 f"cannot schedule timer in the past ({when} < {self._now})"
             )
-        if self._wheel is not None:
-            return self._wheel.schedule_at(when, callback)
-        heapq.heappush(self._timers, (when, next(self._counter), callback))
-        return None
+        return self.timers.call_at(when, callback)
 
-    def call_after(
-        self, delay: float, callback: Callable[[], None]
-    ) -> Optional["TimerHandle"]:
+    def call_after(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         return self.call_at(self._now + delay, callback)
 
@@ -198,52 +227,27 @@ class SimulatedClock(Clock):
         if seconds < 0:
             raise ValueError("cannot advance time backwards")
         deadline = self._now + seconds
-        while self._timers and self._timers[0][0] <= deadline:
-            when, _, callback = heapq.heappop(self._timers)
-            if self._wheel is not None:
-                # Wheel timers due strictly before this heap timer fire
-                # first; on an exact tie the heap timer wins, because
-                # every heap timer predates the wheel (heap scheduling
-                # ends at attach_wheel) and ties break by scheduling
-                # order.
-                self._wheel.advance_to(when, strict=True)
-            self._now = max(self._now, when)
-            callback()
-        if self._wheel is not None:
-            self._wheel.advance_to(deadline)
+        self._fire_until(deadline)
         self._now = deadline
 
     def run_until_idle(self) -> None:
         """Fire every outstanding timer, advancing time as needed.
 
-        Self-re-arming timers (a :class:`~repro.util.timer_wheel.RecurringTimer`
-        on an attached wheel) make "every outstanding timer" unbounded —
-        cancel those first or this will not return.
+        A callback that keeps re-arming itself makes "every outstanding
+        timer" unbounded — cancel it first or this will not return.
         """
+        self._fire_until(math.inf)
+
+    def _fire_until(self, limit: float) -> None:
         while True:
-            if self._timers:
-                # Drain the heap first; wheel timers due strictly before
-                # each heap timer fire in one batched advance (no
-                # per-timer wheel scans), and exact ties go to the heap
-                # timer, which was scheduled first.
-                when, _, callback = heapq.heappop(self._timers)
-                if self._wheel is not None:
-                    self._wheel.advance_to(when, strict=True)
-                self._now = max(self._now, when)
-                callback()
-                continue
-            if self._wheel is not None and self._wheel.pending:
-                wheel_next = self._wheel.next_deadline()
-                if wheel_next is None:
-                    return
-                self._now = max(self._now, wheel_next)
-                self._wheel.advance_to(wheel_next)
-                continue
-            return
+            timer = self.timers.pop_due(limit)
+            if timer is None:
+                return
+            if timer.when > self._now:
+                self._now = timer.when
+            if timer.callback is not None:
+                timer.callback()
 
     @property
     def pending_timers(self) -> int:
-        count = len(self._timers)
-        if self._wheel is not None:
-            count += self._wheel.pending
-        return count
+        return len(self.timers)

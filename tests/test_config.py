@@ -30,13 +30,13 @@ class TestValidation:
             (OrbConfig, {"marshal_cache_entries": -1}),
             (OrbConfig, {"marshal_cache_entries": "lots"}),
             (RuntimeConfig, {"registry_shards": 0}),
-            (RuntimeConfig, {"wheel_tick": 0}),
+            (RuntimeConfig, {"max_events": 0}),
             (RuntimeConfig, {"interposition": True}),  # needs federation
             (FactoryConfig, {"retry_attempts": 0}),
             (FactoryConfig, {"group_commit_window": -0.5}),
             (FactoryConfig, {"parallel_participants": 0}),
             (FactoryConfig, {"registry_shards": 0}),
-            (FactoryConfig, {"wheel_tick": -1.0}),
+            (FactoryConfig, {"max_live": 0}),
             (FactoryConfig, {"tid_prefix": 7}),
         ],
     )
@@ -122,6 +122,58 @@ class TestLegacyShim:
         ]
         with pytest.raises(ConfigValidationError):
             ReplicationConfig(backend="file")
+
+
+class TestOptionSurface:
+    """The exact option surface of each service.  Adding, renaming or
+    dropping a knob is a deliberate edit of this list, reviewed with the
+    change that needs it."""
+
+    def test_runtime_config_fields(self):
+        assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
+            "registry_shards",
+            "federation",
+            "interposition",
+            "max_live",
+            "admission_queue",
+            "shed_policy",
+            "shed_priorities",
+            "max_events",
+        ]
+
+    def test_factory_config_fields(self):
+        assert [f.name for f in dataclasses.fields(FactoryConfig)] == [
+            "retry_attempts",
+            "group_commit_window",
+            "parallel_participants",
+            "registry_shards",
+            "tid_prefix",
+            "max_live",
+            "admission_queue",
+            "shed_policy",
+            "shed_priorities",
+            "max_events",
+        ]
+
+    def test_site_config_fields(self):
+        from repro.orb.site import SiteConfig
+
+        assert [f.name for f in dataclasses.fields(SiteConfig)] == [
+            "site_id",
+            "host",
+            "port",
+            "peers",
+            "data_dir",
+            "cell_store",
+            "app",
+            "poll_interval",
+            "heartbeat",
+            "retry",
+            "orphan_min_age",
+            "replication",
+            "max_events",
+            "quotas",
+        ]
 
 
 class TestTidPrefix:

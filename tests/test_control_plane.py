@@ -1,5 +1,5 @@
-"""Control-plane scaling: wheel-driven expiry, sharded registries,
-bounded tracing and background maintenance."""
+"""Control-plane scaling: queue-driven deadline expiry, sharded
+registries and bounded tracing."""
 
 import threading
 
@@ -10,11 +10,9 @@ from repro.core import ActivityManager, ThreadPoolBroadcastExecutor
 from repro.core.status import CompletionStatus
 from repro.ots import TransactionFactory
 from repro.ots.status import TransactionStatus
-from repro.persistence.object_store import SegmentedFileStore
-from repro.util.clock import SimulatedClock, WallClock
+from repro.util.clock import Clock, SimulatedClock, WallClock
 from repro.util.events import EventLog
 from repro.util.sharding import StripedMap
-from repro.util.timer_wheel import HierarchicalTimerWheel
 
 
 def expiry_trace(manager):
@@ -25,11 +23,49 @@ def expiry_trace(manager):
     ]
 
 
-class TestWheelExpiryParity:
-    """RuntimeConfig(timer_wheel=True) must mirror the naive sweep."""
+def reference_sweep(manager):
+    """The full-registry scan that ``expire_timeouts`` must agree with:
+    latch every active activity strictly past its deadline, in begin
+    order."""
+    now = manager.clock.now()
+    overdue = [
+        activity
+        for activity in manager._activities.values()
+        if not activity.status.is_terminal
+        and activity.deadline is not None
+        and now > activity.deadline
+        and activity.get_completion_status() is not CompletionStatus.FAIL_ONLY
+    ]
+    overdue.sort(key=lambda activity: activity.begin_seq)
+    for activity in overdue:
+        activity.set_completion_status(CompletionStatus.FAIL_ONLY)
+    return [activity.activity_id for activity in overdue]
 
-    def _scenario(self, **manager_kwargs):
-        manager = ActivityManager(config=RuntimeConfig(**manager_kwargs))
+
+def queue_sweep(manager):
+    return manager.expire_timeouts()
+
+
+class ManualClock(Clock):
+    """A clock that moves only when told to and fires nothing itself."""
+
+    def __init__(self) -> None:
+        self.time = 0.0
+
+    def now(self) -> float:
+        return self.time
+
+    def sleep(self, seconds: float) -> None:
+        self.time += seconds
+
+    advance = sleep
+
+
+class TestWheelExpiryParity:
+    """The queue-backed ``expire_timeouts`` must mirror the full scan."""
+
+    def _scenario(self, sweep):
+        manager = ActivityManager()
         slow = manager.begin("slow", timeout=5.0)
         slower = manager.begin("slower", timeout=8.0)
         patient = manager.begin("patient", timeout=100.0)
@@ -37,70 +73,67 @@ class TestWheelExpiryParity:
         done.complete()  # completes before its deadline: timer cancelled
         untimed = manager.begin("untimed")
         manager.clock.advance(6.0)
-        first = manager.expire_timeouts()
+        first = sweep(manager)
         manager.clock.advance(3.0)
-        second = manager.expire_timeouts()
-        third = manager.expire_timeouts()  # nothing new
+        second = sweep(manager)
+        third = sweep(manager)  # nothing new
         return manager, (slow, slower, patient, done, untimed), (first, second, third)
 
     def test_same_expirations_same_events_as_sweep(self):
-        naive, naive_acts, naive_sweeps = self._scenario()
-        wheel, wheel_acts, wheel_sweeps = self._scenario(timer_wheel=True)
-        assert naive_sweeps == wheel_sweeps
+        naive, naive_acts, naive_sweeps = self._scenario(reference_sweep)
+        queued, queued_acts, queued_sweeps = self._scenario(queue_sweep)
+        assert naive_sweeps == queued_sweeps
         assert naive_sweeps[0] == [naive_acts[0].activity_id]
         assert naive_sweeps[1] == [naive_acts[1].activity_id]
         assert naive_sweeps[2] == []
-        assert expiry_trace(naive) == expiry_trace(wheel)
-        for acts in (naive_acts, wheel_acts):
+        assert expiry_trace(naive) == expiry_trace(queued)
+        for acts in (naive_acts, queued_acts):
             assert acts[0].get_completion_status() is CompletionStatus.FAIL_ONLY
             assert acts[1].get_completion_status() is CompletionStatus.FAIL_ONLY
             assert acts[2].get_completion_status() is CompletionStatus.SUCCESS
 
     def test_deadline_exactly_at_sweep_time_not_expired(self):
-        for kwargs in ({}, {"timer_wheel": True}):
-            manager = ActivityManager(config=RuntimeConfig(**kwargs))
+        for sweep in (reference_sweep, queue_sweep):
+            manager = ActivityManager()
             manager.begin("edge", timeout=5.0)
             manager.clock.advance(5.0)
-            assert manager.expire_timeouts() == []  # strict: now > deadline
+            assert sweep(manager) == []  # strict: now > deadline
             manager.clock.advance(0.5)
-            assert len(manager.expire_timeouts()) == 1
+            assert len(sweep(manager)) == 1
 
     def test_completion_cancels_wheel_timer(self):
-        manager = ActivityManager(config=RuntimeConfig(timer_wheel=True))
+        manager = ActivityManager()
         activity = manager.begin("quick", timeout=5.0)
-        assert manager.timer_wheel.pending == 1
+        assert len(manager._deadlines) == 1
         activity.complete()
-        assert manager.timer_wheel.pending == 0
+        assert len(manager._deadlines) == 0
         manager.clock.advance(10.0)
         assert manager.expire_timeouts() == []
 
     def test_manually_latched_activity_not_reported(self):
-        for kwargs in ({}, {"timer_wheel": True}):
-            manager = ActivityManager(config=RuntimeConfig(**kwargs))
+        for sweep in (reference_sweep, queue_sweep):
+            manager = ActivityManager()
             activity = manager.begin("latched", timeout=5.0)
             activity.set_completion_status(CompletionStatus.FAIL_ONLY)
             manager.clock.advance(6.0)
-            assert manager.expire_timeouts() == []
+            assert sweep(manager) == []
 
     def test_expiry_work_proportional_to_expiring(self):
-        manager = ActivityManager(config=RuntimeConfig(timer_wheel=True))
+        manager = ActivityManager()
         for _ in range(500):
             manager.begin(timeout=10_000.0)
         for _ in range(3):
             manager.begin(timeout=2.0)
         manager.clock.advance(5.0)
-        fired_before = manager.timer_wheel.fired
+        fired_before = manager._deadlines.fired
         expired = manager.expire_timeouts()
         assert len(expired) == 3
         # Only the expiring timers fired; the 500 longlived ones untouched.
-        assert manager.timer_wheel.fired - fired_before == 3
+        assert manager._deadlines.fired - fired_before == 3
 
     def test_wheel_works_on_wall_clock(self):
         clock = WallClock()
-        manager = ActivityManager(
-            clock=clock,
-            config=RuntimeConfig(timer_wheel=True, wheel_tick=0.005),
-        )
+        manager = ActivityManager(clock=clock)
         activity = manager.begin("wall", timeout=0.01)
         import time
 
@@ -152,11 +185,7 @@ class TestShardedRegistry:
                 clock=WallClock(),
                 executor=executor,
                 event_log=EventLog(max_events=10_000),
-                config=RuntimeConfig(
-                    timer_wheel=True,
-                    wheel_tick=0.001,
-                    registry_shards=16,
-                ),
+                config=RuntimeConfig(registry_shards=16),
             )
             errors = []
             ids = [[] for _ in range(8)]
@@ -190,7 +219,7 @@ class TestShardedRegistry:
             for aid in slot:
                 assert not manager.knows(aid)
         # Every armed deadline timer was cancelled on completion.
-        assert manager.timer_wheel.pending == 0
+        assert len(manager._deadlines) == 0
 
 
 class TestRegistryRelease:
@@ -277,85 +306,50 @@ class TestBoundedEventLog:
         assert log.dropped > 0
 
 
-class TestBackgroundMaintenance:
-    def _dirty_store(self, tmp_path):
-        store = SegmentedFileStore(str(tmp_path / "seg"))
-        for round_index in range(6):
-            store.put_many({f"k{i}": f"v{round_index}" for i in range(10)})
-        return store  # 60 frames, 10 live keys
-
-    def test_scheduled_compaction_runs_via_wheel(self, tmp_path):
-        store = self._dirty_store(tmp_path)
-        manager = ActivityManager(store=store, config=RuntimeConfig(timer_wheel=True))
-        timer = manager.schedule_store_maintenance(interval=10.0, min_dead_ratio=0.5)
-        assert store.dead_record_ratio() > 0.5
-        manager.clock.advance(11.0)
-        manager.expire_timeouts()  # sweeps drive the private wheel
-        assert timer.fires == 1
-        assert store.dead_record_ratio() == 0.0
-        assert store.get("k3") == "v5"
-
-    def test_compaction_skipped_below_threshold(self, tmp_path):
-        store = SegmentedFileStore(str(tmp_path / "seg"))
-        store.put_many({f"k{i}": i for i in range(10)})  # all live
-        manager = ActivityManager(store=store, config=RuntimeConfig(timer_wheel=True))
-        timer = manager.schedule_store_maintenance(interval=5.0, min_dead_ratio=0.5)
-        manager.clock.advance(6.0)
-        manager.expire_timeouts()
-        assert timer.fires == 1
-        assert store.dead_record_ratio() == 0.0
-        assert not store.compact_if_needed(0.9)
-
-    def test_cancel_maintenance_stops_the_cycle(self, tmp_path):
-        store = self._dirty_store(tmp_path)
-        manager = ActivityManager(store=store, config=RuntimeConfig(timer_wheel=True))
-        timer = manager.schedule_store_maintenance(interval=10.0)
-        assert manager.cancel_maintenance() == 1
-        manager.clock.advance(50.0)
-        manager.expire_timeouts()
-        assert timer.fires == 0
-
-    def test_maintenance_requires_wheel_and_store(self, tmp_path):
-        from repro.core.exceptions import ActivityServiceError
-
-        with pytest.raises(ActivityServiceError):
-            ActivityManager().schedule_maintenance(5.0, lambda: None)
-        with pytest.raises(ActivityServiceError):
-            ActivityManager(config=RuntimeConfig(timer_wheel=True)).schedule_store_maintenance(5.0)
-
-    def test_compact_if_needed_validates_ratio(self, tmp_path):
-        store = self._dirty_store(tmp_path)
-        with pytest.raises(ValueError):
-            store.compact_if_needed(0.0)
-
-
 class TestFactoryWheel:
     def test_timeout_fires_on_advance_like_heap_path(self):
-        heap = TransactionFactory()
-        wheel = TransactionFactory(config=FactoryConfig(timer_wheel=True))
-        for factory in (heap, wheel):
+        clock_driven = TransactionFactory()
+        polled = TransactionFactory(clock=ManualClock())
+        for factory in (clock_driven, polled):
             tx = factory.create(timeout=5.0)
             factory.clock.advance(6.0)
+            if factory is polled:
+                assert factory.expire_timeouts() == [tx.tid]
             assert tx.status is TransactionStatus.ROLLED_BACK
             assert factory.event_log.of_kind("tx_timeout")[0].detail["tid"] == tx.tid
-        assert heap.event_log.kinds() == wheel.event_log.kinds()
+        assert clock_driven.event_log.kinds() == polled.event_log.kinds()
 
     def test_commit_cancels_deadline_timer(self):
-        factory = TransactionFactory(config=FactoryConfig(timer_wheel=True))
+        factory = TransactionFactory()
         tx = factory.create(timeout=5.0)
         tx.commit()
-        assert factory.timer_wheel.pending == 0
+        assert factory.clock.pending_timers == 0
         factory.clock.advance(10.0)
         assert tx.status is TransactionStatus.COMMITTED
         assert factory.event_log.of_kind("tx_timeout") == []
 
+    def test_finished_timed_transactions_leave_no_clock_timer(self):
+        clock = SimulatedClock()
+        factory = TransactionFactory(clock=clock)
+        for _ in range(100):
+            factory.create(timeout=60.0).commit()
+        assert clock.pending_timers == 0
+
+    def test_unpolled_wall_clock_factory_stays_bounded(self):
+        """Nothing polls a daemon's wall-clock factory: finished
+        transactions' cancelled timers must not pile up in its queue."""
+        factory = TransactionFactory(clock=WallClock())
+        keep = [factory.create(timeout=3600.0) for _ in range(10)]
+        deadlines = factory._deadlines
+        for _ in range(2_000):
+            factory.create(timeout=60.0).commit()
+            assert len(deadlines._heap) <= 2 * len(deadlines) + 1
+        assert len(deadlines) == len(keep)
+
     def test_expire_timeouts_sweep_on_wall_clock(self):
         import time
 
-        factory = TransactionFactory(
-            clock=WallClock(),
-            config=FactoryConfig(timer_wheel=True, wheel_tick=0.005),
-        )
+        factory = TransactionFactory(clock=WallClock())
         tx = factory.create(timeout=0.01)
         keeper = factory.create(timeout=60.0)
         time.sleep(0.03)
@@ -366,17 +360,15 @@ class TestFactoryWheel:
         assert factory.expire_timeouts() == []
 
     def test_shared_wheel_with_clock(self):
+        """On a SimulatedClock the factory arms its deadlines on the
+        clock's own queue, so ``advance`` expires them."""
         clock = SimulatedClock()
-        wheel = HierarchicalTimerWheel(tick=1.0)
-        clock.attach_wheel(wheel)
-        factory = TransactionFactory(
-            clock=clock,
-            config=FactoryConfig(timer_wheel=True),
-        )
-        assert factory.timer_wheel is wheel
+        factory = TransactionFactory(clock=clock)
         tx = factory.create(timeout=3.0)
+        assert clock.pending_timers == 1
         clock.advance(4.0)
         assert tx.status is TransactionStatus.ROLLED_BACK
+        assert factory.expire_timeouts() == []
 
     def test_registry_operations_sharded(self):
         factory = TransactionFactory(config=FactoryConfig(registry_shards=4))
@@ -400,17 +392,13 @@ class TestRecoveredDeadlines:
         first = ActivityManager(clock=clock, store=store)
         activity = first.begin("timed", timeout=10.0)
         first.checkpoint(activity)
-        # Crash: new manager over the same store and clock, wheel enabled.
-        second = ActivityManager(
-            clock=clock,
-            store=store,
-            config=RuntimeConfig(timer_wheel=True),
-        )
+        # Crash: new manager over the same store and clock.
+        second = ActivityManager(clock=clock, store=store)
         in_flight = second.recover()
         assert in_flight == [activity.activity_id]
         recovered = second.get(activity.activity_id)
         assert recovered.deadline == 10.0
-        assert second.timer_wheel.pending == 1
+        assert len(second._deadlines) == 1
         clock.advance(11.0)
         assert second.expire_timeouts() == [activity.activity_id]
 
@@ -423,11 +411,7 @@ class TestRecoveredDeadlines:
         activity = first.begin("timed", timeout=5.0)
         first.checkpoint(activity)
         clock.advance(60.0)  # downtime: deadline long past at recovery
-        second = ActivityManager(
-            clock=clock,
-            store=store,
-            config=RuntimeConfig(timer_wheel=True),
-        )
+        second = ActivityManager(clock=clock, store=store)
         second.recover()
         clock.advance(1.0)
         assert second.expire_timeouts() == [activity.activity_id]
@@ -444,236 +428,22 @@ class TestCurrentExecutorPassthrough:
         manager.current.complete()
 
 
-class TestSharedWheelStrictness:
-    def test_clock_attached_shared_wheel_keeps_strict_expiry(self):
-        """An activity whose deadline coincides exactly with a clock
-        advance must not be latched (historical sweeps require strictly
-        past), even when the manager's wheel is shared with the clock."""
-        clock = SimulatedClock()
-        wheel = HierarchicalTimerWheel(tick=1.0)
-        clock.attach_wheel(wheel)
-        manager = ActivityManager(clock=clock, config=RuntimeConfig(timer_wheel=wheel))
-        activity = manager.begin("edge", timeout=5.0)
-        clock.advance(5.0)  # exactly the deadline: inclusive clock firing
-        assert activity.get_completion_status() is CompletionStatus.SUCCESS
-        clock.advance(1.0)  # strictly past now
-        assert activity.get_completion_status() is CompletionStatus.FAIL_ONLY
-
-
 class TestSharedWheelCrossOwner:
-    """Pathological shared-wheel configs must degrade safely, not hang."""
-
     def test_wheel_expiry_order_matches_naive_begin_order(self):
-        """Deadlines out of begin order: both modes must return ids and
+        """Deadlines out of begin order: both sweeps must return ids and
         record events in begin order."""
 
-        def run(**kwargs):
-            manager = ActivityManager(config=RuntimeConfig(**kwargs))
+        def run(sweep):
+            manager = ActivityManager()
             manager.begin("later-deadline", timeout=10.0)
             manager.begin("earlier-deadline", timeout=5.0)
             manager.clock.advance(11.0)
-            return manager, manager.expire_timeouts()
+            return manager, sweep(manager)
 
-        naive, naive_expired = run()
-        wheel, wheel_expired = run(timer_wheel=True)
-        assert naive_expired == wheel_expired == ["activity-1", "activity-2"]
-        assert expiry_trace(naive) == expiry_trace(wheel)
-
-    def test_foreign_advance_does_not_livelock_or_drop_activity_expiry(self):
-        """A wheel shared by two managers on different clocks: a foreign
-        sweep fires the timer early; the owner must neither spin forever
-        nor lose the deadline."""
-        wheel = HierarchicalTimerWheel(tick=1.0)
-        owner = ActivityManager(config=RuntimeConfig(timer_wheel=wheel))
-        foreign = ActivityManager(config=RuntimeConfig(timer_wheel=wheel))
-        activity = owner.begin("timed", timeout=5.0)
-        foreign.clock.advance(10.0)
-        assert foreign.expire_timeouts() == []  # must return, not hang
-        # The early firing latched nothing and queued a re-arm.
-        assert activity.get_completion_status() is CompletionStatus.SUCCESS
-        # The re-arm clamps to the shared wheel's time (a wheel cannot
-        # run backwards), so expiry lands once the owner's clock passes
-        # the foreign advance.
-        owner.clock.advance(6.0)
-        owner.expire_timeouts()  # re-arms; wheel time (10) not yet reached
-        assert activity.get_completion_status() is CompletionStatus.SUCCESS
-        owner.clock.advance(5.0)  # now 11 > wheel's 10
-        assert owner.expire_timeouts() == [activity.activity_id]
-        assert activity.get_completion_status() is CompletionStatus.FAIL_ONLY
-
-    def test_foreign_advance_does_not_disarm_tx_timeout(self):
-        """Same cross-owner shape for the OTS factory: the one-shot wheel
-        timer fired early must be re-armed, not silently dropped."""
-        wheel = HierarchicalTimerWheel(tick=1.0)
-        factory = TransactionFactory(
-            clock=WallClock(),
-            config=FactoryConfig(timer_wheel=wheel),
-        )
-        tx = factory.create(timeout=3600.0)  # far future in wall time
-        foreign = ActivityManager(config=RuntimeConfig(timer_wheel=wheel))
-        foreign.clock.advance(10_000.0)
-        foreign.expire_timeouts()  # fires tx's timer way ahead of deadline
-        assert tx.status.name == "ACTIVE"
-        assert factory.expire_timeouts() == []  # re-arms the deadline
-        assert factory.timer_wheel.pending >= 1
-        assert tx.status.name == "ACTIVE"
-
-    def test_wheel_cannot_be_attached_to_two_clocks(self):
-        from repro.exceptions import InvalidStateError
-
-        wheel = HierarchicalTimerWheel(tick=1.0)
-        SimulatedClock().attach_wheel(wheel)
-        with pytest.raises(InvalidStateError):
-            SimulatedClock().attach_wheel(wheel)
-        # Re-attaching to the same clock stays idempotent.
-        factory_clock = SimulatedClock()
-        shared = HierarchicalTimerWheel(tick=1.0)
-        factory_clock.attach_wheel(shared)
-        factory_clock.attach_wheel(shared)
-
-
-class TestAdvanceTimeExpiry:
-    """Satellite: the manager's wheel attached to SimulatedClock advance.
-
-    With ``attach_wheel_to_clock=True`` a timed activity expires during
-    ``clock.advance()`` itself — no ``expire_timeouts`` poll needed —
-    while the strictly-past-deadline latch, the recorded events and the
-    not-re-reported contract all match the historical sweep.
-    """
-
-    def test_expiry_fires_during_advance(self):
-        clock = SimulatedClock()
-        manager = ActivityManager(
-            clock=clock,
-            config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=True),
-        )
-        timed = manager.begin(timeout=5.0)
-        untimed = manager.begin(timeout=1_000.0)
-        clock.advance(6.0)
-        assert timed.get_completion_status() is CompletionStatus.FAIL_ONLY
-        assert untimed.get_completion_status() is CompletionStatus.SUCCESS
-        # Advance-time expirations are not re-reported by a later sweep
-        # (mirroring the OTS factory's historical behaviour).
-        assert manager.expire_timeouts() == []
-
-    def test_exact_deadline_is_not_expired(self):
-        clock = SimulatedClock()
-        manager = ActivityManager(
-            clock=clock,
-            config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=True),
-        )
-        activity = manager.begin(timeout=5.0)
-        clock.advance(5.0)  # now == deadline: strictly-past rule holds
-        assert activity.get_completion_status() is CompletionStatus.SUCCESS
-        clock.advance(0.001)
-        assert activity.get_completion_status() is CompletionStatus.FAIL_ONLY
-
-    def test_events_match_the_poll_only_sweep(self):
-        def run(attach):
-            clock = SimulatedClock()
-            manager = ActivityManager(
-                clock=clock,
-                config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=attach),
-            )
-            manager.begin(timeout=5.0, name="t1")
-            manager.begin(timeout=7.0, name="t2")
-            clock.advance(10.0)
-            manager.expire_timeouts()
-            return [event.brief() for event in manager.event_log.events]
-
-        assert run(attach=True) == run(attach=False)
-
-    def test_completion_cancels_the_clock_timer(self):
-        clock = SimulatedClock()
-        manager = ActivityManager(
-            clock=clock,
-            config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=True),
-        )
-        activity = manager.begin(timeout=5.0)
-        activity.complete()
-        clock.advance(10.0)  # cancelled timer must not latch/raise
-        assert manager.expire_timeouts() == []
-
-    def test_reuses_a_wheel_already_attached_to_the_clock(self):
-        clock = SimulatedClock()
-        wheel = HierarchicalTimerWheel(tick=0.5)
-        clock.attach_wheel(wheel)
-        manager = ActivityManager(
-            clock=clock,
-            config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=True),
-        )
-        assert manager.timer_wheel is wheel
-
-    def test_requires_wheel_and_simulated_clock(self):
-        from repro.core.exceptions import ActivityServiceError
-
-        with pytest.raises(ActivityServiceError):
-            ActivityManager(config=RuntimeConfig(attach_wheel_to_clock=True))
-        with pytest.raises(ActivityServiceError):
-            ActivityManager(
-                clock=WallClock(),
-                config=RuntimeConfig(timer_wheel=True, attach_wheel_to_clock=True),
-            )
-
-
-class TestFactoryScheduledMaintenance:
-    """Satellite: OTS ``forget_completed`` on the wheel maintenance hook."""
-
-    def test_forget_completed_runs_on_schedule(self):
-        clock = SimulatedClock()
-        factory = TransactionFactory(
-            clock=clock,
-            config=FactoryConfig(timer_wheel=True),
-        )
-        factory.schedule_forget_completed(10.0)
-        for _ in range(4):
-            factory.create().commit()
-        live = factory.create()  # stays active across the sweep
-        assert len(factory._transactions.keys()) == 5
-        clock.advance(10.5)
-        assert len(factory._transactions.keys()) == 1
-        assert factory.get(live.tid) is live
-
-    def test_recurring_across_many_intervals(self):
-        clock = SimulatedClock()
-        factory = TransactionFactory(
-            clock=clock,
-            config=FactoryConfig(timer_wheel=True),
-        )
-        factory.schedule_forget_completed(5.0)
-        for _ in range(3):
-            factory.create().commit()
-            clock.advance(5.5)
-            assert len(factory._transactions.keys()) == 0
-
-    def test_cancel_maintenance_stops_the_cycle(self):
-        clock = SimulatedClock()
-        factory = TransactionFactory(
-            clock=clock,
-            config=FactoryConfig(timer_wheel=True),
-        )
-        factory.schedule_forget_completed(5.0)
-        assert factory.cancel_maintenance() == 1
-        factory.create().commit()
-        clock.advance(20.0)
-        assert len(factory._transactions.keys()) == 1
-
-    def test_requires_timer_wheel(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            TransactionFactory().schedule_forget_completed(5.0)
-
-    def test_custom_task_mirrors_store_maintenance(self):
-        clock = SimulatedClock()
-        factory = TransactionFactory(
-            clock=clock,
-            config=FactoryConfig(timer_wheel=True),
-        )
-        ticks = []
-        factory.schedule_maintenance(2.0, lambda: ticks.append(clock.now()))
-        clock.advance(7.0)
-        assert len(ticks) == 3
+        naive, naive_expired = run(reference_sweep)
+        queued, queued_expired = run(queue_sweep)
+        assert naive_expired == queued_expired == ["activity-1", "activity-2"]
+        assert expiry_trace(naive) == expiry_trace(queued)
 
 
 class TestMemoizedListings:
@@ -727,7 +497,7 @@ class TestMemoizedListings:
         factory = TransactionFactory(clock=clock)
         for _ in range(10):
             factory.create(timeout=100.0)
-        factory.expire_timeouts()
+        factory.redrive_stuck()
         rebuilds = factory._active.listing_rebuilds
         assert rebuilds >= 1
         # Nothing began or finished: further sweeps hit the cache.

@@ -14,7 +14,7 @@ from repro.ots import (
     TransactionalCell,
     install_transaction_service,
 )
-from repro.util.clock import SimulatedClock
+from repro.util.clock import Clock, SimulatedClock
 
 
 @pytest.fixture
@@ -174,6 +174,19 @@ class TestPropagation:
         assert cell.read() == 0
 
 
+class ManualClock(Clock):
+    """A clock that moves only when told to and fires nothing itself."""
+
+    def __init__(self) -> None:
+        self.time = 0.0
+
+    def now(self) -> float:
+        return self.time
+
+    def sleep(self, seconds: float) -> None:
+        self.time += seconds
+
+
 class TestTimeouts:
     def test_deadline_expiry_via_timer(self):
         clock = SimulatedClock()
@@ -191,12 +204,12 @@ class TestTimeouts:
         assert tx.status is TransactionStatus.COMMITTED
 
     def test_expire_timeouts_sweep(self):
-        clock = SimulatedClock()
+        clock = ManualClock()
         factory = TransactionFactory(clock=clock)
-        # Build transactions without registering clock timers by advancing
-        # the clock manually past the deadline, then sweeping.
+        # A clock that fires no timers: the deadline is policed only by
+        # the factory's own sweep.
         tx = factory.create(timeout=5.0)
-        clock._now = 6.0  # move time without firing timers
+        clock.time = 6.0
         expired = factory.expire_timeouts()
         assert expired == [tx.tid]
         assert tx.status is TransactionStatus.ROLLED_BACK

@@ -1,196 +1,172 @@
-"""Timer-wheel edge cases: boundaries, cascades, cancel/re-arm, clocks."""
+"""Deadline timers: the cancellable :class:`TimerQueue` and the
+:class:`SimulatedClock` that fires it — ordering and ties, inclusive
+versus strict polls, cancellation, re-entrant arming and threads."""
 
+import sys
 import threading
-import time
 
 import pytest
 
 from repro.exceptions import InvalidStateError
-from repro.util.clock import SimulatedClock, WallClock
-from repro.util.timer_wheel import HierarchicalTimerWheel, RecurringTimer
+from repro.util.clock import SimulatedClock, TimerQueue
 
 
 class TestScheduling:
     def test_fires_in_deadline_order_with_seq_tiebreak(self):
-        wheel = HierarchicalTimerWheel(tick=1.0)
+        queue = TimerQueue()
         order = []
-        wheel.schedule_at(3.0, lambda: order.append("c"))
-        wheel.schedule_at(1.0, lambda: order.append("a1"))
-        wheel.schedule_at(2.0, lambda: order.append("b"))
-        wheel.schedule_at(1.0, lambda: order.append("a2"))
-        wheel.advance_to(5.0)
+        queue.call_at(3.0, lambda: order.append("c"))
+        queue.call_at(1.0, lambda: order.append("a1"))
+        queue.call_at(2.0, lambda: order.append("b"))
+        queue.call_at(1.0, lambda: order.append("a2"))
+        queue.fire_due(5.0)
         assert order == ["a1", "a2", "b", "c"]
 
     def test_sub_tick_deadlines_keep_exact_order(self):
-        wheel = HierarchicalTimerWheel(tick=10.0)  # all in one slot
+        queue = TimerQueue()
         order = []
-        wheel.schedule_at(3.7, lambda: order.append(3.7))
-        wheel.schedule_at(1.2, lambda: order.append(1.2))
-        wheel.schedule_at(9.9, lambda: order.append(9.9))
-        wheel.advance_to(5.0)
+        queue.call_at(3.7, lambda: order.append(3.7))
+        queue.call_at(1.2, lambda: order.append(1.2))
+        queue.call_at(9.9, lambda: order.append(9.9))
+        queue.fire_due(5.0)
         assert order == [1.2, 3.7]
-        wheel.advance_to(10.0)
+        queue.fire_due(10.0)
         assert order == [1.2, 3.7, 9.9]
 
     def test_schedule_in_past_rejected(self):
-        wheel = HierarchicalTimerWheel()
-        wheel.advance_to(10.0)
+        clock = SimulatedClock()
+        clock.advance(10.0)
         with pytest.raises(InvalidStateError):
-            wheel.schedule_at(9.0, lambda: None)
+            clock.call_at(9.0, lambda: None)
 
     def test_pending_and_stats(self):
-        wheel = HierarchicalTimerWheel()
-        handles = [wheel.schedule_after(float(i + 1)) for i in range(5)]
-        assert wheel.pending == 5
-        assert wheel.scheduled == 5
+        queue = TimerQueue()
+        handles = [queue.call_at(float(i + 1)) for i in range(5)]
+        assert len(queue) == 5
+        assert queue.scheduled == 5
         handles[0].cancel()
-        assert wheel.pending == 4
-        fired = wheel.advance_to(10.0)
-        assert wheel.pending == 0
-        assert [h.seq for h in fired] == [h.seq for h in handles[1:]]
+        assert len(queue) == 4
+        fired = queue.fire_due(10.0)
+        assert len(queue) == 0
+        assert fired == handles[1:]
 
 
 class TestTickBoundary:
     def test_deadline_exactly_on_tick_boundary_fires_inclusively(self):
-        wheel = HierarchicalTimerWheel(tick=1.0)
+        queue = TimerQueue()
         fired = []
-        wheel.schedule_at(5.0, lambda: fired.append(True))
-        wheel.advance_to(4.999999)
+        queue.call_at(5.0, lambda: fired.append(True))
+        queue.fire_due(4.999999)
         assert fired == []
-        wheel.advance_to(5.0)  # inclusive: <= target
+        queue.fire_due(5.0)  # inclusive: <= now
         assert fired == [True]
 
     def test_strict_mode_holds_boundary_timer_for_next_sweep(self):
-        wheel = HierarchicalTimerWheel(tick=1.0)
+        queue = TimerQueue()
         fired = []
-        wheel.schedule_at(5.0, lambda: fired.append(True))
-        wheel.advance_to(5.0, strict=True)  # now > deadline is false
+        queue.call_at(5.0, lambda: fired.append(True))
+        queue.fire_due(5.0, strict=True)  # now > deadline is false
         assert fired == []
-        assert wheel.pending == 1
-        wheel.advance_to(5.0001, strict=True)
+        assert len(queue) == 1
+        queue.fire_due(5.0001, strict=True)
         assert fired == [True]
 
     def test_strict_then_inclusive_on_same_instant(self):
-        wheel = HierarchicalTimerWheel(tick=1.0)
+        queue = TimerQueue()
         fired = []
-        wheel.schedule_at(2.0, lambda: fired.append(True))
-        wheel.advance_to(2.0, strict=True)
+        queue.call_at(2.0, lambda: fired.append(True))
+        queue.fire_due(2.0, strict=True)
         assert fired == []
-        wheel.advance_to(2.0)
-        assert fired == [True]
-
-
-class TestCascading:
-    def test_cascade_across_wheel_levels(self):
-        # size 4, 3 levels: level 0 covers <4 ticks, level 1 <16, level 2 <64.
-        wheel = HierarchicalTimerWheel(tick=1.0, wheel_size=4, levels=3)
-        order = []
-        for when in (2.0, 7.0, 17.0, 40.0, 100.0):  # 100 lands in overflow
-            wheel.schedule_at(when, lambda w=when: order.append(w))
-        assert wheel.pending == 5
-        wheel.advance_to(30.0)
-        assert order == [2.0, 7.0, 17.0]
-        assert wheel.cascades > 0
-        wheel.advance_to(200.0)
-        assert order == [2.0, 7.0, 17.0, 40.0, 100.0]
-        assert wheel.pending == 0
-
-    def test_far_future_timer_survives_many_revolutions(self):
-        wheel = HierarchicalTimerWheel(tick=1.0, wheel_size=4, levels=2)
-        fired = []
-        wheel.schedule_at(1000.0, lambda: fired.append(wheel.now))
-        for step in range(10):
-            wheel.advance_to(step * 100.0)
-            assert fired == []
-        wheel.advance_to(1000.0)
-        assert fired == [1000.0]
-
-    def test_idle_fast_path_keeps_future_schedules_correct(self):
-        wheel = HierarchicalTimerWheel(tick=1.0, wheel_size=4, levels=2)
-        wheel.advance_to(100000.0)  # no timers: cursor jumps
-        fired = []
-        wheel.schedule_after(3.0, lambda: fired.append(True))
-        wheel.advance_to(100003.0)
+        queue.fire_due(2.0)
         assert fired == [True]
 
 
 class TestCancelRearm:
     def test_cancel_then_rearm(self):
-        wheel = HierarchicalTimerWheel(tick=1.0)
+        queue = TimerQueue()
         fired = []
-        handle = wheel.schedule_at(5.0, lambda: fired.append("old"))
+        handle = queue.call_at(5.0, lambda: fired.append("old"))
         assert handle.cancel() is True
         assert handle.cancel() is False  # idempotent
-        replacement = wheel.schedule_at(8.0, lambda: fired.append("new"))
-        wheel.advance_to(6.0)
+        replacement = queue.call_at(8.0, lambda: fired.append("new"))
+        queue.fire_due(6.0)
         assert fired == []
-        wheel.advance_to(8.0)
+        queue.fire_due(8.0)
         assert fired == ["new"]
         assert replacement.fired
 
-    def test_reschedule_helper_carries_callback_and_payload(self):
-        wheel = HierarchicalTimerWheel(tick=1.0)
-        fired = []
-        handle = wheel.schedule_at(5.0, lambda: fired.append(True), payload="p1")
-        moved = wheel.reschedule(handle, 9.0)
-        assert handle.cancelled
-        assert moved.payload == "p1"
-        wheel.advance_to(5.0)
-        assert fired == []
-        wheel.advance_to(9.0)
-        assert fired == [True]
-
     def test_cancel_after_fire_is_noop(self):
-        wheel = HierarchicalTimerWheel(tick=1.0)
-        handle = wheel.schedule_at(1.0)
-        wheel.advance_to(2.0)
+        queue = TimerQueue()
+        handle = queue.call_at(1.0)
+        queue.fire_due(2.0)
         assert handle.fired
         assert handle.cancel() is False
-        assert wheel.pending == 0
+        assert len(queue) == 0
+
+
+class TestLazyCancellation:
+    def test_unpolled_queue_stays_within_twice_its_live_timers(self):
+        """Arm and cancel 10k timers on a queue nothing polls (a daemon's
+        wall-clock factory): the cancelled entries are compacted away."""
+        queue = TimerQueue()
+        keep = [queue.call_at(1e9 + i) for i in range(100)]
+        largest_excess = 0
+        for i in range(10_000):
+            queue.call_at(60.0 + i).cancel()
+            largest_excess = max(largest_excess, len(queue._heap) - 2 * len(queue))
+        assert len(queue) == len(keep) == 100
+        assert largest_excess <= 1
+        assert queue.cancelled == 10_000
+
+    def test_cancel_drops_callback_and_payload(self):
+        queue = TimerQueue()
+        handle = queue.call_at(5.0, lambda: None, payload="big")
+        handle.cancel()
+        assert handle.callback is None and handle.payload is None
+        assert queue.fire_due(10.0) == []
+
+    def test_cancelled_timer_never_fires_nor_moves_now(self):
+        clock = SimulatedClock()
+        fired = []
+        clock.call_at(3.0, lambda: fired.append("cancelled")).cancel()
+        clock.call_at(100.0, lambda: fired.append("late")).cancel()
+        clock.call_at(5.0, lambda: fired.append(clock.now()))
+        clock.advance(4.0)
+        assert (fired, clock.now()) == ([], 4.0)
+        clock.run_until_idle()
+        assert fired == [5.0]
+        assert clock.now() == 5.0  # the cancelled 100.0 entry moved nothing
+        assert clock.pending_timers == 0
 
 
 class TestReentrantFiring:
     def test_timer_fired_during_advance_schedules_another_due_timer(self):
-        wheel = HierarchicalTimerWheel(tick=1.0)
+        clock = SimulatedClock()
         order = []
 
         def first():
-            order.append(("first", wheel.now))
-            wheel.schedule_at(7.0, lambda: order.append(("chained", wheel.now)))
+            order.append(("first", clock.now()))
+            clock.call_at(7.0, lambda: order.append(("chained", clock.now())))
 
-        wheel.schedule_at(3.0, first)
-        wheel.advance_to(10.0)  # both fire inside one advance window
+        clock.call_at(3.0, first)
+        clock.advance(10.0)  # both fire inside one advance window
         assert order == [("first", 3.0), ("chained", 7.0)]
-        assert wheel.pending == 0
+        assert clock.pending_timers == 0
 
     def test_chained_timer_beyond_window_waits(self):
-        wheel = HierarchicalTimerWheel(tick=1.0)
+        queue = TimerQueue()
         order = []
-        wheel.schedule_at(3.0, lambda: wheel.schedule_at(20.0, lambda: order.append("late")))
-        wheel.advance_to(10.0)
+        queue.call_at(3.0, lambda: queue.call_at(20.0, lambda: order.append("late")))
+        queue.fire_due(10.0)
         assert order == []
-        assert wheel.pending == 1
-        wheel.advance_to(20.0)
+        assert len(queue) == 1
+        queue.fire_due(20.0)
         assert order == ["late"]
-
-    def test_recurring_timer_fires_each_interval_until_cancelled(self):
-        wheel = HierarchicalTimerWheel(tick=1.0)
-        seen = []
-        timer = RecurringTimer(wheel, 5.0, lambda: seen.append(wheel.now))
-        wheel.advance_to(17.0)
-        assert seen == [5.0, 10.0, 15.0]
-        assert timer.fires == 3
-        timer.cancel()
-        wheel.advance_to(100.0)
-        assert seen == [5.0, 10.0, 15.0]
-        assert wheel.pending == 0
 
 
 class TestSimulatedClockIntegration:
     def test_call_at_routes_through_attached_wheel(self):
         clock = SimulatedClock()
-        wheel = HierarchicalTimerWheel(tick=1.0)
-        clock.attach_wheel(wheel)
         fired = []
         handle = clock.call_at(5.0, lambda: fired.append(clock.now()))
         assert handle is not None and handle.active
@@ -199,21 +175,8 @@ class TestSimulatedClockIntegration:
         assert fired == [5.0]  # callback observes the fire time, not 10
         assert clock.now() == 10.0
 
-    def test_heap_timers_scheduled_before_attach_interleave(self):
-        clock = SimulatedClock()
-        order = []
-        clock.call_at(2.0, lambda: order.append("heap2"))
-        clock.call_at(6.0, lambda: order.append("heap6"))
-        wheel = HierarchicalTimerWheel(tick=1.0)
-        clock.attach_wheel(wheel)
-        clock.call_at(4.0, lambda: order.append("wheel4"))
-        clock.call_at(8.0, lambda: order.append("wheel8"))
-        clock.advance(10.0)
-        assert order == ["heap2", "wheel4", "heap6", "wheel8"]
-
     def test_wheel_timer_can_be_cancelled_via_handle(self):
         clock = SimulatedClock()
-        clock.attach_wheel(HierarchicalTimerWheel(tick=1.0))
         fired = []
         handle = clock.call_after(3.0, lambda: fired.append(True))
         handle.cancel()
@@ -224,69 +187,41 @@ class TestSimulatedClockIntegration:
     def test_run_until_idle_drains_wheel_and_heap(self):
         clock = SimulatedClock()
         order = []
-        clock.call_at(9.0, lambda: order.append("heap"))
-        clock.attach_wheel(HierarchicalTimerWheel(tick=1.0))
-        clock.call_at(4.0, lambda: order.append("wheel"))
+        clock.call_at(9.0, lambda: order.append("later"))
+        clock.call_at(4.0, lambda: order.append("earlier"))
         clock.run_until_idle()
-        assert order == ["wheel", "heap"]
+        assert order == ["earlier", "later"]
         assert clock.now() == 9.0
         assert clock.pending_timers == 0
 
-    def test_second_wheel_refused(self):
-        clock = SimulatedClock()
-        clock.attach_wheel(HierarchicalTimerWheel())
-        with pytest.raises(InvalidStateError):
-            clock.attach_wheel(HierarchicalTimerWheel())
-
     def test_timer_during_advance_schedules_due_timer_same_advance(self):
         clock = SimulatedClock()
-        clock.attach_wheel(HierarchicalTimerWheel(tick=1.0))
         order = []
         clock.call_at(2.0, lambda: clock.call_after(3.0, lambda: order.append(clock.now())))
         clock.advance(10.0)
         assert order == [5.0]
 
 
-class TestWallClockIntegration:
-    def test_lazy_tick_on_now(self):
-        clock = WallClock(wheel=HierarchicalTimerWheel(tick=0.005))
-        fired = []
-        clock.call_after(0.01, lambda: fired.append(True))
-        assert fired == []
-        time.sleep(0.03)
-        clock.now()  # lazy tick fires the overdue timer
-        assert fired == [True]
-
-    def test_explicit_tick_and_no_wheel_error(self):
-        bare = WallClock()
-        assert bare.tick() == []
-        with pytest.raises(InvalidStateError):
-            bare.call_after(1.0, lambda: None)
-        clock = WallClock(wheel=HierarchicalTimerWheel(tick=0.005))
-        clock.call_after(0.01, lambda: None)
-        time.sleep(0.03)
-        assert len(clock.tick()) == 1
-
-    def test_callback_reading_now_does_not_recurse(self):
-        clock = WallClock(wheel=HierarchicalTimerWheel(tick=0.005))
-        seen = []
-        clock.call_after(0.01, lambda: seen.append(clock.now()))
-        time.sleep(0.03)
-        clock.now()
-        assert len(seen) == 1
-
-
 class TestThreadSafety:
     def test_concurrent_schedule_cancel_race_advance(self):
-        wheel = HierarchicalTimerWheel(tick=0.01)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleavings inside the queue
+        try:
+            self._race()
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+    def _race(self):
+        queue = TimerQueue()
+        now = [0.0]
         fired = []
         errors = []
 
         def worker(base):
             try:
                 for i in range(200):
-                    handle = wheel.schedule_after(
-                        0.01 + (i % 7) * 0.01, lambda: fired.append(True)
+                    handle = queue.call_at(
+                        now[0] + 0.01 + (i % 7) * 0.01, lambda: fired.append(True)
                     )
                     if i % 3 == 0:
                         handle.cancel()
@@ -296,54 +231,61 @@ class TestThreadSafety:
         threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
         for thread in threads:
             thread.start()
-        # Advance concurrently with the arming threads.
+        # Poll concurrently with the arming threads.
         for _ in range(50):
-            wheel.advance_to(wheel.now + 0.01)
+            now[0] += 0.01
+            queue.fire_due(now[0])
         for thread in threads:
-            thread.join()
-        wheel.advance_to(wheel.now + 1.0)
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        queue.fire_due(now[0] + 1.0)
         assert errors == []
         # Every armed timer either fired or was cancelled; none lost.
-        assert wheel.pending == 0
-        assert len(fired) == wheel.fired
-        assert wheel.fired + wheel.cancelled == wheel.scheduled
+        assert len(queue) == 0
+        assert len(fired) == queue.fired
+        assert queue.fired + queue.cancelled == queue.scheduled
+
+
+    def test_concurrent_compactions_keep_every_live_timer(self):
+        """Two cancels per kept timer make nearly every cancel rebuild the
+        heap while other threads push: no live timer may be lost."""
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            queue = TimerQueue()
+
+            def worker():
+                for i in range(2_000):
+                    queue.call_at(float(i))
+                    queue.call_at(float(i)).cancel()
+                    queue.call_at(float(i)).cancel()
+
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert len(queue) == 8_000
+        assert len(queue.fire_due(1e9)) == 8_000
 
 
 class TestReviewRegressions:
-    def test_wall_clock_call_after_anchors_to_current_time(self):
-        """A lazily ticked wheel lags real time; call_after must anchor
-        the delay to time.monotonic(), not the stale wheel clock."""
-        clock = WallClock(wheel=HierarchicalTimerWheel(tick=0.005))
-        time.sleep(0.05)  # wheel now lags wall time by ~50ms
-        fired = []
-        clock.call_after(0.1, lambda: fired.append(True))
-        clock.now()
-        assert fired == [], "timer fired early by the wheel's lag"
-        time.sleep(0.12)
-        clock.now()
-        assert fired == [True]
-
-    def test_wall_clock_call_after_rejects_negative_delay(self):
-        clock = WallClock(wheel=HierarchicalTimerWheel(tick=0.005))
-        with pytest.raises(ValueError):
-            clock.call_after(-1.0, lambda: None)
-
     def test_same_timestamp_tie_goes_to_heap_timer(self):
-        """Heap timers predate every wheel timer (heap scheduling ends at
-        attach_wheel), so ties break by scheduling order: heap first."""
+        """Ties break by scheduling order: the timer armed first fires first."""
         clock = SimulatedClock()
         order = []
-        clock.call_at(5.0, lambda: order.append("heap"))
-        clock.attach_wheel(HierarchicalTimerWheel(tick=1.0))
-        clock.call_at(5.0, lambda: order.append("wheel"))
+        clock.call_at(5.0, lambda: order.append("first"))
+        clock.call_at(5.0, lambda: order.append("second"))
         clock.advance(10.0)
-        assert order == ["heap", "wheel"]
+        assert order == ["first", "second"]
 
     def test_run_until_idle_tie_goes_to_heap_timer(self):
         clock = SimulatedClock()
         order = []
-        clock.call_at(5.0, lambda: order.append("heap"))
-        clock.attach_wheel(HierarchicalTimerWheel(tick=1.0))
-        clock.call_at(5.0, lambda: order.append("wheel"))
+        clock.call_at(5.0, lambda: order.append("first"))
+        clock.call_at(5.0, lambda: order.append("second"))
         clock.run_until_idle()
-        assert order == ["heap", "wheel"]
+        assert order == ["first", "second"]

@@ -9,12 +9,10 @@ safety rail: a pool with work in flight is never torn down.
 """
 
 import threading
-import time
 
 import pytest
 
 from repro.ots import TransactionFactory
-from repro.util.clock import SimulatedClock
 from repro.util.workers import ReentrantWorkerPool
 
 
@@ -120,25 +118,6 @@ class TestFactoryReap:
         again = _run_commit(factory)
         assert all(p.calls == ["prepare", "commit"] for p in again)
         factory.shutdown_participant_pool()
-
-    def test_wheel_scheduled_reap_fires_on_clock_advance(self):
-        clock = SimulatedClock()
-        from repro.config import FactoryConfig
-
-        factory = TransactionFactory(
-            clock=clock,
-            config=FactoryConfig(parallel_participants=4, timer_wheel=True),
-        )
-        factory.schedule_worker_reap(interval=5.0, max_idle=0.0)
-        _run_commit(factory)
-        assert len(_threads_named("participants")) >= 1
-
-        deadline = time.monotonic() + 5
-        while _threads_named("participants"):
-            clock.advance(5.0)  # wheel tick runs the reap task
-            if time.monotonic() > deadline:
-                pytest.fail("scheduled reap never released the workers")
-        assert factory.executor.pool.reaped == 1
 
     def test_serial_factory_never_spawns_threads_to_reap(self):
         factory = TransactionFactory()  # parallel_participants=1, serial path
