@@ -24,6 +24,7 @@ class TestFig5:
     def test_interaction_regenerated(self, benchmark, emit):
         def scenario_run():
             coordinator = ActivityCoordinator("fig5")
+            coordinator.event_log.attach()
             for index in range(4):
                 coordinator.add_action("set", RecordingAction(f"action-{index}"))
             coordinator.process_signal_set(

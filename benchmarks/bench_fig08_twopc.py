@@ -29,6 +29,7 @@ class TestFig8Trace:
     def test_exact_sequence_regenerated(self, benchmark, emit):
         def scenario_run():
             manager = ActivityManager()
+            manager.event_log.attach()
             return run_protocol(
                 manager,
                 [TwoPhaseParticipant("Action-1"), TwoPhaseParticipant("Action-2")],
@@ -67,6 +68,7 @@ class TestFig8Trace:
     def test_rollback_pivot_regenerated(self, benchmark, emit):
         def scenario_run():
             manager = ActivityManager()
+            manager.event_log.attach()
             return run_protocol(
                 manager,
                 [

@@ -23,6 +23,7 @@ class TestFig10:
     def test_choreography_regenerated(self, benchmark, emit):
         def scenario_run():
             manager = ActivityManager()
+            manager.event_log.attach()
             engine = WorkflowEngine(manager)
             engine.run(fig10_workflow())
             return manager

@@ -17,6 +17,7 @@ class TestFig11:
     def test_prepare_trace_regenerated(self, benchmark, emit):
         def scenario_run():
             manager = ActivityManager()
+            manager.event_log.attach()
             atom = BtpAtom(manager, "atom")
             atom.enroll(BtpParticipant("Action-1"))
             atom.enroll(BtpParticipant("Action-2"))

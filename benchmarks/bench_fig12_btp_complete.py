@@ -26,6 +26,7 @@ class TestFig12:
     def test_confirm_trace_regenerated(self, benchmark, emit):
         def scenario_run():
             manager = ActivityManager()
+            manager.event_log.attach()
             atom = BtpAtom(manager, "atom")
             atom.enroll(BtpParticipant("Action-1"))
             atom.enroll(BtpParticipant("Action-2"))
@@ -56,6 +57,7 @@ class TestFig12:
 
         def scenario_run():
             manager = ActivityManager()
+            manager.event_log.attach()
             atom = BtpAtom(manager, "atom")
             atom.enroll(BtpParticipant("Action-1"))
             atom.prepare()

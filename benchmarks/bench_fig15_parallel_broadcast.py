@@ -71,6 +71,7 @@ def run_twopc(executor, participant_count):
     (elapsed_seconds, outcome, logical trace)."""
     plan = FaultPlan(latency=HOP_LATENCY)
     coordinator = ActivityCoordinator("fig15", executor=executor)
+    coordinator.event_log.attach()
     for index in range(participant_count):
         coordinator.add_action(
             "repro.2pc", RemoteParticipant(f"p{index}", plan)
@@ -137,6 +138,7 @@ class TestFig15ParallelBroadcast:
         def run(executor):
             plan = FaultPlan(latency=0.001)
             coordinator = ActivityCoordinator("fig15-pivot", executor=executor)
+            coordinator.event_log.attach()
             participants = []
             for index in range(8):
                 participant = RemoteParticipant(f"p{index}", plan)

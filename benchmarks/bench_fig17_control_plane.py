@@ -50,7 +50,7 @@ def build_manager(population, expiring):
     """A manager holding ``population`` live activities, ``expiring`` of
     which are due shortly; tracing bounded so setup stays O(population)."""
     manager = ActivityManager(
-        event_log=EventLog(max_events=4_096),
+        event_log=EventLog(max_events=4_096).attach(),
         config=RuntimeConfig(registry_shards=16),
     )
     for _ in range(population - expiring):
@@ -203,7 +203,7 @@ class TestFig17RegistryThroughput:
 
     def run_churn(self, shards, threads):
         manager = ActivityManager(
-            event_log=EventLog(max_events=1_024),
+            event_log=EventLog(max_events=1_024).attach(),
             config=RuntimeConfig(registry_shards=shards),
         )
         errors = []

@@ -101,12 +101,12 @@ def run_broadcast(domains, per_domain, latency, interposed):
         orbs.append(orb)
     parent = ActivityManager(
         clock=clock,
-        event_log=EventLog(max_events=1_024),
+        event_log=EventLog(max_events=1_024).attach(),
         config=RuntimeConfig(federation=bridge, interposition=interposed),
     )
     parent.install(orbs[0])
     for index in range(1, domains):
-        remote = ActivityManager(clock=clock, event_log=EventLog(max_events=1_024))
+        remote = ActivityManager(clock=clock, event_log=EventLog(max_events=1_024).attach())
         remote.install(orbs[index])
     nodes = [orb.create_node(f"node-{i}") for i, orb in enumerate(orbs)]
     activity = parent.begin(name="fig18")

@@ -156,9 +156,8 @@ class RuntimeConfig(_BaseConfig):
         ``priority``; ``shed_priorities`` maps activity kinds to ranks
         for the priority policy.
     max_events
-        Bound for the default :class:`~repro.util.events.EventLog` ring
-        when the manager builds its own log; ``None`` keeps it
-        unbounded (the historical default).
+        Bound on what a reader attached to the manager's own
+        :class:`~repro.util.events.EventLog` retains (``None``: no bound).
 
     Deadlines are not a knob: each timed activity arms one timer on the
     manager's :class:`~repro.util.clock.TimerQueue`, which

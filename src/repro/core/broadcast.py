@@ -107,8 +107,8 @@ class Transmission:
 # (a SignalSet wants a fresh signal now; a participant voted no).
 DigestFn = Callable[[Transmission, Any, Any], bool]
 # on_transmit(transmission, stamped): record the logical transmission
-# (event-log hook); called just before the outcome digests.
-TransmitFn = Callable[[Transmission, Any], None]
+# (event-log hook, None if unread); called just before the digest.
+TransmitFn = Optional[Callable[[Transmission, Any], None]]
 # drained(transmission, stamped, outcome): an outcome that finished after
 # the fan-out was abandoned (pool only; the inline loop never has one).
 DrainedFn = Callable[[Transmission, Any, Any], None]
@@ -141,7 +141,8 @@ class SerialBroadcastExecutor:
         """
         for transmission in transmissions:
             stamped = transmission.stamp()
-            on_transmit(transmission, stamped)
+            if on_transmit is not None:
+                on_transmit(transmission, stamped)
             outcome = transmission.send(stamped)
             if digest(transmission, stamped, outcome):
                 return True
@@ -257,7 +258,8 @@ class ThreadPoolBroadcastExecutor(SerialBroadcastExecutor):
                         f"action {transmission.label!r} did not answer "
                         f"{stamped.signal_name!r} within {timeout}s"
                     )
-                on_transmit(transmission, stamped)
+                if on_transmit is not None:
+                    on_transmit(transmission, stamped)
                 if digest(transmission, stamped, outcome):
                     abandoned = True
                     break

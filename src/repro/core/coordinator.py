@@ -16,11 +16,11 @@ SignalSet, the coordinator:
    immediately;
 4. repeats until the set is done, then collates via ``get_outcome``.
 
-Every step is recorded in the event log; the figure-8/11/12 benches
-compare these traces with the paper's sequence charts.  The default
-(serial) executor records traces byte-identical to the pre-executor
-coordinator; the thread-pool executor records the same deterministic
-logical sequence while the physical sends overlap.
+Every step is recorded in the event log while a reader is attached; the
+figure-8/11/12 benches compare these traces with the paper's sequence
+charts.  The default (serial) executor records traces byte-identical to
+the pre-executor coordinator; the thread-pool executor records the same
+deterministic logical sequence while the physical sends overlap.
 """
 
 from __future__ import annotations
@@ -230,19 +230,20 @@ class ActivityCoordinator:
             def digest(
                 transmission: Transmission, stamped: Signal, outcome: Outcome
             ) -> bool:
-                log.record(
-                    "set_response",
-                    activity=self.activity_id,
-                    signal_set=name,
-                    signal=stamped.signal_name,
-                    action=transmission.label,
-                    outcome=outcome.name,
-                    error=outcome.is_error,
-                )
+                if log.on:
+                    log.record(
+                        "set_response",
+                        activity=self.activity_id,
+                        signal_set=name,
+                        signal=stamped.signal_name,
+                        action=transmission.label,
+                        outcome=outcome.name,
+                        error=outcome.is_error,
+                    )
                 return guard.set_response(outcome)
 
             interrupted = self.executor.broadcast(
-                transmissions, on_transmit, digest, timeout=self.action_timeout
+                transmissions, on_transmit if log.on else None, digest, timeout=self.action_timeout
             )
             if not interrupted and guard.finish_broadcast():
                 break

@@ -215,7 +215,7 @@ class SubordinateCoordinator(Servant):
             for index, record in enumerate(records)
         ]
         self.local_sends += len(transmissions)
-        self.executor.broadcast(transmissions, on_transmit, digest)
+        self.executor.broadcast(transmissions, on_transmit if self.event_log.on else None, digest)
         return digest_outcomes(outcomes)
 
     def _transmission(self, index: int, record: ActionRecord, signal: Signal) -> Transmission:

@@ -52,6 +52,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from operator import attrgetter
 from types import MappingProxyType
 from typing import (
     Any,
@@ -68,6 +69,7 @@ from typing import (
 
 from repro.exceptions import ReproError
 from repro.orb.reference import ObjectRef
+from repro.util.records import FrozenRecord
 
 
 class MarshalError(ReproError):
@@ -534,6 +536,12 @@ def _shared(value: Any, orb: Any) -> Any:
     return value
 
 
+def _fields_only(cls: Type) -> bool:
+    """True for a frozen record whose slots are exactly its ``_fields``."""
+    slots = tuple(n for k in reversed(cls.__mro__) for n in vars(k).get("__slots__", ()))
+    return issubclass(cls, FrozenRecord) and not cls.__dictoffset__ and slots == cls._fields
+
+
 class Marshaller:
     """Encodes/decodes values to bytes using a :class:`ValueTypeRegistry`.
 
@@ -609,6 +617,8 @@ class Marshaller:
                 frozenset: self._copy_set,
             }
         )
+        # Fixed before record copiers join ``_copiers`` (see _copy_other).
+        self._builtin_copiers = tuple(self._copiers.items())
         dec: List[Any] = [self._dec_unknown] * 256
         dec[_S_NONE] = self._dec_none
         dec[_S_TRUE] = self._dec_true
@@ -998,8 +1008,11 @@ class Marshaller:
         ``set``; a registered value is rebuilt from copied parts; an
         ``ObjectRef`` is rebound to ``orb``.  An interned value is copied
         once per instance and ORB, memoized in the decode cache as a
-        decoded frame is.  Raises :class:`MarshalError` wherever
-        :meth:`encode` would.
+        decoded frame is.  A frozen record of shared leaves is a leaf: a
+        registered, not interned :class:`FrozenRecord` whose slots are its
+        ``_fields`` is shared while every field holds a ``_LEAVES`` value
+        (ints are range-checked, so they rebuild).  Raises
+        :class:`MarshalError` wherever :meth:`encode` would.
         """
         copier = self._copiers.get(value.__class__)
         if copier is not None:
@@ -1046,15 +1059,19 @@ class Marshaller:
         name = registry.lookup_type(cls)
         if name is None:
             # Subclasses of the builtins copy as the builtin, as they encode.
-            for base, copier in self._copiers.items():
+            for base, copier in self._builtin_copiers:
                 if base is not type(None) and isinstance(value, base):
                     return copier(base(value), orb)
             raise MarshalError(
                 f"cannot marshal value of unregistered type {cls.__qualname__}"
             )
         to_parts = registry.lookup_name(name)[1]
+        interned = registry.is_interned(cls)
+        if not interned and _fields_only(cls):
+            copier = self._copiers[cls] = self._record_copier(name, to_parts, cls._fields)
+            return copier(value, orb)
         cache = self.decode_cache
-        if cache is None or not registry.is_interned(cls):
+        if cache is None or not interned:
             return self._rebuild(name, self.copy(to_parts(value), orb))
         # Memoized as _dec_fvalue memoizes a frame; the entry pins
         # ``value``, so its id keys it safely.
@@ -1072,6 +1089,17 @@ class Marshaller:
         if outer is not None:
             outer.append((key, entry))
         return entry[1]
+
+    def _record_copier(self, name: str, to_parts: Callable, names: Tuple[str, ...]) -> Callable:
+        # attrgetter of one name returns the value, not a 1-tuple.
+        values = attrgetter(*names) if len(names) > 1 else attrgetter(*names * 2)
+
+        def copy_record(value: Any, orb: Any) -> Any:
+            if _LEAVES.issuperset(map(type, values(value))):
+                return value
+            return self._rebuild(name, self.copy(to_parts(value), orb))
+
+        return copy_record
 
 
 def marshal_roundtrip(

@@ -83,7 +83,6 @@ from repro.persistence.sqlite_store import SqliteStore
 from repro.persistence.wal import WriteAheadLog
 from repro.util.admission import TokenBucket
 from repro.util.clock import WallClock
-from repro.util.events import EventLog
 from repro.util.retry import RetryPolicy
 
 _FED_PREFIX = "fed:"
@@ -149,10 +148,8 @@ class SiteConfig:
         the ``cell_store`` backend choice.  Empty (the default) keeps
         the single-copy layout.
     ``max_events``
-        Ring-buffer bound for the daemon's :class:`EventLog` (PR 10).
-        Bounded *by default* (4096) so soak runs don't grow memory
-        without bound; the dropped count is surfaced in ``debug_dump``.
-        ``None`` restores the unbounded log.
+        Ring-buffer bound (4096; ``None`` for none) on what a reader
+        attached to the daemon's event log retains; unread, it keeps none.
     ``quotas``
         Per-source-site admission quotas (PR 10):
         ``{source_site_or_"*": {"rate": r, "burst": b}}``.  Inbound
@@ -495,11 +492,7 @@ class SiteRuntime:
         self.factory = TransactionFactory(
             clock=self.clock,
             wal=self.wal,
-            # Bounded by default (PR 10): a soak-length daemon must not
-            # grow its event log without bound; drops are counted and
-            # surfaced via debug_dump.
-            event_log=EventLog(self.clock, max_events=config.max_events),
-            config=FactoryConfig(tid_prefix=tid_prefix),
+            config=FactoryConfig(tid_prefix=tid_prefix, max_events=config.max_events),
         )
         self.current = TransactionCurrent(self.factory)
         self.registry = RecoverableRegistry()
@@ -776,10 +769,9 @@ class SiteRuntime:
 
     def debug_dump(self) -> Dict[str, Any]:
         """Everything chaos-run triage needs, without a debugger:
-        membership/quarantine state, event-log pressure, and how long
-        each in-doubt subordinate has been waiting on its superior."""
+        membership/quarantine state and how long each in-doubt
+        subordinate has been waiting on its superior."""
         stats = self.transport.stats
-        event_log = self.factory.event_log
         dump: Dict[str, Any] = {
             "site": self.config.site_id,
             "recovered": self.recovered,
@@ -787,11 +779,6 @@ class SiteRuntime:
             "membership": self.membership(),
             "replication": self.replication_health(),
             "quarantined": self.transport.quarantined(),
-            "event_log": {
-                "events": len(event_log),
-                "dropped": event_log.dropped,
-                "max_events": event_log.max_events,
-            },
             "in_doubt_ages": self.service.in_doubt_ages(),
             "active_transactions": sorted(
                 tx.tid for tx in self.factory.active_transactions()

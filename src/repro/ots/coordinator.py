@@ -620,7 +620,7 @@ class Transaction:
                 Transmission(index, operation, partial(stamp, index, record), send)
                 for index, record in enumerate(records)
             ],
-            lambda transmission, record: None,  # votes are logged as they fold
+            None,  # votes are logged as they fold
             fold,
             drained=fold if late else None,
         )

@@ -4,14 +4,14 @@ The paper's figures 8, 10, 11 and 12 are message-sequence charts.  To
 *reproduce* them we record every protocol step (``get_signal``, signal
 transmission, ``set_response``, ``get_outcome``, workflow messages) in an
 :class:`EventLog` and assert the recorded sequence equals the figure's.
-The log doubles as a debugging aid and is cheap enough to leave enabled.
+Recording is a subscription: a log records only while a reader is attached.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, ClassVar, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.util.records import FrozenRecord
 
@@ -46,16 +46,16 @@ class TraceEvent(FrozenRecord):
 
 
 class EventLog:
-    """An append-only trace of :class:`TraceEvent`.
+    """An append-only trace of :class:`TraceEvent`, kept only while read.
 
     The log can be shared by many components; a simulated clock may be
     attached so events carry simulated timestamps.
 
-    By default the log is unbounded (figure benches assert complete,
-    byte-identical traces).  ``max_events=N`` turns it into a ring
-    buffer keeping the *latest* N events — always-on tracing in a
-    long-lived control plane must not grow with uptime — and counts
-    every displaced event in :attr:`dropped`.
+    Nothing is recorded while ``on`` is False, i.e. until :meth:`attach`
+    retains events for reading or :meth:`subscribe` streams them to a
+    listener.  ``max_events=N`` bounds what an attached reader retains:
+    a ring buffer keeping the *latest* N events, counting every displaced
+    one in :attr:`dropped`.
     """
 
     def __init__(
@@ -63,38 +63,42 @@ class EventLog:
     ) -> None:
         if max_events is not None and max_events < 1:
             raise ValueError("max_events must be at least 1")
-        self._max_events = max_events
-        if max_events is None:
-            self._events: Any = []
-        else:
-            self._events = deque(maxlen=max_events)
+        self.max_events = max_events
+        self._events: Deque[TraceEvent] = deque(maxlen=max_events)
         self._clock = clock
         self._listeners: List[Callable[[TraceEvent], None]] = []
         self._ring_lock = threading.Lock()
+        self._retaining = self.on = False
         self.dropped = 0
 
-    @property
-    def max_events(self) -> Optional[int]:
-        return self._max_events
+    def attach(self) -> "EventLog":
+        """Retain every event from now on (until :meth:`detach`)."""
+        self._retaining = self.on = True
+        return self
 
-    def record(self, kind: str, **detail: Any) -> TraceEvent:
+    def detach(self) -> None:
+        """Stop retaining; what was retained stays readable."""
+        self._retaining = False
+        self.on = bool(self._listeners)
+
+    def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
+        self._listeners.append(listener)
+        self.on = True
+
+    def record(self, kind: str, **detail: Any) -> None:
+        if not self.on:
+            return
         timestamp = self._clock.now() if self._clock is not None else 0.0
         event = TraceEvent(kind=kind, detail=detail, timestamp=timestamp)
-        if self._max_events is None:
-            self._events.append(event)
-        else:
+        if self._retaining:
             # The deque displaces the oldest event itself; the lock only
             # keeps the dropped counter honest under concurrent writers.
             with self._ring_lock:
-                if len(self._events) == self._max_events:
+                if len(self._events) == self.max_events:
                     self.dropped += 1
                 self._events.append(event)
         for listener in self._listeners:
             listener(event)
-        return event
-
-    def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
-        self._listeners.append(listener)
 
     def clear(self) -> None:
         self._events.clear()
@@ -116,9 +120,6 @@ class EventLog:
 
     def kinds(self) -> List[str]:
         return [event.kind for event in self._events]
-
-    def summary(self) -> List[str]:
-        return [event.brief() for event in self._events]
 
     def sequence(self, *fields: str) -> List[Tuple[Any, ...]]:
         """Project each event onto ``(kind, *detail[fields])`` tuples.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import time
 import tracemalloc
 from typing import Any, Callable, List, Tuple
 
@@ -39,10 +40,11 @@ class AllocationProbe:
     The cyclic GC is paused for the duration (and restored to its prior
     state on exit) so a collection triggered mid-measurement cannot make
     the delta negative; the probe itself allocates nothing between the
-    two samples.
+    two samples.  The count is process-wide, so the switch interval is
+    raised too: no other thread runs while the probed code does not block.
     """
 
-    __slots__ = ("blocks", "_gc_was_enabled")
+    __slots__ = ("blocks", "_gc_was_enabled", "_switch_interval")
 
     def __init__(self) -> None:
         self.blocks = 0
@@ -51,12 +53,17 @@ class AllocationProbe:
     def __enter__(self) -> "AllocationProbe":
         self._gc_was_enabled = gc.isenabled()
         gc.disable()
+        self._switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0)  # a window that does not block is not preempted
+        time.sleep(0)  # a thread already waiting runs now, not mid-window
         gc.collect()
         self.blocks = -sys.getallocatedblocks()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.blocks += sys.getallocatedblocks()
+        sys.setswitchinterval(self._switch_interval)
+        time.sleep(0)  # threads queued on the long interval run now
         if self._gc_was_enabled:
             gc.enable()
 

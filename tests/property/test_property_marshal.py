@@ -140,6 +140,24 @@ def mutable_containers(value, found):
 
 
 class TestCollocatedCopy:
+    @given(
+        st.one_of(
+            st.builds(Signal, st.text(max_size=8), st.text(max_size=8), values,
+                      st.one_of(st.none(), st.text(max_size=8))),
+            st.builds(Outcome, name=st.text(max_size=8), data=values,
+                      is_error=st.booleans()),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_record_copy_is_the_decode_of_the_encoding(self, value):
+        copy = Marshaller().copy(value)
+        decoded = roundtrip(value)
+        assert type(copy) is type(decoded)
+        assert copy == decoded
+        shared = all(type(part) in (type(None), bool, float, str, bytes)
+                     for part in value._astuple())
+        assert (copy is value) == shared
+
     @given(rich_values)
     @settings(max_examples=200, deadline=None)
     def test_copy_is_the_decode_of_the_encoding(self, value):

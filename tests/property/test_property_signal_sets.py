@@ -111,6 +111,7 @@ class TestCoordinatorInvariants:
     @settings(max_examples=50, deadline=None)
     def test_trace_transmit_count_matches(self, names):
         coordinator = ActivityCoordinator("act")
+        coordinator.event_log.attach()
         coordinator.add_action("s", RecordingAction())
         coordinator.add_action("s", RecordingAction())
         coordinator.process_signal_set(SequenceSignalSet("s", names))

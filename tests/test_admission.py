@@ -360,10 +360,13 @@ class TestSiteLoadControls:
         assert log.max_events == 4096
         for index in range(4100):
             log.record("tick", index=index)
+        assert len(log) == 0  # a daemon nobody reads keeps no trace
+        log.attach()
+        for index in range(4100):
+            log.record("tick", index=index)
         assert len(log) == 4096
-        dump = runtime.debug_dump()["event_log"]
-        assert dump["dropped"] == 4
-        assert dump["max_events"] == 4096
+        assert log.dropped == 4
+        assert "event_log" not in runtime.debug_dump()
 
     def test_event_log_bound_is_configurable_and_removable(self):
         assert (

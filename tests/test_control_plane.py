@@ -66,6 +66,7 @@ class TestWheelExpiryParity:
 
     def _scenario(self, sweep):
         manager = ActivityManager()
+        manager.event_log.attach()  # expiry_trace reads it
         slow = manager.begin("slow", timeout=5.0)
         slower = manager.begin("slower", timeout=8.0)
         patient = manager.begin("patient", timeout=100.0)
@@ -271,12 +272,16 @@ class TestBoundedEventLog:
         log = EventLog()
         for i in range(100):
             log.record("e", n=i)
+        assert len(log) == 0  # no reader attached: nothing is kept
+        log.attach()
+        for i in range(100):
+            log.record("e", n=i)
         assert len(log) == 100
         assert log.dropped == 0
         assert log.max_events is None
 
     def test_ring_buffer_keeps_latest_and_counts_dropped(self):
-        log = EventLog(max_events=10)
+        log = EventLog(max_events=10).attach()
         for i in range(25):
             log.record("e", n=i)
         assert len(log) == 10
@@ -285,7 +290,7 @@ class TestBoundedEventLog:
         assert log.sequence("n")[-1] == ("e", 24)
 
     def test_clear_resets_ring_and_dropped(self):
-        log = EventLog(max_events=4)
+        log = EventLog(max_events=4).attach()
         for i in range(9):
             log.record("e", n=i)
         log.clear()
@@ -298,7 +303,7 @@ class TestBoundedEventLog:
             EventLog(max_events=0)
 
     def test_bounded_log_usable_by_manager(self):
-        log = EventLog(max_events=5)
+        log = EventLog(max_events=5).attach()
         manager = ActivityManager(event_log=log)
         for _ in range(10):
             manager.begin().complete()
@@ -311,6 +316,7 @@ class TestFactoryWheel:
         clock_driven = TransactionFactory()
         polled = TransactionFactory(clock=ManualClock())
         for factory in (clock_driven, polled):
+            factory.event_log.attach()
             tx = factory.create(timeout=5.0)
             factory.clock.advance(6.0)
             if factory is polled:
@@ -321,6 +327,7 @@ class TestFactoryWheel:
 
     def test_commit_cancels_deadline_timer(self):
         factory = TransactionFactory()
+        factory.event_log.attach()
         tx = factory.create(timeout=5.0)
         tx.commit()
         assert factory.clock.pending_timers == 0
@@ -435,6 +442,7 @@ class TestSharedWheelCrossOwner:
 
         def run(sweep):
             manager = ActivityManager()
+            manager.event_log.attach()  # expiry_trace reads it
             manager.begin("later-deadline", timeout=10.0)
             manager.begin("earlier-deadline", timeout=5.0)
             manager.clock.advance(11.0)

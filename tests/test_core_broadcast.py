@@ -32,12 +32,14 @@ from repro.persistence import MemoryStore
 
 
 def make_coordinator(executor, delivery=None, action_timeout=None):
-    return ActivityCoordinator(
+    coordinator = ActivityCoordinator(
         "act-bcast",
         delivery=delivery,
         executor=executor,
         action_timeout=action_timeout,
     )
+    coordinator.event_log.attach()  # the tests read its protocol trace
+    return coordinator
 
 
 def protocol_trace(coordinator):

@@ -154,6 +154,7 @@ class TestInterruption:
 class TestEventTrace:
     def test_fig5_shape(self, coordinator):
         """get_signal → transmit/set_response per action → get_outcome."""
+        coordinator.event_log.attach()
         coordinator.add_action("b", RecordingAction("a1"))
         coordinator.add_action("b", RecordingAction("a2"))
         coordinator.process_signal_set(BroadcastSignalSet("go", signal_set_name="b"))
@@ -169,6 +170,7 @@ class TestEventTrace:
         ]
 
     def test_trace_carries_signal_and_action(self, coordinator):
+        coordinator.event_log.attach()
         coordinator.add_action("b", RecordingAction("a1"))
         coordinator.process_signal_set(BroadcastSignalSet("go", signal_set_name="b"))
         transmits = coordinator.event_log.of_kind("transmit")

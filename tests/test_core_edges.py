@@ -39,6 +39,7 @@ class TestEnlistHelper:
 
 class TestLifecycleTrace:
     def test_completion_events_recorded(self, manager):
+        manager.event_log.attach()
         activity = manager.begin("traced")
         activity.complete(CompletionStatus.SUCCESS)
         kinds = manager.event_log.kinds()
@@ -47,12 +48,14 @@ class TestLifecycleTrace:
         assert "activity_completed" in kinds
 
     def test_completing_event_carries_status(self, manager):
+        manager.event_log.attach()
         activity = manager.begin()
         activity.complete(CompletionStatus.FAIL)
         completing = manager.event_log.of_kind("activity_completing")[0]
         assert completing.detail["completion_status"] == "FAIL"
 
     def test_suspend_resume_events(self, manager):
+        manager.event_log.attach()
         activity = manager.begin()
         activity.suspend()
         activity.resume()
@@ -61,6 +64,7 @@ class TestLifecycleTrace:
 
     def test_timeout_event_recorded(self):
         manager = ActivityManager()
+        manager.event_log.attach()
         activity = manager.begin("slow", timeout=1.0)
         manager.clock.advance(2.0)
         activity.complete()

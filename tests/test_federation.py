@@ -327,6 +327,7 @@ class TestActivityInterposition:
 
     def test_subordinate_relays_through_executor_seam(self):
         subordinate = SubordinateCoordinator("act-1", "d1")
+        subordinate.event_log.attach()
         received = []
         subordinate.register(
             "set", RecordingAction("a", reply=lambda s: Outcome.done("a"))
@@ -356,6 +357,7 @@ class TestActivityInterposition:
                 clock=clock,
                 config=RuntimeConfig(federation=bridge, interposition=interposition),
             )
+            manager.event_log.attach()
             manager.install(orb)
             node = orb.create_node("n")
             activity = manager.begin(name="same")

@@ -144,6 +144,7 @@ class TestAtom:
 class TestFig11Fig12Traces:
     def test_prepare_signal_set_trace(self, manager):
         """Fig. 11: prepare to each action, then get_outcome."""
+        manager.event_log.attach()
         atom = BtpAtom(manager, "a")
         atom.enroll(BtpParticipant("A1"))
         atom.enroll(BtpParticipant("A2"))
@@ -163,6 +164,7 @@ class TestFig11Fig12Traces:
 
     def test_complete_signal_set_confirm_trace(self, manager):
         """Fig. 12: confirm to each action after a success completion."""
+        manager.event_log.attach()
         atom = BtpAtom(manager, "a")
         atom.enroll(BtpParticipant("A1"))
         atom.enroll(BtpParticipant("A2"))
@@ -182,6 +184,7 @@ class TestFig11Fig12Traces:
         ]
 
     def test_complete_signal_set_cancel_variant(self, manager):
+        manager.event_log.attach()
         atom = BtpAtom(manager, "a")
         atom.enroll(BtpParticipant("A1"))
         atom.prepare()
@@ -286,6 +289,7 @@ class TestPerModelExecutor:
 
     def run_atom_flow(self, executor=None):
         manager = ActivityManager()
+        manager.event_log.attach()
         atom = BtpAtom(manager, "pay", executor=executor)
         participants = [BtpParticipant(f"p{i}") for i in range(4)]
         for participant in participants:

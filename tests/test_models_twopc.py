@@ -106,6 +106,7 @@ class TestOutcomes:
 class TestFig8Trace:
     def test_exact_message_sequence(self, manager):
         """Reproduce fig. 8: prepare to each action, then commit to each."""
+        manager.event_log.attach()
         p1, p2 = TwoPhaseParticipant("A1"), TwoPhaseParticipant("A2")
         _, activity = run_2pc(manager, [p1, p2])
         protocol = [
@@ -125,6 +126,7 @@ class TestFig8Trace:
         ]
 
     def test_set_response_follows_each_transmit(self, manager):
+        manager.event_log.attach()
         p1, p2 = TwoPhaseParticipant("A1"), TwoPhaseParticipant("A2")
         _, activity = run_2pc(manager, [p1, p2])
         kinds = [

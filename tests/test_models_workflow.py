@@ -155,6 +155,7 @@ class TestFig2Recovery:
 class TestFig10Trace:
     def test_start_ack_outcome_ack_choreography(self, manager):
         """Fig. 10: a starts b∥c (start/start_ack), then d after outcomes."""
+        manager.event_log.attach()
         engine = WorkflowEngine(manager)
         workflow = Workflow("fig10")
         workflow.add_task("b", lambda c: "b")
@@ -177,6 +178,7 @@ class TestFig10Trace:
         ]
 
     def test_outcome_signal_carries_result(self, manager):
+        manager.event_log.attach()
         engine = WorkflowEngine(manager)
         workflow = Workflow("data")
         workflow.add_task("a", lambda c: {"price": 42})
@@ -189,6 +191,7 @@ class TestFig10Trace:
         assert len(outcome_transmits) == 1
 
     def test_child_activities_under_parent(self, manager):
+        manager.event_log.attach()
         engine = WorkflowEngine(manager)
         workflow = Workflow("tree")
         workflow.add_task("a", lambda c: None)
@@ -259,9 +262,11 @@ class TestPerModelExecutor:
         from repro.core import ThreadPoolBroadcastExecutor
 
         serial_manager = ActivityManager()
+        serial_manager.event_log.attach()
         serial = WorkflowEngine(serial_manager).run(self.build())
         with ThreadPoolBroadcastExecutor(max_workers=4) as executor:
             pool_manager = ActivityManager()
+            pool_manager.event_log.attach()
             pooled = WorkflowEngine(pool_manager, executor=executor).run(self.build())
         assert pooled.succeeded and serial.succeeded
         assert pooled.states == serial.states

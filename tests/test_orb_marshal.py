@@ -196,6 +196,81 @@ class TestCopy:
         assert copy[0].application_specific_data["k"] is not signal.application_specific_data["k"]
         assert copy[1] is CompletionStatus.FAIL_ONLY
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Signal("prepare", "repro.2pc"),
+            Signal("commit", "repro.2pc", b"raw", "delivery-7"),
+            Signal("go", "set", 0.5),
+            Outcome("done"),
+            Outcome("vote", True, is_error=False),
+            Outcome.error("boom"),
+        ],
+    )
+    def test_frozen_record_of_leaves_is_shared(self, value):
+        marshaller = Marshaller()
+        assert marshaller.copy(value) is value
+        assert marshaller.copy(value) is value  # the installed copier
+        assert roundtrip(value) == value
+
+    @pytest.mark.parametrize("data", [[1, 2], {"k": "v"}, 7, ("a",)])
+    def test_frozen_record_holding_more_than_leaves_is_rebuilt(self, data):
+        marshaller = Marshaller()
+        marshaller.copy(Signal("warm", "set"))  # install the Signal copier first
+        signal = Signal("prepare", "repro.2pc", data)
+        copy = marshaller.copy(signal)
+        assert copy == roundtrip(signal) and copy is not signal
+        assert type(copy.application_specific_data) is type(roundtrip(signal).application_specific_data)
+
+    def test_shared_record_copier_still_range_checks_ints(self):
+        marshaller = Marshaller()
+        marshaller.copy(Signal("warm", "set"))
+        with pytest.raises(MarshalError):
+            marshaller.copy(Signal("prepare", "repro.2pc", 2**64))
+        with pytest.raises(MarshalError):
+            marshaller.copy(Outcome("done", [2**64]))
+
+    def test_records_with_state_beyond_their_fields_are_rebuilt(self):
+        from repro.util.records import FrozenRecord
+
+        registry = ValueTypeRegistry()
+
+        @registry.register_slotted
+        class Tagged(FrozenRecord):
+            __slots__ = ("name", "cache")
+            _fields = ("name",)
+
+            def __init__(self, name):
+                self._init(name=name, cache=None)
+
+        @registry.register_slotted
+        class Plain(FrozenRecord):
+            __slots__ = ("name",)
+            _fields = __slots__
+
+            def __init__(self, name):
+                self._init(name=name)
+
+        @registry.register_slotted
+        class Loose(Plain):
+            pass  # no __slots__: instances also carry a __dict__
+
+        marshaller = Marshaller(registry)
+        plain = Plain("p")
+        assert marshaller.copy(plain) is plain
+        for value in (Tagged("t"), Loose("l")):
+            copy = marshaller.copy(value)
+            assert copy == value and copy is not value
+
+    def test_unregistered_record_subclass_still_refused(self):
+        class Custom(Signal):
+            __slots__ = ()
+
+        marshaller = Marshaller()
+        marshaller.copy(Signal("warm", "set"))
+        with pytest.raises(MarshalError):
+            marshaller.copy(Custom("go", "set"))
+
     def test_refs_are_rebound_to_the_receiving_orb(self):
         from repro.orb import Orb
 

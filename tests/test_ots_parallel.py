@@ -65,6 +65,7 @@ class TestParallelCommitPath:
             factory = TransactionFactory(
                 config=FactoryConfig(parallel_participants=workers),
             )
+            factory.event_log.attach()
             participants = [Participant() for _ in range(8)]
             run_commit(factory, participants)
             assert factory.committed == 1

@@ -248,6 +248,7 @@ class TestIdentityAndFacades:
         assert not factory.knows(tx.tid)
 
     def test_event_log_records_lifecycle(self, factory):
+        factory.event_log.attach()
         tx = factory.create()
         tx.commit()
         kinds = factory.event_log.kinds()

@@ -132,6 +132,7 @@ class TestParallelRollbackSweep:
 
 def run_saga(executor):
     manager = ActivityManager()
+    manager.event_log.attach()
     saga = Saga(manager, name="trip", executor=executor)
     order = []
 

@@ -1,5 +1,9 @@
 """Slotted record bases + allocation profiling hooks (PR 7 record layer)."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.core.context import ActivityContext
@@ -136,6 +140,40 @@ class TestAllocationProfiling:
             keep = [object() for _ in range(100)]
         assert probe.blocks >= 100
         del keep
+
+    def test_probe_ignores_other_threads(self):
+        """The block count is process-wide: a thread that keeps
+        allocating must not leak into the window."""
+        stop = threading.Event()
+
+        def churn():
+            size = 0
+            while not stop.is_set():
+                size = (size + 7) % 50
+                junk = [object() for _ in range(size)]
+                time.sleep(0)  # yields holding a list whose size varies
+                del junk
+
+        thread = threading.Thread(target=churn, daemon=True)
+        thread.start()
+        readings = []
+        try:
+            for _ in range(50):
+                with AllocationProbe() as probe:
+                    keep = [object() for _ in range(100)]
+                    sum(range(300_000))  # hold the window open a few ms
+                readings.append(probe.blocks)
+                del keep
+        finally:
+            stop.set()
+            thread.join()
+        assert all(100 <= blocks < 120 for blocks in readings), readings
+
+    def test_probe_restores_switch_interval(self):
+        before = sys.getswitchinterval()
+        with AllocationProbe():
+            assert sys.getswitchinterval() > before
+        assert sys.getswitchinterval() == before
 
     def test_probe_restores_gc(self):
         import gc
