@@ -538,8 +538,8 @@ def _shared(value: Any, orb: Any) -> Any:
 
 def _fields_only(cls: Type) -> bool:
     """True for a frozen record whose slots are exactly its ``_fields``."""
-    slots = tuple(n for k in reversed(cls.__mro__) for n in vars(k).get("__slots__", ()))
-    return issubclass(cls, FrozenRecord) and not cls.__dictoffset__ and slots == cls._fields
+    slots = (n for k in reversed(cls.__mro__) for n in vars(k).get("__slots__", ()))
+    return issubclass(cls, FrozenRecord) and not cls.__dictoffset__ and tuple(slots) == cls._fields
 
 
 class Marshaller:

@@ -218,9 +218,9 @@ class TestCopy:
         marshaller = Marshaller()
         marshaller.copy(Signal("warm", "set"))  # install the Signal copier first
         signal = Signal("prepare", "repro.2pc", data)
-        copy = marshaller.copy(signal)
-        assert copy == roundtrip(signal) and copy is not signal
-        assert type(copy.application_specific_data) is type(roundtrip(signal).application_specific_data)
+        copy, decoded = marshaller.copy(signal), roundtrip(signal)
+        assert copy == decoded and copy is not signal
+        assert type(copy.application_specific_data) is type(decoded.application_specific_data)
 
     def test_shared_record_copier_still_range_checks_ints(self):
         marshaller = Marshaller()
