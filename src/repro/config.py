@@ -66,30 +66,12 @@ class _BaseConfig:
 
 
 def _validate_admission(config: Any) -> None:
-    """Shared validation for the PR 10 admission / event-log knobs
+    """Shared validation for the admission ceiling and event-log bound
     (present on both :class:`RuntimeConfig` and :class:`FactoryConfig`)."""
     config._require(
         config.max_live is None
         or (isinstance(config.max_live, int) and config.max_live >= 1),
         f"max_live must be None or >= 1, got {config.max_live!r}",
-    )
-    config._require(
-        isinstance(config.admission_queue, int) and config.admission_queue >= 0,
-        f"admission_queue must be >= 0, got {config.admission_queue!r}",
-    )
-    config._require(
-        config.shed_policy in ("reject-newest", "deadline", "priority"),
-        f"shed_policy must be reject-newest/deadline/priority, "
-        f"got {config.shed_policy!r}",
-    )
-    non_default = (
-        config.admission_queue != 0
-        or config.shed_policy != "reject-newest"
-        or config.shed_priorities is not None
-    )
-    config._require(
-        not (non_default and config.max_live is None),
-        "admission_queue/shed_policy/shed_priorities require max_live",
     )
     config._require(
         config.max_events is None
@@ -146,15 +128,13 @@ class RuntimeConfig(_BaseConfig):
         site federation) when this manager coordinates across domains;
         ``interposition`` installs the activity interposer so foreign
         coordinators are proxied locally (PR 5).
-    max_live / admission_queue / shed_policy / shed_priorities
-        Admission control (PR 10).  ``max_live`` caps concurrently live
-        activities; ``None`` (default) disables the gate entirely — no
-        gate object is even constructed, keeping the default path
-        byte-identical.  ``admission_queue`` bounds parked waiters at
-        capacity (0 = fast-fail, required under a simulated clock);
-        ``shed_policy`` is one of ``reject-newest`` / ``deadline`` /
-        ``priority``; ``shed_priorities`` maps activity kinds to ranks
-        for the priority policy.
+    max_live
+        Admission ceiling: at most this many activities are live at
+        once, and a ``begin`` past it raises
+        :class:`~repro.exceptions.AdmissionRejected` at once (nothing
+        waits).  ``None`` (default) disables the gate entirely — no gate
+        object is even constructed, keeping the default path
+        byte-identical.
     max_events
         Bound on what a reader attached to the manager's own
         :class:`~repro.util.events.EventLog` retains (``None``: no bound).
@@ -168,9 +148,6 @@ class RuntimeConfig(_BaseConfig):
     federation: Optional[Any] = None
     interposition: bool = False
     max_live: Optional[int] = None
-    admission_queue: int = 0
-    shed_policy: str = "reject-newest"
-    shed_priorities: Optional[Any] = None
     max_events: Optional[int] = None
 
     def validate(self) -> None:
@@ -269,9 +246,9 @@ class FactoryConfig(_BaseConfig):
         daemons set ``"<site>:<boot-nonce>:"`` because root tids key
         remote adoption maps and durable logs, so they must stay unique
         across sites *and* process restarts.
-    max_live / admission_queue / shed_policy / shed_priorities / max_events
-        Admission control and event-log bounding, exactly as in
-        :class:`RuntimeConfig` (PR 10); the gate covers
+    max_live / max_events
+        Admission ceiling and event-log bound, exactly as in
+        :class:`RuntimeConfig`; the ceiling covers
         ``TransactionFactory.create`` (top-level transactions only —
         subtransactions ride their parent's admission).
 
@@ -287,9 +264,6 @@ class FactoryConfig(_BaseConfig):
     registry_shards: int = 8
     tid_prefix: str = ""
     max_live: Optional[int] = None
-    admission_queue: int = 0
-    shed_policy: str = "reject-newest"
-    shed_priorities: Optional[Any] = None
     max_events: Optional[int] = None
 
     def validate(self) -> None:

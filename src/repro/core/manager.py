@@ -80,7 +80,7 @@ class ActivityManager:
         # Admission control (PR 10): None unless max_live is configured,
         # so the default begin path is exactly the pre-gate code.
         self.admission: Optional[AdmissionGate] = build_gate(
-            config, clock=self.clock, name="ActivityManager"
+            config, name="ActivityManager"
         )
         self.delivery = delivery if delivery is not None else AtLeastOnceDelivery()
         # Broadcast executor shared by every activity this manager begins
@@ -132,8 +132,7 @@ class ActivityManager:
         """
         admitted = False
         if self.admission is not None:
-            deadline = self.clock.now() + timeout if timeout > 0 else None
-            self.admission.admit(kind=name, deadline=deadline)
+            self.admission.admit()
             admitted = True
         try:
             activity_id = self.ids.next("activity")

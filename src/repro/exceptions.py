@@ -45,10 +45,11 @@ class OverloadError(CommunicationError):
 
     Mirrors CORBA ``TRANSIENT`` with a minor code of "resource limit":
     the request was never started, so retrying after backoff is always
-    safe.  Raised by admission gates, quota buckets and the site-daemon
-    inbound shed path; travels the wire as a typed fast-fail error so
-    clients back off via :class:`~repro.util.retry.RetryPolicy` instead
-    of piling on.
+    safe.  An admission gate at its ``max_live`` ceiling raises the
+    subclass :class:`AdmissionRejected`; a gate released more often than
+    it admitted raises this class itself.  Travels the wire as a typed
+    fast-fail error so clients back off via
+    :class:`~repro.util.retry.RetryPolicy` instead of piling on.
     """
 
     def __init__(self, message: str = "overloaded") -> None:
@@ -56,11 +57,10 @@ class OverloadError(CommunicationError):
 
 
 class AdmissionRejected(OverloadError):
-    """An admission gate refused to enqueue new work.
+    """An admission gate refused new work: ``max_live`` tokens are live.
 
-    Distinguishes a *policy* decision (queue full, population cap,
-    deadline unmeetable) from generic overload so callers can count and
-    react to sheds separately from transport-level pushback.
+    Distinguishes the ceiling's decision from generic overload so
+    callers can count and react to sheds separately from other pushback.
     """
 
     def __init__(self, message: str = "admission rejected") -> None:

@@ -1,11 +1,11 @@
-"""Million-client load engine (PR 10).
+"""Load engine for the admission ceiling (fig. 22 and ``python -m repro.load``).
 
-Open-loop (Poisson arrivals) and closed-loop (fixed population, think
-time) drivers that run against either the deterministic
-:class:`~repro.util.clock.SimulatedClock` — for reproducible knee-finding
-sweeps — or real ``SocketTransport`` sockets, plus the streaming
-measurement layer (quantile sketch, shed taxonomy, memory ceilings) that
-keeps per-op state O(1) no matter how many operations flow through.
+An open-loop Poisson driver over the deterministic
+:class:`~repro.util.clock.SimulatedClock` (with a G/D/k capacity model,
+for reproducible knee-finding sweeps), closed-loop client threads over
+real ``SocketTransport`` sockets, and the streaming measurement layer
+(quantile sketch, shed taxonomy, memory ceilings) that keeps per-op
+state O(1) no matter how many operations flow through.
 
 The package deliberately reuses the chaos layer's op-mix idiom
 (:mod:`repro.chaos.workload`): weighted draws over sorted keys from a
@@ -14,12 +14,7 @@ exactly from its seed.
 """
 
 from repro.load.collector import LoadCollector
-from repro.load.generator import (
-    ClosedLoopDriver,
-    OpenLoopDriver,
-    TrafficMix,
-    run_closed_loop_threads,
-)
+from repro.load.generator import OpenLoopDriver, TrafficMix, run_closed_loop_threads
 from repro.load.harness import (
     CapacityModel,
     run_open_loop_activities,
@@ -30,7 +25,6 @@ from repro.load.sketch import QuantileSketch
 
 __all__ = [
     "CapacityModel",
-    "ClosedLoopDriver",
     "LoadCollector",
     "OpenLoopDriver",
     "QuantileSketch",

@@ -12,7 +12,7 @@ Outcome taxonomy (mirrors the chaos ledger's discipline of classifying
 ``ok``             completed within its deadline
 ``deadline_miss``  completed, but too late to count as goodput
 ``shed``           rejected by admission control (:class:`AdmissionRejected`)
-``overload``       shed by a quota/overload gate (:class:`OverloadError`)
+``overload``       any other :class:`OverloadError` pushback
 ``error``          any other failure
 """
 

@@ -1,4 +1,4 @@
-"""Load drivers: open-loop Poisson arrivals and closed-loop populations.
+"""Load drivers: open-loop Poisson arrivals and closed-loop client threads.
 
 Two classic shapes, both seeded and replayable:
 
@@ -8,11 +8,11 @@ Two classic shapes, both seeded and replayable:
   any clock with ``call_after`` (the deterministic
   :class:`~repro.util.clock.SimulatedClock` for sweeps, or a real-time
   clock).
-- **Closed loop** (:class:`ClosedLoopDriver` /
-  :func:`run_closed_loop_threads`): N virtual clients, each issuing one
-  op, thinking for a sampled pause, then issuing the next.  Throughput
-  self-limits at N / (response + think) — the shape real client fleets
-  have, and the one the ``python -m repro.load`` socket harness uses.
+- **Closed loop** (:func:`run_closed_loop_threads`): N client threads
+  over real time, each issuing one op, thinking for a sampled pause,
+  then issuing the next.  Throughput self-limits at
+  N / (response + think) — the shape real client fleets have, and the
+  one the ``python -m repro.load`` socket harness uses.
 
 Op *kinds* come from a :class:`TrafficMix` — the same sorted-keys
 weighted-draw idiom as :data:`repro.chaos.workload.DEFAULT_MIX`, so the
@@ -129,77 +129,6 @@ class OpenLoopDriver:
         self.issue(kind, index, now)
         if not self._exhausted(self.clock.now()):
             self.clock.call_after(self.rng.expovariate(self.rate), self._tick)
-
-
-class ClosedLoopDriver:
-    """N virtual clients over a simulated clock, with think time.
-
-    Each client calls ``issue(kind, client, now, done)`` and must invoke
-    ``done()`` exactly once when its op completes (synchronously or from
-    a later timer); the client then thinks for an exponential pause at
-    mean ``think`` seconds before its next op.  Deterministic: each
-    client forks its own rng stream.
-    """
-
-    def __init__(
-        self,
-        clock: Clock,
-        rng: SeededRng,
-        clients: int,
-        issue: Callable[[str, int, float, Callable[[], None]], None],
-        *,
-        mix: Optional[TrafficMix] = None,
-        think: float = 0.0,
-        duration: Optional[float] = None,
-    ) -> None:
-        if clients < 1:
-            raise ValueError("need at least one client")
-        if think < 0.0:
-            raise ValueError("think time must be non-negative")
-        self.clock = clock
-        self.clients = clients
-        self.issue = issue
-        self.mix = mix or TrafficMix()
-        self.think = think
-        self.duration = duration
-        self.issued = 0
-        self._rngs = [rng.fork(f"client-{i}") for i in range(clients)]
-        self._deadline: Optional[float] = None
-        self._stopped = False
-
-    def start(self) -> None:
-        now = self.clock.now()
-        if self.duration is not None:
-            self._deadline = now + self.duration
-        for client in range(self.clients):
-            # Stagger the first wave so the population does not arrive
-            # as one synchronized burst at t=0.
-            offset = self._rngs[client].uniform(0.0, self.think) if self.think else 0.0
-            self.clock.call_after(offset, lambda c=client: self._fire(c))
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _done_for(self, client: int) -> Callable[[], None]:
-        fired = [False]
-
-        def done() -> None:
-            if fired[0]:
-                raise RuntimeError(f"client {client} completed the same op twice")
-            fired[0] = True
-            rng = self._rngs[client]
-            pause = rng.expovariate(1.0 / self.think) if self.think > 0 else 0.0
-            self.clock.call_after(pause, lambda: self._fire(client))
-
-        return done
-
-    def _fire(self, client: int) -> None:
-        now = self.clock.now()
-        if self._stopped or (self._deadline is not None and now >= self._deadline):
-            return
-        kind = self.mix.draw(self._rngs[client])
-        self.issued += 1
-        self.issue(kind, client, now, self._done_for(client))
 
 
 def run_closed_loop_threads(

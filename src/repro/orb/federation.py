@@ -37,17 +37,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.exceptions import (
-    CommunicationError,
-    ConfigurationError,
-    ObjectNotExist,
-    OverloadError,
-)
+from repro.exceptions import CommunicationError, ConfigurationError, ObjectNotExist
 from repro.orb.core import Node, Orb
 from repro.orb.membership import FailureDetector, FailureDetectorConfig, PeerState
 from repro.orb.reference import ObjectRef
 from repro.orb.transport import SimulatedTransport, Transport
-from repro.util.admission import TokenBucket
 from repro.util.clock import Clock
 from repro.util.rng import SeededRng
 
@@ -116,10 +110,6 @@ class InterOrbBridge:
         self._services: Dict[Tuple[str, str], Any] = {}
         self._auto_domain = 0
         self._detector: Optional[FailureDetector] = None
-        # Per-source-domain quota buckets (PR 10): empty by default, so
-        # routing stays exactly the historical path until a quota is set.
-        self._quotas: Dict[str, TokenBucket] = {}
-        self._quota_rejections: Dict[str, int] = {}
 
     # -- membership ----------------------------------------------------------
 
@@ -294,37 +284,6 @@ class InterOrbBridge:
     def failure_detector(self) -> Optional[FailureDetector]:
         return self._detector
 
-    # -- per-source-domain quotas (PR 10 admission layer) -----------------------
-
-    def set_domain_quota(
-        self, domain_id: str, rate: float, burst: Optional[float] = None
-    ) -> TokenBucket:
-        """Cap cross-domain requests *originating from* ``domain_id``.
-
-        ``rate`` requests/second refill a bucket of ``burst`` tokens
-        (default: one second's worth); once dry, further routes from
-        that source fast-fail with :class:`OverloadError` before
-        touching any wire, so one hot domain cannot starve the
-        federation.  Refill is clock-derived, hence deterministic under
-        a :class:`~repro.util.clock.SimulatedClock`.
-        """
-        if self._clock is None:
-            raise ConfigurationError(
-                "connect an ORB (or pass a clock) before setting quotas"
-            )
-        bucket = TokenBucket(
-            rate, burst if burst is not None else rate, clock=self._clock
-        )
-        self._quotas[domain_id] = bucket
-        return bucket
-
-    def clear_domain_quota(self, domain_id: str) -> None:
-        self._quotas.pop(domain_id, None)
-
-    def quota_rejections(self) -> Dict[str, int]:
-        """Routes refused per source domain since the bridge was built."""
-        return dict(self._quota_rejections)
-
     def _link_key(self, domain_a: str, domain_b: str) -> str:
         pair = sorted((domain_a, domain_b))
         return f"link:{pair[0]}|{pair[1]}"
@@ -391,15 +350,6 @@ class InterOrbBridge:
                 request_bytes,
                 lambda payload: source_orb._dispatch(ref.node_id, payload),
             )
-        bucket = self._quotas.get(source_domain)
-        if bucket is not None and not bucket.try_take():
-            self._quota_rejections[source_domain] = (
-                self._quota_rejections.get(source_domain, 0) + 1
-            )
-            raise OverloadError(
-                f"domain {source_domain!r} exceeded its cross-domain quota"
-                f" ({bucket.rate:g}/s, burst {bucket.burst:g})"
-            )
         target_orb = self.orb_for(target_domain)
         link = self.link(source_domain, target_domain)
         detector = self._detector
@@ -448,15 +398,8 @@ class InterOrbBridge:
         return reply
 
     def describe(self) -> Dict[str, Any]:
-        described: Dict[str, Any] = {
+        return {
             "domains": list(self.domains()),
             "links": [link.describe() for link in self.links()],
             "link_states": self.link_states(),
         }
-        if self._quotas:
-            described["quotas"] = {
-                domain: bucket.describe()
-                for domain, bucket in sorted(self._quotas.items())
-            }
-            described["quota_rejections"] = self.quota_rejections()
-        return described

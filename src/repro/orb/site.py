@@ -54,7 +54,7 @@ from repro.config import (
     OrbConfig,
     ReplicationConfig,
 )
-from repro.exceptions import CommunicationError, ConfigurationError, OverloadError
+from repro.exceptions import CommunicationError, ConfigurationError
 from repro.orb.core import Node, Orb
 from repro.orb.marshal import Marshaller
 from repro.orb.membership import FailureDetector, FailureDetectorConfig, PeerState
@@ -81,7 +81,6 @@ from repro.persistence.replicated import (
 )
 from repro.persistence.sqlite_store import SqliteStore
 from repro.persistence.wal import WriteAheadLog
-from repro.util.admission import TokenBucket
 from repro.util.clock import WallClock
 from repro.util.retry import RetryPolicy
 
@@ -150,13 +149,6 @@ class SiteConfig:
     ``max_events``
         Ring-buffer bound (4096; ``None`` for none) on what a reader
         attached to the daemon's event log retains; unread, it keeps none.
-    ``quotas``
-        Per-source-site admission quotas (PR 10):
-        ``{source_site_or_"*": {"rate": r, "burst": b}}``.  Inbound
-        REQUEST frames from a source that drained its bucket are shed
-        with a typed :class:`~repro.exceptions.OverloadError` before
-        dispatch (``"*"`` is the catch-all for unlisted sources).
-        Empty (the default) installs no gate.
     """
 
     site_id: str
@@ -172,7 +164,6 @@ class SiteConfig:
     orphan_min_age: float = 5.0
     replication: Dict[str, Any] = field(default_factory=dict)
     max_events: Optional[int] = 4096
-    quotas: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.site_id:
@@ -202,24 +193,6 @@ class SiteConfig:
                 f"SiteConfig: max_events must be None or >= 1,"
                 f" got {self.max_events!r}"
             )
-        for source, spec in self.quotas.items():
-            if not isinstance(spec, dict) or "rate" not in spec:
-                raise ConfigValidationError(
-                    f"SiteConfig: quota for {source!r} must be a dict with"
-                    f" a 'rate' key, got {spec!r}"
-                )
-            rate = spec["rate"]
-            burst = spec.get("burst", rate)
-            if not (isinstance(rate, (int, float)) and rate > 0):
-                raise ConfigValidationError(
-                    f"SiteConfig: quota rate for {source!r} must be > 0,"
-                    f" got {rate!r}"
-                )
-            if not (isinstance(burst, (int, float)) and burst > 0):
-                raise ConfigValidationError(
-                    f"SiteConfig: quota burst for {source!r} must be > 0,"
-                    f" got {burst!r}"
-                )
         # Fail at config time, not at boot: all dict blocks must fold cleanly.
         self.detector_config()
         self.retry_policy()
@@ -504,21 +477,6 @@ class SiteRuntime:
         self.transport.set_request_handler(self.orb.dispatch_request)
         self.transport.set_control_handler(self._control)
 
-        # Per-source-site quota buckets (PR 10): inbound REQUEST frames
-        # from a source that drained its bucket are shed with a typed
-        # OverloadError before any dispatch work.
-        self._quota_buckets: Dict[str, TokenBucket] = {}
-        self._quota_shed: Dict[str, int] = {}
-        self._quota_lock = threading.Lock()
-        if config.quotas:
-            for source, spec in config.quotas.items():
-                rate = float(spec["rate"])
-                burst = float(spec.get("burst", rate))
-                self._quota_buckets[source] = TokenBucket(
-                    rate, burst, clock=self.clock
-                )
-            self.transport.set_inbound_gate(self._admit_inbound)
-
         self.recovered = False
         self.last_recovery_error: Optional[str] = None
         self._stop = threading.Event()
@@ -532,29 +490,6 @@ class SiteRuntime:
             _resolve_app(config.app)(self)
 
     # -- replica media ---------------------------------------------------------
-
-    def _admit_inbound(self, peer_site: Optional[str]) -> None:
-        """Inbound-gate hook: charge the source site's quota bucket.
-
-        A source without its own bucket falls back to the ``"*"``
-        catch-all (when configured); sources with neither are admitted
-        unconditionally.  Raises :class:`OverloadError` — which the
-        transport returns as a typed wire error — when the bucket is
-        dry, so remote clients fast-fail instead of queueing.
-        """
-        source = peer_site or "*"
-        bucket = self._quota_buckets.get(source)
-        if bucket is None and source != "*":
-            bucket = self._quota_buckets.get("*")
-        if bucket is None:
-            return
-        if not bucket.try_take():
-            with self._quota_lock:
-                self._quota_shed[source] = self._quota_shed.get(source, 0) + 1
-            raise OverloadError(
-                f"site {self.config.site_id!r} shed request from {source!r}: "
-                f"quota exhausted ({bucket.rate:g}/s, burst {bucket.burst:g})"
-            )
 
     def _replica_backend(
         self, backend: str, kind: str, index: int
@@ -772,7 +707,7 @@ class SiteRuntime:
         membership/quarantine state and how long each in-doubt
         subordinate has been waiting on its superior."""
         stats = self.transport.stats
-        dump: Dict[str, Any] = {
+        return {
             "site": self.config.site_id,
             "recovered": self.recovered,
             "recovery_error": self.last_recovery_error,
@@ -792,17 +727,6 @@ class SiteRuntime:
                 "bytes_sent": stats.bytes_sent,
             },
         }
-        if self._quota_buckets:
-            with self._quota_lock:
-                shed = dict(self._quota_shed)
-            dump["quotas"] = {
-                "buckets": {
-                    source: bucket.describe()
-                    for source, bucket in sorted(self._quota_buckets.items())
-                },
-                "shed": shed,
-            }
-        return dump
 
     # -- serving ----------------------------------------------------------------
 

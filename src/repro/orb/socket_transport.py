@@ -234,9 +234,6 @@ class SocketTransport(Transport):
         self._request_handler: Optional[Callable[[str, bytes], bytes]] = None
         self._control_handler: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
         self.address: Optional[Tuple[str, int]] = None
-        # Inbound admission gate (PR 10): callable(peer_site) raising
-        # OverloadError to shed a REQUEST frame before dispatch.
-        self._inbound_gate: Optional[Callable[[Optional[str]], None]] = None
 
     # -- runtime wiring ----------------------------------------------------
 
@@ -250,20 +247,6 @@ class SocketTransport(Transport):
     ) -> None:
         """Handler for site-level CONTROL operations (JSON in/out)."""
         self._control_handler = handler
-
-    def set_inbound_gate(
-        self, gate: Optional[Callable[[Optional[str]], None]]
-    ) -> None:
-        """Install an admission gate over inbound REQUEST frames.
-
-        ``gate(peer_site)`` runs before dispatch for every REQUEST frame
-        (``peer_site`` is the connection's HELLO identity, or None for a
-        pre-HELLO frame) and sheds by raising
-        :class:`~repro.exceptions.OverloadError` — which travels back as
-        a typed fast-fail REPLY_ERR, so well-behaved clients back off
-        via their :class:`RetryPolicy`.  ``None`` uninstalls.
-        """
-        self._inbound_gate = gate
 
     def _hello_bytes(self) -> bytes:
         """This endpoint's HELLO payload (sent on dial and as the reply)."""
@@ -368,12 +351,11 @@ class SocketTransport(Transport):
             thread.start()
 
     def _serve_connection(self, sock: socket.socket) -> None:
-        conn_state: Dict[str, Any] = {}
         try:
             while not self._closed:
                 kind, source, target, payload = _read_frame(sock)
                 reply_kind, reply_payload = self._handle_frame(
-                    kind, source, target, payload, conn_state
+                    kind, source, target, payload
                 )
                 sock.sendall(
                     _encode_frame(reply_kind, self.site_id, source, reply_payload)
@@ -397,10 +379,7 @@ class SocketTransport(Transport):
         source: str,
         target: str,
         payload: bytes,
-        conn_state: Optional[Dict[str, Any]] = None,
     ) -> Tuple[int, bytes]:
-        if conn_state is None:
-            conn_state = {}
         try:
             if kind == KIND_HELLO:
                 hello = json.loads(payload.decode("utf-8"))
@@ -409,7 +388,6 @@ class SocketTransport(Transport):
                         f"protocol version mismatch: peer {source} speaks"
                         f" {hello.get('version')}, this site speaks {PROTOCOL_VERSION}"
                     )
-                conn_state["peer_site"] = hello.get("site")
                 return KIND_HELLO, self._hello_bytes()
             if kind == KIND_CONTROL:
                 if self._control_handler is None:
@@ -418,10 +396,6 @@ class SocketTransport(Transport):
                 reply = self._control_handler(request)
                 return KIND_REPLY_OK, json.dumps(reply).encode("utf-8")
             if kind == KIND_REQUEST:
-                if self._inbound_gate is not None:
-                    # May raise OverloadError: the shed becomes a typed
-                    # fast-fail REPLY_ERR before any dispatch work.
-                    self._inbound_gate(conn_state.get("peer_site"))
                 if self._request_handler is None:
                     raise ConfigurationError("no request handler installed")
                 return KIND_REPLY_OK, self._request_handler(target, payload)

@@ -36,7 +36,7 @@ from repro.ots.interposition import (
     SubordinateTransactionResource,
     install_federated_transaction_service,
 )
-from repro.ots.locks import DeadlockError, LockConflict, LockManager, LockMode
+from repro.ots.locks import LockConflict, LockManager, LockMode
 from repro.ots.propagation import (
     TransactionClientInterceptor,
     TransactionContext,
@@ -75,7 +75,6 @@ __all__ = [
     "LockManager",
     "LockMode",
     "LockConflict",
-    "DeadlockError",
     "TransactionalCell",
     "Recoverable",
     "RecoverableRegistry",

@@ -137,7 +137,7 @@ class TransactionFactory:
         # Admission control (PR 10): None unless max_live is configured,
         # so the default create path is exactly the pre-gate code.
         self.admission: Optional[AdmissionGate] = build_gate(
-            config, clock=self.clock, name="TransactionFactory"
+            config, name="TransactionFactory"
         )
         self.lock_manager = LockManager()
         self.failpoints = Failpoints()
@@ -257,8 +257,7 @@ class TransactionFactory:
         """
         admitted = False
         if self.admission is not None:
-            deadline = self.clock.now() + timeout if timeout > 0 else None
-            self.admission.admit(kind=name, deadline=deadline)
+            self.admission.admit()
             admitted = True
         try:
             tid = self.ids.next("tx")

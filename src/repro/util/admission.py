@@ -1,403 +1,91 @@
-"""Admission control primitives for the million-client load path (PR 10).
+"""Admission control: one live-population ceiling that fails fast.
 
-Two building blocks, both clock-agnostic and default-off at every call
-site:
+:class:`AdmissionGate` caps how many activities (or top-level
+transactions) are live at once.  ``ActivityManager.begin`` and
+``TransactionFactory.create`` consult one when ``max_live`` is
+configured; nothing is constructed when it is not, so the ungated code
+path (and every figure trace) is untouched.
 
-:class:`AdmissionGate`
-    A max-live-population gate with an optional bounded waiting queue
-    and pluggable shedding policies.  ``ActivityManager.begin`` and
-    ``TransactionFactory.create`` consult one when ``max_live`` is
-    configured; nothing is constructed when it is not, so the ungated
-    code path (and every figure trace) is untouched.
-
-:class:`TokenBucket`
-    A deterministic token bucket for per-source-domain quotas on the
-    federation bridge and site daemons.  Refill is computed from the
-    clock, never from a background thread, so replays under
-    ``SimulatedClock`` are exact.
-
-Shedding policies (``AdmissionGate(policy=...)``):
-
-``"reject-newest"``
-    Queue full → the incoming request is refused.  Oldest waiters keep
-    their place; strictly FIFO.
-``"deadline"``
-    Requests that cannot finish before their deadline are shed up
-    front, and a full queue evicts the waiter with the *earliest*
-    deadline when the incoming request has more headroom — capacity is
-    spent on work that can still succeed.
-``"priority"``
-    A full queue evicts the lowest-priority waiter (by the
-    ``priorities`` map over activity kinds) when the incoming request
-    outranks it; ties evict the newest.
-
-Invariant: shedding only ever removes *waiters*.  A token that has been
-admitted is never revoked — in-flight work always runs to completion.
+At capacity an admit is refused at once with
+:class:`~repro.exceptions.AdmissionRejected`: nothing waits, so the gate
+is safe under a :class:`~repro.util.clock.SimulatedClock` and a client
+sees overload as a typed, retryable error.  A token that has been
+admitted is never revoked — in-flight work always runs to completion and
+returns its slot through :meth:`AdmissionGate.release`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.exceptions import AdmissionRejected, ConfigurationError, OverloadError
 
-SHED_POLICIES = ("reject-newest", "deadline", "priority")
-
-_INF = float("inf")
-
-
-class _Waiter:
-    """One parked admission request."""
-
-    __slots__ = ("kind", "deadline", "seq", "admitted", "shed_reason", "event")
-
-    def __init__(self, kind: Optional[str], deadline: Optional[float], seq: int) -> None:
-        self.kind = kind
-        self.deadline = deadline
-        self.seq = seq
-        self.admitted = False
-        self.shed_reason: Optional[str] = None
-        self.event = threading.Event()
-
-    def effective_deadline(self) -> float:
-        return self.deadline if self.deadline is not None else _INF
-
 
 class AdmissionGate:
-    """Bounded-population admission gate with pluggable shedding.
+    """A ceiling of ``max_live`` concurrently admitted tokens.
 
-    Parameters
-    ----------
-    max_live:
-        Hard ceiling on concurrently admitted (live) tokens; >= 1.
-    queue_limit:
-        Waiters allowed to park when the gate is at capacity.  ``0``
-        (the default) fast-fails instead of queueing — the right choice
-        under a :class:`~repro.util.clock.SimulatedClock`, where a
-        blocked admit would deadlock the single-threaded simulation.
-    policy:
-        One of :data:`SHED_POLICIES`; see the module docstring.
-    clock:
-        Anything with ``now()``; defaults to ``time.monotonic``.  Only
-        used to compare against deadlines, never to sleep.
-    priorities:
-        Kind → int map for ``policy="priority"`` (higher wins; unknown
-        kinds rank 0).
-    min_service:
-        Seconds of remaining headroom a request needs for the
-        deadline-aware policy to consider it finishable.
-    name:
-        Label used in error messages and :meth:`describe`.
+    ``name`` labels error messages and :meth:`describe`.
     """
 
-    def __init__(
-        self,
-        max_live: int,
-        *,
-        queue_limit: int = 0,
-        policy: str = "reject-newest",
-        clock: Optional[Any] = None,
-        priorities: Optional[Dict[str, int]] = None,
-        min_service: float = 0.0,
-        name: str = "admission",
-    ) -> None:
+    def __init__(self, max_live: int, *, name: str = "admission") -> None:
         if not isinstance(max_live, int) or max_live < 1:
             raise ConfigurationError(f"max_live must be >= 1, got {max_live!r}")
-        if not isinstance(queue_limit, int) or queue_limit < 0:
-            raise ConfigurationError(
-                f"queue_limit must be >= 0, got {queue_limit!r}"
-            )
-        if policy not in SHED_POLICIES:
-            raise ConfigurationError(
-                f"policy must be one of {SHED_POLICIES}, got {policy!r}"
-            )
-        if min_service < 0:
-            raise ConfigurationError(
-                f"min_service must be >= 0, got {min_service!r}"
-            )
         self.max_live = max_live
-        self.queue_limit = queue_limit
-        self.policy = policy
         self.name = name
-        self._clock = clock
-        self._priorities = dict(priorities or {})
-        self._min_service = min_service
         self._lock = threading.Lock()
-        self._waiters: List[_Waiter] = []
         self._live = 0
-        self._seq = 0
         # Stats — plain ints mutated under the lock.
         self.admitted = 0
         self.rejected_full = 0
-        self.shed_deadline = 0
-        self.evicted = 0
         self.peak_live = 0
-        self.peak_queued = 0
-
-    # -- time -----------------------------------------------------------
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else time.monotonic()
-
-    # -- public surface -------------------------------------------------
 
     @property
     def live(self) -> int:
         return self._live
 
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
-
-    def admit(
-        self,
-        kind: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> None:
+    def admit(self) -> None:
         """Claim one live slot or raise :class:`AdmissionRejected`.
 
-        Blocks (up to the remaining deadline) only when ``queue_limit``
-        allows parking; with the default ``queue_limit=0`` this never
-        blocks.  On success the caller owns one token and must
+        Never blocks.  On success the caller owns one token and must
         eventually :meth:`release` it exactly once.
         """
         with self._lock:
-            now = self._now()
-            self._purge_expired(now)
-            if deadline is not None and self.policy == "deadline":
-                if deadline - now < self._min_service:
-                    self.shed_deadline += 1
-                    raise AdmissionRejected(
-                        f"{self.name}: cannot finish before deadline "
-                        f"({deadline - now:.3f}s remaining)"
-                    )
-            if self._live < self.max_live and not self._waiters:
-                self._grant()
-                return
-            if self.queue_limit == 0:
+            if self._live >= self.max_live:
                 self.rejected_full += 1
                 raise AdmissionRejected(
                     f"{self.name}: at capacity ({self._live}/{self.max_live} live)"
                 )
-            waiter = self._enqueue(kind, deadline, now)
-
-        # Park outside the lock; release() / eviction signals the event.
-        while True:
-            remaining = None
-            if waiter.deadline is not None:
-                remaining = waiter.deadline - self._now()
-                if remaining <= 0:
-                    break
-            if waiter.event.wait(timeout=remaining):
-                break
-        with self._lock:
-            if waiter.admitted:
-                return
-            if waiter in self._waiters:  # deadline elapsed while queued
-                self._waiters.remove(waiter)
-                self.shed_deadline += 1
-                waiter.shed_reason = "deadline elapsed while queued"
-            raise AdmissionRejected(
-                f"{self.name}: {waiter.shed_reason or 'shed while queued'}"
-            )
+            self._live += 1
+            self.admitted += 1
+            if self._live > self.peak_live:
+                self.peak_live = self._live
 
     def release(self) -> None:
-        """Return one live slot and promote the head waiter if any."""
+        """Return one live slot."""
         with self._lock:
             if self._live <= 0:
                 raise OverloadError(f"{self.name}: release without admit")
             self._live -= 1
-            self._promote(self._now())
-
-    def try_admit(
-        self,
-        kind: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> bool:
-        """Non-raising :meth:`admit`; never queues regardless of policy."""
-        with self._lock:
-            now = self._now()
-            self._purge_expired(now)
-            if deadline is not None and self.policy == "deadline":
-                if deadline - now < self._min_service:
-                    self.shed_deadline += 1
-                    return False
-            if self._live < self.max_live and not self._waiters:
-                self._grant()
-                return True
-            self.rejected_full += 1
-            return False
 
     def describe(self) -> Dict[str, Any]:
         with self._lock:
             return {
                 "name": self.name,
-                "policy": self.policy,
                 "max_live": self.max_live,
-                "queue_limit": self.queue_limit,
                 "live": self._live,
-                "queued": len(self._waiters),
                 "admitted": self.admitted,
                 "rejected_full": self.rejected_full,
-                "shed_deadline": self.shed_deadline,
-                "evicted": self.evicted,
                 "peak_live": self.peak_live,
-                "peak_queued": self.peak_queued,
-            }
-
-    # -- internals (lock held) ------------------------------------------
-
-    def _grant(self) -> None:
-        self._live += 1
-        self.admitted += 1
-        if self._live > self.peak_live:
-            self.peak_live = self._live
-
-    def _purge_expired(self, now: float) -> None:
-        """Shed queued waiters whose deadline has already passed."""
-        expired = [
-            w for w in self._waiters
-            if w.deadline is not None and w.deadline <= now
-        ]
-        for waiter in expired:
-            self._waiters.remove(waiter)
-            self.shed_deadline += 1
-            waiter.shed_reason = "deadline elapsed while queued"
-            waiter.event.set()
-
-    def _enqueue(self, kind: Optional[str], deadline: Optional[float], now: float) -> _Waiter:
-        self._seq += 1
-        waiter = _Waiter(kind, deadline, self._seq)
-        if len(self._waiters) >= self.queue_limit:
-            victim = self._pick_victim(waiter)
-            if victim is waiter:
-                self.rejected_full += 1
-                raise AdmissionRejected(
-                    f"{self.name}: queue full "
-                    f"({len(self._waiters)}/{self.queue_limit} waiting)"
-                )
-            self._waiters.remove(victim)
-            self.evicted += 1
-            victim.shed_reason = "evicted by shed policy"
-            victim.event.set()
-        self._waiters.append(waiter)
-        if len(self._waiters) > self.peak_queued:
-            self.peak_queued = len(self._waiters)
-        return waiter
-
-    def _pick_victim(self, incoming: _Waiter) -> _Waiter:
-        """Which request loses when the queue is full: a parked waiter,
-        or ``incoming`` itself (meaning: reject the newcomer)."""
-        if self.policy == "deadline":
-            # Evict the waiter with the least headroom, but only when
-            # the incoming request has strictly more — otherwise the
-            # newcomer is the least likely to finish.
-            tightest = min(
-                self._waiters, key=lambda w: (w.effective_deadline(), -w.seq)
-            )
-            if incoming.effective_deadline() > tightest.effective_deadline():
-                return tightest
-            return incoming
-        if self.policy == "priority":
-            def rank(w: _Waiter) -> int:
-                return self._priorities.get(w.kind or "", 0)
-
-            weakest = min(self._waiters, key=lambda w: (rank(w), -w.seq))
-            if rank(incoming) > rank(weakest):
-                return weakest
-            return incoming
-        return incoming  # reject-newest
-
-    def _promote(self, now: float) -> None:
-        self._purge_expired(now)
-        while self._waiters and self._live < self.max_live:
-            waiter = self._waiters.pop(0)
-            waiter.admitted = True
-            self._grant()
-            waiter.event.set()
-
-
-class TokenBucket:
-    """A deterministic token bucket (per-source quotas, PR 10).
-
-    ``rate`` tokens/second refill up to ``burst``; refill is derived
-    from the supplied clock on every :meth:`try_take`, so a replayed
-    schedule under :class:`~repro.util.clock.SimulatedClock` yields the
-    exact same accept/reject sequence.
-    """
-
-    __slots__ = ("rate", "burst", "_clock", "_tokens", "_last", "_lock",
-                 "taken", "rejected")
-
-    def __init__(self, rate: float, burst: float, clock: Optional[Any] = None) -> None:
-        if rate <= 0:
-            raise ConfigurationError(f"rate must be > 0, got {rate!r}")
-        if burst <= 0:
-            raise ConfigurationError(f"burst must be > 0, got {burst!r}")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._clock = clock
-        self._tokens = float(burst)
-        self._last = self._now()
-        self._lock = threading.Lock()
-        self.taken = 0
-        self.rejected = 0
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else time.monotonic()
-
-    def try_take(self, n: float = 1.0) -> bool:
-        with self._lock:
-            now = self._now()
-            if now > self._last:
-                self._tokens = min(
-                    self.burst, self._tokens + (now - self._last) * self.rate
-                )
-            self._last = now
-            if self._tokens >= n:
-                self._tokens -= n
-                self.taken += 1
-                return True
-            self.rejected += 1
-            return False
-
-    @property
-    def tokens(self) -> float:
-        return self._tokens
-
-    def describe(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "rate": self.rate,
-                "burst": self.burst,
-                "tokens": self._tokens,
-                "taken": self.taken,
-                "rejected": self.rejected,
             }
 
 
-def build_gate(
-    config: Any,
-    *,
-    clock: Optional[Any] = None,
-    name: str = "admission",
-) -> Optional[AdmissionGate]:
+def build_gate(config: Any, *, name: str = "admission") -> Optional[AdmissionGate]:
     """Build the gate a ``RuntimeConfig``/``FactoryConfig`` describes.
 
     Returns ``None`` when ``config.max_live`` is unset — the caller
-    stores ``None`` and the admission branch never runs, keeping the
-    default path byte-identical to the pre-PR-10 behaviour.
+    stores ``None`` and the admission branch never runs.
     """
-    max_live = getattr(config, "max_live", None)
-    if max_live is None:
+    if config.max_live is None:
         return None
-    return AdmissionGate(
-        max_live,
-        queue_limit=getattr(config, "admission_queue", 0),
-        policy=getattr(config, "shed_policy", "reject-newest"),
-        clock=clock,
-        priorities=getattr(config, "shed_priorities", None),
-        name=name,
-    )
+    return AdmissionGate(config.max_live, name=name)

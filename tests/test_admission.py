@@ -1,36 +1,25 @@
-"""Admission control and load shedding semantics (PR 10).
+"""Admission control: one ``max_live`` ceiling that fails fast.
 
 The contract under test, layer by layer:
 
-- :class:`AdmissionGate` — max-live enforcement, queue-full rejection
-  *ordering* (FIFO promotion, newest rejected), and the core safety
-  invariant: shedding policies only ever remove waiters, never tokens
-  that were already admitted;
-- :class:`TokenBucket` — refill is a pure function of the clock, so a
-  replayed schedule under ``SimulatedClock`` accepts and rejects the
-  exact same ops;
+- :class:`AdmissionGate` — max-live enforcement with an immediate typed
+  rejection at capacity, loud double release, exact counters, and the
+  ceiling holding under concurrent begin/complete churn;
 - the wiring — ``ActivityManager.begin`` / ``TransactionFactory.create``
-  release their slot through the completion path exactly once,
-  ``InterOrbBridge`` quotas surface as typed :class:`OverloadError`
-  through a real cross-domain dispatch, and the default configuration
-  builds *no* gate at all.
+  release their slot through the completion path exactly once, and the
+  default configuration builds *no* gate at all.
 """
 
+import sys
 import threading
 
 import pytest
 
 from repro.config import ConfigValidationError, FactoryConfig, RuntimeConfig
 from repro.core import ActivityManager
-from repro.exceptions import (
-    AdmissionRejected,
-    ConfigurationError,
-    OverloadError,
-)
-from repro.orb import InterOrbBridge, Orb
-from repro.orb.reference import ObjectRef
+from repro.exceptions import AdmissionRejected, OverloadError
 from repro.ots import TransactionFactory
-from repro.util.admission import AdmissionGate, TokenBucket, build_gate
+from repro.util.admission import AdmissionGate, build_gate
 from repro.util.clock import SimulatedClock
 
 
@@ -55,232 +44,19 @@ class TestAdmissionGate:
         with pytest.raises(OverloadError):
             gate.release()
 
-    def test_try_admit_never_queues(self):
-        gate = AdmissionGate(1, queue_limit=4)
-        assert gate.try_admit()
-        assert not gate.try_admit()
-        assert gate.queued == 0
-
-    def test_queue_full_rejection_ordering(self):
-        """Reject-newest with a bounded queue: parked waiters keep their
-        FIFO place, the overflowing newcomer is the one refused, and
-        releases promote in arrival order."""
-        clock = SimulatedClock()
-        gate = AdmissionGate(1, queue_limit=2, clock=clock, name="g")
-        gate.admit(kind="first")
-
-        order = []
-
-        def park(tag):
-            def runner():
-                gate.admit(kind=tag)
-                order.append(tag)
-
-            thread = threading.Thread(target=runner, daemon=True)
-            thread.start()
-            return thread
-
-        def wait_queued(n):
-            deadline = __import__("time").monotonic() + 5
-            while gate.queued < n:
-                if __import__("time").monotonic() > deadline:
-                    pytest.fail(f"never reached {n} parked waiters")
-
-        # Park strictly in order, so FIFO has a defined meaning.
-        threads = [park("w0")]
-        wait_queued(1)
-        threads.append(park("w1"))
-        wait_queued(2)
-
-        # Queue is full: the newcomer is rejected, waiters unharmed.
-        with pytest.raises(AdmissionRejected) as err:
-            gate.admit(kind="w2")
-        assert "queue full" in str(err.value)
-        assert gate.queued == 2
-
-        gate.release()  # frees "first" → promotes the head waiter only
-        threads[0].join(timeout=5)
-        assert order == ["w0"]  # w1 is still parked: strict FIFO
-        assert gate.queued == 1
-        gate.release()
-        threads[1].join(timeout=5)
-        assert order == ["w0", "w1"]
-        assert gate.evicted == 0
-
-    def test_deadline_shed_never_drops_admitted_inflight(self):
-        """The safety invariant: deadline evictions only touch waiters.
-        Every admitted token survives arbitrary shedding churn and can
-        release exactly once."""
-        clock = SimulatedClock()
-        gate = AdmissionGate(3, queue_limit=1, policy="deadline", clock=clock)
-        for _ in range(3):
-            gate.admit(deadline=clock.now() + 1000.0)  # in-flight, roomy
-        assert gate.live == 3
-
-        # Park one tight-deadline waiter, then evict it with a roomier
-        # newcomer; then shed that one too by expiring its deadline.
-        results = {}
-
-        def park(tag, deadline):
-            def runner():
-                try:
-                    gate.admit(kind=tag, deadline=deadline)
-                    results[tag] = "admitted"
-                except AdmissionRejected:
-                    results[tag] = "shed"
-
-            thread = threading.Thread(target=runner, daemon=True)
-            thread.start()
-            return thread
-
-        tight = park("tight", clock.now() + 5.0)
-        deadline = __import__("time").monotonic() + 5
-        while gate.queued < 1:
-            if __import__("time").monotonic() > deadline:
-                pytest.fail("waiter never parked")
-        roomy = park("roomy", clock.now() + 50.0)
-        tight.join(timeout=5)
-        assert results["tight"] == "shed"  # evicted by roomier newcomer
-        assert gate.evicted == 1
-
-        clock.advance(100.0)  # roomy's deadline passes while queued
-        with gate._lock:
-            gate._purge_expired(clock.now())
-        roomy.join(timeout=5)
-        assert results["roomy"] == "shed"
-
-        # The three admitted tokens were never revoked.
-        assert gate.live == 3
-        for _ in range(3):
-            gate.release()
-        assert gate.live == 0
-
-    def test_deadline_policy_sheds_unfinishable_up_front(self):
-        clock = SimulatedClock()
-        gate = AdmissionGate(8, policy="deadline", clock=clock, min_service=1.0)
-        with pytest.raises(AdmissionRejected) as err:
-            gate.admit(deadline=clock.now() + 0.5)
-        assert "cannot finish before deadline" in str(err.value)
-        assert gate.shed_deadline == 1
-        gate.admit(deadline=clock.now() + 2.0)  # finishable: admitted
-
-    def test_priority_policy_evicts_lowest_rank(self):
-        clock = SimulatedClock()
-        gate = AdmissionGate(
-            1,
-            queue_limit=1,
-            policy="priority",
-            clock=clock,
-            priorities={"vip": 10, "batch": 1},
-        )
-        gate.admit(kind="vip")
-        results = {}
-
-        def park(tag):
-            def runner():
-                try:
-                    gate.admit(kind=tag, deadline=clock.now() + 1000.0)
-                    results[tag] = "admitted"
-                except AdmissionRejected:
-                    results[tag] = "shed"
-
-            thread = threading.Thread(target=runner, daemon=True)
-            thread.start()
-            return thread
-
-        batch = park("batch")
-        deadline = __import__("time").monotonic() + 5
-        while gate.queued < 1:
-            if __import__("time").monotonic() > deadline:
-                pytest.fail("waiter never parked")
-        vip = park("vip")
-        batch.join(timeout=5)
-        assert results["batch"] == "shed"  # outranked, evicted
-        gate.release()
-        vip.join(timeout=5)
-        assert results["vip"] == "admitted"
-
-
-class TestTokenBucket:
-    def test_refill_is_deterministic_under_simulated_clock(self):
-        """Same clock schedule → the exact same accept/reject string."""
-
-        def run():
-            clock = SimulatedClock()
-            bucket = TokenBucket(rate=2.0, burst=3.0, clock=clock)
-            verdicts = []
-            for step in range(30):
-                verdicts.append("T" if bucket.try_take() else "f")
-                clock.advance(0.2 if step % 3 else 0.05)
-            return "".join(verdicts), bucket.taken, bucket.rejected
-
-        first, second = run(), run()
-        assert first == second
-        assert "f" in first[0]  # the schedule actually exercises both paths
-        assert first[1] + first[2] == 30
-
-    def test_burst_caps_refill(self):
-        clock = SimulatedClock()
-        bucket = TokenBucket(rate=100.0, burst=2.0, clock=clock)
-        assert bucket.try_take() and bucket.try_take()
-        assert not bucket.try_take()
-        clock.advance(1000.0)  # refill clamps at burst
-        assert bucket.try_take() and bucket.try_take()
-        assert not bucket.try_take()
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            TokenBucket(rate=0.0, burst=1.0)
-        with pytest.raises(ConfigurationError):
-            TokenBucket(rate=1.0, burst=0.0)
-
-
-class _Echo:
-    def ping(self, value):
-        return ("pong", value)
-
-
-class TestBridgeQuotas:
-    def make_pair(self):
-        clock = SimulatedClock()
-        bridge = InterOrbBridge(clock=clock)
-        a, b = Orb(clock=clock), Orb(clock=clock)
-        bridge.connect(a, "A")
-        bridge.connect(b, "B")
-        return clock, bridge, a, b
-
-    def test_quota_sheds_with_typed_overload_and_refills(self):
-        clock, bridge, a, b = self.make_pair()
-        ref = b.create_node("nb").activate(_Echo(), object_id="echo")
-        bound = ObjectRef(ref.node_id, ref.object_id, ref.interface).bind(a)
-        bridge.set_domain_quota("A", rate=1.0, burst=2.0)
-
-        assert bound.invoke("ping", 1) == ("pong", 1)
-        assert bound.invoke("ping", 2) == ("pong", 2)
-        with pytest.raises(OverloadError) as err:
-            bound.invoke("ping", 3)
-        assert "exceeded its cross-domain quota" in str(err.value)
-        assert err.value.transient  # retryable by policy, not a hard fault
-        assert bridge.quota_rejections() == {"A": 1}
-
-        clock.advance(1.0)  # one token back at rate 1/s
-        assert bound.invoke("ping", 4) == ("pong", 4)
-        with pytest.raises(OverloadError):
-            bound.invoke("ping", 5)
-
-    def test_quota_only_charges_configured_source(self):
-        _, bridge, a, b = self.make_pair()
-        ref = b.create_node("nb").activate(_Echo(), object_id="echo")
-        bound = ObjectRef(ref.node_id, ref.object_id, ref.interface).bind(a)
-        bridge.set_domain_quota("B", rate=1.0, burst=1.0)  # other direction
-        for value in range(5):  # A → B is uncharged
-            assert bound.invoke("ping", value) == ("pong", value)
-        assert bridge.quota_rejections() == {}
-
-    def test_quota_requires_a_clock(self):
-        bridge = InterOrbBridge()  # no clock: refill would be undefined
-        with pytest.raises(ConfigurationError):
-            bridge.set_domain_quota("A", rate=1.0)
+    def test_describe_reports_the_ceiling_and_counters(self):
+        gate = AdmissionGate(1, name="g")
+        gate.admit()
+        with pytest.raises(AdmissionRejected):
+            gate.admit()
+        assert gate.describe() == {
+            "name": "g",
+            "max_live": 1,
+            "live": 1,
+            "admitted": 1,
+            "rejected_full": 1,
+            "peak_live": 1,
+        }
 
 
 class TestControlPlaneGates:
@@ -334,9 +110,48 @@ class TestControlPlaneGates:
         assert manager.admission.live == 0  # the slot was rolled back
         manager.begin(name="good").complete()
 
+    def test_ceiling_holds_under_threaded_churn(self):
+        """8 threads race begin/complete on one gated manager with a tiny
+        switch interval: the ceiling is never crossed, every slot comes
+        back, and every attempt is counted exactly once."""
+        threads_n, rounds, cap = 8, 500, 4
+        manager = ActivityManager(
+            clock=SimulatedClock(), config=RuntimeConfig(max_live=cap)
+        )
+        errors = []
+
+        def churn():
+            try:
+                for _ in range(rounds):
+                    try:
+                        activity = manager.begin(name="churn")
+                    except AdmissionRejected:
+                        continue
+                    activity.complete()
+            except Exception as exc:  # surfaced below, not swallowed
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(threads_n)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        gate = manager.admission
+        assert gate.peak_live <= cap
+        assert gate.live == 0
+        assert gate.admitted + gate.rejected_full == threads_n * rounds
+
 
 class TestSiteLoadControls:
-    """Site-daemon wiring: bounded event log by default, quota gates."""
+    """Site-daemon wiring: a bounded event log by default."""
 
     def make_runtime(self, **overrides):
         from repro.orb.site import SiteConfig, SiteRuntime
@@ -369,59 +184,22 @@ class TestSiteLoadControls:
         assert "event_log" not in runtime.debug_dump()
 
     def test_event_log_bound_is_configurable_and_removable(self):
+        from repro.orb.site import SiteConfig
+
         assert (
             self.make_runtime(max_events=16).factory.event_log.max_events == 16
         )
         assert self.make_runtime(max_events=None).factory.event_log.max_events is None
-
-    def test_quota_gate_sheds_per_source_with_catch_all(self):
-        runtime = self.make_runtime(
-            quotas={
-                "noisy": {"rate": 1.0, "burst": 2.0},
-                "*": {"rate": 1.0, "burst": 1.0},
-            }
-        )
-        assert runtime.transport._inbound_gate is not None
-        runtime._admit_inbound("noisy")
-        runtime._admit_inbound("noisy")
-        with pytest.raises(OverloadError) as err:
-            runtime._admit_inbound("noisy")
-        assert "quota exhausted" in str(err.value)
-        # An unlisted source falls to the catch-all bucket.
-        runtime._admit_inbound("stranger")
-        with pytest.raises(OverloadError):
-            runtime._admit_inbound("stranger")
-        shed = runtime.debug_dump()["quotas"]["shed"]
-        assert shed == {"noisy": 1, "stranger": 1}
-
-    def test_no_quotas_means_no_gate(self):
-        runtime = self.make_runtime()
-        assert runtime.transport._inbound_gate is None
-        assert "quotas" not in runtime.debug_dump()
-
-    def test_quota_config_validated_at_construction(self):
-        from repro.orb.site import SiteConfig
-
-        with pytest.raises(ConfigValidationError):
-            SiteConfig(site_id="s", quotas={"a": {"rate": 0.0}})
-        with pytest.raises(ConfigValidationError):
-            SiteConfig(site_id="s", quotas={"a": {}})
         with pytest.raises(ConfigValidationError):
             SiteConfig(site_id="s", max_events=0)
 
 
 class TestConfigValidation:
-    def test_admission_knobs_without_max_live_refused(self):
-        with pytest.raises(ConfigValidationError):
-            RuntimeConfig(admission_queue=4).validate()
-        with pytest.raises(ConfigValidationError):
-            FactoryConfig(shed_policy="deadline").validate()
-
     def test_bad_policy_and_bounds_refused(self):
         with pytest.raises(ConfigValidationError):
             RuntimeConfig(max_live=0).validate()
         with pytest.raises(ConfigValidationError):
-            RuntimeConfig(max_live=4, shed_policy="coin-flip").validate()
+            FactoryConfig(max_live=1.5).validate()
         with pytest.raises(ConfigValidationError):
             RuntimeConfig(max_events=0).validate()
-        RuntimeConfig(max_live=4, admission_queue=2, shed_policy="deadline").validate()
+        RuntimeConfig(max_live=4).validate()

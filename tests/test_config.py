@@ -135,9 +135,6 @@ class TestOptionSurface:
             "federation",
             "interposition",
             "max_live",
-            "admission_queue",
-            "shed_policy",
-            "shed_priorities",
             "max_events",
         ]
 
@@ -149,9 +146,6 @@ class TestOptionSurface:
             "registry_shards",
             "tid_prefix",
             "max_live",
-            "admission_queue",
-            "shed_policy",
-            "shed_priorities",
             "max_events",
         ]
 
@@ -172,7 +166,6 @@ class TestOptionSurface:
             "orphan_min_age",
             "replication",
             "max_events",
-            "quotas",
         ]
 
 
@@ -187,7 +180,7 @@ class TestTidPrefix:
 
 
 class TestSiteConfigKeys:
-    @pytest.mark.parametrize("key", ["orb", "factory", "poll_intervall"])
+    @pytest.mark.parametrize("key", ["orb", "factory", "poll_intervall", "quotas"])
     def test_unknown_key_is_refused_by_name(self, key):
         from repro.orb.site import SiteConfig
 

@@ -1,4 +1,4 @@
-"""Load engine: sketch accuracy, seeded drivers, and the knee (PR 10).
+"""Load engine: sketch accuracy, seeded drivers, and the knee.
 
 The harness's whole value is determinism: the same seed must produce the
 same arrival stream, the same admission decisions, and the same report —
@@ -20,7 +20,6 @@ from repro.config import RuntimeConfig
 from repro.core import ActivityManager
 from repro.load import (
     CapacityModel,
-    ClosedLoopDriver,
     OpenLoopDriver,
     QuantileSketch,
     TrafficMix,
@@ -30,6 +29,7 @@ from repro.load import (
 )
 from repro.util.clock import SimulatedClock
 from repro.util.rng import SeededRng
+from tests.load_report_check import gate_failures
 
 
 class TestQuantileSketch:
@@ -124,31 +124,6 @@ class TestDrivers:
         driver.start()
         clock.run_until_idle()
         assert log == list(range(7))
-
-    def test_closed_loop_population_self_limits(self):
-        clock = SimulatedClock()
-        live = [0]
-        peak = [0]
-
-        def issue(kind, client, now, done):
-            live[0] += 1
-            peak[0] = max(peak[0], live[0])
-
-            def finish():
-                live[0] -= 1
-                done()
-
-            clock.call_after(0.01, finish)  # 10ms "service"
-
-        driver = ClosedLoopDriver(
-            clock, SeededRng(2), clients=5, issue=issue, think=0.05, duration=3.0
-        )
-        driver.start()
-        clock.run_until_idle()
-        # A closed loop can never exceed its population, no matter how
-        # long the run — that is the defining property.
-        assert peak[0] <= 5
-        assert driver.issued > 50
 
     def test_traffic_mix_validates_and_normalizes(self):
         with pytest.raises(ValueError):
@@ -277,3 +252,5 @@ class TestCliSmoke:
             report["shed"] + report["overload"] + report["error"]
         )
         assert report["latency"]["p99"] >= report["latency"]["p50"] > 0
+        # The server's gate agrees with what the clients saw.
+        assert gate_failures(report) == []

@@ -1,9 +1,9 @@
-"""Unit tests for the lock manager (2PL + nested inheritance + deadlock)."""
+"""Unit tests for the lock manager (2PL + nested inheritance)."""
 
 import pytest
 
 from repro.ots import TransactionFactory
-from repro.ots.locks import DeadlockError, LockConflict, LockMode
+from repro.ots.locks import LockConflict, LockMode
 
 
 @pytest.fixture
@@ -144,94 +144,3 @@ class TestNestedInheritance:
         locks.acquire(child, "x", LockMode.WRITE)
         with pytest.raises(LockConflict):
             locks.acquire(other, "x", LockMode.READ)
-
-
-class TestDeadlockDetection:
-    def test_two_party_cycle_detected(self, locks, factory):
-        t1, t2 = factory.create(), factory.create()
-        locks.acquire(t1, "x", LockMode.WRITE)
-        locks.acquire(t2, "y", LockMode.WRITE)
-        with pytest.raises(LockConflict):
-            locks.acquire(t1, "y", LockMode.WRITE, wait=True)  # t1 waits for t2
-        with pytest.raises(DeadlockError):
-            locks.acquire(t2, "x", LockMode.WRITE, wait=True)  # closes the cycle
-
-    def test_three_party_cycle_detected(self, locks, factory):
-        t1, t2, t3 = factory.create(), factory.create(), factory.create()
-        locks.acquire(t1, "a", LockMode.WRITE)
-        locks.acquire(t2, "b", LockMode.WRITE)
-        locks.acquire(t3, "c", LockMode.WRITE)
-        with pytest.raises(LockConflict):
-            locks.acquire(t1, "b", LockMode.WRITE, wait=True)
-        with pytest.raises(LockConflict):
-            locks.acquire(t2, "c", LockMode.WRITE, wait=True)
-        with pytest.raises(DeadlockError):
-            locks.acquire(t3, "a", LockMode.WRITE, wait=True)
-
-    def test_no_false_positive_chain(self, locks, factory):
-        t1, t2, t3 = factory.create(), factory.create(), factory.create()
-        locks.acquire(t2, "x", LockMode.WRITE)
-        locks.acquire(t3, "y", LockMode.WRITE)
-        with pytest.raises(LockConflict) as exc_info:
-            locks.acquire(t1, "x", LockMode.WRITE, wait=True)
-        assert not isinstance(exc_info.value, DeadlockError)
-        with pytest.raises(LockConflict) as exc_info:
-            locks.acquire(t2, "y", LockMode.WRITE, wait=True)
-        assert not isinstance(exc_info.value, DeadlockError)
-
-    def test_wait_cleared_after_grant(self, locks, factory):
-        t1, t2 = factory.create(), factory.create()
-        locks.acquire(t1, "x", LockMode.WRITE)
-        with pytest.raises(LockConflict):
-            locks.acquire(t2, "x", LockMode.WRITE, wait=True)
-        locks.release_all(t1)
-        locks.acquire(t2, "x", LockMode.WRITE, wait=True)
-        # t1 re-requesting in the opposite direction must not deadlock.
-        with pytest.raises(LockConflict) as exc_info:
-            locks.acquire(t1, "x", LockMode.WRITE, wait=True)
-        assert not isinstance(exc_info.value, DeadlockError)
-
-    def test_clear_wait(self, locks, factory):
-        t1, t2 = factory.create(), factory.create()
-        locks.acquire(t1, "x", LockMode.WRITE)
-        with pytest.raises(LockConflict):
-            locks.acquire(t2, "x", LockMode.WRITE, wait=True)
-        locks.clear_wait(t2)
-        # After withdrawing, t1 can declare a wait on t2's locks safely.
-        locks.acquire(t2, "y", LockMode.WRITE)
-        with pytest.raises(LockConflict) as exc_info:
-            locks.acquire(t1, "y", LockMode.WRITE, wait=True)
-        assert not isinstance(exc_info.value, DeadlockError)
-
-
-class TestWaitGraphHygiene:
-    """release_all must not leave phantom (empty) waiter entries behind."""
-
-    def test_wait_graph_empty_after_all_transactions_complete(self, locks, factory):
-        t1, t2, t3 = factory.create(), factory.create(), factory.create()
-        locks.acquire(t1, "x", LockMode.WRITE)
-        with pytest.raises(LockConflict):
-            locks.acquire(t2, "x", LockMode.WRITE, wait=True)
-        with pytest.raises(LockConflict):
-            locks.acquire(t3, "x", LockMode.READ, wait=True)
-        locks.release_all(t1)
-        # t2/t3's only blocker is gone: their entries must be pruned, not
-        # kept as empty phantom nodes.
-        assert locks.wait_graph() == {}
-        locks.acquire(t2, "x", LockMode.WRITE)
-        locks.release_all(t2)
-        locks.acquire(t3, "x", LockMode.READ)
-        locks.release_all(t3)
-        assert locks.wait_graph() == {}
-
-    def test_release_keeps_waits_on_other_holders(self, locks, factory):
-        t1, t2, t3 = factory.create(), factory.create(), factory.create()
-        locks.acquire(t1, "x", LockMode.READ)
-        locks.acquire(t2, "x", LockMode.READ)
-        with pytest.raises(LockConflict):
-            locks.acquire(t3, "x", LockMode.WRITE, wait=True)
-        locks.release_all(t1)
-        # t3 still genuinely waits on t2 — only t1 is pruned.
-        assert locks.wait_graph() == {t3: {t2}}
-        locks.release_all(t2)
-        assert locks.wait_graph() == {}
