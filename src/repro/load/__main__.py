@@ -1,8 +1,9 @@
 """``python -m repro.load``: closed-loop socket load smoke.
 
-Boots a real :class:`SocketTransport` server in-process — an ORB hosting
-one servant whose ``work`` op begins and completes a *gated* activity —
-then drives it closed-loop from N client threads over loopback sockets.
+Boots a real site in-process — a :class:`~repro.orb.site.SiteRuntime`
+whose ORB hosts one servant whose ``work`` op begins and completes a
+*gated* activity — then drives it closed-loop from N client threads of
+one :class:`~repro.orb.site.SiteClient` over loopback sockets.
 Admission rejections travel the wire as typed
 :class:`~repro.exceptions.AdmissionRejected` errors and are counted as
 shed traffic, so the report shows exactly the taxonomy the CI
@@ -25,10 +26,8 @@ from repro.core.manager import ActivityManager
 from repro.exceptions import AdmissionRejected, OverloadError
 from repro.load.collector import LoadCollector
 from repro.load.generator import run_closed_loop_threads
-from repro.orb.core import Orb, Servant
-from repro.orb.reference import ObjectRef
-from repro.orb.site import SiteFederation
-from repro.orb.socket_transport import SocketTransport
+from repro.orb.core import Servant
+from repro.orb.site import SiteClient, SiteConfig, SiteRuntime
 from repro.util.clock import WallClock
 from repro.util.rng import SeededRng
 
@@ -68,33 +67,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     runtime = RuntimeConfig(max_live=args.max_live) if args.max_live else RuntimeConfig()
     manager = ActivityManager(clock=WallClock(), config=runtime)
 
-    server_transport = SocketTransport("load-server", bind=("127.0.0.1", 0))
-    server_orb = Orb(transport=server_transport)
-    SiteFederation(server_transport, server_orb)
-    server_transport.set_request_handler(server_orb.dispatch_request)
-    server_transport.set_control_handler(
-        lambda req: {
-            "site": "load-server",
-            "domain": "load-server"
-            if server_orb.has_node(str(req.get("node")))
-            else None,
-        }
+    server = SiteRuntime(
+        SiteConfig(site_id="load-server", heartbeat={"enabled": False})
     )
-    server_transport.start()
-    server_orb.create_node("load-server.app").activate(
+    server.transport.start()
+    server.orb.create_node("load-server.app").activate(
         _LoadServant(manager, args.service_time),
         object_id="load",
         interface="Load",
     )
-
-    client_transport = SocketTransport("load-client")
-    client_orb = Orb(transport=client_transport)
-    SiteFederation(client_transport, client_orb)
-    client_transport.connect_peer("load-server", server_transport.address)
-    client_transport.start()
+    endpoint = SiteClient({"load-server": server.transport.address}, "load-client")
 
     collectors = [LoadCollector(f"client-{i}") for i in range(args.clients)]
-    ref = ObjectRef("load-server.app", "load", "Load").bind(client_orb)
+    ref = endpoint.ref("load-server.app", "load", "Load")
 
     def op(client: int, _rng: SeededRng) -> None:
         collector = collectors[client]
@@ -120,8 +105,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             think=args.think,
         )
     finally:
-        client_transport.close()
-        server_transport.close()
+        endpoint.close()
+        server.transport.close()
+        server.stop()
 
     merged = LoadCollector("closed-loop-sockets")
     for collector in collectors:

@@ -48,25 +48,14 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.config import (
-    ConfigValidationError,
-    FactoryConfig,
-    OrbConfig,
-    ReplicationConfig,
-)
+from repro.config import ConfigValidationError, OrbConfig, ReplicationConfig
+from repro.domain import Domain
 from repro.exceptions import CommunicationError, ConfigurationError
 from repro.orb.core import Node, Orb
 from repro.orb.marshal import Marshaller
 from repro.orb.membership import FailureDetector, FailureDetectorConfig, PeerState
 from repro.orb.reference import ObjectRef
 from repro.orb.socket_transport import SocketTransport
-from repro.ots.current import TransactionCurrent
-from repro.ots.factory import TransactionFactory
-from repro.ots.interposition import (
-    FederatedTransactionService,
-    install_federated_transaction_service,
-)
-from repro.ots.recoverable import RecoverableRegistry, TransactionalCell
 from repro.persistence.object_store import (
     MemoryStore,
     ObjectStore,
@@ -365,14 +354,16 @@ class SiteFederation:
         }
 
 
-class SiteRuntime:
-    """One site's fully wired stack: transport, ORB, OTS, recovery loop.
+class SiteRuntime(Domain):
+    """One site: a :class:`~repro.domain.Domain` behind a socket
+    transport, with heartbeats, control ops and a serve loop.
 
     Construction wires everything and runs the app hook; :meth:`serve`
     (or :meth:`serve_in_background` for tests/clients embedding a site)
-    starts the listener and the recovery/resolution loop.  The runtime is
-    also the surface the app hook programs against: :attr:`orb`,
-    :attr:`factory`, :attr:`current`, :meth:`cell`.
+    starts the listener and the loop that runs the domain's
+    housekeeping round.  The runtime is also the surface the app hook
+    programs against: :attr:`orb`, :attr:`factory`, :attr:`current`,
+    :meth:`cell`.
     """
 
     def __init__(self, config: SiteConfig) -> None:
@@ -430,13 +421,13 @@ class SiteRuntime:
         if replication is not None:
             self.wal_media = self._replica_media(replication, "wal")
             self.cell_media = self._replica_media(replication, "cells")
-            self.wal: WriteAheadLog = ReplicatedWAL(
+            wal: WriteAheadLog = ReplicatedWAL(
                 self.wal_media,
                 window=0.0,
                 write_quorum=replication.effective_quorum(),
                 clock=self.clock,
             )
-            self.cell_store: ObjectStore = ReplicatedStore(
+            cell_store: ObjectStore = ReplicatedStore(
                 self.cell_media,
                 write_quorum=replication.effective_quorum(),
                 clock=self.clock,
@@ -449,39 +440,31 @@ class SiteRuntime:
                 )
             else:
                 wal_store = MemoryStore()
-            self.wal = WriteAheadLog(store=wal_store)
+            wal = WriteAheadLog(store=wal_store)
             if config.cell_store == "segmented":
-                self.cell_store = SegmentedFileStore(
+                cell_store = SegmentedFileStore(
                     os.path.join(str(config.data_dir), "cells")
                 )
             else:
-                self.cell_store = MemoryStore()
+                cell_store = MemoryStore()
 
         # Root tids key adoption maps and durable records on *other*
         # sites, so they must be unique across the fabric and across
         # this site's own restarts (a rebooted factory restarts its
         # counter): prefix with site id + per-boot nonce.
-        tid_prefix = f"{config.site_id}.{uuid.uuid4().hex[:8]}:"
-        self.factory = TransactionFactory(
-            clock=self.clock,
-            wal=self.wal,
-            config=FactoryConfig(tid_prefix=tid_prefix, max_events=config.max_events),
-        )
-        self.current = TransactionCurrent(self.factory)
-        self.registry = RecoverableRegistry()
-        self.service: FederatedTransactionService = (
-            install_federated_transaction_service(
-                self.orb, self.current, self.federation, registry=self.registry
-            )
+        self.boot(
+            self.orb,
+            self.federation,
+            wal,
+            cell_store,
+            tid_prefix=f"{config.site_id}.{uuid.uuid4().hex[:8]}:",
+            max_events=config.max_events,
         )
         self.transport.set_request_handler(self.orb.dispatch_request)
         self.transport.set_control_handler(self._control)
 
-        self.recovered = False
-        self.last_recovery_error: Optional[str] = None
         self._stop = threading.Event()
         self._serve_thread: Optional[threading.Thread] = None
-        self._cells: Dict[str, TransactionalCell] = {}
         # Follower replicas this daemon hosts *for other domains*, keyed
         # by store name and served over the "replica" control op.
         self._hosted_replicas: Dict[str, ObjectStore] = {}
@@ -511,22 +494,6 @@ class SiteRuntime:
             )
             for index in range(replication.replicas)
         ]
-
-    # -- app surface ---------------------------------------------------------
-
-    def cell(self, key: str, initial: Any) -> TransactionalCell:
-        """Get-or-create one recoverable unit of application state,
-        backed by this site's cell store and recovery registry."""
-        existing = self._cells.get(key)
-        if existing is None:
-            existing = self._cells[key] = TransactionalCell(
-                key,
-                initial,
-                self.factory,
-                store=self.cell_store,
-                registry=self.registry,
-            )
-        return existing
 
     # -- control plane --------------------------------------------------------
 
@@ -569,7 +536,7 @@ class SiteRuntime:
             return {
                 "site": self.config.site_id,
                 "recovered": self.recovered,
-                "recovery_error": self.last_recovery_error,
+                "recovery_error": self.recovery_error,
                 "nodes": sorted(n.node_id for n in self.orb.nodes()),
                 "stats": {
                     "requests_sent": stats.requests_sent,
@@ -683,23 +650,6 @@ class SiteRuntime:
             "cells": self.cell_store.health(),
         }
 
-    def _replication_round(self) -> None:
-        """Opportunistically re-sync lagging/readmitted replicas; the
-        quorum write path only touches replicas the traffic happens to
-        probe, so an idle site still heals between rounds here."""
-        if self.replication is None:
-            return
-        try:
-            # An unplanned primary-medium loss would otherwise wedge the
-            # WAL (every force raises, promote is never called): detect
-            # it here and fail over to the newest surviving follower.
-            if isinstance(self.wal, ReplicatedWAL):
-                self.wal.failover_if_primary_down()
-            self.wal.catch_up()
-            self.cell_store.catch_up()
-        except Exception:
-            pass  # per-replica failures are already latched in the detectors
-
     # -- triage ---------------------------------------------------------------
 
     def debug_dump(self) -> Dict[str, Any]:
@@ -710,7 +660,7 @@ class SiteRuntime:
         return {
             "site": self.config.site_id,
             "recovered": self.recovered,
-            "recovery_error": self.last_recovery_error,
+            "recovery_error": self.recovery_error,
             "membership": self.membership(),
             "replication": self.replication_health(),
             "quarantined": self.transport.quarantined(),
@@ -729,29 +679,6 @@ class SiteRuntime:
         }
 
     # -- serving ----------------------------------------------------------------
-
-    def _recovery_round(self) -> None:
-        if not self.recovered:
-            try:
-                report = self.service.recover()
-            except Exception as exc:  # peer down mid-replay: retry next round
-                self.last_recovery_error = f"{type(exc).__name__}: {exc}"
-                return
-            self.recovered = True
-            self.last_recovery_error = None
-            self.factory.event_log.record(
-                "site_recovered",
-                site=self.config.site_id,
-                recommitted=len(report.recommitted),
-                presumed_aborted=len(report.presumed_aborted),
-                held=len(report.held),
-            )
-            return
-        try:
-            self.service.sweep_orphans(min_age=self.config.orphan_min_age)
-            self.service.resolve_in_doubt()
-        except Exception as exc:
-            self.last_recovery_error = f"{type(exc).__name__}: {exc}"
 
     def serve(self) -> None:
         """Run the site until :meth:`stop` (or a ``shutdown`` control op).
@@ -779,9 +706,11 @@ class SiteRuntime:
         consecutive_failures = 0
         while not self._stop.is_set():
             self._heartbeat_round()
-            self._replication_round()
-            self._recovery_round()
-            if self.last_recovery_error is None:
+            try:
+                self.housekeeping_round(self.config.orphan_min_age)
+            except Exception as exc:  # a bug must not stop the loop unrecorded
+                self.recovery_error = f"{type(exc).__name__}: {exc}"
+            if self.recovery_error is None:
                 consecutive_failures = 0
                 wait = self.config.poll_interval
             else:
@@ -793,21 +722,15 @@ class SiteRuntime:
         self.transport.close()
         self.close_stores()
 
-    def close_stores(self) -> None:
-        """Force the log's unforced tail (completion records), then
-        release the file handles this site's stores keep open (WAL,
-        cells, replica media, hosted follower replicas).  Idempotent."""
-        try:
-            self.wal.force()
-        finally:
-            for store in (
-                self.wal.store,
-                self.cell_store,
-                *self.wal_media,
-                *self.cell_media,
-                *self._hosted_replicas.values(),
-            ):
-                store.close()
+    def close_stores(self, *media: ObjectStore) -> None:
+        """Also release the replica media and the hosted follower
+        replicas' handles.  Idempotent."""
+        super().close_stores(
+            *media,
+            *self.wal_media,
+            *self.cell_media,
+            *self._hosted_replicas.values(),
+        )
 
     def serve_in_background(self) -> None:
         self._serve_thread = threading.Thread(
