@@ -142,8 +142,8 @@ def measure_recovery():
         world.clock.advance(ROUND_TICK)
         for name in world.domains:
             d = world.domain(name)
-            if d.recovery_error is not None:
-                d.try_recover()
+            if not d.recovered:
+                d.recover()
             d.service.sweep_orphans(min_age=0.5)
             try:
                 d.service.resolve_in_doubt()

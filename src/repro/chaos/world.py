@@ -3,10 +3,11 @@
 A :class:`ChaosWorld` is N transaction domains (default two) joined by
 an :class:`~repro.orb.federation.InterOrbBridge` under one
 :class:`~repro.util.clock.SimulatedClock`.  Each :class:`ChaosDomain`
-owns the full per-process stack — ORB, transaction factory with a
-write-ahead log, recoverable registry, federated transaction service,
-an :class:`~repro.core.manager.ActivityManager` for the extended-
-transaction models, and a set of idempotent bank accounts — while its
+is the same :class:`~repro.domain.Domain` a site daemon runs — ORB,
+transaction factory over a write-ahead log, recoverable registry,
+federated transaction service and an
+:class:`~repro.core.manager.ActivityManager` for the extended-
+transaction models — plus a set of idempotent bank accounts, while its
 durable *media* (WAL store, cell store) live outside the domain object
 and survive crashes, exactly like a disk survives a SIGKILL.
 
@@ -14,6 +15,8 @@ and survive crashes, exactly like a disk survives a SIGKILL.
 ``restart()`` rebuilds the stack from the media and runs federated
 recovery, which is the whole point of the campaign: any state the
 framework needs to stay safe must have made it to the log.
+``quiesce()`` then runs the domain's housekeeping round — the one a
+daemon's serve loop runs — until the world is quiet.
 
 Bank accounts are **idempotent by operation id**: every deposit or
 withdrawal carries the workload's ``op_id`` and the account records the
@@ -27,21 +30,13 @@ outcome was applied exactly once — or not at all — afterwards.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core import ActivityManager
+from repro.domain import Domain
 from repro.exceptions import InvalidStateError, ReproError
 from repro.orb import InterOrbBridge, Orb
 from repro.orb.membership import FailureDetectorConfig
 from repro.orb.reference import ObjectRef
-from repro.ots import (
-    RecoverableRegistry,
-    TransactionCurrent,
-    TransactionFactory,
-    TransactionalCell,
-    install_federated_transaction_service,
-)
-from repro.ots.factory import FactoryConfig
 from repro.persistence import (
     MemoryStore,
     ReplicaMedium,
@@ -122,8 +117,9 @@ class ChaosAccount:
         return list(self.cell.committed_value[1])
 
 
-class ChaosDomain:
-    """One transaction domain whose durable media outlive its process."""
+class ChaosDomain(Domain):
+    """A :class:`~repro.domain.Domain` behind the world's bridge, whose
+    durable media outlive its process."""
 
     def __init__(
         self,
@@ -146,22 +142,19 @@ class ChaosDomain:
         # objects, the disks survive, and reboot re-elects from them.
         self.replica_media = replica_media
         self.write_quorum = write_quorum
-        if replica_media is None:
-            self.wal_store = make_store(f"{name}-wal")
-            self.cell_store = make_store(f"{name}-cells")
         self.alive = False
         self.crash_count = 0
         self.boot_count = 0
-        self.recovery_error: Optional[str] = None
-        self._boot(reopen=False)
+        self._boot()
+        self.recovered = True  # fresh media: nothing to replay
 
     @property
     def replicated(self) -> bool:
         return self.replica_media is not None
 
-    def _boot(self, reopen: bool) -> None:
+    def _boot(self) -> None:
         if self.replica_media is not None:
-            self.wal = ReplicatedWAL(
+            wal: WriteAheadLog = ReplicatedWAL(
                 self.replica_media["wal"],
                 "wal",
                 window=0.0,
@@ -169,51 +162,39 @@ class ChaosDomain:
                 write_quorum=self.write_quorum,
                 clock=self.clock,
             )
-            self.cell_store = ReplicatedStore(
+            cell_store: Any = ReplicatedStore(
                 self.replica_media["cells"],
                 write_quorum=self.write_quorum,
                 clock=self.clock,
             )
         else:
-            if reopen:
-                # A restarted process reads its media back; the in-memory
-                # store model returns the same instances (the medium
-                # survives, the process state does not).
-                self.wal_store = self.make_store(f"{self.name}-wal")
-                self.cell_store = self.make_store(f"{self.name}-cells")
-            self.wal = WriteAheadLog(self.wal_store, "wal")
+            # A restarted process reads its media back; the in-memory
+            # store model returns the same instances (the medium
+            # survives, the process state does not).
+            wal = WriteAheadLog(self.make_store(f"{self.name}-wal"), "wal")
+            cell_store = self.make_store(f"{self.name}-cells")
         self.boot_count += 1
-        self.orb = Orb(clock=self.clock)
-        self.bridge.connect(self.orb, self.name)
+        orb = Orb(clock=self.clock)
+        self.bridge.connect(orb, self.name)
         # Root tids key durable records that outlive this incarnation
         # (the WAL survives the crash), so they must be unique across
         # reboots — a restarted factory restarts its counter.  The boot
         # counter is the nonce (deterministic, unlike the site daemon's
         # uuid, so seed replay stays exact).
-        self.factory = TransactionFactory(
-            clock=self.clock,
-            wal=self.wal,
-            config=FactoryConfig(tid_prefix=f"{self.name}.b{self.boot_count}:"),
+        self.boot(
+            orb,
+            self.bridge,
+            wal,
+            cell_store,
+            tid_prefix=f"{self.name}.b{self.boot_count}:",
         )
-        self.current = TransactionCurrent(self.factory)
-        self.registry = RecoverableRegistry()
-        self.service = install_federated_transaction_service(
-            self.orb, self.current, self.bridge, registry=self.registry
-        )
-        self.node = self.orb.create_node(chaos_node_id(self.name))
-        self.manager = ActivityManager(clock=self.clock)
+        self.node = orb.create_node(chaos_node_id(self.name))
         self.accounts: Dict[str, ChaosAccount] = {}
         for key, opening in sorted(self.account_specs.items()):
             account = ChaosAccount(self, key, opening)
             self.node.activate(account, object_id=f"acct:{key}")
             self.accounts[key] = account
         self.alive = True
-
-    def cell(self, key: str, initial: Any) -> TransactionalCell:
-        return TransactionalCell(
-            key, initial, self.factory, store=self.cell_store,
-            registry=self.registry,
-        )
 
     # -- process lifecycle -------------------------------------------------
 
@@ -230,32 +211,13 @@ class ChaosDomain:
 
         Returns the recovery error string when recovery itself failed
         (e.g. a superior unreachable across a still-partitioned link);
-        the campaign's quiesce loop retries those until clean.
+        the campaign's quiesce rounds retry it until clean.
         """
         if self.alive:
             self.factory.failpoints.clear()
             return None
-        self._boot(reopen=True)
-        return self.try_recover()
-
-    def try_recover(self) -> Optional[str]:
-        self.recovery_error = None
-        try:
-            self.service.recover()
-        except ReproError as exc:
-            self.recovery_error = f"{type(exc).__name__}: {exc}"
-        return self.recovery_error
-
-    def replication_catch_up(self) -> None:
-        """Re-sync lagging/readmitted replica media (the in-process
-        analogue of the site daemon's serve-loop replication round)."""
-        if not self.replicated or not self.alive:
-            return
-        try:
-            self.wal.catch_up()
-            self.cell_store.catch_up()
-        except ReproError:
-            pass  # per-replica failures are latched in the detectors
+        self._boot()
+        return self.recover()
 
 
 class ChaosWorld:
@@ -394,10 +356,12 @@ class ChaosWorld:
             return
         for kind_media in media.values():
             kind_media[index].heal()
-        # The domain's next replication round re-admits the healed disk
-        # (a site daemon runs one every serve-loop pass), so an idle log
-        # does not keep it latched DOWN until the next write happens by.
-        self.domains[name].replication_catch_up()
+        # Re-admit the healed disk now (a site daemon's housekeeping
+        # round would within one pass), so an idle log does not keep it
+        # latched DOWN until the next write happens by.
+        domain = self.domains[name]
+        if domain.alive:
+            domain._attempt(domain.replication_catch_up)
 
     def disk_wipe(self, name: str, index: int) -> bool:
         """Replica ``index``'s disks are replaced with empty ones; the
@@ -462,7 +426,7 @@ class ChaosWorld:
 
     def is_quiet(self) -> bool:
         for domain in self.domains.values():
-            if not domain.alive or domain.recovery_error is not None:
+            if not domain.alive or not domain.recovered:
                 return False
             if domain.factory.active_transactions():
                 return False
@@ -474,9 +438,11 @@ class ChaosWorld:
         """Heal faults, restart the dead, drive recovery to a fixpoint.
 
         Each round advances the simulated clock (so failure-detector
-        half-open probes and timeouts fire), retries any failed
-        recovery, and polls every domain's in-doubt resolver.  Returns
-        True when the world reached a quiet state within the budget.
+        half-open probes and timeouts fire) and runs every domain's
+        housekeeping round: replication catch-up, any recovery still
+        pending, timeouts, stranded completions, the orphan sweep and
+        in-doubt resolution.  Returns True when the world reached a
+        quiet state within the budget.
         """
         self.heal_everything()
         for name, domain in self.domains.items():
@@ -487,22 +453,7 @@ class ChaosWorld:
         for _ in range(max_rounds):
             self.clock.advance(1.0)
             for domain in self.domains.values():
-                domain.replication_catch_up()
-                if domain.recovery_error is not None:
-                    domain.try_recover()
-                domain.factory.expire_timeouts()
-                # Completions interrupted by a store-layer failure (e.g.
-                # a replica set transiently below quorum) re-drive once
-                # the media heal; without this they sit in COMMITTING/
-                # ROLLING_BACK forever and the world never goes quiet.
-                domain.factory.redrive_stuck()
-                domain.manager.expire_timeouts()
-                try:
-                    # Also forces the log's unforced completion tail.
-                    domain.service.sweep_orphans(min_age=0.5)
-                    domain.service.resolve_in_doubt()
-                except ReproError:
-                    continue  # link or replica still re-admitting; next round retries
+                domain.housekeeping_round(orphan_min_age=0.5)
             if self.is_quiet():
                 return True
         return self.is_quiet()
