@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from repro.config import RuntimeConfig
 from repro.core.manager import ActivityManager
-from repro.exceptions import AdmissionRejected, OverloadError
+from repro.exceptions import AdmissionRejected
 from repro.load.collector import LoadCollector
 from repro.load.generator import run_closed_loop_threads
 from repro.orb.core import Servant
@@ -87,7 +87,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         collector.started(start)
         try:
             ref.invoke("work")
-        except (AdmissionRejected, OverloadError) as exc:
+        except AdmissionRejected as exc:
             collector.live -= 1  # never admitted server-side
             collector.rejected(time.monotonic(), exc)
         except Exception:

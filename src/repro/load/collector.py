@@ -12,7 +12,6 @@ Outcome taxonomy (mirrors the chaos ledger's discipline of classifying
 ``ok``             completed within its deadline
 ``deadline_miss``  completed, but too late to count as goodput
 ``shed``           rejected by admission control (:class:`AdmissionRejected`)
-``overload``       any other :class:`OverloadError` pushback
 ``error``          any other failure
 """
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, Optional
 
-from repro.exceptions import AdmissionRejected, OverloadError
+from repro.exceptions import AdmissionRejected
 from repro.load.sketch import QuantileSketch
 
 try:  # POSIX-only; the harness degrades to allocator blocks elsewhere.
@@ -48,7 +47,6 @@ class LoadCollector:
         self.ok = 0
         self.deadline_miss = 0
         self.shed = 0
-        self.overload = 0
         self.error = 0
         self.live = 0
         self.peak_live = 0
@@ -82,8 +80,6 @@ class LoadCollector:
         self.last_at = now
         if isinstance(exc, AdmissionRejected):
             self.shed += 1
-        elif isinstance(exc, OverloadError):
-            self.overload += 1
         else:
             self.error += 1
 
@@ -106,7 +102,6 @@ class LoadCollector:
         self.ok += other.ok
         self.deadline_miss += other.deadline_miss
         self.shed += other.shed
-        self.overload += other.overload
         self.error += other.error
         # Per-thread peaks are not globally concurrent, so the honest
         # merged figure is the max, not the sum.
@@ -121,7 +116,7 @@ class LoadCollector:
 
     @property
     def attempted(self) -> int:
-        return self.ok + self.deadline_miss + self.shed + self.overload + self.error
+        return self.ok + self.deadline_miss + self.shed + self.error
 
     @property
     def completed(self) -> int:
@@ -149,7 +144,6 @@ class LoadCollector:
             "ok": self.ok,
             "deadline_miss": self.deadline_miss,
             "shed": self.shed,
-            "overload": self.overload,
             "error": self.error,
             "elapsed_s": self.elapsed(),
             "goodput_ops_s": self.goodput(),

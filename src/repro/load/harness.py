@@ -23,7 +23,7 @@ import heapq
 from typing import Any, Dict, List, Optional
 
 from repro.core.manager import ActivityManager
-from repro.exceptions import OverloadError
+from repro.exceptions import AdmissionRejected
 from repro.load.collector import LoadCollector, peak_rss_bytes
 from repro.load.generator import OpenLoopDriver, TrafficMix
 from repro.util.rng import SeededRng
@@ -93,8 +93,8 @@ def run_open_loop_activities(
     Each admitted arrival begins a real activity, occupies the capacity
     station, and completes (really — the gate slot is released through
     the manager's completion path) at the station's computed finish
-    time.  Rejections (:class:`AdmissionRejected` and other
-    :class:`OverloadError`) are collected as shed traffic.  With no
+    time.  Rejections (:class:`AdmissionRejected`) are collected as
+    shed traffic.  With no
     admission gate configured the live population grows without bound
     past the knee — which is the point of the comparison.
 
@@ -110,7 +110,7 @@ def run_open_loop_activities(
     def issue(kind: str, index: int, now: float) -> None:
         try:
             activity = manager.begin(name=f"load-{kind}")
-        except OverloadError as exc:
+        except AdmissionRejected as exc:
             out.rejected(now, exc)
             return
         out.started(now)
@@ -172,7 +172,7 @@ def run_population_hold(
     for _ in range(probe_extra):
         try:
             overflow.append(manager.begin(name="hold-extra"))
-        except OverloadError as exc:
+        except AdmissionRejected as exc:
             shed += 1
             out.rejected(clock.now(), exc)
     for activity in overflow:  # ungated managers admit these; drain them

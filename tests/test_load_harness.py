@@ -249,7 +249,7 @@ class TestCliSmoke:
         assert report["max_live"] == 2
         assert report["admission"]["max_live"] == 2
         assert report["attempted"] == report["ok"] + report["deadline_miss"] + (
-            report["shed"] + report["overload"] + report["error"]
+            report["shed"] + report["error"]
         )
         assert report["latency"]["p99"] >= report["latency"]["p50"] > 0
         # The server's gate agrees with what the clients saw.
