@@ -148,10 +148,6 @@ class ChaosDomain(Domain):
         self._boot()
         self.recovered = True  # fresh media: nothing to replay
 
-    @property
-    def replicated(self) -> bool:
-        return self.replica_media is not None
-
     def _boot(self) -> None:
         if self.replica_media is not None:
             wal: WriteAheadLog = ReplicatedWAL(
@@ -181,13 +177,7 @@ class ChaosDomain(Domain):
         # reboots — a restarted factory restarts its counter.  The boot
         # counter is the nonce (deterministic, unlike the site daemon's
         # uuid, so seed replay stays exact).
-        self.boot(
-            orb,
-            self.bridge,
-            wal,
-            cell_store,
-            tid_prefix=f"{self.name}.b{self.boot_count}:",
-        )
+        self.boot(orb, wal, cell_store, tid_prefix=f"{self.name}.b{self.boot_count}:")
         self.node = orb.create_node(chaos_node_id(self.name))
         self.accounts: Dict[str, ChaosAccount] = {}
         for key, opening in sorted(self.account_specs.items()):
@@ -476,7 +466,7 @@ class ChaosWorld:
                                 "cells": domain.cell_store.health(),
                             }
                         }
-                        if domain.replicated and domain.alive
+                        if domain.replica_media is not None and domain.alive
                         else {}
                     ),
                 }

@@ -2,46 +2,28 @@
 
 In the paper every domain runs the Activity Service beside the OTS, with
 one recovery story for both.  :class:`Domain` is that assembly, written
-once for every deployment of it: the site daemon
-(:class:`~repro.orb.site.SiteRuntime`, a domain behind a socket
-transport) and the chaos world's
+once: the site daemon (:class:`~repro.orb.site.SiteRuntime`, a domain
+behind a socket transport) and the chaos world
 (:class:`~repro.chaos.world.ChaosDomain`, a domain behind an in-process
-bridge that crashes and restarts) both build on it.
-
-A domain depends on neither the clock nor the transport.  The caller
-hands :meth:`Domain.boot` an ORB already joined to its federation (the
-ORB brings the clock), the durable media — a write-ahead log and a cell
-store, whatever backs them — and the tid prefix its restart policy
-wants.  ``boot`` builds the per-process stack over them: the
-transaction factory, ``TransactionCurrent``, the recoverable registry,
-the federated transaction service and an
-:class:`~repro.core.manager.ActivityManager`.  A restarted process calls
-``boot`` again over the same media.
+bridge that crashes and restarts) both build on it.  It depends on
+neither the clock nor the transport: :meth:`Domain.boot` takes an ORB
+already joined to its federation (the ORB brings the clock and the
+bridge or socket federation), the
+durable media the caller chose, and the tid prefix its restart policy
+wants.  A restarted process calls ``boot`` again over the same media.
 
 :meth:`Domain.housekeeping_round` is the one maintenance pass both
-deployments run (the daemon every serve-loop pass, the chaos world every
-quiesce round):
-
-1. replication catch-up, when the media are replicated;
-2. crash recovery, until it has succeeded once; a failed recovery ends
-   the round (nothing else may touch a log not yet replayed);
-3. transaction timeouts (``factory.expire_timeouts``);
-4. completions a store failure interrupted (``factory.redrive_stuck``);
-5. activity timeouts (``manager.expire_timeouts``);
-6. the orphan sweep, which first retires finished subordinates and
-   forces the log's unforced completion tail;
-7. in-doubt resolution against each superior's recovery servant;
-8. dropping finished transactions from the factory's registry.
-
-Every step catches :class:`~repro.exceptions.ReproError` into
-:attr:`Domain.recovery_error` (``None`` when the last round ran clean)
-and the round goes on with the next step.  :attr:`Domain.recovered`
-says whether the log has been replayed since the last boot.
+deployments run, the daemon every serve-loop pass and the chaos world
+every quiesce round.  Each step catches
+:class:`~repro.exceptions.ReproError` into :attr:`recovery_error`
+(``None`` when the last round ran clean) and the round goes on, except
+that a failed recovery ends it: nothing else may touch a log not yet
+replayed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, TypeVar
+from typing import Any, Callable, Dict, Optional
 
 from repro.config import FactoryConfig, RuntimeConfig
 from repro.core.manager import ActivityManager
@@ -49,50 +31,30 @@ from repro.exceptions import ReproError
 from repro.orb.core import Orb
 from repro.ots.current import TransactionCurrent
 from repro.ots.factory import TransactionFactory
-from repro.ots.interposition import (
-    FederatedTransactionService,
-    install_federated_transaction_service,
-)
+from repro.ots.interposition import install_federated_transaction_service
 from repro.ots.recoverable import RecoverableRegistry, TransactionalCell
 from repro.persistence.object_store import ObjectStore
 from repro.persistence.replicated import ReplicatedWAL
 from repro.persistence.wal import WriteAheadLog
 
-T = TypeVar("T")
-
 
 class Domain:
     """A domain's per-process stack over durable media it does not own."""
 
-    orb: Orb
-    wal: WriteAheadLog
-    cell_store: ObjectStore
-    factory: TransactionFactory
-    current: TransactionCurrent
-    registry: RecoverableRegistry
-    service: FederatedTransactionService
-    manager: ActivityManager
-
     def boot(
         self,
         orb: Orb,
-        federation: Any,
         wal: WriteAheadLog,
         cell_store: ObjectStore,
         *,
         tid_prefix: str,
         max_events: Optional[int] = None,
     ) -> None:
-        """Build the stack over ``wal`` and ``cell_store``.
-
-        ``orb`` must already be connected to ``federation`` (an
-        :class:`~repro.orb.federation.InterOrbBridge` or a
-        :class:`~repro.orb.site.SiteFederation`).  ``tid_prefix`` keeps
-        root tids unique across the fabric and across this domain's own
-        restarts.  ``max_events`` bounds what a reader attached to the
-        factory's or the manager's event log retains.  The manager is
-        not installed on the ORB: whoever hosts activities decides.
-        """
+        """Build the stack over ``wal`` and ``cell_store``: factory,
+        ``TransactionCurrent``, recoverable registry, federated
+        transaction service and an activity manager, which is not
+        installed on the ORB (whoever hosts activities decides).
+        ``max_events`` bounds what a reader of their event logs keeps."""
         self.orb = orb
         self.wal = wal
         self.cell_store = cell_store
@@ -104,7 +66,7 @@ class Domain:
         self.current = TransactionCurrent(self.factory)
         self.registry = RecoverableRegistry()
         self.service = install_federated_transaction_service(
-            orb, self.current, federation, registry=self.registry
+            orb, self.current, orb.federation, registry=self.registry
         )
         self.manager = ActivityManager(
             clock=orb.clock, config=RuntimeConfig(max_events=max_events)
@@ -127,7 +89,7 @@ class Domain:
             )
         return existing
 
-    def _attempt(self, step: Callable[..., T], *args: Any) -> Optional[T]:
+    def _attempt(self, step: Callable[..., Any], *args: Any) -> Any:
         """Run one housekeeping step, recording a failure instead of
         raising it."""
         try:
@@ -163,7 +125,10 @@ class Domain:
             self.cell_store.catch_up()
 
     def housekeeping_round(self, orphan_min_age: float) -> None:
-        """One maintenance pass; see the module docstring for the order."""
+        """Replication catch-up, recovery until it succeeds, transaction
+        timeouts, stranded completions, activity timeouts, the orphan
+        sweep (which also forces the log's unforced tail), in-doubt
+        resolution, then forget the finished transactions."""
         self.recovery_error = None
         self._attempt(self.replication_catch_up)
         if not self.recovered and self.recover() is not None:

@@ -4,8 +4,9 @@ The in-process deployment model — many ORBs, one interpreter, an
 :class:`~repro.orb.federation.InterOrbBridge` carrying bytes between
 them — is exact but simulated.  This module is the *deployment* half of
 the same design: a **site** is one process hosting one
-:class:`~repro.orb.core.Orb`, its own :class:`TransactionFactory` + WAL,
-and a :class:`~repro.orb.socket_transport.SocketTransport` listener.
+:class:`~repro.orb.core.Orb`, the :class:`~repro.domain.Domain` a
+chaos-world domain runs too, and a
+:class:`~repro.orb.socket_transport.SocketTransport` listener.
 Sites know each other from a static site list (``SiteConfig.peers``) and
 speak the transport's framed protocol; federation and OTS coordinator
 interposition run **unchanged** on top, because :class:`SiteFederation`
@@ -26,14 +27,14 @@ Crash story (the paper's §fault-tolerance, now with real SIGKILL):
   :class:`~repro.persistence.object_store.SegmentedFileStore` under
   ``data_dir`` whenever a data directory is configured — regardless of
   how application cell state is stored;
-- on boot, :meth:`SiteRuntime.serve` replays that WAL
-  (``FederatedTransactionService.recover``) before reporting ready,
-  retrying until every cross-site replay lands (a peer being down makes
-  recovery *wait*, not fail);
-- between rounds the serve loop polls ``resolve_in_doubt()`` so a
-  subordinate left prepared by a superior that crashed *before logging
-  its decision* learns the (presumed-abort) outcome from the superior's
-  durable recovery servant instead of holding locks forever.
+- the serve loop runs the domain's housekeeping round every
+  ``poll_interval``.  Its first rounds replay that WAL before ``ping``
+  reports ready, retrying until every cross-site replay lands (a peer
+  being down makes recovery *wait*, not fail);
+- later rounds also poll ``resolve_in_doubt()``, so a subordinate left
+  prepared by a superior that crashed *before logging its decision*
+  learns the (presumed-abort) outcome from the superior's durable
+  recovery servant instead of holding locks forever.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ class SiteConfig:
         recovery, so it can create nodes, servants and cells (recovery
         needs the cells registered to replay into them).
     ``poll_interval``
-        Seconds between serve-loop rounds (recovery retry /
-        ``resolve_in_doubt`` polling / heartbeat probes).  While
-        recovery keeps failing the wait backs off under ``retry``
-        instead of hammering a dead superior at a fixed cadence.
+        Seconds between serve-loop rounds (heartbeat probes and the
+        domain's housekeeping round).  While a round keeps recording
+        an error the wait backs off under ``retry`` instead of
+        hammering a dead superior at a fixed cadence.
     ``heartbeat``
         Failure-detection knobs folded into
         :class:`~repro.orb.membership.FailureDetectorConfig`
@@ -115,7 +116,7 @@ class SiteConfig:
     ``retry``
         Knobs folded into :class:`~repro.util.retry.RetryPolicy` for
         the transport's reconnect backoff and the serve loop's
-        recovery/resolution polling.
+        backoff.
     ``orphan_min_age``
         Seconds an adopted subordinate may sit unprepared with no word
         from its superior before the serve loop unilaterally rolls it
@@ -360,10 +361,9 @@ class SiteRuntime(Domain):
 
     Construction wires everything and runs the app hook; :meth:`serve`
     (or :meth:`serve_in_background` for tests/clients embedding a site)
-    starts the listener and the loop that runs the domain's
-    housekeeping round.  The runtime is also the surface the app hook
-    programs against: :attr:`orb`, :attr:`factory`, :attr:`current`,
-    :meth:`cell`.
+    starts the listener and the housekeeping loop.  The runtime is also
+    the surface the app hook programs against: :attr:`orb`,
+    :attr:`factory`, :attr:`current`, :meth:`cell`.
     """
 
     def __init__(self, config: SiteConfig) -> None:
@@ -412,8 +412,7 @@ class SiteRuntime(Domain):
         # and cell store become quorum-replicated over per-replica media
         # under <data_dir>/replica-<i>/, so losing one of those "disks"
         # degrades this domain instead of erasing it.
-        replication = config.replication_config()
-        self.replication = replication
+        replication = self.replication = config.replication_config()
         self.wal_media: List[ReplicaMedium] = []
         self.cell_media: List[ReplicaMedium] = []
         if config.data_dir is not None:
@@ -452,14 +451,8 @@ class SiteRuntime(Domain):
         # sites, so they must be unique across the fabric and across
         # this site's own restarts (a rebooted factory restarts its
         # counter): prefix with site id + per-boot nonce.
-        self.boot(
-            self.orb,
-            self.federation,
-            wal,
-            cell_store,
-            tid_prefix=f"{config.site_id}.{uuid.uuid4().hex[:8]}:",
-            max_events=config.max_events,
-        )
+        tid_prefix = f"{config.site_id}.{uuid.uuid4().hex[:8]}:"
+        self.boot(self.orb, wal, cell_store, tid_prefix=tid_prefix, max_events=config.max_events)
         self.transport.set_request_handler(self.orb.dispatch_request)
         self.transport.set_control_handler(self._control)
 
@@ -683,13 +676,13 @@ class SiteRuntime(Domain):
     def serve(self) -> None:
         """Run the site until :meth:`stop` (or a ``shutdown`` control op).
 
-        Boot sequence: listen, then replay the WAL until recovery
-        succeeds (readiness — ``ping`` answers ``recovered=False``
-        meanwhile), then poll for in-doubt resolutions.  Heartbeat
-        probes run every round; a recovery/resolution round that keeps
-        failing backs off under the site's :class:`RetryPolicy` (capped,
-        jittered) instead of re-hitting a dead superior at a fixed
-        cadence.
+        Boot sequence: listen, then run a heartbeat round and the
+        domain's housekeeping round every ``poll_interval``; the first
+        rounds replay the WAL until recovery succeeds (readiness —
+        ``ping`` answers ``recovered=False`` meanwhile).  A round that
+        keeps recording an error backs off under the site's
+        :class:`RetryPolicy` (capped, jittered) instead of re-hitting a
+        dead superior at a fixed cadence.
         """
         self.transport.start()
         # The serve loop's backoff reuses the policy's shape but anchors
