@@ -39,6 +39,7 @@ from repro.orb.membership import FailureDetectorConfig
 from repro.orb.reference import ObjectRef
 from repro.persistence import (
     MemoryStore,
+    ObjectStore,
     ReplicaMedium,
     ReplicatedStore,
     ReplicatedWAL,
@@ -158,7 +159,7 @@ class ChaosDomain(Domain):
                 write_quorum=self.write_quorum,
                 clock=self.clock,
             )
-            cell_store: Any = ReplicatedStore(
+            cell_store: ObjectStore = ReplicatedStore(
                 self.replica_media["cells"],
                 write_quorum=self.write_quorum,
                 clock=self.clock,
@@ -351,7 +352,7 @@ class ChaosWorld:
         # latched DOWN until the next write happens by.
         domain = self.domains[name]
         if domain.alive:
-            domain._attempt(domain.replication_catch_up)
+            domain.attempt(domain.replication_catch_up)
 
     def disk_wipe(self, name: str, index: int) -> bool:
         """Replica ``index``'s disks are replaced with empty ones; the

@@ -89,9 +89,9 @@ class Domain:
             )
         return existing
 
-    def _attempt(self, step: Callable[..., Any], *args: Any) -> Any:
-        """Run one housekeeping step, recording a failure instead of
-        raising it."""
+    def attempt(self, step: Callable[..., Any], *args: Any) -> Any:
+        """Run one housekeeping step, recording a ``ReproError`` in
+        :attr:`recovery_error` instead of raising it."""
         try:
             return step(*args)
         except ReproError as exc:
@@ -102,7 +102,7 @@ class Domain:
         """Replay this domain's log (federated recovery).  Returns the
         error, also recorded, when it failed — a superior still
         unreachable, say — and ``None`` once the domain has recovered."""
-        report = self._attempt(self.service.recover)
+        report = self.attempt(self.service.recover)
         if report is None:
             return self.recovery_error
         self.recovered = True
@@ -130,15 +130,15 @@ class Domain:
         sweep (which also forces the log's unforced tail), in-doubt
         resolution, then forget the finished transactions."""
         self.recovery_error = None
-        self._attempt(self.replication_catch_up)
+        self.attempt(self.replication_catch_up)
         if not self.recovered and self.recover() is not None:
             return
-        self._attempt(self.factory.expire_timeouts)
-        self._attempt(self.factory.redrive_stuck)
-        self._attempt(self.manager.expire_timeouts)
-        self._attempt(self.service.sweep_orphans, orphan_min_age)
-        self._attempt(self.service.resolve_in_doubt)
-        self._attempt(self.factory.forget_completed)
+        self.attempt(self.factory.expire_timeouts)
+        self.attempt(self.factory.redrive_stuck)
+        self.attempt(self.manager.expire_timeouts)
+        self.attempt(self.service.sweep_orphans, orphan_min_age)
+        self.attempt(self.service.resolve_in_doubt)
+        self.attempt(self.factory.forget_completed)
 
     def close_stores(self, *media: ObjectStore) -> None:
         """Force the log's unforced tail, then release the file handles
