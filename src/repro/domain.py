@@ -7,10 +7,10 @@ behind a socket transport) and the chaos world
 (:class:`~repro.chaos.world.ChaosDomain`, a domain behind an in-process
 bridge that crashes and restarts) both build on it.  It depends on
 neither the clock nor the transport: :meth:`Domain.boot` takes an ORB
-already joined to its federation (the ORB brings the clock and the
-bridge or socket federation), the
-durable media the caller chose, and the tid prefix its restart policy
-wants.  A restarted process calls ``boot`` again over the same media.
+already joined to its bridge or socket federation (the ORB brings the
+clock and the federation), the durable media the caller chose, and the
+tid prefix its restart policy wants.  A restarted process calls
+``boot`` again over the same media.
 
 :meth:`Domain.housekeeping_round` is the one maintenance pass both
 deployments run, the daemon every serve-loop pass and the chaos world
