@@ -139,12 +139,3 @@ class Domain:
         self.attempt(self.service.sweep_orphans, orphan_min_age)
         self.attempt(self.service.resolve_in_doubt)
         self.attempt(self.factory.forget_completed)
-
-    def close_stores(self, *media: ObjectStore) -> None:
-        """Force the log's unforced tail, then release the file handles
-        of the log's store, the cell store and ``media``.  Idempotent."""
-        try:
-            self.wal.force()
-        finally:
-            for store in (self.wal.store, self.cell_store, *media):
-                store.close()

@@ -715,15 +715,21 @@ class SiteRuntime(Domain):
         self.transport.close()
         self.close_stores()
 
-    def close_stores(self, *media: ObjectStore) -> None:
-        """Also release the replica media and the hosted follower
-        replicas' handles.  Idempotent."""
-        super().close_stores(
-            *media,
-            *self.wal_media,
-            *self.cell_media,
-            *self._hosted_replicas.values(),
-        )
+    def close_stores(self) -> None:
+        """Force the log's unforced tail (completion records), then
+        release the file handles this site's stores keep open (WAL,
+        cells, replica media, hosted follower replicas).  Idempotent."""
+        try:
+            self.wal.force()
+        finally:
+            for store in (
+                self.wal.store,
+                self.cell_store,
+                *self.wal_media,
+                *self.cell_media,
+                *self._hosted_replicas.values(),
+            ):
+                store.close()
 
     def serve_in_background(self) -> None:
         self._serve_thread = threading.Thread(
