@@ -247,6 +247,8 @@ class Transaction:
         # Armed timer for this transaction's deadline; cancelled when
         # the transaction finishes.
         self._expiry_timer: Optional[Any] = None
+        # Held by the thread driving this transaction's completion.
+        self._completion = threading.RLock()
         if parent is not None:
             parent.children.append(self)
 
@@ -370,25 +372,26 @@ class Transaction:
 
     def commit(self, report_heuristics: bool = True) -> None:
         """Commit; raises TransactionRolledBack if the outcome is rollback."""
-        if self.status.is_terminal:
-            raise Inactive(f"transaction {self.tid} already completed")
-        if self.deadline is not None and self.factory.clock.now() > self.deadline:
-            self.status = TransactionStatus.MARKED_ROLLBACK
-        if self.status is TransactionStatus.MARKED_ROLLBACK:
-            self.rollback()
-            raise TransactionRolledBack(f"transaction {self.tid} was marked rollback-only")
-        if self.status is not TransactionStatus.ACTIVE:
-            raise Inactive(f"transaction {self.tid} is {self.status.value}")
-        if any(not child.status.is_terminal for child in self.children):
-            # Children must complete before the parent; roll back to be safe.
-            self.rollback()
-            raise TransactionRolledBack(
-                f"transaction {self.tid} has incomplete subtransactions"
-            )
-        if self.is_top_level:
-            self._commit_top_level(report_heuristics)
-        else:
-            self._commit_nested()
+        with self._completion:
+            if self.status.is_terminal:
+                raise Inactive(f"transaction {self.tid} already completed")
+            if self.deadline is not None and self.factory.clock.now() > self.deadline:
+                self.status = TransactionStatus.MARKED_ROLLBACK
+            if self.status is TransactionStatus.MARKED_ROLLBACK:
+                self.rollback()
+                raise TransactionRolledBack(f"transaction {self.tid} was marked rollback-only")
+            if self.status is not TransactionStatus.ACTIVE:
+                raise Inactive(f"transaction {self.tid} is {self.status.value}")
+            if any(not child.status.is_terminal for child in self.children):
+                # Children must complete before the parent; roll back to be safe.
+                self.rollback()
+                raise TransactionRolledBack(
+                    f"transaction {self.tid} has incomplete subtransactions"
+                )
+            if self.is_top_level:
+                self._commit_top_level(report_heuristics)
+            else:
+                self._commit_nested()
 
     def _commit_top_level(self, report_heuristics: bool) -> None:
         log = self.factory.event_log
@@ -469,30 +472,31 @@ class Transaction:
         - otherwise the transaction stays ``PREPARED`` awaiting
           :meth:`commit_interposed` / :meth:`rollback_interposed`.
         """
-        if not self.is_top_level:
-            raise Inactive(
-                f"subordinate {self.tid} must be a local top-level transaction"
+        with self._completion:
+            if not self.is_top_level:
+                raise Inactive(
+                    f"subordinate {self.tid} must be a local top-level transaction"
+                )
+            if self.status.is_terminal:
+                raise Inactive(f"transaction {self.tid} already completed")
+            if self.deadline is not None and self.factory.clock.now() > self.deadline:
+                self.status = TransactionStatus.MARKED_ROLLBACK
+            if self.status is TransactionStatus.MARKED_ROLLBACK or any(
+                not child.status.is_terminal for child in self.children
+            ):
+                self.rollback()
+                return Vote.ROLLBACK
+            if self.status is not TransactionStatus.ACTIVE:
+                raise Inactive(f"transaction {self.tid} is {self.status.value}")
+            log = self.factory.event_log
+            log.record(
+                "subtx_phase_one", tid=self.tid, resources=len(self._resources)
             )
-        if self.status.is_terminal:
-            raise Inactive(f"transaction {self.tid} already completed")
-        if self.deadline is not None and self.factory.clock.now() > self.deadline:
-            self.status = TransactionStatus.MARKED_ROLLBACK
-        if self.status is TransactionStatus.MARKED_ROLLBACK or any(
-            not child.status.is_terminal for child in self.children
-        ):
-            self.rollback()
-            return Vote.ROLLBACK
-        if self.status is not TransactionStatus.ACTIVE:
-            raise Inactive(f"transaction {self.tid} is {self.status.value}")
-        log = self.factory.event_log
-        log.record(
-            "subtx_phase_one", tid=self.tid, resources=len(self._resources)
-        )
-        if not self._run_before_completion():
-            self._complete("rollback", self._resources)
-            self._finish(TransactionStatus.ROLLED_BACK)
-            return Vote.ROLLBACK
-        return self._prepare_all(list(self._resources))
+            if not self._run_before_completion():
+                self._complete("rollback", self._resources)
+                self._finish(TransactionStatus.ROLLED_BACK)
+                return Vote.ROLLBACK
+            return self._prepare_all(list(self._resources))
 
     def commit_interposed(self) -> None:
         """Phase two (commit direction) driven by the superior.
@@ -510,25 +514,26 @@ class Transaction:
         second time — which is how the superior's recovery replay
         finishes a subordinate stuck mid-phase-two.
         """
-        if self.status is TransactionStatus.COMMITTED:
-            return  # idempotent: the superior may retry phase two
-        if self.status is TransactionStatus.PREPARED:
-            committers = [r for r in self._resources if r.vote is Vote.COMMIT]
-            self._log_decision(None)
-            self.status = TransactionStatus.COMMITTING
-        elif self.status is TransactionStatus.COMMITTING:
-            # Decision already durable; finish the interrupted pass.
-            committers = [
-                r for r in self._resources if r.vote is Vote.COMMIT and not r.completed
-            ]
-        else:
-            raise NotPrepared(
-                f"transaction {self.tid} is {self.status.value}, not prepared"
-            )
-        self._complete("commit", committers)
-        self.factory.log_completion(self.tid)
-        self._finish(TransactionStatus.COMMITTED)
-        self._report_heuristics(True, committed=True)
+        with self._completion:
+            if self.status is TransactionStatus.COMMITTED:
+                return  # idempotent: the superior may retry phase two
+            if self.status is TransactionStatus.PREPARED:
+                committers = [r for r in self._resources if r.vote is Vote.COMMIT]
+                self._log_decision(None)
+                self.status = TransactionStatus.COMMITTING
+            elif self.status is TransactionStatus.COMMITTING:
+                # Decision already durable; finish the interrupted pass.
+                committers = [
+                    r for r in self._resources if r.vote is Vote.COMMIT and not r.completed
+                ]
+            else:
+                raise NotPrepared(
+                    f"transaction {self.tid} is {self.status.value}, not prepared"
+                )
+            self._complete("commit", committers)
+            self.factory.log_completion(self.tid)
+            self._finish(TransactionStatus.COMMITTED)
+            self._report_heuristics(True, committed=True)
 
     def rollback_interposed(self) -> None:
         """Phase two (rollback direction) driven by the superior; a
@@ -711,26 +716,27 @@ class Transaction:
         self.factory.on_transaction_finished(self)
 
     def rollback(self) -> None:
-        if self.status.is_terminal:
-            raise Inactive(f"transaction {self.tid} already completed")
-        if self.decided:
-            raise Inactive(f"transaction {self.tid} has logged its commit decision")
-        self.status = TransactionStatus.ROLLING_BACK
-        # Roll back live children first, deepest work first.
-        for child in self.children:
-            if not child.status.is_terminal:
-                child.rollback()
-        if self.is_top_level:
-            to_undo = [r for r in self._resources if not r.completed]
-            self._complete("rollback", to_undo)
-            self._finish(TransactionStatus.ROLLED_BACK)
-        else:
-            for participant in self._subtran_aware:
-                call_participant(participant, "rollback_subtransaction")
-            self.factory.lock_manager.release_all(self)
-            self.status = TransactionStatus.ROLLED_BACK
-            self.factory.event_log.record("tx_subrollback", tid=self.tid)
-            self.factory.on_transaction_finished(self)
+        with self._completion:
+            if self.status.is_terminal:
+                raise Inactive(f"transaction {self.tid} already completed")
+            if self.decided:
+                raise Inactive(f"transaction {self.tid} has logged its commit decision")
+            self.status = TransactionStatus.ROLLING_BACK
+            # Roll back live children first, deepest work first.
+            for child in self.children:
+                if not child.status.is_terminal:
+                    child.rollback()
+            if self.is_top_level:
+                to_undo = [r for r in self._resources if not r.completed]
+                self._complete("rollback", to_undo)
+                self._finish(TransactionStatus.ROLLED_BACK)
+            else:
+                for participant in self._subtran_aware:
+                    call_participant(participant, "rollback_subtransaction")
+                self.factory.lock_manager.release_all(self)
+                self.status = TransactionStatus.ROLLED_BACK
+                self.factory.event_log.record("tx_subrollback", tid=self.tid)
+                self.factory.on_transaction_finished(self)
 
     def redrive(self) -> bool:
         """Re-drive a completion sweep that was cut short mid-flight.

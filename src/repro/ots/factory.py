@@ -336,14 +336,19 @@ class TransactionFactory:
     # -- timeouts ---------------------------------------------------------------
 
     def _expire(self, tid: str) -> bool:
-        """Deadline timer of ``tid``: roll it back unless it finished or
-        its commit was decided first."""
+        """Deadline timer of ``tid``: roll it back unless it finished, its
+        commit was decided first, or another thread is completing it."""
         tx = self._transactions.get(tid)
-        if tx is None or tx.status.is_terminal or tx.decided:
+        if tx is None or not tx._completion.acquire(blocking=False):
             return False
-        self.event_log.record("tx_timeout", tid=tid)
-        tx.rollback()
-        return True
+        try:
+            if tx.status.is_terminal or tx.decided:
+                return False
+            self.event_log.record("tx_timeout", tid=tid)
+            tx.rollback()
+            return True
+        finally:
+            tx._completion.release()
 
     def expire_timeouts(self) -> List[str]:
         """Roll back every active transaction strictly past its deadline.
@@ -371,7 +376,8 @@ class TransactionFactory:
         :meth:`Transaction.redrive`).  This sweep retries each such
         transaction and swallows per-transaction failures — a replica
         set still below quorum just leaves the transaction for the next
-        sweep.
+        sweep.  One whose completion another thread is running is in
+        flight, not stranded, and is skipped.
         """
         finished = []
         for tx in self.active_transactions():
@@ -379,13 +385,15 @@ class TransactionFactory:
                 TransactionStatus.COMMITTING,
                 TransactionStatus.ROLLING_BACK,
             ) or (tx.status is TransactionStatus.PREPARED and tx.decided)
-            if not stranded:
+            if not stranded or not tx._completion.acquire(blocking=False):
                 continue
             try:
                 if tx.redrive():
                     finished.append(tx.tid)
             except ReproError:
                 continue
+            finally:
+                tx._completion.release()
         return finished
 
     def forget_completed(self) -> int:

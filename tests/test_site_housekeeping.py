@@ -9,6 +9,9 @@ Two duties the loop used to skip, each checked on an in-process
 - finished transactions leave the factory's registry, while the
   domain's recovery servant still answers a superior's status query for
   a forgotten root from the log.
+
+The loop runs beside the threads completing transactions, so it must
+redrive only what is stranded, never a completion still in flight.
 """
 
 import threading
@@ -18,7 +21,8 @@ import pytest
 import repro.orb.site
 from repro.orb.site import SiteConfig, SiteRuntime
 from repro.ots.interposition import FederationRecoveryServant
-from repro.ots.status import TransactionStatus
+from repro.ots.resource import Resource
+from repro.ots.status import TransactionStatus, Vote
 from repro.persistence.object_store import MemoryStore, StoreError
 
 
@@ -32,6 +36,28 @@ class FailingPutStore(MemoryStore):
             self.fail_next = False
             raise StoreError("log device error")
         super().put(uid, state)
+
+
+class CountingResource(Resource):
+    """Counts its phase-two calls; with a ``gate``, its commit blocks
+    until the gate opens (a slow participant mid phase two)."""
+
+    def __init__(self, gate=None):
+        self.gate = gate
+        self.entered = threading.Event()
+        self.commits = self.rollbacks = 0
+
+    def prepare(self):
+        return Vote.COMMIT
+
+    def commit(self):
+        self.commits += 1
+        self.entered.set()
+        if self.gate is not None:
+            self.gate.wait(5.0)
+
+    def rollback(self):
+        self.rollbacks += 1
 
 
 def wait_for(predicate, timeout=10.0):
@@ -101,3 +127,34 @@ def test_serve_loop_forgets_finished_transactions(runtime):
     assert servant.transaction_status(tids[0]) is TransactionStatus.COMMITTED
     assert servant.transaction_status(tids[-1]) is TransactionStatus.COMMITTED
     assert servant.transaction_status(rolled_back.tid) is TransactionStatus.ROLLED_BACK
+
+
+def test_serve_loop_leaves_an_in_flight_commit_to_its_thread(runtime, monkeypatch):
+    rounds = []
+    redrive_stuck = runtime.factory.redrive_stuck
+    monkeypatch.setattr(
+        runtime.factory, "redrive_stuck", lambda: rounds.append(1) or redrive_stuck()
+    )
+    gate = threading.Event()
+    slow, other = CountingResource(gate), CountingResource()
+    tx = runtime.factory.create()
+    tx.register_resource(slow)
+    tx.register_resource(other)
+    committed = runtime.factory.committed
+    worker = threading.Thread(target=tx.commit)
+    worker.start()
+    try:
+        assert slow.entered.wait(2.0)
+        assert tx.status is TransactionStatus.COMMITTING
+        seen = len(rounds)
+        looped = wait_for(lambda: len(rounds) >= seen + 3, timeout=2.0)
+    finally:
+        gate.set()
+        worker.join(5.0)
+
+    assert tx.status is TransactionStatus.COMMITTED
+    assert (slow.commits, other.commits) == (1, 1)
+    assert looped  # the loop kept running while the commit was in flight
+    assert (slow.rollbacks, other.rollbacks) == (0, 0)
+    assert runtime.factory.committed == committed + 1
+    assert runtime.recovery_error is None
