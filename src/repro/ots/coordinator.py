@@ -17,6 +17,11 @@ two-phase commit:
 5. a completion record is logged *unforced*, ``after_completion`` runs,
    locks release.
 
+*Last agent*: one federated subordinate among several resources decides
+with one ``commit_one_phase``, after the others prepared and
+``tx_delegated`` (their intentions) was forced; a lost answer leaves the
+transaction delegated, locks held, until :meth:`finish_delegated`.
+
 Each participant round — prepare, commit, rollback — is one fan-out
 through the factory's executor, the Activity Service's broadcast engine
 (:mod:`repro.core.broadcast`), as the paper layers 2PC as one SignalSet
@@ -54,7 +59,7 @@ from functools import partial
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.broadcast import Transmission
-from repro.exceptions import CommunicationError
+from repro.exceptions import CommunicationError, ReproError
 from repro.orb.marshal import MarshalError
 from repro.orb.reference import ObjectRef
 from repro.ots.exceptions import (
@@ -73,6 +78,9 @@ from repro.ots.exceptions import (
 from repro.ots.resource import call_participant
 from repro.ots.status import TransactionStatus, Vote
 from repro.util.records import SlottedRecord
+
+# Recovery keys of federated subordinates: ``fedsub-tx:<domain>:<root tid>``.
+SUBORDINATE_KEY_PREFIX = "fedsub-tx:"
 
 
 class ResourceRecord(SlottedRecord):
@@ -242,8 +250,10 @@ class Transaction:
         self._heuristics: List[HeuristicException] = []
         # recovery key -> [version, value], staged in phase one.
         self._intentions: Dict[str, Any] = {}
-        # (recovery keys, intentions) once handed to the log.
-        self._decision: Optional[Tuple[List[str], Optional[Dict[str, Any]]]] = None
+        # (recovery keys, intentions, root tid) once handed to the log.
+        self._decision: Optional[Tuple[List[str], Optional[Dict[str, Any]], Optional[str]]] = None
+        # The last agent, once this root has delegated its decision to it.
+        self._agent: Optional[ResourceRecord] = None
         # Armed timer for this transaction's deadline; cancelled when
         # the transaction finishes.
         self._expiry_timer: Optional[Any] = None
@@ -303,8 +313,9 @@ class Transaction:
     @property
     def decided(self) -> bool:
         """True once the commit decision has been handed to the log —
-        even if its force failed: from then on only commit finishes it."""
-        return self._decision is not None
+        even if its force failed: from then on only commit finishes it —
+        or to a last agent."""
+        return self._decision is not None or self._agent is not None
 
     def intentions(self) -> Dict[str, Any]:
         """The intentions of this transaction's yes-voters, by recovery
@@ -407,11 +418,16 @@ class Transaction:
         if len(live) == 1:
             self._commit_one_phase(live[0], report_heuristics)
             return
-        vote = self._prepare_all(live)
+        subs = [r for r in live if (r.recovery_key or "").startswith(SUBORDINATE_KEY_PREFIX)]
+        agent = subs[0] if len(subs) == 1 else None
+        vote = self._prepare_all(live, agent)
         if vote is Vote.ROLLBACK:
             raise TransactionRolledBack(
                 f"a resource voted rollback in transaction {self.tid}"
             )
+        if agent is not None:
+            self._commit_last_agent(agent, vote, report_heuristics)
+            return
         if vote is Vote.READONLY:
             return  # committed with no phase two, no log
         # Force the commit decision (with the intentions) before telling
@@ -427,7 +443,9 @@ class Transaction:
         self._finish(TransactionStatus.COMMITTED)
         self._report_heuristics(report_heuristics, committed=True)
 
-    def _prepare_all(self, live: List[ResourceRecord]) -> Vote:
+    def _prepare_all(
+        self, live: List[ResourceRecord], agent: Optional[ResourceRecord] = None
+    ) -> Vote:
         """Phase one over ``live`` with its outcome applied, as the vote
         this transaction would give a superior: ``ROLLBACK`` once a
         no-vote (or a failed prepare) has rolled it back, ``READONLY``
@@ -435,23 +453,75 @@ class Transaction:
         ``COMMIT`` when it is ``PREPARED``.  Shared by the top-level
         commit and the interposed (subordinate) prepare.  The round
         writes nothing: local resources stage their intentions on this
-        transaction, and an abort simply never logs them."""
+        transaction, and an abort simply never logs them.  A last
+        ``agent`` does not vote; a read-only round leaves it the outcome."""
         self.status = TransactionStatus.PREPARING
-        if self._round("prepare", live, self._fold_vote, "before_prepare", late=True):
+        voters = [r for r in live if r is not agent]
+        if self._round("prepare", voters, self._fold_vote, "before_prepare", late=True):
             self.status = TransactionStatus.ROLLING_BACK
             # Yes-voters must be told to roll back, and so must any
             # resource whose prepare *raised* — it never voted, so it
             # may be wedged mid-prepare (locks held) rather than
             # self-aborted like a genuine no-voter.
-            to_undo = [r for r in live if r.vote is Vote.COMMIT or r.prepare_failed]
+            to_undo = [r for r in live if r.vote is Vote.COMMIT or r.prepare_failed or r is agent]
             self._complete("rollback", to_undo)
             self._finish(TransactionStatus.ROLLED_BACK)
             return Vote.ROLLBACK
-        if not any(r.vote is Vote.COMMIT for r in live):
-            self._finish(TransactionStatus.COMMITTED)
+        if not any(r.vote is Vote.COMMIT for r in voters):
+            if agent is None:
+                self._finish(TransactionStatus.COMMITTED)
             return Vote.READONLY
         self.status = TransactionStatus.PREPARED
         return Vote.COMMIT
+
+    def _commit_last_agent(self, agent: ResourceRecord, vote: Vote, report: bool) -> None:
+        """Let the one federated subordinate decide; with a local
+        yes-voter, ``tx_delegated`` is forced first."""
+        if vote is Vote.READONLY:
+            self._commit_one_phase(agent, report)
+            return
+        self.factory.failpoints.hit("before_commit_log")
+        self._agent = agent
+        self.factory.log_delegation(
+            self.tid, self._decision_keys(), self.intentions(), agent.recovery_key
+        )
+        self.factory.failpoints.hit("after_delegation_log")
+        self.status = TransactionStatus.COMMITTING
+        try:
+            call_participant(agent.participant, "commit_one_phase")
+        except TransactionRolledBack:
+            self.finish_delegated(False)
+            raise
+        except HeuristicException as exc:  # raised after the agent's decision
+            self._heuristics.append(exc)
+            self._safe_forget(agent)
+        except SimulatedCrash:
+            raise
+        except ReproError as exc:  # no answer: only the agent's domain knows now
+            raise HeuristicHazard(
+                f"last agent of {self.tid} did not answer ({type(exc).__name__}: {exc});"
+                " held until its domain reports the outcome"
+            ) from exc
+        self.factory.failpoints.hit("after_commit_log")
+        self.finish_delegated(True)
+        self._report_heuristics(report, committed=True)
+
+    def finish_delegated(self, committed: bool) -> None:
+        """Apply the last agent's outcome to the local yes-voters."""
+        with self._completion:
+            if self.status.is_terminal:
+                return
+            assert self._agent is not None, f"{self.tid} never delegated"
+            self._agent.completed = True
+            voters = [r for r in self._resources if r.vote is Vote.COMMIT and not r.completed]
+            self.status = (
+                TransactionStatus.COMMITTING if committed else TransactionStatus.ROLLING_BACK
+            )
+            self._complete("commit" if committed else "rollback", voters)
+            self.factory.log_completion(self.tid, **({} if committed else {"rolled_back": True}))
+            self._finish(
+                TransactionStatus.COMMITTED if committed else TransactionStatus.ROLLED_BACK
+            )
 
     # -- interposed completion (federated deployments) --------------------------
 
@@ -498,13 +568,15 @@ class Transaction:
                 return Vote.ROLLBACK
             return self._prepare_all(list(self._resources))
 
-    def commit_interposed(self) -> None:
+    def commit_interposed(self, root: Optional[str] = None) -> None:
         """Phase two (commit direction) driven by the superior.
 
         The decision is logged in *this* domain's WAL before any local
         resource commits, so a crash here is resolved by this domain's
         own recovery manager; completion is logged afterwards (replayed
         idempotently); its intentions are already in ``subtx_prepared``.
+        A last agent, which logged no ``subtx_prepared``, passes the
+        ``root`` tid instead: its decision carries intentions and root.
         Heuristic outcomes raise exactly as a local commit would — the
         superior digests them like any participant's.
 
@@ -519,7 +591,7 @@ class Transaction:
                 return  # idempotent: the superior may retry phase two
             if self.status is TransactionStatus.PREPARED:
                 committers = [r for r in self._resources if r.vote is Vote.COMMIT]
-                self._log_decision(None)
+                self._log_decision(None if root is None else self.intentions(), root)
                 self.status = TransactionStatus.COMMITTING
             elif self.status is TransactionStatus.COMMITTING:
                 # Decision already durable; finish the interrupted pass.
@@ -542,19 +614,21 @@ class Transaction:
             return
         self.rollback()
 
-    def _log_decision(self, intentions: Optional[Dict[str, Any]]) -> None:
+    def _decision_keys(self) -> List[str]:
+        return [
+            record.recovery_key
+            for record in self._resources
+            if record.vote is Vote.COMMIT and record.recovery_key
+        ]
+
+    def _log_decision(self, intentions: Optional[Dict[str, Any]], root: Optional[str] = None):
         """Force the commit decision.  From here on the transaction is
         :attr:`decided`: should the force fail, the record may still
         reach the disk with a later force, so it stays ``PREPARED`` (a
         subordinate polling its status keeps holding) until
         :meth:`redrive` forces the decision again."""
-        keys = [
-            record.recovery_key
-            for record in self._resources
-            if record.vote is Vote.COMMIT and record.recovery_key
-        ]
-        self._decision = (keys, intentions)
-        self.factory.log_commit_decision(self.tid, keys, intentions)
+        self._decision = (self._decision_keys(), intentions, root)
+        self.factory.log_commit_decision(self.tid, *self._decision)
 
     def _commit_one_phase(self, record: ResourceRecord, report_heuristics: bool) -> None:
         self.status = TransactionStatus.COMMITTING
@@ -752,10 +826,13 @@ class Transaction:
         the interrupted outcome.  A failed decision force strands it
         decided in ``PREPARED``: the decision is forced again first.
         Returns True once terminal; raises whatever the retried
-        participants or the log raise.
+        participants or the log raise.  A delegated transaction is left
+        alone: only its agent's answer finishes it.
         """
         if self.status.is_terminal:
             return True
+        if self._agent is not None:
+            return False
         if self.status is TransactionStatus.PREPARED and self._decision is not None:
             self.factory.log_commit_decision(self.tid, *self._decision)
             self.status = TransactionStatus.COMMITTING

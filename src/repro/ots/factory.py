@@ -168,16 +168,25 @@ class TransactionFactory:
     # -- durable logging ----------------------------------------------------
 
     def log_commit_decision(
-        self, tid: str, recovery_keys: List[str], intentions: Optional[Dict[str, Any]] = None
+        self, tid: str, recovery_keys: List[str], intentions: Optional[Dict[str, Any]] = None,
+        root: Optional[str] = None,
     ):
         """Force the commit decision (and any unforced completion records
         ahead of it); under group commit the force is shared with every
         other transaction inside the batching window.  ``intentions``
         (recovery key -> ``[version, value]``) become durable with it; a
-        subordinate's are already in its ``subtx_prepared``."""
+        subordinate's are already in its ``subtx_prepared`` — unless it
+        is a last agent, whose decision names its superior's ``root``."""
         extra = {"intentions": intentions} if intentions else {}
+        extra.update({"root": root} if root else {})
         return self.wal.append(
             "tx_commit_decision", tid=tid, recovery_keys=recovery_keys, **extra
+        )
+
+    def log_delegation(self, tid: str, keys: List[str], intentions: Any, agent: str):
+        """Force ``tx_delegated``: local intentions held for a last agent."""
+        return self.wal.append(
+            "tx_delegated", tid=tid, recovery_keys=keys, intentions=intentions, agent=agent
         )
 
     def log_completion(self, tid: str, **extra: Any):
@@ -305,6 +314,10 @@ class TransactionFactory:
 
     def knows(self, tid: str) -> bool:
         return tid in self._transactions
+
+    def live(self, tid: str) -> Optional[Transaction]:
+        """The registered transaction ``tid``, or None once forgotten."""
+        return self._transactions.get(tid)
 
     def active_transactions(self) -> List[Transaction]:
         listed = []

@@ -9,15 +9,16 @@ transaction.  This module supplies the real thing:
 
 - the first transactional request entering a domain *adopts* the foreign
   transaction: a local **subordinate** transaction is created and an
-  interposed :class:`SubordinateTransactionResource` registers **once**
-  with the superior coordinator (via an exported
-  :class:`ParentCoordinatorServant` reference riding the new
-  ``CosTransactionsFederation`` service context);
+  interposed :class:`SubordinateTransactionResource` registers with the
+  superior in each reply's ``CosTransactionsFederation`` context (a lost
+  reply marks the superior rollback-only; the orphan is swept);
 - local resources enlist with the subordinate exactly as they would with
   any transaction, so a 2PC round from the superior costs one
   inter-domain ``prepare`` and one ``commit`` per *domain*, each fanned
   out locally with the domain's own ``parallel_participants``,
   marshal-once templates and ``group_commit_window``;
+- a root's only remote subordinate is its *last agent*: one
+  ``commit_one_phase``, one forced decision naming the root tid;
 - the subordinate's prepared state is durably recorded in **its own
   domain's** write-ahead log (``subtx_prepared`` records), and
   :meth:`FederatedTransactionService.recover` re-adopts the interposition
@@ -58,7 +59,7 @@ from repro.orb.interceptors import (
 )
 from repro.orb.marshal import GLOBAL_REGISTRY
 from repro.orb.reference import ObjectRef
-from repro.ots.coordinator import Transaction
+from repro.ots.coordinator import SUBORDINATE_KEY_PREFIX, Transaction
 from repro.ots.current import TransactionCurrent
 from repro.ots.exceptions import InvalidTransaction, TransactionRolledBack
 from repro.ots.propagation import install_transaction_service
@@ -86,12 +87,8 @@ def subordinate_resource_id(root_tid: str) -> str:
     return f"fedres:{root_tid}"
 
 
-def parent_export_id(tid: str) -> str:
-    return f"fedtx:{tid}"
-
-
 def subordinate_recovery_key(domain_id: str, root_tid: str) -> str:
-    return f"fedsub-tx:{domain_id}:{root_tid}"
+    return f"{SUBORDINATE_KEY_PREFIX}{domain_id}:{root_tid}"
 
 
 @GLOBAL_REGISTRY.register_dataclass
@@ -101,36 +98,6 @@ class FederatedTransactionContext:
 
     tid: str
     root_domain: str
-    coordinator_ref: ObjectRef
-
-
-class ParentCoordinatorServant(Servant):
-    """Wire facade of an exported (superior) transaction.
-
-    Exposes exactly what a foreign subordinate needs: registration.  The
-    raw :class:`~repro.ots.coordinator.Transaction` is never exported —
-    its registration API returns live records that cannot cross the wire.
-    """
-
-    def __init__(self, service: "FederatedTransactionService", tx: Transaction) -> None:
-        self._service = service
-        self._tx = tx
-
-    def register_subordinate(
-        self, resource_ref: ObjectRef, recovery_key: str, domain_id: str
-    ) -> bool:
-        self._tx.register_resource(resource_ref, recovery_key=recovery_key)
-        self._service.note_subordinate_proxy(recovery_key, resource_ref)
-        self._service.factory.event_log.record(
-            "fed_register_subordinate",
-            tid=self._tx.tid,
-            domain=domain_id,
-            key=recovery_key,
-        )
-        return True
-
-    def get_status(self) -> TransactionStatus:
-        return self._tx.status
 
 
 class FederationRecoveryServant(Servant):
@@ -153,6 +120,19 @@ class FederationRecoveryServant(Servant):
         except InvalidTransaction:
             pass
         if tid in self._service.factory.log_index().decided:
+            return TransactionStatus.COMMITTED
+        return TransactionStatus.ROLLED_BACK
+
+    def agent_status(self, root_tid: str) -> TransactionStatus:
+        """The outcome this domain gave the foreign root ``root_tid`` as
+        last agent: the live subordinate's status, else whether a durable
+        decision names that root (not :meth:`transaction_status`: a
+        foreign tid may equal a local one)."""
+        service = self._service
+        live = service.subordinate_for(root_tid)
+        if live is not None:
+            return live.transaction.status
+        if root_tid in service.factory.log_index().rooted:
             return TransactionStatus.COMMITTED
         return TransactionStatus.ROLLED_BACK
 
@@ -253,12 +233,19 @@ class SubordinateTransactionResource(Servant):
                 self._prepared_logged = False
 
     def commit_one_phase(self) -> None:
+        """Prepare, force one decision naming the root, install."""
         with self.completion_lock:
-            vote = self.prepare()
+            tx = self.transaction
+            try:
+                vote = tx.prepare_interposed()
+            except ReproError:  # undecided: abort, as a crash would
+                if not tx.status.is_terminal:
+                    tx.rollback()
+                raise
             if vote is Vote.ROLLBACK:
-                raise TransactionRolledBack(f"subordinate {self.transaction.tid} voted rollback")
+                raise TransactionRolledBack(f"subordinate {tx.tid} voted rollback")
             if vote is Vote.COMMIT:
-                self.transaction.commit_interposed()
+                tx.commit_interposed(root=self.root_tid)
 
     def forget(self) -> None:
         pass
@@ -340,8 +327,8 @@ class FederatedTransactionService:
 
     One instance per (factory, ORB, domain), playing both roles:
 
-    - *superior*: exports local transactions on demand (the federated
-      client interceptor attaches the context) and keeps a recovery
+    - *superior*: the federated client interceptor attaches the context
+      and enlists each subordinate its replies register, with a recovery
       proxy per registered subordinate;
     - *subordinate*: adopts foreign transactions on first contact,
       interposing one local transaction + resource per root tid.
@@ -369,11 +356,11 @@ class FederatedTransactionService:
         self.bridge = bridge
         self.domain_id: str = orb.domain_id
         self.registry = registry if registry is not None else RecoverableRegistry()
-        self._exports: Dict[str, FederatedTransactionContext] = {}
         self._adopted: Dict[str, SubordinateTransactionResource] = {}
         self._recovered: Dict[str, RecoveredSubordinateResource] = {}
         self._prepared_at: Dict[str, float] = {}
         self._adopted_at: Dict[str, float] = {}
+        self._delegated_at: Dict[str, float] = {}
         self._resolved: "OrderedDict[str, None]" = OrderedDict()
         self._lock = threading.Lock()
         self.adoptions = 0
@@ -395,32 +382,23 @@ class FederatedTransactionService:
     # -- superior role ---------------------------------------------------------
 
     def context_for(self, tx: Transaction) -> FederatedTransactionContext:
-        """The wire context exporting ``tx`` (coordination-node servant
-        activated on first use; the frozen context is reused after)."""
-        with self._lock:
-            context = self._exports.get(tx.tid)
-            if context is not None:
-                return context
-            node = self.bridge.coordination_node(self.domain_id)
-            object_id = parent_export_id(tx.tid)
-            if not node.has_object(object_id):
-                node.activate(
-                    ParentCoordinatorServant(self, tx),
-                    object_id=object_id,
-                    interface="ParentCoordinator",
-                )
-            context = FederatedTransactionContext(
-                tid=tx.tid,
-                root_domain=self.domain_id,
-                coordinator_ref=node.ref_for(object_id),
-            )
-            self._exports[tx.tid] = context
-            return context
+        """The wire context of ``tx``, rooted in this domain."""
+        return FederatedTransactionContext(tid=tx.tid, root_domain=self.domain_id)
 
     def note_subordinate_proxy(self, recovery_key: str, resource_ref: ObjectRef) -> None:
         self.registry.register(
             recovery_key, _SubordinateProxyRecoverable(recovery_key, resource_ref)
         )
+
+    def enlist_subordinate(self, tx: Transaction, registration: List[Any]) -> None:
+        """Enlist the subordinate a reply registered, once per key."""
+        resource_ref, recovery_key, _ = registration
+        with self._lock:
+            if any(record.recovery_key == recovery_key for record in tx.resources):
+                return
+            tx.register_resource(resource_ref, recovery_key=recovery_key)
+        self.note_subordinate_proxy(recovery_key, resource_ref)
+        self.factory.event_log.record("fed_register_subordinate", tid=tx.tid, key=recovery_key)
 
     # -- subordinate role ---------------------------------------------------------
 
@@ -432,12 +410,9 @@ class FederatedTransactionService:
         request after the tree resolved must not enlist new work).
 
         The whole adoption — lookup, local transaction, servant
-        activation, registration with the superior — happens under the
-        service lock: concurrent first contacts for the same root (a
-        parallel fan-out's sibling requests) must converge on *one*
-        subordinate, never register twice.  The registration call back
-        to the superior does not re-enter this service, so holding the
-        lock across it cannot deadlock.
+        activation — happens under the service lock: concurrent first
+        contacts for the same root (a parallel fan-out's sibling
+        requests) must converge on *one* subordinate.
         """
         with self._lock:
             if context.tid in self._resolved:
@@ -457,21 +432,6 @@ class FederatedTransactionService:
             if node.has_object(object_id):
                 node.deactivate(object_id)
             node.activate(resource, object_id=object_id, interface="SubordinateResource")
-            # One registration with the superior, ever, per (domain, root).
-            # A failed registration (e.g. the link partitioned mid-adoption)
-            # unwinds completely: the request that triggered adoption fails
-            # and a retry starts from a clean slate.
-            try:
-                context.coordinator_ref.invoke(
-                    "register_subordinate",
-                    node.ref_for(object_id),
-                    subordinate_recovery_key(self.domain_id, context.tid),
-                    self.domain_id,
-                )
-            except BaseException:
-                node.deactivate(object_id)
-                tx.rollback()
-                raise
             self._adopted[context.tid] = resource
             self._adopted_at[context.tid] = self.factory.clock.now()
             self.adoptions += 1
@@ -486,6 +446,16 @@ class FederatedTransactionService:
 
     def subordinate_for(self, root_tid: str) -> Optional[SubordinateTransactionResource]:
         return self._adopted.get(root_tid)
+
+    def registration(self, root_tid: str) -> List[Any]:
+        """What every reply under this domain's subordinate for ``root_tid``
+        carries: ``[resource ref, recovery key, domain]``, from the tid."""
+        ref = ObjectRef(
+            coordination_node_id(self.domain_id),
+            subordinate_resource_id(root_tid),
+            "SubordinateResource",
+        )
+        return [ref, subordinate_recovery_key(self.domain_id, root_tid), self.domain_id]
 
     # -- durable prepared state -----------------------------------------------------
 
@@ -585,7 +555,7 @@ class FederatedTransactionService:
     def _rebuild_subordinate_proxies(self, decisions: Dict[str, List[str]]) -> None:
         for keys in decisions.values():
             for key in keys:
-                if not key.startswith("fedsub-tx:"):
+                if not key.startswith(SUBORDINATE_KEY_PREFIX):
                     continue
                 if self.registry.resolve(key) is not None:
                     continue
@@ -617,11 +587,18 @@ class FederatedTransactionService:
                     continue
                 started = self._prepared_at.get(root_tid, now)
                 ages[root_tid] = max(0.0, now - started)
+            # Roots waiting on their last agent, by their own tid.
+            self._delegated_at = {t: self._delegated_at.get(t, now) for t in list(index.delegated)}
+            ages.update({tid: now - at for tid, at in self._delegated_at.items()})
         return ages
 
     def _mark_resolved_locked(self, root_tid: str) -> None:
-        """Retire one root's bookkeeping, leaving a bounded tombstone so
-        :meth:`adopt` still declines stragglers for the resolved tree."""
+        """Retire one root's bookkeeping and ``fedres:`` servant, leaving
+        a bounded tombstone so :meth:`adopt` still declines stragglers."""
+        node = self.bridge.coordination_node(self.domain_id)
+        object_id = subordinate_resource_id(root_tid)
+        if node.has_object(object_id):
+            node.deactivate(object_id)
         self._adopted.pop(root_tid, None)
         self._recovered.pop(root_tid, None)
         self._adopted_at.pop(root_tid, None)
@@ -726,16 +703,14 @@ class FederatedTransactionService:
 
     # -- subordinate-driven in-doubt resolution ----------------------------------------
 
-    def _superior_status(self, root_domain: str, root_tid: str) -> TransactionStatus:
-        """Ask the superior domain's durable recovery servant for an
-        outcome.  Raises ``CommunicationError``/``ObjectNotExist`` while
-        the superior is unreachable — callers keep holding."""
+    def _ask(self, domain_id: str, operation: str, tid: str) -> TransactionStatus:
+        """Ask a domain's recovery servant (raises while unreachable)."""
         ref = ObjectRef(
-            coordination_node_id(root_domain),
+            coordination_node_id(domain_id),
             RECOVERY_SERVANT_ID,
             "FederationRecovery",
         ).bind(self.orb)
-        return ref.invoke("transaction_status", root_tid)
+        return ref.invoke(operation, tid)
 
     def resolve_in_doubt(self) -> Dict[str, str]:
         """One polling round over this domain's held in-doubt subordinates.
@@ -754,10 +729,14 @@ class FederatedTransactionService:
           holding; the superior is alive (or will be) and will drive the
           outcome itself.
 
+        The round first asks the last agent of each transaction this
+        domain delegated and still holds for its outcome.
+
         Returns ``{root_tid: action}`` with actions ``committed``,
         ``aborted`` or ``held``.  Safe to call repeatedly; replay is
         idempotent and races with superior-driven completion are benign.
         """
+        outcomes = self._resolve_delegated()
         index = self.factory.log_index()
         decided, completed = index.decided, index.completed
         candidates: List[Tuple[str, Optional[str], str, List[str]]] = []
@@ -778,13 +757,12 @@ class FederatedTransactionService:
                 candidates.append(
                     (root_tid, res.root_domain, res.local_tid, res.recovery_keys)
                 )
-        outcomes: Dict[str, str] = {}
         for root_tid, root_domain, local_tid, keys in candidates:
             if root_domain is None:
                 outcomes[root_tid] = "held"  # pre-provenance record: hold forever
                 continue
             try:
-                status = self._superior_status(root_domain, root_tid)
+                status = self._ask(root_domain, "transaction_status", root_tid)
             except (CommunicationError, ObjectNotExist):
                 outcomes[root_tid] = "held"
                 continue
@@ -821,6 +799,40 @@ class FederatedTransactionService:
                 )
         return outcomes
 
+    def _resolve_delegated(self) -> Dict[str, str]:
+        """Finish each held delegation its agent has decided: a live one
+        (unless its commit still holds the completion lock), or a
+        recovered one from its logged intentions, forced at once."""
+        outcomes: Dict[str, str] = {}
+        for tid, (agent_key, keys) in list(self.factory.log_index().delegated.items()):
+            tx = self.factory.live(tid)
+            if tx is not None and (tx.status.is_terminal or not tx._completion.acquire(False)):
+                continue
+            try:
+                outcomes[tid] = self._settle(tid, tx, agent_key.split(":", 2)[1], keys)
+            finally:
+                if tx is not None:
+                    tx._completion.release()
+        if set(outcomes.values()) - {"held"}:
+            self.factory.wal.force()
+        return outcomes
+
+    def _settle(self, tid: str, tx: Optional[Transaction], agent: str, keys: List[str]) -> str:
+        try:
+            status = self._ask(agent, "agent_status", tid)
+        except (CommunicationError, ObjectNotExist):
+            return "held"
+        if status not in (TransactionStatus.COMMITTED, TransactionStatus.ROLLED_BACK):
+            return "held"
+        committed = status is TransactionStatus.COMMITTED
+        if tx is not None:
+            tx.finish_delegated(committed)
+        elif committed:
+            self.replay_commit(tid, keys)
+        else:
+            self.replay_abort(tid, keys)
+        return "committed" if committed else "aborted"
+
     # -- idempotent downward replay -----------------------------------------------------
 
     def replay_commit(self, local_tid: str, recovery_keys: List[str]) -> bool:
@@ -829,7 +841,7 @@ class FederatedTransactionService:
         index = self.factory.log_index()
         if local_tid in index.completed:
             return True
-        if local_tid not in index.decided:
+        if local_tid not in index.decided and local_tid not in index.delegated:
             self.factory.log_commit_decision(local_tid, recovery_keys)
         with self.factory.sweep(local_tid) as sweep:
             for key in recovery_keys:
@@ -837,7 +849,7 @@ class FederatedTransactionService:
                 if recoverable is not None:
                     recoverable.recover_commit(local_tid)
         sweep.land()
-        self.factory.log_completion(local_tid)
+        self.factory.log_completion(local_tid, recovered=True)
         self.factory.event_log.record("fed_replay_commit", tid=local_tid)
         return True
 
@@ -874,6 +886,36 @@ class FederatedTransactionClientInterceptor(ClientRequestInterceptor):
         # two-phase completion drives.
         info.set_context(FEDERATED_TX_CONTEXT_ID, service.context_for(tx.top_level))
 
+    def receive_reply(self, info: RequestInfo) -> None:
+        self._enlist(info)
+
+    def receive_exception(self, info: RequestInfo) -> None:
+        tx = self._enlist(info)
+        if (
+            tx is None
+            or not isinstance(info.exception, CommunicationError)
+            or isinstance(info.exception, ObjectNotExist)  # an answer: nothing ran
+            or tx.status is not TransactionStatus.ACTIVE
+        ):
+            return
+        # No reply: the far domain may hold work nothing registered here.
+        domain_id = self.service.bridge.domain_of_node(info.target_node)
+        key = subordinate_recovery_key(domain_id, tx.tid)
+        if not any(record.recovery_key == key for record in tx.resources):
+            tx.rollback_only()
+
+    def _enlist(self, info: RequestInfo) -> Optional[Transaction]:
+        """The root a request carried, with the subordinate its reply
+        registered (if any) enlisted."""
+        context = info.get_context(FEDERATED_TX_CONTEXT_ID)
+        if not isinstance(context, FederatedTransactionContext):
+            return None
+        tx = self.service.factory.live(context.tid)
+        registration = info.reply_contexts.get(FEDERATED_TX_CONTEXT_ID)
+        if tx is not None and registration is not None:
+            self.service.enlist_subordinate(tx, registration)
+        return tx
+
 
 class FederatedTransactionServerInterceptor(ServerRequestInterceptor):
     """Adopts (or re-associates) a foreign transaction around dispatches."""
@@ -898,7 +940,7 @@ class FederatedTransactionServerInterceptor(ServerRequestInterceptor):
             # superior's phase-two/forget calls legitimately arrive
             # after (or while) the subordinate turns terminal.
             if info.target_object == subordinate_resource_id(context.tid):
-                self._resumed.stack.append(False)
+                self._resumed.stack.append(None)
                 return
             tx = service.adopt(context)
             if tx is None:
@@ -913,20 +955,24 @@ class FederatedTransactionServerInterceptor(ServerRequestInterceptor):
                     f" domain {service.domain_id}"
                 )
             service.current.resume(tx)
-            self._resumed.stack.append(True)
+            self._resumed.stack.append(context.tid)
             return
-        self._resumed.stack.append(False)
+        self._resumed.stack.append(None)
 
-    def _detach(self) -> None:
-        flags = self._resumed.stack
-        if flags and flags.pop():
+    def _detach(self, info: RequestInfo) -> None:
+        """Suspend an adopted subordinate and register it in the reply
+        (every reply: a retried request registers too)."""
+        roots = self._resumed.stack
+        root_tid = roots.pop() if roots else None
+        if root_tid is not None:
             self.service.current.suspend()
+            info.reply_contexts[FEDERATED_TX_CONTEXT_ID] = self.service.registration(root_tid)
 
     def send_reply(self, info: RequestInfo) -> None:
-        self._detach()
+        self._detach(info)
 
     def send_exception(self, info: RequestInfo) -> None:
-        self._detach()
+        self._detach(info)
 
 
 def install_federated_transaction_service(

@@ -168,7 +168,7 @@ class TransactionalCell(Recoverable):
     def _touch(self, tx: Transaction) -> None:
         top = tx.top_level
         if top.tid not in self._enlisted_top:
-            top.register_resource(_CellResource(self, top), recovery_key=self.key)
+            top.register_resource(_CellResource(self, top.tid), recovery_key=self.key)
             self._enlisted_top.add(top.tid)
         cursor = tx
         while cursor.parent is not None:
@@ -262,23 +262,24 @@ class TransactionalCell(Recoverable):
 
 
 class _CellResource(Resource):
-    """Two-phase participant for one (cell, top-level transaction) pair."""
+    """Two-phase participant for one (cell, top-level transaction) pair;
+    keeps the tid, so the transaction holding it is freed by refcount."""
 
-    def __init__(self, cell: TransactionalCell, top: Transaction) -> None:
+    def __init__(self, cell: TransactionalCell, tid: str) -> None:
         self.cell = cell
-        self.top = top
+        self.tid = tid
 
     def prepare(self) -> Vote:
-        return self.cell._prepare(self.top.tid)
+        return self.cell._prepare(self.tid)
 
     def commit(self) -> None:
-        self.cell._commit(self.top.tid)
+        self.cell._commit(self.tid)
 
     def rollback(self) -> None:
-        self.cell._rollback(self.top.tid)
+        self.cell._rollback(self.tid)
 
     def commit_one_phase(self) -> None:
-        self.cell._commit_one_phase(self.top.tid)
+        self.cell._commit_one_phase(self.tid)
 
     def forget(self) -> None:
         pass

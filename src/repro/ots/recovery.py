@@ -2,15 +2,17 @@
 
 Nothing of a transaction is durable before the one record phase one
 forces — ``tx_commit_decision`` at a root, ``subtx_prepared`` at a
-subordinate — and that record carries the transaction's *intentions*:
-each local cell's new state with its install version.  Recovery:
+subordinate, ``tx_delegated`` at a root whose last agent decides — and
+that record carries the transaction's *intentions*: each local cell's
+new state with its install version.  Recovery:
 
 - transactions *with* a decision but no ``tx_completed`` record are
   re-committed: each recovery key is resolved through the
   :class:`~repro.ots.recoverable.RecoverableRegistry` and
   ``recover_commit`` replayed — one store write per transaction;
 - prepared state belonging to a transaction *without* a decision record
-  is presumed aborted and discarded (a crashed root leaves none).
+  is presumed aborted and discarded (a crashed root leaves none),
+  except under an open ``tx_delegated``: held until the agent is asked.
 
 ``tx_completed`` is not forced: it rides the next force (see
 :meth:`~repro.ots.factory.TransactionFactory.log_completion`), so a
@@ -49,7 +51,9 @@ class LogIndex:
     recovery manager.  ``prepared`` maps root tid to ``(local tid,
     recovery keys, root domain)`` from ``subtx_prepared`` records,
     ``decided`` maps each ``tx_commit_decision`` tid to its recovery
-    keys, ``completed`` holds the ``tx_completed`` tids, and
+    keys, ``rooted`` maps a last agent's root tid to its decision's,
+    ``delegated`` maps an open ``tx_delegated`` tid to ``(agent key,
+    recovery keys)``, ``completed`` holds the ``tx_completed`` tids, and
     ``intentions`` maps a tid to the intentions its forced record carried
     (``{cell key: [version, value]}``) until its completion is indexed.
     Callers read the containers and never write them.
@@ -82,6 +86,8 @@ class LogIndex:
         self._upto = 0
         self.prepared: _Prepared = {}
         self.decided: Dict[str, Sequence[str]] = {}
+        self.rooted: Dict[str, str] = {}
+        self.delegated: Dict[str, Tuple[str, List[str]]] = {}
         self.completed: Set[str] = set()
         self.intentions: Dict[str, Dict[str, Any]] = {}
 
@@ -113,9 +119,14 @@ class LogIndex:
                     )
                 elif record.kind == "tx_commit_decision":
                     self.decided[tid] = list(payload.get("recovery_keys", []))
+                    if "root" in payload:
+                        self.rooted[payload["root"]] = tid
+                elif record.kind == "tx_delegated":
+                    self.delegated[tid] = (payload["agent"], list(payload["recovery_keys"]))
                 elif record.kind == "tx_completed":
                     self.completed.add(tid)
                     self.intentions.pop(tid, None)
+                    self.delegated.pop(tid, None)
                     if tid in self.decided:
                         self.decided[tid] = ()  # the tid answers status; keys are moot
                     continue
@@ -207,10 +218,10 @@ class RecoveryManager:
         """The recovery pass proper, over a snapshot of the log's
         :class:`LogIndex`: ``decisions`` maps each
         ``tx_commit_decision`` tid to its recovery keys, ``completed``
-        holds the ``tx_completed`` tids."""
-        held = frozenset(hold) if hold is not None else frozenset()
-        report = RecoveryReport()
+        holds the ``tx_completed`` tids.  Open delegations are held."""
         log = LogIndex.of(self.wal)
+        held = frozenset(hold or ()).union(list(log.delegated))
+        report = RecoveryReport()
 
         # Finish phase two for decided-but-incomplete transactions.  The
         # tx_completed records ride one batched force at the end of the

@@ -7,7 +7,9 @@ state — write-ahead log plus participant stores — and the superior's
 completion replays downward through the re-adopted subordinate.
 Parametrised over the stable-storage backend: the in-memory model and
 the log-structured :class:`SegmentedFileStore` (real files reopened from
-disk) must recover identically.
+disk) must recover identically.  Each transaction also credits a third
+domain C: with two remote subordinates the root runs two-phase commit (a
+single one would be its last agent, covered in ``tests/test_last_agent.py``).
 """
 
 import pytest
@@ -103,6 +105,7 @@ def world(request, tmp_path):
 
             self.a = Domain("A", self.bridge, self.clock, make_store)
             self.b = Domain("B", self.bridge, self.clock, make_store)
+            self.c = Domain("C", self.bridge, self.clock, make_store)
 
         def bank_ref(self):
             if not self.b.node.has_object("bank"):
@@ -114,9 +117,20 @@ def world(request, tmp_path):
                 self.a.orb
             )
 
+        def deposit(self, amount):
+            """Credit B (the subordinate under test) and C."""
+            if not self.c.node.has_object("bank"):
+                self.c.node.activate(Bank(self.cell_c, self.c.current), object_id="bank")
+            ref = self.c.node.ref_for("bank")
+            ObjectRef(ref.node_id, ref.object_id, ref.interface).bind(self.a.orb).invoke(
+                "deposit", amount
+            )
+            return self.bank_ref().invoke("deposit", amount)
+
     built = World(request.param)
     built.cell_a = built.a.cell("acct-a", 100)
     built.cell_b = built.b.cell("acct-b", 50)
+    built.cell_c = built.c.cell("acct-c", 0)
     return built
 
 
@@ -126,7 +140,7 @@ class TestSubordinateDomainCrash:
         (phase one complete everywhere, phase two not yet started)."""
         tx = world.a.current.begin()
         world.cell_a.write(tx, 90)
-        world.bank_ref().invoke("deposit", 10)
+        world.deposit(10)
         world.a.factory.failpoints.arm("after_commit_log")
         with pytest.raises(SimulatedCrash):
             world.a.current.commit()
@@ -181,7 +195,7 @@ class TestSubordinateDomainCrash:
     def test_undecided_subordinate_waits_for_superior_abort(self, world):
         tx = world.a.current.begin()
         world.cell_a.write(tx, 90)
-        world.bank_ref().invoke("deposit", 10)
+        world.deposit(10)
         world.a.factory.failpoints.arm("before_commit_log")
         with pytest.raises(SimulatedCrash):
             world.a.current.commit()
@@ -207,7 +221,7 @@ class TestSubordinateDomainCrash:
     def test_subordinate_survives_crash_before_prepare(self, world):
         tx = world.a.current.begin()
         world.cell_a.write(tx, 90)
-        world.bank_ref().invoke("deposit", 10)
+        world.deposit(10)
         # B dies before any prepare: nothing durable belongs to the tx.
         world.b.crash_and_reopen()
         cell_b = world.b.cell("acct-b", 50)

@@ -1,4 +1,4 @@
-"""True fault tolerance: SIGKILL real site daemons mid-2PC and recover.
+"""True fault tolerance: SIGKILL real site daemons mid-commit and recover.
 
 Each test spawns the two-site bank (`repro.apps.site_apps`) as separate
 OS processes via the process harness, drives a federated transfer from a
@@ -6,6 +6,11 @@ client transport, and kills a daemon at an armed protocol point — the
 same fail-point names the in-process crash tests use, except here the
 crash is a real ``SIGKILL`` and recovery must come entirely from the
 on-disk WAL of the restarted process.
+
+A transfer has one remote participant, site-b's subordinate, so site-a
+commits with it as the *last agent*: site-a forces ``tx_delegated``,
+site-b decides with one ``commit_one_phase`` and forces its decision,
+and a site-a that lost the answer asks site-b for it.
 
 Store parametrization: the WAL is always disk-backed (the site runtime
 insists), but application cell state honours ``cell_store``.  With
@@ -72,6 +77,12 @@ def in_doubt_drained(client, site_id="site-b"):
     return not client.control(site_id, {"op": "resolve"})["outcomes"]
 
 
+def nothing_active(client, site_id):
+    """No live transaction left: the unprepared orphan of a dead root
+    has been swept (after the site's ``orphan_min_age``)."""
+    return not client.control(site_id, {"op": "debug_dump"})["active_transactions"]
+
+
 def readmitted(client, by, peer):
     """``by``'s failure detector no longer quarantines ``peer``: while it
     does, requests to the (restarted) peer fail fast by design."""
@@ -105,7 +116,8 @@ class TestCoordinatorSigkill:
     def test_killed_during_phase_two_recommits_on_restart(
         self, cluster_factory, cell_store
     ):
-        """Decision logged, SIGKILL before phase two reaches anyone."""
+        """The last agent decided and committed; SIGKILL before site-a
+        installs its own side."""
         cluster = cluster_factory(cell_store)
         client = cluster.client()
         try:
@@ -116,8 +128,8 @@ class TestCoordinatorSigkill:
 
             cluster["site-a"].restart()
             client.wait_ready("site-a")
-            # The logged decision replays downward: the surviving
-            # participant commits no matter what.
+            # The agent's decision stands; the restarted root asks for
+            # it and installs its side.
             assert wait_until(
                 lambda: client.ref(BANK, "acct-2", "BankAccount").invoke("balance")
                 == 110.0
@@ -143,27 +155,26 @@ class TestCoordinatorSigkill:
     def test_killed_during_phase_one_presumes_abort(
         self, cluster_factory, cell_store
     ):
-        """Votes collected, SIGKILL before the decision is logged.
+        """Local votes collected, SIGKILL before ``tx_delegated`` is
+        logged: nothing durable anywhere.
 
-        The subordinate on site-b is durably prepared and must NOT
-        presume abort on its own; it polls the restarted coordinator's
-        recovery servant, which answers from the WAL: no logged decision
-        → rolled back.
+        The subordinate on site-b was never asked to prepare, so it holds
+        nothing in doubt; its own orphan sweep presumes abort, and the
+        restarted root, which logged nothing, has nothing to resolve.
         """
-        cluster = cluster_factory(cell_store)
+        cluster = cluster_factory(cell_store, orphan_min_age=0.5)
         client = cluster.client()
         try:
             client.control("site-a", {"op": "arm_kill", "point": "before_commit_log"})
             transfer_expecting_death(client)
             cluster["site-a"].wait_exit()
 
-            # While the coordinator is down the subordinate holds.
-            outcomes = client.control("site-b", {"op": "resolve"})["outcomes"]
-            assert outcomes and all(v == "held" for v in outcomes.values())
+            assert client.control("site-b", {"op": "resolve"})["outcomes"] == {}
+            assert wait_until(lambda: nothing_active(client, "site-b")), cluster.debug_dump()
 
             cluster["site-a"].restart()
             client.wait_ready("site-a")
-            assert wait_until(lambda: in_doubt_drained(client)), cluster.debug_dump()
+            assert wait_until(lambda: in_doubt_drained(client, "site-a")), cluster.debug_dump()
             assert balances(client) == (100.0, 100.0)
             # Locks released: the same accounts transfer cleanly.
             desk = client.ref(DESK, "desk", "TransferDesk")
@@ -173,13 +184,13 @@ class TestCoordinatorSigkill:
             client.close()
 
     def test_killed_mid_commit_broadcast(self, cluster_factory):
-        """Decision logged, SIGKILL after the first participant's commit
-        but before the broadcast reaches the rest."""
+        """The agent committed; SIGKILL in site-a's own install round,
+        before its first participant's commit."""
         cluster = cluster_factory()
         client = cluster.client()
         try:
             client.control(
-                "site-a", {"op": "arm_kill", "point": "before_commit_resource_1"}
+                "site-a", {"op": "arm_kill", "point": "before_commit_resource_0"}
             )
             transfer_expecting_death(client)
             cluster["site-a"].wait_exit()
@@ -193,14 +204,43 @@ class TestCoordinatorSigkill:
         finally:
             client.close()
 
+    def test_killed_between_delegation_and_reply_conserves_balances(
+        self, cluster_factory
+    ):
+        """SIGKILL right after ``tx_delegated`` is forced, before the
+        agent is called.  The restarted root holds its debit in doubt
+        until site-b, having swept the unprepared orphan, answers rolled
+        back; no money is created or lost."""
+        cluster = cluster_factory(orphan_min_age=0.5)
+        client = cluster.client()
+        try:
+            client.control("site-a", {"op": "arm_kill", "point": "after_delegation_log"})
+            transfer_expecting_death(client)
+            cluster["site-a"].wait_exit()
+            records = offline_log(cluster, "site-a")
+            assert [r.kind for r in records][-1:] == ["tx_delegated"]
+
+            cluster["site-a"].restart()
+            client.wait_ready("site-a")
+            assert wait_until(
+                lambda: in_doubt_drained(client, "site-a")
+            ), cluster.debug_dump()
+            assert balances(client) == (100.0, 100.0)
+            assert nothing_active(client, "site-a") and nothing_active(client, "site-b")
+            assert wait_until(lambda: readmitted(client, "site-b", "site-a"))
+            desk = client.ref(DESK, "desk", "TransferDesk")
+            out = desk.invoke("transfer", "acct-1", BANK, "acct-2", 10.0)
+            assert out == {"from_balance": 90.0, "to_balance": 110.0}
+        finally:
+            client.close()
+
 
 class TestOrphanedSubordinate:
     def test_readoption_after_both_sites_restart(self, cluster_factory):
-        """Kill coordinator mid-protocol AND the participant; restart the
-        participant first.  Its recovery re-exports the subordinate from
-        the ``subtx_prepared`` record under the original object id and
-        holds; when the coordinator comes back, its WAL replay lands on
-        the re-adopted resource and completes the tree."""
+        """Kill the root after its last agent committed, AND the agent;
+        restart the agent first.  Its recovery recommits from its own
+        decision (which names the root) and holds nothing; when the root
+        comes back it asks the agent for the outcome and completes."""
         cluster = cluster_factory()
         client = cluster.client()
         try:
@@ -209,19 +249,18 @@ class TestOrphanedSubordinate:
             cluster["site-a"].wait_exit()
             cluster["site-b"].kill()
 
-            # Participant restarts first: orphaned (superior still down).
+            # The agent restarts first, the root still down.
             cluster["site-b"].restart()
             client.wait_ready("site-b")
-            outcomes = client.control("site-b", {"op": "resolve"})["outcomes"]
-            assert outcomes and all(v == "held" for v in outcomes.values())
-            assert client.ref(BANK, "acct-2", "BankAccount").invoke("balance") == 100.0
+            assert client.control("site-b", {"op": "resolve"})["outcomes"] == {}
+            assert client.ref(BANK, "acct-2", "BankAccount").invoke("balance") == 110.0
 
             cluster["site-a"].restart()
             client.wait_ready("site-a")
             assert wait_until(
                 lambda: balances(client) == (90.0, 110.0)
             ), cluster.debug_dump()
-            assert in_doubt_drained(client)
+            assert in_doubt_drained(client, "site-a")
         finally:
             client.close()
 
@@ -229,10 +268,11 @@ class TestOrphanedSubordinate:
 class TestCompletionTailLostToSigkill:
     def test_acked_balances_survive_and_the_tail_replays_once(self, cluster_factory):
         """SIGKILL both sites right after the last acknowledged transfer:
-        each log ends in a commit decision whose (unforced) completion
-        record died with the process.  Restart shows the acknowledged
-        balances, recovery completes exactly that tail, and a second
-        restart has nothing left to do."""
+        each log ends in its forced record — site-a's ``tx_delegated``,
+        site-b's decision — whose (unforced) completion record died with
+        the process.  Restart shows the acknowledged balances, recovery
+        completes exactly that tail (site-a by asking site-b), and a
+        second restart has nothing left to do."""
         # A poll interval longer than the test: no housekeeping round
         # forces the tail before the kill.
         cluster = cluster_factory(poll_interval=60.0)
@@ -243,17 +283,21 @@ class TestCompletionTailLostToSigkill:
                 desk.invoke("transfer", "acct-1", BANK, "acct-2", 10.0)
             assert balances(client) == (70.0, 130.0)
 
+            forced = {"site-a": "tx_delegated", "site-b": "tx_commit_decision"}
+
             def bounce():
                 for site_id in ("site-a", "site-b"):
                     cluster[site_id].kill()
                 logs = {site_id: offline_log(cluster, site_id) for site_id in cluster.sites}
-                for site_id in ("site-b", "site-a"):  # the subordinate first
+                for site_id in ("site-b", "site-a"):  # the agent first
                     cluster[site_id].restart()
                     client.wait_ready(site_id)
+                # site-a's held tail resolves in its housekeeping round.
+                assert wait_until(lambda: in_doubt_drained(client, "site-a"))
                 return logs
 
             for site_id, records in bounce().items():
-                decided = [r.payload["tid"] for r in records if r.kind == "tx_commit_decision"]
+                decided = [r.payload["tid"] for r in records if r.kind == forced[site_id]]
                 completed = [r.payload["tid"] for r in records if r.kind == "tx_completed"]
                 assert len(decided) == 3
                 assert completed == decided[:2], site_id  # the third was unforced
@@ -266,7 +310,7 @@ class TestCompletionTailLostToSigkill:
 
             for round_ in ("first restart", "second restart"):
                 for site_id, records in bounce().items():
-                    decided = [r.payload["tid"] for r in records if r.kind == "tx_commit_decision"]
+                    decided = [r.payload["tid"] for r in records if r.kind == forced[site_id]]
                     completed = [r for r in records if r.kind == "tx_completed"]
                     assert [r.payload["tid"] for r in completed] == decided, (round_, site_id)
                     assert [bool(r.payload.get("recovered")) for r in completed] == [

@@ -4,18 +4,23 @@ A force appends its own batch and nothing else however long the log has
 grown; a site's housekeeping round reads only the records forced since
 the previous round; a committed two-cell transfer performs two store
 flushes (the forced decision, carrying both intentions, and one install
-batch), a federated one five, an aborted one none.  And the crash
+batch), a federated one four over two cross-site requests, an aborted
+one none.  And the crash
 guarantee those counts lean on: a torn append reads back as a frame
 prefix, so the decision frame is the commit point and any prefix of the
 install batch recovers to the committed values.
 """
 
+import gc
 import os
+import weakref
 
 import pytest
 
 from repro.apps.site_apps import bank_node_id
 from repro.config import FactoryConfig
+from repro.orb.federation import coordination_node_id
+from repro.orb.reference import ObjectRef
 from repro.orb.site import SiteConfig, SiteRuntime
 from repro.ots import (
     RecoverableRegistry,
@@ -83,14 +88,13 @@ def desk_site(tmp_path):
     runtime.transport.close()
 
 
-@pytest.fixture
-def two_sites(tmp_path):
-    """Two in-process sites over real sockets, serve loops not running
-    (no housekeeping round forces a log tail behind the test's back)."""
-    ports = {site: free_port() for site in ("desk", "far")}
+def start_sites(tmp_path, sites):
+    """In-process sites over real sockets, serve loops not running (no
+    housekeeping round forces a log tail behind the test's back)."""
+    ports = {site: free_port() for site in sites}
     peers = {site: ("127.0.0.1", port) for site, port in ports.items()}
-    runtimes = {
-        site: SiteRuntime(
+    runtimes = [
+        SiteRuntime(
             SiteConfig(
                 site_id=site,
                 port=ports[site],
@@ -100,19 +104,55 @@ def two_sites(tmp_path):
                 app=f"repro.apps.site_apps:{app}",
             )
         )
-        for site, app in (("desk", "transfer_desk_site"), ("far", "bank_site"))
-    }
-    for runtime in runtimes.values():
+        for site, app in sites.items()
+    ]
+    for runtime in runtimes:
         runtime.transport.start()
-    desk = runtimes["desk"].orb.node(bank_node_id("desk")).servant("desk")
+    return runtimes
+
+
+def stop_sites(runtimes):
+    for runtime in runtimes:
+        runtime.stop()
+        runtime.transport.close()
+
+
+@pytest.fixture
+def two_sites(tmp_path):
+    runtimes = start_sites(tmp_path, {"desk": "transfer_desk_site", "far": "bank_site"})
+    desk = runtimes[0].orb.node(bank_node_id("desk")).servant("desk")
 
     def transfer(amount=1.0):
         return desk.transfer("acct-1", bank_node_id("far"), "acct-2", amount)
 
-    yield runtimes["desk"], runtimes["far"], transfer
-    for runtime in runtimes.values():
-        runtime.stop()
-        runtime.transport.close()
+    yield runtimes[0], runtimes[1], transfer
+    stop_sites(runtimes)
+
+
+@pytest.fixture
+def three_sites(tmp_path):
+    runtimes = start_sites(
+        tmp_path, {"desk": "transfer_desk_site", "far": "bank_site", "farther": "bank_site"}
+    )
+    yield runtimes
+    stop_sites(runtimes)
+
+
+def requests_sent(*runtimes):
+    return sum(runtime.transport.stats.requests_sent for runtime in runtimes)
+
+
+def run_on_desk(desk, *remote_sites, debit=True):
+    """One transaction rooted at ``desk``: debit a local account (unless
+    told not to), credit acct-2 on each remote site."""
+    desk.current.begin()
+    if debit:
+        desk.orb.node(bank_node_id("desk")).servant("acct-1").withdraw(len(remote_sites))
+    for site in remote_sites:
+        ObjectRef(bank_node_id(site), "acct-2", "BankAccount").bind(desk.orb).invoke(
+            "deposit", 1.0
+        )
+    desk.current.commit()
 
 
 def flush_counts(*runtimes):
@@ -182,17 +222,59 @@ class TestCommitPathCounts:
         runtime.wal.force()  # nothing left: not a force
         assert runtime.wal.forces == 11
 
-    def test_federated_transfer_is_five_store_flushes(self, two_sites):
+    def test_federated_transfer_is_four_store_flushes(self, two_sites):
         desk, far, transfer = two_sites
         transfer()
         before = flush_counts(desk, far)
+        sent = requests_sent(desk, far)
         assert transfer() == {"from_balance": 98.0, "to_balance": 102.0}
-        # desk: decision (with its intention), install batch.  far:
-        # subtx_prepared (with its intention), its own decision, install.
-        assert flush_deltas(before, desk, far) == [(1, 1, 1), (2, 1, 2)]
-        prepared, decision = far.wal.records()[-2:]
-        assert prepared.payload["intentions"] == {"account:acct-2": [2, 102.0]}
-        assert "intentions" not in decision.payload
+        # desk: tx_delegated (with its intention), install batch.  far,
+        # the last agent: its decision (with its intention and the root
+        # tid), install.  Across the wire: the deposit, whose reply
+        # registers far's subordinate, and one commit_one_phase.
+        assert flush_deltas(before, desk, far) == [(1, 1, 1), (1, 1, 1)]
+        assert requests_sent(desk, far) - sent == 2
+        (delegated,) = desk.wal.records()[-1:]
+        assert delegated.kind == "tx_delegated"
+        assert delegated.payload["intentions"] == {"account:acct-1": [2, 98.0]}
+        assert delegated.payload["agent"].startswith("fedsub-tx:far:")
+        (decision,) = far.wal.records()[-1:]
+        assert decision.kind == "tx_commit_decision"
+        assert decision.payload["intentions"] == {"account:acct-2": [2, 102.0]}
+        assert decision.payload["root"] == delegated.payload["tid"]
+
+    def test_two_remote_subordinates_keep_two_phase_commit(self, three_sites):
+        desk, far, farther = three_sites
+        run_on_desk(desk, "far", "farther")
+        before = flush_counts(desk, far, farther)
+        sent = requests_sent(desk, far, farther)
+        run_on_desk(desk, "far", "farther")
+        # Two deposits, then a prepare and a commit to each subordinate.
+        assert requests_sent(desk, far, farther) - sent == 6
+        # Each subordinate: subtx_prepared, its decision, install.
+        assert flush_deltas(before, desk, far, farther) == [(1, 1, 1), (2, 1, 2), (2, 1, 2)]
+        assert desk.wal.records()[-1].kind == "tx_commit_decision"
+
+    def test_lone_remote_subordinate_keeps_the_one_phase_call(self, two_sites):
+        desk, far, _ = two_sites
+        run_on_desk(desk, "far", debit=False)
+        before = flush_counts(desk, far)
+        sent = requests_sent(desk, far)
+        run_on_desk(desk, "far", debit=False)
+        # The deposit and one commit_one_phase; the root logs nothing,
+        # the subordinate one rooted decision and its install.
+        assert requests_sent(desk, far) - sent == 2
+        assert flush_deltas(before, desk, far) == [(0, 0, 0), (1, 1, 1)]
+
+    def test_overdrawn_federated_transfer_writes_nothing(self, two_sites):
+        desk, far, transfer = two_sites
+        transfer()
+        before = flush_counts(desk, far)
+        sent = requests_sent(desk, far)
+        with pytest.raises(ValueError):
+            transfer(1e9)  # withdraw refuses before the remote leg
+        assert flush_deltas(before, desk, far) == [(0, 0, 0), (0, 0, 0)]
+        assert requests_sent(desk, far) == sent
 
     def test_overdrawn_transfer_writes_nothing(self, desk_site):
         runtime, transfer = desk_site
@@ -414,3 +496,36 @@ class TestTornBatchIsAFramePrefix:
             cells_store.close()
             survivor = SegmentedFileStore(torn_root)
             assert dict(survivor.items()) == {"cell:a": [1, 11], "cell:b": [1, 22]}, cut
+
+
+class TestNothingKeptPerFinishedTransaction:
+    def test_coordination_nodes_hold_only_the_recovery_servant(self, two_sites):
+        desk, far, transfer = two_sites
+        for _ in range(20):
+            transfer()
+        for runtime in (desk, far):
+            runtime.housekeeping_round(orphan_min_age=5.0)
+        for runtime, site in ((desk, "desk"), (far, "far")):
+            node = runtime.orb.node(coordination_node_id(site))
+            assert node.object_ids() == ("fedrecovery",), site
+
+    def test_finished_transactions_are_freed_by_refcount(self, two_sites):
+        desk, far, transfer = two_sites
+        desk_account = desk.orb.node(bank_node_id("desk")).servant("desk")
+        gc.collect()
+        gc.disable()  # nothing may be left for the cycle collector
+        try:
+            for _ in range(10):
+                transfer()  # federated
+                desk_account.transfer("acct-2", bank_node_id("desk"), "acct-1", 1.0)
+            finished = [
+                weakref.ref(tx)
+                for runtime in (desk, far)
+                for tx in runtime.factory._transactions.values()
+            ]
+            for runtime in (desk, far):
+                runtime.housekeeping_round(orphan_min_age=5.0)
+            assert len(finished) == 30  # 20 roots, 10 subordinates
+            assert [ref() for ref in finished if ref() is not None] == []
+        finally:
+            gc.enable()

@@ -551,9 +551,9 @@ class TestOtsInterposition:
         assert world.service_b.adoptions == 1
         world.bridge.reset_link_stats()
         world.current_a.commit()
-        # One prepare + one commit crossed the bridge, however many
-        # local writes the subordinate accumulated.
-        assert world.bridge.cross_domain_requests() == 2
+        # One commit_one_phase to the last agent crossed the bridge,
+        # however many local writes the subordinate accumulated.
+        assert world.bridge.cross_domain_requests() == 1
         assert world.cell_a.committed_value == 90
         assert world.cell_b.committed_value == 65
         sub = world.service_b.subordinate_for(tx.tid)
@@ -627,7 +627,7 @@ class TestOtsInterposition:
         ref.invoke("spread", 7)
         world.bridge.reset_link_stats()
         world.current_a.commit()
-        assert world.bridge.cross_domain_requests() == 2
+        assert world.bridge.cross_domain_requests() == 1  # the last agent's call
         assert all(cell.committed_value == 7 for cell in extra_cells)
         assert world.cell_a.committed_value == 42
 
@@ -636,15 +636,19 @@ class TestOtsInterposition:
 
         world = OtsWorld()
         tx = world.current_a.begin()
-        context = world.service_a.context_for(tx)
+        world.current_a.suspend()
         results = []
         errors = []
 
         def first_contact():
+            world.current_a.resume(tx)
             try:
-                results.append(world.service_b.adopt(context))
+                world.bank_ref.invoke("balance")
+                results.append(world.service_b.subordinate_for(tx.tid).transaction)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
+            finally:
+                world.current_a.suspend()
 
         threads = [threading.Thread(target=first_contact) for _ in range(4)]
         for thread in threads:
@@ -652,8 +656,8 @@ class TestOtsInterposition:
         for thread in threads:
             thread.join()
         assert errors == []
-        # Every racer converged on the one subordinate; the superior
-        # holds exactly one registration.
+        # Every racer converged on the one subordinate; each reply
+        # carried its registration and the superior enlisted it once.
         assert world.service_b.adoptions == 1
         assert len({adopted.tid for adopted in results}) == 1
         assert len(tx.resources) == 1

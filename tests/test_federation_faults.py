@@ -90,16 +90,23 @@ class TestPartitionDuringPhaseOne:
         world.cell_a.write(tx, 90)
         world.bank_ref.invoke("deposit", 10)
         world.bridge.partition("A", "B")
-        with pytest.raises(TransactionRolledBack):
+        # The subordinate is the last agent: its call is lost, so the
+        # root cannot know the outcome and holds (never presumes).
+        with pytest.raises(HeuristicHazard):
             world.current_a.commit()
-        assert world.cell_a.committed_value == 100
-        assert world.cell_b.committed_value == 50
-        # The subordinate never saw prepare; presumed abort applies to
-        # its in-doubt state once its own domain polices it.
+        assert tx.status is TransactionStatus.COMMITTING
+        assert world.cell_a.list_in_doubt() == [tx.tid]
+        assert world.service_a.resolve_in_doubt() == {tx.tid: "held"}
+        # The subordinate never saw the call; presumed abort applies to
+        # its in-doubt state once its own domain polices it, and the
+        # root learns that outcome from it.
         subordinate = world.service_b.subordinate_for(tx.tid)
         assert subordinate.get_status() is TransactionStatus.ACTIVE
         world.bridge.heal("A", "B")
-        subordinate.transaction.rollback()
+        assert world.service_b.sweep_orphans(min_age=0.0) == [tx.tid]
+        assert world.service_a.resolve_in_doubt() == {tx.tid: "aborted"}
+        assert tx.status is TransactionStatus.ROLLED_BACK
+        assert world.cell_a.committed_value == 100
         assert world.cell_b.committed_value == 50
 
 
@@ -110,13 +117,15 @@ class TestPartitionDuringPhaseTwo:
         world.cell_a.write(tx, 90)
 
         class PartitionTrigger:
-            """Votes commit; its phase-two commit severs the link."""
+            """A B-local yes-voter; its commit makes the link drop
+            everything, so the last agent's answer never reaches the
+            root."""
 
             def prepare(self):
                 return Vote.COMMIT
 
             def commit(self):
-                world.bridge.partition("A", "B")
+                link.drop_probability = 1.0
 
             def rollback(self):
                 pass
@@ -124,29 +133,30 @@ class TestPartitionDuringPhaseTwo:
             def forget(self):
                 pass
 
-        tx.register_resource(PartitionTrigger())
+        link = world.bridge.link("A", "B").transport.fault_plan
         world.bank_ref.invoke("deposit", 10)
+        world.service_b.subordinate_for(tx.tid).transaction.register_resource(
+            PartitionTrigger()
+        )
         with pytest.raises(HeuristicHazard):
             world.current_a.commit()
-        # The decision is durable and the parent committed; the
-        # subordinate is stranded PREPARED behind the partition.
+        # The agent decided and committed; the root holds behind the
+        # partition, its own cell still in doubt.
+        assert tx.status is TransactionStatus.COMMITTING and tx.decided
+        assert world.cell_a.committed_value == 100
+        assert world.cell_b.committed_value == 60
+        subordinate = world.service_b.subordinate_for(tx.tid)
+        assert subordinate.get_status() is TransactionStatus.COMMITTED
+        assert world.service_a.resolve_in_doubt() == {tx.tid: "held"}
+
+        # Resolution asks the agent's domain once the link heals (the
+        # housekeeping round does this); a second round is a no-op.
+        link.drop_probability = 0.0
+        assert world.service_a.resolve_in_doubt() == {tx.tid: "committed"}
         assert tx.status is TransactionStatus.COMMITTED
         assert world.cell_a.committed_value == 90
-        assert world.cell_b.committed_value == 50
-        subordinate = world.service_b.subordinate_for(tx.tid)
-        assert subordinate.get_status() is TransactionStatus.PREPARED
-
-        # The hazard is recorded, the transaction complete — resolution
-        # is a replay through the parent-side subordinate proxy once the
-        # link heals (what an operator, or a retry loop, would drive).
-        world.bridge.heal("A", "B")
-        proxy = world.registry_a.resolve(f"fedsub-tx:B:{tx.tid}")
-        assert proxy is not None
-        assert proxy.recover_commit(tx.tid)
-        assert world.cell_b.committed_value == 60
-        assert subordinate.get_status() is TransactionStatus.COMMITTED
-        # A second replay is idempotent.
-        assert proxy.recover_commit(tx.tid)
+        world.factory_a.wal.force()
+        assert world.service_a.resolve_in_doubt() == {}
         assert world.cell_b.committed_value == 60
 
     def test_subordinate_local_heuristic_surfaces_on_parent(self):
@@ -335,8 +345,12 @@ class TestOrphanSweepAndRetirement:
         assert world.service_b._adopted_at == {}
         # A late request for the swept root declines adoption...
         assert world.service_b.adopt(context) is None
-        # ...and the superior's own late completion aborts consistently.
-        with pytest.raises(TransactionRolledBack):
+        # ...and the superior's own late completion finds the retired
+        # agent gone; asked, the agent's domain answers rolled back, so
+        # the superior aborts consistently.
+        with pytest.raises(HeuristicHazard):
             world.current_a.commit()
+        assert world.service_a.resolve_in_doubt() == {tx.tid: "aborted"}
+        assert tx.status is TransactionStatus.ROLLED_BACK
         assert world.cell_a.committed_value == 100
         assert world.cell_b.committed_value == 50

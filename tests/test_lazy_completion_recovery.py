@@ -101,12 +101,14 @@ class TestCrashAfterTheLastAck:
 
 
 def federated_transfer(world, op_id, amount=1.0):
-    """One A->B transfer coordinated by A (the superior)."""
+    """One A->B+C transfer coordinated by A (the superior); two remote
+    subordinates keep it two-phase (one would be a last agent)."""
     domain = world.domain("A")
     domain.current.begin()
     try:
-        domain.accounts["a0"].withdraw(op_id, amount)
+        domain.accounts["a0"].withdraw(op_id, 2 * amount)
         world.account_ref("A", "B", "b0").invoke("deposit", op_id, amount)
+        world.account_ref("A", "C", "c0").invoke("deposit", op_id, amount)
     except ReproError:
         domain.current.rollback()
         raise
@@ -120,7 +122,7 @@ class TestRedeliveryToARetiredSubordinate:
         and came back: its recovery found the subordinate finished and
         re-exported nothing.  A's replay is answered ``ObjectNotExist``
         by a live B — the acknowledgement, not a failure."""
-        world = ChaosWorld(seed=7)
+        world = ChaosWorld(seed=7, domain_names=("A", "B", "C"))
         federated_transfer(world, "op1", 5.0)
         balances = world.committed_balances()
 
@@ -149,7 +151,7 @@ class TestRedeliveryToARetiredSubordinate:
     def test_dead_subordinate_is_not_an_acknowledgement(self):
         """The same replay against a *crashed* B must fail (and be
         retried), not be mistaken for B having finished."""
-        world = ChaosWorld(seed=7)
+        world = ChaosWorld(seed=7, domain_names=("A", "B", "C"))
         federated_transfer(world, "op1", 5.0)
         world.crash("B")
         world.crash("A")
