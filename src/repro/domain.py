@@ -128,7 +128,8 @@ class Domain:
         """Replication catch-up, recovery until it succeeds, transaction
         timeouts, stranded completions, activity timeouts, the orphan
         sweep (which also forces the log's unforced tail), in-doubt
-        resolution, then forget the finished transactions."""
+        resolution (held subordinates ask their superior, delegated roots
+        their last agent), then forget the finished transactions."""
         self.recovery_error = None
         self.attempt(self.replication_catch_up)
         if not self.recovered and self.recover() is not None:

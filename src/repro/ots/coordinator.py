@@ -511,17 +511,17 @@ class Transaction:
         with self._completion:
             if self.status.is_terminal:
                 return
-            assert self._agent is not None, f"{self.tid} never delegated"
-            self._agent.completed = True
             voters = [r for r in self._resources if r.vote is Vote.COMMIT and not r.completed]
-            self.status = (
-                TransactionStatus.COMMITTING if committed else TransactionStatus.ROLLING_BACK
-            )
-            self._complete("commit" if committed else "rollback", voters)
-            self.factory.log_completion(self.tid, **({} if committed else {"rolled_back": True}))
-            self._finish(
-                TransactionStatus.COMMITTED if committed else TransactionStatus.ROLLED_BACK
-            )
+            if committed:
+                self.status = TransactionStatus.COMMITTING
+                self._complete("commit", voters)
+                self.factory.log_completion(self.tid)
+                self._finish(TransactionStatus.COMMITTED)
+            else:
+                self.status = TransactionStatus.ROLLING_BACK
+                self._complete("rollback", voters)
+                self.factory.log_completion(self.tid, rolled_back=True)
+                self._finish(TransactionStatus.ROLLED_BACK)
 
     # -- interposed completion (federated deployments) --------------------------
 

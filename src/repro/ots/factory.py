@@ -177,8 +177,9 @@ class TransactionFactory:
         (recovery key -> ``[version, value]``) become durable with it; a
         subordinate's are already in its ``subtx_prepared`` — unless it
         is a last agent, whose decision names its superior's ``root``."""
-        extra = {"intentions": intentions} if intentions else {}
-        extra.update({"root": root} if root else {})
+        extra: Dict[str, Any] = {"intentions": intentions} if intentions else {}
+        if root is not None:
+            extra["root"] = root
         return self.wal.append(
             "tx_commit_decision", tid=tid, recovery_keys=recovery_keys, **extra
         )

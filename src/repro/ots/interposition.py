@@ -72,9 +72,9 @@ FEDERATED_TX_CONTEXT_ID = _FEDERATED_CONTEXT_ID
 SERVICE_NAME = "ots_federation"
 RECOVERY_SERVANT_ID = "fedrecovery"
 # Retired root tids kept as tombstones so a straggler request for a
-# resolved tree still declines adoption cheaply.  Bounded: a tombstone
-# falling off the end degrades to a failed re-registration with the
-# (terminal) superior — still a typed failure, never untransacted work.
+# resolved tree still declines adoption cheaply.  Bounded: past the end a
+# straggler adopts afresh, nothing enlists that subordinate and the
+# orphan sweep rolls it back — never untransacted work.
 RESOLVED_TOMBSTONE_LIMIT = 4096
 
 
@@ -201,7 +201,7 @@ class SubordinateTransactionResource(Servant):
         self.root_domain = root_domain
         self.transaction = tx
         self._prepared_logged = False
-        # RLock: commit_one_phase re-enters through prepare().
+        # RLock: recover_abort re-enters through rollback().
         self.completion_lock = threading.RLock()
 
     # -- Resource protocol (dispatched by the superior) -----------------------
@@ -392,7 +392,7 @@ class FederatedTransactionService:
 
     def enlist_subordinate(self, tx: Transaction, registration: List[Any]) -> None:
         """Enlist the subordinate a reply registered, once per key."""
-        resource_ref, recovery_key, _ = registration
+        resource_ref, recovery_key = registration
         with self._lock:
             if any(record.recovery_key == recovery_key for record in tx.resources):
                 return
@@ -449,13 +449,13 @@ class FederatedTransactionService:
 
     def registration(self, root_tid: str) -> List[Any]:
         """What every reply under this domain's subordinate for ``root_tid``
-        carries: ``[resource ref, recovery key, domain]``, from the tid."""
+        carries: ``[resource ref, recovery key]`` (the key names the domain)."""
         ref = ObjectRef(
             coordination_node_id(self.domain_id),
             subordinate_resource_id(root_tid),
             "SubordinateResource",
         )
-        return [ref, subordinate_recovery_key(self.domain_id, root_tid), self.domain_id]
+        return [ref, subordinate_recovery_key(self.domain_id, root_tid)]
 
     # -- durable prepared state -----------------------------------------------------
 

@@ -20,7 +20,6 @@ from repro.ots import (
     HeuristicHazard,
     HeuristicMixed,
     HeuristicRollback,
-    TransactionRolledBack,
     Vote,
 )
 from repro.ots.status import TransactionStatus
