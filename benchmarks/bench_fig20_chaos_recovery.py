@@ -15,9 +15,9 @@ Three measurements:
   link DOWN (client probes keep arriving at the pre-crash cadence);
 - **time-to-readmit / time-to-recover**: restart the dead domain and
   measure seconds until the half-open probe re-admits the link, and —
-  in a second scenario where the *coordinator* dies after logging a
-  commit decision — until federated recovery drains the survivor's
-  in-doubt subordinate and the world is quiet again;
+  in a second scenario where the *coordinator* dies before logging
+  anything — until the survivor's subordinate has drained and the world
+  is quiet again;
 - **goodput under faults**: committed fraction across a seeded campaign
   sweep, with failure detection on vs off.
 
@@ -111,15 +111,15 @@ def measure_detection():
 
 
 def measure_recovery():
-    """Kill the coordinator after votes are gathered but *before* the
-    decision is logged; clock how long the survivor's prepared, in-doubt
-    subordinate takes to drain once the coordinator reboots.
+    """Kill the coordinator after its local votes are gathered but
+    *before* it logs anything; clock how long the survivor's subordinate
+    takes to drain once the coordinator reboots.
 
-    The rebooted WAL holds no decision, so boot-time replay cannot
-    settle the branch — it resolves only when the survivor's in-doubt
-    poller asks the superior and hears the presumed abort.  (With
-    ``after_commit_log`` instead, boot-time replay recommits the branch
-    synchronously and the drain takes zero simulated seconds.)
+    The subordinate is the transfer's only remote participant, so it is
+    the coordinator's last agent and was never asked to prepare: it
+    holds nothing in doubt, and its own orphan sweep (``min_age`` 0.5 s
+    here) rolls it back — presumed abort — while the rebooted WAL holds
+    no record to settle.
     """
     world = ChaosWorld(seed=SEED)
     assert probe_transfer(world, "warm")
@@ -133,7 +133,7 @@ def measure_recovery():
         raise AssertionError("failpoint did not fire")
     except SimulatedCrash:
         world.crash("A")
-    assert not world.is_quiet()  # B holds a prepared, undecided branch
+    assert not world.is_quiet()  # B holds an unprepared, adopted branch
 
     world.restart("A")
     restarted_at = world.clock.now()
