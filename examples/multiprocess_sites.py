@@ -4,9 +4,11 @@ Run:  PYTHONPATH=src python examples/multiprocess_sites.py
 
 Spawns two real OS processes (``python -m repro.site``) hosting the demo
 bank, drives a cross-site transfer from a client transport (a federated
-2PC with coordinator interposition over TCP), then SIGKILLs the
-coordinator *after it logs the commit decision but before phase two* and
-restarts it — the WAL replay completes the transfer on both sites.
+commit with coordinator interposition over TCP: site-b's subordinate is
+the last agent and decides with one ``commit_one_phase``), then SIGKILLs
+the coordinator *after the agent committed but before its own install*
+and restarts it — its logged ``tx_delegated`` holds the debit until it
+asks site-b, which answers committed, and the transfer completes.
 """
 
 import tempfile
@@ -57,7 +59,7 @@ def main() -> None:
         cluster["site-a"].wait_exit()
         print("site-a dead (pid reaped), balances on survivor only")
 
-        print("restarting site-a: WAL replay drives the decided commit ...")
+        print("restarting site-a: it asks the agent and completes the commit ...")
         cluster["site-a"].restart()
         client.wait_ready("site-a")
         wait_until(lambda: balances(client) == (65.0, 135.0))
