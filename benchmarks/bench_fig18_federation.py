@@ -7,11 +7,13 @@ participant.  This bench sweeps domains x participants-per-domain x
 inter-domain latency over the :class:`~repro.orb.federation.InterOrbBridge`
 and compares:
 
-- **direct** — every remote participant registered straight with the
-  parent coordinator (the pre-federation topology): cross-bridge sends
-  grow O(domains x participants);
-- **interposed** — ``ActivityManager(federation=..., interposition=True)``:
-  one subordinate coordinator per remote domain relays locally, so
+- **direct** — a parent manager that is not installed on a federated
+  ORB registers every remote participant straight with its coordinator
+  (the pre-federation topology): cross-bridge sends grow
+  O(domains x participants);
+- **interposed** — the parent manager installed on its federated ORB,
+  which always interposes: one subordinate coordinator per remote
+  domain, built by that domain itself, relays locally, so
   cross-bridge sends are O(domains) and the simulated completion latency
   is dominated by one inter-domain hop per tree level, independent of
   the local fan-out behind each subordinate.
@@ -30,7 +32,6 @@ import os
 
 import pytest
 
-from repro.config import RuntimeConfig
 from repro.core import ActivityManager, RecordingAction
 from repro.core.signals import Outcome
 from repro.models.twopc import SET_NAME as TWOPC_SET, TwoPhaseCommitSignalSet
@@ -99,12 +100,9 @@ def run_broadcast(domains, per_domain, latency, interposed):
         orb = Orb(clock=clock)
         bridge.connect(orb, f"d{index}")
         orbs.append(orb)
-    parent = ActivityManager(
-        clock=clock,
-        event_log=EventLog(max_events=1_024).attach(),
-        config=RuntimeConfig(federation=bridge, interposition=interposed),
-    )
-    parent.install(orbs[0])
+    parent = ActivityManager(clock=clock, event_log=EventLog(max_events=1_024).attach())
+    if interposed:
+        parent.install(orbs[0])
     for index in range(1, domains):
         remote = ActivityManager(clock=clock, event_log=EventLog(max_events=1_024).attach())
         remote.install(orbs[index])
@@ -260,13 +258,9 @@ def run_ots_churn(tmp_path, ratio, transactions):
     )
     current_a = TransactionCurrent(factory_a)
     current_b = TransactionCurrent(factory_b)
-    install_federated_transaction_service(
-        orb_a, current_a, bridge, registry=RecoverableRegistry()
-    )
+    install_federated_transaction_service(orb_a, current_a, registry=RecoverableRegistry())
     registry_b = RecoverableRegistry()
-    install_federated_transaction_service(
-        orb_b, current_b, bridge, registry=registry_b
-    )
+    install_federated_transaction_service(orb_b, current_b, registry=registry_b)
     cell = TransactionalCell(
         "hot", 0, factory_b, store=store_b, registry=registry_b
     )

@@ -3,23 +3,20 @@
 The three service constructors — :class:`~repro.orb.core.Orb`,
 :class:`~repro.core.manager.ActivityManager` and
 :class:`~repro.ots.factory.TransactionFactory` — grew a sprawl of tuning
-keywords over PRs 3–5 (cache sizing, registry shards, federation
-hooks).  This module collapses each surface into one frozen,
-validated dataclass:
+keywords over PRs 3–5 (cache sizing, registry shards).  This module
+collapses each surface into one frozen, validated dataclass:
 
 =================  ==========================================================
 :class:`OrbConfig`       marshaller cache sizing, federation domain identity
-:class:`RuntimeConfig`   ActivityManager: shards, federation/interposition
-                         switches, admission
+:class:`RuntimeConfig`   ActivityManager: shards, admission
 :class:`FactoryConfig`   TransactionFactory: 2PC drive policy (parallelism,
                          group commit), shards, admission
 =================  ==========================================================
 
 Resources with a lifetime of their own (clocks, stores, WALs, executors,
-event logs) stay as explicit constructor parameters — a config object
-holds *values*, not live machinery, with the deliberate exception of the
-federation bridge, which several services must point at the same
-instance.
+event logs, the federation an ORB joins) stay as explicit constructor
+parameters or wiring — a config object holds *values*, not live
+machinery.
 
 A constructor takes its tuning only as ``config=``; a tuning keyword
 passed directly is an unexpected keyword argument (``TypeError``).
@@ -123,11 +120,6 @@ class RuntimeConfig(_BaseConfig):
         Stripe count for the activity/timeout registries (PR 4), ≥ 1.
         Default 8: past the contention knee measured in fig16 without
         oversharding small deployments.
-    federation / interposition
-        ``federation`` points at the shared ``InterOrbBridge`` (or a
-        site federation) when this manager coordinates across domains;
-        ``interposition`` installs the activity interposer so foreign
-        coordinators are proxied locally (PR 5).
     max_live
         Admission ceiling: at most this many activities are live at
         once, and a ``begin`` past it raises
@@ -145,8 +137,6 @@ class RuntimeConfig(_BaseConfig):
     """
 
     registry_shards: int = 8
-    federation: Optional[Any] = None
-    interposition: bool = False
     max_live: Optional[int] = None
     max_events: Optional[int] = None
 
@@ -154,10 +144,6 @@ class RuntimeConfig(_BaseConfig):
         self._require(
             isinstance(self.registry_shards, int) and self.registry_shards >= 1,
             f"registry_shards must be >= 1, got {self.registry_shards!r}",
-        )
-        self._require(
-            not (self.interposition and self.federation is None),
-            "interposition=True requires a federation bridge",
         )
         _validate_admission(self)
 

@@ -105,9 +105,9 @@ class ActivityCoordinator:
         # Per-action outcome wait bound, enforced where the executor can
         # preempt (the thread-pool executor); None waits indefinitely.
         self.action_timeout = action_timeout
-        # Federation: when set (ActivityManager(federation=...,
-        # interposition=True)), cross-domain registrations are rerouted
-        # through one interposed subordinate per remote domain.
+        # Federation: when set (a manager installed on a federated ORB),
+        # cross-domain registrations are rerouted through one interposed
+        # subordinate per remote domain.
         self.interposer = interposer
         self._ids = IdGenerator()
         self._actions: Dict[str, List[ActionRecord]] = {}

@@ -17,6 +17,12 @@ Pieces:
   domain's coordination node (``fed:<domain>``); its registrations are
   checkpointed in *that domain's own* store so a per-domain crash can be
   recovered with :func:`recover_subordinates`;
+- :class:`ActivityInterpositionServant` — each domain's well-known
+  endpoint (``fed:<domain>/fedactivity``): a parent *invokes* its
+  ``register`` and the domain finds or creates its own subordinate
+  (:func:`local_subordinate`), so no domain ever builds objects in
+  another and the tree works between processes as well as over an
+  in-process bridge;
 - :class:`ActivityInterposer` — the parent-side router: plugged into an
   :class:`~repro.core.coordinator.ActivityCoordinator`, it intercepts
   ``add_action`` calls whose action lives in a foreign domain and
@@ -26,15 +32,17 @@ Pieces:
   the 2PC SignalSet keep working; mixed non-error names collapse to an
   error outcome, which vote-style sets treat as a rollback trigger).
 
-Everything here is opt-in: ``ActivityManager(federation=bridge,
-interposition=True)``.  With the knob off (the default) no code path in
-this module runs and single-domain traces are byte-identical to the
-historical ones.
+An :class:`~repro.core.manager.ActivityManager` installed on a federated
+ORB always interposes (:func:`install_interposition`); one that is not
+registers every action directly.  Actions in the manager's own domain
+are always registered directly, so single-domain traces are the same
+either way.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import threading
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.broadcast import (
     SerialBroadcastExecutor,
@@ -44,14 +52,20 @@ from repro.core.coordinator import ActionRecord
 from repro.core.delivery import AtLeastOnceDelivery, DeliveryPolicy
 from repro.core.exceptions import ActionError, RecoveryError
 from repro.core.signals import Outcome, Signal
-from repro.exceptions import CommunicationError
+from repro.exceptions import CommunicationError, ObjectNotExist
 from repro.orb.core import Servant
-from repro.orb.federation import InterOrbBridge
+from repro.orb.federation import coordination_node_id
 from repro.orb.reference import ObjectRef
 from repro.util.events import EventLog
 from repro.util.idgen import IdGenerator
 
 SUBORDINATE_RECORD_PREFIX = "fed-sub:"
+# Object id of each domain's interposition servant on its coordination
+# node, beside the OTS's ``fedrecovery``.
+INTERPOSITION_SERVANT_ID = "fedactivity"
+# Find-or-create of a subordinate is atomic per process: two requests
+# for one activity must converge on one servant.
+_SUBORDINATE_LOCK = threading.Lock()
 
 
 def subordinate_object_id(activity_id: str) -> str:
@@ -62,6 +76,13 @@ def subordinate_object_id(activity_id: str) -> str:
     ObjectRef remains valid without re-registration.
     """
     return f"fedsub:{activity_id}"
+
+
+def subordinate_ref(domain_id: str, activity_id: str) -> ObjectRef:
+    """Where ``domain_id`` keeps (or will keep) its subordinate for
+    ``activity_id``: both ids are deterministic, so no lookup is needed."""
+    object_id = subordinate_object_id(activity_id)
+    return ObjectRef(coordination_node_id(domain_id), object_id, "SubordinateCoordinator")
 
 
 def digest_outcomes(outcomes: List[Outcome]) -> Outcome:
@@ -281,37 +302,57 @@ class SubordinateCoordinator(Servant):
             self.store.remove(self._record_key())
 
 
-def recover_subordinates(
-    store: Any,
-    manager: Any,
-    node: Any,
-    domain_id: str,
-    executor: Optional[SerialBroadcastExecutor] = None,
-    delivery: Optional[DeliveryPolicy] = None,
-) -> List[SubordinateCoordinator]:
+def _coordination_node(manager: Any) -> Any:
+    orb = manager.orb
+    return orb.federation.coordination_node(orb.domain_id)
+
+
+def local_subordinate(manager: Any, activity_id: str) -> SubordinateCoordinator:
+    """This domain's subordinate for ``activity_id``, found or created.
+
+    Touches only ``manager`` and its own coordination node: a subordinate
+    already active at the deterministic id (recovered, or created by an
+    earlier registration) is adopted instead of duplicated; a new one
+    runs on the manager's executor, delivery, event log and store.
+    """
+    node = _coordination_node(manager)
+    object_id = subordinate_object_id(activity_id)
+    with _SUBORDINATE_LOCK:
+        if node.has_object(object_id):
+            return node.servant(object_id)
+        subordinate = SubordinateCoordinator(
+            activity_id=activity_id,
+            domain_id=manager.orb.domain_id,
+            executor=manager.executor,
+            delivery=manager.delivery,
+            event_log=manager.event_log,
+            store=manager.store,
+            manager=manager,
+        )
+        node.activate(subordinate, object_id=object_id, interface="SubordinateCoordinator")
+    return subordinate
+
+
+def recover_subordinates(manager: Any) -> List[SubordinateCoordinator]:
     """Rebuild a domain's subordinate coordinators after a crash.
 
-    Reads every ``fed-sub:`` record from the domain's own store,
-    re-instantiates each subordinate, re-creates its recoverable actions
-    through the manager's registered action factories, and re-activates
-    the servant on ``node`` under its original object id — so the parent
-    coordinator's retained reference routes to the recovered subordinate
-    and completion replays downward without re-registration.
+    Reads every ``fed-sub:`` record from the manager's store, replaces
+    any subordinate still active under the record's object id with a
+    fresh one, and re-creates its recoverable actions through the
+    manager's registered action factories — so the parent coordinator's
+    retained reference routes to the recovered subordinate and
+    completion replays downward without re-registration.
     """
+    store = manager.store
+    node = _coordination_node(manager)
     recovered: List[SubordinateCoordinator] = []
     for key in sorted(store.keys()):
         if not key.startswith(SUBORDINATE_RECORD_PREFIX):
             continue
         record = store.get(key)
-        subordinate = SubordinateCoordinator(
-            activity_id=record["activity_id"],
-            domain_id=domain_id,
-            executor=executor if executor is not None else getattr(manager, "executor", None),
-            delivery=delivery,
-            event_log=getattr(manager, "event_log", None),
-            store=store,
-            manager=manager,
-        )
+        if node.has_object(record["object_id"]):
+            node.deactivate(record["object_id"])
+        subordinate = local_subordinate(manager, record["activity_id"])
         for registration in record["registrations"]:
             action = manager.make_action(registration["factory"], registration["config"])
             subordinate.register(
@@ -320,42 +361,69 @@ def recover_subordinates(
                 factory_name=registration["factory"],
                 factory_config=registration["config"],
             )
-        if node.has_object(record["object_id"]):
-            node.deactivate(record["object_id"])
-        node.activate(
-            subordinate,
-            object_id=record["object_id"],
-            interface="SubordinateCoordinator",
-        )
         recovered.append(subordinate)
     return recovered
+
+
+class ActivityInterpositionServant(Servant):
+    """A domain's interposition endpoint, at ``fed:<domain>/fedactivity``.
+
+    A parent coordinator in another domain invokes :meth:`register` once
+    per foreign action; this domain decides where the action goes — its
+    own subordinate for the activity — so nothing outside the domain
+    ever reaches into it.
+    """
+
+    def __init__(self, manager: Any) -> None:
+        self._manager = manager
+
+    def register(
+        self,
+        activity_id: str,
+        signal_set_name: str,
+        action: Any,
+        factory_name: Optional[str] = None,
+        factory_config: Optional[Dict[str, Any]] = None,
+    ) -> str:
+        """Enlist ``action`` with this domain's subordinate for
+        ``activity_id``; returns the local action id."""
+        subordinate = local_subordinate(self._manager, activity_id)
+        return subordinate.register(signal_set_name, action, factory_name, factory_config)
+
+
+def install_interposition(manager: Any) -> "ActivityInterposer":
+    """Serve ``manager``'s domain at ``fed:<domain>/fedactivity`` (the
+    last manager installed on an ORB serves it) and return the router
+    for the coordinators it creates."""
+    node = _coordination_node(manager)
+    if node.has_object(INTERPOSITION_SERVANT_ID):
+        node.deactivate(INTERPOSITION_SERVANT_ID)
+    node.activate(
+        ActivityInterpositionServant(manager),
+        object_id=INTERPOSITION_SERVANT_ID,
+        interface="ActivityInterposition",
+        durable=True,
+    )
+    return ActivityInterposer(manager.orb)
 
 
 class ActivityInterposer:
     """Parent-side router: one interposed subordinate per remote domain.
 
-    Plugged into every coordinator a federated
+    Plugged into every coordinator an installed, federated
     :class:`~repro.core.manager.ActivityManager` creates.  ``route``
     returns None for anything that is not a bound cross-domain
-    ObjectRef — the coordinator then registers it directly, exactly as
-    before, which is what keeps single-domain traces byte-identical with
-    interposition enabled.
+    ObjectRef — the coordinator then registers it directly, which is
+    what keeps single-domain traces byte-identical.
     """
 
-    def __init__(self, bridge: InterOrbBridge, manager: Any) -> None:
-        self.bridge = bridge
-        self.manager = manager
-        # (activity_id, domain) -> parent-bound subordinate ref
-        self._subordinates: Dict[Tuple[str, str], ObjectRef] = {}
-        # local servant handles, for tests/introspection
-        self._servants: Dict[Tuple[str, str], SubordinateCoordinator] = {}
+    def __init__(self, orb: Any) -> None:
+        self.orb = orb
         # (activity_id, domain, signal_set) -> the parent-side record
         self._parent_records: Dict[Tuple[str, str, str], ActionRecord] = {}
+        # Domains that answered they run no activity service.
+        self._direct: Set[str] = set()
         self.interposed_registrations = 0
-
-    def _local_domain(self) -> Optional[str]:
-        orb = getattr(self.manager, "orb", None)
-        return orb.domain_id if orb is not None else None
 
     def route(
         self,
@@ -369,24 +437,36 @@ class ActivityInterposer:
         lives in a foreign domain; None → caller registers directly."""
         if not isinstance(action, ObjectRef) or not action.is_bound:
             return None
-        if action.object_id == subordinate_object_id(coordinator.activity_id):
+        activity_id = coordinator.activity_id
+        if action.object_id == subordinate_object_id(activity_id):
             # Already an interposed subordinate for this activity (e.g. a
             # WSCF registration service enlisted it on behalf of a whole
             # foreign domain): registering it through *another* subordinate
             # at the same object id would enlist the servant with itself.
             return None
-        target_domain = self.bridge.domain_of_node(action.node_id)
-        local_domain = self._local_domain()
-        if target_domain is None or target_domain == local_domain:
+        target_domain = self.orb.federation.domain_of_node(action.node_id)
+        if target_domain in (None, self.orb.domain_id) or target_domain in self._direct:
             return None
-        sub_ref = self._subordinate_ref(coordinator.activity_id, target_domain)
-        # Registration crosses the bridge once per action (broadcast-time
-        # traffic is what interposition flattens to O(domains)).
-        sub_ref.invoke("register", signal_set_name, action, factory_name, factory_config or {})
+        # Registration crosses domains once per action (broadcast-time
+        # traffic is what interposition flattens to O(domains)); the
+        # target domain builds its own subordinate.
+        endpoint = ObjectRef(
+            coordination_node_id(target_domain), INTERPOSITION_SERVANT_ID, "ActivityInterposition"
+        ).bind(self.orb)
+        try:
+            endpoint.invoke(
+                "register", activity_id, signal_set_name, action, factory_name, factory_config or {}
+            )
+        except ObjectNotExist:
+            # The domain runs no activity service, so nothing there can
+            # interpose: its actions are coordinated directly.
+            self._direct.add(target_domain)
+            return None
         self.interposed_registrations += 1
-        key = (coordinator.activity_id, target_domain, signal_set_name)
+        key = (activity_id, target_domain, signal_set_name)
         record = self._parent_records.get(key)
         if record is None:
+            sub_ref = subordinate_ref(target_domain, activity_id).bind(self.orb)
             record = coordinator.register_direct(signal_set_name, sub_ref)
             self._parent_records[key] = record
         return record
@@ -404,35 +484,3 @@ class ActivityInterposer:
         for key, cached in list(self._parent_records.items()):
             if cached is record:
                 del self._parent_records[key]
-
-    def _subordinate_ref(self, activity_id: str, domain_id: str) -> ObjectRef:
-        key = (activity_id, domain_id)
-        existing = self._subordinates.get(key)
-        if existing is not None:
-            return existing
-        node = self.bridge.coordination_node(domain_id)
-        object_id = subordinate_object_id(activity_id)
-        if node.has_object(object_id):
-            # A recovered (or peer-created) subordinate already lives
-            # there; adopt it instead of activating a duplicate.
-            servant = node.servant(object_id)
-        else:
-            target_manager = self.bridge.service(domain_id, "activity_manager")
-            servant = SubordinateCoordinator(
-                activity_id=activity_id,
-                domain_id=domain_id,
-                executor=getattr(target_manager, "executor", None),
-                delivery=getattr(target_manager, "delivery", None),
-                event_log=getattr(target_manager, "event_log", None),
-                store=getattr(target_manager, "store", None),
-                manager=target_manager,
-            )
-            node.activate(servant, object_id=object_id, interface="SubordinateCoordinator")
-        self._servants[key] = servant
-        parent_orb = self.manager.orb
-        ref = ObjectRef(node.node_id, object_id, "SubordinateCoordinator").bind(parent_orb)
-        self._subordinates[key] = ref
-        return ref
-
-    def subordinate_for(self, activity_id: str, domain_id: str) -> Optional[SubordinateCoordinator]:
-        return self._servants.get((activity_id, domain_id))

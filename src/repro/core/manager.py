@@ -22,7 +22,7 @@ from repro.core.broadcast import SerialBroadcastExecutor
 from repro.core.current import ActivityCurrent
 from repro.core.delivery import AtLeastOnceDelivery, DeliveryPolicy
 from repro.core.exceptions import ActivityServiceError, RecoveryError
-from repro.core.interposition import ActivityInterposer
+from repro.core.interposition import ActivityInterposer, install_interposition
 from repro.core.property_group import PropertyGroupManager
 from repro.core.signal_set import SignalSet
 from repro.core.status import CompletionStatus
@@ -102,13 +102,10 @@ class ActivityManager:
         self._counter_lock = threading.Lock()
         self._begin_order = itertools.count()
         self._deadlines = TimerQueue()
-        # Federation: with a bridge and interposition enabled, every
-        # coordinator this manager creates reroutes cross-domain action
-        # registrations through one interposed subordinate per domain.
-        self.federation = config.federation
+        # Set by install() on a federated ORB: every coordinator this
+        # manager creates then reroutes cross-domain action registrations
+        # through one interposed subordinate per domain.
         self.interposer: Optional[ActivityInterposer] = None
-        if config.federation is not None and config.interposition:
-            self.interposer = ActivityInterposer(config.federation, self)
 
     # -- creation ------------------------------------------------------------
 
@@ -261,15 +258,18 @@ class ActivityManager:
     # -- distribution -----------------------------------------------------------------
 
     def install(self, orb: Orb) -> None:
-        """Wire activity-context propagation into an ORB."""
+        """Wire activity-context propagation into an ORB.
+
+        On a federated ORB the manager also interposes: it serves its
+        domain's interposition endpoint and routes foreign actions
+        through one subordinate per domain.
+        """
         from repro.core import exceptions as core_exceptions
         from repro.core.context import ActivityClientInterceptor, ActivityServerInterceptor
 
         self.orb = orb
-        if orb.federation is not None and orb.domain_id is not None:
-            # Publish this manager so foreign interposers can build their
-            # subordinates with this domain's store/executor/factories.
-            orb.federation.register_service(orb.domain_id, "activity_manager", self)
+        if orb.federation is not None:
+            self.interposer = install_interposition(self)
         orb.interceptors.add_client(ActivityClientInterceptor(self.current, orb=orb))
         orb.interceptors.add_server(ActivityServerInterceptor(orb, self))
         for name in (

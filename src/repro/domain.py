@@ -66,7 +66,7 @@ class Domain:
         self.current = TransactionCurrent(self.factory)
         self.registry = RecoverableRegistry()
         self.service = install_federated_transaction_service(
-            orb, self.current, orb.federation, registry=self.registry
+            orb, self.current, registry=self.registry
         )
         self.manager = ActivityManager(
             clock=orb.clock, config=RuntimeConfig(max_events=max_events)

@@ -26,11 +26,10 @@ and decoded by the *target* ORB's — ObjectRefs crossing the bridge are
 re-bound to the receiving ORB, so a reference that travels A→B and is
 later invoked in B routes back across the same bridge.
 
-The bridge also hosts, per domain, a *coordination node* (``fed:<d>``)
-on which interposed subordinate coordinators are activated, and a small
-service registry through which the domains' activity/transaction
-services find each other (see :mod:`repro.core.interposition` and
-:mod:`repro.ots.interposition`).
+Each domain also has a *coordination node* (``fed:<d>``) on which it
+activates its own interposed subordinates and well-known services; peers
+reach them only by invoking them (see :mod:`repro.core.interposition`
+and :mod:`repro.ots.interposition`).
 """
 
 from __future__ import annotations
@@ -107,7 +106,6 @@ class InterOrbBridge:
         # have not reconnected: still addressable, just unreachable.
         self._lost_nodes: Dict[str, str] = {}
         self._links: Dict[FrozenSet[str], DomainLink] = {}
-        self._services: Dict[Tuple[str, str], Any] = {}
         self._auto_domain = 0
         self._detector: Optional[FailureDetector] = None
 
@@ -157,8 +155,6 @@ class InterOrbBridge:
             raise ConfigurationError(f"unknown domain {domain_id!r}")
         orb.federation = None
         self._lost_nodes.update(dict.fromkeys(orb._nodes, domain_id))
-        for key in [k for k in self._services if k[0] == domain_id]:
-            del self._services[key]
 
     def domains(self) -> Tuple[str, ...]:
         return tuple(sorted(self._orbs))
@@ -193,16 +189,6 @@ class InterOrbBridge:
         if node_id in orb._nodes:
             return orb.node(node_id)
         return orb.create_node(node_id)
-
-    # -- service registry ------------------------------------------------------
-
-    def register_service(self, domain_id: str, name: str, service: Any) -> None:
-        """Publish a per-domain service object (activity manager, OTS
-        federation service) so peers can find it at interposition time."""
-        self._services[(domain_id, name)] = service
-
-    def service(self, domain_id: str, name: str) -> Optional[Any]:
-        return self._services.get((domain_id, name))
 
     # -- links -----------------------------------------------------------------
 

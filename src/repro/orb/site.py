@@ -11,8 +11,7 @@ Sites know each other from a static site list (``SiteConfig.peers``) and
 speak the transport's framed protocol; federation and OTS coordinator
 interposition run **unchanged** on top, because :class:`SiteFederation`
 duck-types the bridge surface the interposition layer consumes
-(``coordination_node`` / ``domain_of_node`` / ``register_service`` /
-``route``).
+(``coordination_node`` / ``domain_of_node`` / ``route``).
 
 Key identification decision: **site id == coordination domain id**.  A
 node created on a site's ORB belongs to that site's domain; the
@@ -259,9 +258,8 @@ class SiteFederation:
 
     Where :class:`~repro.orb.federation.InterOrbBridge` holds every
     domain's ORB in one process, a site federation holds exactly *one*
-    (its own) and reaches the rest over the wire.  Consequently the
-    registry-style operations (``coordination_node``,
-    ``register_service``) are local-only — a site never manipulates
+    (its own) and reaches the rest over the wire.  Consequently
+    ``coordination_node`` is local-only — a site never manipulates
     another site's objects directly, it *invokes* them — and node
     location is answered locally when possible, otherwise by ``locate``
     control probes against the site list (positive answers cached on the
@@ -272,11 +270,10 @@ class SiteFederation:
         self.transport = transport
         self.orb = orb
         self.site_id = transport.site_id
-        self._services: Dict[str, Any] = {}
         orb.domain_id = self.site_id
         orb.federation = self
 
-    # -- local-only registry surface ---------------------------------------
+    # -- local-only coordination node ----------------------------------------
 
     def coordination_node(self, domain_id: str) -> Node:
         if domain_id != self.site_id:
@@ -288,19 +285,6 @@ class SiteFederation:
         if self.orb.has_node(node_id):
             return self.orb.node(node_id)
         return self.orb.create_node(node_id)
-
-    def register_service(self, domain_id: str, name: str, service: Any) -> None:
-        if domain_id != self.site_id:
-            raise ConfigurationError(
-                f"site {self.site_id} cannot register service in foreign"
-                f" domain {domain_id!r}"
-            )
-        self._services[name] = service
-
-    def service(self, domain_id: str, name: str) -> Optional[Any]:
-        if domain_id != self.site_id:
-            return None
-        return self._services.get(name)
 
     # -- node location ------------------------------------------------------
 
@@ -350,7 +334,6 @@ class SiteFederation:
     def describe(self) -> Dict[str, Any]:
         return {
             "site": self.site_id,
-            "services": sorted(self._services),
             "transport": self.transport.describe(),
         }
 

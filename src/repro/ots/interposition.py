@@ -26,14 +26,14 @@ transaction.  This module supplies the real thing:
   presumed abort, a :class:`RecoveredSubordinateResource` re-activates
   under the original object id, and the superior's completion replays
   downward through it;
-- on the superior's side each registered subordinate also gets a
-  recovery proxy in the parent domain's
-  :class:`~repro.ots.recoverable.RecoverableRegistry`, so the parent's
-  own crash recovery re-drives phase two across the bridge.
+- on the superior's side the recovery pass rebuilds, in the parent
+  domain's :class:`~repro.ots.recoverable.RecoverableRegistry`, a proxy
+  for each remote subordinate its logged decisions name, so the
+  parent's own crash recovery re-drives phase two across the bridge.
 
-Everything is opt-in via :func:`install_federated_transaction_service`;
-deployments without a bridge are untouched and their traces stay
-byte-identical.
+:func:`install_federated_transaction_service` wires this into an ORB
+that has joined a federation (an in-process bridge or a site's socket
+federation); an ORB that has not never runs it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import (
     CommunicationError,
@@ -69,7 +69,6 @@ from repro.ots.status import TransactionStatus, Vote
 from repro.util.workers import ThreadAssociation
 
 FEDERATED_TX_CONTEXT_ID = _FEDERATED_CONTEXT_ID
-SERVICE_NAME = "ots_federation"
 RECOVERY_SERVANT_ID = "fedrecovery"
 # Retired root tids kept as tombstones so a straggler request for a
 # resolved tree still declines adoption cheaply.  Bounded: past the end a
@@ -328,8 +327,7 @@ class FederatedTransactionService:
     One instance per (factory, ORB, domain), playing both roles:
 
     - *superior*: the federated client interceptor attaches the context
-      and enlists each subordinate its replies register, with a recovery
-      proxy per registered subordinate;
+      and enlists each subordinate its replies register;
     - *subordinate*: adopts foreign transactions on first contact,
       interposing one local transaction + resource per root tid.
     """
@@ -339,21 +337,20 @@ class FederatedTransactionService:
         factory: Any,
         current: TransactionCurrent,
         orb: Orb,
-        bridge: Any,
         registry: Optional[RecoverableRegistry] = None,
     ) -> None:
-        # ``bridge`` is duck-typed: an in-process InterOrbBridge or a
-        # multi-process SiteFederation — anything providing
-        # coordination_node / domain_of_node / register_service / route.
-        if orb.domain_id is None or orb.federation is not bridge:
+        # ``orb.federation`` is duck-typed: an in-process InterOrbBridge
+        # or a multi-process SiteFederation — anything providing
+        # coordination_node / domain_of_node / route.
+        if orb.domain_id is None or orb.federation is None:
             raise ConfigurationError(
-                "connect the ORB to the bridge before installing the"
+                "connect the ORB to a federation before installing the"
                 " federated transaction service"
             )
         self.factory = factory
         self.current = current
         self.orb = orb
-        self.bridge = bridge
+        self.federation = orb.federation
         self.domain_id: str = orb.domain_id
         self.registry = registry if registry is not None else RecoverableRegistry()
         self._adopted: Dict[str, SubordinateTransactionResource] = {}
@@ -362,15 +359,18 @@ class FederatedTransactionService:
         self._adopted_at: Dict[str, float] = {}
         self._delegated_at: Dict[str, float] = {}
         self._resolved: "OrderedDict[str, None]" = OrderedDict()
+        # Recovered delegations being settled right now: a second
+        # resolve_in_doubt skips them, as a live root's completion lock
+        # makes it skip a live one.
+        self._settling: Set[str] = set()
         self._lock = threading.Lock()
         self.adoptions = 0
-        bridge.register_service(self.domain_id, SERVICE_NAME, self)
         self._activate_recovery_servant()
 
     def _activate_recovery_servant(self) -> None:
         """Export this domain's durable status answerer at its well-known
         address (``fed:<domain>/fedrecovery``); idempotent."""
-        node = self.bridge.coordination_node(self.domain_id)
+        node = self.federation.coordination_node(self.domain_id)
         if not node.has_object(RECOVERY_SERVANT_ID):
             node.activate(
                 FederationRecoveryServant(self),
@@ -385,11 +385,6 @@ class FederatedTransactionService:
         """The wire context of ``tx``, rooted in this domain."""
         return FederatedTransactionContext(tid=tx.tid, root_domain=self.domain_id)
 
-    def note_subordinate_proxy(self, recovery_key: str, resource_ref: ObjectRef) -> None:
-        self.registry.register(
-            recovery_key, _SubordinateProxyRecoverable(recovery_key, resource_ref)
-        )
-
     def enlist_subordinate(self, tx: Transaction, registration: List[Any]) -> None:
         """Enlist the subordinate a reply registered, once per key."""
         resource_ref, recovery_key = registration
@@ -397,7 +392,6 @@ class FederatedTransactionService:
             if any(record.recovery_key == recovery_key for record in tx.resources):
                 return
             tx.register_resource(resource_ref, recovery_key=recovery_key)
-        self.note_subordinate_proxy(recovery_key, resource_ref)
         self.factory.event_log.record("fed_register_subordinate", tid=tx.tid, key=recovery_key)
 
     # -- subordinate role ---------------------------------------------------------
@@ -427,7 +421,7 @@ class FederatedTransactionService:
             resource = SubordinateTransactionResource(
                 self, context.tid, tx, root_domain=context.root_domain
             )
-            node = self.bridge.coordination_node(self.domain_id)
+            node = self.federation.coordination_node(self.domain_id)
             object_id = subordinate_resource_id(context.tid)
             if node.has_object(object_id):
                 node.deactivate(object_id)
@@ -514,7 +508,7 @@ class FederatedTransactionService:
         below replays completion downward across the bridge without any
         re-registration from the remote side.
         """
-        node = self.bridge.coordination_node(self.domain_id)
+        node = self.federation.coordination_node(self.domain_id)
         if node.crashed:
             node.restart()
         self._activate_recovery_servant()  # restart dropped transient servants
@@ -565,7 +559,7 @@ class FederatedTransactionService:
                     subordinate_resource_id(root_tid),
                     "SubordinateResource",
                 ).bind(self.orb)
-                self.note_subordinate_proxy(key, ref)
+                self.registry.register(key, _SubordinateProxyRecoverable(key, ref))
 
     def in_doubt_ages(self) -> Dict[str, float]:
         """How long each currently-held in-doubt subordinate has been
@@ -595,7 +589,7 @@ class FederatedTransactionService:
     def _mark_resolved_locked(self, root_tid: str) -> None:
         """Retire one root's bookkeeping and ``fedres:`` servant, leaving
         a bounded tombstone so :meth:`adopt` still declines stragglers."""
-        node = self.bridge.coordination_node(self.domain_id)
+        node = self.federation.coordination_node(self.domain_id)
         object_id = subordinate_resource_id(root_tid)
         if node.has_object(object_id):
             node.deactivate(object_id)
@@ -802,19 +796,33 @@ class FederatedTransactionService:
     def _resolve_delegated(self) -> Dict[str, str]:
         """Finish each held delegation its agent has decided: a live one
         (unless its commit still holds the completion lock), or a
-        recovered one from its logged intentions, forced at once."""
+        recovered one from its logged intentions, forced at once.  A
+        recovered one stays claimed until that force, so a concurrent
+        round neither settles it meanwhile nor after (it is no longer
+        delegated by then)."""
         outcomes: Dict[str, str] = {}
-        for tid, (agent_key, keys) in list(self.factory.log_index().delegated.items()):
-            tx = self.factory.live(tid)
-            if tx is not None and (tx.status.is_terminal or not tx._completion.acquire(False)):
-                continue
-            try:
-                outcomes[tid] = self._settle(tid, tx, agent_key.split(":", 2)[1], keys)
-            finally:
-                if tx is not None:
-                    tx._completion.release()
-        if set(outcomes.values()) - {"held"}:
-            self.factory.wal.force()
+        claimed: List[str] = []
+        try:
+            for tid, (agent_key, keys) in list(self.factory.log_index().delegated.items()):
+                tx = self.factory.live(tid)
+                if tx is None:
+                    with self._lock:
+                        if tid in self._settling or tid not in self.factory.log_index().delegated:
+                            continue
+                        self._settling.add(tid)
+                    claimed.append(tid)
+                elif tx.status.is_terminal or not tx._completion.acquire(False):
+                    continue
+                try:
+                    outcomes[tid] = self._settle(tid, tx, agent_key.split(":", 2)[1], keys)
+                finally:
+                    if tx is not None:
+                        tx._completion.release()
+            if set(outcomes.values()) - {"held"}:
+                self.factory.wal.force()
+        finally:
+            with self._lock:
+                self._settling.difference_update(claimed)
         return outcomes
 
     def _settle(self, tid: str, tx: Optional[Transaction], agent: str, keys: List[str]) -> str:
@@ -878,7 +886,7 @@ class FederatedTransactionClientInterceptor(ClientRequestInterceptor):
         tx = service.current.get_transaction()
         if tx is None or tx.status.is_terminal:
             return
-        target_domain = service.bridge.domain_of_node(info.target_node)
+        target_domain = service.federation.domain_of_node(info.target_node)
         if target_domain is None or target_domain == service.domain_id:
             return
         # Interposition attaches at the local root: remote work always
@@ -899,7 +907,7 @@ class FederatedTransactionClientInterceptor(ClientRequestInterceptor):
         ):
             return
         # No reply: the far domain may hold work nothing registered here.
-        domain_id = self.service.bridge.domain_of_node(info.target_node)
+        domain_id = self.service.federation.domain_of_node(info.target_node)
         key = subordinate_recovery_key(domain_id, tx.tid)
         if not any(record.recovery_key == key for record in tx.resources):
             tx.rollback_only()
@@ -978,11 +986,10 @@ class FederatedTransactionServerInterceptor(ServerRequestInterceptor):
 def install_federated_transaction_service(
     orb: Orb,
     current: TransactionCurrent,
-    bridge: Any,
     registry: Optional[RecoverableRegistry] = None,
     install_base: bool = True,
 ) -> FederatedTransactionService:
-    """Wire full OTS interposition into a federated ORB.
+    """Wire full OTS interposition into an ORB joined to a federation.
 
     Installs the ordinary intra-domain propagation interceptors (unless
     ``install_base=False`` because they are already present) plus the
@@ -991,7 +998,7 @@ def install_federated_transaction_service(
     """
     if install_base:
         install_transaction_service(orb, current)
-    service = FederatedTransactionService(current.factory, current, orb, bridge, registry=registry)
+    service = FederatedTransactionService(current.factory, current, orb, registry=registry)
     orb.interceptors.add_client(FederatedTransactionClientInterceptor(service))
     orb.interceptors.add_server(FederatedTransactionServerInterceptor(service))
     return service

@@ -20,11 +20,11 @@ from typing import ClassVar, Dict, Optional, Tuple, Union
 from repro.core.action import Action
 from repro.core.activity import Activity
 from repro.core.broadcast import SerialBroadcastExecutor
-from repro.core.interposition import SubordinateCoordinator, subordinate_object_id
+from repro.core.interposition import SubordinateCoordinator, local_subordinate, subordinate_ref
 from repro.core.manager import ActivityManager
 from repro.core.signals import Outcome
 from repro.core.status import CompletionStatus
-from repro.exceptions import ReproError
+from repro.exceptions import ObjectNotExist, ReproError
 from repro.models.btp import (
     COMPLETE_SET as BTP_COMPLETE_SET,
     PREPARE_SET as BTP_PREPARE_SET,
@@ -34,12 +34,16 @@ from repro.models.btp import (
 from repro.models.twopc import SET_NAME as TWOPC_SET
 from repro.models.twopc import TwoPhaseCommitSignalSet
 from repro.orb.core import Servant
+from repro.orb.federation import coordination_node_id
 from repro.orb.marshal import GLOBAL_REGISTRY
 from repro.orb.reference import ObjectRef
 from repro.util.records import FrozenRecord
 
 PROTOCOL_ATOMIC = "wscf:atomic-outcome"
 PROTOCOL_BUSINESS = "wscf:business-outcome"
+# Object id of a domain's published registration service on its
+# coordination node.
+WSCF_SERVANT_ID = "wscf"
 
 
 class WscfError(ReproError):
@@ -108,26 +112,26 @@ class WscfCoordinator:
 
     # -- federation ------------------------------------------------------------
 
-    def _federation(self):
-        orb = self.manager.orb
-        if orb is not None and orb.federation is not None:
-            return orb, orb.federation
-        return orb, self.manager.federation
-
     def _publish(self) -> None:
-        """Make this coordinator findable as its domain's ``wscf`` service.
+        """Serve this coordinator's registrations at ``fed:<domain>/wscf``.
 
-        Idempotent and automatic: the first context issued (or foreign
-        registration served) on a federated manager publishes the
-        coordinator, so a peer domain's registration service can locate
-        the issuing side with ``bridge.service(domain, "wscf")``.
+        Idempotent and automatic: the first context issued on a federated
+        manager publishes the coordinator, so a peer domain's
+        registration service can enlist its subordinate with one call.
         """
-        if self._published:
+        orb = self.manager.orb
+        if self._published or orb is None or orb.federation is None:
             return
-        orb, bridge = self._federation()
-        if orb is not None and bridge is not None and orb.domain_id is not None:
-            bridge.register_service(orb.domain_id, "wscf", self)
-            self._published = True
+        node = orb.federation.coordination_node(orb.domain_id)
+        if node.has_object(WSCF_SERVANT_ID):
+            node.deactivate(WSCF_SERVANT_ID)
+        node.activate(
+            RegistrationService(self),
+            object_id=WSCF_SERVANT_ID,
+            interface="RegistrationService",
+            durable=True,
+        )
+        self._published = True
 
     # -- activation ------------------------------------------------------------
 
@@ -187,10 +191,8 @@ class WscfCoordinator:
             activity.add_action(BTP_COMPLETE_SET, participant)
 
     def _is_foreign(self, context: CoordinationContext) -> bool:
-        if context.domain_id is None:
-            return False
-        orb, bridge = self._federation()
-        if orb is None or bridge is None or orb.domain_id is None:
+        orb = self.manager.orb
+        if context.domain_id is None or orb is None or orb.federation is None:
             return False
         return context.domain_id != orb.domain_id
 
@@ -199,36 +201,22 @@ class WscfCoordinator:
         context: CoordinationContext,
         participant: Union[Action, ObjectRef],
     ) -> None:
-        orb, bridge = self._federation()
-        self._publish()
-        issuing = bridge.service(context.domain_id, "wscf")
-        if issuing is None:
-            raise WscfError(
-                f"domain {context.domain_id!r} publishes no wscf coordinator"
-            )
         subordinate = self._interposed.get(context.context_id)
-        enlist = subordinate is None
         if subordinate is None:
-            node = bridge.coordination_node(orb.domain_id)
-            object_id = subordinate_object_id(context.context_id)
-            if node.has_object(object_id):
-                # Recovered (or interposer-created) subordinate: adopt it.
-                subordinate = node.servant(object_id)
-            else:
-                subordinate = SubordinateCoordinator(
-                    activity_id=context.context_id,
-                    domain_id=orb.domain_id,
-                    executor=self.manager.executor,
-                    delivery=self.manager.delivery,
-                    event_log=self.manager.event_log,
-                    store=self.manager.store,
-                    manager=self.manager,
-                )
-                node.activate(
-                    subordinate,
-                    object_id=object_id,
-                    interface="SubordinateCoordinator",
-                )
+            # The one registration that reaches the issuing domain: this
+            # domain's subordinate, whose ref routes signals back here.
+            orb = self.manager.orb
+            sub_ref = subordinate_ref(orb.domain_id, context.context_id).bind(orb)
+            issuing = ObjectRef(
+                coordination_node_id(context.domain_id), WSCF_SERVANT_ID, "RegistrationService"
+            ).bind(orb)
+            try:
+                issuing.invoke("register_participant", context.context_id, sub_ref)
+            except ObjectNotExist:
+                raise WscfError(
+                    f"domain {context.domain_id!r} publishes no wscf coordinator"
+                ) from None
+            subordinate = local_subordinate(self.manager, context.context_id)
             self._interposed[context.context_id] = subordinate
         if context.coordination_type == PROTOCOL_ATOMIC:
             set_names = [TWOPC_SET]
@@ -237,16 +225,6 @@ class WscfCoordinator:
         for set_name in set_names:
             subordinate.register(set_name, participant)
         self.interposed_registrations += 1
-        if enlist:
-            # The one registration that reaches the issuing domain: the
-            # subordinate, bound to the issuing orb so its signals route
-            # back across the bridge to this domain.
-            sub_ref = ObjectRef(
-                bridge.coordination_node(orb.domain_id).node_id,
-                subordinate_object_id(context.context_id),
-                "SubordinateCoordinator",
-            ).bind(issuing.manager.orb)
-            issuing.register(context, sub_ref)
 
     def subordinate_for(self, context_id: str) -> Optional[SubordinateCoordinator]:
         """The local subordinate interposed for a foreign context."""

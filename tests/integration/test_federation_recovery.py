@@ -15,17 +15,17 @@ single one would be its last agent, covered in ``tests/test_last_agent.py``).
 import pytest
 
 from repro.orb import InterOrbBridge, Orb
+from repro.orb.federation import coordination_node_id
 from repro.orb.reference import ObjectRef
 from repro.ots import (
     RecoverableRegistry,
-    RecoveryManager,
     SimulatedCrash,
     TransactionCurrent,
     TransactionFactory,
     TransactionalCell,
     install_federated_transaction_service,
 )
-from repro.ots.interposition import subordinate_recovery_key
+from repro.ots.interposition import subordinate_recovery_key, subordinate_resource_id
 from repro.ots.status import TransactionStatus
 from repro.persistence import MemoryStore, SegmentedFileStore, WriteAheadLog
 from repro.util.clock import SimulatedClock
@@ -70,7 +70,7 @@ class Domain:
         self.current = TransactionCurrent(self.factory)
         self.registry = RecoverableRegistry()
         self.service = install_federated_transaction_service(
-            self.orb, self.current, self.bridge, registry=self.registry
+            self.orb, self.current, registry=self.registry
         )
         self.node = self.orb.create_node(f"{self.name}-apps")
 
@@ -160,16 +160,17 @@ class TestSubordinateDomainCrash:
         assert report_b.presumed_aborted == {}
         assert cell_b.committed_value == 50
 
-        # The superior's recovery replays phase two across the bridge
-        # into the re-adopted subordinate.
-        report_a = RecoveryManager(world.a.factory.wal, world.a.registry).recover()
+        # The superior's recovery pass rebuilds its subordinate proxies
+        # from the logged decision and replays phase two across the
+        # bridge into the re-adopted subordinate.
+        report_a = world.a.service.recover()
         assert tx.tid in report_a.recommitted
         assert subordinate_recovery_key("B", tx.tid) in report_a.recommitted[tx.tid]
         assert world.cell_a.committed_value == 90
         assert cell_b.committed_value == 60
 
         # Replaying recovery again is a no-op on state.
-        RecoveryManager(world.a.factory.wal, world.a.registry).recover()
+        world.a.service.recover()
         assert cell_b.committed_value == 60
 
     def test_both_domains_crash_and_recover_turnkey(self, world):
@@ -207,14 +208,14 @@ class TestSubordinateDomainCrash:
         assert cell_b.committed_value == 50
 
         # A's own recovery presumes abort for its local prepared state.
-        report_a = RecoveryManager(world.a.factory.wal, world.a.registry).recover()
+        world.a.crash_and_reopen()
+        cell_a = world.a.cell("acct-a", 100)
+        report_a = world.a.service.recover()
         assert tx.tid not in report_a.recommitted
-        assert world.cell_a.committed_value == 100
+        assert cell_a.committed_value == 100
 
-        # The superior's abort resolves the held subordinate downward.
-        proxy = world.a.registry.resolve(subordinate_recovery_key("B", tx.tid))
-        assert proxy is not None
-        assert proxy.recover_abort(tx.tid)
+        # The superior's presumed abort resolves the held subordinate.
+        assert world.b.service.resolve_in_doubt() == {tx.tid: "aborted"}
         assert cell_b.committed_value == 50
         assert cell_b.list_in_doubt() == []
 
@@ -243,8 +244,10 @@ class TestLiveReplayWithoutCrash:
         tx = world.a.current.begin()
         world.bank_ref().invoke("deposit", 25)
         world.a.current.commit()
-        proxy = world.a.registry.resolve(subordinate_recovery_key("B", tx.tid))
-        assert proxy is not None
+        # What a superior's recovery replay sends to the subordinate.
+        resource = ObjectRef(
+            coordination_node_id("B"), subordinate_resource_id(tx.tid), "SubordinateResource"
+        ).bind(world.a.orb)
         assert world.cell_b.committed_value == 75
-        assert proxy.recover_commit(tx.tid)
+        assert resource.invoke("recover_commit", tx.tid)
         assert world.cell_b.committed_value == 75

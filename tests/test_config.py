@@ -31,7 +31,7 @@ class TestValidation:
             (OrbConfig, {"marshal_cache_entries": "lots"}),
             (RuntimeConfig, {"registry_shards": 0}),
             (RuntimeConfig, {"max_events": 0}),
-            (RuntimeConfig, {"interposition": True}),  # needs federation
+            (RuntimeConfig, {"max_live": 0}),
             (FactoryConfig, {"retry_attempts": 0}),
             (FactoryConfig, {"group_commit_window": -0.5}),
             (FactoryConfig, {"parallel_participants": 0}),
@@ -132,8 +132,6 @@ class TestOptionSurface:
     def test_runtime_config_fields(self):
         assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
             "registry_shards",
-            "federation",
-            "interposition",
             "max_live",
             "max_events",
         ]

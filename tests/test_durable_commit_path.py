@@ -509,6 +509,15 @@ class TestNothingKeptPerFinishedTransaction:
             node = runtime.orb.node(coordination_node_id(site))
             assert node.object_ids() == ("fedrecovery",), site
 
+    def test_root_registry_holds_only_its_cells(self, two_sites):
+        # Remote subordinates get recovery proxies only from a recovery
+        # pass, never one per enlisted transfer.
+        desk, _, transfer = two_sites
+        for _ in range(100):
+            transfer()
+        desk.housekeeping_round(orphan_min_age=5.0)
+        assert desk.registry.keys() == ("account:acct-1", "account:acct-2")
+
     def test_finished_transactions_are_freed_by_refcount(self, two_sites):
         desk, far, transfer = two_sites
         desk_account = desk.orb.node(bank_node_id("desk")).servant("desk")

@@ -7,11 +7,19 @@ domain, O(domains) inter-domain sends) and the OTS twin (interposed
 subordinate transactions replacing re-association across the bridge).
 """
 
+import sys
+import threading
+
 import pytest
 
-from repro.config import FactoryConfig, OrbConfig, RuntimeConfig
+from repro.config import FactoryConfig, OrbConfig
 from repro.core import ActivityManager, RecordingAction, SubordinateCoordinator
-from repro.core.interposition import digest_outcomes, recover_subordinates
+from repro.core.interposition import (
+    digest_outcomes,
+    local_subordinate,
+    recover_subordinates,
+    subordinate_object_id,
+)
 from repro.core.signals import Outcome, Signal
 from repro.exceptions import CommunicationError, ConfigurationError, ObjectNotExist
 from repro.models.twopc import SET_NAME as TWOPC_SET, TwoPhaseCommitSignalSet
@@ -42,9 +50,12 @@ class Echo:
 
 
 class FederatedWorld:
-    """N activity domains joined by one bridge; domain 0 is the parent."""
+    """N activity domains joined by one bridge; domain 0 is the parent.
 
-    def __init__(self, domains=2, interposition=True, store_factory=None):
+    Every manager is installed on its federated ORB, so each interposes
+    and serves its own domain's subordinates."""
+
+    def __init__(self, domains=2, store_factory=None):
         self.clock = SimulatedClock()
         self.bridge = InterOrbBridge()
         self.orbs = []
@@ -54,14 +65,7 @@ class FederatedWorld:
             orb = Orb(clock=self.clock)
             self.bridge.connect(orb, f"d{index}")
             store = store_factory(index) if store_factory is not None else None
-            manager = ActivityManager(
-                clock=self.clock,
-                store=store,
-                config=RuntimeConfig(
-                    federation=self.bridge if index == 0 else None,
-                    interposition=interposition if index == 0 else False,
-                ),
-            )
+            manager = ActivityManager(clock=self.clock, store=store)
             manager.install(orb)
             self.orbs.append(orb)
             self.managers.append(manager)
@@ -325,6 +329,33 @@ class TestActivityInterposition:
         assert record.action is local_ref  # no interposition detour
         assert world.parent.interposer.interposed_registrations == 0
 
+    def test_concurrent_registrations_build_one_subordinate(self):
+        world = FederatedWorld(domains=2)
+        remote = world.managers[1]
+        found, errors = [], []
+        barrier = threading.Barrier(16)
+
+        def find_or_create():
+            try:
+                barrier.wait(10)
+                found.append(local_subordinate(remote, "act-race"))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=find_or_create) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(found) == 16 and len({id(sub) for sub in found}) == 1
+
     def test_subordinate_relays_through_executor_seam(self):
         subordinate = SubordinateCoordinator("act-1", "d1")
         subordinate.event_log.attach()
@@ -349,14 +380,10 @@ class TestActivityInterposition:
         def run(interposition):
             clock = SimulatedClock()
             orb = Orb(clock=clock)
-            bridge = None
             if interposition:
-                bridge = InterOrbBridge()
-                bridge.connect(orb, "solo")
-            manager = ActivityManager(
-                clock=clock,
-                config=RuntimeConfig(federation=bridge, interposition=interposition),
-            )
+                # Installed on a federated ORB, the manager interposes.
+                InterOrbBridge().connect(orb, "solo")
+            manager = ActivityManager(clock=clock)
             manager.event_log.attach()
             manager.install(orb)
             node = orb.create_node("n")
@@ -402,22 +429,20 @@ class TestActivityInterposition:
                 factory_name="recorder",
                 factory_config={"name": f"recovered-{i}"},
             )
-        subordinate = world.parent.interposer.subordinate_for(
-            activity.activity_id, "d1"
+        # Domain 1 built the subordinate on its own coordination node.
+        coordination_node = world.bridge.coordination_node("d1")
+        subordinate = coordination_node.servant(
+            subordinate_object_id(activity.activity_id)
         )
-        assert subordinate is not None and subordinate.registration_count == 3
+        assert subordinate.registration_count == 3
 
         # Domain 1 crashes: volatile servants (subordinate included) die.
-        coordination_node = world.bridge.coordination_node("d1")
         coordination_node.crash()
         coordination_node.restart()
         if backend == "segmented":
-            store = SegmentedFileStore(tmp_path / "store-1")  # reopen from disk
-        else:
-            store = remote_manager.store
-        recovered = recover_subordinates(
-            store, remote_manager, coordination_node, "d1"
-        )
+            remote_manager.store.close()
+            remote_manager.store = SegmentedFileStore(tmp_path / "store-1")  # reopen
+        recovered = recover_subordinates(remote_manager)
         assert len(recovered) == 1
         assert recovered[0].registration_count == 3
         # The parent's retained ref routes to the recovered subordinate:
@@ -504,10 +529,10 @@ class OtsWorld:
         self.registry_a = RecoverableRegistry()
         self.registry_b = RecoverableRegistry()
         self.service_a = install_federated_transaction_service(
-            self.orb_a, self.current_a, self.bridge, registry=self.registry_a
+            self.orb_a, self.current_a, registry=self.registry_a
         )
         self.service_b = install_federated_transaction_service(
-            self.orb_b, self.current_b, self.bridge, registry=self.registry_b
+            self.orb_b, self.current_b, registry=self.registry_b
         )
         self.cell_store_a = make_store("cells-a")
         self.cell_store_b = make_store("cells-b")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import RuntimeConfig
 from repro.core import ActivityServiceError, CompletionStatus
 from repro.hls import (
     HlsActivityService,
@@ -178,7 +177,7 @@ class TestWscfCrossDomain:
     """Federated WSCF: foreign-context registration auto-interposes."""
 
     @staticmethod
-    def build_federation(interposition=False):
+    def build_federation():
         from repro.core import ActivityManager
         from repro.orb import InterOrbBridge, Orb
         from repro.util.clock import SimulatedClock
@@ -188,10 +187,8 @@ class TestWscfCrossDomain:
         orb_a, orb_b = Orb(clock=clock), Orb(clock=clock)
         bridge.connect(orb_a, "dA")
         bridge.connect(orb_b, "dB")
-        manager_a = ActivityManager(
-            clock=clock,
-            config=RuntimeConfig(federation=bridge, interposition=interposition),
-        )
+        # Both managers are installed on federated ORBs, so both interpose.
+        manager_a = ActivityManager(clock=clock)
         manager_a.install(orb_a)
         manager_b = ActivityManager(clock=clock)
         manager_b.install(orb_b)
@@ -199,21 +196,33 @@ class TestWscfCrossDomain:
             manager=manager_b
         )
 
-    @pytest.mark.parametrize("interposition", [False, True])
-    def test_foreign_registration_interposes(self, interposition):
-        bridge, wscf_a, wscf_b = self.build_federation(interposition)
-        context = wscf_a.create_context(PROTOCOL_ATOMIC)
+    @pytest.mark.parametrize("business", [False, True])
+    def test_foreign_registration_interposes(self, business):
+        from repro.models import BtpParticipant, BtpStatus
+
+        bridge, wscf_a, wscf_b = self.build_federation()
+        context = wscf_a.create_context(PROTOCOL_BUSINESS if business else PROTOCOL_ATOMIC)
         assert context.domain_id == "dA"
-        participants = [TwoPhaseParticipant(f"p{i}") for i in range(4)]
+        make = BtpParticipant if business else TwoPhaseParticipant
+        participants = [make(f"p{i}") for i in range(4)]
         for participant in participants:
             wscf_b.register(context, participant)
         subordinate = wscf_b.subordinate_for(context.context_id)
         assert subordinate is not None
-        assert subordinate.registration_count == 4
+        # A business-outcome participant enlists for both BTP sets.
+        assert subordinate.registration_count == (8 if business else 4)
         assert wscf_b.interposed_registrations == 4
-        outcome = wscf_a.terminate(context.context_id, success=True)
-        assert outcome.name == "committed"
-        assert all(p.committed for p in participants)
+        # Four participants, one request to the issuing domain's wscf servant.
+        assert bridge.cross_domain_requests() == 1
+        if business:
+            assert not wscf_a.prepare(context.context_id).is_error
+            assert all(p.status is BtpStatus.PREPARED for p in participants)
+        wscf_a.terminate(context.context_id, success=True)
+        if business:
+            assert all(p.status is BtpStatus.CONFIRMED for p in participants)
+        else:
+            assert wscf_a.outcome_of(context.context_id).name == "committed"
+            assert all(p.committed for p in participants)
 
     def test_cross_bridge_sends_stay_constant_per_signal(self):
         """The regression the satellite pins: broadcast traffic across

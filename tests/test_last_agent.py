@@ -8,12 +8,15 @@ those forces and the reply, the agent voting no, a lost reply to the
 request that adopted the transaction, and a retried adopting request.
 """
 
+import threading
+
 import pytest
 
 from repro.chaos import ChaosWorld
 from repro.exceptions import CommunicationError
+from repro.orb.federation import coordination_node_id
 from repro.ots import HeuristicHazard, SimulatedCrash, TransactionRolledBack
-from repro.ots.interposition import subordinate_recovery_key
+from repro.ots.interposition import RECOVERY_SERVANT_ID, subordinate_recovery_key
 from repro.ots.status import TransactionStatus
 
 
@@ -85,6 +88,48 @@ class TestRootCrash:
         assert w.domain("A").service.resolve_in_doubt() == {}
         assert w.quiesce()
         assert w.total_committed() == w.expected_total()
+
+
+    def test_concurrent_rounds_settle_a_recovered_delegation_once(self):
+        w = world()
+        tx = begin_transfer(w)
+        w.domain("A").factory.failpoints.arm("after_commit_log")
+        commit_expecting(w, SimulatedCrash)
+        w.crash("A")
+        assert w.restart("A") is None
+        a = w.domain("A")
+        # The agent's answer blocks until released, so a second round
+        # runs while the first is settling the same delegation.
+        servant = w.domain("B").orb.node(coordination_node_id("B")).servant(RECOVERY_SERVANT_ID)
+        plain = servant.agent_status
+        asked, entered, release = [], threading.Event(), threading.Event()
+
+        def blocking(root_tid):
+            asked.append(root_tid)
+            if len(asked) == 1:
+                entered.set()
+                release.wait(10)
+            return plain(root_tid)
+
+        servant.agent_status = blocking
+        first = {}
+        worker = threading.Thread(target=lambda: first.update(a.service.resolve_in_doubt()))
+        worker.start()
+        assert entered.wait(10)
+        second = a.service.resolve_in_doubt()
+        release.set()
+        worker.join(10)
+        assert first == {tx.tid: "committed"}
+        assert tx.tid not in second
+        assert asked == [tx.tid]
+        a.wal.force()
+        completions = [
+            record
+            for record in a.wal.records()
+            if record.kind == "tx_completed" and record.payload["tid"] == tx.tid
+        ]
+        assert len(completions) == 1
+        assert balances(w) == (95.0, 105.0)
 
 
 class TestAgentCrash:
