@@ -34,9 +34,10 @@ Pieces:
 
 An :class:`~repro.core.manager.ActivityManager` installed on a federated
 ORB always interposes (:func:`install_interposition`); one that is not
-registers every action directly.  Actions in the manager's own domain
-are always registered directly, so single-domain traces are the same
-either way.
+registers every action directly, and so does the router for a domain
+that answers it runs no activity service.  Actions in the manager's own
+domain are always registered directly, so single-domain traces are the
+same either way.
 """
 
 from __future__ import annotations
