@@ -299,8 +299,12 @@ class SubordinateCoordinator(Servant):
         )
 
     def forget(self) -> None:
+        """The activity is over: drop the record, leave the node."""
         if self.store is not None and self.store.contains(self._record_key()):
             self.store.remove(self._record_key())
+        node = _coordination_node(self.manager) if self.manager is not None else None
+        if node is not None and node.has_object(subordinate_object_id(self.activity_id)):
+            node.deactivate(subordinate_object_id(self.activity_id))
 
 
 def _coordination_node(manager: Any) -> Any:

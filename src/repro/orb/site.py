@@ -699,10 +699,11 @@ class SiteRuntime(Domain):
         self.close_stores()
 
     def close_stores(self) -> None:
-        """Force the log's unforced tail (completion records), then
-        release the file handles this site's stores keep open (WAL,
+        """Checkpoint, force the log's unforced tail (completion records),
+        then release the file handles this site's stores keep open (WAL,
         cells, replica media, hosted follower replicas).  Idempotent."""
         try:
+            self.factory.checkpoint()
             self.wal.force()
         finally:
             for store in (

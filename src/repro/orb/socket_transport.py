@@ -49,7 +49,7 @@ import json
 import socket
 import struct
 import threading
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple, Union
 
 from repro.exceptions import (
     AdmissionRejected,
@@ -176,7 +176,8 @@ class SocketTransport(Transport):
 
     ``site_id`` names this endpoint in HELLO exchanges; ``bind``
     (host, port) is where :meth:`start` listens — port 0 picks a free
-    port, readable from :attr:`address` afterwards.  Peers are added
+    port, readable from :attr:`address` afterwards — or a socket bound
+    there, which :meth:`start` takes over.  Peers are added
     with :meth:`connect_peer` and dialed lazily on first use.
 
     The server side is thread-per-connection: one accept thread hands
@@ -192,7 +193,7 @@ class SocketTransport(Transport):
     def __init__(
         self,
         site_id: str,
-        bind: Optional[Tuple[str, int]] = None,
+        bind: Union[Tuple[str, int], socket.socket, None] = None,
         reconnect_attempts: int = 5,
         reconnect_base_delay: float = 0.05,
         connect_timeout: float = 5.0,
@@ -269,9 +270,12 @@ class SocketTransport(Transport):
             # A client-only transport: dials peers, accepts nothing.
             self._started = True
             return
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self.bind)
+        if isinstance(self.bind, socket.socket):
+            listener = self.bind
+        else:
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(self.bind)
         listener.listen(32)
         self._listener = listener
         self.address = listener.getsockname()[:2]

@@ -34,14 +34,13 @@ transaction (:meth:`TransactionFactory.stage_intention`) and the forced
 before the force — leaves nothing durable behind.  While a commit /
 rollback sweep runs, the store writes of the local resources
 (:meth:`TransactionFactory.stage_write`) are collected in a
-:class:`SweepWrites` and land as one ``put_many`` per distinct store
-when the sweep ends.  Nothing is acknowledged before that write returns:
-a resource is marked completed and ``tx_completed`` is appended only
-afterwards, so that record — which rides the next force (see
-:meth:`TransactionFactory.log_completion`) — can never become durable
-before the installs it covers.  A failed decision force leaves the
-transaction ``PREPARED`` and unable to roll back until
-:meth:`Transaction.redrive` forces the decision again.
+:class:`SweepWrites` and land as one write per distinct store when the
+sweep ends, without an fsync in a commit sweep whose intentions a forced
+record carries (the log can redo it).  ``tx_completed`` is logged only
+after that write returned, and waits for the housekeeping round's
+checkpoint to sync it (:meth:`TransactionFactory.log_completion`).  A
+failed decision force leaves the transaction ``PREPARED`` and unable to
+roll back until :meth:`Transaction.redrive` forces the decision again.
 
 Nested (sub)transactions never touch the log: their commit provisionally
 hands resources, locks and synchronizations to the parent, per the
@@ -168,7 +167,8 @@ class SweepWrites:
     :meth:`~TransactionFactory.stage_write` for that transaction lands
     here, attributed to the resource being called on that thread
     (:meth:`call`).  :meth:`flush` then makes one ``put_many`` per
-    distinct store, resources in sweep order.  Leaving the block on an
+    distinct store, resources in sweep order (``put_many_unsynced`` when
+    ``buffered``).  Leaving the block on an
     exception drops what was staged, which is what the crash being
     simulated would have done.  Opened around each commit and rollback
     sweep, and by recovery around each replayed transaction.
@@ -180,6 +180,7 @@ class SweepWrites:
         self._calling = threading.local()
         self._staged: List[Tuple[Optional[ResourceRecord], Any, Any]] = []
         self.returned: List[ResourceRecord] = []  # calls that did not raise
+        self.unsynced: List[Any] = []  # stores a buffered flush left dirty
 
     def __enter__(self) -> "SweepWrites":
         self._open[self._tid] = self
@@ -198,7 +199,9 @@ class SweepWrites:
     def stage(self, store: Any, puts: Any) -> None:
         self._staged.append((getattr(self._calling, "record", None), store, puts))
 
-    def flush(self) -> Tuple[List[Optional[ResourceRecord]], Optional[Exception]]:
+    def flush(
+        self, buffered: bool = False
+    ) -> Tuple[List[Optional[ResourceRecord]], Optional[Exception]]:
         """Land the staged writes; returns the resources whose store
         write failed and the first such failure."""
         by_store: dict = {}
@@ -211,7 +214,10 @@ class SweepWrites:
         error: Optional[Exception] = None
         for store, puts, records in by_store.values():
             try:
-                store.put_many(puts)
+                if not buffered:
+                    store.put_many(puts)
+                elif store.put_many_unsynced(puts):
+                    self.unsynced.append(store)
             except Exception as exc:  # noqa: BLE001 - reported to the caller
                 failed.extend(records)
                 error = error or exc
@@ -438,8 +444,9 @@ class Transaction:
         self.factory.failpoints.hit("after_commit_log")
         # Phase two.
         self.status = TransactionStatus.COMMITTING
-        self._complete("commit", [r for r in live if r.vote is Vote.COMMIT])
-        self.factory.log_completion(self.tid)
+        committers = [r for r in live if r.vote is Vote.COMMIT]
+        unsynced = self._complete("commit", committers, buffered=True)
+        self.factory.log_completion(self.tid, unsynced)
         self._finish(TransactionStatus.COMMITTED)
         self._report_heuristics(report_heuristics, committed=True)
 
@@ -514,8 +521,8 @@ class Transaction:
             voters = [r for r in self._resources if r.vote is Vote.COMMIT and not r.completed]
             if committed:
                 self.status = TransactionStatus.COMMITTING
-                self._complete("commit", voters)
-                self.factory.log_completion(self.tid)
+                unsynced = self._complete("commit", voters, buffered=True)
+                self.factory.log_completion(self.tid, unsynced)
                 self._finish(TransactionStatus.COMMITTED)
             else:
                 self.status = TransactionStatus.ROLLING_BACK
@@ -602,8 +609,8 @@ class Transaction:
                 raise NotPrepared(
                     f"transaction {self.tid} is {self.status.value}, not prepared"
                 )
-            self._complete("commit", committers)
-            self.factory.log_completion(self.tid)
+            unsynced = self._complete("commit", committers, buffered=True)
+            self.factory.log_completion(self.tid, unsynced)
             self._finish(TransactionStatus.COMMITTED)
             self._report_heuristics(True, committed=True)
 
@@ -713,9 +720,12 @@ class Transaction:
         self.factory.event_log.record("tx_vote", tid=self.tid, vote=record.vote.name)
         return record.vote is Vote.ROLLBACK
 
-    def _complete(self, operation: str, records: List[ResourceRecord]) -> None:
+    def _complete(
+        self, operation: str, records: List[ResourceRecord], buffered: bool = False
+    ) -> List[Any]:
         """Phase two in one direction: tell every record to ``operation``
-        ("commit" or "rollback").
+        ("commit" or "rollback"); returns the stores a ``buffered`` sweep
+        left unsynced.
 
         The outcome is decided, so nothing abandons the round.  A
         heuristic report is kept and the participant told to forget; an
@@ -746,13 +756,14 @@ class Transaction:
         failpoint = "before_commit_resource_{}" if operation == "commit" else None
         with self.factory.sweep(self.tid, records) as sweep:
             self._round(operation, records, fold, failpoint, sweep)
-        failed, error = sweep.flush()
+        failed, error = sweep.flush(buffered)
         for record in sweep.returned:
             record.completed = True
         for record in failed:
             record.completed = False
         if error is not None:
             raise error
+        return sweep.unsynced
 
     def _call_with_retry(self, round_: _ParticipantRound, participant: Any) -> None:
         last_error: Optional[CommunicationError] = None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import FactoryConfig
 from repro.core.broadcast import SerialBroadcastExecutor, ThreadPoolBroadcastExecutor
@@ -20,6 +20,8 @@ from repro.util.clock import Clock, SimulatedClock, TimerQueue
 from repro.util.events import EventLog
 from repro.util.idgen import IdGenerator
 from repro.util.sharding import StripedMap
+
+PARKED_COMPLETION_LIMIT = 1024  # then checkpoint without waiting for a round
 
 
 class Failpoints:
@@ -157,6 +159,9 @@ class TransactionFactory:
         self.created = 0
         self.committed = 0
         self.rolled_back = 0
+        # (tid, extra, unsynced stores) of completions awaiting checkpoint().
+        self._parked: List[Tuple[str, Dict[str, Any], Sequence[Any]]] = []
+        self._parked_lock = threading.Lock()
         # Deadlines: on a SimulatedClock each timed transaction's timer
         # sits on the clock's own queue and fires during `advance`; on
         # any other clock it sits on this factory's queue, which only
@@ -190,7 +195,7 @@ class TransactionFactory:
             "tx_delegated", tid=tid, recovery_keys=keys, intentions=intentions, agent=agent
         )
 
-    def log_completion(self, tid: str, **extra: Any):
+    def log_completion(self, tid: str, unsynced: Sequence[Any] = (), **extra: Any):
         """Log the end of phase two (marks the transaction resolved).
 
         Unforced: the record rides the next force of this log (the next
@@ -202,10 +207,29 @@ class TransactionFactory:
         completes again — installing nothing, since every intention the
         decision carries is at or below the stored install version (also
         after a later one-phase commit, which logs nothing).  Callers
-        append it only after the phase-two store write returned, so it
-        cannot outrun the installs it covers.
+        log it only after the phase-two store write returned, and one
+        that left ``unsynced`` stores waits for :meth:`checkpoint`, so it
+        cannot outrun the installs it covers, even across a power loss.
         """
-        return self.wal.append_volatile("tx_completed", tid=tid, **extra)
+        if not unsynced:
+            return self.wal.append_volatile("tx_completed", tid=tid, **extra)
+        with self._parked_lock:
+            self._parked.append((tid, extra, unsynced))
+            full = len(self._parked) >= PARKED_COMPLETION_LIMIT
+        if full:  # no housekeeping round serves this factory
+            self.checkpoint()
+
+    def checkpoint(self) -> int:
+        """Sync each store the parked completions' installs left dirty,
+        once, then append those completions; returns how many.  A failed
+        sync drops them: recovery redoes their decisions."""
+        with self._parked_lock:
+            parked, self._parked = self._parked, []
+        for store in {store for _, _, stores in parked for store in stores}:
+            store.sync()
+        for tid, extra, _ in parked:
+            self.wal.append_volatile("tx_completed", tid=tid, **extra)
+        return len(parked)
 
     def log_index(self) -> LogIndex:
         """The incremental index of this factory's log, brought up to

@@ -614,10 +614,12 @@ class FederatedTransactionService:
         :meth:`sweep_orphans` round (the serve loop's housekeeping
         cadence); returns how many roots were retired.
 
-        This round is also what forces the log's unforced tail — the
-        ``tx_completed`` records no commit decision has carried to disk
-        yet — so an idle domain does not sit on it indefinitely.
+        This round is also the factory's checkpoint and what forces the
+        log's unforced tail — the ``tx_completed`` records no commit
+        decision has carried to disk yet — so an idle domain does not sit
+        on it indefinitely.
         """
+        self.factory.checkpoint()
         self.factory.wal.force()
         completed = self.factory.log_index().completed
         retired = 0

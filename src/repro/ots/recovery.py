@@ -14,16 +14,16 @@ new state with its install version.  Recovery:
   is presumed aborted and discarded (a crashed root leaves none),
   except under an open ``tx_delegated``: held until the agent is asked.
 
-``tx_completed`` is not forced: it rides the next force (see
+``tx_completed`` waits for the housekeeping round (see
 :meth:`~repro.ots.factory.TransactionFactory.log_completion`), so a
-crash finds the last few committed transactions decided but not
-completed.  Losing that tail is safe because a replay installs a logged
-intention only over an *older* stored version: their installs are
-durable, so the replay applies nothing (``recommitted[tid] == []``) —
-even where a later one-phase commit, which logs nothing but bumps the
+crash finds the transactions committed since the last round decided but
+not completed.  Losing that tail is safe because a replay installs a
+logged intention only over an *older* stored version: where the installs
+survived, the replay applies nothing (``recommitted[tid] == []``) — even
+where a later one-phase commit, which logs nothing but bumps the
 version, has installed over the same cell since — and writes the
 completion again.  A decided transaction whose install write was cut
-short replays to the committed values.
+short, or lost with the page cache, replays to the committed values.
 """
 
 from __future__ import annotations

@@ -65,6 +65,15 @@ class ObjectStore(abc.ABC):
         for uid, state in dict(items).items():
             self.put(uid, state)
 
+    def put_many_unsynced(self, items: BatchItems) -> bool:
+        """A batch a forced log record already carries; True when it was
+        left for :meth:`sync` (by default it is a durable ``put_many``)."""
+        self.put_many(items)
+        return False
+
+    def sync(self) -> None:
+        """Make every earlier write durable (by default they all are)."""
+
     def get_or(self, uid: str, default: Any = None) -> Any:
         return self.get(uid) if self.contains(uid) else default
 
@@ -171,6 +180,11 @@ class SegmentedFileStore(ObjectStore):
     by the first one, swapped on rollover and compaction, released by
     :meth:`close`); a store that is only read never opens one.
 
+    :meth:`put_many_unsynced` skips the fsync until :meth:`sync`, a
+    rollover, a compaction or :meth:`close`.  ``flushes`` counts appends,
+    ``fsyncs`` fsyncs; ``synced`` maps segment id to the offset its last
+    fsync covered.
+
     Segments roll over once the active file passes ``segment_bytes``;
     superseded frames accumulate until :meth:`compact` rewrites the live
     set into a fresh segment and deletes the old files.  The store runs
@@ -208,6 +222,8 @@ class SegmentedFileStore(ObjectStore):
         # bump, size reset) that concurrent writers must not interleave.
         self._write_lock = threading.RLock()
         self.flushes = 0
+        self.fsyncs = 0
+        self.synced: Dict[int, int] = {}
         self.torn_frames_dropped = 0
         if auto_compact_ratio is not None and not (0.0 < auto_compact_ratio <= 1.0):
             raise ValueError("auto_compact_ratio must be in (0, 1]")
@@ -224,7 +240,7 @@ class SegmentedFileStore(ObjectStore):
         for seg_id in self._segment_ids:
             # The last one is the active segment: appends go behind its
             # last whole frame.
-            self._active_size = self._replay(self._segment_path(seg_id))
+            self._active_size = self.synced[seg_id] = self._replay(self._segment_path(seg_id))
 
     # -- layout ---------------------------------------------------------------
 
@@ -291,9 +307,10 @@ class SegmentedFileStore(ObjectStore):
         finally:
             os.close(fd)
 
-    def _append_frames(self, frames: List[bytes]) -> bool:
-        """One write + fsync (and a directory fsync when it created the
-        segment file); True when it filled (and rolled) the segment."""
+    def _append_frames(self, frames: List[bytes], sync: bool = True) -> bool:
+        """One write + fsync if ``sync`` (and a directory fsync when it
+        created the segment file); True when it filled (and rolled) the
+        segment."""
         handle = self._handle
         created = False
         if handle is None:
@@ -307,12 +324,13 @@ class SegmentedFileStore(ObjectStore):
         data = b"".join(frames)
         handle.write(data)
         handle.flush()
-        os.fsync(handle.fileno())
-        if created:
-            self._fsync_root()
         self.flushes += 1
         self._records_written += len(frames)
         self._active_size += len(data)
+        if sync:
+            self.sync()
+        if created:
+            self._fsync_root()
         if self._active_size < self._segment_bytes:
             return False
         self._start_segment(self._active_id + 1)
@@ -325,13 +343,22 @@ class SegmentedFileStore(ObjectStore):
         self._active_id = seg_id
         self._active_size = 0
 
+    def sync(self) -> None:
+        """Fsync the active segment if an append left it dirty."""
+        with self._write_lock:
+            if self._handle is not None and self.synced.get(self._active_id, 0) < self._active_size:
+                os.fsync(self._handle.fileno())
+                self.fsyncs += 1
+                self.synced[self._active_id] = self._active_size
+
     def close(self) -> None:
-        """Close the active segment's append handle.
+        """Sync (if dirty) and close the active segment's append handle.
 
         The store stays usable: the next append reopens the file.
         """
         with self._write_lock:
             if self._handle is not None:
+                self.sync()
                 self._handle.close()
                 self._handle = None
 
@@ -369,7 +396,7 @@ class SegmentedFileStore(ObjectStore):
     def put(self, uid: str, state: Any) -> None:
         self.put_many([(uid, state)])
 
-    def put_many(self, items: BatchItems, removes: Iterable[str] = ()) -> None:
+    def put_many(self, items: BatchItems, removes: Iterable[str] = (), sync: bool = True) -> None:
         """Puts, then a tombstone per existing uid of ``removes``, in one
         append + fsync (see the class docstring for the crash guarantee)."""
         encoded = {
@@ -377,14 +404,18 @@ class SegmentedFileStore(ObjectStore):
         }
         with self._write_lock:
             dead = [uid for uid in removes if uid in self._index or uid in encoded]
-            self._apply_locked(encoded, dead)
+            self._apply_locked(encoded, dead, sync)
 
-    def _apply_locked(self, encoded: Dict[str, bytes], dead: List[str]) -> None:
+    def put_many_unsynced(self, items: BatchItems) -> bool:
+        self.put_many(items, sync=False)
+        return True
+
+    def _apply_locked(self, encoded: Dict[str, bytes], dead: List[str], sync: bool = True) -> None:
         frames = [self._frame(uid, False, value) for uid, value in encoded.items()]
         frames.extend(self._frame(uid, True, b"") for uid in dead)
         if not frames:
             return
-        rolled = self._append_frames(frames)
+        rolled = self._append_frames(frames, sync)
         self._index.update(encoded)
         for uid in dead:
             self._index.pop(uid, None)
@@ -438,6 +469,7 @@ class SegmentedFileStore(ObjectStore):
             self._append_frames(frames)
         removed = 0
         for seg_id in old_ids:
+            self.synced.pop(seg_id, None)
             path = self._segment_path(seg_id)
             if os.path.exists(path):
                 os.remove(path)

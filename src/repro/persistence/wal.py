@@ -49,9 +49,11 @@ Durable-write sequence: ``force`` is one ``store.put`` of the batch key.
 ``truncate`` writes the head first and then removes the batch keys the
 cut covers; a crash in between leaves covered keys that the next open
 removes.  (README, "Persistence layering", tabulates every durable write
-of one committed transaction: the first of its two is a force of this
-log — the decision, carrying the transaction's intentions; the
-completion record is appended volatile and rides the next force.)
+of one committed transaction: its one fsync is a force of this log — the
+decision, carrying the transaction's intentions; the cell-store install
+behind it is appended without an fsync, and the completion record waits
+for the housekeeping round's checkpoint to sync that install before it
+is appended volatile and rides the round's force.)
 """
 
 from __future__ import annotations

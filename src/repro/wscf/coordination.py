@@ -15,16 +15,22 @@ framework, per §5.2.
 
 from __future__ import annotations
 
+import weakref
 from typing import ClassVar, Dict, Optional, Tuple, Union
 
 from repro.core.action import Action
 from repro.core.activity import Activity
 from repro.core.broadcast import SerialBroadcastExecutor
-from repro.core.interposition import SubordinateCoordinator, local_subordinate, subordinate_ref
+from repro.core.interposition import (
+    SubordinateCoordinator,
+    local_subordinate,
+    subordinate_object_id,
+    subordinate_ref,
+)
 from repro.core.manager import ActivityManager
 from repro.core.signals import Outcome
 from repro.core.status import CompletionStatus
-from repro.exceptions import ObjectNotExist, ReproError
+from repro.exceptions import CommunicationError, ObjectNotExist, ReproError
 from repro.models.btp import (
     COMPLETE_SET as BTP_COMPLETE_SET,
     PREPARE_SET as BTP_PREPARE_SET,
@@ -44,6 +50,13 @@ PROTOCOL_BUSINESS = "wscf:business-outcome"
 # Object id of a domain's published registration service on its
 # coordination node.
 WSCF_SERVANT_ID = "wscf"
+# Outcomes of terminated contexts kept for outcome_of(), oldest dropped first.
+OUTCOME_TOMBSTONE_LIMIT = 1024
+# The signal sets a participant joins, by coordination type.
+PROTOCOL_SETS = {
+    PROTOCOL_ATOMIC: [TWOPC_SET],
+    PROTOCOL_BUSINESS: [BTP_PREPARE_SET, BTP_COMPLETE_SET],
+}
 
 
 class WscfError(ReproError):
@@ -86,7 +99,8 @@ class WscfCoordinator:
     contacts them concurrently, which is what makes an atomic-outcome
     context with many participants terminate in one hop latency instead
     of N.  When a ``manager`` is supplied it wins — its own executor
-    configuration governs every activity it begins.
+    configuration governs every activity it begins.  A terminated context
+    is forgotten here and by each foreign subordinate enlisted in it.
     """
 
     def __init__(
@@ -106,7 +120,7 @@ class WscfCoordinator:
         # (context_id) -> local subordinate enlisted with the issuing
         # domain; registrations for a foreign context interpose through
         # it instead of crossing the bridge per participant.
-        self._interposed: Dict[str, SubordinateCoordinator] = {}
+        self._interposed = weakref.WeakValueDictionary()  # its node owns it until it forgets
         self.interposed_registrations = 0
         self._published = False
 
@@ -183,12 +197,8 @@ class WscfCoordinator:
             else context
         )
         activity = self._activity(context_id)
-        local = self._contexts[context_id]
-        if local.coordination_type == PROTOCOL_ATOMIC:
-            activity.add_action(TWOPC_SET, participant)
-        else:
-            activity.add_action(BTP_PREPARE_SET, participant)
-            activity.add_action(BTP_COMPLETE_SET, participant)
+        for set_name in PROTOCOL_SETS[self._contexts[context_id].coordination_type]:
+            activity.add_action(set_name, participant)
 
     def _is_foreign(self, context: CoordinationContext) -> bool:
         orb = self.manager.orb
@@ -218,11 +228,7 @@ class WscfCoordinator:
                 ) from None
             subordinate = local_subordinate(self.manager, context.context_id)
             self._interposed[context.context_id] = subordinate
-        if context.coordination_type == PROTOCOL_ATOMIC:
-            set_names = [TWOPC_SET]
-        else:
-            set_names = [BTP_PREPARE_SET, BTP_COMPLETE_SET]
-        for set_name in set_names:
+        for set_name in PROTOCOL_SETS[context.coordination_type]:
             subordinate.register(set_name, participant)
         self.interposed_registrations += 1
 
@@ -244,7 +250,21 @@ class WscfCoordinator:
         status = CompletionStatus.SUCCESS if success else CompletionStatus.FAIL
         outcome = activity.complete(status)
         self._terminated[context_id] = outcome
+        if len(self._terminated) > OUTCOME_TOMBSTONE_LIMIT:
+            del self._terminated[next(iter(self._terminated))]
         del self._activities[context_id]
+        context = self._contexts.pop(context_id)
+        subordinates = {
+            record.action.node_id: record.action
+            for set_name in PROTOCOL_SETS[context.coordination_type]
+            for record in activity.coordinator.actions_for(set_name)
+            if getattr(record.action, "object_id", None) == subordinate_object_id(context_id)
+        }
+        for node_id, subordinate in subordinates.items():
+            try:
+                subordinate.invoke("forget")
+            except (CommunicationError, ObjectNotExist) as exc:  # the outcome stands
+                self.manager.event_log.record("wscf_forget_failed", node=node_id, error=str(exc))
         return outcome
 
     def outcome_of(self, context_id: str) -> Optional[Outcome]:

@@ -269,13 +269,15 @@ class TestOrphanedSubordinate:
 class TestCompletionTailLostToSigkill:
     def test_acked_balances_survive_and_the_tail_replays_once(self, cluster_factory):
         """SIGKILL both sites right after the last acknowledged transfer:
-        each log ends in its forced record — site-a's ``tx_delegated``,
-        site-b's decision — whose (unforced) completion record died with
-        the process.  Restart shows the acknowledged balances, recovery
-        completes exactly that tail (site-a by asking site-b), and a
-        second restart has nothing left to do."""
+        each log holds only its forced records — site-a's
+        ``tx_delegated``, site-b's decision — because every completion
+        waited for a housekeeping checkpoint and died with the process.
+        Restart shows the acknowledged balances (the unsynced installs
+        survive a killed process), recovery completes exactly those
+        transfers (site-a by asking site-b), and a second restart has
+        nothing left to do."""
         # A poll interval longer than the test: no housekeeping round
-        # forces the tail before the kill.
+        # checkpoints the completions before the kill.
         cluster = cluster_factory(poll_interval=60.0)
         client = cluster.client()
         try:
@@ -301,7 +303,7 @@ class TestCompletionTailLostToSigkill:
                 decided = [r.payload["tid"] for r in records if r.kind == forced[site_id]]
                 completed = [r.payload["tid"] for r in records if r.kind == "tx_completed"]
                 assert len(decided) == 3
-                assert completed == decided[:2], site_id  # the third was unforced
+                assert completed == [], site_id  # all three were parked
 
             assert balances(client) == (70.0, 130.0)
             for site_id in cluster.sites:
@@ -315,8 +317,8 @@ class TestCompletionTailLostToSigkill:
                     completed = [r for r in records if r.kind == "tx_completed"]
                     assert [r.payload["tid"] for r in completed] == decided, (round_, site_id)
                     assert [bool(r.payload.get("recovered")) for r in completed] == [
-                        False,
-                        False,
+                        True,
+                        True,
                         True,
                     ], (round_, site_id)
                 assert balances(client) == (70.0, 130.0)

@@ -3,9 +3,11 @@
 A force appends its own batch and nothing else however long the log has
 grown; a site's housekeeping round reads only the records forced since
 the previous round; a committed two-cell transfer performs two store
-flushes (the forced decision, carrying both intentions, and one install
-batch), a federated one four over two cross-site requests, an aborted
-one none.  And the crash
+appends and one fsync (the forced decision, carrying both intentions,
+and one unsynced install batch), a federated one four appends and two
+fsyncs, one per site, over two cross-site requests, an aborted one
+none.  The completions wait for the round's checkpoint, which syncs
+each dirty cell store once and lets them ride the round's force.  And the crash
 guarantee those counts lean on: a torn append reads back as a frame
 prefix, so the decision frame is the commit point and any prefix of the
 install batch recovers to the committed values.
@@ -156,8 +158,16 @@ def run_on_desk(desk, *remote_sites, debit=True):
 
 
 def flush_counts(*runtimes):
+    """Per site: (log appends, cell appends, log forces, log fsyncs,
+    cell fsyncs)."""
     return [
-        (runtime.wal.store.flushes, runtime.cell_store.flushes, runtime.wal.forces)
+        (
+            runtime.wal.store.flushes,
+            runtime.cell_store.flushes,
+            runtime.wal.forces,
+            runtime.wal.store.fsyncs,
+            runtime.cell_store.fsyncs,
+        )
         for runtime in runtimes
     ]
 
@@ -194,19 +204,30 @@ class TestCommitPathCounts:
         forced = runtime.wal.records_forced
         transfer()
         # 1 log force (the decision, carrying both intentions) + 1
-        # install batch (both new states); phase one writes nothing.
-        assert flush_deltas(before, runtime) == [(1, 1, 1)]
-        # That one force carried two records: the previous transfer's
-        # completion and this decision; this completion waits its turn.
-        assert runtime.wal.records_forced - forced == 2
-        completion, decision = runtime.wal.records()[-2:]
-        assert (completion.kind, decision.kind) == ("tx_completed", "tx_commit_decision")
+        # install batch (both new states), appended without an fsync:
+        # 2 appends, 1 fsync.  Phase one writes nothing.
+        assert flush_deltas(before, runtime) == [(1, 1, 1, 1, 0)]
+        # That one force carried this decision only: both transfers'
+        # completions wait for the round's checkpoint.
+        assert runtime.wal.records_forced - forced == 1
+        first, decision = runtime.wal.records()
+        assert (first.kind, decision.kind) == ("tx_commit_decision", "tx_commit_decision")
         assert decision.payload["intentions"] == {
             "account:acct-1": [2, 98.0],
             "account:acct-2": [2, 102.0],
         }
-        runtime.wal.force()
-        assert runtime.wal.records()[-1].kind == "tx_completed"
+        runtime.wal.force()  # nothing volatile yet: not a force
+        assert flush_deltas(before, runtime) == [(1, 1, 1, 1, 0)]
+        # The round's checkpoint: one cell-store fsync covers both
+        # installs, then both completions ride the round's one force.
+        before = flush_counts(runtime)
+        runtime.service.retire_completed()
+        assert flush_deltas(before, runtime) == [(1, 0, 1, 1, 1)]
+        assert [r.kind for r in runtime.wal.records()[-2:]] == ["tx_completed"] * 2
+        assert [r.payload["tid"] for r in runtime.wal.records()[-2:]] == [
+            first.payload["tid"],
+            decision.payload["tid"],
+        ]
         assert dict(runtime.cell_store.items()) == {
             "cell:account:acct-1": [2, 98.0],
             "cell:account:acct-2": [2, 102.0],
@@ -216,11 +237,18 @@ class TestCommitPathCounts:
         runtime, transfer = desk_site
         for _ in range(10):
             transfer()
+        runtime.wal.force()  # the completions are parked: not a force
+        assert (runtime.wal.forces, runtime.wal.records_forced) == (10, 10)
+        assert (runtime.wal.store.fsyncs, runtime.cell_store.fsyncs) == (10, 0)
+        assert runtime.factory.checkpoint() == 10  # one cell fsync for all ten
         runtime.wal.force()
         assert runtime.wal.forces == 10 + 1
         assert runtime.wal.records_forced == 2 * 10
+        assert (runtime.wal.store.fsyncs, runtime.cell_store.fsyncs) == (11, 1)
+        assert runtime.factory.checkpoint() == 0
         runtime.wal.force()  # nothing left: not a force
         assert runtime.wal.forces == 11
+        assert (runtime.wal.store.fsyncs, runtime.cell_store.fsyncs) == (11, 1)
 
     def test_federated_transfer_is_four_store_flushes(self, two_sites):
         desk, far, transfer = two_sites
@@ -230,9 +258,11 @@ class TestCommitPathCounts:
         assert transfer() == {"from_balance": 98.0, "to_balance": 102.0}
         # desk: tx_delegated (with its intention), install batch.  far,
         # the last agent: its decision (with its intention and the root
-        # tid), install.  Across the wire: the deposit, whose reply
-        # registers far's subordinate, and one commit_one_phase.
-        assert flush_deltas(before, desk, far) == [(1, 1, 1), (1, 1, 1)]
+        # tid), install.  4 appends, 2 fsyncs (one force per site; the
+        # installs wait for the checkpoint).  Across the wire: the
+        # deposit, whose reply registers far's subordinate, and one
+        # commit_one_phase.
+        assert flush_deltas(before, desk, far) == [(1, 1, 1, 1, 0), (1, 1, 1, 1, 0)]
         assert requests_sent(desk, far) - sent == 2
         (delegated,) = desk.wal.records()[-1:]
         assert delegated.kind == "tx_delegated"
@@ -252,7 +282,11 @@ class TestCommitPathCounts:
         # Two deposits, then a prepare and a commit to each subordinate.
         assert requests_sent(desk, far, farther) - sent == 6
         # Each subordinate: subtx_prepared, its decision, install.
-        assert flush_deltas(before, desk, far, farther) == [(1, 1, 1), (2, 1, 2), (2, 1, 2)]
+        assert flush_deltas(before, desk, far, farther) == [
+            (1, 1, 1, 1, 0),
+            (2, 1, 2, 2, 0),
+            (2, 1, 2, 2, 0),
+        ]
         assert desk.wal.records()[-1].kind == "tx_commit_decision"
 
     def test_lone_remote_subordinate_keeps_the_one_phase_call(self, two_sites):
@@ -264,7 +298,7 @@ class TestCommitPathCounts:
         # The deposit and one commit_one_phase; the root logs nothing,
         # the subordinate one rooted decision and its install.
         assert requests_sent(desk, far) - sent == 2
-        assert flush_deltas(before, desk, far) == [(0, 0, 0), (1, 1, 1)]
+        assert flush_deltas(before, desk, far) == [(0, 0, 0, 0, 0), (1, 1, 1, 1, 0)]
 
     def test_overdrawn_federated_transfer_writes_nothing(self, two_sites):
         desk, far, transfer = two_sites
@@ -273,7 +307,7 @@ class TestCommitPathCounts:
         sent = requests_sent(desk, far)
         with pytest.raises(ValueError):
             transfer(1e9)  # withdraw refuses before the remote leg
-        assert flush_deltas(before, desk, far) == [(0, 0, 0), (0, 0, 0)]
+        assert flush_deltas(before, desk, far) == [(0,) * 5, (0,) * 5]
         assert requests_sent(desk, far) == sent
 
     def test_overdrawn_transfer_writes_nothing(self, desk_site):
@@ -282,7 +316,7 @@ class TestCommitPathCounts:
         before = flush_counts(runtime)
         with pytest.raises(ValueError):
             transfer(1e9)  # withdraw refuses; rolled back while ACTIVE
-        assert flush_deltas(before, runtime) == [(0, 0, 0)]
+        assert flush_deltas(before, runtime) == [(0,) * 5]
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_phase_one_abort_writes_nothing(self, tmp_path, workers):
@@ -327,9 +361,10 @@ class TestCommitPathCounts:
 
         for _ in range(20):
             transfer()
-        # The round forces the log's tail (the 20th completion) first,
-        # and its first look reads it all.
-        assert len(wal) == 39
+        # Only the 20 decisions are durable: the round's checkpoint
+        # appends the 20 parked completions and forces them first, and
+        # its first look reads it all.
+        assert len(wal) == 20
         assert housekeeping_round() == 40
         assert housekeeping_round() == 0
         for _ in range(3):

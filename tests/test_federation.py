@@ -490,7 +490,11 @@ class TestWscfFederation:
         world.bridge.reset_link_stats()
         outcome = coordinator.terminate(context.context_id)
         assert outcome.name == "committed"
-        assert world.bridge.cross_domain_requests() == 2
+        # prepare, commit, then one forget that retires d1's subordinate
+        assert world.bridge.cross_domain_requests() == 3
+        assert not world.orbs[1].federation.coordination_node("d1").has_object(
+            f"fedsub:{context.context_id}"
+        )
         for participant in participants:
             assert participant.signal_names == ["prepare", "commit"]
 

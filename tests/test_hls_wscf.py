@@ -251,6 +251,35 @@ class TestWscfCrossDomain:
         assert outcome.name == "rolled_back"
         assert not participant.committed
 
+    def test_terminated_contexts_leave_bounded_state(self, monkeypatch):
+        """100 federated atomic contexts, each registered from the second
+        domain and terminated: the issuer keeps only the last outcomes,
+        the registrar neither its subordinates nor their servants."""
+        from repro.orb.federation import coordination_node_id
+        from repro.wscf import coordination
+
+        monkeypatch.setattr(coordination, "OUTCOME_TOMBSTONE_LIMIT", 10)
+        bridge, wscf_a, wscf_b = self.build_federation()
+        context_ids = []
+        for index in range(100):
+            context = wscf_a.create_context(PROTOCOL_ATOMIC)
+            participants = [TwoPhaseParticipant(f"p{index}-{i}") for i in range(2)]
+            for participant in participants:
+                wscf_b.register(context, participant)
+            assert wscf_a.terminate(context.context_id).name == "committed"
+            assert all(p.committed for p in participants)
+            context_ids.append(context.context_id)
+        assert (wscf_a._contexts, wscf_a._activities) == ({}, {})
+        assert list(wscf_a._terminated) == context_ids[-10:]
+        assert wscf_a.outcome_of(context_ids[0]) is None
+        assert wscf_a.outcome_of(context_ids[-1]).name == "committed"
+        assert wscf_a.manager.active_activities() == []
+        assert len(wscf_b._interposed) == 0
+        for wscf in (wscf_a, wscf_b):
+            orb = wscf.manager.orb
+            node = orb.node(coordination_node_id(orb.domain_id))
+            assert not [oid for oid in node.object_ids() if oid.startswith("fedsub:")]
+
     def test_local_context_token_takes_local_path(self):
         bridge, wscf_a, wscf_b = self.build_federation()
         context = wscf_a.create_context(PROTOCOL_ATOMIC)

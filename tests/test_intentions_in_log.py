@@ -13,6 +13,9 @@ cell store any more:
   log index holds intention values only for unfinished transactions.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.ots import (
@@ -203,10 +206,68 @@ class TestOnlyStatesInTheStore:
             cells["b"].write(tx, value)
             tx.commit()
             tids.append(tx.tid)
+        # Each install was buffered: every completion waits for the
+        # checkpoint, so the index keeps all five intentions.
+        wal.force()
         index = factory.log_index()
-        assert list(index.intentions) == [tids[-1]]  # its completion is unforced
+        assert list(index.intentions) == tids
+        assert factory.checkpoint() == 5
+        assert list(factory.log_index().intentions) == tids  # appended, not yet forced
         wal.force()
         index = factory.log_index()
         assert index.intentions == {}
         assert sorted(index.decided) == sorted(tids)  # the status answers stay
         close(wal, cell_store)
+
+
+class TestParkedCompletionsUnderConcurrentCommits:
+    def test_every_completion_lands_once(self, tmp_path):
+        """Committers on eight threads park completions while another
+        thread checkpoints in a loop: once the last checkpoint is forced,
+        each commit has exactly one ``tx_completed`` and the index holds
+        no intention."""
+        # An in-memory log: no fsync releases the interpreter lock, so the
+        # threads contend for it on every step.
+        wal = WriteAheadLog(MemoryStore(), "txlog")
+        factory = TransactionFactory(wal=wal)
+        cell_store = SegmentedFileStore(str(tmp_path / "cells"))
+        committed, done = [], threading.Event()
+
+        def commit_loop(worker):
+            a, b = (
+                TransactionalCell(f"{worker}-{key}", 0, factory, store=cell_store)
+                for key in "ab"
+            )
+            for value in range(1, 201):
+                tx = factory.create()
+                a.write(tx, value)
+                b.write(tx, value)
+                tx.commit()
+                committed.append(tx.tid)
+
+        def checkpoint_loop():
+            while not done.is_set():
+                factory.checkpoint()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            checkpointer = threading.Thread(target=checkpoint_loop)
+            checkpointer.start()
+            workers = [threading.Thread(target=commit_loop, args=(w,)) for w in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            done.set()
+            checkpointer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not checkpointer.is_alive() and not any(w.is_alive() for w in workers)
+        factory.checkpoint()
+        wal.force()
+        completed = [r.payload["tid"] for r in wal.of_kind("tx_completed")]
+        assert len(committed) == 8 * 200
+        assert sorted(completed) == sorted(committed)
+        assert factory.log_index().intentions == {}
+        cell_store.close()

@@ -15,12 +15,6 @@ from repro.orb.site import SiteConfig, SiteRuntime
 HEARTBEAT = {"probe_interval": 30.0}
 
 
-def free_port():
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
 def wait_for(predicate, timeout=10.0):
     waiter = threading.Event()
     for _ in range(int(timeout / 0.02)):
@@ -39,7 +33,13 @@ def answers_ping(runtime, peer_id):
 
 
 def test_peer_started_after_being_marked_down_is_reachable():
-    port_a = free_port()
+    # Site-a's port is held from the start by a socket that is bound but
+    # not listening: site-b's probes are refused, so it marks site-a
+    # down, and no other socket can take the port before site-a's
+    # transport takes this one over and listens on it.
+    held = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    held.bind(("127.0.0.1", 0))
+    port_a = held.getsockname()[1]
     site_b = SiteRuntime(
         SiteConfig(
             site_id="site-b",
@@ -65,6 +65,7 @@ def test_peer_started_after_being_marked_down_is_reachable():
                 heartbeat=HEARTBEAT,
             )
         )
+        site_a.transport.bind = held
         site_a.serve_in_background()
         assert wait_for(lambda: answers_ping(site_b, "site-a"))
         # The half-open probe is 30 s away; an ordinary request must not
@@ -75,3 +76,4 @@ def test_peer_started_after_being_marked_down_is_reachable():
         if site_a is not None:
             site_a.stop()
         site_b.stop()
+        held.close()
