@@ -762,6 +762,8 @@ class Transaction:
         for record in failed:
             record.completed = False
         if error is not None:
+            for store in sweep.unsynced:  # the retry (redrive) logs the completion at once
+                store.sync()
             raise error
         return sweep.unsynced
 

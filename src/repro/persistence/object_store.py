@@ -180,10 +180,9 @@ class SegmentedFileStore(ObjectStore):
     by the first one, swapped on rollover and compaction, released by
     :meth:`close`); a store that is only read never opens one.
 
-    :meth:`put_many_unsynced` skips the fsync until :meth:`sync`, a
-    rollover, a compaction or :meth:`close`.  ``flushes`` counts appends,
-    ``fsyncs`` fsyncs; ``synced`` maps segment id to the offset its last
-    fsync covered.
+    :meth:`put_many_unsynced` skips the fsync until :meth:`sync`, a rollover,
+    a compaction or :meth:`close`.  ``flushes`` counts appends, ``fsyncs``
+    fsyncs; ``synced`` maps segment id to the offset its last fsync covered.
 
     Segments roll over once the active file passes ``segment_bytes``;
     superseded frames accumulate until :meth:`compact` rewrites the live
@@ -308,9 +307,8 @@ class SegmentedFileStore(ObjectStore):
             os.close(fd)
 
     def _append_frames(self, frames: List[bytes], sync: bool = True) -> bool:
-        """One write + fsync if ``sync`` (and a directory fsync when it
-        created the segment file); True when it filled (and rolled) the
-        segment."""
+        """One write + fsync if ``sync`` (and a directory fsync when it created
+        the segment file); True when it filled (and rolled) the segment."""
         handle = self._handle
         created = False
         if handle is None:

@@ -10,7 +10,8 @@ recover, and every acknowledged transfer must still show in the
 balances: local, federated (two subordinates, full two-phase commit)
 and last agent.  The local scenario also makes a one-phase commit, whose
 store write is its commit point, and a cell store with small segments
-rolls over between checkpoints.
+rolls over between checkpoints, and a commit whose install failed on
+one store is redriven.
 """
 
 import os
@@ -20,8 +21,15 @@ import pytest
 from repro.apps.site_apps import bank_node_id
 from repro.orb.reference import ObjectRef
 from repro.orb.site import SiteConfig, SiteRuntime
-from repro.ots import RecoverableRegistry, RecoveryManager, TransactionalCell, TransactionFactory
-from repro.persistence import SegmentedFileStore, WriteAheadLog
+from repro.ots import (
+    RecoverableRegistry,
+    RecoveryManager,
+    TransactionalCell,
+    TransactionFactory,
+    TransactionStatus,
+)
+from repro.persistence import MemoryStore, SegmentedFileStore, WriteAheadLog
+from repro.persistence.object_store import StoreError
 from repro.testing.process_harness import free_port
 
 pytestmark = pytest.mark.usefixtures("close_segmented_stores")
@@ -254,3 +262,44 @@ class TestRolledSegmentsAreSynced:
         wal, cell_store, _, registry, (a, b) = self.boot(tmp_path)
         RecoveryManager(wal, registry).recover()
         assert (a.committed_value, b.committed_value) == (88, 112)
+
+
+class FailingInstallStore(MemoryStore):
+    """A cell medium whose next batch write raises."""
+
+    fail_next = False
+
+    def put_many(self, items):
+        if self.fail_next:
+            self.fail_next = False
+            raise StoreError("cell device error")
+        super().put_many(items)
+
+
+class TestRedriveAfterAPartialInstall:
+    def test_the_store_written_first_is_synced_before_the_redrive_completes(self, tmp_path):
+        """The buffered install lands on one store and fails on the other;
+        the redrive, which logs its completion at once, must not make that
+        completion durable ahead of the first store's install."""
+        wal = WriteAheadLog(SegmentedFileStore(str(tmp_path / "wal")))
+        cells_root = str(tmp_path / "cells")
+        segmented, flaky = SegmentedFileStore(cells_root), FailingInstallStore()
+        factory = TransactionFactory(wal=wal)
+        a = TransactionalCell("a", 0, factory, store=segmented)
+        b = TransactionalCell("b", 0, factory, store=flaky)
+        tx = factory.create()
+        a.write(tx, 1)
+        b.write(tx, 2)
+        flaky.fail_next = True
+        with pytest.raises(StoreError):
+            tx.commit()
+        assert tx.status is TransactionStatus.COMMITTING
+        assert factory.redrive_stuck() == [tx.tid]
+        wal.force()
+        assert [r.payload["tid"] for r in wal.of_kind("tx_completed")] == [tx.tid]
+        synced = dict(segmented.synced)
+        segmented.close()
+        wal.store.close()
+        truncate_to_synced(cells_root, synced)
+        reopened = SegmentedFileStore(cells_root)
+        assert reopened.get("cell:a") == [1, 1]
