@@ -258,6 +258,8 @@ class Transaction:
         self._intentions: Dict[str, Any] = {}
         # (recovery keys, intentions, root tid) once handed to the log.
         self._decision: Optional[Tuple[List[str], Optional[Dict[str, Any]], Optional[str]]] = None
+        # Stores its buffered commit sweeps left unsynced (see _complete).
+        self._unsynced: Sequence[Any] = ()
         # The last agent, once this root has delegated its decision to it.
         self._agent: Optional[ResourceRecord] = None
         # Armed timer for this transaction's deadline; cancelled when
@@ -444,9 +446,8 @@ class Transaction:
         self.factory.failpoints.hit("after_commit_log")
         # Phase two.
         self.status = TransactionStatus.COMMITTING
-        committers = [r for r in live if r.vote is Vote.COMMIT]
-        unsynced = self._complete("commit", committers, buffered=True)
-        self.factory.log_completion(self.tid, unsynced)
+        self._complete("commit", [r for r in live if r.vote is Vote.COMMIT], buffered=True)
+        self.factory.log_completion(self.tid, self._unsynced)
         self._finish(TransactionStatus.COMMITTED)
         self._report_heuristics(report_heuristics, committed=True)
 
@@ -521,8 +522,8 @@ class Transaction:
             voters = [r for r in self._resources if r.vote is Vote.COMMIT and not r.completed]
             if committed:
                 self.status = TransactionStatus.COMMITTING
-                unsynced = self._complete("commit", voters, buffered=True)
-                self.factory.log_completion(self.tid, unsynced)
+                self._complete("commit", voters, buffered=True)
+                self.factory.log_completion(self.tid, self._unsynced)
                 self._finish(TransactionStatus.COMMITTED)
             else:
                 self.status = TransactionStatus.ROLLING_BACK
@@ -609,8 +610,8 @@ class Transaction:
                 raise NotPrepared(
                     f"transaction {self.tid} is {self.status.value}, not prepared"
                 )
-            unsynced = self._complete("commit", committers, buffered=True)
-            self.factory.log_completion(self.tid, unsynced)
+            self._complete("commit", committers, buffered=True)
+            self.factory.log_completion(self.tid, self._unsynced)
             self._finish(TransactionStatus.COMMITTED)
             self._report_heuristics(True, committed=True)
 
@@ -722,10 +723,11 @@ class Transaction:
 
     def _complete(
         self, operation: str, records: List[ResourceRecord], buffered: bool = False
-    ) -> List[Any]:
+    ) -> None:
         """Phase two in one direction: tell every record to ``operation``
-        ("commit" or "rollback"); returns the stores a ``buffered`` sweep
-        left unsynced.
+        ("commit" or "rollback").  The stores a ``buffered`` sweep left
+        unsynced join ``_unsynced``, which every later completion of this
+        transaction (a redrive's too) waits on.
 
         The outcome is decided, so nothing abandons the round.  A
         heuristic report is kept and the participant told to forget; an
@@ -761,11 +763,10 @@ class Transaction:
             record.completed = True
         for record in failed:
             record.completed = False
+        if sweep.unsynced:
+            self._unsynced = [*self._unsynced, *sweep.unsynced]
         if error is not None:
-            for store in sweep.unsynced:  # the retry (redrive) logs the completion at once
-                store.sync()
             raise error
-        return sweep.unsynced
 
     def _call_with_retry(self, round_: _ParticipantRound, participant: Any) -> None:
         last_error: Optional[CommunicationError] = None
@@ -861,7 +862,7 @@ class Transaction:
                 # The commit decision is already forced to the log;
                 # finish phase two exactly as the first pass would have.
                 self._complete("commit", records)
-                self.factory.log_completion(self.tid)
+                self.factory.log_completion(self.tid, self._unsynced)
                 self._finish(TransactionStatus.COMMITTED)
         return self.status.is_terminal
 

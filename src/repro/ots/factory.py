@@ -221,15 +221,22 @@ class TransactionFactory:
 
     def checkpoint(self) -> int:
         """Sync each store the parked completions' installs left dirty,
-        once, then append those completions; returns how many.  A failed
-        sync drops them: recovery redoes their decisions."""
+        once, then append the completions whose stores synced; returns
+        how many.  Never raises: a failed sync drops the completions it
+        covers (recovery redoes them) and fails its store until reopened."""
         with self._parked_lock:
             parked, self._parked = self._parked, []
+        failed = set()
         for store in {store for _, _, stores in parked for store in stores}:
-            store.sync()
-        for tid, extra, _ in parked:
+            try:
+                store.sync()
+            except ReproError as exc:  # a failed fsync: the store stays failed
+                failed.add(store)
+                self.event_log.record("checkpoint_sync_failed", error=str(exc))
+        logged = [(tid, extra) for tid, extra, stores in parked if failed.isdisjoint(stores)]
+        for tid, extra in logged:
             self.wal.append_volatile("tx_completed", tid=tid, **extra)
-        return len(parked)
+        return len(logged)
 
     def log_index(self) -> LogIndex:
         """The incremental index of this factory's log, brought up to

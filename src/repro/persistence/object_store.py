@@ -66,8 +66,7 @@ class ObjectStore(abc.ABC):
             self.put(uid, state)
 
     def put_many_unsynced(self, items: BatchItems) -> bool:
-        """A batch a forced log record already carries; True when it was
-        left for :meth:`sync` (by default it is a durable ``put_many``)."""
+        """A batch a forced log record carries; True if left for :meth:`sync`."""
         self.put_many(items)
         return False
 
@@ -181,7 +180,9 @@ class SegmentedFileStore(ObjectStore):
     :meth:`close`); a store that is only read never opens one.
 
     :meth:`put_many_unsynced` skips the fsync until :meth:`sync`, a rollover,
-    a compaction or :meth:`close`.  ``flushes`` counts appends, ``fsyncs``
+    a compaction or :meth:`close`; opening syncs what a killed writer left.
+    After a failed fsync (a retry may pass over dropped pages) appends and
+    syncs raise until reopened.  ``flushes`` counts appends, ``fsyncs``
     fsyncs; ``synced`` maps segment id to the offset its last fsync covered.
 
     Segments roll over once the active file passes ``segment_bytes``;
@@ -223,6 +224,7 @@ class SegmentedFileStore(ObjectStore):
         self.flushes = 0
         self.fsyncs = 0
         self.synced: Dict[int, int] = {}
+        self._failed: Optional[OSError] = None
         self.torn_frames_dropped = 0
         if auto_compact_ratio is not None and not (0.0 < auto_compact_ratio <= 1.0):
             raise ValueError("auto_compact_ratio must be in (0, 1]")
@@ -240,6 +242,11 @@ class SegmentedFileStore(ObjectStore):
             # The last one is the active segment: appends go behind its
             # last whole frame.
             self._active_size = self.synced[seg_id] = self._replay(self._segment_path(seg_id))
+        if os.path.exists(self._segment_path(self._active_id)):  # maybe page cache only
+            with open(self._segment_path(self._active_id), "rb") as handle:
+                os.fsync(handle.fileno())
+            self.fsyncs += 1
+            self._fsync_root()
 
     # -- layout ---------------------------------------------------------------
 
@@ -309,6 +316,7 @@ class SegmentedFileStore(ObjectStore):
     def _append_frames(self, frames: List[bytes], sync: bool = True) -> bool:
         """One write + fsync if ``sync`` (and a directory fsync when it created
         the segment file); True when it filled (and rolled) the segment."""
+        self._refuse_if_failed()
         handle = self._handle
         created = False
         if handle is None:
@@ -341,24 +349,36 @@ class SegmentedFileStore(ObjectStore):
         self._active_id = seg_id
         self._active_size = 0
 
+    def _refuse_if_failed(self) -> None:
+        if self._failed is not None:
+            raise StoreError(f"{self._root}: an fsync failed ({self._failed}); reopen the store")
+
     def sync(self) -> None:
         """Fsync the active segment if an append left it dirty."""
         with self._write_lock:
+            self._refuse_if_failed()
             if self._handle is not None and self.synced.get(self._active_id, 0) < self._active_size:
-                os.fsync(self._handle.fileno())
+                try:
+                    os.fsync(self._handle.fileno())
+                except OSError as exc:
+                    self._failed = exc
+                    self._refuse_if_failed()
                 self.fsyncs += 1
                 self.synced[self._active_id] = self._active_size
 
     def close(self) -> None:
-        """Sync (if dirty) and close the active segment's append handle.
+        """Sync (unless failed) and close the active segment's append handle.
 
         The store stays usable: the next append reopens the file.
         """
         with self._write_lock:
             if self._handle is not None:
-                self.sync()
-                self._handle.close()
-                self._handle = None
+                try:
+                    if self._failed is None:
+                        self.sync()
+                finally:
+                    self._handle.close()
+                    self._handle = None
 
     # -- auto compaction -------------------------------------------------------
 
@@ -394,18 +414,18 @@ class SegmentedFileStore(ObjectStore):
     def put(self, uid: str, state: Any) -> None:
         self.put_many([(uid, state)])
 
-    def put_many(self, items: BatchItems, removes: Iterable[str] = (), sync: bool = True) -> None:
+    def put_many(self, items: BatchItems, removes: Iterable[str] = ()) -> None:
         """Puts, then a tombstone per existing uid of ``removes``, in one
         append + fsync (see the class docstring for the crash guarantee)."""
-        encoded = {
-            uid: self._marshaller.encode(state) for uid, state in dict(items).items()
-        }
+        encoded = {uid: self._marshaller.encode(state) for uid, state in dict(items).items()}
         with self._write_lock:
             dead = [uid for uid in removes if uid in self._index or uid in encoded]
-            self._apply_locked(encoded, dead, sync)
+            self._apply_locked(encoded, dead)
 
     def put_many_unsynced(self, items: BatchItems) -> bool:
-        self.put_many(items, sync=False)
+        encoded = {uid: self._marshaller.encode(state) for uid, state in dict(items).items()}
+        with self._write_lock:
+            self._apply_locked(encoded, [], sync=False)
         return True
 
     def _apply_locked(self, encoded: Dict[str, bytes], dead: List[str], sync: bool = True) -> None:

@@ -15,7 +15,6 @@ framework, per §5.2.
 
 from __future__ import annotations
 
-import weakref
 from typing import ClassVar, Dict, Optional, Tuple, Union
 
 from repro.core.action import Action
@@ -117,10 +116,6 @@ class WscfCoordinator:
         self._contexts: Dict[str, CoordinationContext] = {}
         self._activities: Dict[str, Activity] = {}
         self._terminated: Dict[str, Outcome] = {}
-        # (context_id) -> local subordinate enlisted with the issuing
-        # domain; registrations for a foreign context interpose through
-        # it instead of crossing the bridge per participant.
-        self._interposed = weakref.WeakValueDictionary()  # its node owns it until it forgets
         self.interposed_registrations = 0
         self._published = False
 
@@ -211,7 +206,7 @@ class WscfCoordinator:
         context: CoordinationContext,
         participant: Union[Action, ObjectRef],
     ) -> None:
-        subordinate = self._interposed.get(context.context_id)
+        subordinate = self.subordinate_for(context.context_id)
         if subordinate is None:
             # The one registration that reaches the issuing domain: this
             # domain's subordinate, whose ref routes signals back here.
@@ -227,14 +222,20 @@ class WscfCoordinator:
                     f"domain {context.domain_id!r} publishes no wscf coordinator"
                 ) from None
             subordinate = local_subordinate(self.manager, context.context_id)
-            self._interposed[context.context_id] = subordinate
         for set_name in PROTOCOL_SETS[context.coordination_type]:
             subordinate.register(set_name, participant)
         self.interposed_registrations += 1
 
     def subordinate_for(self, context_id: str) -> Optional[SubordinateCoordinator]:
-        """The local subordinate interposed for a foreign context."""
-        return self._interposed.get(context_id)
+        """The local subordinate interposed for a foreign context: it
+        lives on this domain's coordination node until that context's
+        termination has it forget."""
+        orb = self.manager.orb
+        if orb is None or orb.federation is None:
+            return None
+        node = orb.federation.coordination_node(orb.domain_id)
+        object_id = subordinate_object_id(context_id)
+        return node.servant(object_id) if node.has_object(object_id) else None
 
     # -- termination -----------------------------------------------------------------
 
@@ -253,18 +254,15 @@ class WscfCoordinator:
         if len(self._terminated) > OUTCOME_TOMBSTONE_LIMIT:
             del self._terminated[next(iter(self._terminated))]
         del self._activities[context_id]
-        context = self._contexts.pop(context_id)
-        subordinates = {
-            record.action.node_id: record.action
-            for set_name in PROTOCOL_SETS[context.coordination_type]
-            for record in activity.coordinator.actions_for(set_name)
-            if getattr(record.action, "object_id", None) == subordinate_object_id(context_id)
-        }
-        for node_id, subordinate in subordinates.items():
-            try:
-                subordinate.invoke("forget")
-            except (CommunicationError, ObjectNotExist) as exc:  # the outcome stands
-                self.manager.event_log.record("wscf_forget_failed", node=node_id, error=str(exc))
+        # Each foreign subordinate sits in every set of the protocol: the
+        # last set lists each once.
+        last_set = PROTOCOL_SETS[self._contexts.pop(context_id).coordination_type][-1]
+        for record in activity.coordinator.actions_for(last_set):
+            if getattr(record.action, "object_id", None) == subordinate_object_id(context_id):
+                try:
+                    record.action.invoke("forget")
+                except (CommunicationError, ObjectNotExist) as exc:  # the outcome stands
+                    self.manager.event_log.record("wscf_forget_failed", error=str(exc))
         return outcome
 
     def outcome_of(self, context_id: str) -> Optional[Outcome]:

@@ -274,7 +274,7 @@ class TestWscfCrossDomain:
         assert wscf_a.outcome_of(context_ids[0]) is None
         assert wscf_a.outcome_of(context_ids[-1]).name == "committed"
         assert wscf_a.manager.active_activities() == []
-        assert len(wscf_b._interposed) == 0
+        assert not [cid for cid in context_ids if wscf_b.subordinate_for(cid) is not None]
         for wscf in (wscf_a, wscf_b):
             orb = wscf.manager.orb
             node = orb.node(coordination_node_id(orb.domain_id))

@@ -148,7 +148,10 @@ class TestFileStore:
         synced.clear()
         store.close()
         SegmentedFileStore(root, segment_bytes=256).put("c", 3)
-        assert synced == ["file"]  # a reopened store appends to it too
+        # A reopened store first syncs the active segment and its entry
+        # (a killed writer's appends may sit in the page cache only),
+        # then appends to it.
+        assert synced == ["file", "dir", "file"]
         synced.clear()
         store = SegmentedFileStore(root, segment_bytes=256, auto_compact_ratio=None)
         while len(store._segment_ids) == 1:

@@ -11,9 +11,13 @@ balances: local, federated (two subordinates, full two-phase commit)
 and last agent.  The local scenario also makes a one-phase commit, whose
 store write is its commit point, and a cell store with small segments
 rolls over between checkpoints, and a commit whose install failed on
-one store is redriven.
+one store is redriven.  Two more cuts do not trust the stores'
+bookkeeping (an fsync witness records what each fsync covered): one
+after a killed process restarted and recovered over its unsynced
+installs, and one after a failed fsync.
 """
 
+import errno
 import os
 
 import pytest
@@ -21,6 +25,7 @@ import pytest
 from repro.apps.site_apps import bank_node_id
 from repro.orb.reference import ObjectRef
 from repro.orb.site import SiteConfig, SiteRuntime
+from repro.ots import factory as factory_module
 from repro.ots import (
     RecoverableRegistry,
     RecoveryManager,
@@ -228,29 +233,58 @@ class TestAcknowledgedTransfersSurvivePowerLoss:
         assert balances(runtimes["far"]) == (100.0, 109.0)
 
 
+def boot(root, **cell_store_options):
+    """A factory over a log and a cell store in ``root``, cells a and b."""
+    wal = WriteAheadLog(SegmentedFileStore(str(root / "wal")))
+    cell_store = SegmentedFileStore(str(root / "cells"), **cell_store_options)
+    factory = TransactionFactory(wal=wal)
+    registry = RecoverableRegistry()
+    cells = [
+        TransactionalCell(key, 100, factory, store=cell_store, registry=registry)
+        for key in ("a", "b")
+    ]
+    return wal, cell_store, factory, registry, cells
+
+
+def transfer(factory, a, b):
+    tx = factory.create()
+    a.write(tx, a.read(tx) - 1)
+    b.write(tx, b.read(tx) + 1)
+    tx.commit()
+    return tx
+
+
+class FsyncWitness:
+    """Records, per file, the size the last fsync of it made durable,
+    whichever store instance or descriptor made it — so a cut does not
+    trust the bookkeeping of the store under test."""
+
+    def __init__(self, monkeypatch):
+        self.durable = {}
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            real_fsync(fd)
+            stat = os.fstat(fd)
+            self.durable[(stat.st_dev, stat.st_ino)] = stat.st_size
+
+        monkeypatch.setattr(os, "fsync", fsync)
+
+    def cut(self, root):
+        for name in os.listdir(root):
+            path = os.path.join(root, name)
+            stat = os.stat(path)
+            os.truncate(path, self.durable.get((stat.st_dev, stat.st_ino), 0))
+
+
 class TestRolledSegmentsAreSynced:
-    def boot(self, root):
-        wal = WriteAheadLog(SegmentedFileStore(str(root / "wal")))
+    def test_checkpointed_installs_survive_in_rolled_segments(self, tmp_path):
         # Small segments that only roll, never compact: every rollover
         # leaves a segment the next checkpoint no longer touches.
-        cell_store = SegmentedFileStore(
-            str(root / "cells"), segment_bytes=256, auto_compact_ratio=None
-        )
-        factory = TransactionFactory(wal=wal)
-        registry = RecoverableRegistry()
-        cells = [
-            TransactionalCell(key, 100, factory, store=cell_store, registry=registry)
-            for key in ("a", "b")
-        ]
-        return wal, cell_store, factory, registry, cells
-
-    def test_checkpointed_installs_survive_in_rolled_segments(self, tmp_path):
-        wal, cell_store, factory, _, (a, b) = self.boot(tmp_path)
+        options = {"segment_bytes": 256, "auto_compact_ratio": None}
+        wal, cell_store, factory, _, (a, b) = boot(tmp_path, **options)
         for _ in range(12):
-            tx = factory.create()
-            a.write(tx, a.read(tx) - 1)
-            b.write(tx, b.read(tx) + 1)
-            tx.commit()
+            transfer(factory, a, b)
         assert factory.checkpoint() == 12
         wal.force()  # every completion is durable now
         assert len(cell_store.synced) > 2  # the installs rolled the segment over
@@ -259,9 +293,71 @@ class TestRolledSegmentsAreSynced:
         cell_store.close()
         for kind, synced in cut.items():
             truncate_to_synced(str(tmp_path / kind), synced)
-        wal, cell_store, _, registry, (a, b) = self.boot(tmp_path)
+        wal, cell_store, _, registry, (a, b) = boot(tmp_path, **options)
         RecoveryManager(wal, registry).recover()
         assert (a.committed_value, b.committed_value) == (88, 112)
+
+
+class TestPowerLossAfterAKilledProcessRestarted:
+    def test_the_restart_syncs_what_the_killed_process_left_unsynced(
+        self, tmp_path, monkeypatch
+    ):
+        """A SIGKILL leaves the buffered installs in the page cache.  The
+        restarted process's recovery finds them there, installs nothing
+        and forces their completions; a power loss after that must not
+        find those completions over lost installs."""
+        witness = FsyncWitness(monkeypatch)
+        wal, _, factory, _, (a, b) = boot(tmp_path)
+        for _ in range(3):
+            transfer(factory, a, b)
+        assert wal.of_kind("tx_completed") == []  # parked
+        wal.crash()  # killed: the volatile tail goes, the stores are left unsynced
+        wal, _, _, registry, _ = boot(tmp_path)
+        RecoveryManager(wal, registry).recover()
+        completed = wal.of_kind("tx_completed")
+        assert [record.payload.get("recovered") for record in completed] == [True] * 3
+        assert wal.durable_upto >= completed[-1].lsn
+        for kind in ("wal", "cells"):
+            witness.cut(str(tmp_path / kind))
+        wal, _, _, registry, (a, b) = boot(tmp_path)
+        RecoveryManager(wal, registry).recover()
+        assert (a.committed_value, b.committed_value) == (97, 103)
+
+
+class TestAFailedFsyncFailsTheStore:
+    def test_no_completion_is_logged_over_a_failed_sync(self, tmp_path, monkeypatch):
+        """The commit path's own checkpoint (no round serves this factory)
+        meets a failed cell-store fsync.  The commit stands; nothing is
+        logged over the pages that fsync may have lost: not the parked
+        completions, not one parked after the failure, not a later
+        commit's, even once fsync works again.  A reopen recovers all."""
+        monkeypatch.setattr(factory_module, "PARKED_COMPLETION_LIMIT", 2)
+        wal, cell_store, factory, _, (a, b) = boot(tmp_path)
+        transfer(factory, a, b)
+        cells_root = str(tmp_path / "cells")
+        cell_files = {os.stat(os.path.join(cells_root, n)).st_ino for n in os.listdir(cells_root)}
+        real_fsync = os.fsync
+
+        def failing_fsync(fd):
+            if os.fstat(fd).st_ino in cell_files:
+                raise OSError(errno.EIO, "lost pages")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        assert transfer(factory, a, b).status is TransactionStatus.COMMITTED
+        monkeypatch.setattr(os, "fsync", real_fsync)  # a retry would report success
+        with pytest.raises(StoreError):
+            cell_store.sync()
+        factory.log_completion("tx-parked-late", [cell_store])
+        assert factory.checkpoint() == 0
+        with pytest.raises(StoreError):
+            transfer(factory, a, b)  # decided, its install refused: stranded
+        assert factory.redrive_stuck() == []
+        wal.force()
+        assert wal.of_kind("tx_completed") == []
+        wal, _, _, registry, (a, b) = boot(tmp_path)
+        RecoveryManager(wal, registry).recover()
+        assert (a.committed_value, b.committed_value) == (97, 103)
 
 
 class FailingInstallStore(MemoryStore):
@@ -279,8 +375,8 @@ class FailingInstallStore(MemoryStore):
 class TestRedriveAfterAPartialInstall:
     def test_the_store_written_first_is_synced_before_the_redrive_completes(self, tmp_path):
         """The buffered install lands on one store and fails on the other;
-        the redrive, which logs its completion at once, must not make that
-        completion durable ahead of the first store's install."""
+        the redrive's completion waits for the checkpoint to sync the
+        store the first pass left unsynced."""
         wal = WriteAheadLog(SegmentedFileStore(str(tmp_path / "wal")))
         cells_root = str(tmp_path / "cells")
         segmented, flaky = SegmentedFileStore(cells_root), FailingInstallStore()
@@ -295,6 +391,8 @@ class TestRedriveAfterAPartialInstall:
             tx.commit()
         assert tx.status is TransactionStatus.COMMITTING
         assert factory.redrive_stuck() == [tx.tid]
+        assert wal.of_kind("tx_completed") == []  # parked
+        assert factory.checkpoint() == 1
         wal.force()
         assert [r.payload["tid"] for r in wal.of_kind("tx_completed")] == [tx.tid]
         synced = dict(segmented.synced)
